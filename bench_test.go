@@ -27,12 +27,12 @@ import (
 	"pando/internal/chain"
 	"pando/internal/landsat"
 	"pando/internal/lender"
-	"pando/internal/limiter"
 	"pando/internal/netsim"
 	"pando/internal/proto"
 	"pando/internal/pullstream"
 	"pando/internal/qlearn"
 	"pando/internal/raytracer"
+	"pando/internal/sched"
 	"pando/internal/transport"
 )
 
@@ -231,7 +231,7 @@ func BenchmarkLimiterThroughput(b *testing.B) {
 				cb(nil, v)
 			},
 		}
-		th := limiter.Limit(d, 8)
+		th := sched.Gate(sched.NewController(sched.Static(8)), d)
 		if _, err := pullstream.Collect(th(pullstream.Count(500))); err != nil {
 			b.Fatal(err)
 		}

@@ -39,13 +39,6 @@ func main() {
 		jrnOut    = flag.String("journal-out", "BENCH_journal.json", "where -journal persists its results")
 		poolExp   = flag.Bool("pool", false, "measure shared-fleet vs dedicated-masters on two concurrent jobs")
 		poolOut   = flag.String("pool-out", "BENCH_pool.json", "where -pool persists its results")
-		hotExp    = flag.Bool("hotpath", false, "measure the pooled codec + coalescing data plane against the pre-pooling baseline")
-		hotOut    = flag.String("hotpath-out", "BENCH_hotpath.json", "where -hotpath persists its results")
-		hotFleets = flag.String("hotpath-fleets", "1000,10000", "comma-separated netsim worker counts for -hotpath")
-		hotPer    = flag.Int("hotpath-items", 50, "items per worker for each -hotpath fleet (enough stream to reach the steady state the arena is built for)")
-		hotPay    = flag.Int("hotpath-payload", 16384, "payload bytes per item for -hotpath (default: one 128x128 grayscale imgproc tile)")
-		hotReps   = flag.Int("hotpath-reps", 3, "baseline/pooled pairs per -hotpath fleet cell (median-speedup pair is reported)")
-		hotOne    = flag.String("hotpath-one", "", "internal: run one fleet measurement (\"workers,items,payload,pooled\") and print items/sec")
 		shardExp  = flag.Bool("shard", false, "measure aggregate throughput of sharded masters against one master over the same modeled-uplink fleet")
 		shardOut  = flag.String("shard-out", "BENCH_shard.json", "where -shard persists its results")
 		shardCnts = flag.String("shard-counts", "1,2,4,8", "comma-separated shard widths for -shard (the single-master baseline always runs)")
@@ -79,19 +72,6 @@ func main() {
 	// pristine runtime — a fleet leaves tens of thousands of dead
 	// goroutine stacks and an inflated heap target behind, which would
 	// otherwise bleed into the next measurement (see bench.ChildCell).
-	if *hotOne != "" {
-		f, err := bench.ParseChildSpec(*hotOne, 4)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pando-bench: bad -hotpath-one %q: %v\n", *hotOne, err)
-			os.Exit(1)
-		}
-		bench.ChildCell(func() ([]float64, error) {
-			rate, err := bench.RunHotpathProfile(int(f[0]), int(f[1]), int(f[2]), f[3] != 0)
-			return []float64{rate}, err
-		})
-		return
-	}
-
 	if *shardOne != "" {
 		f, err := bench.ParseChildSpec(*shardOne, 5)
 		if err != nil {
@@ -272,38 +252,6 @@ func main() {
 		fmt.Printf("results written to %s\n", *poolOut)
 	}
 
-	if *hotExp {
-		ran = true
-		var fleets []int
-		for _, f := range strings.Split(*hotFleets, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || n <= 0 {
-				fmt.Fprintf(os.Stderr, "pando-bench: bad -hotpath-fleets entry %q\n", f)
-				os.Exit(1)
-			}
-			fleets = append(fleets, n)
-		}
-		if *hotReps > 0 {
-			bench.HotpathReps = *hotReps
-		}
-		cmp, err := bench.RunHotpathWith(fleets, *hotPer, *hotPay, freshProcessRun)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pando-bench:", err)
-			os.Exit(1)
-		}
-		bench.RenderHotpath(os.Stdout, cmp)
-		data, err := json.MarshalIndent(cmp, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pando-bench:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*hotOut, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "pando-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("results written to %s\n", *hotOut)
-	}
-
 	if *shardExp {
 		ran = true
 		var counts []int
@@ -413,21 +361,6 @@ func freshShardRun(shards, workers, items, payload int, uplink int64) (float64, 
 	spec := bench.ChildSpec(int64(shards), int64(workers), int64(items), int64(payload), uplink)
 	vals, err := bench.FreshProcessRun("-shard-one", spec, func() ([]float64, error) {
 		rate, err := bench.RunShardProfile(shards, workers, items, payload, uplink)
-		return []float64{rate}, err
-	})
-	if err != nil {
-		return 0, err
-	}
-	return vals[0], nil
-}
-
-// freshProcessRun executes one -hotpath fleet measurement in a child
-// process (this same binary with -hotpath-one) and parses the rate it
-// prints.
-func freshProcessRun(workers, items, payload int, pooled bool) (float64, error) {
-	spec := bench.ChildSpec(int64(workers), int64(items), int64(payload), boolField(pooled))
-	vals, err := bench.FreshProcessRun("-hotpath-one", spec, func() ([]float64, error) {
-		rate, err := bench.RunHotpathProfile(workers, items, payload, pooled)
 		return []float64{rate}, err
 	})
 	if err != nil {

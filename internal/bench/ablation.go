@@ -3,12 +3,14 @@ package bench
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	pando "pando"
 	"pando/internal/netsim"
 	"pando/internal/proto"
 	"pando/internal/transport"
+	"pando/internal/worker"
 )
 
 // This file holds ablations of the design choices DESIGN.md calls out:
@@ -224,54 +226,68 @@ func RunBatchAdaptivity(batches []int, items int) ([]AdaptivityPoint, error) {
 	return out, nil
 }
 
-// GroupingPoint compares the plain and grouped data planes.
+// GroupingPoint is one group size of the grouping ablation.
 type GroupingPoint struct {
 	Group      int
+	Window     int // values in flight per device, the same for every point
 	Latency    time.Duration
 	Throughput float64 // items/s
+	// WireBytesPerItem counts both directions over every device's link.
+	WireBytesPerItem float64
 }
 
-// RunGroupingComparison measures throughput for several group sizes over
-// a high-latency link with very small items — the regime where
-// per-message overhead dominates and sending several inputs per frame
-// (the "batching inputs for distribution" of §1) pays off.
+// RunGroupingComparison measures what sending several inputs per frame
+// (the "batching inputs for distribution" of §1) buys for very small
+// items over a high-latency link. The credit window is the same number of
+// values for every group size — four of the largest group — so group size
+// is the only variable: what moves is bytes on the wire per item (one
+// envelope, Seq and digest per group instead of per value), while
+// throughput at an equal window stays within noise, since the one data
+// plane already coalesces frames into vectored writes.
 func RunGroupingComparison(groups []int, latency time.Duration, nWorkers, items int) ([]GroupingPoint, error) {
+	window := 4 * slices.Max(groups)
+	f := func(w WorkItem) (Ack, error) { return Ack{Seq: w.Seq}, nil }
+	hb := transport.Config{HeartbeatInterval: 100 * time.Millisecond}
+	link := netsim.Link{Latency: latency, Jitter: latency / 20, Bandwidth: 4 << 20}
+	inputs := make([]WorkItem, items)
+	for i := range inputs {
+		inputs[i] = WorkItem{Seq: i}
+	}
 	var out []GroupingPoint
 	for _, g := range groups {
 		ablSeq++
-		opts := []pando.Option{
-			pando.WithBatch(4 * maxInt(1, g)),
-			pando.WithoutRegistry(),
-			pando.WithChannelConfig(transport.Config{HeartbeatInterval: 100 * time.Millisecond}),
-		}
-		if g > 1 {
-			opts = append(opts, pando.WithGroup(g))
-		}
-		p := pando.New(fmt.Sprintf("abl-group-%d", ablSeq),
-			func(w WorkItem) (Ack, error) { return Ack{Seq: w.Seq}, nil }, opts...)
-		link := netsim.Link{Latency: latency, Jitter: latency / 20, Bandwidth: 4 << 20}
-		for w := 0; w < nWorkers; w++ {
-			p.AddWorker(fmt.Sprintf("w%d", w), link, 100*time.Microsecond, -1)
-		}
-		inputs := make([]WorkItem, items)
-		for i := range inputs {
-			inputs[i] = WorkItem{Seq: i}
+		name := fmt.Sprintf("abl-group-%d", ablSeq)
+		// The links are built here rather than by AddWorker so their byte
+		// counters can be read back.
+		pool := pando.NewPool(pando.WithChannelConfig(hb))
+		p := pando.Map(pool, name, f, pando.WithBatch(window), pando.WithGroup(g),
+			pando.WithoutRegistry(), pando.WithChannelConfig(hb))
+		pipes := make([]*netsim.Pipe, nWorkers)
+		for w := range pipes {
+			v := &worker.Volunteer{Name: fmt.Sprintf("w%d", w), Handler: pando.Handler(f), Channel: hb,
+				Delay: 100 * time.Microsecond, CrashAfter: -1, Functions: []string{name}}
+			pipe := netsim.NewPipe(link)
+			pipes[w] = pipe
+			go func() { _ = v.JoinWS(pipe.A) }()
+			go func() { _ = pool.Fleet().Admit(transport.NewWSock(pipe.B, hb)) }()
 		}
 		start := time.Now()
-		if _, err := p.ProcessSlice(context.Background(), inputs); err != nil {
-			p.Close()
+		_, err := p.ProcessSlice(context.Background(), inputs)
+		elapsed := time.Since(start)
+		var wire int64
+		for _, pipe := range pipes {
+			ab, ba := pipe.Bytes()
+			wire += ab + ba
+			pipe.Cut()
+		}
+		p.Close()
+		pool.Close()
+		if err != nil {
 			return nil, err
 		}
-		elapsed := time.Since(start)
-		p.Close()
-		out = append(out, GroupingPoint{Group: g, Latency: latency, Throughput: float64(items) / elapsed.Seconds()})
+		out = append(out, GroupingPoint{Group: g, Window: window, Latency: latency,
+			Throughput:       float64(items) / elapsed.Seconds(),
+			WireBytesPerItem: float64(wire) / float64(items)})
 	}
 	return out, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -75,17 +75,38 @@ func TestBatchAdaptivityTradeoff(t *testing.T) {
 	}
 }
 
-func TestGroupingComparisonHelps(t *testing.T) {
+// TestGroupingComparisonSavesBytes pins what grouping measurably buys at
+// an equal credit window: fewer bytes on the wire per item — not
+// throughput, which the coalescing data plane already has.
+func TestGroupingComparisonSavesBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	points, err := RunGroupingComparison([]int{1, 8}, 20*time.Millisecond, 2, 200)
+	points, err := RunGroupingComparison([]int{1, 4, 8}, 20*time.Millisecond, 2, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, grouped := points[0], points[1]
-	if grouped.Throughput < plain.Throughput*1.3 {
-		t.Errorf("group 8 (%.0f items/s) should clearly beat plain (%.0f items/s) for tiny items over 20ms latency",
-			grouped.Throughput, plain.Throughput)
+	for _, p := range points {
+		t.Logf("group %d, window %d: %.0f items/s, %.1f wire B/item", p.Group, p.Window, p.Throughput, p.WireBytesPerItem)
+	}
+	for i := 1; i < len(points); i++ {
+		prev, cur := points[i-1], points[i]
+		if cur.Window != prev.Window {
+			t.Fatalf("window varies with group size (%d vs %d): the comparison is confounded", prev.Window, cur.Window)
+		}
+		if cur.WireBytesPerItem >= prev.WireBytesPerItem {
+			t.Errorf("group %d: %.1f wire B/item, not below group %d's %.1f",
+				cur.Group, cur.WireBytesPerItem, prev.Group, prev.WireBytesPerItem)
+		}
+	}
+	plain, grouped := points[0], points[len(points)-1]
+	if grouped.WireBytesPerItem > 0.7*plain.WireBytesPerItem {
+		t.Errorf("group %d: %.1f wire B/item vs plain %.1f; grouping should save at least 30%%",
+			grouped.Group, grouped.WireBytesPerItem, plain.WireBytesPerItem)
+	}
+	// Equal window, so throughput only has to stay within noise.
+	if r := grouped.Throughput / plain.Throughput; r < 0.5 || r > 2 {
+		t.Errorf("group %d at %.0f items/s vs plain %.0f at an equal window (ratio %.2f); expected near parity",
+			grouped.Group, grouped.Throughput, plain.Throughput, r)
 	}
 }

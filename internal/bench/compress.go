@@ -186,7 +186,7 @@ func RunCompressProfile(workload int, v3 bool, workers, items, payload int, upli
 			mch.SetWire(proto.V2)
 		}
 		go func() {
-			_ = transport.WorkerServeGrouped[[]byte, []byte](workerCh, raw, raw, checksum)
+			_ = transport.WorkerServe[[]byte, []byte](workerCh, raw, raw, checksum, nil)
 		}()
 		m.Attach(fmt.Sprintf("w%d", i), mch)
 	}
@@ -233,7 +233,9 @@ func RunCompressProfile(workload int, v3 bool, workers, items, payload int, upli
 type CompressRunner func(workload int, v3 bool, workers, items, payload int, uplink int64) (float64, int64, error)
 
 // CompressReps is how many (baseline, v3) pairs each workload cell runs;
-// the median-speedup pair is reported (see HotpathReps for why pairs).
+// the median-speedup pair is reported (a machine's load phase swings
+// both halves of an adjacent pair together, so the within-pair ratio is
+// stable where lone rates are not).
 // It defaults to 1: the cells are bandwidth-paced, so their rates are
 // timer-determined and vary far less between reps than CPU-bound cells.
 var CompressReps = 1

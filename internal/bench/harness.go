@@ -225,7 +225,7 @@ func RunTable2(opt Options) ([]CellResult, error) {
 
 // ---------------------------------------------------------------------
 // Cell-isolation scaffolding shared by the fleet-scale experiments
-// (-hotpath, -shard, -compress). A fleet measurement leaves tens of
+// (-shard, -compress, -verify). A fleet measurement leaves tens of
 // thousands of dead goroutine stacks and an inflated heap target behind,
 // so consecutive cells in one process face different runtimes — a
 // sequential comparison then measures process aging as much as the

@@ -2,29 +2,17 @@ package bench
 
 import (
 	"bytes"
-	"fmt"
 	"io"
-	"sort"
 	"testing"
-	"time"
 
-	"pando/internal/core"
-	"pando/internal/netsim"
 	"pando/internal/proto"
-	"pando/internal/pullstream"
-	"pando/internal/sched"
-	"pando/internal/transport"
 )
 
-// This file measures the zero-alloc hot path: what the pooled codec
-// arena and the coalescing (vectored-write) data plane buy over the
-// pre-pooling baseline — per-frame make() in the encoder, a fresh body
-// buffer per decode, and one write per frame. The codec half is measured
-// with the testing package's allocation accounting; the fleet half runs a
-// real master data plane against large simulated fleets, because both
-// optimizations only matter at scale: allocation churn is a GC problem
-// with thousands of live sessions, and write coalescing only collapses
-// work when a credit window keeps several frames in flight per session.
+// This file measures the codec half of the zero-alloc hot path: the
+// steady-state per-frame cost of one wire format direction, with the
+// testing package's allocation accounting. The fleet-scale comparison
+// against the pre-pooling data plane (PR 6) is frozen in the committed
+// BENCH_hotpath.json; the baseline it ran against no longer ships.
 
 // HotpathCodecCost is the steady-state per-frame cost of one wire format
 // direction, from testing.Benchmark with allocation accounting.
@@ -37,29 +25,6 @@ type HotpathCodecCost struct {
 	BytesPerOp   int64
 	NsPerOp      int64
 	PayloadBytes int
-}
-
-// HotpathProfile is one fleet-scale throughput cell: the same identity
-// workload pushed through the baseline data plane (unpooled v2 encode,
-// one write per frame) and the pooled coalescing one.
-type HotpathProfile struct {
-	Workers      int
-	Items        int
-	PayloadBytes int
-	// BaselineItemsPerSec is V2 with per-frame allocation and
-	// frame-per-write sends (the pre-pooling data plane).
-	BaselineItemsPerSec float64
-	// PooledItemsPerSec is pooled V2 with credit-window write
-	// coalescing.
-	PooledItemsPerSec float64
-	Speedup           float64
-}
-
-// HotpathComparison is the whole experiment, persisted as
-// BENCH_hotpath.json.
-type HotpathComparison struct {
-	Codec    []HotpathCodecCost
-	Profiles []HotpathProfile
 }
 
 // hotpathPayload builds the representative frame payload: an opaque tile
@@ -75,8 +40,7 @@ func hotpathPayload(n int) []byte {
 // MeasureHotpathCodec benchmarks one wire format's encode and decode
 // paths in isolation, payload of n bytes, reporting allocations per
 // steady-state frame. The pooled v2 path must come out at 0 allocs/op in
-// both directions; the unpooled variant shows what every frame used to
-// cost.
+// both directions.
 func MeasureHotpathCodec(wf proto.WireFormat, payload int) []HotpathCodecCost {
 	data := hotpathPayload(payload)
 	m := &proto.Message{Type: proto.TypeInput, Seq: 42, Data: data}
@@ -113,182 +77,5 @@ func MeasureHotpathCodec(wf proto.WireFormat, payload int) []HotpathCodecCost {
 			BytesPerOp: wres.AllocedBytesPerOp(), NsPerOp: wres.NsPerOp(), PayloadBytes: payload},
 		{Format: wf.Name(), Op: "read", AllocsPerOp: rres.AllocsPerOp(),
 			BytesPerOp: rres.AllocedBytesPerOp(), NsPerOp: rres.NsPerOp(), PayloadBytes: payload},
-	}
-}
-
-// RunHotpathProfile streams items identity-mapped []byte payloads
-// through a master data plane attached to `workers` simulated sessions,
-// and reports end-to-end items/sec. pooled selects the data plane: the
-// pooled coalescing one, or the pre-pooling baseline (unpooled v2
-// encode, one write per frame). Heartbeats are off so the measurement is
-// pure data plane.
-//
-// Sessions ride the ideal Loopback link: link timers and jitter are
-// simulator overhead that swamps the effect under measurement, and the
-// data-plane costs being compared (per-frame allocation, GC pressure,
-// write amortization) do not depend on propagation delay.
-func RunHotpathProfile(workers, items, payload int, pooled bool) (float64, error) {
-	cfg := transport.Config{HeartbeatInterval: -1}
-	wire := proto.V2
-	if !pooled {
-		wire = proto.V2Unpooled
-	}
-
-	// A static window of 8 values in flight per session (the paper's
-	// WAN-style batch, doubled) — the run of frames the coalescing plane
-	// turns into one write. The baseline runs the identical policy; it
-	// just writes the frames one by one.
-	d := core.New[[]byte, []byte](core.WithFlow(sched.Policy{Min: 8, Max: 8}))
-	defer d.Close()
-
-	pipes := make([]*netsim.Pipe, 0, workers)
-	defer func() {
-		for _, p := range pipes {
-			p.Cut()
-		}
-	}()
-	raw := transport.RawCodec{}
-	for i := 0; i < workers; i++ {
-		p := netsim.NewPipe(netsim.Loopback)
-		pipes = append(pipes, p)
-		wch := transport.NewWSock(p.A, cfg)
-		mch := transport.NewWSock(p.B, cfg)
-		wch.SetWire(wire)
-		mch.SetWire(wire)
-		identity := func(b []byte) ([]byte, error) { return b, nil }
-		var dup pullstream.Duplex[[]byte, []byte]
-		if pooled {
-			// The production worker loop: replies leave through the
-			// vectored reply queue.
-			go func() {
-				_ = transport.WorkerServeGrouped[[]byte, []byte](wch, raw, raw, identity)
-			}()
-			dup = transport.CoalescingMasterDuplex[[]byte, []byte](mch, raw, raw)
-		} else {
-			// The pre-pooling loop: strictly serial, one write per reply.
-			go func() {
-				_ = transport.WorkerServe[[]byte, []byte](wch, raw, raw, identity)
-			}()
-			dup = transport.MasterDuplex[[]byte, []byte](mch, raw, raw)
-		}
-		if err := d.Attach(fmt.Sprintf("w%d", i), dup); err != nil {
-			return 0, err
-		}
-	}
-
-	tile := hotpathPayload(payload)
-	src := pullstream.Take[[]byte](items)(pullstream.Infinite(func(int) []byte { return tile }))
-
-	start := time.Now()
-	got := 0
-	err := pullstream.Drain(d.Bind(src), func(b []byte) error {
-		if len(b) != payload {
-			return fmt.Errorf("bench: result %d is %d bytes, want %d", got, len(b), payload)
-		}
-		got++
-		return nil
-	})
-	elapsed := time.Since(start)
-	if err != nil {
-		return 0, err
-	}
-	if got != items {
-		return 0, fmt.Errorf("bench: %d results, want %d", got, items)
-	}
-	return float64(items) / elapsed.Seconds(), nil
-}
-
-// HotpathRunner executes one fleet measurement and returns its
-// items/sec. cmd/pando-bench supplies a runner that re-executes itself
-// so every measurement gets a fresh process; RunHotpath's in-process
-// default serves tests and callers that cannot re-exec.
-type HotpathRunner func(workers, items, payload int, pooled bool) (float64, error)
-
-// RunHotpath runs the whole experiment in-process: codec allocation
-// costs for the pooled and unpooled v2 paths, then fleet-scale
-// throughput at each worker count with itemsPerWorker values per
-// session.
-func RunHotpath(workerCounts []int, itemsPerWorker, payload int) (HotpathComparison, error) {
-	return RunHotpathWith(workerCounts, itemsPerWorker, payload, settledHotpathRun)
-}
-
-// RunHotpathWith is RunHotpath with a pluggable per-measurement runner.
-// Prefer a runner that isolates each measurement in a fresh process:
-// a fleet leaves tens of thousands of dead goroutine stacks and an
-// inflated heap target behind, so within one process later runs face a
-// different runtime than earlier ones — the sequential comparison then
-// measures process aging as much as the data planes.
-func RunHotpathWith(workerCounts []int, itemsPerWorker, payload int, run HotpathRunner) (HotpathComparison, error) {
-	var cmp HotpathComparison
-	cmp.Codec = append(cmp.Codec, MeasureHotpathCodec(proto.V2, payload)...)
-	cmp.Codec = append(cmp.Codec, MeasureHotpathCodec(proto.V2Unpooled, payload)...)
-
-	// Each cell runs HotpathReps back-to-back (baseline, pooled) pairs
-	// and reports the pair with the median speedup. Pairing matters: on
-	// a shared machine the phase (load, frequency) swings absolute rates
-	// far more than the effect being measured — but it swings both
-	// halves of an adjacent pair together, so the within-pair ratio is
-	// stable where lone rates are not.
-	for _, workers := range workerCounts {
-		items := workers * itemsPerWorker
-		cell, err := measureHotpathCell(workers, items, payload, run)
-		if err != nil {
-			return cmp, fmt.Errorf("%d workers: %w", workers, err)
-		}
-		cmp.Profiles = append(cmp.Profiles, cell)
-	}
-	return cmp, nil
-}
-
-// HotpathReps is how many (baseline, pooled) pairs each throughput cell
-// runs; the median-speedup pair is reported. Exposed as a variable so
-// quick exploratory runs (-hotpath-reps 1) can trade confidence for
-// turnaround.
-var HotpathReps = 3
-
-func measureHotpathCell(workers, items, payload int, run HotpathRunner) (HotpathProfile, error) {
-	type pair struct{ base, pooled float64 }
-	pairs := make([]pair, 0, HotpathReps)
-	for i := 0; i < HotpathReps; i++ {
-		base, err := run(workers, items, payload, false)
-		if err != nil {
-			return HotpathProfile{}, fmt.Errorf("baseline: %w", err)
-		}
-		pooled, err := run(workers, items, payload, true)
-		if err != nil {
-			return HotpathProfile{}, fmt.Errorf("pooled: %w", err)
-		}
-		pairs = append(pairs, pair{base, pooled})
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		return pairs[i].pooled/pairs[i].base < pairs[j].pooled/pairs[j].base
-	})
-	med := pairs[len(pairs)/2]
-	return HotpathProfile{
-		Workers:             workers,
-		Items:               items,
-		PayloadBytes:        payload,
-		BaselineItemsPerSec: med.base,
-		PooledItemsPerSec:   med.pooled,
-		Speedup:             med.pooled / med.base,
-	}, nil
-}
-
-func settledHotpathRun(workers, items, payload int, pooled bool) (float64, error) {
-	settle()
-	return RunHotpathProfile(workers, items, payload, pooled)
-}
-
-// RenderHotpath prints the comparison as a readable table.
-func RenderHotpath(w io.Writer, cmp HotpathComparison) {
-	fmt.Fprintf(w, "codec steady state (payload bytes in parentheses):\n")
-	for _, c := range cmp.Codec {
-		fmt.Fprintf(w, "  %-28s %-5s  %3d allocs/op  %6d B/op  %8d ns/op  (%d)\n",
-			c.Format, c.Op, c.AllocsPerOp, c.BytesPerOp, c.NsPerOp, c.PayloadBytes)
-	}
-	fmt.Fprintf(w, "fleet throughput (identity map, heartbeats off):\n")
-	for _, p := range cmp.Profiles {
-		fmt.Fprintf(w, "  %6d workers  %8d items  baseline %10.0f items/s  pooled %10.0f items/s  speedup %.2fx\n",
-			p.Workers, p.Items, p.BaselineItemsPerSec, p.PooledItemsPerSec, p.Speedup)
 	}
 }

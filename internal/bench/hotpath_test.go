@@ -1,59 +1,18 @@
 package bench
 
 import (
-	"os"
-	"strconv"
 	"testing"
 
 	"pando/internal/proto"
 )
 
 // TestHotpathCodecZeroAlloc is the CI gate on the codec half of the
-// experiment: the pooled v2 path must stay at 0 allocs/op in both
-// directions, and the measurement itself must keep showing the unpooled
-// baseline paying per-frame allocations (otherwise the comparison no
-// longer measures anything).
+// hot-path experiment: the pooled v2 path must stay at 0 allocs/op in
+// both directions.
 func TestHotpathCodecZeroAlloc(t *testing.T) {
 	for _, c := range MeasureHotpathCodec(proto.V2, 1024) {
 		if c.AllocsPerOp != 0 {
 			t.Errorf("pooled v2 %s: %d allocs/op, want 0", c.Op, c.AllocsPerOp)
 		}
 	}
-	for _, c := range MeasureHotpathCodec(proto.V2Unpooled, 1024) {
-		if c.AllocsPerOp == 0 {
-			t.Errorf("unpooled v2 %s reports 0 allocs/op; the baseline is no longer a baseline", c.Op)
-		}
-	}
-}
-
-// TestHotpathProfileSmoke runs one small fleet through both data planes:
-// the throughput harness must produce every result on both, whatever the
-// machine's speed.
-func TestHotpathProfileSmoke(t *testing.T) {
-	for _, pooled := range []bool{false, true} {
-		if _, err := RunHotpathProfile(50, 500, 1024, pooled); err != nil {
-			t.Errorf("pooled=%v: %v", pooled, err)
-		}
-	}
-}
-
-// TestHotpathProfileManual is a profiling hook, not a test: set
-// HOTPATH_WORKERS (and optionally HOTPATH_POOLED=0, HOTPATH_PAYLOAD)
-// and run with -cpuprofile/-memprofile to see where a fleet-scale run
-// spends its time.
-func TestHotpathProfileManual(t *testing.T) {
-	w, err := strconv.Atoi(os.Getenv("HOTPATH_WORKERS"))
-	if err != nil || w <= 0 {
-		t.Skip("set HOTPATH_WORKERS to run")
-	}
-	pooled := os.Getenv("HOTPATH_POOLED") != "0"
-	payload := 16384
-	if p, err := strconv.Atoi(os.Getenv("HOTPATH_PAYLOAD")); err == nil && p > 0 {
-		payload = p
-	}
-	rate, err := RunHotpathProfile(w, w*10, payload, pooled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("%d workers pooled=%v payload=%d: %.0f items/s", w, pooled, payload, rate)
 }

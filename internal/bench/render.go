@@ -107,10 +107,11 @@ func RenderGrouping(w io.Writer, points []GroupingPoint) {
 	if len(points) == 0 {
 		return
 	}
-	fmt.Fprintf(w, "\nExtension: inputs per frame vs throughput (tiny items, %v one-way latency)\n", points[0].Latency)
-	fmt.Fprintf(w, "%8s %14s\n", "group", "items/s")
+	fmt.Fprintf(w, "\nExtension: inputs per frame (tiny items, %v one-way latency, window %d values per device)\n",
+		points[0].Latency, points[0].Window)
+	fmt.Fprintf(w, "%8s %14s %14s\n", "group", "items/s", "wire B/item")
 	for _, p := range points {
-		fmt.Fprintf(w, "%8d %14.1f\n", p.Group, p.Throughput)
+		fmt.Fprintf(w, "%8d %14.1f %14.1f\n", p.Group, p.Throughput, p.WireBytesPerItem)
 	}
 }
 

@@ -127,7 +127,7 @@ func RunShardProfile(shards, workers, items, payload int, uplink int64) (float64
 		wch := transport.NewWSock(p.A, cfg.Channel)
 		mch := transport.NewWSock(p.B, cfg.Channel)
 		go func() {
-			_ = transport.WorkerServeGrouped[[]byte, []byte](wch, raw, raw, identity)
+			_ = transport.WorkerServe[[]byte, []byte](wch, raw, raw, identity, nil)
 		}()
 		attach(i%masters, fmt.Sprintf("w%d", i), mch)
 	}
@@ -166,8 +166,8 @@ func RunShard(shardCounts []int, workers, itemsPerWorker, payload int, uplink in
 	return RunShardWith(shardCounts, workers, itemsPerWorker, payload, uplink, settledShardRun)
 }
 
-// RunShardWith is RunShard with a pluggable per-cell runner (see
-// RunHotpathWith for why fresh-process isolation matters).
+// RunShardWith is RunShard with a pluggable per-cell runner (see the
+// cell-isolation note in harness.go for why fresh processes matter).
 func RunShardWith(shardCounts []int, workers, itemsPerWorker, payload int, uplink int64, run ShardRunner) (ShardComparison, error) {
 	cmp := ShardComparison{
 		Workers:           workers,

@@ -62,8 +62,8 @@ type VerifyComparison struct {
 // unreplicated baseline); trust == 0 keeps every result on the quorum
 // path; 0 < trust < 1 lets agreeing workers graduate.
 //
-// Sessions ride the ideal Loopback link for the same reason the hotpath
-// cells do: link timers swamp the effect under measurement, and the
+// Sessions ride the ideal Loopback link: link timers and jitter are
+// simulator overhead that swamps the effect under measurement, and the
 // replication overhead being compared does not depend on propagation
 // delay.
 func RunVerifyProfile(workers, items, payload, k, quorum int, trust float64) (rate, fastShare float64, err error) {
@@ -94,9 +94,9 @@ func RunVerifyProfile(workers, items, payload, k, quorum int, trust float64) (ra
 		wch := transport.NewWSock(p.A, cfg)
 		mch := transport.NewWSock(p.B, cfg)
 		go func() {
-			_ = transport.WorkerServeGrouped[[]byte, []byte](wch, raw, raw, identity)
+			_ = transport.WorkerServe[[]byte, []byte](wch, raw, raw, identity, nil)
 		}()
-		dup := transport.CoalescingMasterDuplex[[]byte, []byte](mch, raw, raw)
+		dup := transport.MasterDuplex[[]byte, []byte](mch, raw, raw)
 		if err := d.Attach(fmt.Sprintf("w%d", i), dup); err != nil {
 			return 0, 0, err
 		}

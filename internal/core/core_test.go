@@ -148,42 +148,39 @@ func TestDistributedMapObserverEvents(t *testing.T) {
 	}
 }
 
+// TestDistributedMapObserverDetachErr: a crashed processor's detach event
+// carries its error. The crash is forced, not scheduled: "crashy" fails on
+// its first input, and "steady" (one value in flight) answers nothing
+// until that detach was observed, so the stream cannot finish — and end
+// crashy gracefully — before crashy has pulled a value.
 func TestDistributedMapObserverDetachErr(t *testing.T) {
 	var mu sync.Mutex
 	detaches := map[string]error{}
+	crashed := make(chan struct{})
 	d := New[int, int](WithBatch(1), WithObserver(func(ev Event) {
 		if ev.Kind == "detach" {
 			mu.Lock()
 			detaches[ev.Processor] = ev.Err
 			mu.Unlock()
+			if ev.Processor == "crashy" {
+				close(crashed)
+			}
 		}
 	}))
 	out := d.Bind(pullstream.Count(10))
-	if err := d.Attach("crashy", processorDuplex(func(v int) int { return v }, 2)); err != nil {
+	if err := d.Attach("crashy", processorDuplex(func(v int) int { return v }, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Attach("steady", processorDuplex(func(v int) int { return v }, -1)); err != nil {
+	if err := d.Attach("steady", processorDuplex(func(v int) int { <-crashed; return v }, -1)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := pullstream.Collect(out); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.After(2 * time.Second)
-	for {
-		mu.Lock()
-		err, ok := detaches["crashy"]
-		mu.Unlock()
-		if ok {
-			if err == nil {
-				t.Fatal("crash detach reported nil error")
-			}
-			return
-		}
-		select {
-		case <-deadline:
-			t.Fatal("no detach event for the crashed processor")
-		case <-time.After(time.Millisecond):
-		}
+	mu.Lock()
+	defer mu.Unlock()
+	if detaches["crashy"] == nil {
+		t.Fatal("crash detach reported nil error")
 	}
 }
 

@@ -171,6 +171,16 @@ type SpillStore interface {
 // until the output consumer catches up. In unordered mode there is
 // nothing to reorder, so the bound is pure backpressure on the ready
 // queue. hw <= 0 (the default) disables the bound. Call before Bind.
+//
+// The gate pauses fresh input reads; it does not recall work. A read is
+// admitted while fewer than hw results are buffered, and the values in
+// flight at that moment — everything lent to the sub-streams plus the
+// read itself — still land afterwards, as do re-lent values, which are
+// never gated. The buffer therefore peaks at hw-1 plus the values in
+// flight when the last read was admitted, which the sub-streams' credit
+// windows bound: hw-1+w for w sub-streams holding one value each. That
+// overshoot is configuration-sized, not stream-sized, which is what the
+// bound is for.
 func (l *Lender[I, O]) SetHighWater(hw int) {
 	l.mu.Lock()
 	l.highWater = hw
@@ -208,7 +218,9 @@ func (l *Lender[I, O]) MemStats() (heap, spilled int) {
 
 // saturatedLocked reports whether fresh input reads should pause: the
 // buffered-result bound is hit and no spill store absorbs the overflow.
-// Re-lending from the failed queue is never gated — a gated re-lend could
+// Only buffered results count — not l.outstanding nor the read in flight,
+// hence the overshoot SetHighWater documents. Re-lending from the failed
+// queue is never gated — a gated re-lend could
 // deadlock the stream behind the very straggler whose value must be
 // re-lent to make the output advance.
 func (l *Lender[I, O]) saturatedLocked() bool {

@@ -2,6 +2,7 @@ package master
 
 import (
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -9,7 +10,6 @@ import (
 	"pando/internal/journal"
 	"pando/internal/netsim"
 	"pando/internal/pullstream"
-	"pando/internal/transport"
 	"pando/internal/worker"
 )
 
@@ -184,32 +184,44 @@ func TestMasterGroupedJournalRoundTrip(t *testing.T) {
 	}
 }
 
-func TestGroupCodecRoundTrip(t *testing.T) {
-	c := transport.JSONCodec[int]{}
-	for _, vs := range [][]int{nil, {1}, {1, 2, 3}, {0, -5, 1 << 30}} {
-		data, err := encodeGroup(c, vs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := decodeGroup(c, data)
-		if err != nil {
-			t.Fatalf("decode %v: %v", vs, err)
-		}
-		if len(got) != len(vs) {
-			t.Fatalf("round trip %v -> %v", vs, got)
-		}
-		for i := range vs {
-			if got[i] != vs[i] {
-				t.Fatalf("round trip %v -> %v", vs, got)
-			}
+// TestMasterResumesParentGroupedJournal: a journal written by a grouped
+// job (12 items, Group 3) before the engines were unified — group entries
+// framed by the old master-local group codec — must restore through the
+// list codec: everything replays, the volunteer computes nothing.
+func TestMasterResumesParentGroupedJournal(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "grouped_pr12.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "j.log")
+	if err := os.WriteFile(path, golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := journal.Open(path, journal.Options{SyncInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if j.Recovered() != 4 {
+		t.Fatalf("recovered %d group entries, want 4", j.Recovered())
+	}
+	m := newTestMaster(t, Config{Group: 3, Journal: j})
+	ln := netsim.NewListener("parent-journal", netsim.LAN)
+	defer ln.Close()
+	go m.ServeWS(ln)
+	out := m.Bind(pullstream.Count(12))
+	startVolunteer(t, ln, &worker.Volunteer{Name: "dev", Handler: jsonSquare, CrashAfter: -1})
+	got, err := pullstream.Collect(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range got {
+		if v != (i+1)*(i+1) {
+			t.Fatalf("got[%d] = %d, want %d", i, v, (i+1)*(i+1))
 		}
 	}
-	// Corrupt payloads error instead of half-decoding.
-	data, _ := encodeGroup(c, []int{1, 2, 3})
-	for _, bad := range [][]byte{data[:len(data)-1], append(append([]byte(nil), data...), 'x'), {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}} {
-		if _, err := decodeGroup(c, bad); err == nil {
-			t.Fatalf("decodeGroup accepted corrupt payload %v", bad)
-		}
+	if len(got) != 12 || m.TotalItems() != 0 {
+		t.Fatalf("%d results with %d computed, want 12 restored and 0 computed", len(got), m.TotalItems())
 	}
 }
 

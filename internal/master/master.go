@@ -1,12 +1,13 @@
 // Package master implements the Master process of Pando's architecture
 // (paper Figure 7): it owns the StreamLender that coordinates volunteers,
 // admits joining devices over WebSocket-like or WebRTC-like channels,
-// bounds in-flight values per device with the Limiter, and accounts
-// per-device throughput (the measurements behind the paper's Table 2).
+// bounds in-flight values per device with the scheduler's credit gate
+// (the paper's Limiter is its static case), and accounts per-device
+// throughput (the measurements behind the paper's Table 2). Every device
+// is one pipeline, pull(sub.Source, Gate(ctrl, MasterDuplex(ch)), sub.Sink).
 package master
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -49,8 +50,9 @@ type Config struct {
 	// Channel tunes heartbeat detection on volunteer channels.
 	Channel transport.Config
 	// Formats restricts the wire formats this master will negotiate, best
-	// first. Empty allows everything this build supports (binary
-	// '/pando/2.1.0' preferred, JSON '/pando/1.0.0' fallback). When
+	// first. Empty allows everything this build supports ('/pando/2.2.0'
+	// preferred, then binary '/pando/2.1.0', JSON '/pando/1.0.0' as the
+	// fallback). When
 	// non-empty, volunteers that speak none of the listed formats are
 	// refused with ErrNoCommonFormat — so a list excluding '/pando/1.0.0'
 	// turns off the v1 fallback entirely.
@@ -69,8 +71,8 @@ type Config struct {
 	// queue otherwise) at that many results. Without a Spill store the
 	// bound propagates as backpressure — input reads pause until the
 	// output consumer catches up — so an arbitrarily long stream holds
-	// O(window) master state. Counted in lending units: values for the
-	// plain engine, groups when Group > 1.
+	// O(window) master state. Counted in lending units: values, or groups
+	// when Group > 1.
 	SpillHighWater int
 	// Spill, when non-nil with SpillHighWater > 0, absorbs the ordered
 	// overflow instead: results past the window page out to the store
@@ -272,8 +274,6 @@ func (w WorkerStats) Throughput() float64 {
 // registered there.
 type Master[I, O any] struct {
 	cfg    Config
-	in     transport.Codec[I]
-	out    transport.Codec[O]
 	engine engine[I, O]
 
 	// pool is the master's own single-job pool (New); nil for a bare job
@@ -297,10 +297,12 @@ type Master[I, O any] struct {
 	hintStop  chan struct{}
 }
 
-// engine abstracts the plain and grouped data planes.
+// engine erases the lending-unit type parameters of lane, its one
+// implementation.
 type engine[I, O any] interface {
 	Bind(pullstream.Source[I]) pullstream.Source[O]
 	AttachChannel(name string, ch transport.Channel) error
+	EnableVerification(pol verify.Policy, f func(I) (O, error)) *verify.Ledger
 	Stats() (lentNow, failedQueue, subStreams, ended int)
 	Backlog() (outstanding, failed int, complete bool)
 	Flows() []sched.WorkerFlow
@@ -309,94 +311,109 @@ type engine[I, O any] interface {
 	Abort(error)
 }
 
-// plainEngine lends individual values.
-type plainEngine[I, O any] struct {
-	d    *core.DistributedMap[I, O]
-	in   transport.Codec[I]
-	out  transport.Codec[O]
+// lane is the engine: a DistributedMap lending units of type U and
+// collecting results of type R, with the unit's codecs doing the wire,
+// journal, spill, ResultHook and digest encoding. A plain job lends
+// values (U, R = I, O); a grouped job lends lists (U, R = []I, []O under
+// transport.ListCodec) — inputs are grouped before the StreamLender, so
+// the unit of lending, re-lending on crash, ordering, journaling and
+// voting is the group, several values travel in one frame (the "batching
+// inputs for distribution" of the paper's §1/§5.5), and a crashed
+// device's groups are re-lent atomically.
+type lane[I, O, U, R any] struct {
+	*core.DistributedMap[U, R]
+	in   transport.Codec[U]
+	out  transport.Codec[R]
+	unit int // values per lending unit: 1, or Config.Group
 	wrap func(name string, ch transport.Channel) transport.Channel
+
+	pack   pullstream.Through[I, U]                    // values to units
+	unpack pullstream.Through[R, O]                    // unit results to values
+	lift   func(func(I) (O, error)) func(U) (R, error) // f over a unit
 }
 
-func (e *plainEngine[I, O]) Bind(src pullstream.Source[I]) pullstream.Source[O] {
-	return e.d.Bind(src)
+func (e *lane[I, O, U, R]) Bind(src pullstream.Source[I]) pullstream.Source[O] {
+	return e.unpack(e.DistributedMap.Bind(e.pack(src)))
 }
 
-func (e *plainEngine[I, O]) AttachChannel(name string, ch transport.Channel) error {
-	// Coalescing data plane: values pulled while a send syscall is in
-	// flight accumulate and leave as one vectored write. The pending run
-	// is naturally sized by the live credit window — the scheduler's gate
-	// precedes every pull — so a wide window coalesces aggressively and a
-	// clamped one degenerates to frame-per-value, with no extra latency
-	// in either case (an idle sender flushes a lone value immediately).
-	if e.wrap != nil {
-		ch = e.wrap(name, ch)
-	}
-	return e.d.Attach(name, transport.CoalescingMasterDuplex(ch, e.in, e.out))
+func (e *lane[I, O, U, R]) AttachChannel(name string, ch transport.Channel) error {
+	return e.Attach(name, transport.MasterDuplex(e.wrap(name, ch), e.in, e.out))
 }
 
-func (e *plainEngine[I, O]) Stats() (int, int, int, int) { return e.d.Stats() }
-
-func (e *plainEngine[I, O]) Backlog() (int, int, bool) { return e.d.Backlog() }
-
-func (e *plainEngine[I, O]) Flows() []sched.WorkerFlow { return e.d.Flows() }
-
-func (e *plainEngine[I, O]) Live() int { return e.d.Live() }
-
-func (e *plainEngine[I, O]) Close() { e.d.Close() }
-
-func (e *plainEngine[I, O]) Abort(err error) { e.d.Abort(err) }
-
-// groupedEngine lends whole groups of values: inputs are grouped before
-// the StreamLender so the unit of lending, re-lending on crash, and
-// ordering is the group — several values travel in one frame (the
-// "batching inputs for distribution" of the paper's §1/§5.5), and a
-// crashed device's groups are re-lent atomically.
-type groupedEngine[I, O any] struct {
-	group int
-	d     *core.DistributedMap[[]I, []O]
-	in    transport.Codec[I]
-	out   transport.Codec[O]
-	wrap  func(name string, ch transport.Channel) transport.Channel
+// Backlog rescales the unit-counted backlog to values.
+func (e *lane[I, O, U, R]) Backlog() (int, int, bool) {
+	outstanding, failed, complete := e.DistributedMap.Backlog()
+	return outstanding * e.unit, failed * e.unit, complete
 }
 
-func (e *groupedEngine[I, O]) Bind(src pullstream.Source[I]) pullstream.Source[O] {
-	grouped := pullstream.Group[I](e.group)(src)
-	return pullstream.Flatten[O]()(e.d.Bind(grouped))
-}
-
-func (e *groupedEngine[I, O]) AttachChannel(name string, ch transport.Channel) error {
-	if e.wrap != nil {
-		ch = e.wrap(name, ch)
-	}
-	return e.d.Attach(name, transport.GroupedMasterDuplex(ch, e.in, e.out))
-}
-
-func (e *groupedEngine[I, O]) Stats() (int, int, int, int) { return e.d.Stats() }
-
-// Backlog rescales the group-counted backlog to values.
-func (e *groupedEngine[I, O]) Backlog() (int, int, bool) {
-	outstanding, failed, complete := e.d.Backlog()
-	return outstanding * e.group, failed * e.group, complete
-}
-
-// Flows rescales the group-counted windows back to values so operators
+// Flows rescales the unit-counted windows back to values so operators
 // read one consistent unit.
-func (e *groupedEngine[I, O]) Flows() []sched.WorkerFlow {
-	flows := e.d.Flows()
+func (e *lane[I, O, U, R]) Flows() []sched.WorkerFlow {
+	flows := e.DistributedMap.Flows()
 	for i := range flows {
-		flows[i].InFlight *= e.group
-		flows[i].Window *= e.group
-		flows[i].Rate *= float64(e.group)
-		flows[i].Speculated *= e.group
+		flows[i].InFlight *= e.unit
+		flows[i].Window *= e.unit
+		flows[i].Rate *= float64(e.unit)
+		flows[i].Speculated *= e.unit
 	}
 	return flows
 }
 
-func (e *groupedEngine[I, O]) Live() int { return e.d.Live() }
+// EnableVerification votes on lending units: a unit's digest is the
+// SHA-256 of its result encoding (for a group, of the list encoding) and
+// a spot-check recomputes f over the whole unit.
+func (e *lane[I, O, U, R]) EnableVerification(pol verify.Policy, f func(I) (O, error)) *verify.Ledger {
+	out := e.out
+	return e.DistributedMap.EnableVerification(core.VerifySpec[U, R]{
+		Policy: pol,
+		Digest: func(v R) (verify.Digest, error) {
+			data, err := out.Encode(v)
+			if err != nil {
+				return verify.Digest{}, err
+			}
+			return verify.DigestOf(data), nil
+		},
+		Recompute: e.lift(f),
+	})
+}
 
-func (e *groupedEngine[I, O]) Close() { e.d.Close() }
+// newLane builds the engine for one lending unit and wires the config's
+// durability into it: journal/hand-off restore, result recording and the
+// memory bound all speak the unit's output codec.
+func newLane[I, O, U, R any](m *Master[I, O], unit int, in transport.Codec[U], out transport.Codec[R],
+	pack pullstream.Through[I, U], unpack pullstream.Through[R, O],
+	lift func(func(I) (O, error)) func(U) (R, error)) *lane[I, O, U, R] {
+	cfg := m.cfg
+	opts := []core.Option{core.WithFlow(grouped(cfg.flow(), unit)), core.WithObserver(m.observe)}
+	if !cfg.Ordered {
+		opts = append(opts, core.WithUnordered())
+	}
+	d := core.New[U, R](opts...)
+	if cfg.Journal != nil || cfg.ResultHook != nil || len(cfg.RestoreEntries) > 0 {
+		d.Restore(restoreSet(cfg, out))
+		d.OnResult(recorder(cfg, out, m.noteJournalErr))
+	}
+	if cfg.SpillHighWater > 0 {
+		d.BoundMemory(cfg.SpillHighWater, cfg.spillStore(), out.Encode, out.Decode)
+	}
+	return &lane[I, O, U, R]{DistributedMap: d, in: in, out: out, unit: unit, wrap: m.wrapChannel,
+		pack: pack, unpack: unpack, lift: lift}
+}
 
-func (e *groupedEngine[I, O]) Abort(err error) { e.d.Abort(err) }
+// liftGroup maps f over a group, failing the group on its first error.
+func liftGroup[I, O any](f func(I) (O, error)) func([]I) ([]O, error) {
+	return func(vs []I) ([]O, error) {
+		rs := make([]O, len(vs))
+		for i, v := range vs {
+			r, err := f(v)
+			if err != nil {
+				return nil, err
+			}
+			rs[i] = r
+		}
+		return rs, nil
+	}
+}
 
 // New creates a classic single-deployment master: a typed job fused with
 // its own single-job fleet pool, so Admit/ServeWS/ServeRTC keep working
@@ -411,49 +428,16 @@ func New[I, O any](cfg Config, in transport.Codec[I], out transport.Codec[O]) *M
 // NewJob creates the typed-job half alone, for registration with a
 // shared fleet.Pool (see Job). It has no listeners of its own.
 func NewJob[I, O any](cfg Config, in transport.Codec[I], out transport.Codec[O]) *Master[I, O] {
-	m := &Master[I, O]{
-		cfg:     cfg,
-		in:      in,
-		out:     out,
-		workers: make(map[string]*WorkerStats),
+	m := &Master[I, O]{cfg: cfg, workers: make(map[string]*WorkerStats)}
+	if g := cfg.Group; g > 1 {
+		m.engine = newLane(m, g, transport.ListCodec[I]{Elem: in}, transport.ListCodec[O]{Elem: out},
+			pullstream.Group[I](g), pullstream.Flatten[O](), liftGroup[I, O])
+	} else {
+		m.engine = newLane(m, 1, in, out,
+			func(src pullstream.Source[I]) pullstream.Source[I] { return src },
+			func(src pullstream.Source[O]) pullstream.Source[O] { return src },
+			func(f func(I) (O, error)) func(I) (O, error) { return f })
 	}
-	if cfg.Group > 1 {
-		opts := []core.Option{core.WithFlow(grouped(cfg.flow(), cfg.Group)), core.WithObserver(m.observe)}
-		if !cfg.Ordered {
-			opts = append(opts, core.WithUnordered())
-		}
-		d := core.New[[]I, []O](opts...)
-		if cfg.Journal != nil || cfg.ResultHook != nil || len(cfg.RestoreEntries) > 0 {
-			d.Restore(m.groupedRestore())
-			d.OnResult(m.groupedRecord())
-		}
-		if cfg.SpillHighWater > 0 {
-			d.BoundMemory(cfg.SpillHighWater, cfg.spillStore(),
-				func(vs []O) ([]byte, error) { return encodeGroup(out, vs) },
-				func(b []byte) ([]O, error) { return decodeGroup(out, b) })
-		}
-		m.engine = &groupedEngine[I, O]{
-			group: cfg.Group,
-			d:     d,
-			in:    in,
-			out:   out,
-			wrap:  m.wrapChannel,
-		}
-		return m
-	}
-	opts := []core.Option{core.WithFlow(cfg.flow()), core.WithObserver(m.observe)}
-	if !cfg.Ordered {
-		opts = append(opts, core.WithUnordered())
-	}
-	d := core.New[I, O](opts...)
-	if cfg.Journal != nil || cfg.ResultHook != nil || len(cfg.RestoreEntries) > 0 {
-		d.Restore(m.plainRestore())
-		d.OnResult(m.plainRecord())
-	}
-	if cfg.SpillHighWater > 0 {
-		d.BoundMemory(cfg.SpillHighWater, cfg.spillStore(), out.Encode, out.Decode)
-	}
-	m.engine = &plainEngine[I, O]{d: d, in: in, out: out, wrap: m.wrapChannel}
 	return m
 }
 
@@ -529,80 +513,42 @@ func (m *Master[I, O]) hintLoop(stop chan struct{}) {
 	}
 }
 
-// restoreEntries lists every completed entry the config recovers from:
-// the journal's own recovered set first, then RestoreEntries (so a
-// hand-off copy wins index collisions).
-func (m *Master[I, O]) restoreEntries() []journal.Entry {
+// restoreSet decodes every completed entry the config recovers from — the
+// journal's own recovered set first, then RestoreEntries (so a hand-off
+// copy wins index collisions) — into the lender's completed set. An entry
+// whose payload no longer decodes (e.g. the deployment's output codec or
+// group size changed) is skipped — that index is simply recomputed, so a
+// stale journal degrades to extra work, never to a failed restart.
+func restoreSet[R any](cfg Config, out transport.Codec[R]) map[int]R {
 	var entries []journal.Entry
-	if m.cfg.Journal != nil {
-		entries = m.cfg.Journal.Completed()
+	if cfg.Journal != nil {
+		entries = cfg.Journal.Completed()
 	}
-	return append(entries, m.cfg.RestoreEntries...)
-}
-
-// plainRestore decodes the recovered entries into the lender's completed
-// set. An entry whose payload no longer decodes (e.g. the deployment's
-// output codec changed) is skipped — that index is simply recomputed, so
-// a stale journal degrades to extra work, never to a failed restart.
-func (m *Master[I, O]) plainRestore() map[int]O {
-	entries := m.restoreEntries()
-	restore := make(map[int]O, len(entries))
+	entries = append(entries, cfg.RestoreEntries...)
+	restore := make(map[int]R, len(entries))
 	for _, e := range entries {
-		if v, err := m.out.Decode(e.Data); err == nil {
+		if v, err := out.Decode(e.Data); err == nil {
 			restore[e.Idx] = v
 		}
 	}
 	return restore
 }
 
-// plainRecord journals one accepted result and hands its encoding to the
+// recorder journals one accepted result and hands its encoding to the
 // ResultHook. Write failures are remembered (JournalErr) but do not
 // interrupt the stream: a deployment with a full disk keeps computing, it
 // just stops gaining durability.
-func (m *Master[I, O]) plainRecord() func(int, O) {
-	jnl, hook := m.cfg.Journal, m.cfg.ResultHook
-	return func(idx int, v O) {
-		data, err := m.out.Encode(v)
+func recorder[R any](cfg Config, out transport.Codec[R], noteErr func(error)) func(int, R) {
+	jnl, hook := cfg.Journal, cfg.ResultHook
+	return func(idx int, v R) {
+		data, err := out.Encode(v)
 		if err != nil {
-			m.noteJournalErr(err)
+			noteErr(err)
 			return
 		}
 		if jnl != nil {
 			if err := jnl.Record(idx, data); err != nil {
-				m.noteJournalErr(err)
-			}
-		}
-		if hook != nil {
-			hook(idx, data)
-		}
-	}
-}
-
-// groupedRestore and groupedRecord are the grouped engine's counterparts:
-// the unit of journaling is the group (matching the unit of lending and
-// re-lending), framed as uvarint-length-prefixed encoded values.
-func (m *Master[I, O]) groupedRestore() map[int][]O {
-	entries := m.restoreEntries()
-	restore := make(map[int][]O, len(entries))
-	for _, e := range entries {
-		if vs, err := decodeGroup(m.out, e.Data); err == nil {
-			restore[e.Idx] = vs
-		}
-	}
-	return restore
-}
-
-func (m *Master[I, O]) groupedRecord() func(int, []O) {
-	jnl, hook := m.cfg.Journal, m.cfg.ResultHook
-	return func(idx int, vs []O) {
-		data, err := encodeGroup(m.out, vs)
-		if err != nil {
-			m.noteJournalErr(err)
-			return
-		}
-		if jnl != nil {
-			if err := jnl.Record(idx, data); err != nil {
-				m.noteJournalErr(err)
+				noteErr(err)
 			}
 		}
 		if hook != nil {
@@ -725,7 +671,7 @@ func (m *Master[I, O]) recordWire(name, wire string) {
 }
 
 // Attach wires an already-admitted channel into the DistributedMap
-// engine: pull(sub.Source, Limit(MasterDuplex(ch), batch), sub.Sink).
+// engine: pull(sub.Source, Gate(ctrl, MasterDuplex(ch)), sub.Sink).
 // Each attachment is one browser tab of the paper's deployment example.
 func (m *Master[I, O]) Attach(name string, ch transport.Channel) {
 	_ = m.engine.AttachChannel(name, ch)
@@ -799,37 +745,20 @@ func (m *Master[I, O]) Stats() []WorkerStats {
 	return out
 }
 
-// EnableVerification turns on Byzantine-tolerant result verification on
-// the plain data plane: k-replication with quorum voting on result
-// digests (the SHA-256 of each result's wire encoding), probabilistic
-// spot-checks recomputed with f, a reputation ledger whose credit
-// weighting shrinks suspects' windows, and a replication-free fast path
-// for workers above the trust threshold. It errors on a grouped master
-// (Config.Group > 1): verification votes on individual result digests,
-// and a grouped frame hides them. Call before Bind and before any
-// worker attaches; wire the returned ledger's OnQuarantine to the
-// fleet's Quarantine to expel cheaters.
-func (m *Master[I, O]) EnableVerification(pol verify.Policy, f func(I) (O, error)) (*verify.Ledger, error) {
-	pe, ok := m.engine.(*plainEngine[I, O])
-	if !ok {
-		return nil, fmt.Errorf("master: verification requires the ungrouped data plane (Config.Group <= 1)")
-	}
-	out := m.out
-	ledger := pe.d.EnableVerification(core.VerifySpec[I, O]{
-		Policy: pol,
-		Digest: func(v O) (verify.Digest, error) {
-			data, err := out.Encode(v)
-			if err != nil {
-				return verify.Digest{}, err
-			}
-			return verify.DigestOf(data), nil
-		},
-		Recompute: f,
-	})
+// EnableVerification turns on Byzantine-tolerant result verification:
+// k-replication with quorum voting on result digests (the SHA-256 of
+// each lending unit's result encoding — a value, or a whole group when
+// Config.Group > 1), probabilistic spot-checks recomputed with f, a
+// reputation ledger whose credit weighting shrinks suspects' windows, and
+// a replication-free fast path for workers above the trust threshold.
+// Call before Bind and before any worker attaches; wire the returned
+// ledger's OnQuarantine to the fleet's Quarantine to expel cheaters.
+func (m *Master[I, O]) EnableVerification(pol verify.Policy, f func(I) (O, error)) *verify.Ledger {
+	ledger := m.engine.EnableVerification(pol, f)
 	m.mu.Lock()
 	m.ledger = ledger
 	m.mu.Unlock()
-	return ledger, nil
+	return ledger
 }
 
 // VerifyAudit returns the acceptance audit trail (every index that

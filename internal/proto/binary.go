@@ -132,13 +132,6 @@ func binaryFrameSize(m *Message) int {
 	return n
 }
 
-// encodeBinaryFrame serializes m as a complete v2 frame into a freshly
-// allocated buffer. It is the pre-arena codec path, kept callable so the
-// hotpath bench can quantify the pooled path against it (see V2Unpooled).
-func encodeBinaryFrame(m *Message) []byte {
-	return appendBinaryFrame(make([]byte, 0, binaryFrameSize(m)), m)
-}
-
 // appendBinaryFrame appends one complete v2 frame — length prefix, body,
 // CRC trailer — to b and returns the extended buffer. Appending into a
 // caller-owned buffer is what lets WriteFrame encode into the arena and
@@ -175,16 +168,6 @@ func appendBinaryFrame(b []byte, m *Message) []byte {
 	b = binary.LittleEndian.AppendUint32(b, sum)
 	binary.BigEndian.PutUint32(b[start:start+4], uint32(len(b)-start-4))
 	return b
-}
-
-// decodeBinaryBody parses a v2 body into a fresh Message (the pre-arena
-// decode path, kept for V2Unpooled and as the conservative fallback).
-func decodeBinaryBody(body []byte) (*Message, error) {
-	m := new(Message)
-	if err := decodeBinaryBodyInto(m, body); err != nil {
-		return nil, err
-	}
-	return m, nil
 }
 
 // decodeBinaryBodyInto parses a v2 body (including the magic byte) into
@@ -362,54 +345,6 @@ func (w *sliceWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// unpooledWire is the pre-arena v2 codec: same bytes on the wire as V2,
-// but every frame allocates fresh buffers and messages. It exists so the
-// hotpath bench (and future regressions) can measure the pooled codec
-// against an honest baseline; nothing negotiates it.
-type unpooledWire struct{}
-
-func (unpooledWire) Name() string { return Version2 + "-unpooled" }
-
-func (unpooledWire) WriteFrame(w io.Writer, m *Message) error {
-	frame := encodeBinaryFrame(m)
-	if len(frame)-4 > MaxFrameSize {
-		return ErrFrameTooLarge
-	}
-	if _, err := w.Write(frame); err != nil {
-		return fmt.Errorf("proto: write frame: %w", err)
-	}
-	return nil
-}
-
-func (unpooledWire) ReadFrame(r io.Reader) (*Message, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
-	if n > MaxFrameSize {
-		return nil, ErrFrameTooLarge
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, fmt.Errorf("proto: short frame body: %w", err)
-	}
-	return decodeBinaryBody(body)
-}
-
-func (unpooledWire) EncodeBatch(items []BatchItem) ([]byte, error) {
-	return V2.EncodeBatch(items)
-}
-
-func (unpooledWire) DecodeBatch(data []byte) ([]BatchItem, error) {
-	return V2.DecodeBatch(data)
-}
-
-// V2Unpooled is the pre-arena reference implementation of the v2 format,
-// wire-identical to V2. The hotpath benchmark uses it as the before
-// codec; it is not registered for negotiation.
-var V2Unpooled WireFormat = unpooledWire{}
-
 func (binaryWire) EncodeBatch(items []BatchItem) ([]byte, error) {
 	size := 16
 	for _, it := range items {
@@ -428,6 +363,29 @@ func (binaryWire) EncodeBatch(items []BatchItem) ([]byte, error) {
 }
 
 func (binaryWire) DecodeBatch(data []byte) ([]BatchItem, error) {
+	return decodeBinaryBatch(data, false)
+}
+
+// DecodeBatchShared parses a grouped payload like DecodeBatch but lets v2
+// item payloads alias data instead of copying them. It is for strictly
+// serial consumers that fully process (or copy) every item before the
+// backing frame is released — the worker's apply loop — where the decoded
+// items never outlive the frame and the per-item copy is pure overhead.
+// Retaining an item past the frame's release is a use-after-free of arena
+// memory; when in doubt use DecodeBatch.
+func DecodeBatchShared(data []byte) ([]BatchItem, error) {
+	if len(data) == 0 || data[0] != binBatchMagic {
+		return DecodeBatch(data) // v1 JSON copies every field anyway
+	}
+	return decodeBinaryBatch(data, true)
+}
+
+// decodeBinaryBatch parses a v2 batch payload. Unless share is set every
+// item payload is copied out: aliasing the frame would let one retained
+// item pin the whole multi-item frame buffer for its lifetime (batch-size
+// memory amplification). Message.Data stays aliased — there the mapping
+// is 1:1.
+func decodeBinaryBatch(data []byte, share bool) ([]BatchItem, error) {
 	if len(data) == 0 || data[0] != binBatchMagic {
 		return nil, fmt.Errorf("%w: missing batch magic", ErrBadFrame)
 	}
@@ -454,66 +412,14 @@ func (binaryWire) DecodeBatch(data []byte) ([]BatchItem, error) {
 			if l > uint64(len(rest)) {
 				return nil, fmt.Errorf("%w: batch item length %d exceeds body", ErrBadFrame, l)
 			}
-			if f == 0 {
-				if l > 0 {
-					// Copy: aliasing the frame here would let one
-					// retained item pin the whole multi-item frame
-					// buffer for its lifetime (batch-size memory
-					// amplification). Message.Data stays aliased —
-					// there the mapping is 1:1.
-					it.D = append([]byte(nil), rest[:l]...)
-				}
-			} else if l > 0 {
+			switch {
+			case l == 0:
+			case f == 1:
 				it.E = string(rest[:l])
-			}
-			rest = rest[l:]
-		}
-		items = append(items, it)
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after batch", ErrBadFrame, len(rest))
-	}
-	return items, nil
-}
-
-// DecodeBatchShared parses a grouped payload like DecodeBatch but lets v2
-// item payloads alias data instead of copying them. It is for strictly
-// serial consumers that fully process (or copy) every item before the
-// backing frame is released — the worker's apply loop — where the decoded
-// items never outlive the frame and the per-item copy is pure overhead.
-// Retaining an item past the frame's release is a use-after-free of arena
-// memory; when in doubt use DecodeBatch.
-func DecodeBatchShared(data []byte) ([]BatchItem, error) {
-	if len(data) == 0 || data[0] != binBatchMagic {
-		return DecodeBatch(data) // v1 JSON copies every field anyway
-	}
-	rest := data[1:]
-	count, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return nil, fmt.Errorf("%w: bad batch count", ErrBadFrame)
-	}
-	rest = rest[n:]
-	if count > uint64(len(rest)/2) {
-		return nil, fmt.Errorf("%w: batch count %d exceeds body", ErrBadFrame, count)
-	}
-	items := make([]BatchItem, 0, count)
-	for i := uint64(0); i < count; i++ {
-		var it BatchItem
-		for f := 0; f < 2; f++ {
-			l, n := binary.Uvarint(rest)
-			if n <= 0 {
-				return nil, fmt.Errorf("%w: bad batch item length", ErrBadFrame)
-			}
-			rest = rest[n:]
-			if l > uint64(len(rest)) {
-				return nil, fmt.Errorf("%w: batch item length %d exceeds body", ErrBadFrame, l)
-			}
-			if f == 0 {
-				if l > 0 {
-					it.D = rest[:l:l]
-				}
-			} else if l > 0 {
-				it.E = string(rest[:l])
+			case share:
+				it.D = rest[:l:l]
+			default:
+				it.D = append([]byte(nil), rest[:l]...)
 			}
 			rest = rest[l:]
 		}

@@ -177,7 +177,7 @@ func TestGetBufClasses(t *testing.T) {
 // WriteFrame for both wire formats.
 func TestAppendFrameMatchesWriteFrame(t *testing.T) {
 	m := fullMessage()
-	for _, wf := range []WireFormat{V1, V2, V2Unpooled} {
+	for _, wf := range []WireFormat{V1, V2} {
 		var buf bytes.Buffer
 		if err := wf.WriteFrame(&buf, m); err != nil {
 			t.Fatal(err)
@@ -189,29 +189,6 @@ func TestAppendFrameMatchesWriteFrame(t *testing.T) {
 		if !bytes.Equal(buf.Bytes(), appended) {
 			t.Fatalf("%s: AppendFrame differs from WriteFrame", wf.Name())
 		}
-	}
-}
-
-// TestV2UnpooledWireCompatible confirms the benchmark baseline codec is
-// wire-identical to the pooled one in both directions.
-func TestV2UnpooledWireCompatible(t *testing.T) {
-	m := fullMessage()
-	var pooled, unpooled bytes.Buffer
-	if err := V2.WriteFrame(&pooled, m); err != nil {
-		t.Fatal(err)
-	}
-	if err := V2Unpooled.WriteFrame(&unpooled, m); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(pooled.Bytes(), unpooled.Bytes()) {
-		t.Fatal("pooled and unpooled v2 frames differ on the wire")
-	}
-	out, err := V2Unpooled.ReadFrame(&pooled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out.Data, m.Data) || out.Seq != m.Seq {
-		t.Fatalf("unpooled decode of pooled frame mismatch: %+v", out)
 	}
 }
 

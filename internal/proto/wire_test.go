@@ -140,7 +140,7 @@ func TestBinaryBodyCorruptions(t *testing.T) {
 		"no CRC trailer":                   {binMagic, tagType, 0x07},
 	}
 	for name, body := range cases {
-		if _, err := decodeBinaryBody(body); err == nil {
+		if err := decodeBinaryBodyInto(new(Message), body); err == nil {
 			t.Errorf("%s: decoded successfully", name)
 		}
 	}
@@ -150,8 +150,8 @@ func TestBinaryBodyCorruptions(t *testing.T) {
 // kill the channel — it decodes to an opaque type the receive loops skip,
 // matching how v1 treats unknown type strings.
 func TestBinaryBodyUnknownTypeCode(t *testing.T) {
-	m, err := decodeBinaryBody(withCRC([]byte{binMagic, tagType, 0x7F}))
-	if err != nil {
+	m := new(Message)
+	if err := decodeBinaryBodyInto(m, withCRC([]byte{binMagic, tagType, 0x7F})); err != nil {
 		t.Fatal(err)
 	}
 	if m.Type == "" {
@@ -164,8 +164,8 @@ func TestBinaryBodySkipsUnknownTags(t *testing.T) {
 	body = append(body, 0x70, 0x05)             // unknown numeric field
 	body = append(body, 0xF0, 0x02, 0xAA, 0xBB) // unknown length-delimited field
 	body = append(body, tagType, 0x07)          // ping
-	m, err := decodeBinaryBody(withCRC(body))
-	if err != nil {
+	m := new(Message)
+	if err := decodeBinaryBodyInto(m, withCRC(body)); err != nil {
 		t.Fatal(err)
 	}
 	if m.Type != TypePing {

@@ -48,23 +48,26 @@ func TestDropPreventsStaleRTTAfterMidFlightDeath(t *testing.T) {
 	}
 
 	// Fresh traffic through the same controller: round-trips must reflect
-	// the actual quick trips, not the hour-old stale entries.
+	// the actual quick trips, not the hour-old stale entries. Each trip is
+	// a send backdated by exactly 10ms rather than a real 1ms sleep, whose
+	// scheduler jitter (1ms vs 2ms is a doubling) the controller would
+	// rightly read as congestion.
 	for i := 0; i < 5; i++ {
 		if !c.Acquire() {
 			t.Fatal("acquire failed")
 		}
 		c.Sent()
-		time.Sleep(time.Millisecond)
+		backdateSends(c, 10*time.Millisecond)
 		c.Result()
 	}
 	c.mu.Lock()
 	ewma, best := c.ewmaRTT, c.bestRTT
 	c.mu.Unlock()
 	if best <= 0 || best > 1 {
-		t.Fatalf("best RTT = %vs, want ~1ms (stale hour-old send leaked in)", best)
+		t.Fatalf("best RTT = %vs, want ~10ms (stale hour-old send leaked in)", best)
 	}
 	if ewma > 1 {
-		t.Fatalf("EWMA RTT = %vs, want ~1ms (stale hour-old send leaked in)", ewma)
+		t.Fatalf("EWMA RTT = %vs, want ~10ms (stale hour-old send leaked in)", ewma)
 	}
 	if w := c.Window(); w < 4 {
 		t.Fatalf("window = %d after 5 clean round-trips, want slow-start growth (stale RTT read as congestion)", w)

@@ -341,8 +341,14 @@ func (c *Controller) Rate() float64 {
 }
 
 // Gate wraps the duplex endpoint d into a Through that lets at most the
-// controller's current window of values in flight — the adaptive
-// replacement of limiter.Limit: pull(sub.Source, Gate(c, d), sub.Sink).
+// controller's current window of values in flight:
+// pull(sub.Source, Gate(c, d), sub.Sink). With a Static(n) controller it
+// is the paper's Limiter (pull-limit, §2.4.3 and Figure 9): network
+// duplexes read eagerly on their sending side, and without a bound they
+// would drain the whole input into one worker's buffers, destroying
+// laziness, adaptivity and fault-tolerance granularity; with a large
+// enough window, transfers in both directions overlap the computation and
+// hide transmission latency (the "batch size" of §5.2-5.4).
 //
 // The duplex's Sink is driven on a new goroutine; the goroutine
 // terminates when the upstream source ends or the gate is closed by a

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"errors"
 	"runtime"
 	"sync"
 	"testing"
@@ -9,9 +10,7 @@ import (
 	"pando/internal/pullstream"
 )
 
-// meter tracks in-flight values between two pipeline points. A local
-// copy of limiter.Meter: limiter depends on this package for its gate,
-// so importing it back from the tests would be a cycle.
+// meter tracks in-flight values between two pipeline points.
 type meter struct {
 	mu      sync.Mutex
 	current int
@@ -181,6 +180,87 @@ func TestGateBoundsInFlight(t *testing.T) {
 		if meter.Peak() > p.Max {
 			t.Fatalf("%+v: peak in flight %d exceeds max window", p, meter.Peak())
 		}
+	}
+}
+
+// static gates d with the paper's Limiter: a fixed window of n.
+func static(d pullstream.Duplex[int, int], n int) pullstream.Through[int, int] {
+	return Gate(NewController(Static(n)), d)
+}
+
+func TestUngatedDuplexDrainsEagerly(t *testing.T) {
+	// Control experiment: without the gate the eager sink drains far more
+	// than any window, demonstrating why the module exists.
+	d, meter := echoDuplex(time.Millisecond)
+	done := make(chan struct{})
+	go func() {
+		d.Sink(pullstream.Count(100))
+		close(done)
+	}()
+	if _, err := pullstream.Collect(d.Source); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	if meter.Peak() < 50 {
+		t.Fatalf("eager sink peaked at %d in flight; expected it to drain most of the input", meter.Peak())
+	}
+}
+
+func TestGateMinimumWindowOfOne(t *testing.T) {
+	d, meter := echoDuplex(0)
+	got, err := pullstream.Collect(static(d, 0)(pullstream.Count(5))) // clamped to 1
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 5 || meter.Peak() > 1 {
+		t.Fatalf("got %d results with peak %d in flight, want 5 with peak 1", len(got), meter.Peak())
+	}
+}
+
+func TestGatePropagatesWorkerFailure(t *testing.T) {
+	boom := errors.New("boom")
+	inner, _ := echoDuplex(0)
+	d := pullstream.Duplex[int, int]{
+		Sink: inner.Sink,
+		Source: func(abort error, cb pullstream.Callback[int]) {
+			inner.Source(abort, func(end error, v int) {
+				if end == nil && v == 3*2 {
+					cb(boom, 0) // the channel fails mid-stream
+					return
+				}
+				cb(end, v)
+			})
+		},
+	}
+	got, err := pullstream.Collect(static(d, 2)(pullstream.Count(10)))
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want boom", err)
+	}
+	if len(got) != 2 {
+		t.Fatalf("got %v, want the two results before the failure", got)
+	}
+}
+
+func TestGateEmptyUpstream(t *testing.T) {
+	d, _ := echoDuplex(0)
+	got, err := pullstream.Collect(static(d, 4)(pullstream.Empty[int]()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 0 {
+		t.Fatalf("got %v, want empty", got)
+	}
+}
+
+func TestGateAbortClosesGate(t *testing.T) {
+	d, _ := echoDuplex(0)
+	out := static(d, 2)(pullstream.Count(1000))
+	got, err := pullstream.Collect(pullstream.Take[int](3)(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3 {
+		t.Fatalf("got %v, want 3 values", got)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"pando/internal/proto"
-	"pando/internal/pullstream"
 )
 
 // This file implements send coalescing, the syscall-amortization half of
@@ -15,10 +14,10 @@ import (
 // window admits between two syscalls ("smart batching"): on an idle
 // channel frames go out singly with no added latency, and under load the
 // batch grows toward the window, collapsing up to window-many syscalls
-// into one. Unlike the grouped data plane (grouped.go), coalesced frames
-// are ordinary TypeInput frames — wire-compatible with every existing
-// worker — so coalescing composes with the credit gate and re-lending
-// machinery unchanged.
+// into one. Coalesced frames are ordinary frames — wire-compatible with
+// every existing peer — so coalescing composes with the credit gate and
+// re-lending machinery unchanged. Both directions share one queue: the
+// master duplex's Sink enqueues inputs, the worker loop enqueues replies.
 
 // BatchSender is implemented by channels that can transmit several frames
 // in one vectored write (a single syscall). SendAll uses it when present.
@@ -44,37 +43,37 @@ func SendAll(ch Channel, ms []*proto.Message) error {
 	return nil
 }
 
-// replyQueue is the worker-side half of smart batching: the serve loop
-// enqueues replies as fast as it produces them and a dedicated sender
-// flushes everything pending in one vectored write per wakeup. Like the
-// master side, the batch needs no tuning knob — it is bounded by the
-// master's credit window, since every queued reply answers an input that
-// crossed the credit gate. The queue preserves order, so control echoes
-// (reassign acks, goodbyes) enqueued after results keep the serial
-// loop's drain-barrier property: everything enqueued before them is on
-// the wire first. Input frames whose bytes a reply may alias (identity
-// handlers under RawCodec) are released only after that reply is
-// written.
-type replyQueue struct {
+// sendQueue is smart batching for one direction of a channel: the
+// producer enqueues frames as fast as it makes them and a dedicated
+// sender flushes everything pending in one vectored write per wakeup.
+// The batch needs no tuning knob — it is bounded by the live credit
+// window, since every queued input crossed the gate's Acquire and every
+// queued reply answers such an input. The queue preserves order, so
+// control frames (reassign acks, goodbyes) enqueued after data keep the
+// serial loop's drain-barrier property: everything enqueued before them
+// is on the wire first. Received frames whose bytes a reply may alias
+// (identity handlers under RawCodec) are handed over with the reply and
+// released only after it is written.
+type sendQueue struct {
 	ch      Channel
 	mu      sync.Mutex
 	cond    *sync.Cond
-	pending []*proto.Message // replies awaiting the next vectored write
-	owned   []*proto.Message // input frames to release once written (nil entries ok)
+	pending []*proto.Message // frames awaiting the next vectored write
+	owned   []*proto.Message // received frames to release once pending is written
 	done    bool
 	err     error
 	wg      sync.WaitGroup
 }
 
-func newReplyQueue(ch Channel) *replyQueue {
-	q := &replyQueue{ch: ch}
+func newSendQueue(ch Channel) *sendQueue {
+	q := &sendQueue{ch: ch}
 	q.cond = sync.NewCond(&q.mu)
 	q.wg.Add(1)
 	go q.run()
 	return q
 }
 
-func (q *replyQueue) run() {
+func (q *sendQueue) run() {
 	defer q.wg.Done()
 	for {
 		q.mu.Lock()
@@ -88,9 +87,7 @@ func (q *replyQueue) run() {
 		if len(batch) > 0 {
 			err := SendAll(q.ch, batch)
 			for _, m := range frames {
-				if m != nil {
-					proto.Release(m)
-				}
+				proto.Release(m)
 			}
 			if err != nil {
 				q.mu.Lock()
@@ -105,17 +102,19 @@ func (q *replyQueue) run() {
 	}
 }
 
-// enqueue queues reply for the next vectored write; frame (which may be
-// nil) is released once the reply is on the wire. It reports false after
-// a send failure, at which point the caller should stop and close.
-func (q *replyQueue) enqueue(reply, frame *proto.Message) bool {
+// enqueue queues m for the next vectored write; frame (which may be nil)
+// is released once m is on the wire. It reports false after a send
+// failure, at which point the caller should stop and close.
+func (q *sendQueue) enqueue(m, frame *proto.Message) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.err != nil {
 		return false
 	}
-	q.pending = append(q.pending, reply)
-	q.owned = append(q.owned, frame)
+	q.pending = append(q.pending, m)
+	if frame != nil {
+		q.owned = append(q.owned, frame)
+	}
 	q.cond.Signal()
 	return true
 }
@@ -123,7 +122,7 @@ func (q *replyQueue) enqueue(reply, frame *proto.Message) bool {
 // close lets the sender drain everything enqueued so far, stops it, and
 // returns the first send error if any. Frames whose replies never made
 // the wire are still released.
-func (q *replyQueue) close() error {
+func (q *sendQueue) close() error {
 	q.mu.Lock()
 	q.done = true
 	q.cond.Signal()
@@ -132,116 +131,8 @@ func (q *replyQueue) close() error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for _, m := range q.owned {
-		if m != nil {
-			proto.Release(m)
-		}
+		proto.Release(m)
 	}
 	q.pending, q.owned = nil, nil
 	return q.err
-}
-
-// CoalescingMasterDuplex is MasterDuplex with smart-batched sends: the
-// Sink pulls inputs as fast as the credit gate admits them and a
-// dedicated sender goroutine flushes everything pending in one vectored
-// write per wakeup. The pending queue is naturally bounded by the live
-// sched credit window — each pull crosses the gate's Acquire before it
-// can enqueue — so batch size adapts to the AIMD window with no fixed
-// framing parameter. Result-side semantics (Seq contiguity, failure
-// handling, arena release) are identical to MasterDuplex.
-func CoalescingMasterDuplex[I, O any](ch Channel, in Codec[I], out Codec[O]) pullstream.Duplex[I, O] {
-	var got uint64 // last result Seq accepted, owned by the Source side
-	return pullstream.Duplex[I, O]{
-		Sink: func(src pullstream.Source[I]) {
-			var (
-				mu      sync.Mutex
-				pending []*proto.Message
-				done    bool // no more enqueues; sender drains and exits
-				failed  bool // a batch send failed; puller stops pulling
-			)
-			cond := sync.NewCond(&mu)
-
-			go func() { // sender: one vectored write per wakeup
-				for {
-					mu.Lock()
-					for len(pending) == 0 && !done {
-						cond.Wait()
-					}
-					batch := pending
-					pending = nil
-					d := done
-					mu.Unlock()
-					if len(batch) > 0 {
-						if err := SendAll(ch, batch); err != nil {
-							mu.Lock()
-							failed = true
-							mu.Unlock()
-							return
-						}
-					}
-					if d {
-						return
-					}
-				}
-			}()
-
-			enqueue := func(m *proto.Message) bool {
-				mu.Lock()
-				defer mu.Unlock()
-				if failed {
-					return false
-				}
-				pending = append(pending, m)
-				cond.Signal()
-				return true
-			}
-			finish := func() {
-				mu.Lock()
-				done = true
-				cond.Signal()
-				mu.Unlock()
-			}
-
-			var seq uint64
-			type ans struct {
-				end error
-				v   I
-			}
-			// One reply channel for the whole pull loop: asks are strictly
-			// serial (the next pull is issued only after the previous answer
-			// arrives), so the channel is empty at every send.
-			ansc := make(chan ans, 1)
-			for {
-				src(nil, func(end error, v I) { ansc <- ans{end, v} })
-				a := <-ansc
-				if a.end != nil {
-					if pullstream.IsNormalEnd(a.end) {
-						// The goodbye rides the same queue so it stays
-						// ordered after every pending input.
-						enqueue(&proto.Message{Type: proto.TypeGoodbye})
-					} else {
-						ch.Close()
-					}
-					finish()
-					return
-				}
-				data, err := in.Encode(a.v)
-				if err != nil {
-					// Encoding failures are programming errors; fail the
-					// channel so the value is re-lent (and likely fails
-					// again, surfacing loudly).
-					ch.Close()
-					finish()
-					return
-				}
-				seq++
-				if !enqueue(&proto.Message{Type: proto.TypeInput, Seq: seq, Data: data}) {
-					// Channel failed mid-batch: stop pulling. The Source
-					// side reports the error to the lender.
-					finish()
-					return
-				}
-			}
-		},
-		Source: masterSource(ch, out, &got),
-	}
 }

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -100,46 +99,11 @@ func TestSendBatchConcurrentWithSend(t *testing.T) {
 	}
 }
 
-// TestCoalescingMasterDuplexRoundTrip runs the coalescing data plane
-// against a plain WorkerServe — the wire-compatibility the design relies
-// on — and checks ordered exactly-once delivery.
-func TestCoalescingMasterDuplexRoundTrip(t *testing.T) {
-	cfg := Config{HeartbeatInterval: -1}
-	p := netsim.NewPipe(netsim.LAN)
-	defer p.Cut()
-	masterCh := NewWSock(p.A, cfg)
-	workerCh := NewWSock(p.B, cfg)
-
-	go func() {
-		err := WorkerServe[int, int](workerCh, JSONCodec[int]{}, JSONCodec[int]{}, func(v int) (int, error) {
-			return v * v, nil
-		})
-		if err != nil {
-			t.Error(err)
-		}
-	}()
-
-	d := CoalescingMasterDuplex[int, int](masterCh, JSONCodec[int]{}, JSONCodec[int]{})
-	go d.Sink(pullstream.Count(100))
-	got, err := pullstream.Collect(d.Source)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 100 {
-		t.Fatalf("got %d results, want 100", len(got))
-	}
-	for i, v := range got {
-		if v != (i+1)*(i+1) {
-			t.Fatalf("got[%d] = %d", i, v)
-		}
-	}
-}
-
-// TestCoalescingMasterDuplexRawCodec pushes []byte payloads through the
-// coalescing duplex with the aliasing codec on both ends, the pooled
-// worst case: results must come back intact even though every frame
-// buffer recycles through the arena.
-func TestCoalescingMasterDuplexRawCodec(t *testing.T) {
+// TestMasterDuplexRawCodec pushes []byte payloads through the duplex
+// with the aliasing codec on both ends, the pooled worst case: results
+// must come back intact even though every frame buffer recycles through
+// the arena.
+func TestMasterDuplexRawCodec(t *testing.T) {
 	cfg := Config{HeartbeatInterval: -1}
 	p := netsim.NewPipe(netsim.Loopback)
 	defer p.Cut()
@@ -148,16 +112,16 @@ func TestCoalescingMasterDuplexRawCodec(t *testing.T) {
 	masterCh.SetWire(proto.V2)
 	workerCh.SetWire(proto.V2)
 
-	go WorkerServeGrouped[[]byte, []byte](workerCh, RawCodec{}, RawCodec{}, func(v []byte) ([]byte, error) {
+	go WorkerServe[[]byte, []byte](workerCh, RawCodec{}, RawCodec{}, func(v []byte) ([]byte, error) {
 		return v, nil // identity: threads the input buffer through to the reply
-	})
+	}, nil)
 
 	const n = 200
 	inputs := make([][]byte, 0, n)
 	for i := 0; i < n; i++ {
 		inputs = append(inputs, []byte(fmt.Sprintf("tile-%04d", i)))
 	}
-	d := CoalescingMasterDuplex[[]byte, []byte](masterCh, RawCodec{}, RawCodec{})
+	d := MasterDuplex[[]byte, []byte](masterCh, RawCodec{}, RawCodec{})
 	go d.Sink(pullstream.Values(inputs...))
 	got, err := pullstream.Collect(d.Source)
 	if err != nil {
@@ -170,33 +134,5 @@ func TestCoalescingMasterDuplexRawCodec(t *testing.T) {
 		if want := fmt.Sprintf("tile-%04d", i); string(v) != want {
 			t.Fatalf("got[%d] = %q, want %q", i, v, want)
 		}
-	}
-}
-
-// TestCoalescingMasterDuplexWorkerError checks application errors still
-// surface as WorkerError through the coalescing source.
-func TestCoalescingMasterDuplexWorkerError(t *testing.T) {
-	cfg := Config{HeartbeatInterval: -1}
-	p := netsim.NewPipe(netsim.Loopback)
-	defer p.Cut()
-	masterCh := NewWSock(p.A, cfg)
-	workerCh := NewWSock(p.B, cfg)
-
-	go WorkerServe[int, int](workerCh, JSONCodec[int]{}, JSONCodec[int]{}, func(v int) (int, error) {
-		if v == 3 {
-			return 0, errors.New("render failed")
-		}
-		return v, nil
-	})
-
-	d := CoalescingMasterDuplex[int, int](masterCh, JSONCodec[int]{}, JSONCodec[int]{})
-	go d.Sink(pullstream.Count(10))
-	got, err := pullstream.Collect(d.Source)
-	var werr *WorkerError
-	if !errors.As(err, &werr) {
-		t.Fatalf("err = %v, want WorkerError", err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("got %v, want 2 results before failure", got)
 	}
 }

@@ -42,32 +42,34 @@ func TestApplyOneAttachesDigest(t *testing.T) {
 
 // TestMasterDuplexRejectsDigestMismatch: a result whose payload does not
 // hash to its digest fails the channel (crash-stop, values re-lent)
-// instead of delivering corrupted bytes to the output.
+// instead of delivering corrupted bytes to the output. For a list the
+// digest covers the whole encoded batch.
 func TestMasterDuplexRejectsDigestMismatch(t *testing.T) {
-	master, workerCh, _ := wsockPair(t, netsim.Loopback, Config{HeartbeatInterval: -1})
-	d := MasterDuplex(master, JSONCodec[int]{}, JSONCodec[int]{})
-
-	inputs := []int{10}
-	go d.Sink(func(abort error, cb pullstream.Callback[int]) {
-		if abort != nil || len(inputs) == 0 {
-			cb(pullstream.ErrDone, 0)
-			return
-		}
-		v := inputs[0]
-		inputs = inputs[1:]
-		cb(nil, v)
+	t.Run("plain", func(t *testing.T) {
+		testDigestMismatch[int](t, JSONCodec[int]{}, 10, proto.TypeInput)
 	})
+	t.Run("list", func(t *testing.T) {
+		testDigestMismatch[[]int](t, listOf, []int{1, 2}, proto.TypeInputBatch)
+	})
+}
+
+func testDigestMismatch[T any](t *testing.T, codec Codec[T], input T, wantFrame proto.Type) {
+	master, workerCh, _ := wsockPair(t, netsim.Loopback, Config{HeartbeatInterval: -1})
+	d := MasterDuplex(master, codec, codec)
+	go d.Sink(pullstream.Values(input))
 
 	m, err := workerCh.Recv()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Type != proto.TypeInput {
-		t.Fatalf("worker received %q, want input", m.Type)
+	if m.Type != wantFrame {
+		t.Fatalf("worker received %q, want %q", m.Type, wantFrame)
 	}
 	// A digest of different bytes: the payload mutated after hashing.
-	bogus := sha256.Sum256([]byte(`999`))
-	if err := workerCh.Send(&proto.Message{Type: proto.TypeResult, Seq: m.Seq, Data: []byte(`100`), Digest: bogus[:]}); err != nil {
+	reply := handReply(t, workerCh, m, `1`, `4`)
+	bogus := sha256.Sum256([]byte(`tampered`))
+	reply.Digest = bogus[:]
+	if err := workerCh.Send(reply); err != nil {
 		t.Fatal(err)
 	}
 
@@ -125,47 +127,5 @@ func TestMasterDuplexAcceptsDigestedAndBareResults(t *testing.T) {
 		if v != want {
 			t.Fatalf("result %d = %d", want, v)
 		}
-	}
-}
-
-// TestGroupedMasterDuplexRejectsBatchDigestMismatch is the grouped-frame
-// analog: the digest covers the whole encoded batch.
-func TestGroupedMasterDuplexRejectsBatchDigestMismatch(t *testing.T) {
-	master, workerCh, _ := wsockPair(t, netsim.Loopback, Config{HeartbeatInterval: -1})
-	d := GroupedMasterDuplex(master, JSONCodec[int]{}, JSONCodec[int]{})
-
-	batches := [][]int{{1, 2}}
-	go d.Sink(func(abort error, cb pullstream.Callback[[]int]) {
-		if abort != nil || len(batches) == 0 {
-			cb(pullstream.ErrDone, nil)
-			return
-		}
-		v := batches[0]
-		batches = batches[1:]
-		cb(nil, v)
-	})
-
-	m, err := workerCh.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Type != proto.TypeInputBatch {
-		t.Fatalf("worker received %q, want input batch", m.Type)
-	}
-	data, err := workerCh.Wire().EncodeBatch([]proto.BatchItem{{D: []byte(`1`)}, {D: []byte(`4`)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bogus := sha256.Sum256([]byte(`tampered`))
-	if err := workerCh.Send(&proto.Message{Type: proto.TypeResultBatch, Seq: m.Seq, Data: data, Digest: bogus[:]}); err != nil {
-		t.Fatal(err)
-	}
-
-	_, err = pump(d.Source)
-	if err == nil {
-		t.Fatal("source delivered a batch whose digest does not match")
-	}
-	if !strings.Contains(err.Error(), "digest mismatch") {
-		t.Fatalf("err = %v, want the digest-mismatch diagnosis", err)
 	}
 }

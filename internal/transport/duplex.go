@@ -70,9 +70,18 @@ func (e *WorkerError) Error() string {
 // MasterDuplex exposes a channel to the master as a pull-stream duplex:
 // its Sink consumes the inputs lent to the worker (sending them as input
 // frames) and its Source produces the worker's results. The duplex is
-// meant to be wrapped with the sched credit gate (or limiter.Limit, its
-// static veneer) and wired to a StreamLender sub-stream:
+// meant to be wrapped with the sched credit gate and wired to a
+// StreamLender sub-stream:
 // pull(sub.Source, Gate(ctrl, MasterDuplex(ch)), sub.Sink).
+//
+// It is the one master data path. Sends are smart-batched: the Sink
+// pulls inputs as fast as the credit gate admits them and a sendQueue
+// flushes everything pending in one vectored write per wakeup, so the
+// batch adapts to the live credit window with no framing parameter (an
+// idle channel sends a lone frame at once). A group of values is just an
+// item whose codec is a ListCodec: the same duplex then emits
+// TypeInputBatch and accepts TypeResultBatch frames, packed in the
+// channel's negotiated wire format.
 //
 // Failure semantics: a channel error (including heartbeat timeout) or an
 // application error reported by the worker ends the Source with an error,
@@ -90,28 +99,34 @@ func (e *WorkerError) Error() string {
 // this: a cleanly dropped result frame leaves the stream parseable, so
 // only the Seq discipline can detect it.)
 func MasterDuplex[I, O any](ch Channel, in Codec[I], out Codec[O]) pullstream.Duplex[I, O] {
-	var got uint64 // last result Seq accepted, owned by the Source side
+	inList, _ := any(in).(batchCodec[I])
 	return pullstream.Duplex[I, O]{
 		Sink: func(src pullstream.Source[I]) {
+			q := newSendQueue(ch)
+			defer q.close()
 			var seq uint64
+			type ans struct {
+				end error
+				v   I
+			}
+			// One reply channel for the whole pull loop: asks are strictly
+			// serial (the next pull is issued only after the previous answer
+			// arrives), so the channel is empty at every send.
+			ansc := make(chan ans, 1)
 			for {
-				type ans struct {
-					end error
-					v   I
-				}
-				ansc := make(chan ans, 1)
 				src(nil, func(end error, v I) { ansc <- ans{end, v} })
 				a := <-ansc
 				if a.end != nil {
 					if pullstream.IsNormalEnd(a.end) {
-						// No more inputs for this worker: orderly goodbye.
-						_ = ch.Send(&proto.Message{Type: proto.TypeGoodbye})
+						// No more inputs for this worker: orderly goodbye,
+						// queued so it stays ordered after every pending input.
+						q.enqueue(&proto.Message{Type: proto.TypeGoodbye}, nil)
 					} else {
 						ch.Close()
 					}
 					return
 				}
-				data, err := in.Encode(a.v)
+				m, err := inputFrame(ch, in, inList, a.v)
 				if err != nil {
 					// Encoding failures are programming errors; fail the
 					// channel so the value is re-lent (and likely fails
@@ -120,24 +135,85 @@ func MasterDuplex[I, O any](ch Channel, in Codec[I], out Codec[O]) pullstream.Du
 					return
 				}
 				seq++
-				if err := ch.Send(&proto.Message{Type: proto.TypeInput, Seq: seq, Data: data}); err != nil {
-					// Channel failed: stop pulling. The Source side
-					// reports the error to the lender.
+				m.Seq = seq
+				if !q.enqueue(m, nil) {
+					// Channel failed mid-batch: stop pulling. The Source
+					// side reports the error to the lender.
 					return
 				}
 			}
 		},
-		Source: masterSource(ch, out, &got),
+		Source: masterSource(ch, out),
 	}
 }
 
-// masterSource is the result side shared by MasterDuplex and
-// CoalescingMasterDuplex: a pull-stream source of decoded results with
-// Seq-contiguity enforcement and arena release discipline — every
-// received frame returns to the pool once its payload is decoded
-// (detached first when the codec aliases).
-func masterSource[O any](ch Channel, out Codec[O], got *uint64) pullstream.Source[O] {
+// inputFrame renders one lent value as its frame: a plain codec's value
+// is one TypeInput payload, a list codec's value a TypeInputBatch packed
+// in the channel's negotiated wire format (binary batches under v2, JSON
+// arrays under v1).
+func inputFrame[I any](ch Channel, in Codec[I], list batchCodec[I], v I) (*proto.Message, error) {
+	if list == nil {
+		data, err := in.Encode(v)
+		return &proto.Message{Type: proto.TypeInput, Data: data}, err
+	}
+	items, err := list.encodeItems(v)
+	if err != nil {
+		return nil, err
+	}
+	data, err := ch.Wire().EncodeBatch(items)
+	return &proto.Message{Type: proto.TypeInputBatch, Data: data}, err
+}
+
+// masterSource is the result side of MasterDuplex: a pull-stream source
+// of decoded results with Seq-contiguity enforcement and arena release
+// discipline — every received frame returns to the pool once its payload
+// is decoded (detached first when the codec aliases). It accepts the
+// result kind its codec calls for (TypeResultBatch for a list codec,
+// TypeResult otherwise) and treats every check the same on both.
+func masterSource[O any](ch Channel, out Codec[O]) pullstream.Source[O] {
 	aliases := codecAliases(out)
+	list, _ := any(out).(batchCodec[O])
+	want := proto.TypeResult
+	if list != nil {
+		want = proto.TypeResultBatch
+	}
+	var got uint64 // last result Seq accepted
+	// accept checks one result frame of the wanted kind and decodes it;
+	// any error is crash-stop — the channel closes and the outstanding
+	// values re-lend.
+	accept := func(m *proto.Message) (O, error) {
+		var zero O
+		if m.Err != "" {
+			return zero, &WorkerError{Seq: m.Seq, Msg: m.Err}
+		}
+		if m.Seq != got+1 {
+			return zero, fmt.Errorf("transport: result seq %d, want %d (frame lost or reordered)", m.Seq, got+1)
+		}
+		got = m.Seq
+		// End-to-end payload check: the worker hashed the encoded result
+		// right after f produced it, so a mismatch here means the bytes
+		// changed somewhere in between — a fault frame CRCs cannot see
+		// (they only cover the wire).
+		if len(m.Digest) > 0 {
+			sum := sha256.Sum256(m.Data)
+			if !bytes.Equal(sum[:], m.Digest) {
+				return zero, fmt.Errorf("transport: result %d digest mismatch (payload corrupted)", m.Seq)
+			}
+		}
+		if list != nil {
+			return decodeBatchResult(m, list)
+		}
+		v, err := out.Decode(m.Data)
+		if err != nil {
+			return zero, fmt.Errorf("transport: decode result %d: %w", m.Seq, err)
+		}
+		if aliases {
+			// The decoded value shares the frame buffer; its ownership
+			// moves to the value and only the envelope recycles.
+			m.Detach()
+		}
+		return v, nil
+	}
 	return func(abort error, cb pullstream.Callback[O]) {
 		var zero O
 		if abort != nil {
@@ -152,53 +228,13 @@ func masterSource[O any](ch Channel, out Codec[O], got *uint64) pullstream.Sourc
 				return
 			}
 			switch m.Type {
-			case proto.TypeResult:
-				if m.Err != "" {
-					err := &WorkerError{Seq: m.Seq, Msg: m.Err}
-					proto.Release(m)
-					ch.Close()
-					cb(err, zero)
-					return
-				}
-				if m.Seq != *got+1 {
-					err := fmt.Errorf("transport: result seq %d, want %d (frame lost or reordered)", m.Seq, *got+1)
-					proto.Release(m)
-					ch.Close()
-					cb(err, zero)
-					return
-				}
-				*got = m.Seq
-				// End-to-end payload check: the worker hashed the encoded
-				// result right after f produced it, so a mismatch here means
-				// the bytes changed somewhere in between — a fault frame
-				// CRCs cannot see (they only cover the wire). Crash-stop:
-				// the channel fails, outstanding values re-lend.
-				if len(m.Digest) > 0 {
-					sum := sha256.Sum256(m.Data)
-					if !bytes.Equal(sum[:], m.Digest) {
-						err := fmt.Errorf("transport: result %d digest mismatch (payload corrupted)", m.Seq)
-						proto.Release(m)
-						ch.Close()
-						cb(err, zero)
-						return
-					}
-				}
-				v, err := out.Decode(m.Data)
-				if err != nil {
-					err = fmt.Errorf("transport: decode result %d: %w", m.Seq, err)
-					proto.Release(m)
-					ch.Close()
-					cb(err, zero)
-					return
-				}
-				if aliases {
-					// The decoded value shares the frame buffer; its
-					// ownership moves to the value and only the envelope
-					// recycles.
-					m.Detach()
-				}
+			case want:
+				v, err := accept(m)
 				proto.Release(m)
-				cb(nil, v)
+				if err != nil {
+					ch.Close()
+				}
+				cb(err, v)
 				return
 			case proto.TypeGoodbye:
 				proto.Release(m)
@@ -212,38 +248,142 @@ func masterSource[O any](ch Channel, out Codec[O], got *uint64) pullstream.Sourc
 	}
 }
 
-// WorkerServe runs the volunteer side of a channel: it receives inputs,
-// applies f one value at a time (as a browser tab does), and sends results
-// back. It returns when the master says goodbye (nil) or the channel fails.
+// decodeBatchResult unpacks a result batch into the list codec's value.
+// DecodeBatch copies every item out of the frame (one retained item must
+// not pin a whole multi-item frame), so nothing decoded aliases it. A
+// per-item error is the worker's f failing on that member.
+func decodeBatchResult[O any](m *proto.Message, list batchCodec[O]) (O, error) {
+	var zero O
+	items, err := proto.DecodeBatch(m.Data)
+	if err != nil {
+		return zero, fmt.Errorf("transport: decode result batch %d: %w", m.Seq, err)
+	}
+	for _, it := range items {
+		if it.E != "" {
+			return zero, &WorkerError{Seq: m.Seq, Msg: it.E}
+		}
+	}
+	v, err := list.decodeItems(items)
+	if err != nil {
+		return zero, fmt.Errorf("transport: decode result batch %d: %w", m.Seq, err)
+	}
+	return v, nil
+}
+
+// WorkerServe runs the volunteer side of a channel, the one worker loop:
+// it receives inputs, applies f one value at a time (as a browser tab
+// does) — to the single value of a TypeInput frame or to every member of
+// a TypeInputBatch, reporting per-member errors in the result batch — and
+// sends results back. It returns when the master says goodbye (nil) or
+// the channel fails.
 //
-// Input frames recycle into the arena after the reply is written, so f
-// must not retain its (possibly frame-aliasing) argument past return —
-// the contract worker.Handler documents.
-func WorkerServe[I, O any](ch Channel, in Codec[I], out Codec[O], f func(I) (O, error)) error {
+// A reassign (or mid-session re-welcome) frame from a shared fleet moves
+// the worker to another job. reassign resolves the named function to a
+// new processing function; the switch is acknowledged by echoing the
+// reassign frame AFTER the resolution, which is the drain barrier the
+// master waits on — the ack rides the same ordered queue as results, so
+// every result of the previous job has already been written when the
+// echo goes out. A nil reassign ignores such frames like any unknown
+// control message.
+//
+// Replies go out through a sendQueue: results that accumulate while the
+// previous write is in flight leave in one vectored write. Input frames
+// recycle into the arena after their reply is written, so f must not
+// retain its (possibly frame-aliasing) argument past return — the
+// contract worker.Handler documents.
+func WorkerServe[I, O any](ch Channel, in Codec[I], out Codec[O], f func(I) (O, error), reassign func(name string) (func(I) (O, error), error)) error {
+	q := newSendQueue(ch)
 	for {
 		m, err := ch.Recv()
 		if err != nil {
+			if qerr := q.close(); qerr != nil {
+				return qerr
+			}
 			return err
 		}
+		var reply *proto.Message
 		switch m.Type {
-		case proto.TypeInput:
-			reply := applyOne(m.Seq, m.Data, in, out, f)
-			// The reply may thread the input's bytes through (an identity
-			// handler under RawCodec), so the frame releases only after
-			// the reply is on the wire.
-			err := ch.Send(reply)
+		case proto.TypeReassign, proto.TypeWelcome:
+			fn, rewelcome := m.Func, m.Type == proto.TypeWelcome
 			proto.Release(m)
+			if reassign == nil || (rewelcome && fn == "") {
+				// No hook, or a welcome that is not a re-welcome: a stray
+				// control frame.
+				continue
+			}
+			nf, err := reassign(fn)
 			if err != nil {
+				q.enqueue(&proto.Message{Type: proto.TypeError, Err: err.Error()}, nil)
+				_ = q.close()
+				ch.Close()
 				return err
 			}
+			f = nf
+			if !q.enqueue(&proto.Message{Type: proto.TypeReassign, Func: fn}, nil) {
+				return q.close()
+			}
+			continue
+		case proto.TypeInput:
+			reply = applyOne(m.Seq, m.Data, in, out, f)
+		case proto.TypeInputBatch:
+			reply = applyBatch(ch, m, in, out, f)
 		case proto.TypeGoodbye:
 			proto.Release(m)
-			_ = ch.Send(&proto.Message{Type: proto.TypeGoodbye})
+			q.enqueue(&proto.Message{Type: proto.TypeGoodbye}, nil)
+			_ = q.close()
 			ch.Close()
 			return nil
 		default:
 			// Ignore stray control messages.
 			proto.Release(m)
+			continue
+		}
+		// The reply may thread the input's bytes through (an identity
+		// handler under RawCodec), so the frame releases only after the
+		// reply is on the wire — the queue owns it from here.
+		if !q.enqueue(reply, m) {
+			proto.Release(m)
+			return q.close()
 		}
 	}
+}
+
+// applyBatch applies f to every member of an input batch, producing the
+// result batch frame. The apply loop is strictly serial and the reply
+// batch is re-encoded (copied), so the aliasing batch decode is safe here
+// and skips one copy of every member payload.
+func applyBatch[I, O any](ch Channel, m *proto.Message, in Codec[I], out Codec[O], f func(I) (O, error)) *proto.Message {
+	items, err := proto.DecodeBatchShared(m.Data)
+	if err != nil {
+		return &proto.Message{Type: proto.TypeResultBatch, Seq: m.Seq, Err: "decode batch: " + err.Error()}
+	}
+	results := make([]proto.BatchItem, 0, len(items))
+	for _, it := range items {
+		one := applyOne(m.Seq, it.D, in, out, f)
+		results = append(results, proto.BatchItem{D: one.Data, E: one.Err})
+	}
+	data, err := ch.Wire().EncodeBatch(results)
+	if err != nil {
+		return &proto.Message{Type: proto.TypeResultBatch, Seq: m.Seq, Err: "encode batch: " + err.Error()}
+	}
+	sum := sha256.Sum256(data)
+	return &proto.Message{Type: proto.TypeResultBatch, Seq: m.Seq, Data: data, Digest: sum[:]}
+}
+
+// applyOne applies f to a single encoded input, producing a result frame.
+func applyOne[I, O any](seq uint64, data []byte, in Codec[I], out Codec[O], f func(I) (O, error)) *proto.Message {
+	v, err := in.Decode(data)
+	if err != nil {
+		return &proto.Message{Type: proto.TypeResult, Seq: seq, Err: "decode: " + err.Error()}
+	}
+	r, err := f(v)
+	if err != nil {
+		return &proto.Message{Type: proto.TypeResult, Seq: seq, Err: err.Error()}
+	}
+	encoded, err := out.Encode(r)
+	if err != nil {
+		return &proto.Message{Type: proto.TypeResult, Seq: seq, Err: "encode: " + err.Error()}
+	}
+	sum := sha256.Sum256(encoded)
+	return &proto.Message{Type: proto.TypeResult, Seq: seq, Data: encoded, Digest: sum[:]}
 }

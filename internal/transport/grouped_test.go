@@ -2,13 +2,14 @@ package transport
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
-	"pando/internal/limiter"
 	"pando/internal/netsim"
 	"pando/internal/proto"
 	"pando/internal/pullstream"
+	"pando/internal/sched"
 )
 
 func TestBatchEncodeDecodeRoundTrip(t *testing.T) {
@@ -33,15 +34,63 @@ func TestBatchEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-// groupedPipeline composes Group -> Limit(GroupedMasterDuplex) -> Flatten
-// for single-channel tests (safe here because the source is a plain
-// counter, not a lender sub-stream).
+// groupedPipeline composes Group -> Gate(MasterDuplex over lists) ->
+// Flatten for single-channel tests (safe here because the source is a
+// plain counter, not a lender sub-stream).
 func groupedPipeline(masterCh Channel, group, inFlight int) pullstream.Through[int, int] {
 	return func(src pullstream.Source[int]) pullstream.Source[int] {
 		grouped := pullstream.Group[int](group)(src)
-		d := GroupedMasterDuplex[int, int](masterCh, JSONCodec[int]{}, JSONCodec[int]{})
-		results := limiter.Limit(d, inFlight)(grouped)
+		d := MasterDuplex[[]int, []int](masterCh, listOf, listOf)
+		results := sched.Gate(sched.NewController(sched.Static(inFlight)), d)(grouped)
 		return pullstream.Flatten[int]()(results)
+	}
+}
+
+// TestListCodecRoundTrip pins the off-wire list framing (journal entries,
+// spilled results, verification digests): it round-trips, and corrupt
+// payloads error instead of half-decoding.
+func TestListCodecRoundTrip(t *testing.T) {
+	for _, vs := range [][]int{nil, {1}, {1, 2, 3}, {0, -5, 1 << 30}} {
+		data, err := listOf.Encode(vs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := listOf.Decode(data)
+		if err != nil {
+			t.Fatalf("decode %v: %v", vs, err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(append([]int{}, vs...)) {
+			t.Fatalf("round trip %v -> %v", vs, got)
+		}
+	}
+	data, _ := listOf.Encode([]int{1, 2, 3})
+	for _, bad := range [][]byte{data[:len(data)-1], append(append([]byte(nil), data...), 'x'), {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}} {
+		if _, err := listOf.Decode(bad); err == nil {
+			t.Fatalf("Decode accepted corrupt payload %v", bad)
+		}
+	}
+}
+
+// TestMasterDuplexBatchErrIsWorkerError: a result batch carrying a
+// frame-level Err (the worker could not decode or encode the batch) must
+// surface as a WorkerError with the worker's reason, exactly like a plain
+// result's Err — not as an unrelated batch-decode failure.
+func TestMasterDuplexBatchErrIsWorkerError(t *testing.T) {
+	master, workerCh, _ := wsockPair(t, netsim.Loopback, Config{HeartbeatInterval: -1})
+	d := MasterDuplex(master, listOf, listOf)
+	go d.Sink(pullstream.Values([]int{1, 2}))
+
+	m, err := workerCh.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := workerCh.Send(&proto.Message{Type: proto.TypeResultBatch, Seq: m.Seq, Err: "decode batch: bad magic"}); err != nil {
+		t.Fatal(err)
+	}
+	_, err = pump(d.Source)
+	var werr *WorkerError
+	if !errors.As(err, &werr) || werr.Msg != "decode batch: bad magic" {
+		t.Fatalf("err = %v, want a WorkerError carrying the worker's reason", err)
 	}
 }
 
@@ -52,9 +101,9 @@ func TestGroupedMapRoundTrip(t *testing.T) {
 	masterCh := NewWSock(p.A, cfg)
 	workerCh := NewWSock(p.B, cfg)
 
-	go WorkerServeGrouped[int, int](workerCh, JSONCodec[int]{}, JSONCodec[int]{}, func(v int) (int, error) {
+	go WorkerServe[int, int](workerCh, JSONCodec[int]{}, JSONCodec[int]{}, func(v int) (int, error) {
 		return v * v, nil
-	})
+	}, nil)
 
 	th := groupedPipeline(masterCh, 4, 2)
 	got, err := pullstream.Collect(th(pullstream.Count(25)))
@@ -123,12 +172,12 @@ func TestGroupedMapPerItemError(t *testing.T) {
 	masterCh := NewWSock(p.A, cfg)
 	workerCh := NewWSock(p.B, cfg)
 
-	go WorkerServeGrouped[int, int](workerCh, JSONCodec[int]{}, JSONCodec[int]{}, func(v int) (int, error) {
+	go WorkerServe[int, int](workerCh, JSONCodec[int]{}, JSONCodec[int]{}, func(v int) (int, error) {
 		if v == 5 {
 			return 0, errors.New("item failed")
 		}
 		return v, nil
-	})
+	}, nil)
 
 	th := groupedPipeline(masterCh, 3, 1)
 	_, err := pullstream.Collect(th(pullstream.Count(10)))
@@ -145,9 +194,9 @@ func TestGroupedMapPartialFinalGroup(t *testing.T) {
 	masterCh := NewWSock(p.A, cfg)
 	workerCh := NewWSock(p.B, cfg)
 
-	go WorkerServeGrouped[int, int](workerCh, JSONCodec[int]{}, JSONCodec[int]{}, func(v int) (int, error) {
+	go WorkerServe[int, int](workerCh, JSONCodec[int]{}, JSONCodec[int]{}, func(v int) (int, error) {
 		return v, nil
-	})
+	}, nil)
 	// 7 items, group 4 -> a full group and a partial 3-group.
 	th := groupedPipeline(masterCh, 4, 2)
 	got, err := pullstream.Collect(th(pullstream.Count(7)))
@@ -159,18 +208,18 @@ func TestGroupedMapPartialFinalGroup(t *testing.T) {
 	}
 }
 
-func TestWorkerServeGroupedHandlesPlainInputs(t *testing.T) {
-	// The grouped server is a superset: plain input frames still work, so
-	// old masters and new volunteers interoperate.
+func TestWorkerServeHandlesPlainInputs(t *testing.T) {
+	// The one serve loop answers both frame kinds: plain input frames and
+	// input batches, so any master and any volunteer interoperate.
 	cfg := Config{HeartbeatInterval: -1}
 	p := netsim.NewPipe(netsim.Loopback)
 	defer p.Cut()
 	masterCh := NewWSock(p.A, cfg)
 	workerCh := NewWSock(p.B, cfg)
 
-	go WorkerServeGrouped[int, int](workerCh, JSONCodec[int]{}, JSONCodec[int]{}, func(v int) (int, error) {
+	go WorkerServe[int, int](workerCh, JSONCodec[int]{}, JSONCodec[int]{}, func(v int) (int, error) {
 		return v + 1, nil
-	})
+	}, nil)
 
 	d := MasterDuplex[int, int](masterCh, JSONCodec[int]{}, JSONCodec[int]{})
 	go d.Sink(pullstream.Count(5))
@@ -194,14 +243,14 @@ func TestGroupedEndToEndThroughMaster(t *testing.T) {
 	served := make(chan struct{})
 	go func() {
 		n := 0
-		WorkerServeGrouped[int, int](workerCh, JSONCodec[int]{}, JSONCodec[int]{}, func(v int) (int, error) {
+		WorkerServe[int, int](workerCh, JSONCodec[int]{}, JSONCodec[int]{}, func(v int) (int, error) {
 			n++
 			if n == 7 {
 				close(served)
 				select {} // freeze; the Cut below is the crash
 			}
 			return v, nil
-		})
+		}, nil)
 	}()
 	go func() {
 		<-served

@@ -27,24 +27,45 @@ func pump[O any](src pullstream.Source[O]) (O, error) {
 	return a.v, a.end
 }
 
+// listOf is the list codec the grouped cases run the duplex with.
+var listOf = ListCodec[int]{Elem: JSONCodec[int]{}}
+
+// handReply builds the result frame a hand-written worker answers input
+// frame in with: a plain input takes the first payload, an input batch
+// packs all of them in the channel's batch format.
+func handReply(t *testing.T, ch Channel, in *proto.Message, payloads ...string) *proto.Message {
+	t.Helper()
+	if in.Type == proto.TypeInput {
+		return &proto.Message{Type: proto.TypeResult, Seq: in.Seq, Data: []byte(payloads[0])}
+	}
+	items := make([]proto.BatchItem, len(payloads))
+	for i, p := range payloads {
+		items[i].D = []byte(p)
+	}
+	data, err := ch.Wire().EncodeBatch(items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &proto.Message{Type: proto.TypeResultBatch, Seq: in.Seq, Data: data}
+}
+
 // TestMasterDuplexDetectsDroppedResult: the worker answers inputs 1 and 2
 // but result 1 is lost in flight; the master must fail the channel at
-// result 2, not deliver f(2) as the answer to input 1.
+// result 2, not deliver f(2) as the answer to input 1 — for plain items
+// and for lists (one batch frame each) alike.
 func TestMasterDuplexDetectsDroppedResult(t *testing.T) {
-	master, workerCh, _ := wsockPair(t, netsim.Loopback, Config{HeartbeatInterval: -1})
-	d := MasterDuplex(master, JSONCodec[int]{}, JSONCodec[int]{})
-
-	// Feed two inputs through the sink.
-	inputs := []int{10, 20}
-	go d.Sink(func(abort error, cb pullstream.Callback[int]) {
-		if abort != nil || len(inputs) == 0 {
-			cb(pullstream.ErrDone, 0)
-			return
-		}
-		v := inputs[0]
-		inputs = inputs[1:]
-		cb(nil, v)
+	t.Run("plain", func(t *testing.T) {
+		testDroppedResult[int](t, JSONCodec[int]{}, []int{10, 20}, proto.TypeInput)
 	})
+	t.Run("list", func(t *testing.T) {
+		testDroppedResult[[]int](t, listOf, [][]int{{1, 2}, {3, 4}}, proto.TypeInputBatch)
+	})
+}
+
+func testDroppedResult[T any](t *testing.T, codec Codec[T], inputs []T, wantFrame proto.Type) {
+	master, workerCh, _ := wsockPair(t, netsim.Loopback, Config{HeartbeatInterval: -1})
+	d := MasterDuplex(master, codec, codec)
+	go d.Sink(pullstream.Values(inputs...))
 
 	// Worker side: receive both inputs, "lose" the first result, answer
 	// only the second — the cleanly-dropped-frame scenario.
@@ -53,11 +74,11 @@ func TestMasterDuplexDetectsDroppedResult(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.Type != proto.TypeInput {
-			t.Fatalf("worker received %q, want input", m.Type)
+		if m.Type != wantFrame {
+			t.Fatalf("worker received %q, want %q", m.Type, wantFrame)
 		}
 		if m.Seq == 2 {
-			if err := workerCh.Send(&proto.Message{Type: proto.TypeResult, Seq: m.Seq, Data: []byte(`400`)}); err != nil {
+			if err := workerCh.Send(handReply(t, workerCh, m, `9`, `16`)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -112,49 +133,5 @@ func TestMasterDuplexAcceptsContiguousResults(t *testing.T) {
 		if v != want {
 			t.Fatalf("result %d = %d", want, v)
 		}
-	}
-}
-
-// TestGroupedMasterDuplexDetectsDroppedBatch is the grouped-frame analog.
-func TestGroupedMasterDuplexDetectsDroppedBatch(t *testing.T) {
-	master, workerCh, _ := wsockPair(t, netsim.Loopback, Config{HeartbeatInterval: -1})
-	d := GroupedMasterDuplex(master, JSONCodec[int]{}, JSONCodec[int]{})
-
-	batches := [][]int{{1, 2}, {3, 4}}
-	go d.Sink(func(abort error, cb pullstream.Callback[[]int]) {
-		if abort != nil || len(batches) == 0 {
-			cb(pullstream.ErrDone, nil)
-			return
-		}
-		v := batches[0]
-		batches = batches[1:]
-		cb(nil, v)
-	})
-
-	for i := 0; i < 2; i++ {
-		m, err := workerCh.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Type != proto.TypeInputBatch {
-			t.Fatalf("worker received %q, want input batch", m.Type)
-		}
-		if m.Seq == 2 {
-			data, err := workerCh.Wire().EncodeBatch([]proto.BatchItem{{D: []byte(`9`)}, {D: []byte(`16`)}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := workerCh.Send(&proto.Message{Type: proto.TypeResultBatch, Seq: m.Seq, Data: data}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	_, err := pump(d.Source)
-	if err == nil {
-		t.Fatal("source delivered a batch despite the hole in the seq sequence")
-	}
-	if !strings.Contains(err.Error(), "frame lost") {
-		t.Fatalf("err = %v, want the frame-loss diagnosis", err)
 	}
 }

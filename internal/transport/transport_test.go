@@ -308,20 +308,20 @@ func TestMasterDuplexWorkerServeRoundTrip(t *testing.T) {
 	go func() {
 		err := WorkerServe[int, int](workerCh, JSONCodec[int]{}, JSONCodec[int]{}, func(v int) (int, error) {
 			return v * v, nil
-		})
+		}, nil)
 		if err != nil {
 			t.Error(err)
 		}
 	}()
 
 	d := MasterDuplex[int, int](masterCh, JSONCodec[int]{}, JSONCodec[int]{})
-	go d.Sink(pullstream.Count(10))
+	go d.Sink(pullstream.Count(100))
 	got, err := pullstream.Collect(d.Source)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 10 {
-		t.Fatalf("got %d results, want 10", len(got))
+	if len(got) != 100 {
+		t.Fatalf("got %d results, want 100", len(got))
 	}
 	for i, v := range got {
 		if v != (i+1)*(i+1) {
@@ -342,7 +342,7 @@ func TestMasterDuplexWorkerApplicationError(t *testing.T) {
 			return 0, errors.New("render failed")
 		}
 		return v, nil
-	})
+	}, nil)
 
 	d := MasterDuplex[int, int](masterCh, JSONCodec[int]{}, JSONCodec[int]{})
 	go d.Sink(pullstream.Count(10))
@@ -364,7 +364,7 @@ func TestMasterDuplexWorkerCrash(t *testing.T) {
 
 	go WorkerServe[int, int](workerCh, JSONCodec[int]{}, JSONCodec[int]{}, func(v int) (int, error) {
 		return v, nil
-	})
+	}, nil)
 
 	d := MasterDuplex[int, int](masterCh, JSONCodec[int]{}, JSONCodec[int]{})
 	go d.Sink(pullstream.Count(100))

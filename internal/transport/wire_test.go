@@ -34,48 +34,39 @@ func TestWSockDefaultWireIsV1(t *testing.T) {
 	}
 }
 
-// TestPlainPlaneBinaryWire round-trips the plain data plane entirely over
-// the v2 envelope.
-func TestPlainPlaneBinaryWire(t *testing.T) {
-	masterCh, workerCh := newWirePair(t, proto.V2)
-
-	go func() {
-		_ = WorkerServe[int, int](workerCh, JSONCodec[int]{}, JSONCodec[int]{}, func(v int) (int, error) {
-			return v * v, nil
+// TestDuplexWireFormatRoundTrip round-trips plain items and lists through
+// the one duplex/serve pair over each envelope: lists must travel as batch
+// frames packed in the channel's own format (JSON arrays under v1, binary
+// batches under v2).
+func TestDuplexWireFormatRoundTrip(t *testing.T) {
+	square := func(v int) (int, error) { return v * v, nil }
+	for _, wf := range []proto.WireFormat{proto.V1, proto.V2} {
+		t.Run("plain"+wf.Name(), func(t *testing.T) {
+			masterCh, workerCh := newWirePair(t, wf)
+			go func() { _ = WorkerServe[int, int](workerCh, JSONCodec[int]{}, JSONCodec[int]{}, square, nil) }()
+			d := MasterDuplex[int, int](masterCh, JSONCodec[int]{}, JSONCodec[int]{})
+			go d.Sink(pullstream.Values(1, 2, 3, 4))
+			got, err := pullstream.Collect(d.Source)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := []int{1, 4, 9, 16}; fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("results = %v, want %v", got, want)
+			}
 		})
-	}()
-
-	d := MasterDuplex[int, int](masterCh, JSONCodec[int]{}, JSONCodec[int]{})
-	go d.Sink(pullstream.Values(1, 2, 3, 4))
-	got, err := pullstream.Collect(d.Source)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{1, 4, 9, 16}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("results = %v, want %v", got, want)
-	}
-}
-
-// TestGroupedPlaneBinaryWire round-trips the grouped data plane over the
-// v2 envelope with binary batches.
-func TestGroupedPlaneBinaryWire(t *testing.T) {
-	masterCh, workerCh := newWirePair(t, proto.V2)
-
-	go func() {
-		_ = WorkerServeGrouped[int, int](workerCh, JSONCodec[int]{}, JSONCodec[int]{}, func(v int) (int, error) {
-			return v + 100, nil
+		t.Run("list"+wf.Name(), func(t *testing.T) {
+			masterCh, workerCh := newWirePair(t, wf)
+			go func() { _ = WorkerServe[int, int](workerCh, JSONCodec[int]{}, JSONCodec[int]{}, square, nil) }()
+			d := MasterDuplex[[]int, []int](masterCh, listOf, listOf)
+			go d.Sink(pullstream.Values([]int{1, 2}, []int{3}))
+			got, err := pullstream.Collect(d.Source)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := [][]int{{1, 4}, {9}}; fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("results = %v, want %v", got, want)
+			}
 		})
-	}()
-
-	d := GroupedMasterDuplex[int, int](masterCh, JSONCodec[int]{}, JSONCodec[int]{})
-	go d.Sink(pullstream.Values([]int{1, 2}, []int{3}))
-	got, err := pullstream.Collect(d.Source)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || len(got[0]) != 2 || got[0][0] != 101 || got[1][0] != 103 {
-		t.Fatalf("results = %v", got)
 	}
 }
 
@@ -89,7 +80,7 @@ func TestMixedWirePair(t *testing.T) {
 	go func() {
 		_ = WorkerServe[int, int](workerCh, JSONCodec[int]{}, JSONCodec[int]{}, func(v int) (int, error) {
 			return -v, nil
-		})
+		}, nil)
 	}()
 
 	d := MasterDuplex[int, int](masterCh, JSONCodec[int]{}, JSONCodec[int]{})
@@ -176,7 +167,7 @@ func TestBinaryCodecOverChannel(t *testing.T) {
 	go func() {
 		_ = WorkerServe[wirePoint, wirePoint](workerCh, codec, codec, func(p wirePoint) (wirePoint, error) {
 			return wirePoint{X: p.Y, Y: p.X}, nil
-		})
+		}, nil)
 	}()
 
 	d := MasterDuplex[wirePoint, wirePoint](masterCh, codec, codec)

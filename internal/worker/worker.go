@@ -338,7 +338,7 @@ func (v *Volunteer) serve(ch transport.Channel) error {
 		return wrapped, nil
 	}
 
-	err = transport.WorkerServeReassignable[[]byte, []byte](ch, RawCodec{}, RawCodec{}, wrapped, reassign)
+	err = transport.WorkerServe[[]byte, []byte](ch, RawCodec{}, RawCodec{}, wrapped, reassign)
 	if err != nil && v.crashed() {
 		return ErrCrashed
 	}

@@ -161,9 +161,13 @@ func WithSpeculation(factor float64) Option {
 }
 
 // WithGroup sends several inputs per network frame (message-level
-// batching). The total values in flight per device stays bounded by the
-// batch size; grouping additionally reduces per-message overhead, which
-// matters for small items on high-latency links.
+// batching): the group becomes the unit of lending, re-lending, ordering,
+// journaling and voting. The total values in flight per device stays
+// bounded by the batch size. What grouping measurably reduces is bytes on
+// the wire for small items — one envelope, sequence number and digest per
+// group instead of per value (about 36 vs 88 B/item at n = 8 in the
+// grouping ablation); at an equal batch size it does not raise
+// throughput, since frames already coalesce into vectored writes.
 func WithGroup(n int) Option { return func(o *options) { o.group = n } }
 
 // WithUnordered emits results in completion order instead of input order,
@@ -331,9 +335,10 @@ func WithShardDir(dir string) Option { return func(o *options) { o.shardDir = di
 // to let long-standing honest workers graduate to a replication-free
 // fast path, and WithSpotCheck to keep even trusted workers honest.
 //
-// Verification needs the ungrouped, unsharded data plane: combining it
-// with WithGroup(n > 1) or WithShards is reported as an error by
-// Process / ProcessSlice.
+// With WithGroup(n > 1) the unit of replication and voting is the group
+// (the digest covers the whole group's results). Verification needs the
+// unsharded data plane: combining it with WithShards is reported as an
+// error by Process / ProcessSlice.
 func WithVerification(k, quorum int) Option {
 	return func(o *options) {
 		o.verifyK = k
@@ -751,18 +756,11 @@ func Map[I, O any](pool *Pool, name string, f func(I) (O, error), opts ...Option
 			SpotRate:       o.spotRate,
 			TrustThreshold: o.trustThreshold,
 		}
-		ledger, err := p.m.EnableVerification(pol, f)
-		if err != nil {
-			if p.initErr == nil {
-				p.initErr = fmt.Errorf("pando: WithVerification cannot be combined with WithGroup; %w", err)
-			}
-		} else {
-			// Expulsion runs on its own goroutine: the quarantine hook
-			// fires on a result-delivery path deep inside the engine, and
-			// severing sessions re-enters it.
-			fp := pool.fp
-			ledger.OnQuarantine(func(name string) { go fp.Quarantine(name) })
-		}
+		// Expulsion runs on its own goroutine: the quarantine hook fires on
+		// a result-delivery path deep inside the engine, and severing
+		// sessions re-enters it.
+		fp := pool.fp
+		p.m.EnableVerification(pol, f).OnQuarantine(func(name string) { go fp.Quarantine(name) })
 	}
 	p.job = p.m.Job()
 	h := CodecHandler(f, in, out)

@@ -307,6 +307,45 @@ func TestWithGroupCrashRecovery(t *testing.T) {
 	}
 }
 
+// TestWithGroupAndVerification: the pairing the two engines used to
+// reject. Groups are the unit of replication and voting, so two distinct
+// devices must agree on each group, and the audit holds one record per
+// group.
+func TestWithGroupAndVerification(t *testing.T) {
+	p := New(uniqueName("grouped-verified"), func(v int) (int, error) { return v + 7, nil },
+		WithBatch(8), WithGroup(4), WithVerification(2, 2))
+	defer p.Close()
+	p.AddSimulatedWorkers(3, "dev", netsim.Loopback, 0, -1)
+	inputs := make([]int, 50)
+	for i := range inputs {
+		inputs[i] = i
+	}
+	got, err := p.ProcessSlice(context.Background(), inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 50 {
+		t.Fatalf("got %d results", len(got))
+	}
+	for i, v := range got {
+		if v != i+7 {
+			t.Fatalf("got[%d] = %d", i, v)
+		}
+	}
+	audit := p.VerifyAudit()
+	for wait := time.Now().Add(2 * time.Second); len(audit) < 13 && time.Now().Before(wait); audit = p.VerifyAudit() {
+		time.Sleep(time.Millisecond) // records are handed over outside the lender's lock
+	}
+	if len(audit) != 13 {
+		t.Fatalf("audit holds %d records, want 13 (50 items in groups of 4)", len(audit))
+	}
+	for _, a := range audit {
+		if a.Votes < 2 {
+			t.Fatalf("group %d accepted with %d votes, want a quorum of 2", a.Idx, a.Votes)
+		}
+	}
+}
+
 func TestMemoryBoundWithSpill(t *testing.T) {
 	// Bounded-memory streaming end to end: a tiny window plus a spill
 	// segment, fast local workers, a consumer that reads one result at a
