@@ -24,6 +24,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -90,8 +91,10 @@ func (cf *chaosFleet) cutAll() {
 }
 
 // collectClosed reads out until it closes, failing the test if fewer than
-// want values arrive before the deadline (a wedged stream).
-func collectClosed[T any](t *testing.T, out <-chan T, want int, deadline time.Duration, what string) []T {
+// want values arrive before the deadline (a wedged stream). A wedge
+// leaves evidence in the test log: every goroutine's stack, and whatever
+// the evidence functions render (a deployment's Diagnostics).
+func collectClosed[T any](t *testing.T, out <-chan T, want int, deadline time.Duration, what string, evidence ...func() string) []T {
 	t.Helper()
 	timer := time.NewTimer(deadline)
 	defer timer.Stop()
@@ -104,6 +107,11 @@ func collectClosed[T any](t *testing.T, out <-chan T, want int, deadline time.Du
 			}
 			got = append(got, v)
 		case <-timer.C:
+			for _, ev := range evidence {
+				t.Logf("%s wedged, state:\n%s", what, ev())
+			}
+			stacks := make([]byte, 4<<20)
+			t.Logf("%s wedged, goroutines:\n%s", what, stacks[:runtime.Stack(stacks, true)])
 			t.Fatalf("%s wedged: %d/%d outputs after %v", what, len(got), want, deadline)
 		}
 	}
@@ -393,7 +401,7 @@ func runChaosStack(t *testing.T, seed int64) {
 		// mid-flight while volunteers still hold values.
 		close(stop1)
 		cancel1()
-		collectClosed(t, out1, 0, 30*time.Second, "job A run 1 drain")
+		collectClosed(t, out1, 0, 30*time.Second, "job A run 1 drain", a1.Diagnostics)
 		<-errc1
 		a1.Close()
 		// The crash's torn write after the last durable record.
@@ -423,7 +431,7 @@ func runChaosStack(t *testing.T, seed int64) {
 			}
 		}()
 		out2, errc2 := a2.Process(context.Background(), in2)
-		got = collectClosed(t, out2, n, 90*time.Second, "job A run 2")
+		got = collectClosed(t, out2, n, 90*time.Second, "job A run 2", a2.Diagnostics)
 		if err := <-errc2; err != nil {
 			t.Fatalf("job A run 2 failed: %v", err)
 		}
@@ -443,7 +451,7 @@ func runChaosStack(t *testing.T, seed int64) {
 			}
 		}()
 		out, errc := a1.Process(context.Background(), in)
-		got = collectClosed(t, out, n, 90*time.Second, "job A")
+		got = collectClosed(t, out, n, 90*time.Second, "job A", a1.Diagnostics)
 		if err := <-errc; err != nil {
 			t.Fatalf("job A failed: %v", err)
 		}
@@ -920,7 +928,7 @@ func runChaosDataPlane(t *testing.T, seed int64) {
 		}
 	}()
 	out, errc := job.Process(context.Background(), in)
-	got := collectClosed(t, out, n, 90*time.Second, "data-plane job")
+	got := collectClosed(t, out, n, 90*time.Second, "data-plane job", job.Diagnostics)
 	if err := <-errc; err != nil {
 		t.Fatalf("data-plane job failed: %v", err)
 	}
@@ -1025,7 +1033,17 @@ func runChaosSignalFlap(t *testing.T, seed int64) {
 	f := func(v int) (int, error) { return 3*v + 1, nil }
 	want := func(i int) int { return 3*i + 1 }
 	name := integName("chaos-rtc")
-	hb := pando.ChannelConfig{HeartbeatInterval: 20 * time.Millisecond}
+	// The anchor and the master's relay registration are single points:
+	// neither comes back once its channel is suspected. With the default
+	// 3x interval (60ms) one scheduler stall on a loaded machine took both
+	// at once and wedged the stream (53/80 outputs after 90s; at the parent
+	// of this change a 300ms SIGSTOP reproduces it in 3 runs of 8, because
+	// every stale conn deadline fires on resume). The failure detector no
+	// longer has that mode — it looks for a frame before it suspects — but
+	// a stall that starves the read loops alone still looks like silence,
+	// so this scenario, whose crashes are cuts and whose pauses are meant
+	// to be survived, takes the explicit timeout the Byzantine tier has.
+	hb := pando.ChannelConfig{HeartbeatInterval: 20 * time.Millisecond, HeartbeatTimeout: 2 * time.Second}
 
 	p := pando.New(name, f,
 		pando.WithAdaptiveLimit(1, 4),
@@ -1138,7 +1156,7 @@ func runChaosSignalFlap(t *testing.T, seed int64) {
 		}
 	}()
 	out, errc := p.Process(context.Background(), in)
-	got := collectClosed(t, out, n, 90*time.Second, "rtc deployment")
+	got := collectClosed(t, out, n, 90*time.Second, "rtc deployment", p.Diagnostics)
 	if err := <-errc; err != nil {
 		t.Fatalf("deployment failed: %v", err)
 	}
@@ -1314,7 +1332,7 @@ func runChaosByzantine(t *testing.T, seed int64, group int) {
 		}
 	}()
 	out, errc := job.Process(context.Background(), in)
-	got := collectClosed(t, out, n, 90*time.Second, "byzantine job")
+	got := collectClosed(t, out, n, 90*time.Second, "byzantine job", job.Diagnostics)
 	if err := <-errc; err != nil {
 		t.Fatalf("byzantine job failed: %v", err)
 	}

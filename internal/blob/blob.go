@@ -154,7 +154,9 @@ func (c *Cache) Put(d Digest, data []byte) error {
 // bytes no longer hash to their digest, which can only mean memory
 // corruption (or a test's Poison call) — the entry is dropped and the
 // caller must fail the channel rather than risk wrong output. A plain
-// miss is (nil, false, nil): the caller fetches from the master.
+// miss is (nil, false, nil): the caller fetches from the master. The
+// returned bytes are immutable: they stay the cache's (callers must not
+// write to them) and the cache never writes to a slice it has handed out.
 func (c *Cache) Get(d Digest) ([]byte, bool, error) {
 	data, ok := c.s.get(d)
 	if !ok {
@@ -170,39 +172,38 @@ func (c *Cache) Get(d Digest) ([]byte, bool, error) {
 // Evictions reports how many entries the cap has pushed out.
 func (c *Cache) Evictions() int64 { return c.s.evicts.Load() }
 
-// PoisonNewest flips a byte of the most-recently-used entry, if any —
-// the seeded chaos schedule's form of Poison for when the scenario
-// cannot know which digests a worker happens to hold at firing time.
+// PoisonNewest corrupts the most-recently-used entry, if any — the
+// seeded chaos schedule's form of Poison for when the scenario cannot
+// know which digests a worker happens to hold at firing time.
 func (c *Cache) PoisonNewest() bool {
 	c.s.mu.Lock()
 	defer c.s.mu.Unlock()
 	el := c.s.order.Front()
-	if el == nil {
-		return false
-	}
-	e := el.Value.(*entry)
-	if len(e.data) == 0 {
-		return false
-	}
-	e.data[len(e.data)/2] ^= 0x40
-	return true
+	return el != nil && el.Value.(*entry).poison()
 }
 
-// Poison flips a byte of the entry stored under d, if present — the test
-// hook the chaos suite uses to prove a corrupted cache entry degrades to
+// Poison corrupts the entry stored under d, if present — the test hook
+// the chaos suite uses to prove a corrupted cache entry degrades to
 // crash-stop instead of producing wrong results.
 func (c *Cache) Poison(d Digest) bool {
 	c.s.mu.Lock()
 	defer c.s.mu.Unlock()
 	el, ok := c.s.entries[d]
-	if !ok {
-		return false
-	}
-	e := el.Value.(*entry)
+	return ok && el.Value.(*entry).poison()
+}
+
+// poison swaps the entry's bytes for a clone with one byte flipped. It is
+// copy-on-write because Get hands the stored slice out: a volunteer may be
+// decoding the old slice right now, and must keep seeing the bytes Get
+// verified; only the next Get meets the corruption. Caller holds the
+// store's lock.
+func (e *entry) poison() bool {
 	if len(e.data) == 0 {
 		return false
 	}
-	e.data[len(e.data)/2] ^= 0x40
+	bad := append([]byte(nil), e.data...)
+	bad[len(bad)/2] ^= 0x40
+	e.data = bad
 	return true
 }
 

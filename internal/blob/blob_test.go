@@ -96,6 +96,43 @@ func TestCachePoisonNewest(t *testing.T) {
 	}
 }
 
+// TestCachePoisonLeavesHeldSliceIntact pins copy-on-write poisoning: a
+// reader that got the slice from Get keeps seeing the verified bytes while
+// the hook fires underneath it (under -race the old in-place flip is a
+// reported write against these reads), and only the next Get fails.
+func TestCachePoisonLeavesHeldSliceIntact(t *testing.T) {
+	c := NewCache(0)
+	data := payload(7, 8192)
+	d := Sum(data)
+	if err := c.Put(d, data); err != nil {
+		t.Fatal(err)
+	}
+	held, hit, err := c.Get(d)
+	if !hit || err != nil {
+		t.Fatalf("get: hit=%v err=%v", hit, err)
+	}
+	reading := make(chan struct{})
+	done := make(chan bool)
+	go func() {
+		close(reading)
+		ok := true
+		for i := 0; i < 200; i++ {
+			ok = ok && Sum(held) == d
+		}
+		done <- ok
+	}()
+	<-reading
+	if !c.PoisonNewest() {
+		t.Fatal("poison found no entry")
+	}
+	if !<-done {
+		t.Fatal("poisoning changed bytes a reader already held")
+	}
+	if _, _, err := c.Get(d); !errors.Is(err, ErrDigestMismatch) {
+		t.Fatalf("get after poison: %v, want ErrDigestMismatch", err)
+	}
+}
+
 func TestCacheLRUEviction(t *testing.T) {
 	c := NewCache(3 * 1024)
 	digests := make([]Digest, 4)

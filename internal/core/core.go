@@ -47,7 +47,7 @@ type DistributedMap[I, O any] struct {
 // Event describes a lifecycle event of an attached processor, for
 // accounting and monitoring.
 type Event struct {
-	// Kind is "attach", "result" or "detach".
+	// Kind is "attach" or "detach".
 	Kind string
 	// Processor is the caller-assigned identifier.
 	Processor string
@@ -199,7 +199,7 @@ func (d *DistributedMap[I, O]) EnableVerification(spec VerifySpec[I, O]) *verify
 // subHandle adapts a lending sub-stream to the scheduler's view.
 type subHandle[I, O any] struct {
 	l   *lender.Lender[I, O]
-	sub *lender.SubStream
+	sub *lender.SubStream[I]
 }
 
 func (h subHandle[I, O]) Outstanding() (int, time.Duration) { return h.l.SubInfo(h.sub) }
@@ -255,33 +255,25 @@ func (d *DistributedMap[I, O]) admit(name string) error {
 func (d *DistributedMap[I, O]) watch(name string, sd pullstream.Duplex[O, I], results pullstream.Source[O], ctrl *sched.Controller) {
 	observer := d.observer
 	var gone sync.Once
-	watched := func(abort error, cb pullstream.Callback[O]) {
-		results(abort, func(end error, v O) {
-			if end != nil {
-				gone.Do(func() {
-					d.mu.Lock()
-					d.live--
-					d.mu.Unlock()
-				})
-			}
-			if end != nil && ctrl != nil {
-				d.s.Detach(ctrl)
-			}
-			if observer != nil {
-				if end == nil {
-					observer(Event{Kind: "result", Processor: name})
-				} else {
-					detachErr := end
-					if pullstream.IsNormalEnd(end) {
-						detachErr = nil
-					}
-					observer(Event{Kind: "detach", Processor: name, Err: detachErr})
-				}
-			}
-			cb(end, v)
+	sd.Sink(pullstream.Tap(results, func(end error, _ O) {
+		if end == nil {
+			return
+		}
+		gone.Do(func() {
+			d.mu.Lock()
+			d.live--
+			d.mu.Unlock()
 		})
-	}
-	sd.Sink(watched)
+		if ctrl != nil {
+			d.s.Detach(ctrl)
+		}
+		if observer != nil {
+			if pullstream.IsNormalEnd(end) {
+				end = nil
+			}
+			observer(Event{Kind: "detach", Processor: name, Err: end})
+		}
+	}))
 }
 
 // Attached returns how many processors have been attached over the

@@ -17,7 +17,7 @@
 //
 // Volunteers come in two generations. A pool-aware volunteer advertises
 // Functions in its hello (the single entry "*" means "any function");
-// its channel is owned by a pool-side pump that routes frames to the
+// its channel's frames are routed by the pool to the
 // current lease, which lets the pool intercept a job's goodbye, drain
 // the connection behind a reassign barrier, and hand the same device to
 // the next job. A pre-pool volunteer advertises nothing: it is routed
@@ -254,7 +254,7 @@ func (p *Pool) ServeWS(acc transport.Acceptor) error {
 // delivered by the answerer (paper §5.4).
 func (p *Pool) ServeRTC(answerer *transport.RTCAnswerer) {
 	for ch := range answerer.Incoming() {
-		go func(ch transport.Channel) {
+		go func(ch *transport.WSock) {
 			_ = p.Admit(ch)
 		}(ch)
 	}
@@ -272,7 +272,7 @@ func (p *Pool) ServeRTC(answerer *transport.RTCAnswerer) {
 // own departed sessions: their controllers detach and their values
 // re-lend now, instead of after a heartbeat timeout, and the fresh
 // attachment's flow-control state starts clean.
-func (p *Pool) Admit(ch transport.Channel) error {
+func (p *Pool) Admit(ch *transport.WSock) error {
 	if p.isClosed() {
 		_ = ch.Send(&proto.Message{Type: proto.TypeError, Err: ErrClosed.Error()})
 		ch.Close()
@@ -309,7 +309,7 @@ func (p *Pool) Admit(ch transport.Channel) error {
 	p.sessions[s.id] = s
 	p.mu.Unlock()
 	if s.aware {
-		go s.pump()
+		ch.Route(s.route)
 	}
 	return p.place(s, nil)
 }
@@ -352,8 +352,8 @@ func (p *Pool) place(s *session, exclude Job) error {
 			if s.aware && (len(p.jobs) == 0 || (len(p.jobs) == 1 && p.jobs[0] == exclude)) {
 				// No job yet: park until one registers. The volunteer is
 				// blocked awaiting its welcome; heartbeats keep flowing
-				// underneath, and the session's pump notices a death and
-				// wakes this wait. Pre-pool volunteers have no pump (the
+				// underneath, and the session's router notices a death and
+				// wakes this wait. Pre-pool volunteers have no router (the
 				// job owns their raw channel), so a dead parked legacy
 				// session would linger undetected — they are refused
 				// instead; no pre-pool flow ever admitted volunteers
@@ -745,8 +745,8 @@ func (p *Pool) Quarantined(name string) bool {
 // SeverJob crash-stops every session currently leased (or moving) to j
 // by closing its channel, as if the job's whole fleet vanished at once.
 // The sessions die through the normal channel-failure path: the job's
-// duplex fails and re-lends its in-flight values, pumps observe the
-// close and prune the sessions from the pool. A sharded master's Kill
+// duplex fails and re-lends its in-flight values, the sessions' routers
+// see the close and prune them from the pool. A sharded master's Kill
 // uses it to make the loss of one shard total, so range migration — not
 // lingering half-dead leases — recovers the work.
 func (p *Pool) SeverJob(j Job) {

@@ -247,7 +247,7 @@ func (s *session) revoke(from Job) bool {
 }
 
 // reassign moves a reclaimed pool-aware session to the destination job:
-// it sends the reassign frame and waits (via the pump) for the worker's
+// it sends the reassign frame and waits (via route) for the worker's
 // echo before leasing. The echo is the drain barrier — every result of
 // the previous job precedes it on the ordered channel.
 func (s *session) reassign(job Job) {
@@ -305,7 +305,7 @@ func (s *session) dismiss() {
 	}
 	_ = s.ch.Send(&proto.Message{Type: proto.TypeGoodbye})
 	if !aware {
-		// No pump watches a pre-pool session between jobs; reap it here.
+		// Nothing routes a pre-pool session's frames between jobs; reap it here.
 		go s.reap()
 	}
 }
@@ -323,39 +323,34 @@ func (s *session) reap() {
 	}
 }
 
-// pump owns Recv on a pool-aware session's channel for the connection's
-// lifetime, routing frames to the current lease, watching for reassign
-// echoes while reclaiming, and discarding stale frames in between.
-func (s *session) pump() {
-	for {
-		m, err := s.ch.Recv()
-		if err != nil {
-			s.pool.sessionGone(s)
-			return
-		}
-		s.mu.Lock()
-		state, l := s.state, s.cur
-		s.mu.Unlock()
-		switch state {
-		case stateLeased:
-			if l != nil {
-				l.deliver(m)
-			} else {
-				proto.Release(m)
-			}
-		case stateReclaiming:
-			if m.Type == proto.TypeReassign {
-				s.pool.reassigned(s)
-			}
-			// Anything else is a result of the previous job racing the
-			// barrier; the engine already re-lends those values.
-			proto.Release(m)
-		default:
-			// Parked or dismissing: stray frames (late results, goodbye
-			// replies) are dropped — back into the arena.
-			proto.Release(m)
-		}
+// route consumes every frame of a pool-aware session's channel for the
+// connection's lifetime, on the channel's own read loop (WSock.Route):
+// it hands frames to the current lease, watches for reassign echoes while
+// reclaiming, and discards stale frames in between. A nil frame is the
+// channel's end.
+func (s *session) route(m *proto.Message) {
+	if m == nil {
+		s.pool.sessionGone(s)
+		return
 	}
+	s.mu.Lock()
+	state, l := s.state, s.cur
+	s.mu.Unlock()
+	switch {
+	case state == stateLeased && l != nil:
+		l.deliver(m)
+		return
+	case state == stateReclaiming && m.Type == proto.TypeReassign:
+		// Off the read loop: leasing to the next job may write to the
+		// channel, and a read loop that waits on a write can wedge
+		// against a peer doing the same.
+		go s.pool.reassigned(s)
+	}
+	// Anything else is stale — a result of the previous job racing the
+	// reassign barrier (the engine already re-lends those values), a late
+	// result or goodbye reply while parked or dismissing — and goes back
+	// into the arena.
+	proto.Release(m)
 }
 
 // lease is the channel a job holds on a pool-aware worker: a routed view

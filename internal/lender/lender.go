@@ -37,10 +37,12 @@ import (
 // downstream consumer of the lender's output aborts the whole pipeline.
 var ErrLenderAborted = errors.New("lender: aborted by downstream")
 
-// lent is a value borrowed from the input together with its stream index.
+// lent is a value borrowed from the input together with its stream index
+// and, while a sub-stream holds it, when it was handed over.
 type lent[I any] struct {
 	idx int
 	v   I
+	at  time.Time
 }
 
 // waiter is a parked sub-stream ask: a request that could not be answered
@@ -48,13 +50,102 @@ type lent[I any] struct {
 // failed value becomes available, a new input can be read, or the stream
 // completes.
 type waiter[I any] struct {
-	sub *SubStream
+	sub *SubStream[I]
 	cb  pullstream.Callback[I]
 }
 
-// outAsk is a parked ask on the lender's merged output.
-type outAsk[O any] struct {
-	cb pullstream.Callback[O]
+// fifo is a slice-backed queue that reuses its backing array: popping
+// advances a head index and the live part is copied down once the dead
+// prefix dominates, so a long-lived queue neither allocates per item nor
+// pins everything it ever held.
+type fifo[T any] struct {
+	items []T
+	head  int
+}
+
+func (q *fifo[T]) len() int  { return len(q.items) - q.head }
+func (q *fifo[T]) live() []T { return q.items[q.head:] }
+func (q *fifo[T]) push(v T)  { q.items = append(q.items, v) }
+
+func (q *fifo[T]) pop() T {
+	v := q.items[q.head]
+	var zero T
+	q.items[q.head] = zero
+	if q.head++; q.head > len(q.items)/2 {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
+	return v
+}
+
+// removeAt drops the i-th live element, keeping the order of the rest.
+func (q *fifo[T]) removeAt(i int) T {
+	if i == 0 {
+		return q.pop()
+	}
+	live := q.live()
+	v := live[i]
+	copy(live[i:], live[i+1:])
+	var zero T
+	live[len(live)-1] = zero
+	q.items = q.items[:len(q.items)-1]
+	return v
+}
+
+// step collects what one locked transition decided to tell the outside
+// world, for run to deliver once the lock is released. It lives on the
+// caller's stack and holds the common case (one ask answered, one result
+// exported and emitted) in place, so a transition allocates nothing; only
+// verification's verdict and audit callbacks, rare and varied, ride as
+// closures.
+type step[I, O any] struct {
+	hooks []func()
+
+	export    func(idx int, v O)
+	exportIdx int
+	exportV   O
+
+	lend  answerTo[I] // first sub-stream answer, in place
+	lends []answerTo[I]
+
+	out answerTo[O]
+}
+
+// answerTo is one pull-stream answer awaiting delivery.
+type answerTo[T any] struct {
+	cb  pullstream.Callback[T]
+	end error
+	v   T
+}
+
+func (st *step[I, O]) answer(cb pullstream.Callback[I], end error, v I) {
+	a := answerTo[I]{cb: cb, end: end, v: v}
+	if st.lend.cb == nil {
+		st.lend = a
+		return
+	}
+	st.lends = append(st.lends, a)
+}
+
+// run delivers the step outside the lender's lock: hooks and the export
+// first, so a journaling hook records a result no later than its emission.
+func (st *step[I, O]) run() {
+	for _, h := range st.hooks {
+		h()
+	}
+	if st.export != nil {
+		st.export(st.exportIdx, st.exportV)
+	}
+	if st.lend.cb != nil {
+		st.lend.cb(st.lend.end, st.lend.v)
+	}
+	for _, a := range st.lends {
+		a.cb(a.end, a.v)
+	}
+	if st.out.cb != nil {
+		st.out.cb(st.out.end, st.out.v)
+	}
 }
 
 // Lender is the StreamLender state machine. Create one with New, bind the
@@ -69,6 +160,12 @@ type Lender[I, O any] struct {
 	inEnd   error // non-nil once the input terminated (ErrDone or failure)
 	nextIdx int   // index assigned to the next value read
 
+	// readReq wakes the input reader (readInput) for one read; it is made
+	// with the reader at the first read and closed — retiring the reader —
+	// once no read can follow.
+	readReq     chan struct{}
+	readRetired bool
+
 	// done marks indices restored from a checkpoint (see Restore): their
 	// values are consumed from the input but never lent, and their results
 	// are replayed to the output from the reorder buffer.
@@ -79,13 +176,13 @@ type Lender[I, O any] struct {
 	// not fire it.
 	onResult func(idx int, v O)
 
-	failed []lent[I] // values to re-lend, oldest first
+	failed fifo[lent[I]] // values to re-lend, oldest first
 
 	// Ordered mode: reorder buffer keyed by input index.
 	results map[int]O
 	nextOut int
 	// Unordered mode: results ready to emit, arrival order.
-	ready []O
+	ready fifo[O]
 
 	outstanding int // value copies currently lent to live sub-streams
 	pending     int // distinct values read from the input but not yet answered
@@ -93,7 +190,7 @@ type Lender[I, O any] struct {
 	// spec tracks values with more than one copy in flight, created by
 	// Speculate: the first result for the value wins and later copies'
 	// results are discarded on arrival.
-	spec map[int]*specState
+	spec map[int]*specState[I]
 
 	// verify, when set (SetVerify), replaces the single-copy lending
 	// discipline with k-replication and vote-gated completion; votes is
@@ -113,8 +210,8 @@ type Lender[I, O any] struct {
 	spilled     map[int]struct{} // indices parked in the spill store
 	spillBroken bool             // a Put failed; stop spilling, keep correctness
 
-	waiters []waiter[I] // parked sub-stream asks, FIFO
-	out     *outAsk[O]  // parked output ask (at most one)
+	waiters fifo[waiter[I]]        // parked sub-stream asks, FIFO
+	out     pullstream.Callback[O] // parked output ask (at most one)
 
 	aborted error // set when the output consumer aborts
 	outDone bool  // the output already delivered its end signal
@@ -213,7 +310,7 @@ func (l *Lender[I, O]) MemStats() (heap, spilled int) {
 	if l.ordered {
 		return len(l.results), len(l.spilled)
 	}
-	return len(l.ready), 0
+	return l.ready.len(), 0
 }
 
 // saturatedLocked reports whether fresh input reads should pause: the
@@ -228,7 +325,7 @@ func (l *Lender[I, O]) saturatedLocked() bool {
 		return false
 	}
 	if !l.ordered {
-		return len(l.ready) >= l.highWater
+		return l.ready.len() >= l.highWater
 	}
 	if l.spill != nil && !l.spillBroken {
 		return false // the spill store bounds the heap instead
@@ -297,7 +394,7 @@ func (l *Lender[I, O]) Restore(completed map[int]O) {
 	}
 	sort.Ints(idxs)
 	for _, idx := range idxs {
-		l.ready = append(l.ready, completed[idx])
+		l.ready.push(completed[idx])
 	}
 }
 
@@ -323,17 +420,16 @@ func (l *Lender[I, O]) Abort(err error) {
 		l.aborted = err
 	}
 	l.outDone = true
-	var cbs []func()
-	if l.out != nil {
-		cb := l.out.cb
-		l.out = nil
-		cbs = append(cbs, func() {
-			var zero O
-			cb(err, zero)
-		})
+	var st step[I, O]
+	st.out.cb, st.out.end = l.out, err
+	l.out = nil
+	if !l.reading {
+		// No read in flight to carry the abort to the input (inputAnswer
+		// would): the idle reader has nothing left to wait for.
+		l.retireReaderLocked()
 	}
 	l.mu.Unlock()
-	run(cbs)
+	st.run()
 }
 
 // Bind attaches the input source and returns the merged output source,
@@ -341,9 +437,10 @@ func (l *Lender[I, O]) Abort(err error) {
 func (l *Lender[I, O]) Bind(src pullstream.Source[I]) pullstream.Source[O] {
 	l.mu.Lock()
 	l.input = src
-	actions := l.serviceLocked()
+	var st step[I, O]
+	l.serviceLocked(&st)
 	l.mu.Unlock()
-	run(actions)
+	st.run()
 	return l.outputSource
 }
 
@@ -357,43 +454,35 @@ func (l *Lender[I, O]) Through() pullstream.Through[I, O] {
 // SubStream is one lending sub-stream (paper Figure 8): its Source
 // produces the values lent to one worker and its Sink consumes that
 // worker's results. Obtain one with LendStream.
-type SubStream struct {
+type SubStream[I any] struct {
 	id   int
 	name string // worker identity for vote accounting (LendStreamNamed)
 	dead bool
 	// outstanding holds the values lent through this sub-stream that have
 	// not been answered yet, oldest first. Results are matched to values
 	// by arrival order, as in pull-lend-stream.
-	outstanding []lentAny
+	outstanding fifo[lent[I]]
 	parked      bool // this sub-stream has an ask in l.waiters
 }
 
-// lentAny erases the input type so SubStream need not be generic; the
-// Lender's methods are the only accessors and they know the real type.
-type lentAny struct {
-	idx int
-	v   any
-	at  time.Time // when the value was handed to this sub-stream
-}
-
 // specState is the bookkeeping of one speculatively duplicated value.
-type specState struct {
-	copies   int        // copies in flight (sub-stream queues + failed queue)
-	answered bool       // a result for this value was already delivered
-	origin   *SubStream // holder of the original copy at duplication time
+type specState[I any] struct {
+	copies   int           // copies in flight (sub-stream queues + failed queue)
+	answered bool          // a result for this value was already delivered
+	origin   *SubStream[I] // holder of the original copy at duplication time
 }
 
 // ID returns a diagnostic identifier unique within this lender.
-func (s *SubStream) ID() int { return s.id }
+func (s *SubStream[I]) ID() int { return s.id }
 
 // Name returns the worker identity the sub-stream was created under.
-func (s *SubStream) Name() string { return s.name }
+func (s *SubStream[I]) Name() string { return s.name }
 
 // LendStream creates a new sub-stream and returns its duplex endpoints.
 // It may be called at any time, including after the input ended: the new
 // sub-stream will then either receive failed values or be told the stream
 // is done. This is the "dynamic" and "unbounded" property of the model.
-func (l *Lender[I, O]) LendStream() (sub *SubStream, d pullstream.Duplex[O, I]) {
+func (l *Lender[I, O]) LendStream() (sub *SubStream[I], d pullstream.Duplex[O, I]) {
 	return l.LendStreamNamed("")
 }
 
@@ -402,9 +491,9 @@ func (l *Lender[I, O]) LendStream() (sub *SubStream, d pullstream.Duplex[O, I]) 
 // under one name (a multi-core device, or a worker re-leased after a
 // reconnect) are one voice in any quorum. An empty name gets a
 // per-sub-stream placeholder, so anonymous sub-streams never alias.
-func (l *Lender[I, O]) LendStreamNamed(name string) (sub *SubStream, d pullstream.Duplex[O, I]) {
+func (l *Lender[I, O]) LendStreamNamed(name string) (sub *SubStream[I], d pullstream.Duplex[O, I]) {
 	l.mu.Lock()
-	sub = &SubStream{id: l.nextSubID, name: name}
+	sub = &SubStream[I]{id: l.nextSubID, name: name}
 	if name == "" {
 		sub.name = fmt.Sprintf("#%d", sub.id)
 	}
@@ -426,7 +515,7 @@ func (l *Lender[I, O]) LendStreamNamed(name string) (sub *SubStream, d pullstrea
 func (l *Lender[I, O]) Stats() (lentNow, failedQueue, subStreams, endedSubStreams int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.outstanding, len(l.failed), l.subsMade, l.subsEnded
+	return l.outstanding, l.failed.len(), l.subsMade, l.subsEnded
 }
 
 // Backlog reports the lender's appetite for workers: how many value
@@ -438,18 +527,18 @@ func (l *Lender[I, O]) Backlog() (outstanding, failed int, complete bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	complete = l.aborted != nil || (l.inEnd != nil && l.pending == 0)
-	return l.outstanding, len(l.failed), complete
+	return l.outstanding, l.failed.len(), complete
 }
 
 // SubInfo reports how many values are currently lent through s and the
 // age of the oldest one — the straggler signal the scheduler watches.
-func (l *Lender[I, O]) SubInfo(s *SubStream) (outstanding int, oldest time.Duration) {
+func (l *Lender[I, O]) SubInfo(s *SubStream[I]) (outstanding int, oldest time.Duration) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(s.outstanding) == 0 {
+	if s.outstanding.len() == 0 {
 		return 0, 0
 	}
-	return len(s.outstanding), time.Since(s.outstanding[0].at)
+	return s.outstanding.len(), time.Since(s.outstanding.live()[0].at)
 }
 
 // IdleAtTail reports how many sub-stream asks are parked after the input
@@ -463,7 +552,7 @@ func (l *Lender[I, O]) IdleAtTail() int {
 	if l.inEnd == nil {
 		return 0
 	}
-	return len(l.waiters)
+	return l.waiters.len()
 }
 
 // Speculate duplicates up to max of sub-stream s's oldest outstanding
@@ -474,7 +563,7 @@ func (l *Lender[I, O]) IdleAtTail() int {
 // value is duplicated at most once at a time, and a duplicate is never
 // handed back to the sub-stream holding the original. It returns how many
 // values were duplicated.
-func (l *Lender[I, O]) Speculate(s *SubStream, max int) int {
+func (l *Lender[I, O]) Speculate(s *SubStream[I], max int) int {
 	l.mu.Lock()
 	n := 0
 	if !s.dead && l.aborted == nil && l.verify != nil {
@@ -484,7 +573,7 @@ func (l *Lender[I, O]) Speculate(s *SubStream, max int) int {
 		// independent vote.
 		n = l.voteSpeculateLocked(s, max)
 	} else if !s.dead && l.aborted == nil {
-		for _, it := range s.outstanding {
+		for _, it := range s.outstanding.live() {
 			if n >= max {
 				break
 			}
@@ -492,40 +581,34 @@ func (l *Lender[I, O]) Speculate(s *SubStream, max int) int {
 				continue
 			}
 			if l.spec == nil {
-				l.spec = make(map[int]*specState)
+				l.spec = make(map[int]*specState[I])
 			}
-			l.spec[it.idx] = &specState{copies: 2, origin: s}
-			l.failed = append(l.failed, lent[I]{idx: it.idx, v: it.v.(I)})
+			l.spec[it.idx] = &specState[I]{copies: 2, origin: s}
+			l.failed.push(lent[I]{idx: it.idx, v: it.v})
 			n++
 		}
 	}
-	var actions []func()
+	var st step[I, O]
 	if n > 0 {
-		actions = l.serviceLocked()
+		l.serviceLocked(&st)
 	}
 	l.mu.Unlock()
-	run(actions)
+	st.run()
 	return n
-}
-
-// run executes deferred actions outside the lender mutex.
-func run(actions []func()) {
-	for _, a := range actions {
-		a()
-	}
 }
 
 // subAsk answers one request on a sub-stream source, implementing
 // Algorithm 1 of the paper.
-func (l *Lender[I, O]) subAsk(s *SubStream, abort error, cb pullstream.Callback[I]) {
+func (l *Lender[I, O]) subAsk(s *SubStream[I], abort error, cb pullstream.Callback[I]) {
 	var zero I
+	var st step[I, O]
 	if abort != nil {
 		// The worker side aborted its input: treat as sub-stream
 		// termination so outstanding values are re-lent.
 		l.mu.Lock()
-		actions := l.endSubLocked(s)
+		l.endSubLocked(&st, s)
 		l.mu.Unlock()
-		run(actions)
+		st.run()
 		cb(abort, zero)
 		return
 	}
@@ -543,135 +626,126 @@ func (l *Lender[I, O]) subAsk(s *SubStream, abort error, cb pullstream.Callback[
 		cb(pullstream.ErrDone, zero)
 		return
 	}
-	l.waiters = append(l.waiters, waiter[I]{sub: s, cb: cb})
+	l.waiters.push(waiter[I]{sub: s, cb: cb})
 	s.parked = true
-	actions := l.serviceLocked()
+	l.serviceLocked(&st)
 	l.mu.Unlock()
-	run(actions)
+	st.run()
 }
 
 // consumeResults drains a sub-stream's result source, feeding results into
 // the merge machinery and signalling termination (crash-stop or graceful)
 // when the source ends.
-func (l *Lender[I, O]) consumeResults(s *SubStream, src pullstream.Source[O]) {
+func (l *Lender[I, O]) consumeResults(s *SubStream[I], src pullstream.Source[O]) {
 	err := pullstream.Drain(src, func(v O) error {
+		var st step[I, O]
 		l.mu.Lock()
-		actions := l.resultLocked(s, v)
+		l.resultLocked(&st, s, v)
 		l.mu.Unlock()
-		run(actions)
+		st.run()
 		return nil
 	})
 	_ = err // both graceful end and failure re-lend outstanding values
+	var st step[I, O]
 	l.mu.Lock()
-	actions := l.endSubLocked(s)
+	l.endSubLocked(&st, s)
 	l.mu.Unlock()
-	run(actions)
+	st.run()
 }
 
 // resultLocked records one result arriving on sub-stream s.
-func (l *Lender[I, O]) resultLocked(s *SubStream, v O) []func() {
-	if s.dead || len(s.outstanding) == 0 {
+func (l *Lender[I, O]) resultLocked(st *step[I, O], s *SubStream[I], v O) {
+	if s.dead || s.outstanding.len() == 0 {
 		// Stale or unmatched result; drop it (the value it would answer
 		// has already been re-lent or never existed).
-		return nil
+		return
 	}
-	item := s.outstanding[0]
-	s.outstanding = s.outstanding[1:]
+	item := s.outstanding.pop()
 	l.outstanding--
 	if l.verify != nil {
 		// Verification gates emission behind the quorum; the vote
 		// machinery owns pending/emission from here.
-		return l.voteResultLocked(s, item, v)
+		l.voteResultLocked(st, s, item, v)
+		return
 	}
-	if st, ok := l.spec[item.idx]; ok {
-		st.copies--
-		if st.copies == 0 {
-			delete(l.spec, item.idx)
-		}
-		if st.answered {
+	if sp, ok := l.spec[item.idx]; ok {
+		l.dropCopyLocked(item.idx, sp)
+		if sp.answered {
 			// Losing duplicate: the value was already answered by the
 			// faster copy; discard this result.
-			return l.serviceLocked()
+			l.serviceLocked(st)
+			return
 		}
-		st.answered = true
+		sp.answered = true
 	}
+	l.acceptLocked(st, item.idx, v)
+	l.serviceLocked(st)
+}
+
+// acceptLocked is the single place a result enters the reorder buffer (or
+// the ready queue) and the completed-set export: the value at idx is
+// answered for good.
+func (l *Lender[I, O]) acceptLocked(st *step[I, O], idx int, v O) {
 	l.pending--
 	if l.ordered {
-		l.results[item.idx] = v
+		l.results[idx] = v
 		l.maybeSpillLocked()
 	} else {
-		l.ready = append(l.ready, v)
+		l.ready.push(v)
 	}
-	var actions []func()
-	if l.onResult != nil {
-		// Export the completion before the service step's actions so a
-		// journaling hook records a result no later than its emission.
-		fn, idx := l.onResult, item.idx
-		actions = append(actions, func() { fn(idx, v) })
-	}
-	return append(actions, l.serviceLocked()...)
+	st.export, st.exportIdx, st.exportV = l.onResult, idx, v
 }
 
 // endSubLocked terminates sub-stream s: outstanding values move to the
 // failed queue (oldest first) for re-lending, and any parked ask from s is
 // answered done.
-func (l *Lender[I, O]) endSubLocked(s *SubStream) []func() {
+func (l *Lender[I, O]) endSubLocked(st *step[I, O], s *SubStream[I]) {
 	if s.dead {
-		return nil
+		return
 	}
 	s.dead = true
 	l.subsEnded++
-	for _, it := range s.outstanding {
+	for _, it := range s.outstanding.live() {
 		l.outstanding--
 		if l.verify != nil {
 			l.voteEndCopyLocked(s, it)
 			continue
 		}
-		if st, ok := l.spec[it.idx]; ok {
-			if st.answered {
-				// A duplicate already answered this value; the dead copy
-				// need not be re-lent.
-				st.copies--
-				if st.copies == 0 {
-					delete(l.spec, it.idx)
-				}
-				continue
-			}
-			if l.failedHasLocked(it.idx) {
-				// The value's other copy already waits in the failed
-				// queue — its holder died too (simultaneous failures near
-				// the tail). Collapse to a single queued copy so each
-				// distinct value is re-lent exactly once.
-				st.copies--
-				if st.copies == 0 {
-					delete(l.spec, it.idx)
-				}
+		if sp, ok := l.spec[it.idx]; ok {
+			if sp.answered || l.failedHasLocked(it.idx) {
+				// Either a duplicate already answered this value, so the
+				// dead copy need not be re-lent, or the value's other copy
+				// already waits in the failed queue — its holder died too
+				// (simultaneous failures near the tail) — and the two
+				// collapse to a single queued copy so each distinct value
+				// is re-lent exactly once.
+				l.dropCopyLocked(it.idx, sp)
 				continue
 			}
 		}
-		l.failed = append(l.failed, lent[I]{idx: it.idx, v: it.v.(I)})
+		l.failed.push(it)
 	}
-	s.outstanding = nil
+	s.outstanding = fifo[lent[I]]{}
 
-	var actions []func()
 	if s.parked {
 		// Remove s's parked ask and answer it done.
-		kept := l.waiters[:0]
-		for _, w := range l.waiters {
+		for i, w := range l.waiters.live() {
 			if w.sub == s {
-				cb := w.cb
-				actions = append(actions, func() {
-					var zero I
-					cb(pullstream.ErrDone, zero)
-				})
-				continue
+				var zero I
+				st.answer(l.waiters.removeAt(i).cb, pullstream.ErrDone, zero)
+				break
 			}
-			kept = append(kept, w)
 		}
-		l.waiters = kept
 		s.parked = false
 	}
-	return append(actions, l.serviceLocked()...)
+	l.serviceLocked(st)
+}
+
+// dropCopyLocked accounts one copy of a speculated value leaving flight.
+func (l *Lender[I, O]) dropCopyLocked(idx int, sp *specState[I]) {
+	if sp.copies--; sp.copies == 0 {
+		delete(l.spec, idx)
+	}
 }
 
 // failedHasLocked reports whether an idx is already queued for re-lending.
@@ -679,7 +753,7 @@ func (l *Lender[I, O]) endSubLocked(s *SubStream) []func() {
 // duplicated values on sub-stream death, and the failed queue drains to
 // asking workers ahead of fresh input, so it stays short.
 func (l *Lender[I, O]) failedHasLocked(idx int) bool {
-	for _, f := range l.failed {
+	for _, f := range l.failed.live() {
 		if f.idx == idx {
 			return true
 		}
@@ -687,24 +761,36 @@ func (l *Lender[I, O]) failedHasLocked(idx int) bool {
 	return false
 }
 
-// serviceLocked advances the state machine: it answers parked sub-stream
-// asks from the failed queue, starts an input read when one is needed,
-// answers completion, and serves the parked output ask. It returns the
-// callback invocations to run outside the lock.
-func (l *Lender[I, O]) serviceLocked() []func() {
-	var actions []func()
+// dismissWaitersLocked answers every parked sub-stream ask done.
+func (l *Lender[I, O]) dismissWaitersLocked(st *step[I, O]) {
+	var zero I
+	for l.waiters.len() > 0 {
+		w := l.waiters.pop()
+		w.sub.parked = false
+		st.answer(w.cb, pullstream.ErrDone, zero)
+	}
+}
 
+// lendLocked hands the i-th parked ask the value it: the value joins the
+// asker's outstanding queue and the ask is answered with it.
+func (l *Lender[I, O]) lendLocked(st *step[I, O], i int, it lent[I]) *SubStream[I] {
+	w := l.waiters.removeAt(i)
+	w.sub.parked = false
+	it.at = time.Now()
+	w.sub.outstanding.push(it)
+	l.outstanding++
+	st.answer(w.cb, nil, it.v)
+	return w.sub
+}
+
+// serviceLocked advances the state machine: it answers parked sub-stream
+// asks from the failed queue, asks for an input read when one is needed,
+// answers completion, and serves the parked output ask. The answers it
+// decides on are collected in st, to be delivered outside the lock.
+func (l *Lender[I, O]) serviceLocked(st *step[I, O]) {
 	if l.aborted != nil {
-		for _, w := range l.waiters {
-			cb := w.cb
-			w.sub.parked = false
-			actions = append(actions, func() {
-				var zero I
-				cb(pullstream.ErrDone, zero)
-			})
-		}
-		l.waiters = nil
-		return actions
+		l.dismissWaitersLocked(st)
+		return
 	}
 
 	// Answer waiters from the failed queue first (Algorithm 1,
@@ -714,30 +800,25 @@ func (l *Lender[I, O]) serviceLocked() []func() {
 	// and a duplicate is never handed back to the sub-stream that
 	// already holds the original.
 	fi := 0
-	for fi < len(l.failed) && len(l.waiters) > 0 {
+	for fi < l.failed.len() && l.waiters.len() > 0 {
 		if l.verify != nil {
-			consumed, acts := l.voteRelendLocked(fi)
-			actions = append(actions, acts...)
-			if !consumed {
+			if !l.voteRelendLocked(st, fi) {
 				fi++
 			}
 			continue
 		}
-		it := l.failed[fi]
-		st := l.spec[it.idx]
-		if st != nil && st.answered {
-			st.copies--
-			if st.copies == 0 {
-				delete(l.spec, it.idx)
-			}
-			l.failed = append(l.failed[:fi], l.failed[fi+1:]...)
+		it := l.failed.live()[fi]
+		sp := l.spec[it.idx]
+		if sp != nil && sp.answered {
+			l.dropCopyLocked(it.idx, sp)
+			l.failed.removeAt(fi)
 			continue
 		}
 		wi := 0
-		if st != nil {
+		if sp != nil {
 			wi = -1
-			for j, w := range l.waiters {
-				if w.sub != st.origin {
+			for j, w := range l.waiters.live() {
+				if w.sub != sp.origin {
 					wi = j
 					break
 				}
@@ -749,74 +830,90 @@ func (l *Lender[I, O]) serviceLocked() []func() {
 				continue
 			}
 		}
-		w := l.waiters[wi]
-		l.waiters = append(l.waiters[:wi], l.waiters[wi+1:]...)
-		l.failed = append(l.failed[:fi], l.failed[fi+1:]...)
-		w.sub.parked = false
-		w.sub.outstanding = append(w.sub.outstanding, lentAny{idx: it.idx, v: it.v, at: time.Now()})
-		l.outstanding++
-		cb, v := w.cb, it.v
-		actions = append(actions, func() { cb(nil, v) })
+		l.lendLocked(st, wi, l.failed.removeAt(fi))
 	}
 
-	if len(l.waiters) > 0 {
+	if l.waiters.len() > 0 {
 		if l.inEnd == nil {
 			// Lazily read a new value (Algorithm 1 line 6), one read at a
-			// time, if the input is bound. The read runs on its own
-			// goroutine because input sources may block until a value is
-			// available (e.g. channel-backed sources), and the goroutine
-			// that triggered this service step may be needed elsewhere
-			// in the meantime (it might even be the one that will
-			// produce the input). Fresh reads pause while the buffered
-			// results sit at the high-water mark (saturatedLocked) — the
-			// backpressure that keeps a slow output consumer from turning
-			// the reorder buffer into O(stream) state. Re-lending above
-			// is never gated, so stragglers still resolve.
+			// time, if the input is bound. Fresh reads pause while the
+			// buffered results sit at the high-water mark (saturatedLocked)
+			// — the backpressure that keeps a slow output consumer from
+			// turning the reorder buffer into O(stream) state. Re-lending
+			// above is never gated, so stragglers still resolve.
 			if !l.reading && l.input != nil && !l.saturatedLocked() {
-				l.reading = true
-				actions = append(actions, func() { go l.input(nil, l.inputAnswer) })
+				l.requestReadLocked()
 			}
 		} else if l.pending == 0 {
 			// Every value the input produced has been answered (copies
 			// still in flight at stragglers are zombies whose results
 			// will be discarded); tell waiters we are done.
-			for _, w := range l.waiters {
-				cb := w.cb
-				w.sub.parked = false
-				actions = append(actions, func() {
-					var zero I
-					cb(pullstream.ErrDone, zero)
-				})
-			}
-			l.waiters = nil
+			l.dismissWaitersLocked(st)
 		}
 		// Otherwise: waitOnOthers — keep them parked until a failure or
 		// completion.
 	}
 
-	// Serve the output.
-	actions = append(actions, l.serveOutputLocked()...)
-	return actions
+	l.serveOutputLocked(st)
+}
+
+// requestReadLocked wakes the input reader for one read, starting it at
+// the first. reading admits one request at a time, so the send never
+// finds the channel full.
+func (l *Lender[I, O]) requestReadLocked() {
+	l.reading = true
+	if l.readReq == nil {
+		l.readReq = make(chan struct{}, 1)
+		go l.readInput(l.input, l.readReq)
+	}
+	l.readReq <- struct{}{}
+}
+
+// readInput is the lender's one input reader. It reads only when the
+// service step asked for a value (lazy: never ahead of an ask), on its own
+// goroutine because input sources may block until a value is available
+// while the goroutine that triggered the service step may be needed
+// elsewhere (it might even be the one that will produce the input). It
+// returns once retireReaderLocked closed req: the input ended or aborted.
+func (l *Lender[I, O]) readInput(input pullstream.Source[I], req <-chan struct{}) {
+	answer := l.inputAnswer // one method value for the stream, not one per read
+	for range req {
+		input(nil, answer)
+	}
+}
+
+// retireReaderLocked lets the input reader go: no read can follow.
+func (l *Lender[I, O]) retireReaderLocked() {
+	if l.readReq != nil && !l.readRetired {
+		l.readRetired = true
+		close(l.readReq)
+	}
+}
+
+// endInputLocked records the input's end signal.
+func (l *Lender[I, O]) endInputLocked(end error) {
+	l.reading = false
+	l.inEnd = end
+	l.retireReaderLocked()
 }
 
 // inputAnswer receives one answer from the input source.
 func (l *Lender[I, O]) inputAnswer(end error, v I) {
+	var st step[I, O]
 	l.mu.Lock()
 	l.reading = false
-	var actions []func()
 	switch {
 	case end != nil:
-		l.inEnd = end
+		l.endInputLocked(end)
 	case l.aborted != nil:
 		// Value arrived after downstream aborted; drop it and forward the
 		// abort to the input so it can release its resources.
 		l.reading = true
 		abort, input := l.aborted, l.input
-		actions = append(actions, func() {
+		st.hooks = append(st.hooks, func() {
 			input(abort, func(error, I) {
 				l.mu.Lock()
-				l.reading = false
-				l.inEnd = abort
+				l.endInputLocked(abort)
 				l.mu.Unlock()
 			})
 		})
@@ -825,36 +922,29 @@ func (l *Lender[I, O]) inputAnswer(end error, v I) {
 		// lend it — its result is already queued for replay. The asker
 		// stays parked; serviceLocked starts the next read.
 		l.nextIdx++
-	case len(l.waiters) > 0:
-		w := l.waiters[0]
-		l.waiters = l.waiters[1:]
-		w.sub.parked = false
+	default:
 		idx := l.nextIdx
 		l.nextIdx++
 		l.pending++
-		w.sub.outstanding = append(w.sub.outstanding, lentAny{idx: idx, v: v, at: time.Now()})
-		l.outstanding++
-		if l.verify != nil {
-			l.voteLendFreshLocked(w.sub, idx, v)
+		if l.waiters.len() > 0 {
+			sub := l.lendLocked(&st, 0, lent[I]{idx: idx, v: v})
+			if l.verify != nil {
+				l.voteLendFreshLocked(sub, idx, v)
+			}
+			break
 		}
-		cb := w.cb
-		actions = append(actions, func() { cb(nil, v) })
-	default:
 		// The asker died while the read was in flight; keep the value so
 		// it is not lost (conservative property: it will be lent to the
 		// next asker).
-		idx := l.nextIdx
-		l.nextIdx++
-		l.pending++
-		l.failed = append(l.failed, lent[I]{idx: idx, v: v})
+		l.failed.push(lent[I]{idx: idx, v: v})
 		if l.verify != nil {
 			// Track the queued copy; replicas fan out at first lend.
 			l.voteEnsureOpenLocked(idx, v).queued++
 		}
 	}
-	actions = append(actions, l.serviceLocked()...)
+	l.serviceLocked(&st)
 	l.mu.Unlock()
-	run(actions)
+	st.run()
 }
 
 // completeLocked reports whether every value read from the input has been
@@ -868,35 +958,34 @@ func (l *Lender[I, O]) completeLocked() bool {
 	if l.ordered {
 		return len(l.results) == 0 && len(l.spilled) == 0
 	}
-	return len(l.ready) == 0
+	return l.ready.len() == 0
+}
+
+// nextResultLocked removes and returns the result at the output cursor,
+// from the heap or — paged back in — from the spill store. A store that
+// cannot return the payload is an error: the result is gone, and
+// exactly-once ordered emission cannot be silently preserved.
+func (l *Lender[I, O]) nextResultLocked() (v O, ok bool, err error) {
+	if v, ok = l.results[l.nextOut]; ok {
+		delete(l.results, l.nextOut)
+		return v, true, nil
+	}
+	if _, sp := l.spilled[l.nextOut]; !sp {
+		return v, false, nil
+	}
+	v, err = l.unspillLocked(l.nextOut)
+	return v, err == nil, err
 }
 
 // serveOutputLocked answers the parked output ask if possible.
-func (l *Lender[I, O]) serveOutputLocked() []func() {
+func (l *Lender[I, O]) serveOutputLocked(st *step[I, O]) {
 	if l.out == nil || l.outDone {
-		return nil
+		return
 	}
-	cb := l.out.cb
+	var zero O
 	if l.ordered {
-		if _, ok := l.results[l.nextOut]; !ok {
-			if _, sp := l.spilled[l.nextOut]; sp {
-				// The next result was paged out; bring it back. A store
-				// that cannot return the payload fails the stream —
-				// the result is gone and exactly-once ordered emission
-				// cannot be silently preserved.
-				v, err := l.unspillLocked(l.nextOut)
-				if err != nil {
-					l.out = nil
-					l.outDone = true
-					return []func(){func() {
-						var zero O
-						cb(err, zero)
-					}}
-				}
-				l.results[l.nextOut] = v
-			}
-		}
-		if _, ok := l.results[l.nextOut]; !ok && l.inEnd != nil && l.pending == 0 && (len(l.results) > 0 || len(l.spilled) > 0) {
+		v, ok, err := l.nextResultLocked()
+		if !ok && err == nil && l.inEnd != nil && l.pending == 0 && (len(l.results) > 0 || len(l.spilled) > 0) {
 			// Every in-flight value is answered yet the next slot is
 			// empty: the remaining results are checkpoint-restored
 			// leftovers past the end of a (shorter) resumed input. Skip
@@ -914,49 +1003,38 @@ func (l *Lender[I, O]) serveOutputLocked() []func() {
 				}
 			}
 			l.nextOut = min
-			if _, sp := l.spilled[l.nextOut]; sp {
-				v, err := l.unspillLocked(l.nextOut)
-				if err != nil {
-					l.out = nil
-					l.outDone = true
-					return []func(){func() {
-						var zero O
-						cb(err, zero)
-					}}
-				}
-				l.results[l.nextOut] = v
-			}
+			v, ok, err = l.nextResultLocked()
 		}
-		if v, ok := l.results[l.nextOut]; ok {
-			delete(l.results, l.nextOut)
+		if err != nil {
+			st.out = answerTo[O]{cb: l.out, end: err}
+			l.out, l.outDone = nil, true
+			return
+		}
+		if ok {
 			l.nextOut++
+			st.out = answerTo[O]{cb: l.out, v: v}
 			l.out = nil
-			return []func(){func() { cb(nil, v) }}
+			return
 		}
-	} else if len(l.ready) > 0 {
-		v := l.ready[0]
-		l.ready = l.ready[1:]
+	} else if l.ready.len() > 0 {
+		st.out = answerTo[O]{cb: l.out, v: l.ready.pop()}
 		l.out = nil
-		return []func(){func() { cb(nil, v) }}
+		return
 	}
 	if l.completeLocked() {
-		l.out = nil
-		l.outDone = true
 		end := l.inEnd
 		if pullstream.IsNormalEnd(end) {
 			end = pullstream.ErrDone
 		}
-		return []func(){func() {
-			var zero O
-			cb(end, zero)
-		}}
+		st.out = answerTo[O]{cb: l.out, end: end, v: zero}
+		l.out, l.outDone = nil, true
 	}
-	return nil
 }
 
 // outputSource is the merged output of the lender.
 func (l *Lender[I, O]) outputSource(abort error, cb pullstream.Callback[O]) {
 	var zero O
+	var st step[I, O]
 	if abort != nil {
 		l.mu.Lock()
 		l.aborted = abort
@@ -969,16 +1047,15 @@ func (l *Lender[I, O]) outputSource(abort error, cb pullstream.Callback[O]) {
 			l.reading = true
 		}
 		input := l.input
-		actions := l.serviceLocked()
+		l.serviceLocked(&st)
 		l.mu.Unlock()
-		run(actions)
+		st.run()
 		if abortNow {
 			done := make(chan struct{})
 			input(abort, func(error, I) { close(done) })
 			<-done
 			l.mu.Lock()
-			l.reading = false
-			l.inEnd = abort
+			l.endInputLocked(abort)
 			l.mu.Unlock()
 		}
 		cb(abort, zero)
@@ -1004,13 +1081,13 @@ func (l *Lender[I, O]) outputSource(abort error, cb pullstream.Callback[O]) {
 		cb(errors.New("lender: concurrent output requests"), zero)
 		return
 	}
-	l.out = &outAsk[O]{cb: cb}
+	l.out = cb
 	// A full service step, not just output delivery: emitting a result
 	// shrinks the buffered window, which is what lets saturation-gated
 	// input reads resume — the release edge of the backpressure loop.
-	actions := l.serviceLocked()
+	l.serviceLocked(&st)
 	l.mu.Unlock()
-	run(actions)
+	st.run()
 }
 
 // unspillLocked loads one spilled result back from the store. The caller

@@ -2,7 +2,6 @@ package lender
 
 import (
 	"sort"
-	"time"
 
 	"pando/internal/verify"
 )
@@ -156,12 +155,12 @@ func (l *Lender[I, O]) voteFanLocked(vt *voteState[I, O], idx int, name string) 
 	}
 	for i := 0; i < l.verify.K-1; i++ {
 		vt.queued++
-		l.failed = append(l.failed, lent[I]{idx: idx, v: vt.input})
+		l.failed.push(lent[I]{idx: idx, v: vt.input})
 	}
 }
 
 // voteLendFreshLocked accounts a brand-new value handed to sub.
-func (l *Lender[I, O]) voteLendFreshLocked(sub *SubStream, idx int, v I) {
+func (l *Lender[I, O]) voteLendFreshLocked(sub *SubStream[I], idx int, v I) {
 	vt := l.voteEnsureOpenLocked(idx, v)
 	vt.holders[sub.name]++
 	l.voteFanLocked(vt, idx, sub.name)
@@ -176,7 +175,7 @@ func (l *Lender[I, O]) voteLivenessLocked(idx int, vt *voteState[I, O]) {
 		return
 	}
 	vt.queued++
-	l.failed = append(l.failed, lent[I]{idx: idx, v: vt.input})
+	l.failed.push(lent[I]{idx: idx, v: vt.input})
 }
 
 // voteCleanupLocked drops the vote record once it is emitted and no
@@ -190,12 +189,14 @@ func (l *Lender[I, O]) voteCleanupLocked(idx int, vt *voteState[I, O]) {
 
 // voteResultLocked records one result for the copy at the head of s's
 // queue (already popped by resultLocked) and advances the vote.
-func (l *Lender[I, O]) voteResultLocked(s *SubStream, item lentAny, v O) []func() {
+func (l *Lender[I, O]) voteResultLocked(st *step[I, O], s *SubStream[I], item lent[I], v O) {
+	// Whatever the ballot decides, the step ends with a service pass.
+	defer l.serviceLocked(st)
 	vt := l.votes[item.idx]
 	if vt == nil {
 		// The vote was finalized and cleaned before this zombie
 		// answered; nothing to learn.
-		return l.serviceLocked()
+		return
 	}
 	vt.dropHolder(s.name)
 
@@ -203,7 +204,7 @@ func (l *Lender[I, O]) voteResultLocked(s *SubStream, item lentAny, v O) []func(
 	if err != nil {
 		// Undigestible result: no ballot. Keep the vote alive.
 		l.voteLivenessLocked(item.idx, vt)
-		return l.serviceLocked()
+		return
 	}
 
 	if vt.resolved() {
@@ -213,15 +214,14 @@ func (l *Lender[I, O]) voteResultLocked(s *SubStream, item lentAny, v O) []func(
 		// the spot recomputation may still re-point the accepted
 		// digest.
 		outcome := vt.voter.Add(s.name, d)
-		var actions []func()
 		if vt.emitted && l.verify.OnVerdict != nil &&
 			(outcome == verify.LateAgree || outcome == verify.LateDisagree) {
 			fn, name, idx := l.verify.OnVerdict, s.name, item.idx
 			agreed := outcome == verify.LateAgree
-			actions = append(actions, func() { fn(name, idx, agreed) })
+			st.hooks = append(st.hooks, func() { fn(name, idx, agreed) })
 		}
 		l.voteCleanupLocked(item.idx, vt)
-		return append(actions, l.serviceLocked()...)
+		return
 	}
 
 	if _, seen := vt.values[d]; !seen {
@@ -229,32 +229,31 @@ func (l *Lender[I, O]) voteResultLocked(s *SubStream, item lentAny, v O) []func(
 	}
 	switch vt.voter.Add(s.name, d) {
 	case verify.QuorumReached:
-		return l.voteAcceptLocked(item.idx, vt, d, false)
+		l.voteAcceptLocked(st, item.idx, vt, d, false)
 	case verify.Counted:
 		if l.verify.Trusted != nil && l.verify.Trusted(s.name) {
 			// Fast-path: a trusted worker's ballot resolves the vote
 			// by itself; outstanding replicas become zombies.
 			vt.voter.Resolve(d)
-			return l.voteAcceptLocked(item.idx, vt, d, true)
+			l.voteAcceptLocked(st, item.idx, vt, d, true)
+			return
 		}
 		l.voteLivenessLocked(item.idx, vt)
-		return l.serviceLocked()
 	default: // verify.Duplicate: same voice twice, no new information
 		l.voteLivenessLocked(item.idx, vt)
-		return l.serviceLocked()
 	}
 }
 
 // voteAcceptLocked handles a freshly resolved vote: either finalize
 // immediately or hold emission for a spot-check recomputation.
-func (l *Lender[I, O]) voteAcceptLocked(idx int, vt *voteState[I, O], d verify.Digest, fastPath bool) []func() {
+func (l *Lender[I, O]) voteAcceptLocked(st *step[I, O], idx int, vt *voteState[I, O], d verify.Digest, fastPath bool) {
 	if l.verify.Spot != nil && l.verify.Recompute != nil && l.verify.Spot(idx) {
 		vt.spotting = true
 		input := vt.input
-		actions := []func(){func() { l.spotCheck(idx, input, d, fastPath) }}
-		return append(actions, l.serviceLocked()...)
+		st.hooks = append(st.hooks, func() { l.spotCheck(idx, input, d, fastPath) })
+		return
 	}
-	return l.voteFinalizeLocked(idx, vt, d, fastPath, false, false)
+	l.voteFinalizeLocked(st, idx, vt, d, fastPath, false, false)
 }
 
 // spotCheck recomputes idx locally (outside the lock) and finalizes the
@@ -283,27 +282,21 @@ func (l *Lender[I, O]) spotCheck(idx int, input I, accepted verify.Digest, fastP
 	}
 	// A recomputation error leaves the quorum result standing — the
 	// check was inconclusive, not failed.
-	actions := l.voteFinalizeLocked(idx, vt, d, fastPath, true, failed)
+	var st step[I, O]
+	l.voteFinalizeLocked(&st, idx, vt, d, fastPath, true, failed)
+	l.serviceLocked(&st)
 	l.mu.Unlock()
-	run(actions)
+	st.run()
 }
 
 // voteFinalizeLocked emits the accepted value, grades every ballot
 // against the final digest, and releases the audit record. This is the
 // single place a verified value reaches the reorder buffer, the
-// journal hook and the output.
-func (l *Lender[I, O]) voteFinalizeLocked(idx int, vt *voteState[I, O], d verify.Digest, fastPath, spotChecked, spotFailed bool) []func() {
-	v := vt.values[d]
+// journal hook and the output; the caller follows it with a service pass.
+func (l *Lender[I, O]) voteFinalizeLocked(st *step[I, O], idx int, vt *voteState[I, O], d verify.Digest, fastPath, spotChecked, spotFailed bool) {
 	vt.emitted = true
-	l.pending--
-	if l.ordered {
-		l.results[idx] = v
-		l.maybeSpillLocked()
-	} else {
-		l.ready = append(l.ready, v)
-	}
+	l.acceptLocked(st, idx, vt.values[d])
 
-	var actions []func()
 	ballots := vt.voter.Ballots()
 	names := make([]string, 0, len(ballots))
 	for name := range ballots {
@@ -318,7 +311,7 @@ func (l *Lender[I, O]) voteFinalizeLocked(idx int, vt *voteState[I, O], d verify
 		}
 		if l.verify.OnVerdict != nil {
 			fn, n := l.verify.OnVerdict, name
-			actions = append(actions, func() { fn(n, idx, agreed) })
+			st.hooks = append(st.hooks, func() { fn(n, idx, agreed) })
 		}
 	}
 	if l.verify.OnAccept != nil {
@@ -333,20 +326,15 @@ func (l *Lender[I, O]) voteFinalizeLocked(idx int, vt *voteState[I, O], d verify
 			SpotFailed:  spotFailed,
 		}
 		fn := l.verify.OnAccept
-		actions = append(actions, func() { fn(a) })
-	}
-	if l.onResult != nil {
-		fn := l.onResult
-		actions = append(actions, func() { fn(idx, v) })
+		st.hooks = append(st.hooks, func() { fn(a) })
 	}
 	l.voteCleanupLocked(idx, vt)
-	return append(actions, l.serviceLocked()...)
 }
 
 // voteEndCopyLocked handles one outstanding copy of a dying sub-stream:
 // a resolved vote's zombie copy is discarded, an unresolved one is
 // re-queued — replica death mid-vote must not strand the quorum.
-func (l *Lender[I, O]) voteEndCopyLocked(s *SubStream, it lentAny) {
+func (l *Lender[I, O]) voteEndCopyLocked(s *SubStream[I], it lent[I]) {
 	vt := l.votes[it.idx]
 	if vt == nil {
 		return
@@ -357,37 +345,31 @@ func (l *Lender[I, O]) voteEndCopyLocked(s *SubStream, it lentAny) {
 		return
 	}
 	vt.queued++
-	l.failed = append(l.failed, lent[I]{idx: it.idx, v: it.v.(I)})
+	l.failed.push(it)
 }
 
 // voteRelendLocked is the verify-mode arm of the failed-queue loop in
 // serviceLocked: it drops copies of resolved votes, and hands a live
 // copy only to a waiter whose worker name is not already a participant.
-// It reports (consumed, lent, actions): consumed means the queue entry
-// at fi was removed (the caller must not advance fi).
-func (l *Lender[I, O]) voteRelendLocked(fi int) (consumed bool, actions []func()) {
-	it := l.failed[fi]
+// It reports whether the queue entry at fi was consumed (the caller must
+// not advance fi then).
+func (l *Lender[I, O]) voteRelendLocked(st *step[I, O], fi int) (consumed bool) {
+	it := l.failed.live()[fi]
 	vt := l.votes[it.idx]
 	if vt == nil {
 		// No vote record (value queued before SetVerify, or after
 		// cleanup): lend plainly to the first waiter.
-		w := l.waiters[0]
-		l.waiters = l.waiters[1:]
-		l.failed = append(l.failed[:fi], l.failed[fi+1:]...)
-		w.sub.parked = false
-		w.sub.outstanding = append(w.sub.outstanding, lentAny{idx: it.idx, v: it.v, at: time.Now()})
-		l.outstanding++
-		cb, v := w.cb, it.v
-		return true, []func(){func() { cb(nil, v) }}
+		l.lendLocked(st, 0, l.failed.removeAt(fi))
+		return true
 	}
 	if vt.resolved() {
 		vt.queued--
-		l.failed = append(l.failed[:fi], l.failed[fi+1:]...)
+		l.failed.removeAt(fi)
 		l.voteCleanupLocked(it.idx, vt)
-		return true, nil
+		return true
 	}
 	wi := -1
-	for j, w := range l.waiters {
+	for j, w := range l.waiters.live() {
 		if !vt.participant(w.sub.name) {
 			wi = j
 			break
@@ -396,19 +378,13 @@ func (l *Lender[I, O]) voteRelendLocked(fi int) (consumed bool, actions []func()
 	if wi < 0 {
 		// Every asking worker already holds or voted on this value;
 		// keep the copy queued for a fresh voice.
-		return false, nil
+		return false
 	}
-	w := l.waiters[wi]
-	l.waiters = append(l.waiters[:wi], l.waiters[wi+1:]...)
-	l.failed = append(l.failed[:fi], l.failed[fi+1:]...)
-	w.sub.parked = false
-	w.sub.outstanding = append(w.sub.outstanding, lentAny{idx: it.idx, v: it.v, at: time.Now()})
-	l.outstanding++
+	sub := l.lendLocked(st, wi, l.failed.removeAt(fi))
 	vt.queued--
-	vt.holders[w.sub.name]++
-	l.voteFanLocked(vt, it.idx, w.sub.name)
-	cb, v := w.cb, it.v
-	return true, []func(){func() { cb(nil, v) }}
+	vt.holders[sub.name]++
+	l.voteFanLocked(vt, it.idx, sub.name)
+	return true
 }
 
 // voteSpeculateLocked queues one extra copy of each of s's oldest
@@ -417,9 +393,9 @@ func (l *Lender[I, O]) voteRelendLocked(fi int) (consumed bool, actions []func()
 // away from s (and any same-named sibling), and the name-keyed ballots
 // mean it can never count as a second vote from the same worker — the
 // PR 2 speculation-dedup property, enforced structurally.
-func (l *Lender[I, O]) voteSpeculateLocked(s *SubStream, max int) int {
+func (l *Lender[I, O]) voteSpeculateLocked(s *SubStream[I], max int) int {
 	n := 0
-	for _, it := range s.outstanding {
+	for _, it := range s.outstanding.live() {
 		if n >= max {
 			break
 		}
@@ -428,7 +404,7 @@ func (l *Lender[I, O]) voteSpeculateLocked(s *SubStream, max int) int {
 			continue
 		}
 		vt.queued++
-		l.failed = append(l.failed, lent[I]{idx: it.idx, v: it.v.(I)})
+		l.failed.push(lent[I]{idx: it.idx, v: it.v})
 		n++
 	}
 	return n

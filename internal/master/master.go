@@ -197,9 +197,9 @@ type WorkerStats struct {
 	// straggler re-dispatch.
 	Speculated int
 
-	// history holds recent per-item completion times (pruned to
-	// MaxWindow) for windowed throughput, the §5.1 methodology.
-	history []time.Time
+	// window points at the device's live per-second counts (the §5.1
+	// windowed throughput); nil on a row not taken from a master.
+	window *itemWindow
 }
 
 // ShardStats is one shard's row in a sharded master's accounting: which
@@ -281,7 +281,7 @@ type Master[I, O any] struct {
 	pool *fleet.Pool
 
 	mu         sync.Mutex
-	workers    map[string]*WorkerStats
+	workers    map[string]*device
 	closed     bool
 	jerr       error // first journal write failure, for diagnostics
 	shardStats func() []ShardStats
@@ -326,6 +326,7 @@ type lane[I, O, U, R any] struct {
 	out  transport.Codec[R]
 	unit int // values per lending unit: 1, or Config.Group
 	wrap func(name string, ch transport.Channel) transport.Channel
+	row  func(name string) *device
 
 	pack   pullstream.Through[I, U]                    // values to units
 	unpack pullstream.Through[R, O]                    // unit results to values
@@ -337,7 +338,9 @@ func (e *lane[I, O, U, R]) Bind(src pullstream.Source[I]) pullstream.Source[O] {
 }
 
 func (e *lane[I, O, U, R]) AttachChannel(name string, ch transport.Channel) error {
-	return e.Attach(name, transport.MasterDuplex(e.wrap(name, ch), e.in, e.out))
+	d := transport.MasterDuplex(e.wrap(name, ch), e.in, e.out)
+	d.Source = countResults(d.Source, e.row(name))
+	return e.Attach(name, d)
 }
 
 // Backlog rescales the unit-counted backlog to values.
@@ -396,7 +399,7 @@ func newLane[I, O, U, R any](m *Master[I, O], unit int, in transport.Codec[U], o
 	if cfg.SpillHighWater > 0 {
 		d.BoundMemory(cfg.SpillHighWater, cfg.spillStore(), out.Encode, out.Decode)
 	}
-	return &lane[I, O, U, R]{DistributedMap: d, in: in, out: out, unit: unit, wrap: m.wrapChannel,
+	return &lane[I, O, U, R]{DistributedMap: d, in: in, out: out, unit: unit, wrap: m.wrapChannel, row: m.device,
 		pack: pack, unpack: unpack, lift: lift}
 }
 
@@ -428,7 +431,7 @@ func New[I, O any](cfg Config, in transport.Codec[I], out transport.Codec[O]) *M
 // NewJob creates the typed-job half alone, for registration with a
 // shared fleet.Pool (see Job). It has no listeners of its own.
 func NewJob[I, O any](cfg Config, in transport.Codec[I], out transport.Codec[O]) *Master[I, O] {
-	m := &Master[I, O]{cfg: cfg, workers: make(map[string]*WorkerStats)}
+	m := &Master[I, O]{cfg: cfg, workers: make(map[string]*device)}
 	if g := cfg.Group; g > 1 {
 		m.engine = newLane(m, g, transport.ListCodec[I]{Elem: in}, transport.ListCodec[O]{Elem: out},
 			pullstream.Group[I](g), pullstream.Flatten[O](), liftGroup[I, O])
@@ -573,21 +576,33 @@ func (m *Master[I, O]) JournalErr() error {
 	return m.jerr
 }
 
+// device returns the named device's accounting row, creating it at the
+// device's first sign of life.
+func (m *Master[I, O]) device(name string) *device {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.deviceLocked(name)
+}
+
+func (m *Master[I, O]) deviceLocked(name string) *device {
+	d, ok := m.workers[name]
+	if !ok {
+		d = &device{WorkerStats: WorkerStats{Name: name, FirstSeen: time.Now()}}
+		m.workers[name] = d
+	}
+	return d
+}
+
 // observe folds the engine's processor lifecycle events into the
-// per-device accounting of the evaluation (§5.1).
+// per-device accounting of the evaluation (§5.1); results are counted at
+// the attachment (countResults), without this lock.
 func (m *Master[I, O]) observe(ev core.Event) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	stats, ok := m.workers[ev.Processor]
-	if !ok {
-		stats = &WorkerStats{Name: ev.Processor, FirstSeen: time.Now()}
-		m.workers[ev.Processor] = stats
-	}
+	stats := m.deviceLocked(ev.Processor)
 	switch ev.Kind {
 	case "attach":
 		stats.Alive = true
-	case "result":
-		stats.recordItem(time.Now())
 	case "detach":
 		stats.Alive = false
 		// The device's channels are gone; drop them from the rate-hint
@@ -609,7 +624,7 @@ func (m *Master[I, O]) Bind(src pullstream.Source[I]) pullstream.Source[O] {
 // handshake and wire-format negotiation now live; a bare job created
 // with NewJob has no pool and refuses direct admissions — volunteers
 // reach it through the shared pool it registered with.
-func (m *Master[I, O]) Admit(ch transport.Channel) error {
+func (m *Master[I, O]) Admit(ch *transport.WSock) error {
 	if m.pool == nil {
 		_ = ch.Send(&proto.Message{Type: proto.TypeError, Err: ErrClosed.Error()})
 		ch.Close()
@@ -662,12 +677,7 @@ func (j job[I, O]) RecordWire(worker, wire string) { j.m.recordWire(worker, wire
 func (m *Master[I, O]) recordWire(name, wire string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	stats, ok := m.workers[name]
-	if !ok {
-		stats = &WorkerStats{Name: name, FirstSeen: time.Now()}
-		m.workers[name] = stats
-	}
-	stats.Wire = wire
+	m.deviceLocked(name).Wire = wire
 }
 
 // Attach wires an already-admitted channel into the DistributedMap
@@ -720,7 +730,7 @@ func (m *Master[I, O]) Stats() []WorkerStats {
 	}
 	out := make([]WorkerStats, 0, len(m.workers))
 	for _, w := range m.workers {
-		row := *w
+		row := w.snapshot()
 		if f, ok := byName[w.Name]; ok {
 			row.InFlight = f.InFlight
 			row.Credits = f.Window
@@ -791,7 +801,7 @@ func (m *Master[I, O]) TotalItems() int {
 	defer m.mu.Unlock()
 	n := 0
 	for _, w := range m.workers {
-		n += w.Items
+		n += int(w.items.Load())
 	}
 	return n
 }

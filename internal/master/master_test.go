@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -348,26 +349,80 @@ func TestWindowedThroughput(t *testing.T) {
 	if total != per["dev"] {
 		t.Fatalf("total %v != sum of devices %v", total, per["dev"])
 	}
-	// A tiny window far after completion counts nothing.
-	time.Sleep(20 * time.Millisecond)
-	per, _ = m.WindowedThroughput(time.Millisecond)
-	if per["dev"] != 0 {
-		t.Fatalf("stale window shows %v items/s", per["dev"])
+	// A window that opens after completion counts nothing.
+	for _, row := range m.Stats() {
+		if tp := row.ThroughputWithin(time.Second, time.Now().Add(10*time.Second)); tp != 0 {
+			t.Fatalf("stale window shows %v items/s for %s", tp, row.Name)
+		}
 	}
 }
 
 func TestWorkerStatsItemsWithin(t *testing.T) {
-	now := time.Now()
-	w := WorkerStats{}
+	// On a whole second, so that each item sits at the start of its bucket
+	// and the one-second resolution does not show.
+	now := time.Now().Truncate(time.Second)
+	var d device
 	for i := 0; i < 10; i++ {
-		w.recordItem(now.Add(time.Duration(i) * time.Second))
+		d.record(now.Add(time.Duration(i) * time.Second))
 	}
+	w := d.snapshot()
 	latest := now.Add(9 * time.Second)
 	if got := w.ItemsWithin(3500*time.Millisecond, latest); got != 4 {
 		t.Fatalf("ItemsWithin(3.5s) = %d, want 4 (t=6,7,8,9)", got)
 	}
 	if got := w.ItemsWithin(time.Hour, latest); got != 10 {
 		t.Fatalf("ItemsWithin(1h) = %d, want 10", got)
+	}
+	if got := w.Items; got != 10 {
+		t.Fatalf("Items = %d, want 10", got)
+	}
+	// The one bucket of error: an item at t=6.5 is inside the window
+	// (6.4, 9.4] but in the second the window's far edge cuts through.
+	d.record(now.Add(6500 * time.Millisecond))
+	if got := w.ItemsWithin(3*time.Second, latest.Add(400*time.Millisecond)); got != 3 {
+		t.Fatalf("ItemsWithin(3s) at +0.4s = %d, want 3 (t=7,8,9; t=6.5 falls in the cut bucket)", got)
+	}
+	// The ring is reused: the same bucket MaxWindow later starts over.
+	d.record(now.Add(MaxWindow))
+	if got := d.snapshot().ItemsWithin(2*time.Second, now.Add(MaxWindow)); got != 1 {
+		t.Fatalf("recycled bucket holds %d items, want 1", got)
+	}
+}
+
+// TestDeviceAccountingBoundedAndExact streams 10^6 results through one
+// device: its accounting must not grow with the stream (it kept a
+// timestamp per item for five minutes) and the §5.1 cross-check — the
+// devices' totals equal what the output saw — must stay exact while
+// several attachments of the device count at once.
+func TestDeviceAccountingBoundedAndExact(t *testing.T) {
+	m := newTestMaster(t, Config{})
+	const attachments, each = 4, 250_000
+	d := m.device("dev")
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	var wg sync.WaitGroup
+	for a := 0; a < attachments; a++ {
+		src := countResults(pullstream.Count(each), m.device("dev"))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := pullstream.Drain(src, nil); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if got := m.TotalItems(); got != attachments*each {
+		t.Fatalf("devices total %d items, output saw %d", got, attachments*each)
+	}
+	if got := d.snapshot().ItemsWithin(MaxWindow, time.Now()); got > attachments*each || got < attachments*each*9/10 {
+		t.Fatalf("ItemsWithin(MaxWindow) = %d after %d fresh results", got, attachments*each)
+	}
+	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown > 1<<20 {
+		t.Fatalf("heap grew %d bytes over %d results: accounting is not bounded", grown, attachments*each)
 	}
 }
 

@@ -56,9 +56,13 @@ func TestReattachDoesNotInheritStaleFlowState(t *testing.T) {
 	}
 	// The volunteer's own heartbeats detect the stall quickly and
 	// ReconnectWS rejoins — same Volunteer instance, same name.
+	// The per-item delay keeps the reattached worker busy for a few
+	// hundred milliseconds, so the poll below observes the stream while it
+	// is still running however fast the data plane gets.
 	v := &worker.Volunteer{
 		Name:       "w",
 		Handler:    jsonSquare,
+		Delay:      time.Millisecond,
 		CrashAfter: -1,
 		Channel:    transport.Config{HeartbeatInterval: 10 * time.Millisecond},
 	}

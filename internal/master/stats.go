@@ -1,8 +1,10 @@
 package master
 
 import (
-	"sort"
+	"sync/atomic"
 	"time"
+
+	"pando/internal/pullstream"
 )
 
 // This file implements the evaluation's measurement methodology (§5.1):
@@ -12,35 +14,101 @@ import (
 // computing time between inputs. We also checked that the total of all
 // devices corresponded to the throughput observed at the output."
 
-// MaxWindow bounds how much per-item history is retained.
+// MaxWindow bounds how far back per-device throughput can be asked for.
 const MaxWindow = 5 * time.Minute
 
-// recordItem appends a result timestamp to a worker's history, pruning
-// entries older than MaxWindow. Caller holds m.mu.
-func (w *WorkerStats) recordItem(now time.Time) {
-	w.Items++
-	w.LastSeen = now
-	w.history = append(w.history, now)
-	cutoff := now.Add(-MaxWindow)
-	// Prune from the front; history is in time order.
-	drop := 0
-	for drop < len(w.history) && w.history[drop].Before(cutoff) {
-		drop++
-	}
-	if drop > 0 {
-		w.history = append(w.history[:0], w.history[drop:]...)
+// windowBuckets is one bucket per second of MaxWindow.
+const windowBuckets = int(MaxWindow / time.Second)
+
+// itemWindow counts a device's results per wall-clock second over the
+// trailing MaxWindow: a fixed ring indexed by second, each bucket holding
+// its second (high half) and its count (low half) in one atomic word, so
+// counting takes no lock and a device's memory does not depend on how
+// many items it processed.
+type itemWindow [windowBuckets]atomic.Uint64
+
+func (w *itemWindow) add(now time.Time) {
+	sec := uint64(uint32(now.Unix()))
+	b := &w[sec%uint64(windowBuckets)]
+	for {
+		old := b.Load()
+		next := old + 1
+		if old>>32 != sec {
+			next = sec<<32 | 1 // the bucket still holds a second MaxWindow ago
+		}
+		if b.CompareAndSwap(old, next) {
+			return
+		}
 	}
 }
 
-// ItemsWithin returns how many items the device completed during the
-// trailing window.
-func (w WorkerStats) ItemsWithin(window time.Duration, now time.Time) int {
+// within sums the buckets whose whole second lies in (now-window, now],
+// plus the running second: the count of the trailing window, short by at
+// most the one bucket the window's far edge cuts through.
+func (w *itemWindow) within(window time.Duration, now time.Time) int {
 	cutoff := now.Add(-window)
-	// history is sorted; binary search the first index >= cutoff.
-	i := sort.Search(len(w.history), func(i int) bool {
-		return !w.history[i].Before(cutoff)
+	first, last := cutoff.Unix(), now.Unix()
+	if cutoff.Nanosecond() > 0 {
+		first++
+	}
+	first = max(first, last-int64(windowBuckets)+1, 0)
+	n := 0
+	for sec := first; sec <= last; sec++ {
+		if b := w[sec%int64(windowBuckets)].Load(); b>>32 == uint64(uint32(sec)) {
+			n += int(uint32(b))
+		}
+	}
+	return n
+}
+
+// device is the live accounting of one device. The descriptive fields of
+// the embedded row are guarded by Master.mu; results are counted through
+// the atomics, so the per-item path of one connection never waits for
+// another's.
+type device struct {
+	WorkerStats
+	items    atomic.Int64
+	lastSeen atomic.Int64 // unix nanoseconds of the latest result
+	window   itemWindow
+}
+
+func (d *device) record(now time.Time) {
+	d.items.Add(1)
+	d.lastSeen.Store(now.UnixNano())
+	d.window.add(now)
+}
+
+// snapshot returns the device's row with the counters read into it.
+func (d *device) snapshot() WorkerStats {
+	row := d.WorkerStats
+	row.Items = int(d.items.Load())
+	if ns := d.lastSeen.Load(); ns != 0 {
+		row.LastSeen = time.Unix(0, ns)
+	}
+	row.window = &d.window
+	return row
+}
+
+// countResults counts every result src delivers into d — the "result"
+// half of the §5.1 accounting, taken at the attachment, where the
+// device's row is already in hand, instead of by name per result.
+func countResults[R any](src pullstream.Source[R], d *device) pullstream.Source[R] {
+	return pullstream.Tap(src, func(end error, _ R) {
+		if end == nil {
+			d.record(time.Now())
+		}
 	})
-	return len(w.history) - i
+}
+
+// ItemsWithin returns how many items the device completed during the
+// trailing window, to the resolution of one second: items of the second
+// the window's far edge falls in are not counted. The row stays attached
+// to the live counters, so later calls see later items.
+func (w WorkerStats) ItemsWithin(window time.Duration, now time.Time) int {
+	if w.window == nil {
+		return 0
+	}
+	return w.window.within(window, now)
 }
 
 // ThroughputWithin returns items per second over the trailing window.
@@ -59,8 +127,8 @@ func (m *Master[I, O]) WindowedThroughput(window time.Duration) (perDevice map[s
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	perDevice = make(map[string]float64, len(m.workers))
-	for name, w := range m.workers {
-		tp := w.ThroughputWithin(window, now)
+	for name, d := range m.workers {
+		tp := d.snapshot().ThroughputWithin(window, now)
 		perDevice[name] = tp
 		total += tp
 	}

@@ -262,7 +262,7 @@ func (n *Node) AdmitChild(ch transport.Channel) error {
 // childHandle adapts a child's lending sub-stream to the scheduler.
 type childHandle struct {
 	l   *lender.Lender[payload, payload]
-	sub *lender.SubStream
+	sub *lender.SubStream[payload]
 }
 
 func (h childHandle) Outstanding() (int, time.Duration) { return h.l.SubInfo(h.sub) }

@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 )
 
 // Version is the baseline protocol version tag, mirroring the
@@ -188,19 +187,30 @@ func WriteFrame(w io.Writer, m *Message) error {
 	return V1.WriteFrame(w, m)
 }
 
-// writeBody length-prefixes body and writes header and body as one
-// vectored write (net.Buffers degrades to two ordered Writes on plain
-// writers), avoiding the historical copy of the whole body into a fresh
-// frame buffer. Callers serialize writes per connection, so the two
-// iovecs cannot interleave with another frame.
+// writeBody length-prefixes body and writes the frame with one Write from
+// an arena buffer, so the v1 path allocates nothing beyond its JSON. A
+// body too large for the arena goes out as two ordered Writes instead of
+// being copied; callers serialize writes per connection, so the two
+// cannot interleave with another frame.
 func writeBody(w io.Writer, body []byte) error {
 	if len(body) > MaxFrameSize {
 		return ErrFrameTooLarge
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	bufs := net.Buffers{hdr[:], body}
-	if _, err := bufs.WriteTo(w); err != nil {
+	inline := 4+len(body) <= maxPooledBuf
+	size := 4
+	if inline {
+		size += len(body)
+	}
+	frame := binary.BigEndian.AppendUint32(GetBuf(size), uint32(len(body)))
+	if inline {
+		frame = append(frame, body...)
+	}
+	_, err := w.Write(frame)
+	PutBuf(frame)
+	if err == nil && !inline {
+		_, err = w.Write(body)
+	}
+	if err != nil {
 		return fmt.Errorf("proto: write frame: %w", err)
 	}
 	return nil

@@ -1,11 +1,14 @@
 package proto
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 	"unicode/utf8"
 )
@@ -167,6 +170,12 @@ func FuzzReadFrame(f *testing.F) {
 		m, err := ReadFrame(bytes.NewReader(data))
 		if err == nil && m == nil {
 			t.Fatal("nil message with nil error")
+		}
+		// The same bytes through the channel's read path — a small
+		// buffered reader, fed one byte per Read — must decode the same.
+		bm, berr := ReadFrame(bufio.NewReaderSize(iotest.OneByteReader(bytes.NewReader(data)), 4<<10))
+		if (err == nil) != (berr == nil) || !reflect.DeepEqual(m, bm) {
+			t.Fatalf("buffered read differs: %+v, %v; direct read %+v, %v", bm, berr, m, err)
 		}
 	})
 }

@@ -72,15 +72,28 @@ type answer[T any] struct {
 	v   T
 }
 
-// await issues a single request against src and blocks until it is
-// answered. It is the bridge from the callback protocol to Go's
-// synchronous style and underpins Drain, Collect and friends.
-func await[T any](src Source[T], abort error) (T, error) {
-	ch := make(chan answer[T], 1)
-	src(abort, func(end error, v T) {
-		ch <- answer[T]{end: end, v: v}
-	})
-	a := <-ch
+// Puller is the bridge from the callback protocol to Go's synchronous
+// style: it issues requests against one source and blocks until each is
+// answered. Requests on a source are strictly serial, so one reply channel
+// and one callback serve the whole stream — a pull allocates nothing.
+type Puller[T any] struct {
+	src Source[T]
+	ch  chan answer[T]
+	cb  Callback[T]
+}
+
+// NewPuller returns a puller on src.
+func NewPuller[T any](src Source[T]) *Puller[T] {
+	p := &Puller[T]{src: src, ch: make(chan answer[T], 1)}
+	p.cb = func(end error, v T) { p.ch <- answer[T]{end: end, v: v} }
+	return p
+}
+
+// Pull issues one request (an ask when abort is nil) and waits for its
+// answer.
+func (p *Puller[T]) Pull(abort error) (T, error) {
+	p.src(abort, p.cb)
+	a := <-p.ch
 	return a.v, a.end
 }
 
@@ -166,8 +179,9 @@ func Infinite[T any](gen func(i int) T) Source[T] {
 // done. If each returns a non-nil error the source is aborted with that
 // error and the error is returned. A nil each discards the values.
 func Drain[T any](src Source[T], each func(T) error) error {
+	p := NewPuller(src)
 	for {
-		v, end := await(src, nil)
+		v, end := p.Pull(nil)
 		if end != nil {
 			if IsNormalEnd(end) {
 				return nil
@@ -178,7 +192,7 @@ func Drain[T any](src Source[T], each func(T) error) error {
 			continue
 		}
 		if err := each(v); err != nil {
-			_, abortEnd := await(src, err)
+			_, abortEnd := p.Pull(err)
 			if abortEnd != nil && !IsNormalEnd(abortEnd) && !errors.Is(abortEnd, err) {
 				return fmt.Errorf("%w (abort also failed: %v)", err, abortEnd)
 			}
@@ -209,7 +223,8 @@ func Reduce[T, A any](src Source[T], init A, fn func(A, T) A) (A, error) {
 
 // First returns the first value of src, then aborts it.
 func First[T any](src Source[T]) (T, error) {
-	v, end := await(src, nil)
+	p := NewPuller(src)
+	v, end := p.Pull(nil)
 	if end != nil {
 		var zero T
 		if errors.Is(end, ErrDone) {
@@ -218,7 +233,7 @@ func First[T any](src Source[T]) (T, error) {
 		return zero, end
 	}
 	// Release the source.
-	_, _ = await(src, ErrAborted)
+	_, _ = p.Pull(ErrAborted)
 	return v, nil
 }
 
@@ -379,6 +394,22 @@ func TakeWhile[T any](pred func(T) bool) Through[T, T] {
 				cb(nil, v)
 			})
 		}
+	}
+}
+
+// Tap invokes each on every answer of src — values and the end signal
+// alike — before passing it on unchanged. Requests on a source are
+// strictly serial, so the wrapper keeps the one pending callback in place
+// and a pull through it allocates nothing.
+func Tap[T any](src Source[T], each func(end error, v T)) Source[T] {
+	var asked Callback[T]
+	answer := func(end error, v T) {
+		each(end, v)
+		asked(end, v)
+	}
+	return func(abort error, cb Callback[T]) {
+		asked = cb
+		src(abort, answer)
 	}
 }
 

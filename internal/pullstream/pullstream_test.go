@@ -32,10 +32,10 @@ func TestPullStreamFigure5(t *testing.T) {
 }
 
 func TestCountLazy(t *testing.T) {
-	src := Count(1000)
+	p := NewPuller(Count(1000))
 	// Only three requests are issued; the source must not run ahead.
 	for want := 1; want <= 3; want++ {
-		v, end := await(src, nil)
+		v, end := p.Pull(nil)
 		if end != nil {
 			t.Fatalf("unexpected end: %v", end)
 		}
@@ -43,7 +43,7 @@ func TestCountLazy(t *testing.T) {
 			t.Fatalf("got %d, want %d", v, want)
 		}
 	}
-	if _, end := await(src, ErrAborted); !IsNormalEnd(end) {
+	if _, end := p.Pull(ErrAborted); !IsNormalEnd(end) {
 		t.Fatalf("abort answer = %v, want normal end", end)
 	}
 }

@@ -355,7 +355,16 @@ func (c *Controller) Rate() float64 {
 // terminating result stream.
 func Gate[I, O any](c *Controller, d pullstream.Duplex[I, O]) pullstream.Through[I, O] {
 	return func(src pullstream.Source[I]) pullstream.Source[O] {
-		gated := func(abort error, cb pullstream.Callback[I]) {
+		asks := pullstream.Tap(src, func(end error, _ I) {
+			if end != nil {
+				// The value never went in flight; return the credit so
+				// a concurrent shutdown isn't blocked.
+				c.Cancel()
+			} else {
+				c.Sent()
+			}
+		})
+		go d.Sink(func(abort error, cb pullstream.Callback[I]) {
 			if abort != nil {
 				src(abort, cb)
 				return
@@ -365,34 +374,21 @@ func Gate[I, O any](c *Controller, d pullstream.Duplex[I, O]) pullstream.Through
 				cb(pullstream.ErrDone, zero)
 				return
 			}
-			src(nil, func(end error, v I) {
-				if end != nil {
-					// The value never went in flight; return the credit so
-					// a concurrent shutdown isn't blocked.
-					c.Cancel()
-				} else {
-					c.Sent()
-				}
-				cb(end, v)
-			})
-		}
-		go d.Sink(gated)
+			asks(nil, cb)
+		})
 
+		results := pullstream.Tap(d.Source, func(end error, _ O) {
+			if end != nil {
+				c.Close()
+			} else {
+				c.Result()
+			}
+		})
 		return func(abort error, cb pullstream.Callback[O]) {
 			if abort != nil {
 				c.Close()
-				d.Source(abort, cb)
-				return
 			}
-			d.Source(nil, func(end error, v O) {
-				if end != nil {
-					c.Close()
-					cb(end, v)
-					return
-				}
-				c.Result()
-				cb(nil, v)
-			})
+			results(abort, cb)
 		}
 	}
 }

@@ -75,13 +75,16 @@ func newSendQueue(ch Channel) *sendQueue {
 
 func (q *sendQueue) run() {
 	defer q.wg.Done()
+	// The queue alternates between two pairs of slices: the one being
+	// written out and the one producers append to.
+	var batch, frames []*proto.Message
 	for {
 		q.mu.Lock()
 		for len(q.pending) == 0 && !q.done {
 			q.cond.Wait()
 		}
-		batch, frames := q.pending, q.owned
-		q.pending, q.owned = nil, nil
+		batch, q.pending = q.pending, batch[:0]
+		frames, q.owned = q.owned, frames[:0]
 		d := q.done
 		q.mu.Unlock()
 		if len(batch) > 0 {
@@ -89,6 +92,8 @@ func (q *sendQueue) run() {
 			for _, m := range frames {
 				proto.Release(m)
 			}
+			clear(batch)
+			clear(frames)
 			if err != nil {
 				q.mu.Lock()
 				q.err = err

@@ -105,19 +105,11 @@ func MasterDuplex[I, O any](ch Channel, in Codec[I], out Codec[O]) pullstream.Du
 			q := newSendQueue(ch)
 			defer q.close()
 			var seq uint64
-			type ans struct {
-				end error
-				v   I
-			}
-			// One reply channel for the whole pull loop: asks are strictly
-			// serial (the next pull is issued only after the previous answer
-			// arrives), so the channel is empty at every send.
-			ansc := make(chan ans, 1)
+			pull := pullstream.NewPuller(src)
 			for {
-				src(nil, func(end error, v I) { ansc <- ans{end, v} })
-				a := <-ansc
-				if a.end != nil {
-					if pullstream.IsNormalEnd(a.end) {
+				v, end := pull.Pull(nil)
+				if end != nil {
+					if pullstream.IsNormalEnd(end) {
 						// No more inputs for this worker: orderly goodbye,
 						// queued so it stays ordered after every pending input.
 						q.enqueue(&proto.Message{Type: proto.TypeGoodbye}, nil)
@@ -126,7 +118,7 @@ func MasterDuplex[I, O any](ch Channel, in Codec[I], out Codec[O]) pullstream.Du
 					}
 					return
 				}
-				m, err := inputFrame(ch, in, inList, a.v)
+				m, err := inputFrame(ch, in, inList, v)
 				if err != nil {
 					// Encoding failures are programming errors; fail the
 					// channel so the value is re-lent (and likely fails

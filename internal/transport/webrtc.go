@@ -39,7 +39,7 @@ type RTCAnswerer struct {
 	wg sync.WaitGroup
 
 	// Incoming delivers fully established peer channels.
-	incoming chan Channel
+	incoming chan *WSock
 }
 
 // NewRTCAnswerer starts answering offers received on signal, instructing
@@ -53,7 +53,7 @@ func NewRTCAnswerer(signal Channel, acc Acceptor, cfg Config) *RTCAnswerer {
 		acc:      acc,
 		cfg:      cfg,
 		pending:  make(map[string]chan Channel),
-		incoming: make(chan Channel, 16),
+		incoming: make(chan *WSock, 16),
 	}
 	a.wg.Add(2)
 	go func() { defer a.wg.Done(); a.signalLoop() }()
@@ -64,7 +64,7 @@ func NewRTCAnswerer(signal Channel, acc Acceptor, cfg Config) *RTCAnswerer {
 
 // Incoming delivers established peer channels. The channel closes once
 // the answerer stops (Close, or signalling and acceptor both gone).
-func (a *RTCAnswerer) Incoming() <-chan Channel { return a.incoming }
+func (a *RTCAnswerer) Incoming() <-chan *WSock { return a.incoming }
 
 // Close stops answering.
 func (a *RTCAnswerer) Close() {

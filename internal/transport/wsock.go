@@ -1,11 +1,11 @@
 package transport
 
 import (
-	"errors"
+	"bufio"
 	"fmt"
 	"net"
-	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pando/internal/proto"
@@ -18,11 +18,25 @@ import (
 // failure suspicion (paper §2.4.1).
 type WSock struct {
 	conn net.Conn
-	cfg  Config
+	// br makes the peer's coalesced writes coalesced reads: one Read takes
+	// every frame of a vectored send, where a prefix and a body used to
+	// cost a syscall (a rendezvous on netsim) each. Bodies larger than the
+	// buffer bypass it, straight into their arena buffer.
+	br *bufio.Reader
 
 	wmu sync.Mutex // serializes frame writes
+	// heard: a frame arrived since keepalive last looked. parked: the read
+	// loop is handing a frame on (a full recvq, a blocked Route handler)
+	// and not reading — back-pressure of ours, not silence of the peer's.
+	heard, parked atomic.Bool
 
 	recvq chan *proto.Message
+
+	// Route: once deliver is set the read loop hands frames to it instead
+	// of recvq; dmu orders the switch against the read loop's queueing.
+	dmu     sync.Mutex
+	deliver atomic.Pointer[func(*proto.Message)]
+	exited  bool // the read loop has returned (under dmu)
 
 	mu     sync.Mutex
 	wire   proto.WireFormat // outgoing frame format (negotiated)
@@ -34,21 +48,25 @@ type WSock struct {
 var _ Channel = (*WSock)(nil)
 
 // NewWSock wraps conn into a heartbeat-monitored message channel and
-// starts its read and ping loops.
+// starts its read and keepalive loops.
 func NewWSock(conn net.Conn, cfg Config) *WSock {
 	w := &WSock{
 		conn:  conn,
-		cfg:   cfg,
+		br:    bufio.NewReaderSize(conn, readBufSize),
 		wire:  proto.V1,
 		recvq: make(chan *proto.Message, 64),
 		done:  make(chan struct{}),
 	}
 	go w.readLoop()
-	if iv := cfg.interval(); iv > 0 {
-		go w.pingLoop(iv)
+	if interval, timeout := cfg.interval(), cfg.timeout(); interval > 0 || timeout > 0 {
+		go w.keepalive(interval, timeout)
 	}
 	return w
 }
+
+// readBufSize holds a credit window of small frames and is cheap enough to
+// keep per connection of a large fleet.
+const readBufSize = 4 << 10
 
 // Send transmits one message in the currently negotiated wire format.
 func (w *WSock) Send(m *proto.Message) error {
@@ -66,9 +84,6 @@ func (w *WSock) Send(m *proto.Message) error {
 
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
-	if to := w.cfg.timeout(); to > 0 {
-		_ = w.conn.SetWriteDeadline(time.Now().Add(to))
-	}
 	if err := wire.WriteFrame(w.conn, m); err != nil {
 		w.fail(fmt.Errorf("transport: send: %w", err))
 		return err
@@ -117,9 +132,6 @@ func (w *WSock) SendBatch(ms []*proto.Message) error {
 
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
-	if to := w.cfg.timeout(); to > 0 {
-		_ = w.conn.SetWriteDeadline(time.Now().Add(to))
-	}
 	_, err = w.conn.Write(buf)
 	proto.PutBuf(buf)
 	if err != nil {
@@ -207,53 +219,160 @@ func (w *WSock) fail(err error) {
 	w.conn.Close()
 }
 
-func (w *WSock) readLoop() {
-	defer close(w.recvq)
+// Route switches the channel to direct delivery: the read loop hands
+// every data frame to h itself instead of queueing it for Recv, saving an
+// owner that only forwards frames (the fleet's session router) a goroutine
+// hand-off per frame. Frames already queued go first, so h sees arrival
+// order. h runs on the read loop — while it blocks, the connection is not
+// read, the back-pressure a full queue gives — and gets nil once, after
+// the last frame of a failed channel. Recv must not be used after Route.
+func (w *WSock) Route(h func(*proto.Message)) {
+	w.dmu.Lock()
+	w.flushLocked(h)
+	exited := w.exited
+	if !exited {
+		w.deliver.Store(&h)
+	}
+	w.dmu.Unlock()
+	if exited {
+		h(nil)
+	}
+}
+
+// flushLocked hands h whatever recvq holds. Caller holds dmu.
+func (w *WSock) flushLocked(h func(*proto.Message)) {
 	for {
-		if to := w.cfg.timeout(); to > 0 {
-			_ = w.conn.SetReadDeadline(time.Now().Add(to))
-		}
-		m, err := proto.ReadFrame(w.conn)
-		if err != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() || errors.Is(err, os.ErrDeadlineExceeded) {
-				err = ErrHeartbeatTimeout
+		select {
+		case m, ok := <-w.recvq:
+			if !ok {
+				return
 			}
+			h(m)
+		default:
+			return
+		}
+	}
+}
+
+// dispatch passes one data frame on, to the Route handler or to recvq. It
+// reports false when the channel shut down first.
+func (w *WSock) dispatch(m *proto.Message) bool {
+	if h := w.deliver.Load(); h != nil {
+		(*h)(m)
+		return true
+	}
+	select {
+	case w.recvq <- m:
+	case <-w.done:
+		proto.Release(m) // no consumer will: back to the arena
+		return false
+	}
+	// Route may have flushed and switched while m waited for room; then m
+	// is this loop's to hand over.
+	w.dmu.Lock()
+	if h := w.deliver.Load(); h != nil {
+		w.flushLocked(*h)
+	}
+	w.dmu.Unlock()
+	return true
+}
+
+func (w *WSock) readLoop() {
+	defer func() {
+		w.dmu.Lock()
+		w.exited = true
+		h := w.deliver.Load()
+		w.dmu.Unlock()
+		close(w.recvq)
+		if h != nil {
+			(*h)(nil)
+		}
+	}()
+	for {
+		m, err := proto.ReadFrame(w.br)
+		if err != nil {
 			w.fail(err)
 			return
 		}
+		if !w.heard.Load() {
+			w.heard.Store(true)
+		}
 		switch m.Type {
 		case proto.TypePing:
-			// Answer immediately; receiving anything also proves
-			// liveness, so no extra bookkeeping is needed.
 			proto.Release(m)
 			_ = w.Send(&proto.Message{Type: proto.TypePong})
 		case proto.TypePong:
-			// Liveness proven by reception itself.
 			proto.Release(m)
 		default:
-			select {
-			case w.recvq <- m:
-			case <-w.done:
-				// Shutdown won the race: the frame never reaches a
-				// consumer, so it goes back to the arena here.
-				proto.Release(m)
+			w.parked.Store(true)
+			ok := w.dispatch(m)
+			w.heard.Store(true) // the silence bound restarts once we read again
+			w.parked.Store(false)
+			if !ok {
 				return
 			}
 		}
 	}
 }
 
-func (w *WSock) pingLoop(interval time.Duration) {
-	t := time.NewTicker(interval)
+// keepalive sends the pings and is the failure detector, once per tick
+// (the ping interval, or timeout/8 without pings) where every frame used
+// to pay for a deadline reset on the conn.
+//
+// Silence is a timer, not a read deadline: a deadline that expires
+// between a frame and the tick that would have moved it kills a live
+// peer, whereas the timer's handler can look at heard first. Each tick
+// that heard a frame restarts the timer, so a peer that falls silent fails
+// with ErrHeartbeatTimeout no earlier than timeout after its last frame
+// and less than one tick later than that. Time the read loop spends parked
+// on its consumer does not count: nothing was read, so nothing was missed.
+//
+// A stalled write is caught by the conn's write deadline, which each tick
+// pushes timeout+tick ahead before taking the write lock itself (for the
+// ping): behind a write the peer does not drain the loop stops ticking,
+// so that write fails no earlier than timeout and at most two ticks later.
+func (w *WSock) keepalive(interval, timeout time.Duration) {
+	tick := interval
+	if tick <= 0 {
+		tick = max(timeout/8, time.Millisecond)
+	}
+	t := time.NewTicker(tick)
 	defer t.Stop()
+	var silence <-chan time.Time
+	var timer *time.Timer
+	if timeout > 0 {
+		timer = time.NewTimer(timeout)
+		defer timer.Stop()
+		silence = timer.C
+	}
+	pushWriteDeadline := func() {
+		if timeout > 0 {
+			_ = w.conn.SetWriteDeadline(time.Now().Add(timeout + tick))
+		}
+	}
+	pushWriteDeadline()
 	for {
 		select {
-		case <-t.C:
-			if err := w.Send(&proto.Message{Type: proto.TypePing}); err != nil {
+		case <-w.done:
+			return
+		case <-silence:
+			// parked first: the read loop sets heard before it unparks.
+			if parked := w.parked.Load(); !w.heard.Swap(false) && !parked {
+				w.fail(ErrHeartbeatTimeout)
 				return
 			}
-		case <-w.done:
+			timer.Reset(timeout)
+			continue
+		case <-t.C:
+		}
+		if timeout > 0 && w.heard.Swap(false) {
+			timer.Reset(timeout)
+		}
+		pushWriteDeadline()
+		if interval <= 0 {
+			w.wmu.Lock() // wait out a write in progress, as a ping would
+			w.wmu.Unlock()
+		} else if err := w.Send(&proto.Message{Type: proto.TypePing}); err != nil {
 			return
 		}
 	}

@@ -902,13 +902,10 @@ func (p *Pando[I, O]) Process(ctx context.Context, in <-chan I) (<-chan O, <-cha
 	// ctx.Done() for the context's whole lifetime.
 	done := make(chan struct{})
 	var once sync.Once
-	watched := pullstream.Source[O](func(abort error, cb pullstream.Callback[O]) {
-		bound(abort, func(end error, v O) {
-			if end != nil {
-				once.Do(func() { close(done) })
-			}
-			cb(end, v)
-		})
+	watched := pullstream.Tap(bound, func(end error, _ O) {
+		if end != nil {
+			once.Do(func() { close(done) })
+		}
 	})
 	go func() {
 		select {
