@@ -17,7 +17,7 @@ import (
 // TestStatsExposeFlowControl verifies the operator-facing controller
 // state: while a run is live, the per-device rows report the credit
 // window, the in-flight count, and (after a few results) the EWMA
-// throughput estimate.
+// throughput estimate and the round-trips the window rule decides on.
 func TestStatsExposeFlowControl(t *testing.T) {
 	m := newTestMaster(t, Config{Batch: 2})
 	ln := netsim.NewListener("master-flow", netsim.Loopback)
@@ -33,7 +33,7 @@ func TestStatsExposeFlowControl(t *testing.T) {
 		done <- err
 	}()
 
-	var sawCredits, sawInFlight, sawRate bool
+	var sawCredits, sawInFlight, sawRate, sawRTT bool
 	for {
 		for _, w := range m.Stats() {
 			if w.Name != "dev" {
@@ -54,15 +54,21 @@ func TestStatsExposeFlowControl(t *testing.T) {
 			if w.EWMARate > 0 {
 				sawRate = true
 			}
+			if w.RTT > 0 {
+				sawRTT = true
+				if w.BaseRTT <= 0 || w.Queued < 0 || w.Queued > 2 {
+					t.Fatalf("RTT %v, BaseRTT %v, Queued %.2f: want a base and a queue within the window of 2", w.RTT, w.BaseRTT, w.Queued)
+				}
+			}
 		}
 		select {
 		case err := <-done:
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !sawCredits || !sawInFlight || !sawRate {
-				t.Fatalf("flow state never surfaced: credits=%v inflight=%v rate=%v",
-					sawCredits, sawInFlight, sawRate)
+			if !sawCredits || !sawInFlight || !sawRate || !sawRTT {
+				t.Fatalf("flow state never surfaced: credits=%v inflight=%v rate=%v rtt=%v",
+					sawCredits, sawInFlight, sawRate, sawRTT)
 			}
 			return
 		case <-time.After(time.Millisecond):
@@ -106,7 +112,7 @@ func TestHTTPStatsCarriesFlowFields(t *testing.T) {
 	if len(rows) == 0 {
 		t.Fatal("no stats rows")
 	}
-	for _, key := range []string{"InFlight", "Credits", "EWMARate", "Speculated"} {
+	for _, key := range []string{"InFlight", "Credits", "EWMARate", "Speculated", "rtt_ns", "base_rtt_ns", "queued"} {
 		if _, ok := rows[0][key]; !ok {
 			t.Fatalf("stats JSON lacks %q: %s", key, body)
 		}

@@ -196,6 +196,12 @@ type WorkerStats struct {
 	// Speculated counts values duplicated away from this device by
 	// straggler re-dispatch.
 	Speculated int
+	// RTT, BaseRTT and Queued are what package sched's window rule decides
+	// on: the smoothed result round-trip, its windowed minimum (the largest
+	// over the attachments) and the values queueing beyond need (summed).
+	RTT     time.Duration `json:"rtt_ns"`
+	BaseRTT time.Duration `json:"base_rtt_ns"`
+	Queued  float64       `json:"queued"`
 
 	// window points at the device's live per-second counts (the §5.1
 	// windowed throughput); nil on a row not taken from a master.
@@ -358,6 +364,7 @@ func (e *lane[I, O, U, R]) Flows() []sched.WorkerFlow {
 		flows[i].Window *= e.unit
 		flows[i].Rate *= float64(e.unit)
 		flows[i].Speculated *= e.unit
+		flows[i].Queued *= float64(e.unit)
 	}
 	return flows
 }
@@ -726,6 +733,8 @@ func (m *Master[I, O]) Stats() []WorkerStats {
 		agg.Window += f.Window
 		agg.Rate += f.Rate
 		agg.Speculated += f.Speculated
+		agg.Queued += f.Queued
+		agg.RTT, agg.BaseRTT = max(agg.RTT, f.RTT), max(agg.BaseRTT, f.BaseRTT)
 		byName[f.Name] = agg
 	}
 	out := make([]WorkerStats, 0, len(m.workers))
@@ -736,6 +745,7 @@ func (m *Master[I, O]) Stats() []WorkerStats {
 			row.Credits = f.Window
 			row.EWMARate = f.Rate
 			row.Speculated = f.Speculated
+			row.RTT, row.BaseRTT, row.Queued = f.RTT, f.BaseRTT, f.Queued
 		}
 		if bs, ok := m.blobStats[w.Name]; ok {
 			row.BlobHits = bs.Hits.Load()

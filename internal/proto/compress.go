@@ -65,9 +65,9 @@ const (
 	// cmpRatioAlpha smooths the per-frame compression ratio samples.
 	cmpRatioAlpha = 0.25
 	// cmpFastLinkBPS: when the rate hint (items/s from the sched
-	// controller, see RateHinted) times the smoothed frame size exceeds
-	// this many bytes per second, the link is moving data faster than
-	// compression could meaningfully help and the writer stays raw.
+	// controller, see RateHinted) times the smoothed frame size on the wire
+	// (raw × compression ratio) exceeds this many bytes per second, the link
+	// moves data faster than compression could help and the writer stays raw.
 	cmpFastLinkBPS = 32 << 20
 )
 
@@ -125,9 +125,11 @@ func (c *compressedWire) decide(m *Message) bool {
 	}
 	storeEWMA(&c.ewmaBytes, float64(len(m.Data)), cmpRatioAlpha)
 	// Fast link: the controller says this worker is consuming items at a
-	// rate where bytes are not the bottleneck; spend no CPU.
+	// rate where bytes are not the bottleneck; spend no CPU. Bytes on the
+	// wire: well compressed frames moving quickly do not make a link fast
+	// (and until a first frame was compressed the ratio, 0, says try).
 	if rate := loadF64(&c.rateHint); rate > 0 {
-		if rate*loadF64(&c.ewmaBytes) >= cmpFastLinkBPS {
+		if rate*loadF64(&c.ewmaBytes)*loadF64(&c.ewmaRatio) >= cmpFastLinkBPS {
 			return false
 		}
 	}

@@ -227,3 +227,33 @@ func FuzzCompressedFrame(f *testing.F) {
 		}
 	})
 }
+
+// TestCompressFastLinkCountsWireBytes pins what the fast-link test
+// measures: the bytes that reach the link. 16 KiB frames that DEFLATE
+// tenfold at 2 500 items/s are 4 MB/s on the wire — a slow link kept busy
+// by compression, which must stay on — although they are 41 MB/s raw.
+func TestCompressFastLinkCountsWireBytes(t *testing.T) {
+	const frame = 16 << 10
+	cases := []struct {
+		name     string
+		ratio    float64 // compressed/raw the writer has been observing
+		hint     float64 // items/s from the scheduler
+		compress bool
+	}{
+		{"compressible frames, slow link kept busy", 0.1, 2500, true},
+		{"no hint yet", 0.1, 0, true},
+		{"incompressible frames", 0.95, 2500, false},
+		{"compressible frames, wire rate past the fast-link bound", 0.1, 25000, false},
+	}
+	for _, tc := range cases {
+		c := NewCompressedWire().(*compressedWire)
+		m := &Message{Type: TypeInput, Data: make([]byte, frame)}
+		for i := 0; i < 8; i++ {
+			c.observe(frame, int(tc.ratio*frame))
+		}
+		c.HintRate(tc.hint)
+		if got := c.decide(m); got != tc.compress {
+			t.Errorf("%s (ratio %.2f, %.0f items/s): decide = %v, want %v", tc.name, tc.ratio, tc.hint, got, tc.compress)
+		}
+	}
+}

@@ -7,13 +7,24 @@
 // to the batch size — the single static bound on values in flight per
 // worker — and volunteer fleets are heterogeneous by definition: a fast
 // desktop and a throttled phone should not share one window. Each
-// Controller therefore probes its worker with a slow-start/AIMD window
-// driven by the result round-trip time: the window grows while the EWMA
-// round-trip stays close to the best observed (the extra in-flight values
-// are hiding transmission latency, the purpose of batching in §5.5) and
-// halves when the round-trip inflates (the extra values are merely
-// queueing on a slow device, hurting fault-tolerance granularity and tail
-// latency for no throughput gain).
+// Controller therefore sizes its worker's window as delay-based congestion
+// control (TCP Vegas) does. It smooths the result round-trip (ewmaRTT) and
+// keeps a base, the smallest round-trip of its last two sample buckets:
+// what a value costs when none of ours queues ahead of it. window × (1 −
+// base/ewmaRTT) estimates the in-flight values queueing beyond what the
+// path needs to stay busy. Under queueLow (α) they still hide transmission
+// latency, the purpose of batching in §5.5, and the window gains a credit
+// per windowful (per result in the initial slow start); over queueHigh (β)
+// they only wait on the device, costing fault-tolerance granularity and
+// tail latency for no throughput, and it loses one; a round-trip of
+// grossRatio × base (a stalled or throttled device) halves it. Moves other
+// than slow start's are a windowful apart: the results in flight were
+// queued under the window before. The base is windowed because a lifetime
+// minimum, taken on small or deduplicated payloads, makes every larger
+// payload read as permanent congestion; two rotating buckets re-base after
+// a change of payload mix. Lest a standing queue of our own become the
+// base, a rotation that finds one (even the newer bucket's smallest
+// round-trip met a queue) takes the estimated queue out of the window.
 //
 // The Scheduler aggregates the controllers of one engine. When the stream
 // nears its tail — workers are idle with parked asks at the StreamLender —
@@ -42,6 +53,7 @@
 package sched
 
 import (
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -85,10 +97,15 @@ func Adaptive(min, max int) Policy {
 // Adaptive reports whether the window may move.
 func (p Policy) Adaptive() bool { return p.Max > p.Min }
 
-// backoffRatio is the congestion signal: when the smoothed round-trip
-// exceeds this multiple of the best observed round-trip, the extra
-// in-flight values are queueing rather than hiding latency.
-const backoffRatio = 1.5
+// The window rule's constants (package comment): hold while the estimated
+// queue is within [queueLow, queueHigh], halve at grossRatio × base. A base
+// bucket lasts at least baseBucket results and four windowfuls, so that it
+// outlasts the drain-and-regrow cycle its rotation can start.
+const (
+	queueLow, queueHigh = 1.5, 3.0
+	grossRatio          = 3.0
+	baseBucket          = 32
+)
 
 // rttAlpha is the EWMA smoothing factor for round-trip samples.
 const rttAlpha = 0.3
@@ -120,13 +137,15 @@ type Controller struct {
 	sendHead int
 
 	slowStart bool
-	sinceGrow int
+	sinceMove int // results since the window last moved
 
-	bestRTT    float64 // seconds; best round-trip observed
+	bestRTT    float64 // seconds; base round-trip: min(baseCur, basePrev)
+	baseCur    float64 // seconds; smallest of the baseN latest round-trips
+	basePrev   float64 // seconds; smallest of the bucket before; +Inf if none
+	baseN      int
 	ewmaRTT    float64 // seconds; smoothed round-trip
 	ewmaGap    float64 // seconds; smoothed inter-result interval
 	lastResult time.Time
-	results    int
 	speculated int
 }
 
@@ -139,7 +158,7 @@ func NewController(p Policy) *Controller {
 	if p.Max < p.Min {
 		p.Max = p.Min
 	}
-	c := &Controller{policy: p, window: p.Min, slowStart: p.Adaptive()}
+	c := &Controller{policy: p, window: p.Min, slowStart: p.Adaptive(), baseCur: math.Inf(1), basePrev: math.Inf(1)}
 	c.cond = sync.NewCond(&c.mu)
 	return c
 }
@@ -220,8 +239,10 @@ func (c *Controller) Drop() bool {
 
 // Result releases one credit for a returned result and feeds the
 // adaptive window with the measured round-trip.
-func (c *Controller) Result() {
-	now := time.Now()
+func (c *Controller) Result() { c.resultAt(time.Now()) }
+
+// resultAt is Result with the arrival time given (tests pass exact ones).
+func (c *Controller) resultAt(now time.Time) {
 	c.mu.Lock()
 	if c.inFlight > 0 {
 		c.inFlight--
@@ -230,7 +251,6 @@ func (c *Controller) Result() {
 	if at, ok := c.popSendLocked(); ok {
 		rtt = now.Sub(at).Seconds()
 	}
-	c.results++
 	if !c.lastResult.IsZero() {
 		gap := now.Sub(c.lastResult).Seconds()
 		if c.ewmaGap == 0 {
@@ -241,51 +261,70 @@ func (c *Controller) Result() {
 	}
 	c.lastResult = now
 	if rtt > 0 {
-		if c.bestRTT == 0 || rtt < c.bestRTT {
-			c.bestRTT = rtt
-		}
-		if c.ewmaRTT == 0 {
+		if c.ewmaRTT == 0 || rtt < c.bestRTT {
+			// First sample, or a shorter path: the old average would read as a queue.
 			c.ewmaRTT = rtt
 		} else {
 			c.ewmaRTT = (1-rttAlpha)*c.ewmaRTT + rttAlpha*rtt
 		}
-		c.adaptLocked()
+		c.baseCur = min(c.baseCur, rtt)
+		c.baseN++
+		c.bestRTT = min(c.baseCur, c.basePrev)
+		// Rotate. A queue that never emptied while the newer bucket filled
+		// (its smallest round-trip met half a value or more) is standing.
+		standing := false
+		if c.baseN >= baseBucket && c.baseN >= 4*c.window {
+			standing = float64(c.window)*(1-c.bestRTT/c.baseCur) >= 0.5
+			c.basePrev, c.baseCur, c.baseN = c.baseCur, math.Inf(1), 0
+		}
+		c.adaptLocked(standing)
 	}
 	c.mu.Unlock()
 	c.cond.Signal()
 }
 
-// adaptLocked moves the window: slow-start growth of one credit per
-// result until the first congestion signal, then additive increase (one
-// credit per windowful of uncongested results) and multiplicative
-// decrease on congestion. Caller holds c.mu.
-func (c *Controller) adaptLocked() {
+// queuedLocked estimates how many in-flight values queue beyond what the
+// path needs: window × (1 − base/ewmaRTT). Caller holds c.mu.
+func (c *Controller) queuedLocked() float64 {
+	if c.ewmaRTT <= c.bestRTT {
+		return 0
+	}
+	return float64(c.window) * (1 - c.bestRTT/c.ewmaRTT)
+}
+
+// adaptLocked moves the window by the rule in the package comment;
+// standing reports a bucket rotation that found a queue. Caller holds c.mu.
+func (c *Controller) adaptLocked(standing bool) {
 	if !c.policy.Adaptive() {
 		return
 	}
-	congested := c.ewmaRTT > backoffRatio*c.bestRTT
+	queued := c.queuedLocked()
+	gross := c.ewmaRTT >= grossRatio*c.bestRTT
+	c.slowStart = c.slowStart && queued < queueLow && !gross
+	c.sinceMove++
+	w := c.window
 	switch {
-	case congested && c.window > c.policy.Min:
-		c.window /= 2
-		if c.window < c.policy.Min {
-			c.window = c.policy.Min
-		}
-		c.slowStart = false
-		c.sinceGrow = 0
-	case congested:
-		c.slowStart = false
-		c.sinceGrow = 0
-	case c.slowStart && c.window < c.policy.Max:
-		c.window++
-		c.cond.Broadcast()
-	case c.window < c.policy.Max:
-		c.sinceGrow++
-		if c.sinceGrow >= c.window {
-			c.window++
-			c.sinceGrow = 0
-			c.cond.Broadcast()
-		}
+	case standing:
+		w -= int(queued + 0.5)
+	case c.slowStart:
+		w++
+	case c.sinceMove < c.window: // results in flight still carry the last window's queue
+	case gross:
+		w /= 2
+	case queued < queueLow:
+		w++
+	case queued > queueHigh:
+		w--
 	}
+	w = min(max(w, c.policy.Min), c.policy.Max)
+	if w == c.window {
+		return
+	}
+	if w > c.window {
+		c.cond.Broadcast()
+	}
+	// After a cut, the values beyond the new window are in flight as well.
+	c.window, c.sinceMove = w, min(0, w-c.window)
 }
 
 // Close releases all blocked acquirers; they report failure. Pending
@@ -418,6 +457,10 @@ type WorkerFlow struct {
 	// Speculated counts values duplicated away from this worker by
 	// straggler re-dispatch.
 	Speculated int
+	// RTT, BaseRTT and Queued are what the window rule decides on: smoothed
+	// and windowed-minimum round-trip, values estimated to queue beyond need.
+	RTT, BaseRTT time.Duration
+	Queued       float64
 }
 
 // entry pairs a controller with its sub-stream handle.
@@ -562,6 +605,9 @@ func (s *Scheduler) Flows() []WorkerFlow {
 			InFlight:   e.ctrl.inFlight,
 			Window:     e.ctrl.window,
 			Speculated: e.ctrl.speculated,
+			RTT:        time.Duration(e.ctrl.ewmaRTT * float64(time.Second)),
+			BaseRTT:    time.Duration(e.ctrl.bestRTT * float64(time.Second)),
+			Queued:     e.ctrl.queuedLocked(),
 		})
 		gap := e.ctrl.ewmaGap
 		e.ctrl.mu.Unlock()

@@ -39,14 +39,15 @@ func (m *meter) Peak() int {
 }
 
 // feedResult injects a synthetic in-flight value whose dispatch happened
-// rtt ago, then completes it — a deterministic way to drive the adaptive
-// window without real sleeps.
+// exactly rtt before its result — a deterministic way to drive the
+// adaptive window without real sleeps or the host's clock jitter.
 func feedResult(c *Controller, rtt time.Duration) {
+	now := time.Now()
 	c.mu.Lock()
 	c.inFlight++
-	c.sends = append(c.sends, time.Now().Add(-rtt))
+	c.sends = append(c.sends, now.Add(-rtt))
 	c.mu.Unlock()
-	c.Result()
+	c.resultAt(now)
 }
 
 func TestControllerSlowStartGrowsToMax(t *testing.T) {
@@ -59,30 +60,141 @@ func TestControllerSlowStartGrowsToMax(t *testing.T) {
 	}
 }
 
+// queueModel is a single-server queue behind a fixed delay: a value
+// nothing queues ahead of comes back after d, the server takes s per
+// value, so the path holds knee = d/s values and each one beyond them
+// waits another s: RTT = d + queued·s.
+type queueModel struct{ d, s time.Duration }
+
+func (q queueModel) knee() int { return int(q.d / q.s) }
+
+// drive feeds c the round-trips the model gives a sender that keeps c's
+// window full: every value is charged the queue it met when it was sent,
+// so the controller sees a window change one windowful late, as it does
+// on a real path. each, when set, is called with the window after every
+// result.
+func (q queueModel) drive(c *Controller, results int, each func(window int)) {
+	var ahead []int // per outstanding value, the values in flight when it left, itself included
+	for i := 0; i < results; i++ {
+		for len(ahead) < c.Window() {
+			ahead = append(ahead, len(ahead)+1)
+		}
+		queued := max(ahead[0]-q.knee(), 0)
+		ahead = ahead[1:]
+		feedResult(c, q.d+time.Duration(queued)*q.s)
+		if each != nil {
+			each(c.Window())
+		}
+	}
+}
+
+// TestControllerSettlesAtKnee: whatever the path's depth, the window
+// finds it, keeps at most a few values queueing beyond it, and stays
+// there — it neither starves the path nor creeps up to Max as the base
+// buckets rotate over a standing queue.
+func TestControllerSettlesAtKnee(t *testing.T) {
+	for _, knee := range []int{2, 6, 11} {
+		q := queueModel{d: time.Duration(knee) * 4 * time.Millisecond, s: 4 * time.Millisecond}
+		c := NewController(Adaptive(1, 16))
+		q.drive(c, 300, nil)
+		q.drive(c, 500, func(w int) {
+			if w < knee || w > knee+4 {
+				t.Fatalf("knee %d: window %d left [%d, %d]", knee, w, knee, knee+4)
+			}
+		})
+	}
+}
+
+// TestControllerRebasesAfterPayloadChange is the tiles-16k phase change:
+// the round-trip of an uncongested value doubles because the payloads got
+// larger, then halves again. Against a lifetime minimum the larger
+// payloads read as congestion for ever; the windowed base forgets the
+// small ones after two bucket rotations and the window opens again.
+func TestControllerRebasesAfterPayloadChange(t *testing.T) {
+	c := NewController(Adaptive(1, 16))
+	for i := 0; i < 100; i++ {
+		feedResult(c, 4*time.Millisecond)
+	}
+	if got := c.Window(); got != 16 {
+		t.Fatalf("window on the small payloads = %d, want 16", got)
+	}
+	rotations := 2 * max(baseBucket, 4*16)
+	for i := 0; i < rotations; i++ {
+		feedResult(c, 8*time.Millisecond)
+	}
+	if got := c.Window(); got <= 1 {
+		t.Fatalf("window = %d after two bucket rotations on the larger payloads, want it off Min", got)
+	}
+	c.mu.Lock()
+	base := c.bestRTT
+	c.mu.Unlock()
+	if base < 0.008 {
+		t.Fatalf("base round-trip = %vs after two rotations, want the larger payloads' 8ms", base)
+	}
+	for i := 0; i < 200; i++ {
+		feedResult(c, 8*time.Millisecond)
+	}
+	if got := c.Window(); got != 16 {
+		t.Fatalf("window = %d on steady larger payloads, want it back at 16", got)
+	}
+	for i := 0; i < 20; i++ {
+		feedResult(c, 4*time.Millisecond)
+	}
+	if got := c.Window(); got != 16 {
+		t.Fatalf("window = %d after the payloads shrank again, want 16 (a shorter round-trip is no congestion)", got)
+	}
+}
+
+// TestControllerOneQueuedValueCostsAtMostOneCredit: at window 3 one
+// queued value already stretches the round-trip by more than half (13 ms
+// against a base of 8). That is a queue of one, not congestion: the
+// window may give a credit back but must not halve to Min.
+func TestControllerOneQueuedValueCostsAtMostOneCredit(t *testing.T) {
+	c := NewController(Adaptive(1, 16))
+	for i := 0; i < 40; i++ {
+		feedResult(c, 8*time.Millisecond)
+	}
+	c.mu.Lock()
+	c.window, c.slowStart = 3, false
+	c.mu.Unlock()
+	for i := 0; i < 30; i++ {
+		feedResult(c, 13*time.Millisecond)
+		if got := c.Window(); got < 2 {
+			t.Fatalf("window = %d after %d round-trips with one value queued, want >= 2", got, i+1)
+		}
+	}
+}
+
+// TestControllerBacksOffOnCongestionAndRecovers: gross inflation (the
+// device stalled or throttled) still collapses the window, within two
+// windowfuls, and the way back up is additive.
 func TestControllerBacksOffOnCongestionAndRecovers(t *testing.T) {
 	c := NewController(Adaptive(1, 16))
-	for i := 0; i < 20; i++ {
-		feedResult(c, 10*time.Millisecond)
-	}
-	// Round-trips inflate 10×: the extra in-flight values are queueing on
-	// the worker, not hiding latency; the window must collapse toward min.
-	for i := 0; i < 8; i++ {
-		feedResult(c, 100*time.Millisecond)
-	}
-	if got := c.Window(); got != 1 {
-		t.Fatalf("window after congestion = %d, want 1", got)
-	}
-	// Round-trips return to baseline: the window probes back up
-	// additively (no second slow start).
 	for i := 0; i < 40; i++ {
 		feedResult(c, 10*time.Millisecond)
 	}
-	got := c.Window()
-	if got < 3 {
-		t.Fatalf("window after recovery = %d, want additive growth above min", got)
+	// Round-trips inflate 10×: the in-flight values are queueing on the
+	// worker, not hiding latency; the window must collapse to min, one
+	// halving per windowful.
+	collapsed := 0
+	for c.Window() > 1 {
+		if collapsed++; collapsed > 2*16 {
+			t.Fatalf("window = %d after two windowfuls of 10× round-trips, want 1", c.Window())
+		}
+		feedResult(c, 100*time.Millisecond)
 	}
-	if got > 16 {
-		t.Fatalf("window = %d exceeds max 16", got)
+	// Round-trips return to baseline: the window probes back up one
+	// credit per windowful (no second slow start, which would be at 16
+	// within 15 results of the smoothed round-trip settling).
+	for i := 0; i < 40; i++ {
+		before := c.Window()
+		feedResult(c, 10*time.Millisecond)
+		if got := c.Window(); got > before+1 {
+			t.Fatalf("window jumped %d -> %d during recovery", before, got)
+		}
+	}
+	if got := c.Window(); got < 3 || got > 10 {
+		t.Fatalf("window after 40 recovering results = %d, want additive growth above min (3..10)", got)
 	}
 }
 

@@ -137,12 +137,14 @@ func WithBatch(n int) Option { return func(o *options) { o.batch = n } }
 func WithStaticLimit(n int) Option { return WithBatch(n) }
 
 // WithAdaptiveLimit replaces the static pull-limit with a per-device
-// adaptive credit window probing within [min, max]: each device's window
-// grows while the extra in-flight values keep hiding transmission latency
-// (the smoothed result round-trip stays near the best observed) and
-// shrinks when they merely queue on a slow device. Fast devices converge
-// to large windows, throttled ones to small windows — the batch-size
-// sensitivity of the paper's §5.2–5.4 tuned per device at run time.
+// adaptive credit window within [min, max]. From a device's result
+// round-trips the scheduler estimates how many in-flight values queue
+// beyond what the path needs — window × (1 − smallest recent round-trip/
+// smoothed one) — and adds a credit per windowful under about 1.5 (they
+// still hide transmission latency), takes one away over about 3, halves
+// when the round-trip triples. A change of payload size re-bases instead
+// of reading as congestion. The batch-size sensitivity of the paper's
+// §5.2–5.4, tuned per device at run time (package sched has the rule).
 func WithAdaptiveLimit(min, max int) Option {
 	return func(o *options) {
 		o.adaptMin = min
