@@ -330,6 +330,7 @@ func BenchmarkWireLargeImgproc(b *testing.B) {
 // --- Application-kernel benchmarks (the compute the devices perform) ---
 
 func BenchmarkKernelCollatz(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := apps.CollatzSteps("837799"); err != nil {
 			b.Fatal(err)
@@ -340,6 +341,7 @@ func BenchmarkKernelCollatz(b *testing.B) {
 func BenchmarkKernelRaytraceFrame(b *testing.B) {
 	scene := raytracer.DefaultScene()
 	cam := raytracer.OrbitCamera(1.0, 6, 2.2)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = scene.Render(cam, 96, 72)

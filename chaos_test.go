@@ -48,23 +48,47 @@ var (
 		"stream length of the checkpointed chaos job")
 )
 
-// chaosSeeds yields the seeds for one test: the pinned seed when set,
-// fresh time-derived seeds otherwise. Every seed is echoed through t.Logf
-// so a CI log always carries the reproduction command.
-func chaosSeeds() []int64 {
+// chaosCorpus pins, per test, seeds that earlier randomized runs drew and
+// passed. They replay on every run under their `seed=N` names beside the
+// fresh seeds, so each run re-checks a fixed set of scenarios as well as
+// exploring new ones.
+var chaosCorpus = map[string][]int64{
+	"TestChaosStack":          {1792054976070251535, 1792055037792771768, 1792055063008059685},
+	"TestChaosShardMigration": {1792054975047628953, 1792055034655691310, 1792055059904015795},
+	"TestChaosDataPlane":      {1792054975390117818, 1792055033893504269, 1792055060183857808},
+	"TestChaosSignalFlap":     {1792054974702395438, 1792055035386825369, 1792055061710501124},
+	"TestChaosByzantine":      {1792054973397162511, 1792055031868584120, 1792055058190634789},
+}
+
+// chaosCase is one scenario of a chaos test: its subtest name and seed.
+type chaosCase struct {
+	name string
+	seed int64
+}
+
+// chaosCases yields the scenarios for one test: the pinned -chaos.seed
+// alone when set; otherwise the test's corpus seeds, named `seed=N`, then
+// -chaos.runs fresh time-derived seeds, named `random/i` so that subtest
+// names stay the same from run to run. Every seed is echoed through
+// t.Logf so a CI log always carries the reproduction command.
+func chaosCases(t *testing.T) []chaosCase {
 	if *chaosSeed != 0 {
-		return []int64{*chaosSeed}
+		return []chaosCase{{fmt.Sprintf("seed=%d", *chaosSeed), *chaosSeed}}
+	}
+	var cases []chaosCase
+	for _, seed := range chaosCorpus[t.Name()] {
+		cases = append(cases, chaosCase{fmt.Sprintf("seed=%d", seed), seed})
 	}
 	base := time.Now().UnixNano()
-	seeds := make([]int64, *chaosRuns)
-	for i := range seeds {
+	for i := 0; i < *chaosRuns; i++ {
 		// Spread the seeds so consecutive runs do not share low bits.
-		seeds[i] = (base ^ int64(i+1)*0x5DEECE66D) & (1<<63 - 1)
-		if seeds[i] == 0 {
-			seeds[i] = 1
+		seed := (base ^ int64(i+1)*0x5DEECE66D) & (1<<63 - 1)
+		if seed == 0 {
+			seed = 1
 		}
+		cases = append(cases, chaosCase{fmt.Sprintf("random/%d", i), seed})
 	}
-	return seeds
+	return cases
 }
 
 // chaosFleet tracks every simulated pipe a scenario creates so teardown
@@ -141,9 +165,9 @@ func collectN[T any](t *testing.T, out <-chan T, n int, deadline time.Duration, 
 // checkpointed with adaptive flow control and speculation), an optional
 // overlay-relay subtree, and a seeded schedule of combined faults.
 func TestChaosStack(t *testing.T) {
-	for _, seed := range chaosSeeds() {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runChaosStack(t, seed)
+	for _, c := range chaosCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			runChaosStack(t, c.seed)
 		})
 	}
 }
@@ -524,9 +548,9 @@ func runChaosStack(t *testing.T, seed int64) {
 // every shard, every epoch, including the killed masters' — must be
 // byte-identical to what an unfaulted run records.
 func TestChaosShardMigration(t *testing.T) {
-	for _, seed := range chaosSeeds() {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runChaosShardMigration(t, seed)
+	for _, c := range chaosCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			runChaosShardMigration(t, c.seed)
 		})
 	}
 }
@@ -765,9 +789,9 @@ collect:
 // must degrade to crash-stop (the device is re-lent, never believed),
 // so the output stays exactly-once and in order.
 func TestChaosDataPlane(t *testing.T) {
-	for _, seed := range chaosSeeds() {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runChaosDataPlane(t, seed)
+	for _, c := range chaosCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			runChaosDataPlane(t, c.seed)
 		})
 	}
 }
@@ -985,9 +1009,9 @@ func runChaosDataPlane(t *testing.T, seed int64) {
 // cut under it. The deployment must finish with exact output, the relay
 // must hold no stale peer registrations, and nothing may leak.
 func TestChaosSignalFlap(t *testing.T) {
-	for _, seed := range chaosSeeds() {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runChaosSignalFlap(t, seed)
+	for _, c := range chaosCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			runChaosSignalFlap(t, c.seed)
 		})
 	}
 }
@@ -1210,12 +1234,12 @@ func runChaosSignalFlap(t *testing.T, seed int64) {
 // the list encoding of its four results — one lie anywhere in a group
 // must still lose the vote.
 func TestChaosByzantine(t *testing.T) {
-	for _, seed := range chaosSeeds() {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runChaosByzantine(t, seed, 1)
+	for _, c := range chaosCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			runChaosByzantine(t, c.seed, 1)
 		})
-		t.Run(fmt.Sprintf("grouped/seed=%d", seed), func(t *testing.T) {
-			runChaosByzantine(t, seed, 4)
+		t.Run("grouped/"+c.name, func(t *testing.T) {
+			runChaosByzantine(t, c.seed, 4)
 		})
 	}
 }

@@ -105,6 +105,7 @@ type step[I, O any] struct {
 	export    func(idx int, v O)
 	exportIdx int
 	exportV   O
+	exportOf  *Lender[I, O] // told once the export has returned
 
 	lend  answerTo[I] // first sub-stream answer, in place
 	lends []answerTo[I]
@@ -129,13 +130,17 @@ func (st *step[I, O]) answer(cb pullstream.Callback[I], end error, v I) {
 }
 
 // run delivers the step outside the lender's lock: hooks and the export
-// first, so a journaling hook records a result no later than its emission.
+// first, so a journaling hook records a result no later than the emission
+// this step carries. Another goroutine may emit the result before the
+// export returns, but the output's end waits for every export (see
+// exportDone).
 func (st *step[I, O]) run() {
 	for _, h := range st.hooks {
 		h()
 	}
 	if st.export != nil {
 		st.export(st.exportIdx, st.exportV)
+		st.exportOf.exportDone()
 	}
 	if st.lend.cb != nil {
 		st.lend.cb(st.lend.end, st.lend.v)
@@ -175,6 +180,11 @@ type Lender[I, O any] struct {
 	// It is the journaling export hook; replayed (restored) results do
 	// not fire it.
 	onResult func(idx int, v O)
+	// exporting counts accepted results whose onResult call has not
+	// returned yet; the output does not end while it is non-zero, so a
+	// caller that closes the journal after the stream's end loses no
+	// record.
+	exporting int
 
 	failed fifo[lent[I]] // values to re-lend, oldest first
 
@@ -693,7 +703,23 @@ func (l *Lender[I, O]) acceptLocked(st *step[I, O], idx int, v O) {
 	} else {
 		l.ready.push(v)
 	}
-	st.export, st.exportIdx, st.exportV = l.onResult, idx, v
+	if l.onResult != nil {
+		l.exporting++
+		st.export, st.exportIdx, st.exportV, st.exportOf = l.onResult, idx, v, l
+	}
+}
+
+// exportDone retires one export that ran outside the lock; the last one
+// after the input's end may complete the output.
+func (l *Lender[I, O]) exportDone() {
+	var st step[I, O]
+	l.mu.Lock()
+	l.exporting--
+	if l.exporting == 0 && l.inEnd != nil {
+		l.serviceLocked(&st)
+	}
+	l.mu.Unlock()
+	st.run()
 }
 
 // endSubLocked terminates sub-stream s: outstanding values move to the
@@ -948,11 +974,12 @@ func (l *Lender[I, O]) inputAnswer(end error, v I) {
 }
 
 // completeLocked reports whether every value read from the input has been
-// answered and emitted. Unanswered values may sit in sub-stream queues or
-// the failed queue; zombie copies of already-answered values do not block
-// completion — that is what bounds tail latency under speculation.
+// answered, exported and emitted. Unanswered values may sit in sub-stream
+// queues or the failed queue; zombie copies of already-answered values do
+// not block completion — that is what bounds tail latency under
+// speculation.
 func (l *Lender[I, O]) completeLocked() bool {
-	if l.inEnd == nil || l.pending > 0 {
+	if l.inEnd == nil || l.pending > 0 || l.exporting > 0 {
 		return false
 	}
 	if l.ordered {

@@ -3,6 +3,7 @@ package lender
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -181,6 +182,63 @@ func TestOnResultFiresOncePerIndex(t *testing.T) {
 	defer mu.Unlock()
 	if len(fired) != 1 || fired[1] != 1 {
 		t.Fatalf("OnResult fired %v, want exactly {1:1} (no replay, no dup)", fired)
+	}
+}
+
+// TestOutputEndWaitsForExport: the output reader may emit a result on its
+// own goroutine before that result's export hook returns, but the output's
+// end must wait for it — a caller that closes the journal once the stream
+// ends would otherwise lose the last record.
+func TestOutputEndWaitsForExport(t *testing.T) {
+	l := New[int, int]()
+	entered, release := make(chan struct{}), make(chan struct{})
+	var exported atomic.Int32
+	l.OnResult(func(idx int, v int) {
+		if idx == 1 {
+			close(entered)
+			<-release
+		}
+		exported.Add(1)
+	})
+	out := l.Bind(pullstream.Values(10, 20))
+
+	_, d := l.LendStream()
+	results := make(chan int)
+	d.Sink(pullstream.FromChan(results, nil))
+	for _, want := range []int{10, 20} {
+		if v, err := ask(t, d.Source); err != nil || v != want {
+			t.Fatalf("lent value = %d, %v; want %d", v, err, want)
+		}
+		results <- want * 10
+	}
+	<-entered // index 1 is accepted; its export is held in the hook
+	if _, err := ask(t, d.Source); !errors.Is(err, pullstream.ErrDone) {
+		t.Fatalf("ask after the last result = %v, want ErrDone", err)
+	}
+	close(results)
+
+	// Both results are in the reorder buffer: the output emits them
+	// while the second export is still held.
+	for _, want := range []int{100, 200} {
+		if v, err := ask(t, out); err != nil || v != want {
+			t.Fatalf("output = %d, %v; want %d", v, err, want)
+		}
+	}
+	end := make(chan int32, 1)
+	out(nil, func(err error, _ int) {
+		if !errors.Is(err, pullstream.ErrDone) {
+			t.Errorf("output end = %v, want ErrDone", err)
+		}
+		end <- exported.Load()
+	})
+	close(release)
+	select {
+	case n := <-end:
+		if n != 2 {
+			t.Fatalf("output ended with %d of 2 exports returned", n)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("output never ended after the export returned")
 	}
 }
 

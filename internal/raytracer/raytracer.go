@@ -15,6 +15,7 @@ import (
 	"image/gif"
 	"io"
 	"math"
+	"sync"
 )
 
 // Material describes a surface.
@@ -262,21 +263,37 @@ func toByte(x float64) byte {
 	return byte(255*math.Pow(clamp01(x), 1/2.2) + 0.5)
 }
 
+// defaultScene is what RenderFrame renders; rendering only reads it.
+var defaultScene = DefaultScene()
+
+// frameGzip is a recycled compressor (~850 KB of flate state) and its buffer.
+type frameGzip struct {
+	buf bytes.Buffer
+	zw  *gzip.Writer
+}
+
+var frameGzips = sync.Pool{New: func() any {
+	g := new(frameGzip)
+	g.zw = gzip.NewWriter(&g.buf)
+	return g
+}}
+
 // RenderFrame renders the default scene at the given camera angle and
 // returns the pixels gzip-compressed and base64-encoded, mirroring the
 // paper's Figure 2 glue code (render, gzip, base64).
 func RenderFrame(angle float64, w, h int) (string, error) {
-	scene := DefaultScene()
-	pix := scene.Render(OrbitCamera(angle, 6, 2.2), w, h)
-	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
-	if _, err := zw.Write(pix); err != nil {
+	pix := defaultScene.Render(OrbitCamera(angle, 6, 2.2), w, h)
+	g := frameGzips.Get().(*frameGzip)
+	defer frameGzips.Put(g)
+	g.buf.Reset()
+	g.zw.Reset(&g.buf)
+	if _, err := g.zw.Write(pix); err != nil {
 		return "", fmt.Errorf("raytracer: gzip: %w", err)
 	}
-	if err := zw.Close(); err != nil {
+	if err := g.zw.Close(); err != nil {
 		return "", fmt.Errorf("raytracer: gzip close: %w", err)
 	}
-	return base64.StdEncoding.EncodeToString(buf.Bytes()), nil
+	return base64.StdEncoding.EncodeToString(g.buf.Bytes()), nil
 }
 
 // DecodeFrame reverses RenderFrame's encoding back into RGBA bytes.

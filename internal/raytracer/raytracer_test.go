@@ -2,9 +2,16 @@ package raytracer
 
 import (
 	"bytes"
+	"compress/gzip"
+	"encoding/base64"
+	"fmt"
 	"math"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
+
+	"pando/internal/race"
 )
 
 func TestVecBasics(t *testing.T) {
@@ -159,6 +166,105 @@ func TestRenderFrameRoundTrip(t *testing.T) {
 	}
 	if len(pix) != 4*24*18 {
 		t.Fatalf("decoded %d bytes, want %d", len(pix), 4*24*18)
+	}
+}
+
+// renderFrameUnpooled is RenderFrame without the shared scene and the
+// pooled compressor: a fresh DefaultScene and a fresh gzip.Writer.
+func renderFrameUnpooled(t *testing.T, angle float64, w, h int) string {
+	t.Helper()
+	pix := DefaultScene().Render(OrbitCamera(angle, 6, 2.2), w, h)
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	if _, err := zw.Write(pix); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return base64.StdEncoding.EncodeToString(buf.Bytes())
+}
+
+func frameAngles() []float64 {
+	var angles []float64
+	for i := 0; i < 12; i++ {
+		angles = append(angles, 2*math.Pi*float64(i)/12)
+	}
+	return angles
+}
+
+func TestRenderFrameMatchesUnpooled(t *testing.T) {
+	for _, size := range [][2]int{{64, 48}, {96, 72}} {
+		for _, a := range frameAngles() {
+			got, err := RenderFrame(a, size[0], size[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := renderFrameUnpooled(t, a, size[0], size[1]); got != want {
+				t.Fatalf("%dx%d at %.3f: pooled frame differs from the unpooled one", size[0], size[1], a)
+			}
+		}
+	}
+}
+
+func TestRenderFrameConcurrent(t *testing.T) {
+	angles := frameAngles()
+	want := make([]string, len(angles))
+	for i, a := range angles {
+		want[i] = renderFrameUnpooled(t, a, 64, 48)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range angles {
+				i := (g + k) % len(angles)
+				got, err := RenderFrame(angles[i], 64, 48)
+				if err == nil && got != want[i] {
+					err = fmt.Errorf("goroutine %d, angle %.3f: frame differs from the sequential one", g, angles[i])
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestRenderFrameAllocs guards the pooled compressor and the shared scene:
+// a fresh gzip.Writer was ~850 KB of flate state per frame.
+func TestRenderFrameAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	// One P, so every frame finds the compressor the warm-up frame left
+	// in that P's pool.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	render := func() {
+		if _, err := RenderFrame(1.0, 64, 48); err != nil {
+			t.Fatal(err)
+		}
+	}
+	render()
+	const frames = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < frames; i++ {
+		render()
+	}
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / frames
+	bytesPerFrame := (after.TotalAlloc - before.TotalAlloc) / frames
+	if allocs > 10 || bytesPerFrame >= 64<<10 {
+		t.Fatalf("RenderFrame allocates %.1f objects and %d bytes per frame, want at most 10 and under 64 KiB", allocs, bytesPerFrame)
 	}
 }
 
