@@ -317,7 +317,13 @@ func BenchmarkWireSmallCollatz(b *testing.B) {
 // large-payload workload: 16 KiB raw tiles through RawCodec, where v1
 // pays base64 inflation on every frame and v2 ships the bytes verbatim.
 func BenchmarkWireLargeImgproc(b *testing.B) {
-	tiles := bench.ImgprocWirePayloads(16, 128).Items           // 16 tiles of 16 KiB
+	tiles := make([][]byte, 16) // 128x128 grayscale, distinct per tile
+	for i := range tiles {
+		tiles[i] = make([]byte, 128*128)
+		for j := range tiles[i] {
+			tiles[i][j] = byte(i*31 + j*7)
+		}
+	}
 	f := func(tile []byte) ([]byte, error) { return tile, nil } // transfer-bound
 	for _, wire := range []string{pando.WireV1, pando.WireV2, pando.WireV3} {
 		b.Run(wire, func(b *testing.B) {

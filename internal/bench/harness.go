@@ -3,12 +3,7 @@ package bench
 import (
 	"context"
 	"fmt"
-	"os"
-	"os/exec"
-	"runtime"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	pando "pando"
@@ -221,97 +216,4 @@ func RunTable2(opt Options) ([]CellResult, error) {
 		out = append(out, cells...)
 	}
 	return out, nil
-}
-
-// ---------------------------------------------------------------------
-// Cell-isolation scaffolding shared by the fleet-scale experiments
-// (-shard, -compress, -verify). A fleet measurement leaves tens of
-// thousands of dead goroutine stacks and an inflated heap target behind,
-// so consecutive cells in one process face different runtimes — a
-// sequential comparison then measures process aging as much as the
-// system under test. cmd/pando-bench therefore re-executes itself once
-// per cell through the child protocol below; the in-process fallback at
-// least lets the runtime settle between cells.
-
-// settle lets the previous cell's fleet goroutines exit and pulls the
-// heap back toward its baseline before the next in-process measurement.
-func settle() {
-	runtime.GC()
-	time.Sleep(200 * time.Millisecond)
-}
-
-// ChildSpec encodes one cell's parameters as the comma-separated integer
-// spec a self-exec child flag carries (booleans travel as 0/1).
-func ChildSpec(fields ...int64) string {
-	parts := make([]string, len(fields))
-	for i, f := range fields {
-		parts[i] = strconv.FormatInt(f, 10)
-	}
-	return strings.Join(parts, ",")
-}
-
-// ParseChildSpec decodes a ChildSpec, enforcing the field count.
-func ParseChildSpec(spec string, n int) ([]int64, error) {
-	parts := strings.Split(spec, ",")
-	if len(parts) != n {
-		return nil, fmt.Errorf("bench: spec %q has %d fields, want %d", spec, len(parts), n)
-	}
-	out := make([]int64, n)
-	for i, p := range parts {
-		v, err := strconv.ParseInt(strings.TrimSpace(p), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bench: bad spec field %q in %q", p, spec)
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-// ChildCell is the child half of the self-exec protocol: run one
-// measurement and print its values, space-separated, on one line for the
-// parent to parse. Errors exit nonzero so the parent's cmd.Output fails
-// loudly instead of yielding a half-parsed rate.
-func ChildCell(run func() ([]float64, error)) {
-	vals, err := run()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pando-bench:", err)
-		os.Exit(1)
-	}
-	parts := make([]string, len(vals))
-	for i, v := range vals {
-		parts[i] = strconv.FormatFloat(v, 'f', -1, 64)
-	}
-	fmt.Println(strings.Join(parts, " "))
-}
-
-// FreshProcessRun is the parent half: re-execute the current binary as
-// `exe flagName spec`, parse the space-separated values the child
-// prints, and fall back to a settled in-process run when the executable
-// path is unavailable.
-func FreshProcessRun(flagName, spec string, inProcess func() ([]float64, error)) ([]float64, error) {
-	kind := strings.TrimPrefix(flagName, "-")
-	exe, err := os.Executable()
-	if err != nil {
-		settle()
-		return inProcess()
-	}
-	cmd := exec.Command(exe, flagName, spec)
-	cmd.Stderr = os.Stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return nil, fmt.Errorf("%s child %s: %w", kind, spec, err)
-	}
-	fields := strings.Fields(string(out))
-	if len(fields) == 0 {
-		return nil, fmt.Errorf("%s child %s: empty output", kind, spec)
-	}
-	vals := make([]float64, len(fields))
-	for i, f := range fields {
-		v, err := strconv.ParseFloat(f, 64)
-		if err != nil {
-			return nil, fmt.Errorf("%s child %s: bad output %q", kind, spec, out)
-		}
-		vals[i] = v
-	}
-	return vals, nil
 }

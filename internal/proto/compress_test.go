@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"math/rand"
 	"testing"
 )
 
@@ -97,6 +98,19 @@ func TestCompressedFrameRoundTrip(t *testing.T) {
 		t.Fatalf("small frame mismatch: %+v", m)
 	}
 	Release(m)
+
+	// Incompressible data past the size floor is tried, loses, and ships
+	// as exactly the v2 frame: v3 never inflates it.
+	noise := make([]byte, 4096)
+	rand.New(rand.NewSource(1)).Read(noise)
+	noisy := &Message{Type: TypeInput, Seq: 8, Data: noise}
+	v2.Reset()
+	if err := V2.WriteFrame(&v2, noisy); err != nil {
+		t.Fatal(err)
+	}
+	if nf := v3Frame(t, noisy); !bytes.Equal(nf, v2.Bytes()) {
+		t.Fatalf("incompressible frame: v3 sent %d bytes, want the %d-byte v2 frame", len(nf), v2.Len())
+	}
 }
 
 // TestCompressedFrameCorruption pins every corruption class to a decode

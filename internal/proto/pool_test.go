@@ -8,63 +8,95 @@ import (
 	"pando/internal/race"
 )
 
-// TestCodecWriteZeroAlloc pins the steady-state v2 encode path at zero
-// heap allocations per frame: the arena supplies the encode buffer and
-// recycles it after the write.
-func TestCodecWriteZeroAlloc(t *testing.T) {
-	m := &Message{Type: TypeInput, Seq: 7, Data: bytes.Repeat([]byte{0xAB}, 1024)}
-	// Warm the pools outside the measured region.
-	for i := 0; i < 8; i++ {
-		if err := V2.WriteFrame(io.Discard, m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		m.Seq++
-		if err := V2.WriteFrame(io.Discard, m); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("v2 WriteFrame: %v allocs/op, want 0", allocs)
+type codecGateCase struct {
+	name string
+	wf   WireFormat
+	data []byte
+}
+
+// codecGateCases are the frames the zero-alloc gates measure: 1 KiB on
+// the plain binary wire, and 16 KiB of compressible data on
+// '/pando/2.2.0', so the write side deflates and the read side inflates
+// through the pooled coders.
+func codecGateCases() []codecGateCase {
+	return []codecGateCase{
+		{"v2-1KiB", V2, bytes.Repeat([]byte{0xAB}, 1024)},
+		{"v3-16KiB", NewCompressedWire(), compressibleData(16 << 10)},
 	}
 }
 
-// TestCodecReadZeroAlloc pins the steady-state v2 decode path at zero
-// heap allocations per frame: the body buffer and the Message envelope
-// both come from the arena and return to it via Release.
+// TestCodecWriteZeroAlloc pins the steady-state encode path at zero heap
+// allocations per frame: the arena supplies the encode buffer and
+// recycles it after the write, and the DEFLATE coder comes from its pool.
+func TestCodecWriteZeroAlloc(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops puts under the race detector: the count is not the codec's")
+	}
+	for _, c := range codecGateCases() {
+		t.Run(c.name, func(t *testing.T) {
+			m := &Message{Type: TypeInput, Seq: 7, Data: c.data}
+			// Warm the pools outside the measured region.
+			for i := 0; i < 8; i++ {
+				if err := c.wf.WriteFrame(io.Discard, m); err != nil {
+					t.Fatal(err)
+				}
+			}
+			allocs := testing.AllocsPerRun(200, func() {
+				m.Seq++
+				if err := c.wf.WriteFrame(io.Discard, m); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("%s WriteFrame: %v allocs/op, want 0", c.wf.Name(), allocs)
+			}
+		})
+	}
+}
+
+// TestCodecReadZeroAlloc pins the steady-state decode path at zero heap
+// allocations per frame: the body buffer and the Message envelope both
+// come from the arena and return to it via Release, and the inflater
+// comes from its pool.
 func TestCodecReadZeroAlloc(t *testing.T) {
 	if race.Enabled {
 		t.Skip("sync.Pool drops puts under the race detector: the count is not the codec's")
 	}
-	var buf bytes.Buffer
-	m := &Message{Type: TypeResult, Seq: 42, Data: bytes.Repeat([]byte{0xCD}, 1024)}
-	if err := V2.WriteFrame(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	frame := buf.Bytes()
-	r := bytes.NewReader(frame)
-	for i := 0; i < 8; i++ { // warm the pools
-		r.Reset(frame)
-		out, err := ReadFrame(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		Release(out)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		r.Reset(frame)
-		out, err := ReadFrame(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.Seq != 42 || len(out.Data) != 1024 {
-			t.Fatalf("bad decode: %+v", out)
-		}
-		Release(out)
-	})
-	if allocs != 0 {
-		t.Fatalf("v2 ReadFrame+Release: %v allocs/op, want 0", allocs)
+	for _, c := range codecGateCases() {
+		t.Run(c.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			m := &Message{Type: TypeResult, Seq: 42, Data: c.data}
+			if err := c.wf.WriteFrame(&buf, m); err != nil {
+				t.Fatal(err)
+			}
+			frame := buf.Bytes()
+			if c.wf.Name() == Version3 && frame[4] != cmpMagic {
+				t.Fatal("v3 frame went out uncompressed: the gate would not inflate")
+			}
+			r := bytes.NewReader(frame)
+			for i := 0; i < 8; i++ { // warm the pools
+				r.Reset(frame)
+				out, err := ReadFrame(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				Release(out)
+			}
+			allocs := testing.AllocsPerRun(200, func() {
+				r.Reset(frame)
+				out, err := ReadFrame(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if out.Seq != 42 || len(out.Data) != len(c.data) {
+					t.Fatalf("bad decode: %+v", out)
+				}
+				Release(out)
+			})
+			if allocs != 0 {
+				t.Fatalf("%s ReadFrame+Release: %v allocs/op, want 0", c.wf.Name(), allocs)
+			}
+		})
 	}
 }
 

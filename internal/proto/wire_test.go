@@ -290,8 +290,8 @@ func TestQuickBinaryRoundTrip(t *testing.T) {
 }
 
 // BenchmarkWireEnvelope compares the two envelopes on a payload-free
-// control frame and on payload-bearing frames; see also the workload
-// benchmarks in internal/bench and the repo root.
+// control frame and on payload-bearing frames; see also the end-to-end
+// BenchmarkWire* workload benchmarks in the repo root.
 func BenchmarkWireEnvelope(b *testing.B) {
 	payload := bytes.Repeat([]byte{0xA5}, 16<<10)
 	for _, tc := range []struct {

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -94,30 +95,73 @@ func TestMixedWirePair(t *testing.T) {
 	}
 }
 
-// TestRawCodecBinaryWireBytesOnWire measures the frames the two formats
-// produce for the same 64 KiB []byte payload: the v2 envelope must carry
-// it without base64 inflation.
+// TestRawCodecBinaryWireBytesOnWire measures the bytes the two formats
+// put on the wire for the same payloads, once as one input frame per item
+// and once as a single batch frame. A 64 KiB []byte payload must travel
+// without v1's base64 inflation, and small JSON-encoded collatz inputs,
+// where the envelope dominates, must not regress on either plane.
 func TestRawCodecBinaryWireBytesOnWire(t *testing.T) {
-	payload := bytes.Repeat([]byte{0xC7}, 64<<10)
-	m := &proto.Message{Type: proto.TypeInput, Seq: 1, Data: payload}
-
-	var v1buf, v2buf bytes.Buffer
-	if err := proto.V1.WriteFrame(&v1buf, m); err != nil {
-		t.Fatal(err)
+	collatz := make([][]byte, 256)
+	for i := range collatz {
+		collatz[i], _ = json.Marshal(fmt.Sprintf("%d", 1_000_000_000+i))
 	}
-	if err := proto.V2.WriteFrame(&v2buf, m); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name  string
+		items [][]byte
+		// maxOverhead bounds v2's per-frame bytes beyond the payload; 0
+		// skips the check.
+		maxOverhead int
+	}{
+		{"tile-64KiB", [][]byte{bytes.Repeat([]byte{0xC7}, 64<<10)}, 64},
+		{"collatz-json", collatz, 0},
 	}
-	if v2buf.Len() >= v1buf.Len() {
-		t.Fatalf("v2 frame (%d B) not smaller than v1 (%d B)", v2buf.Len(), v1buf.Len())
+	// wireBytes returns wf's bytes on the wire for items sent one frame
+	// each and for items sent as one batch frame.
+	wireBytes := func(t *testing.T, wf proto.WireFormat, items [][]byte) (frames, batch int) {
+		t.Helper()
+		var buf bytes.Buffer
+		batchItems := make([]proto.BatchItem, len(items))
+		for i, item := range items {
+			if err := wf.WriteFrame(&buf, &proto.Message{Type: proto.TypeInput, Seq: uint64(i + 1), Data: item}); err != nil {
+				t.Fatal(err)
+			}
+			batchItems[i] = proto.BatchItem{D: item}
+		}
+		frames = buf.Len()
+		data, err := wf.EncodeBatch(batchItems)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf.Reset()
+		if err := wf.WriteFrame(&buf, &proto.Message{Type: proto.TypeInputBatch, Seq: 1, Data: data}); err != nil {
+			t.Fatal(err)
+		}
+		return frames, buf.Len()
 	}
-	// v1 base64-inflates Data by 4/3; v2 overhead must stay within a few
-	// dozen bytes of the raw payload.
-	if overhead := v2buf.Len() - len(payload); overhead > 64 {
-		t.Fatalf("v2 overhead = %d bytes on a %d-byte payload", overhead, len(payload))
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			v1Frames, v1Batch := wireBytes(t, proto.V1, c.items)
+			v2Frames, v2Batch := wireBytes(t, proto.V2, c.items)
+			if v2Frames >= v1Frames {
+				t.Errorf("frames: v2 %d B not smaller than v1 %d B", v2Frames, v1Frames)
+			}
+			if v2Batch >= v1Batch {
+				t.Errorf("batch: v2 %d B not smaller than v1 %d B", v2Batch, v1Batch)
+			}
+			if c.maxOverhead > 0 {
+				payload := 0
+				for _, item := range c.items {
+					payload += len(item)
+				}
+				// v1 base64-inflates Data by 4/3; v2 overhead must stay
+				// within a few dozen bytes of the raw payload.
+				if overhead := v2Frames - payload; overhead > c.maxOverhead*len(c.items) {
+					t.Errorf("v2 overhead = %d bytes on %d payload bytes", overhead, payload)
+				}
+			}
+			t.Logf("frames v1 %d B, v2 %d B; batch v1 %d B, v2 %d B", v1Frames, v2Frames, v1Batch, v2Batch)
+		})
 	}
-	t.Logf("64 KiB payload: v1 frame %d B, v2 frame %d B (%.1f%% of v1)",
-		v1buf.Len(), v2buf.Len(), 100*float64(v2buf.Len())/float64(v1buf.Len()))
 }
 
 // wirePoint is a BinaryCodec test type with its own binary encoding.

@@ -131,11 +131,6 @@ type options struct {
 // same bound; see WithAdaptiveLimit for per-device windows.
 func WithBatch(n int) Option { return func(o *options) { o.batch = n } }
 
-// WithStaticLimit is WithBatch under its flow-control name: a fixed
-// window of n values in flight per device, the original Limiter behavior
-// (and the default, with n = 2).
-func WithStaticLimit(n int) Option { return WithBatch(n) }
-
 // WithAdaptiveLimit replaces the static pull-limit with a per-device
 // adaptive credit window within [min, max]. From a device's result
 // round-trips the scheduler estimates how many in-flight values queue
