@@ -7,7 +7,6 @@ package pando_test
 //   BenchmarkBatchSweep*              §5.5 claim C1: batching hides latency
 //   BenchmarkSpeedupVsSingleDevice    §1/§5 headline: speedup over 1 device
 //   BenchmarkFigure4Deployment        Figure 4: join, crash, takeover
-//   BenchmarkFatTreeOverlay           §5: fat-tree overlay scaling path
 //
 // plus micro-benchmarks of each substrate (pull-stream, StreamLender,
 // Limiter, transport, and the application kernels). Absolute throughput
@@ -119,27 +118,6 @@ func BenchmarkFigure4Deployment(b *testing.B) {
 	}
 }
 
-// --- Fat-tree overlay throughput (the §5 scaling reference) ---
-
-func BenchmarkFatTreeOverlay(b *testing.B) {
-	// Throughput through the full pando stack with 4 direct workers, the
-	// baseline the overlay composes from.
-	p := pando.New("bench-overlay-base",
-		func(v int) (int, error) { return v + 1, nil },
-		pando.WithBatch(4), pando.WithoutRegistry(),
-	)
-	defer p.Close()
-	p.AddLocalWorkers(4)
-	b.ResetTimer()
-	inputs := make([]int, 200)
-	for i := 0; i < b.N; i++ {
-		if _, err := p.ProcessSlice(context.Background(), inputs); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(200), "items/op")
-}
-
 // --- Substrate micro-benchmarks ---
 
 func BenchmarkPullStreamCountDrain(b *testing.B) {
@@ -152,11 +130,9 @@ func BenchmarkPullStreamCountDrain(b *testing.B) {
 
 func BenchmarkPullStreamMapChain(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		th := pullstream.Chain(
-			pullstream.Map(func(v int) int { return v * 2 }),
-			pullstream.Filter(func(v int) bool { return v%3 != 0 }),
-		)
-		if _, err := pullstream.Collect(th(pullstream.Count(1000))); err != nil {
+		double := pullstream.Map(func(v int) int { return v * 2 })
+		keep := pullstream.Filter(func(v int) bool { return v%3 != 0 })
+		if _, err := pullstream.Collect(keep(double(pullstream.Count(1000)))); err != nil {
 			b.Fatal(err)
 		}
 	}

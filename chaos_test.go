@@ -10,9 +10,9 @@ package pando_test
 //
 // Faults are drawn from the full combined menu (churn, permanent crashes,
 // link flaps and partitions, asymmetric degradation, byte-level
-// corruption on the wire, overlay-relay loss, master kill+restart over
-// the checkpoint journal, signalling-relay flaps during the WebRTC-like
-// bootstrap), and every run must preserve the paper's §2.3/§4 guarantees:
+// corruption on the wire, master kill+restart over the checkpoint
+// journal, signalling-relay flaps during the WebRTC-like bootstrap), and
+// every run must preserve the paper's §2.3/§4 guarantees:
 // exactly-once in-order output, journal-resume byte identity, no stale
 // fleet leases, and no leaked goroutines (which, in the simulated
 // network, covers sockets too).
@@ -34,7 +34,6 @@ import (
 	pando "pando"
 	"pando/internal/chaos"
 	"pando/internal/netsim"
-	"pando/internal/overlay"
 	"pando/internal/transport"
 	"pando/internal/worker"
 )
@@ -162,8 +161,8 @@ func collectN[T any](t *testing.T, out <-chan T, n int, deadline time.Duration, 
 }
 
 // TestChaosStack drives a shared pool with two typed jobs (one
-// checkpointed with adaptive flow control and speculation), an optional
-// overlay-relay subtree, and a seeded schedule of combined faults.
+// checkpointed with adaptive flow control and speculation) and a seeded
+// schedule of combined faults.
 func TestChaosStack(t *testing.T) {
 	for _, c := range chaosCases(t) {
 		t.Run(c.name, func(t *testing.T) {
@@ -261,35 +260,6 @@ func runChaosStack(t *testing.T, seed int64) {
 		workerPipes[i] = spawn(fmt.Sprintf("cw-%d", i+1), link, wr.Duration(3*time.Millisecond, 12*time.Millisecond))
 	}
 
-	// --- Optional overlay-relay subtree. ---
-	or := r.Fork("overlay")
-	withRelay := or.Bool(0.5)
-	var relayParent *netsim.Pipe
-	if withRelay {
-		link := netsim.Link{Latency: or.Duration(0, 2*time.Millisecond), Seed: or.Int63() | 1}
-		node := overlay.NewNode(integName("chaos-relay"))
-		node.Channel = hb
-		node.Fanout = 2
-		relayParent = netsim.NewPipe(link)
-		cf.add(relayParent)
-		go func() { _ = node.Run(transport.NewWSock(relayParent.A, hb)) }()
-		go func() { _ = pool.Fleet().Admit(transport.NewWSock(relayParent.B, hb)) }()
-		leaves := 1 + or.Intn(2)
-		for i := 0; i < leaves; i++ {
-			cp := netsim.NewPipe(link)
-			cf.add(cp)
-			v := &worker.Volunteer{
-				Name:       fmt.Sprintf("leaf-%d", i+1),
-				Channel:    hb,
-				Delay:      or.Duration(2*time.Millisecond, 6*time.Millisecond),
-				CrashAfter: -1,
-				Resolve:    resolve,
-			}
-			go func() { _ = v.JoinWS(cp.A) }()
-			go func() { _ = node.AdmitChild(transport.NewWSock(cp.B, hb)) }()
-		}
-	}
-
 	// --- Fault schedule, derived from the seed. Worker 0 is protected
 	// (liveness anchor): it never receives a lethal fault. ---
 	fr := r.Fork("faults")
@@ -331,16 +301,6 @@ func runChaosStack(t *testing.T, seed int64) {
 		chaos.Partition(sched, "netsplit", group,
 			fr.Duration(40*time.Millisecond, horizon/2), 40*time.Millisecond)
 	}
-	if withRelay {
-		rr := r.Fork("relay-faults")
-		if rr.Bool(0.5) {
-			chaos.Cut(sched, "relay-parent", relayParent, rr.Duration(60*time.Millisecond, horizon/2))
-		} else {
-			chaos.Flap(sched, rr, "relay-parent", relayParent,
-				1, rr.Duration(40*time.Millisecond, horizon/2), 150*time.Millisecond,
-				10*time.Millisecond, 120*time.Millisecond)
-		}
-	}
 	jr := r.Fork("joiners")
 	for i, extra := 0, jr.Intn(3); i < extra; i++ {
 		name := fmt.Sprintf("late-%d", i+1)
@@ -355,8 +315,8 @@ func runChaosStack(t *testing.T, seed int64) {
 		spawn("reinforce-2", netsim.Loopback, 0)
 	})
 
-	t.Logf("chaos: %d workers, relay=%v, %d scheduled events:\n%s",
-		nWorkers, withRelay, sched.Len(), strings.Join(sched.Describe(), "\n"))
+	t.Logf("chaos: %d workers, %d scheduled events:\n%s",
+		nWorkers, sched.Len(), strings.Join(sched.Describe(), "\n"))
 
 	stopSched := make(chan struct{})
 	schedDone := make(chan struct{})

@@ -271,6 +271,27 @@ func TestImgProcHTTPEndToEnd(t *testing.T) {
 
 // --- Image processing, p2p variants (stubborn, Figure 12) ---
 
+// mapErr applies fn to each value; fn's first error fails the stream.
+func mapErr[I, O any](fn func(I) (O, error)) pullstream.Through[I, O] {
+	return func(src pullstream.Source[I]) pullstream.Source[O] {
+		return func(abort error, cb pullstream.Callback[O]) {
+			src(abort, func(end error, v I) {
+				var zero O
+				if end != nil {
+					cb(end, zero)
+					return
+				}
+				o, err := fn(v)
+				if err != nil {
+					cb(err, zero)
+					return
+				}
+				cb(nil, o)
+			})
+		}
+	}
+}
+
 func TestStubbornImageProcessing(t *testing.T) {
 	store := landsat.NewP2PStore(0.4, 0, 99) // 60% of shares silently fail
 	blur := NewP2PBlur(store)
@@ -278,7 +299,7 @@ func TestStubbornImageProcessing(t *testing.T) {
 	// Local (sequential) distributed-map stand-in for this unit test; the
 	// full Pando integration is exercised in the integration suite.
 	mapTh := func(src pullstream.Source[TileJob]) pullstream.Source[TileDone] {
-		return pullstream.MapErr(blur)(src)
+		return mapErr(blur)(src)
 	}
 	jobOf := func(id int) TileJob { return TileJob{ID: id, Width: 16, Height: 16, Radius: 2} }
 	th := StubbornP2P(mapTh, store, jobOf)
@@ -397,7 +418,7 @@ func TestStubbornDATVariant(t *testing.T) {
 		return TileDone{ID: job.ID, OK: true}, nil
 	}
 	mapTh := func(src pullstream.Source[TileJob]) pullstream.Source[TileDone] {
-		return pullstream.MapErr(blur)(src)
+		return mapErr(blur)(src)
 	}
 	// The "user" confirms on the retry path: the classify function checks
 	// downloadability and confirms staged tiles before resubmitting, so
@@ -429,7 +450,7 @@ func TestStubbornWebTorrentVariant(t *testing.T) {
 	blur := NewWebTorrentBlur(wt)
 	jobOf := func(id int) TileJob { return TileJob{ID: id, Width: 8, Height: 8, Radius: 1} }
 	mapTh := func(src pullstream.Source[TileJob]) pullstream.Source[TileDone] {
-		return pullstream.MapErr(blur)(src)
+		return mapErr(blur)(src)
 	}
 	th := StubbornWebTorrent(mapTh, wt, jobOf)
 

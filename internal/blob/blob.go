@@ -64,7 +64,6 @@ type store struct {
 	size    int64
 	order   *list.List // front = most recently used; values are *entry
 	entries map[Digest]*list.Element
-	evicts  atomic.Int64
 }
 
 func newStore(maxBytes int64) *store {
@@ -93,7 +92,6 @@ func (s *store) add(d Digest, data []byte) {
 		s.order.Remove(el)
 		delete(s.entries, victim.d)
 		s.size -= int64(len(victim.data))
-		s.evicts.Add(1)
 	}
 }
 
@@ -152,7 +150,7 @@ func (c *Cache) Put(d Digest, data []byte) error {
 
 // Get resolves d. The error return is the poisoned-entry case: the stored
 // bytes no longer hash to their digest, which can only mean memory
-// corruption (or a test's Poison call) — the entry is dropped and the
+// corruption (or a test poisoning it) — the entry is dropped and the
 // caller must fail the channel rather than risk wrong output. A plain
 // miss is (nil, false, nil): the caller fetches from the master. The
 // returned bytes are immutable: they stay the cache's (callers must not
@@ -169,11 +167,8 @@ func (c *Cache) Get(d Digest) ([]byte, bool, error) {
 	return data, true, nil
 }
 
-// Evictions reports how many entries the cap has pushed out.
-func (c *Cache) Evictions() int64 { return c.s.evicts.Load() }
-
 // PoisonNewest corrupts the most-recently-used entry, if any — the
-// seeded chaos schedule's form of Poison for when the scenario cannot
+// seeded chaos schedule's form of poison for when the scenario cannot
 // know which digests a worker happens to hold at firing time.
 func (c *Cache) PoisonNewest() bool {
 	c.s.mu.Lock()
@@ -182,10 +177,10 @@ func (c *Cache) PoisonNewest() bool {
 	return el != nil && el.Value.(*entry).poison()
 }
 
-// Poison corrupts the entry stored under d, if present — the test hook
-// the chaos suite uses to prove a corrupted cache entry degrades to
-// crash-stop instead of producing wrong results.
-func (c *Cache) Poison(d Digest) bool {
+// poison corrupts the entry stored under d, if present — the test hook
+// that proves a corrupted cache entry degrades to crash-stop instead of
+// producing wrong results.
+func (c *Cache) poison(d Digest) bool {
 	c.s.mu.Lock()
 	defer c.s.mu.Unlock()
 	el, ok := c.s.entries[d]
@@ -229,9 +224,6 @@ func (in *Intern) Add(d Digest, data []byte) { in.s.add(d, data) }
 // block since the reference was sent; the caller reports the blob gone
 // and lets the channel crash-stop (the engine re-lends the value).
 func (in *Intern) Get(d Digest) ([]byte, bool) { return in.s.get(d) }
-
-// Evictions reports how many blocks the cap has pushed out.
-func (in *Intern) Evictions() int64 { return in.s.evicts.Load() }
 
 // FlowStats counts dedup traffic for one worker channel; the master keeps
 // one per worker name and merges it into WorkerStats (and the per-job

@@ -56,7 +56,7 @@ func TestCachePoisonSurfacesOnGet(t *testing.T) {
 	if err := c.Put(d, data); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Poison(d) {
+	if !c.poison(d) {
 		t.Fatal("poison found no entry")
 	}
 	if _, _, err := c.Get(d); !errors.Is(err, ErrDigestMismatch) {
@@ -150,9 +150,6 @@ func TestCacheLRUEviction(t *testing.T) {
 		if _, hit, err := c.Get(d); !hit || err != nil {
 			t.Fatalf("recent entry evicted early: hit=%v err=%v", hit, err)
 		}
-	}
-	if c.Evictions() == 0 {
-		t.Fatal("eviction counter never moved")
 	}
 }
 

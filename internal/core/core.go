@@ -39,7 +39,6 @@ type DistributedMap[I, O any] struct {
 
 	mu       sync.Mutex
 	closed   bool
-	attached int
 	live     int
 	observer func(Event)
 }
@@ -63,12 +62,6 @@ type config struct {
 	policy   sched.Policy
 	ordered  bool
 	observer func(Event)
-}
-
-// WithBatch bounds values in flight per processor with a static window
-// (the paper's Limiter bound).
-func WithBatch(n int) Option {
-	return func(c *config) { c.policy = sched.Static(n) }
 }
 
 // WithFlow sets the full per-processor flow-control policy: static or
@@ -219,19 +212,6 @@ func (d *DistributedMap[I, O]) Attach(name string, duplex pullstream.Duplex[I, O
 	return nil
 }
 
-// AttachVia wires one processor through a caller-supplied Through that
-// handles transport and flow bounding itself (used, e.g., by tests that
-// exercise custom gating). The scheduler does not manage such
-// processors.
-func (d *DistributedMap[I, O]) AttachVia(name string, th pullstream.Through[I, O]) error {
-	if err := d.admit(name); err != nil {
-		return err
-	}
-	_, sd := d.l.LendStreamNamed(name)
-	d.watch(name, sd, th(sd.Source), nil)
-	return nil
-}
-
 // admit records a new processor, refusing it on a closed engine.
 func (d *DistributedMap[I, O]) admit(name string) error {
 	d.mu.Lock()
@@ -239,7 +219,6 @@ func (d *DistributedMap[I, O]) admit(name string) error {
 		d.mu.Unlock()
 		return ErrEngineClosed
 	}
-	d.attached++
 	d.live++
 	observer := d.observer
 	d.mu.Unlock()
@@ -264,9 +243,7 @@ func (d *DistributedMap[I, O]) watch(name string, sd pullstream.Duplex[O, I], re
 			d.live--
 			d.mu.Unlock()
 		})
-		if ctrl != nil {
-			d.s.Detach(ctrl)
-		}
+		d.s.Detach(ctrl)
 		if observer != nil {
 			if pullstream.IsNormalEnd(end) {
 				end = nil
@@ -274,14 +251,6 @@ func (d *DistributedMap[I, O]) watch(name string, sd pullstream.Duplex[O, I], re
 			observer(Event{Kind: "detach", Processor: name, Err: end})
 		}
 	}))
-}
-
-// Attached returns how many processors have been attached over the
-// engine's lifetime.
-func (d *DistributedMap[I, O]) Attached() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.attached
 }
 
 // Live returns how many attached processors are currently serving —

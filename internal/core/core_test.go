@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"pando/internal/pullstream"
+	"pando/internal/sched"
 )
 
 // processorDuplex builds an in-process processor endpoint applying f,
@@ -58,7 +59,7 @@ func processorDuplex[I, O any](f func(I) O, crashAfter int) pullstream.Duplex[I,
 }
 
 func TestDistributedMapBasic(t *testing.T) {
-	d := New[int, int](WithBatch(2))
+	d := New[int, int](WithFlow(sched.Static(2)))
 	out := d.Bind(pullstream.Count(30))
 	if err := d.Attach("p1", processorDuplex(func(v int) int { return v * 3 }, -1)); err != nil {
 		t.Fatal(err)
@@ -78,7 +79,7 @@ func TestDistributedMapBasic(t *testing.T) {
 }
 
 func TestDistributedMapMultipleProcessorsOrdered(t *testing.T) {
-	d := New[int, int](WithBatch(2))
+	d := New[int, int](WithFlow(sched.Static(2)))
 	out := d.Bind(pullstream.Count(100))
 	for i := 0; i < 3; i++ {
 		if err := d.Attach("p", processorDuplex(func(v int) int { return v }, -1)); err != nil {
@@ -94,13 +95,10 @@ func TestDistributedMapMultipleProcessorsOrdered(t *testing.T) {
 			t.Fatalf("got[%d] = %d (order)", i, v)
 		}
 	}
-	if d.Attached() != 3 {
-		t.Fatalf("attached = %d", d.Attached())
-	}
 }
 
 func TestDistributedMapCrashRecovery(t *testing.T) {
-	d := New[int, int](WithBatch(2))
+	d := New[int, int](WithFlow(sched.Static(2)))
 	out := d.Bind(pullstream.Count(40))
 	if err := d.Attach("crashy", processorDuplex(func(v int) int { return v }, 4)); err != nil {
 		t.Fatal(err)
@@ -120,7 +118,7 @@ func TestDistributedMapCrashRecovery(t *testing.T) {
 func TestDistributedMapObserverEvents(t *testing.T) {
 	var mu sync.Mutex
 	events := map[string]int{}
-	d := New[int, int](WithBatch(2), WithObserver(func(ev Event) {
+	d := New[int, int](WithFlow(sched.Static(2)), WithObserver(func(ev Event) {
 		mu.Lock()
 		events[ev.Kind]++
 		mu.Unlock()
@@ -157,7 +155,7 @@ func TestDistributedMapObserverDetachErr(t *testing.T) {
 	var mu sync.Mutex
 	detaches := map[string]error{}
 	crashed := make(chan struct{})
-	d := New[int, int](WithBatch(1), WithObserver(func(ev Event) {
+	d := New[int, int](WithFlow(sched.Static(1)), WithObserver(func(ev Event) {
 		if ev.Kind == "detach" {
 			mu.Lock()
 			detaches[ev.Processor] = ev.Err
@@ -194,7 +192,7 @@ func TestDistributedMapAttachAfterClose(t *testing.T) {
 }
 
 func TestDistributedMapUnordered(t *testing.T) {
-	d := New[int, int](WithUnordered(), WithBatch(2))
+	d := New[int, int](WithUnordered(), WithFlow(sched.Static(2)))
 	out := d.Bind(pullstream.Count(25))
 	for i := 0; i < 2; i++ {
 		if err := d.Attach("p", processorDuplex(func(v int) int { return v }, -1)); err != nil {

@@ -129,7 +129,7 @@ func TestSpeculationRescuesStalledWorker(t *testing.T) {
 // TestDefaultFlowMatchesStaticBatch: with no flow options the engine
 // behaves exactly like the original static Limiter bound.
 func TestDefaultFlowMatchesStaticBatch(t *testing.T) {
-	d := New[int, int](WithBatch(3))
+	d := New[int, int](WithFlow(sched.Static(3)))
 	defer d.Close()
 	out := d.Bind(pullstream.Count(50))
 	done := make(chan struct{})

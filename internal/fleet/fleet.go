@@ -43,8 +43,6 @@ var (
 	// ErrNoJob reports a volunteer refused because no registered job
 	// matches the functions it can serve.
 	ErrNoJob = errors.New("fleet: no registered job serves the volunteer's functions")
-	// ErrNoCommonFormat mirrors the proto-level negotiation refusal.
-	ErrNoCommonFormat = proto.ErrNoCommonFormat
 	// ErrQuarantined reports a volunteer refused because its accounting
 	// name was quarantined (verification caught it returning wrong
 	// results); rejoining under the same name is pointless.
@@ -179,13 +177,6 @@ func (p *Pool) Unregister(j Job) {
 	for _, s := range held {
 		p.moveWorker(s, j)
 	}
-}
-
-// Jobs snapshots the registered jobs in registration order.
-func (p *Pool) Jobs() []Job {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]Job(nil), p.jobs...)
 }
 
 // Workers snapshots the live worker set.

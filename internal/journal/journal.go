@@ -47,11 +47,11 @@ import (
 	"time"
 )
 
-// DefaultSyncInterval is the default fsync batching interval. The journal
-// bench (internal/bench, RunJournalComparison) picked it: batching at
-// 100ms keeps the journal's end-to-end overhead on the collatz profile
-// well under the 15% budget while bounding the crash-loss window to the
-// last tenth of a second of results.
+// DefaultSyncInterval is the default fsync batching interval. Measured
+// when the journal was introduced (CHANGES.md), batching at 100ms keeps
+// the journal's end-to-end overhead on the collatz profile well under a
+// 15% budget while bounding the crash-loss window to the last tenth of a
+// second of results.
 const DefaultSyncInterval = 100 * time.Millisecond
 
 // DefaultSnapshotEvery is how many appended records trigger an automatic
@@ -66,7 +66,7 @@ type Options struct {
 	// SyncInterval batches fsyncs: appended records become durable at
 	// most this long after Record returns. Zero selects
 	// DefaultSyncInterval; negative syncs after every record (safest,
-	// slowest — the bench quantifies the gap).
+	// slowest).
 	SyncInterval time.Duration
 	// SnapshotEvery compacts the log into a fresh snapshot after this
 	// many appended records. Zero selects DefaultSnapshotEvery; negative
@@ -88,6 +88,15 @@ func (o Options) snapshotEvery() int {
 	return o.SnapshotEvery
 }
 
+// logFile is what the journal needs of its log file (an *os.File); a test
+// substitutes one whose Sync fails.
+type logFile interface {
+	io.WriteSeeker
+	Sync() error
+	Truncate(size int64) error
+	Close() error
+}
+
 // Journal is a durable record of completed stream indices and their
 // results. It is safe for concurrent use.
 //
@@ -102,13 +111,18 @@ type Journal struct {
 	opt  Options
 
 	mu        sync.Mutex
-	f         *os.File
+	f         logFile
 	w         *bufio.Writer
 	known     map[int]struct{} // every completed index (snapshot + log + this run)
 	recovered int              // entries recovered at Open (before any Record)
 	appended  int              // records appended since the last snapshot
 	dirty     bool             // un-synced bytes may sit in w or the page cache
 	closed    bool
+	// err is the first flush or fsync failure. It is sticky: after a
+	// failed fsync the kernel may have dropped the dirty pages, and a
+	// retried fsync can then succeed while the records are gone, so no
+	// later Record, Sync or Close may report success.
+	err error
 
 	stop chan struct{}
 	done chan struct{}
@@ -217,12 +231,16 @@ func (j *Journal) Record(idx int, payload []byte) error {
 	if j.closed {
 		return ErrClosed
 	}
+	if j.err != nil {
+		return j.err
+	}
 	if _, known := j.known[idx]; known {
 		return nil
 	}
 	rec := appendRecord(nil, idx, payload)
 	if _, err := j.w.Write(rec); err != nil {
-		return fmt.Errorf("journal: append: %w", err)
+		j.err = fmt.Errorf("journal: append: %w", err)
+		return j.err
 	}
 	j.known[idx] = struct{}{}
 	j.appended++
@@ -239,6 +257,8 @@ func (j *Journal) Record(idx int, payload []byte) error {
 }
 
 // Sync flushes buffered records and fsyncs the log: a durability barrier.
+// It returns the journal's first flush or fsync failure, even one the
+// background loop met.
 func (j *Journal) Sync() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -249,14 +269,16 @@ func (j *Journal) Sync() error {
 }
 
 func (j *Journal) syncLocked() error {
-	if !j.dirty {
-		return nil
+	if j.err != nil || !j.dirty {
+		return j.err
 	}
 	if err := j.w.Flush(); err != nil {
-		return fmt.Errorf("journal: flush: %w", err)
+		j.err = fmt.Errorf("journal: flush: %w", err)
+		return j.err
 	}
 	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("journal: fsync: %w", err)
+		j.err = fmt.Errorf("journal: fsync: %w", err)
+		return j.err
 	}
 	j.dirty = false
 	return nil
@@ -396,7 +418,9 @@ func syncDir(dir string) error {
 	return err
 }
 
-// syncLoop fsyncs dirty batches on the configured interval.
+// syncLoop fsyncs dirty batches on the configured interval. A failure
+// has no caller to return to; it sticks, and the next Record, Sync or
+// Close reports it.
 func (j *Journal) syncLoop(iv time.Duration) {
 	defer close(j.done)
 	t := time.NewTicker(iv)
@@ -417,7 +441,8 @@ func (j *Journal) syncLoop(iv time.Duration) {
 	}
 }
 
-// Close flushes, fsyncs and closes the journal. Further operations return
+// Close flushes, fsyncs and closes the journal, returning the first
+// flush or fsync failure if one ever occurred. Further operations return
 // ErrClosed.
 func (j *Journal) Close() error {
 	j.mu.Lock()

@@ -2,10 +2,12 @@ package journal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -370,5 +372,59 @@ func TestCompletedSeesUnsyncedRecords(t *testing.T) {
 	got := entryMap(j.Completed())
 	if got[3] != "buffered" {
 		t.Fatalf("Completed = %v, want buffered record visible", got)
+	}
+}
+
+// flakySync is a log file whose first Sync fails, as fsync does when the
+// disk reports a write-back error. Later Syncs succeed, as a retried fsync
+// on Linux may although the failed batch's pages were dropped.
+type flakySync struct {
+	*os.File
+	fails atomic.Int32
+	calls atomic.Int32
+}
+
+func (f *flakySync) Sync() error {
+	f.calls.Add(1)
+	if f.fails.Add(-1) >= 0 {
+		return errors.New("injected EIO")
+	}
+	return f.File.Sync()
+}
+
+// TestBackgroundSyncFailureIsSticky: an fsync that fails on the
+// background interval has no caller to report to, so it must surface on
+// every later Record, Sync and Close instead of being retried into a
+// false success.
+func TestBackgroundSyncFailureIsSticky(t *testing.T) {
+	j, err := Open(filepath.Join(t.TempDir(), "j.log"), Options{SyncInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &flakySync{File: j.f.(*os.File)}
+	f.fails.Store(1)
+	j.mu.Lock()
+	j.f = f
+	j.w.Reset(f)
+	j.mu.Unlock()
+
+	if err := j.Record(1, []byte("lost")); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for f.calls.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the background loop never synced")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := j.Sync(); err == nil {
+		t.Fatal("Sync succeeded after the background fsync failed")
+	}
+	if err := j.Record(2, []byte("late")); err == nil {
+		t.Fatal("Record succeeded after the background fsync failed")
+	}
+	if err := j.Close(); err == nil {
+		t.Fatal("Close succeeded after the background fsync failed")
 	}
 }

@@ -295,14 +295,6 @@ func (s *Segment) Record(idx int, payload []byte) error {
 	return nil
 }
 
-// Has reports whether idx is recorded in this segment.
-func (s *Segment) Has(idx int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, known := s.known[idx]
-	return known
-}
-
 // Len reports how many distinct indices the segment holds.
 func (s *Segment) Len() int {
 	s.mu.Lock()

@@ -81,14 +81,6 @@ func (s *SpillStore) Put(idx int, payload []byte) error {
 	return nil
 }
 
-// Has reports whether idx is currently spilled.
-func (s *SpillStore) Has(idx int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, held := s.refs[idx]
-	return held
-}
-
 // Load reads one spilled payload back, CRC-verified. The returned slice
 // is the caller's to keep. The record stays in the store until Forget.
 func (s *SpillStore) Load(idx int) ([]byte, error) {

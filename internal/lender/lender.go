@@ -33,10 +33,6 @@ import (
 	"pando/internal/pullstream"
 )
 
-// ErrLenderAborted is the end signal delivered to sub-streams when the
-// downstream consumer of the lender's output aborts the whole pipeline.
-var ErrLenderAborted = errors.New("lender: aborted by downstream")
-
 // lent is a value borrowed from the input together with its stream index
 // and, while a sub-stream holds it, when it was handed over.
 type lent[I any] struct {

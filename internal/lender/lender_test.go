@@ -310,7 +310,7 @@ func TestUnorderedMode(t *testing.T) {
 
 func TestEmptyInput(t *testing.T) {
 	l := New[int, int]()
-	out := l.Bind(pullstream.Empty[int]())
+	out := l.Bind(pullstream.Values[int]())
 	outc, errc := collectAsync(out)
 	runWorker(t, l, func(v int) int { return v }, 0, -1)
 	got := <-outc
@@ -325,7 +325,18 @@ func TestEmptyInput(t *testing.T) {
 func TestInputErrorPropagates(t *testing.T) {
 	boom := errors.New("input boom")
 	l := New[int, int]()
-	out := l.Bind(pullstream.Concat(pullstream.Count(3), pullstream.Error[int](boom)))
+	i := 0
+	out := l.Bind(func(abort error, cb pullstream.Callback[int]) {
+		switch {
+		case abort != nil:
+			cb(abort, 0)
+		case i == 3:
+			cb(boom, 0)
+		default:
+			i++
+			cb(nil, i)
+		}
+	})
 	outc, errc := collectAsync(out)
 	runWorker(t, l, func(v int) int { return v * 10 }, 0, -1)
 	got := <-outc
@@ -339,12 +350,28 @@ func TestInputErrorPropagates(t *testing.T) {
 	}
 }
 
+// take collects n values from src and then aborts it.
+func take[T any](src pullstream.Source[T], n int) ([]T, error) {
+	var got []T
+	err := pullstream.Drain(src, func(v T) error {
+		got = append(got, v)
+		if len(got) == n {
+			return pullstream.ErrAborted
+		}
+		return nil
+	})
+	if errors.Is(err, pullstream.ErrAborted) {
+		err = nil
+	}
+	return got, err
+}
+
 func TestDownstreamAbortReleasesWorkers(t *testing.T) {
 	l := New[int, int]()
 	out := l.Bind(pullstream.Count(1000))
 	runWorker(t, l, func(v int) int { return v }, 100*time.Microsecond, -1)
 
-	got, err := pullstream.Collect(pullstream.Take[int](5)(out))
+	got, err := take(out, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,7 +104,7 @@ func TestInputReaderExits(t *testing.T) {
 		l := New[int, int]()
 		out := l.Bind(in.source)
 		runWorker(t, l, func(v int) int { return v }, 50*time.Microsecond, -1)
-		if got, err := pullstream.Collect(pullstream.Take[int](5)(out)); err != nil || len(got) != 5 {
+		if got, err := take(out, 5); err != nil || len(got) != 5 {
 			t.Fatalf("%v, %v", got, err)
 		}
 		awaitNoReader(t, base, "a downstream abort")

@@ -46,7 +46,7 @@ func TestMasterJournalsResults(t *testing.T) {
 			t.Fatalf("entry %d = %d, want %d", e.Idx, v, want)
 		}
 	}
-	if err := m.JournalErr(); err != nil {
+	if err := m.journalErr(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -161,7 +161,7 @@ func TestMasterGroupedJournalRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := m.JournalErr(); err != nil {
+		if err := m.journalErr(); err != nil {
 			t.Fatal(err)
 		}
 		return got

@@ -52,10 +52,9 @@ type Config struct {
 	// Formats restricts the wire formats this master will negotiate, best
 	// first. Empty allows everything this build supports ('/pando/2.2.0'
 	// preferred, then binary '/pando/2.1.0', JSON '/pando/1.0.0' as the
-	// fallback). When
-	// non-empty, volunteers that speak none of the listed formats are
-	// refused with ErrNoCommonFormat — so a list excluding '/pando/1.0.0'
-	// turns off the v1 fallback entirely.
+	// fallback). When non-empty, volunteers that speak none of the listed
+	// formats are refused with proto.ErrNoCommonFormat — so a list
+	// excluding '/pando/1.0.0' turns off the v1 fallback entirely.
 	Formats []string
 	// Journal, when non-nil, makes the deployment's progress durable:
 	// every result the lender accepts is recorded (index + encoded
@@ -545,7 +544,7 @@ func restoreSet[R any](cfg Config, out transport.Codec[R]) map[int]R {
 }
 
 // recorder journals one accepted result and hands its encoding to the
-// ResultHook. Write failures are remembered (JournalErr) but do not
+// ResultHook. Write failures are remembered (journalErr) but do not
 // interrupt the stream: a deployment with a full disk keeps computing, it
 // just stops gaining durability.
 func recorder[R any](cfg Config, out transport.Codec[R], noteErr func(error)) func(int, R) {
@@ -575,9 +574,9 @@ func (m *Master[I, O]) noteJournalErr(err error) {
 	m.mu.Unlock()
 }
 
-// JournalErr reports the first journal write failure, if any — results
+// journalErr reports the first journal write failure, if any — results
 // keep flowing when journaling breaks, so operators must ask.
-func (m *Master[I, O]) JournalErr() error {
+func (m *Master[I, O]) journalErr() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.jerr
@@ -858,8 +857,3 @@ func (m *Master[I, O]) isClosed() bool {
 // ErrClosed reports operations on a closed master (it is the pool-layer
 // sentinel, so refusals compare equal wherever they surface).
 var ErrClosed = fleet.ErrClosed
-
-// ErrNoCommonFormat reports a volunteer refused because it speaks none of
-// the wire formats Config.Formats allows. It matches relay refusals too,
-// which share the proto-level sentinel.
-var ErrNoCommonFormat = proto.ErrNoCommonFormat

@@ -16,7 +16,7 @@ import (
 // TestReattachDoesNotInheritStaleFlowState is the rejoin-severing
 // regression test: a worker whose link stalls (no error, no heartbeat —
 // the partial-synchrony worst case) reconnects under the same name via
-// ReconnectWS. The reattached worker must not inherit the departed
+// ServeWithReconnect. The reattached worker must not inherit the departed
 // controller's stale EWMA round-trip and credit window: the rejoin hello
 // (incarnation > 0, same instance token) makes the pool sever the
 // half-open session immediately, so its controller detaches, its
@@ -55,7 +55,7 @@ func TestReattachDoesNotInheritStaleFlowState(t *testing.T) {
 		return conn, nil
 	}
 	// The volunteer's own heartbeats detect the stall quickly and
-	// ReconnectWS rejoins — same Volunteer instance, same name.
+	// ServeWithReconnect rejoins — same Volunteer instance, same name.
 	// The per-item delay keeps the reattached worker busy for a few
 	// hundred milliseconds, so the poll below observes the stream while it
 	// is still running however fast the data plane gets.
@@ -67,9 +67,15 @@ func TestReattachDoesNotInheritStaleFlowState(t *testing.T) {
 		Channel:    transport.Config{HeartbeatInterval: 10 * time.Millisecond},
 	}
 	go func() {
-		_ = worker.ReconnectWS(nil, v, worker.ReconnectConfig{
+		_ = worker.ServeWithReconnect(nil, v, worker.ReconnectConfig{
 			InitialBackoff: 10 * time.Millisecond,
-		}, dial, "master-reattach")
+		}, func() error {
+			conn, err := dial("master-reattach")
+			if err != nil {
+				return err
+			}
+			return v.JoinWS(conn)
+		})
 	}()
 
 	out := m.Bind(pullstream.Count(n))

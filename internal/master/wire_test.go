@@ -142,8 +142,8 @@ func TestAdmitV2OnlyMasterRefusesV1Worker(t *testing.T) {
 	if err := v.JoinWS(p.B); err == nil {
 		t.Fatal("v1-only volunteer joined a v2-only master")
 	}
-	if err := <-errc; !errors.Is(err, ErrNoCommonFormat) {
-		t.Fatalf("Admit error = %v, want ErrNoCommonFormat", err)
+	if err := <-errc; !errors.Is(err, proto.ErrNoCommonFormat) {
+		t.Fatalf("Admit error = %v, want proto.ErrNoCommonFormat", err)
 	}
 }
 
@@ -165,8 +165,8 @@ func TestAdmitV1OnlyMasterRefusesV2OnlyWorker(t *testing.T) {
 	if err := v.JoinWS(p.B); err == nil {
 		t.Fatal("v2-only volunteer joined a v1-only master")
 	}
-	if err := <-errc; !errors.Is(err, ErrNoCommonFormat) {
-		t.Fatalf("Admit error = %v, want ErrNoCommonFormat", err)
+	if err := <-errc; !errors.Is(err, proto.ErrNoCommonFormat) {
+		t.Fatalf("Admit error = %v, want proto.ErrNoCommonFormat", err)
 	}
 }
 

@@ -58,10 +58,6 @@ var (
 	Loopback = Link{}
 )
 
-// ErrLinkCut is reported (wrapped in net.OpError-style read errors) when a
-// pipe is severed with Cut.
-var ErrLinkCut = errors.New("netsim: link cut")
-
 // FaultFunc inspects one chunk about to enter the link. It returns the
 // (possibly modified) bytes to deliver, or ok=false to drop the chunk
 // entirely. Dropping or corrupting bytes of a reliable stream garbles

@@ -158,13 +158,6 @@ type BatchItem struct {
 	E string `json:"e,omitempty"`
 }
 
-// EncodeBatch serializes grouped payloads for a frame's Data field in the
-// v1 (JSON array) encoding. Negotiated channels should call the selected
-// WireFormat's EncodeBatch instead.
-func EncodeBatch(items []BatchItem) ([]byte, error) {
-	return V1.EncodeBatch(items)
-}
-
 // DecodeBatch parses a grouped frame's Data field, accepting both the v1
 // JSON array and the v2 binary batch encoding (a binary batch starts with
 // a magic byte no JSON value can start with).

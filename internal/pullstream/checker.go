@@ -47,13 +47,6 @@ func (c *Checker[T]) Requests() int {
 	return c.requests
 }
 
-// Answers returns how many answers passed through the checker.
-func (c *Checker[T]) Answers() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.answers
-}
-
 func (c *Checker[T]) record(kind, format string, args ...any) {
 	c.violations = append(c.violations, Violation{
 		Kind:   kind,

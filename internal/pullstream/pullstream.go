@@ -31,10 +31,6 @@ var ErrDone = errors.New("pullstream: done")
 // request before producing all of their values.
 var ErrAborted = errors.New("pullstream: aborted")
 
-// IsEnd reports whether an answer's end signal terminates the stream,
-// normally or otherwise.
-func IsEnd(end error) bool { return end != nil }
-
 // IsNormalEnd reports whether end is a normal termination (done or
 // aborted) rather than a failure.
 func IsNormalEnd(end error) bool {
@@ -134,47 +130,6 @@ func Values[T any](vs ...T) Source[T] {
 	}
 }
 
-// Empty returns a source that is immediately done.
-func Empty[T any]() Source[T] {
-	return func(abort error, cb Callback[T]) {
-		var zero T
-		if abort != nil {
-			cb(abort, zero)
-			return
-		}
-		cb(ErrDone, zero)
-	}
-}
-
-// Error returns a source that immediately fails with err.
-func Error[T any](err error) Source[T] {
-	return func(abort error, cb Callback[T]) {
-		var zero T
-		if abort != nil {
-			cb(abort, zero)
-			return
-		}
-		cb(err, zero)
-	}
-}
-
-// Infinite returns an unbounded source whose i-th answer (0-based) is
-// gen(i). It demonstrates the programming model's support for infinite
-// streams (paper §2.3).
-func Infinite[T any](gen func(i int) T) Source[T] {
-	i := 0
-	return func(abort error, cb Callback[T]) {
-		if abort != nil {
-			var zero T
-			cb(abort, zero)
-			return
-		}
-		v := gen(i)
-		i++
-		cb(nil, v)
-	}
-}
-
 // Drain consumes src, invoking each for every value, until the source is
 // done. If each returns a non-nil error the source is aborted with that
 // error and the error is returned. A nil each discards the values.
@@ -211,32 +166,6 @@ func Collect[T any](src Source[T]) ([]T, error) {
 	return out, err
 }
 
-// Reduce folds src into a single value starting from init.
-func Reduce[T, A any](src Source[T], init A, fn func(A, T) A) (A, error) {
-	acc := init
-	err := Drain(src, func(v T) error {
-		acc = fn(acc, v)
-		return nil
-	})
-	return acc, err
-}
-
-// First returns the first value of src, then aborts it.
-func First[T any](src Source[T]) (T, error) {
-	p := NewPuller(src)
-	v, end := p.Pull(nil)
-	if end != nil {
-		var zero T
-		if errors.Is(end, ErrDone) {
-			return zero, ErrDone
-		}
-		return zero, end
-	}
-	// Release the source.
-	_, _ = p.Pull(ErrAborted)
-	return v, nil
-}
-
 // Map transforms each value of the source with fn.
 func Map[I, O any](fn func(I) O) Through[I, O] {
 	return func(src Source[I]) Source[O] {
@@ -248,63 +177,6 @@ func Map[I, O any](fn func(I) O) Through[I, O] {
 					return
 				}
 				cb(nil, fn(v))
-			})
-		}
-	}
-}
-
-// MapErr transforms each value with fn; a non-nil error fails the stream.
-func MapErr[I, O any](fn func(I) (O, error)) Through[I, O] {
-	return func(src Source[I]) Source[O] {
-		failed := false
-		return func(abort error, cb Callback[O]) {
-			var zero O
-			if failed {
-				cb(ErrDone, zero)
-				return
-			}
-			src(abort, func(end error, v I) {
-				if end != nil {
-					cb(end, zero)
-					return
-				}
-				o, err := fn(v)
-				if err != nil {
-					failed = true
-					cb(err, zero)
-					return
-				}
-				cb(nil, o)
-			})
-		}
-	}
-}
-
-// AsyncFunc is the worker-side processing function signature of Pando's
-// programming interface (paper Figure 2): it receives one input and
-// answers exactly once through the callback, either with an error or with
-// a result.
-type AsyncFunc[I, O any] func(v I, cb func(err error, result O))
-
-// AsyncMap applies an asynchronous function to each value, one value at a
-// time, preserving order. It is the port of the async-map module that
-// Pando Workers use to apply f (paper Figure 7).
-func AsyncMap[I, O any](fn AsyncFunc[I, O]) Through[I, O] {
-	return func(src Source[I]) Source[O] {
-		return func(abort error, cb Callback[O]) {
-			src(abort, func(end error, v I) {
-				var zero O
-				if end != nil {
-					cb(end, zero)
-					return
-				}
-				fn(v, func(err error, result O) {
-					if err != nil {
-						cb(err, zero)
-						return
-					}
-					cb(nil, result)
-				})
 			})
 		}
 	}
@@ -331,72 +203,6 @@ func Filter[T any](pred func(T) bool) Through[T, T] {
 	}
 }
 
-// Take passes through the first n values and then aborts upstream.
-func Take[T any](n int) Through[T, T] {
-	return func(src Source[T]) Source[T] {
-		seen := 0
-		ended := false
-		return func(abort error, cb Callback[T]) {
-			var zero T
-			if abort != nil {
-				src(abort, func(end error, v T) { cb(end, v) })
-				return
-			}
-			if ended {
-				cb(ErrDone, zero)
-				return
-			}
-			if seen >= n {
-				ended = true
-				src(ErrAborted, func(error, T) {})
-				cb(ErrDone, zero)
-				return
-			}
-			src(nil, func(end error, v T) {
-				if end != nil {
-					ended = true
-					cb(end, zero)
-					return
-				}
-				seen++
-				cb(nil, v)
-			})
-		}
-	}
-}
-
-// TakeWhile passes through values while pred holds, then aborts upstream.
-func TakeWhile[T any](pred func(T) bool) Through[T, T] {
-	return func(src Source[T]) Source[T] {
-		ended := false
-		return func(abort error, cb Callback[T]) {
-			var zero T
-			if abort != nil {
-				src(abort, func(end error, v T) { cb(end, v) })
-				return
-			}
-			if ended {
-				cb(ErrDone, zero)
-				return
-			}
-			src(nil, func(end error, v T) {
-				if end != nil {
-					ended = true
-					cb(end, zero)
-					return
-				}
-				if !pred(v) {
-					ended = true
-					src(ErrAborted, func(error, T) {})
-					cb(ErrDone, zero)
-					return
-				}
-				cb(nil, v)
-			})
-		}
-	}
-}
-
 // Tap invokes each on every answer of src — values and the end signal
 // alike — before passing it on unchanged. Requests on a source are
 // strictly serial, so the wrapper keeps the one pending callback in place
@@ -410,33 +216,6 @@ func Tap[T any](src Source[T], each func(end error, v T)) Source[T] {
 	return func(abort error, cb Callback[T]) {
 		asked = cb
 		src(abort, answer)
-	}
-}
-
-// Tee invokes observe on every value without altering the stream.
-func Tee[T any](observe func(T)) Through[T, T] {
-	return Map(func(v T) T {
-		observe(v)
-		return v
-	})
-}
-
-// Chain composes two throughs left-to-right.
-func Chain[A, B, C any](f Through[A, B], g Through[B, C]) Through[A, C] {
-	return func(src Source[A]) Source[C] { return g(f(src)) }
-}
-
-// Pipe connects a source to a sink, mirroring pull(source, sink).
-func Pipe[T any](src Source[T], sink Sink[T]) { sink(src) }
-
-// DrainSink returns a sink that drains its source with each, reporting the
-// terminal state through done (which may be nil).
-func DrainSink[T any](each func(T) error, done func(error)) Sink[T] {
-	return func(src Source[T]) {
-		err := Drain(src, each)
-		if done != nil {
-			done(err)
-		}
 	}
 }
 
@@ -502,40 +281,4 @@ func ToChan[T any](src Source[T]) (<-chan T, <-chan error) {
 		close(errc)
 	}()
 	return out, errc
-}
-
-// Concat concatenates several sources into one.
-func Concat[T any](srcs ...Source[T]) Source[T] {
-	idx := 0
-	return func(abort error, cb Callback[T]) {
-		var zero T
-		if abort != nil {
-			if idx < len(srcs) {
-				srcs[idx](abort, func(end error, v T) { cb(end, v) })
-				return
-			}
-			cb(abort, zero)
-			return
-		}
-		var pull func()
-		pull = func() {
-			if idx >= len(srcs) {
-				cb(ErrDone, zero)
-				return
-			}
-			srcs[idx](nil, func(end error, v T) {
-				if errors.Is(end, ErrDone) {
-					idx++
-					pull()
-					return
-				}
-				if end != nil {
-					cb(end, zero)
-					return
-				}
-				cb(nil, v)
-			})
-		}
-		pull()
-	}
 }

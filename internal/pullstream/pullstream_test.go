@@ -2,7 +2,6 @@ package pullstream
 
 import (
 	"errors"
-	"fmt"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -13,14 +12,13 @@ import (
 // lazily counts from 1 to n connected to a sink that consumes all values.
 func TestPullStreamFigure5(t *testing.T) {
 	var got []int
-	Pipe(Count(10), DrainSink(func(v int) error {
+	err := Drain(Count(10), func(v int) error {
 		got = append(got, v)
 		return nil
-	}, func(err error) {
-		if err != nil {
-			t.Fatalf("sink finished with error: %v", err)
-		}
-	}))
+	})
+	if err != nil {
+		t.Fatalf("sink finished with error: %v", err)
+	}
 	if len(got) != 10 {
 		t.Fatalf("got %d values, want 10", len(got))
 	}
@@ -59,7 +57,7 @@ func TestValuesAndCollect(t *testing.T) {
 }
 
 func TestEmpty(t *testing.T) {
-	got, err := Collect(Empty[int]())
+	got, err := Collect(Values[int]())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,26 +68,53 @@ func TestEmpty(t *testing.T) {
 
 func TestErrorSource(t *testing.T) {
 	boom := errors.New("boom")
-	_, err := Collect(Error[int](boom))
+	_, err := Collect(failAfter(0, boom))
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 }
 
-func TestInfiniteWithTake(t *testing.T) {
-	src := Take[int](5)(Infinite(func(i int) int { return i * i }))
-	got, err := Collect(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{0, 1, 4, 9, 16}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
+// failAfter returns a source that counts from 1 to n and then fails
+// with err.
+func failAfter(n int, err error) Source[int] {
+	i := 0
+	return func(abort error, cb Callback[int]) {
+		switch {
+		case abort != nil:
+			cb(abort, 0)
+		case i >= n:
+			cb(err, 0)
+		default:
+			i++
+			cb(nil, i)
 		}
 	}
 }
 
+// take pulls at most n values from src and then aborts it, the way a
+// consumer that needs only a prefix of a stream releases the rest.
+func take[T any](src Source[T], n int) ([]T, error) {
+	p := NewPuller(src)
+	var got []T
+	for len(got) < n {
+		v, end := p.Pull(nil)
+		if end != nil {
+			if IsNormalEnd(end) {
+				return got, nil
+			}
+			return got, end
+		}
+		got = append(got, v)
+	}
+	_, end := p.Pull(ErrAborted)
+	if !IsNormalEnd(end) {
+		return got, end
+	}
+	return got, nil
+}
+
+// TestTakeAbortsUpstream: taking two values through a Through and then
+// aborting must carry the abort up to the source.
 func TestTakeAbortsUpstream(t *testing.T) {
 	aborted := false
 	upstream := func(abort error, cb Callback[int]) {
@@ -100,11 +125,15 @@ func TestTakeAbortsUpstream(t *testing.T) {
 		}
 		cb(nil, 7)
 	}
-	if _, err := Collect(Take[int](2)(upstream)); err != nil {
+	got, err := take(Map(func(v int) int { return v + 1 })(upstream), 2)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if len(got) != 2 || got[1] != 8 {
+		t.Fatalf("got %v, want [8 8]", got)
+	}
 	if !aborted {
-		t.Fatal("Take did not abort its upstream after n values")
+		t.Fatal("the abort did not reach the upstream source")
 	}
 }
 
@@ -115,58 +144,6 @@ func TestMap(t *testing.T) {
 	}
 	if len(got) != 3 || got[0] != "1" || got[2] != "3" {
 		t.Fatalf("got %v", got)
-	}
-}
-
-func TestMapErrFailsStream(t *testing.T) {
-	boom := errors.New("boom")
-	th := MapErr(func(v int) (int, error) {
-		if v == 2 {
-			return 0, boom
-		}
-		return v * 10, nil
-	})
-	got, err := Collect(th(Count(5)))
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if len(got) != 1 || got[0] != 10 {
-		t.Fatalf("got %v, want [10]", got)
-	}
-}
-
-func TestAsyncMapOrdering(t *testing.T) {
-	// AsyncMap must answer one value at a time in order even when the
-	// function answers from another goroutine.
-	th := AsyncMap(func(v int, cb func(error, int)) {
-		go cb(nil, v*2)
-	})
-	got, err := Collect(th(Count(100)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		if v != (i+1)*2 {
-			t.Fatalf("got[%d] = %d, want %d", i, v, (i+1)*2)
-		}
-	}
-}
-
-func TestAsyncMapError(t *testing.T) {
-	boom := errors.New("boom")
-	th := AsyncMap(func(v int, cb func(error, int)) {
-		if v == 3 {
-			cb(boom, 0)
-			return
-		}
-		cb(nil, v)
-	})
-	got, err := Collect(th(Count(5)))
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("got %v, want two values before failure", got)
 	}
 }
 
@@ -181,62 +158,27 @@ func TestFilter(t *testing.T) {
 	}
 }
 
-func TestTakeWhile(t *testing.T) {
-	th := TakeWhile(func(v int) bool { return v < 4 })
-	got, err := Collect(th(Count(10)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("got %v, want [1 2 3]", got)
-	}
-}
-
-func TestReduce(t *testing.T) {
-	sum, err := Reduce(Count(100), 0, func(a, v int) int { return a + v })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum != 5050 {
-		t.Fatalf("sum = %d, want 5050", sum)
-	}
-}
-
-func TestFirst(t *testing.T) {
-	v, err := First(Count(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 1 {
-		t.Fatalf("v = %d, want 1", v)
-	}
-	if _, err := First(Empty[int]()); !errors.Is(err, ErrDone) {
-		t.Fatalf("err = %v, want ErrDone", err)
-	}
-}
-
-func TestChain(t *testing.T) {
-	th := Chain(
-		Filter(func(v int) bool { return v%2 == 1 }),
-		Map(func(v int) string { return fmt.Sprintf("v%d", v) }),
-	)
-	got, err := Collect(th(Count(6)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[0] != "v1" || got[2] != "v5" {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestTee(t *testing.T) {
+// TestTap: the observer sees every answer, the end signal included, and
+// the stream passes through unchanged.
+func TestTap(t *testing.T) {
 	var seen int32
-	th := Tee(func(int) { atomic.AddInt32(&seen, 1) })
-	if _, err := Collect(th(Count(7))); err != nil {
+	var ended error
+	src := Tap(Count(7), func(end error, _ int) {
+		if end != nil {
+			ended = end
+			return
+		}
+		atomic.AddInt32(&seen, 1)
+	})
+	got, err := Collect(src)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if seen != 7 {
-		t.Fatalf("seen = %d, want 7", seen)
+	if len(got) != 7 || seen != 7 {
+		t.Fatalf("got %v, seen = %d, want 7 values seen", got, seen)
+	}
+	if !errors.Is(ended, ErrDone) {
+		t.Fatalf("observed end = %v, want ErrDone", ended)
 	}
 }
 
@@ -267,33 +209,6 @@ func TestFromChanError(t *testing.T) {
 	_, err := Collect(FromChan(in, errs))
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
-	}
-}
-
-func TestConcat(t *testing.T) {
-	got, err := Collect(Concat(Count(2), Values(10, 11), Empty[int]()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{1, 2, 10, 11}
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-}
-
-func TestConcatPropagatesError(t *testing.T) {
-	boom := errors.New("boom")
-	got, err := Collect(Concat(Count(2), Error[int](boom), Count(5)))
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("got %v", got)
 	}
 }
 
@@ -407,10 +322,10 @@ func TestQuickMapHomomorphism(t *testing.T) {
 	}
 }
 
-// QuickCheck property: Take(n) yields min(n, len) values.
+// QuickCheck property: taking n values yields min(n, len) values.
 func TestQuickTakeLength(t *testing.T) {
 	f := func(vs []int, n uint8) bool {
-		got, err := Collect(Take[int](int(n))(Values(vs...)))
+		got, err := take(Values(vs...), int(n))
 		if err != nil {
 			return false
 		}

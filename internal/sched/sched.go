@@ -45,9 +45,8 @@
 // measured from the wrong, ever-older send: the inflated EWMA reads as
 // permanent congestion and collapses the window to its minimum. The
 // scheduler drops on detach (Detach and Close clear all pending
-// dispatches); embedders driving a Controller directly (AttachVia-style
-// custom gates, relay fan-out) call Drop themselves when they discard an
-// in-flight value. The dispatch queue is a ring buffer: popping the head
+// dispatches); an embedder driving a Controller through its own gate
+// calls Drop itself when it discards an in-flight value. The dispatch queue is a ring buffer: popping the head
 // does not pin the backing array, so a long-lived worker's queue stays
 // proportional to its window, not its history.
 package sched

@@ -355,7 +355,7 @@ func TestGatePropagatesWorkerFailure(t *testing.T) {
 
 func TestGateEmptyUpstream(t *testing.T) {
 	d, _ := echoDuplex(0)
-	got, err := pullstream.Collect(static(d, 4)(pullstream.Empty[int]()))
+	got, err := pullstream.Collect(static(d, 4)(pullstream.Values[int]()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,10 +364,26 @@ func TestGateEmptyUpstream(t *testing.T) {
 	}
 }
 
+// take collects n values from src and then aborts it.
+func take[T any](src pullstream.Source[T], n int) ([]T, error) {
+	var got []T
+	err := pullstream.Drain(src, func(v T) error {
+		got = append(got, v)
+		if len(got) == n {
+			return pullstream.ErrAborted
+		}
+		return nil
+	})
+	if errors.Is(err, pullstream.ErrAborted) {
+		err = nil
+	}
+	return got, err
+}
+
 func TestGateAbortClosesGate(t *testing.T) {
 	d, _ := echoDuplex(0)
 	out := static(d, 2)(pullstream.Count(1000))
-	got, err := pullstream.Collect(pullstream.Take[int](3)(out))
+	got, err := take(out, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,15 +407,16 @@ func TestGateStressConcurrentAbortClose(t *testing.T) {
 			d, meter := echoDuplex(0)
 			c := NewController(p)
 			out := Gate(c, d)(pullstream.Count(200))
-			if i%3 == 0 {
-				// Abort downstream mid-stream.
-				out = pullstream.Take[int](5 + i%7)(out)
-			}
 			if i%5 == 0 {
 				// Race a close against the transfer.
 				go c.Close()
 			}
-			_, _ = pullstream.Collect(out)
+			if i%3 == 0 {
+				// Abort downstream mid-stream.
+				_, _ = take(out, 5+i%7)
+			} else {
+				_, _ = pullstream.Collect(out)
+			}
 			if meter.Peak() > p.Max {
 				t.Errorf("round %d: peak %d exceeds max %d", i, meter.Peak(), p.Max)
 			}

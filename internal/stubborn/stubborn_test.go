@@ -145,7 +145,7 @@ func TestLoopRetryProducesNewInput(t *testing.T) {
 
 func TestLoopEmptyInput(t *testing.T) {
 	th := Loop[int, result](process, func(r result) (Verdict, int) { return Accept, 0 })
-	got, err := pullstream.Collect(th(pullstream.Empty[int]()))
+	got, err := pullstream.Collect(th(pullstream.Values[int]()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,16 +157,39 @@ func TestLoopEmptyInput(t *testing.T) {
 func TestLoopInputErrorPropagates(t *testing.T) {
 	boom := errors.New("boom")
 	th := Loop[int, result](process, func(r result) (Verdict, int) { return Accept, 0 })
-	_, err := pullstream.Collect(th(pullstream.Error[int](boom)))
+	failing := func(abort error, cb pullstream.Callback[int]) {
+		if abort != nil {
+			cb(abort, 0)
+			return
+		}
+		cb(boom, 0)
+	}
+	_, err := pullstream.Collect(th(failing))
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 }
 
+// take collects n values from src and then aborts it.
+func take[T any](src pullstream.Source[T], n int) ([]T, error) {
+	var got []T
+	err := pullstream.Drain(src, func(v T) error {
+		got = append(got, v)
+		if len(got) == n {
+			return pullstream.ErrAborted
+		}
+		return nil
+	})
+	if errors.Is(err, pullstream.ErrAborted) {
+		err = nil
+	}
+	return got, err
+}
+
 func TestLoopAbortPropagates(t *testing.T) {
 	th := Loop[int, result](process, func(r result) (Verdict, int) { return Accept, 0 })
 	out := th(pullstream.Count(1000))
-	got, err := pullstream.Collect(pullstream.Take[result](4)(out))
+	got, err := take(out, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

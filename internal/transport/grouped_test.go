@@ -18,7 +18,7 @@ func TestBatchEncodeDecodeRoundTrip(t *testing.T) {
 		{D: []byte(`"two"`)},
 		{E: "boom"},
 	}
-	data, err := proto.EncodeBatch(items)
+	data, err := proto.V1.EncodeBatch(items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestGroupedMapFewerMessagesThanItems(t *testing.T) {
 				for i, it := range items {
 					results[i] = proto.BatchItem{D: it.D}
 				}
-				data, _ := proto.EncodeBatch(results)
+				data, _ := proto.V1.EncodeBatch(results)
 				workerCh.Send(&proto.Message{Type: proto.TypeResultBatch, Seq: m.Seq, Data: data})
 			case proto.TypeGoodbye:
 				workerCh.Send(&proto.Message{Type: proto.TypeGoodbye})

@@ -8,44 +8,26 @@ import (
 )
 
 // This file centralizes the hello/welcome handshake with wire-format
-// negotiation, spoken on every admission edge of a deployment: master ↔
-// volunteer, pool ↔ volunteer and relay ↔ child. The master, fleet and
-// overlay packages all build on these halves so the protocol cannot
-// drift between them.
+// negotiation, spoken on every admission edge of a deployment: the
+// volunteer side (Hello) and the admitting side of a pool (RecvHello,
+// then SendWelcome), so the protocol cannot drift between them.
 //
 // The hello always travels as a v1 frame (the lingua franca any peer
 // reads) and lists the formats the client speaks plus, for pool-aware
 // volunteers, the processing functions its registry resolves; the
 // welcome — also v1 — names the master's choices and carries the
-// deployment's whole allowed-format list so relays can enforce the same
-// restriction on their own children. Each side switches its outgoing
-// frames only after its half concluded; reception sniffs every frame, so
-// the switches need no ordering.
+// deployment's whole allowed-format list. Each side switches its
+// outgoing frames only after its half concluded; reception sniffs every
+// frame, so the switches need no ordering.
 
-// ClientHandshake performs the volunteer side of the handshake on ch: it
-// advertises formats (SupportedFormats when empty) and the functions the
-// volunteer can serve (nil for a single-purpose or pre-pool volunteer),
-// validates the reply and the wire selection it names, and switches
-// outgoing frames to the negotiated format. It returns the welcome, which
-// carries the deployment parameters (function name, batch, format
-// restriction). On error the channel is closed.
-//
-// A rejoining volunteer passes its incarnation number and instance token
-// through hello (see Hello); this thin wrapper keeps the zero values.
-func ClientHandshake(ch Channel, peer string, formats, functions []string) (*proto.Message, error) {
-	return Hello(ch, &proto.Message{
-		Peer:      peer,
-		Formats:   formats,
-		Functions: functions,
-	})
-}
-
-// Hello sends the hello message (filling in Type, Version and the
-// default format list) and validates the welcome, switching the outgoing
-// wire to the negotiated format. The caller may preset Peer, Formats,
-// Functions, Seq (join incarnation, >0 on rejoins) and Token (the
-// volunteer instance nonce that lets the master sever the departed
-// incarnation's sessions).
+// Hello performs the volunteer side of the handshake on ch: it sends the
+// hello message (filling in Type, Version and the default format list)
+// and validates the welcome, switching the outgoing wire to the
+// negotiated format, and returns the welcome, which carries the
+// deployment parameters. On error the channel is closed. The caller may
+// preset Peer, Formats, Functions, Seq (join incarnation, >0 on rejoins)
+// and Token (the volunteer instance nonce that lets the master sever the
+// departed incarnation's sessions).
 func Hello(ch Channel, hello *proto.Message) (*proto.Message, error) {
 	hello.Type = proto.TypeHello
 	hello.Version = proto.Version
@@ -122,8 +104,8 @@ func RecvHello(ch Channel, allowed []string) (*proto.Message, proto.WireFormat, 
 
 // SendWelcome completes the admitting half: it replies with a welcome
 // naming the routed function, the batch bound and the negotiated wire
-// (carrying the deployment's allowed-format list for relays), then
-// switches outgoing frames. On error the channel is closed.
+// (carrying the deployment's allowed-format list), then switches
+// outgoing frames. On error the channel is closed.
 func SendWelcome(ch Channel, funcName string, batch int, wire proto.WireFormat, allowed []string) error {
 	if err := ch.Send(&proto.Message{
 		Type:    proto.TypeWelcome,
@@ -137,18 +119,4 @@ func SendWelcome(ch Channel, funcName string, batch int, wire proto.WireFormat, 
 	}
 	ch.SetWire(wire)
 	return nil
-}
-
-// AdmitHandshake performs the whole admitting side for a single-job
-// deployment: RecvHello followed immediately by SendWelcome. It returns
-// the hello and the negotiated format.
-func AdmitHandshake(ch Channel, funcName string, batch int, allowed []string) (*proto.Message, proto.WireFormat, error) {
-	hello, wire, err := RecvHello(ch, allowed)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := SendWelcome(ch, funcName, batch, wire, allowed); err != nil {
-		return nil, nil, err
-	}
-	return hello, wire, nil
 }

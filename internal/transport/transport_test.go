@@ -271,7 +271,7 @@ func TestArchitectureBootstrapWebRTC(t *testing.T) {
 		c, _, err := directLn.Dial()
 		return c, err
 	}
-	volCh, err := RTCOffer(volSignal, "volunteer-1", "master", dial, cfg)
+	volCh, err := RTCOfferServing(volSignal, "volunteer-1", "master", nil, dial, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,23 +152,17 @@ func (a *RTCAnswerer) acceptLoop() {
 	}
 }
 
-// RTCOffer establishes a WebRTC-like direct channel to remoteID: it sends
-// an offer through the signalling channel, receives the answer's candidate
-// address and nonce, dials the candidate directly, and proves the session
-// with the nonce. On success the signalling channel is closed, as in the
-// paper ("That connection closes after the WebRTC connection is
-// established").
+// RTCOfferServing establishes a WebRTC-like direct channel to remoteID:
+// it sends an offer through the signalling channel, receives the answer's
+// candidate address and nonce, dials the candidate directly, and proves
+// the session with the nonce. On success the signalling channel is
+// closed, as in the paper ("That connection closes after the WebRTC
+// connection is established").
 //
 // An empty remoteID is the pool-mode bootstrap: the relay assigns a
 // registered master (see SignalServer.EnablePool) and the answer from
 // whichever master it picked is accepted. functions, when non-nil, rides
 // on the offer so the relay can prefer masters serving them.
-func RTCOffer(signal Channel, selfID, remoteID string, dial Dialer, cfg Config) (Channel, error) {
-	return RTCOfferServing(signal, selfID, remoteID, nil, dial, cfg)
-}
-
-// RTCOfferServing is RTCOffer with the volunteer's function list attached
-// to the offer, for pool-mode master assignment.
 func RTCOfferServing(signal Channel, selfID, remoteID string, functions []string, dial Dialer, cfg Config) (Channel, error) {
 	if err := signal.Send(&proto.Message{Type: proto.TypeOffer, To: remoteID, Peer: selfID, Functions: functions}); err != nil {
 		return nil, fmt.Errorf("transport: send offer: %w", err)

@@ -37,17 +37,6 @@ func DigestOf(data []byte) Digest { return sha256.Sum256(data) }
 // String renders a short hex prefix for logs and errors.
 func (d Digest) String() string { return hex.EncodeToString(d[:8]) }
 
-// ParseDigest validates a wire-carried digest. Anything but exactly 32
-// bytes is malformed — truncated digests must never alias a real one.
-func ParseDigest(b []byte) (Digest, error) {
-	var d Digest
-	if len(b) != sha256.Size {
-		return d, fmt.Errorf("verify: digest must be %d bytes, got %d", sha256.Size, len(b))
-	}
-	copy(d[:], b)
-	return d, nil
-}
-
 // Policy tunes the verification layer.
 type Policy struct {
 	// K is the replication factor: how many distinct workers each input
@@ -199,12 +188,6 @@ func (v *Voter) Resolve(d Digest) {
 // Accepted reports the accepted digest, if the voter has resolved.
 func (v *Voter) Accepted() (Digest, bool) { return v.accepted, v.resolved }
 
-// Count reports how many distinct workers voted for d.
-func (v *Voter) Count(d Digest) int { return v.counts[d] }
-
-// Distinct reports how many distinct workers have voted.
-func (v *Voter) Distinct() int { return len(v.ballots) }
-
 // Participated reports whether worker has already voted — the lender
 // uses it to keep a replica of the same index away from a worker whose
 // voice is already in.
@@ -309,19 +292,6 @@ func (l *Ledger) Record(worker string, agreed bool) {
 	if fire != nil {
 		fire(worker)
 	}
-}
-
-// RecordSpot accounts one spot-check against worker (the fast-path
-// submitter whose result was recomputed). The pass/fail verdict itself
-// still goes through Record.
-func (l *Ledger) RecordSpot(worker string, failed bool) {
-	l.mu.Lock()
-	r := l.rep(worker)
-	r.SpotChecks++
-	if failed {
-		r.SpotFails++
-	}
-	l.mu.Unlock()
 }
 
 // Trusted reports whether worker has earned the replication-free

@@ -28,7 +28,6 @@ func TestVoterStateMachine(t *testing.T) {
 		post         []step  // steps after the Resolve
 		wantResolved bool
 		wantAccepted Digest
-		wantDistinct int
 	}{
 		{
 			name:         "quorum reached",
@@ -36,14 +35,12 @@ func TestVoterStateMachine(t *testing.T) {
 			steps:        []step{{"w1", a, Counted}, {"w2", a, QuorumReached}},
 			wantResolved: true,
 			wantAccepted: a,
-			wantDistinct: 2,
 		},
 		{
 			name:         "split stays pending",
 			quorum:       2,
 			steps:        []step{{"w1", a, Counted}, {"w2", b, Counted}},
 			wantResolved: false,
-			wantDistinct: 2,
 		},
 		{
 			name:         "tie broken by third voter",
@@ -51,14 +48,12 @@ func TestVoterStateMachine(t *testing.T) {
 			steps:        []step{{"w1", a, Counted}, {"w2", b, Counted}, {"w3", b, QuorumReached}},
 			wantResolved: true,
 			wantAccepted: b,
-			wantDistinct: 3,
 		},
 		{
 			name:         "timeout: replica death leaves vote pending",
 			quorum:       3,
 			steps:        []step{{"w1", a, Counted}, {"w2", a, Counted}},
 			wantResolved: false,
-			wantDistinct: 2,
 		},
 		{
 			name:   "duplicate digest from same worker counted once",
@@ -69,7 +64,6 @@ func TestVoterStateMachine(t *testing.T) {
 				{"w1", a, Duplicate},
 			},
 			wantResolved: false,
-			wantDistinct: 1,
 		},
 		{
 			name:   "equivocation: first ballot binds",
@@ -81,7 +75,6 @@ func TestVoterStateMachine(t *testing.T) {
 			},
 			wantResolved: true,
 			wantAccepted: a,
-			wantDistinct: 2,
 		},
 		{
 			name:   "late votes classified against accepted digest",
@@ -94,7 +87,6 @@ func TestVoterStateMachine(t *testing.T) {
 			},
 			wantResolved: true,
 			wantAccepted: a,
-			wantDistinct: 4,
 		},
 		{
 			name:   "spot-check mismatch overrides an already-quorumed result",
@@ -110,7 +102,6 @@ func TestVoterStateMachine(t *testing.T) {
 			},
 			wantResolved: true,
 			wantAccepted: truth,
-			wantDistinct: 4,
 		},
 	}
 	for _, tc := range cases {
@@ -136,8 +127,10 @@ func TestVoterStateMachine(t *testing.T) {
 			if ok && acc != tc.wantAccepted {
 				t.Fatalf("accepted = %s, want %s", acc, tc.wantAccepted)
 			}
-			if v.Distinct() != tc.wantDistinct {
-				t.Fatalf("distinct voters = %d, want %d", v.Distinct(), tc.wantDistinct)
+			for _, s := range append(tc.steps, tc.post...) {
+				if !v.Participated(s.worker) {
+					t.Fatalf("%s voted but is not recorded as a participant", s.worker)
+				}
 			}
 		})
 	}
@@ -151,9 +144,6 @@ func TestVoterParticipated(t *testing.T) {
 	}
 	if v.Participated("w2") {
 		t.Fatal("w2 has not voted yet")
-	}
-	if v.Count(dg("x")) != 1 {
-		t.Fatalf("count = %d, want 1", v.Count(dg("x")))
 	}
 }
 
@@ -277,28 +267,11 @@ func TestSamplerDeterministicRate(t *testing.T) {
 	}
 }
 
-func TestParseDigest(t *testing.T) {
-	want := DigestOf([]byte("payload"))
-	got, err := ParseDigest(want[:])
-	if err != nil || got != want {
-		t.Fatalf("round-trip failed: %v %v", got, err)
-	}
-	if _, err := ParseDigest(want[:31]); err == nil {
-		t.Fatal("truncated digest must not parse")
-	}
-	if _, err := ParseDigest(append(want[:], 0)); err == nil {
-		t.Fatal("oversized digest must not parse")
-	}
-	if _, err := ParseDigest(nil); err == nil {
-		t.Fatal("nil digest must not parse")
-	}
-}
-
-// FuzzVoteDigest throws malformed, truncated and hostile digest
-// payloads at the parse-then-vote path: whatever the bytes, parsing
-// either rejects them or yields a digest that votes consistently — a
-// malformed payload must never resolve a voter, and a parsed one must
-// round-trip byte-exactly.
+// FuzzVoteDigest throws arbitrary digests at the voting path: whatever
+// the bytes, a digest votes consistently — one voice never resolves a
+// quorum-2 voter, a re-vote is a duplicate, and the accepted digest is
+// the voted one. Payloads of any other length than a digest's are
+// skipped.
 func FuzzVoteDigest(f *testing.F) {
 	good := DigestOf([]byte("seed"))
 	f.Add(good[:])
@@ -308,16 +281,11 @@ func FuzzVoteDigest(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xFF}, 33)) // oversized
 	f.Add(bytes.Repeat([]byte{0x00}, 32)) // all-zero, valid length
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		d, err := ParseDigest(raw)
-		if err != nil {
-			if len(raw) == 32 {
-				t.Fatalf("32-byte payload rejected: %v", err)
-			}
+		var d Digest
+		if len(raw) != len(d) {
 			return
 		}
-		if len(raw) != 32 || !bytes.Equal(d[:], raw) {
-			t.Fatalf("parsed digest does not round-trip: %x vs %x", d[:], raw)
-		}
+		copy(d[:], raw)
 		v := NewVoter(2)
 		if out := v.Add("w1", d); out != Counted {
 			t.Fatalf("first vote = %v, want Counted", out)

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"time"
-
-	"pando/internal/transport"
 )
 
 // This file implements the crash-recovery participation mode the paper's
@@ -54,8 +52,7 @@ var ErrRetriesExhausted = errors.New("worker: reconnect attempts exhausted")
 // Cancelling the context returns ctx.Err() promptly even while join is
 // still blocked (mid-dial, mid-handshake, or serving): the join runs on
 // its own goroutine and is abandoned to unwind on its own. Joins that
-// hold resources should watch the same context and release them —
-// ReconnectWS severs its dialed connection on cancellation so the
+// hold resources should watch the same context and release them, so the
 // abandoned join unblocks instead of lingering.
 func ServeWithReconnect(ctx context.Context, v *Volunteer, cfg ReconnectConfig, join func() error) error {
 	backoff := cfg.initial()
@@ -118,40 +115,4 @@ func joinCtx(ctx context.Context, join func() error) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// ReconnectWS is a convenience: ServeWithReconnect joining over the
-// WebSocket-like transport through dial each time. The dialed connection
-// is always released when a join attempt fails — in particular a
-// handshake refusal must not leak one socket per retry of a bounded
-// MaxAttempts loop — and is severed when the context is cancelled so a
-// blocked join unwinds promptly.
-func ReconnectWS(ctx context.Context, v *Volunteer, cfg ReconnectConfig, dial transport.Dialer, addr string) error {
-	return ServeWithReconnect(ctx, v, cfg, func() error {
-		conn, err := dial(addr)
-		if err != nil {
-			return err
-		}
-		settled := make(chan struct{})
-		if ctx != nil {
-			go func() {
-				select {
-				case <-ctx.Done():
-					conn.Close()
-				case <-settled:
-				}
-			}()
-		}
-		err = v.JoinWS(conn)
-		close(settled)
-		if err != nil {
-			// Belt and braces: every failure path inside JoinWS should
-			// already have closed the channel (and with it the conn), but
-			// a leak here would repeat on every retry, so the invariant
-			// is enforced where the socket was dialed. Closing an
-			// already-closed conn is a no-op error.
-			conn.Close()
-		}
-		return err
-	})
 }

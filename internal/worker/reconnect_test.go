@@ -33,10 +33,21 @@ func (c *trackedConn) isClosed() bool {
 	return c.closed
 }
 
-// TestReconnectWSClosesConnOnHandshakeRefusal: a master that refuses
-// every handshake must not leak one socket per retry of the bounded
-// MaxAttempts loop.
-func TestReconnectWSClosesConnOnHandshakeRefusal(t *testing.T) {
+// joinVia is one join attempt for ServeWithReconnect: dial, then JoinWS.
+func joinVia(v *Volunteer, dial transport.Dialer) func() error {
+	return func() error {
+		conn, err := dial("master")
+		if err != nil {
+			return err
+		}
+		return v.JoinWS(conn)
+	}
+}
+
+// TestJoinWSClosesConnOnHandshakeRefusal: a master that refuses every
+// handshake must not leak one socket per retry of a bounded MaxAttempts
+// rejoin loop — JoinWS itself releases the conn it was handed.
+func TestJoinWSClosesConnOnHandshakeRefusal(t *testing.T) {
 	var mu sync.Mutex
 	var dialed []*trackedConn
 
@@ -59,9 +70,9 @@ func TestReconnectWSClosesConnOnHandshakeRefusal(t *testing.T) {
 	}
 
 	v := &Volunteer{Name: "leaky?", Channel: transport.Config{HeartbeatInterval: -1}, CrashAfter: -1}
-	err := ReconnectWS(context.Background(), v,
+	err := ServeWithReconnect(context.Background(), v,
 		ReconnectConfig{InitialBackoff: time.Millisecond, MaxAttempts: 4},
-		dial, "refusing-master")
+		joinVia(v, dial))
 	if !errors.Is(err, ErrRetriesExhausted) {
 		t.Fatalf("err = %v, want ErrRetriesExhausted", err)
 	}
@@ -82,9 +93,9 @@ func TestReconnectWSClosesConnOnHandshakeRefusal(t *testing.T) {
 	}
 }
 
-// TestReconnectWSClosesConnOnDeadMaster: the same invariant when the
-// failure is not a polite refusal but a peer that hangs up mid-handshake.
-func TestReconnectWSClosesConnOnDeadMaster(t *testing.T) {
+// TestJoinWSClosesConnOnDeadMaster: the same invariant when the failure
+// is not a polite refusal but a peer that hangs up mid-handshake.
+func TestJoinWSClosesConnOnDeadMaster(t *testing.T) {
 	var mu sync.Mutex
 	var dialed []*trackedConn
 
@@ -103,9 +114,9 @@ func TestReconnectWSClosesConnOnDeadMaster(t *testing.T) {
 	}
 
 	v := &Volunteer{Channel: transport.Config{HeartbeatInterval: -1}, CrashAfter: -1}
-	err := ReconnectWS(context.Background(), v,
+	err := ServeWithReconnect(context.Background(), v,
 		ReconnectConfig{InitialBackoff: time.Millisecond, MaxAttempts: 2},
-		dial, "dead-master")
+		joinVia(v, dial))
 	if !errors.Is(err, ErrRetriesExhausted) {
 		t.Fatalf("err = %v, want ErrRetriesExhausted", err)
 	}
@@ -150,64 +161,5 @@ func TestServeWithReconnectCancelWhileJoinBlocked(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("ServeWithReconnect never returned after cancellation")
-	}
-}
-
-// TestReconnectWSCancelSeversBlockedJoin: on cancellation ReconnectWS
-// must both return promptly and sever the dialed connection so the
-// abandoned join goroutine unwinds instead of blocking forever on a
-// silent master.
-func TestReconnectWSCancelSeversBlockedJoin(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var mu sync.Mutex
-	var tc *trackedConn
-	dialedOnce := make(chan struct{})
-
-	dial := func(addr string) (net.Conn, error) {
-		pipe := netsim.NewPipe(netsim.Loopback)
-		// Silent master: reads nothing, answers nothing; the volunteer's
-		// handshake blocks on the welcome (heartbeats disabled, so no
-		// timeout will save it).
-		go func() {
-			buf := make([]byte, 1024)
-			for {
-				if _, err := pipe.A.Read(buf); err != nil {
-					return
-				}
-			}
-		}()
-		c := &trackedConn{Conn: pipe.B}
-		mu.Lock()
-		tc = c
-		mu.Unlock()
-		close(dialedOnce)
-		return c, nil
-	}
-
-	v := &Volunteer{Channel: transport.Config{HeartbeatInterval: -1}, CrashAfter: -1}
-	done := make(chan error, 1)
-	go func() {
-		done <- ReconnectWS(ctx, v, ReconnectConfig{}, dial, "silent-master")
-	}()
-	<-dialedOnce
-	time.Sleep(10 * time.Millisecond) // let the join reach the blocked Recv
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("ReconnectWS never returned after cancellation")
-	}
-	mu.Lock()
-	c := tc
-	mu.Unlock()
-	deadline := time.Now().Add(2 * time.Second)
-	for !c.isClosed() {
-		if time.Now().After(deadline) {
-			t.Fatal("dialed conn not severed on cancellation; the blocked join leaks")
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
