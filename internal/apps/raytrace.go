@@ -50,7 +50,7 @@ func GenerateAngles(frames int) []string {
 func EncodeAnimation(w io.Writer, encodedFrames []string) error {
 	frames := make([][]byte, 0, len(encodedFrames))
 	for i, ef := range encodedFrames {
-		pix, err := raytracer.DecodeFrame(ef)
+		pix, err := raytracer.DecodeFrame(ef, FrameWidth, FrameHeight)
 		if err != nil {
 			return fmt.Errorf("gif-encoder: frame %d: %w", i, err)
 		}

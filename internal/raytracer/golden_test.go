@@ -15,9 +15,9 @@ import (
 )
 
 // TestRenderFrameGolden pins the bytes RenderFrame puts on the wire. The
-// digests were taken before the kernel's gamma table, pointer-held scene
-// objects and integer specular powers: each is exact, so none may move a
-// pixel. Regenerate them only in a change that means to alter the image.
+// kernel's shortcuts (the gamma table, integer specular powers) are exact,
+// so a speed-up moves no digest. Regenerate them only in a change that
+// means to alter the image.
 func TestRenderFrameGolden(t *testing.T) {
 	golden := map[[2]int][]string{
 		{64, 48}: {

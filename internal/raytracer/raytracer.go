@@ -3,6 +3,11 @@
 // Figure 1): an animation is produced by rendering one frame per camera
 // position rotating around a 3D scene, each frame rendered independently
 // by a volunteer device.
+//
+// Frames are byte-exact: the gamma lookup and the integer specular powers
+// return exactly what toByte and math.Pow do, so a frame depends only on
+// its arguments and, as on amd64, on no x*y+z being fused into one
+// rounding. TestRenderFrameGolden pins the bytes.
 package raytracer
 
 import (
@@ -41,8 +46,9 @@ type Object interface {
 	Intersect(r Ray) (t float64, ok bool)
 	// NormalAt returns the outward unit normal at point p.
 	NormalAt(p Vec3) Vec3
-	// MaterialAt returns the material at point p.
-	MaterialAt(p Vec3) Material
+	// MaterialAt returns the material at point p, which the caller must
+	// not modify.
+	MaterialAt(p Vec3) *Material
 }
 
 const epsilon = 1e-6
@@ -55,7 +61,7 @@ type Sphere struct {
 }
 
 // Intersect solves the quadratic ray/sphere equation.
-func (s Sphere) Intersect(r Ray) (float64, bool) {
+func (s *Sphere) Intersect(r Ray) (float64, bool) {
 	oc := r.Origin.Sub(s.Center)
 	b := oc.Dot(r.Dir)
 	c := oc.Dot(oc) - s.Radius*s.Radius
@@ -74,19 +80,29 @@ func (s Sphere) Intersect(r Ray) (float64, bool) {
 }
 
 // NormalAt returns the outward normal.
-func (s Sphere) NormalAt(p Vec3) Vec3 { return p.Sub(s.Center).Norm() }
+func (s *Sphere) NormalAt(p Vec3) Vec3 { return p.Sub(s.Center).Norm() }
 
 // MaterialAt returns the sphere's material.
-func (s Sphere) MaterialAt(Vec3) Material { return s.Mat }
+func (s *Sphere) MaterialAt(Vec3) *Material { return &s.Mat }
 
-// Plane is the horizontal plane y = Y.
+// Plane is the horizontal plane y = Y; NewPlane builds a checkered one.
 type Plane struct {
 	Y   float64
 	Mat Material
+	// odd is Mat coloured Color2, for the checkerboard's odd squares.
+	odd Material
+}
+
+// NewPlane returns the plane y = Y with material mat, and with the second
+// material a checkered mat needs.
+func NewPlane(y float64, mat Material) *Plane {
+	pl := &Plane{Y: y, Mat: mat, odd: mat}
+	pl.odd.Color = mat.Color2
+	return pl
 }
 
 // Intersect tests against the horizontal plane.
-func (pl Plane) Intersect(r Ray) (float64, bool) {
+func (pl *Plane) Intersect(r Ray) (float64, bool) {
 	if math.Abs(r.Dir.Y) < epsilon {
 		return 0, false
 	}
@@ -98,17 +114,14 @@ func (pl Plane) Intersect(r Ray) (float64, bool) {
 }
 
 // NormalAt returns the up normal.
-func (pl Plane) NormalAt(Vec3) Vec3 { return Vec3{Y: 1} }
+func (pl *Plane) NormalAt(Vec3) Vec3 { return Vec3{Y: 1} }
 
 // MaterialAt applies the checkerboard, if configured.
-func (pl Plane) MaterialAt(p Vec3) Material {
-	m := pl.Mat
-	if m.Checker {
-		if (int(math.Floor(p.X))+int(math.Floor(p.Z)))%2 != 0 {
-			m.Color = m.Color2
-		}
+func (pl *Plane) MaterialAt(p Vec3) *Material {
+	if pl.Mat.Checker && (int(math.Floor(p.X))+int(math.Floor(p.Z)))%2 != 0 {
+		return &pl.odd
 	}
-	return m
+	return &pl.Mat
 }
 
 // Light is a point light.
@@ -131,19 +144,19 @@ type Scene struct {
 func DefaultScene() *Scene {
 	return &Scene{
 		Objects: []Object{
-			Sphere{Center: Vec3{0, 1, 0}, Radius: 1, Mat: Material{
+			&Sphere{Center: Vec3{0, 1, 0}, Radius: 1, Mat: Material{
 				Color: Vec3{0.9, 0.2, 0.2}, Specular: 0.7, Shininess: 64, Reflectivity: 0.35,
 			}},
-			Sphere{Center: Vec3{-2.2, 0.7, 1.0}, Radius: 0.7, Mat: Material{
+			&Sphere{Center: Vec3{-2.2, 0.7, 1.0}, Radius: 0.7, Mat: Material{
 				Color: Vec3{0.2, 0.4, 0.9}, Specular: 0.9, Shininess: 128, Reflectivity: 0.5,
 			}},
-			Sphere{Center: Vec3{1.8, 0.5, -1.2}, Radius: 0.5, Mat: Material{
+			&Sphere{Center: Vec3{1.8, 0.5, -1.2}, Radius: 0.5, Mat: Material{
 				Color: Vec3{0.2, 0.8, 0.3}, Specular: 0.4, Shininess: 32, Reflectivity: 0.15,
 			}},
-			Plane{Y: 0, Mat: Material{
+			NewPlane(0, Material{
 				Color: Vec3{0.85, 0.85, 0.85}, Color2: Vec3{0.2, 0.2, 0.2},
 				Checker: true, Specular: 0.1, Shininess: 8, Reflectivity: 0.1,
-			}},
+			}),
 		},
 		Lights: []Light{
 			{Pos: Vec3{5, 8, 5}, Color: Vec3{0.9, 0.9, 0.9}},
@@ -207,7 +220,7 @@ func (s *Scene) trace(r Ray, depth int) Vec3 {
 		if m.Specular > 0 {
 			h := ldir.Sub(r.Dir).Norm()
 			if sp := n.Dot(h); sp > 0 {
-				col = col.Add(l.Color.Scale(m.Specular * math.Pow(sp, m.Shininess)))
+				col = col.Add(l.Color.Scale(m.Specular * specularPow(sp, m.Shininess)))
 			}
 		}
 	}
@@ -216,6 +229,29 @@ func (s *Scene) trace(r Ray, depth int) Vec3 {
 		col = col.Scale(1 - m.Reflectivity).Add(refl.Scale(m.Reflectivity))
 	}
 	return col.Clamp01()
+}
+
+// specularPow is math.Pow(x, n). For 0 < x <= 1 and an integer n it
+// squares and multiplies as math.Pow does, but on x itself rather than on
+// its Frexp mantissa: while every product is a normal float the two round
+// alike, and a result that is not normal is left to math.Pow.
+func specularPow(x, n float64) float64 {
+	if !(x > 0 && x <= 1 && n >= 1 && n <= 1<<30 && n == math.Trunc(n)) {
+		return math.Pow(x, n)
+	}
+	p, sq := 1.0, x
+	for i := int(n); ; sq *= sq {
+		if i&1 == 1 {
+			p *= sq
+		}
+		if i >>= 1; i == 0 {
+			break
+		}
+	}
+	if p < 0x1p-1022 {
+		return math.Pow(x, n)
+	}
+	return p
 }
 
 // Camera generates primary rays from an orbiting viewpoint.
@@ -242,6 +278,7 @@ func OrbitCamera(angle, radius, height float64) Camera {
 func (s *Scene) Render(cam Camera, w, h int) []byte {
 	pix := make([]byte, 4*w*h)
 	aspect := float64(w) / float64(h)
+	g := gamma()
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			u := (2*(float64(x)+0.5)/float64(w) - 1) * aspect * cam.fovScale
@@ -249,18 +286,73 @@ func (s *Scene) Render(cam Camera, w, h int) []byte {
 			dir := cam.forward.Add(cam.right.Scale(u)).Add(cam.up.Scale(v)).Norm()
 			c := s.trace(Ray{Origin: cam.pos, Dir: dir}, 0)
 			i := 4 * (y*w + x)
-			pix[i+0] = toByte(c.X)
-			pix[i+1] = toByte(c.Y)
-			pix[i+2] = toByte(c.Z)
+			pix[i+0] = g.lookup(c.X)
+			pix[i+1] = g.lookup(c.Y)
+			pix[i+2] = g.lookup(c.Z)
 			pix[i+3] = 0xFF
 		}
 	}
 	return pix
 }
 
+// toByte is the reference gamma, 2.2 for a pleasant image. Render looks
+// its answers up in gamma().
 func toByte(x float64) byte {
-	// Simple gamma 2.2 for a pleasant image.
 	return byte(255*math.Pow(clamp01(x), 1/2.2) + 0.5)
+}
+
+// gammaTable is toByte as a lookup. edges[k], for k in 1..255, is the
+// least float64 toByte maps to k or more, found by bisection; edges[0] is
+// 0 and edges[256] lies above every input. coarse[c] is the k whose
+// [edges[k], edges[k+1]) holds c/4096.
+type gammaTable struct {
+	edges  [257]float64
+	coarse [4097]uint8
+}
+
+// gammaBand is how near an edge, relatively, lookup defers to toByte. It
+// is far wider than math.Pow's error, so outside it toByte's answer does
+// not depend on how Pow rounds.
+const gammaBand = 1e-9
+
+var gamma = sync.OnceValue(func() *gammaTable {
+	g := new(gammaTable)
+	for k := 1; k <= 255; k++ {
+		// Non-negative float64s order as their bits do.
+		lo, hi := uint64(0), math.Float64bits(1) // toByte(lo) < k <= toByte(hi)
+		for hi-lo > 1 {
+			if mid := lo + (hi-lo)/2; int(toByte(math.Float64frombits(mid))) >= k {
+				hi = mid
+			} else {
+				lo = mid
+			}
+		}
+		g.edges[k] = math.Float64frombits(hi)
+	}
+	g.edges[256] = 2
+	k := 0
+	for c := range g.coarse {
+		for g.edges[k+1] <= float64(c)/4096 {
+			k++
+		}
+		g.coarse[c] = uint8(k)
+	}
+	return g
+})
+
+// lookup returns toByte(x).
+func (g *gammaTable) lookup(x float64) byte {
+	if !(x >= 0 && x <= 1) {
+		return toByte(x)
+	}
+	k := int(g.coarse[int(x*4096)])
+	for x >= g.edges[k+1] {
+		k++
+	}
+	if x-g.edges[k] < gammaBand*g.edges[k] || g.edges[k+1]-x < gammaBand*g.edges[k+1] {
+		return toByte(x)
+	}
+	return byte(k)
 }
 
 // defaultScene is what RenderFrame renders; rendering only reads it.
@@ -296,8 +388,10 @@ func RenderFrame(angle float64, w, h int) (string, error) {
 	return base64.StdEncoding.EncodeToString(g.buf.Bytes()), nil
 }
 
-// DecodeFrame reverses RenderFrame's encoding back into RGBA bytes.
-func DecodeFrame(encoded string) ([]byte, error) {
+// DecodeFrame reverses RenderFrame's encoding of a w x h frame back into
+// RGBA bytes. Frames come from volunteers, so it inflates no more than
+// the frame's size and refuses anything else.
+func DecodeFrame(encoded string, w, h int) ([]byte, error) {
 	raw, err := base64.StdEncoding.DecodeString(encoded)
 	if err != nil {
 		return nil, fmt.Errorf("raytracer: base64: %w", err)
@@ -307,9 +401,13 @@ func DecodeFrame(encoded string) ([]byte, error) {
 		return nil, fmt.Errorf("raytracer: gunzip: %w", err)
 	}
 	defer zr.Close()
-	pix, err := io.ReadAll(zr)
+	size := 4 * w * h
+	pix, err := io.ReadAll(io.LimitReader(zr, int64(size)+1))
 	if err != nil {
 		return nil, fmt.Errorf("raytracer: gunzip read: %w", err)
+	}
+	if len(pix) != size {
+		return nil, fmt.Errorf("raytracer: frame does not inflate to %dx%d RGBA (%d bytes)", w, h, size)
 	}
 	return pix, nil
 }

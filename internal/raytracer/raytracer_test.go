@@ -6,6 +6,7 @@ import (
 	"encoding/base64"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"runtime"
 	"sync"
 	"testing"
@@ -110,9 +111,9 @@ func TestPlaneIntersection(t *testing.T) {
 }
 
 func TestPlaneChecker(t *testing.T) {
-	p := Plane{Y: 0, Mat: Material{
+	p := NewPlane(0, Material{
 		Checker: true, Color: Vec3{1, 1, 1}, Color2: Vec3{0, 0, 0},
-	}}
+	})
 	a := p.MaterialAt(Vec3{0.5, 0, 0.5}).Color
 	b := p.MaterialAt(Vec3{1.5, 0, 0.5}).Color
 	if a == b {
@@ -160,7 +161,7 @@ func TestRenderFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pix, err := DecodeFrame(enc)
+	pix, err := DecodeFrame(enc, 24, 18)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,11 +270,47 @@ func TestRenderFrameAllocs(t *testing.T) {
 }
 
 func TestDecodeFrameBadInput(t *testing.T) {
-	if _, err := DecodeFrame("!!!not-base64!!!"); err == nil {
+	if _, err := DecodeFrame("!!!not-base64!!!", 8, 8); err == nil {
 		t.Fatal("expected base64 error")
 	}
-	if _, err := DecodeFrame("aGVsbG8="); err == nil { // valid base64, not gzip
+	if _, err := DecodeFrame("aGVsbG8=", 8, 8); err == nil { // valid base64, not gzip
 		t.Fatal("expected gzip error")
+	}
+	enc, err := RenderFrame(0.7, 24, 18)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeFrame(enc, 24, 19); err == nil {
+		t.Fatal("expected an error for a frame shorter than its size")
+	}
+	if _, err := DecodeFrame(enc, 24, 17); err == nil {
+		t.Fatal("expected an error for a frame longer than its size")
+	}
+}
+
+// TestDecodeFrameBomb: a volunteer's ~64 KB frame that inflates to 64 MiB
+// must be refused without the master inflating it.
+func TestDecodeFrameBomb(t *testing.T) {
+	// 64 gzip members of 1 MiB of zeros each, which a gzip reader reads
+	// as one stream.
+	var member bytes.Buffer
+	zw := gzip.NewWriter(&member)
+	if _, err := zw.Write(make([]byte, 1<<20)); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	bomb := base64.StdEncoding.EncodeToString(bytes.Repeat(member.Bytes(), 64))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeFrame(bomb, 96, 72)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a frame that inflates to 64 MiB was accepted as 96x72")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("refusing the frame allocated %d bytes, want under 1 MiB", grew)
 	}
 }
 
@@ -310,8 +347,8 @@ func TestShadowing(t *testing.T) {
 	// the floor point under the sphere is darker than one far away.
 	scene := &Scene{
 		Objects: []Object{
-			Sphere{Center: Vec3{0, 2, 0}, Radius: 1, Mat: Material{Color: Vec3{1, 0, 0}}},
-			Plane{Y: 0, Mat: Material{Color: Vec3{1, 1, 1}}},
+			&Sphere{Center: Vec3{0, 2, 0}, Radius: 1, Mat: Material{Color: Vec3{1, 0, 0}}},
+			&Plane{Y: 0, Mat: Material{Color: Vec3{1, 1, 1}}},
 		},
 		Lights:     []Light{{Pos: Vec3{0, 10, 0}, Color: Vec3{1, 1, 1}}},
 		Background: Vec3{},
@@ -322,5 +359,57 @@ func TestShadowing(t *testing.T) {
 	open := scene.trace(Ray{Origin: Vec3{8, 0.5, 0}, Dir: Vec3{0, -1, 0}}, 0)
 	if under.Len() >= open.Len() {
 		t.Fatalf("shadowed point %v not darker than open point %v", under, open)
+	}
+}
+
+func TestGammaLookupMatchesToByte(t *testing.T) {
+	g := gamma()
+	check := func(x float64) {
+		if got, want := g.lookup(x), toByte(x); got != want {
+			t.Fatalf("lookup(%v) = %d, toByte = %d", x, got, want)
+		}
+	}
+	for _, x := range []float64{-1, 0, math.Copysign(0, -1), 1, 2, math.Inf(1), math.Inf(-1), math.NaN()} {
+		check(x)
+	}
+	for k := 1; k <= 255; k++ {
+		e := math.Float64bits(g.edges[k])
+		if toByte(g.edges[k]) < byte(k) || toByte(math.Float64frombits(e-1)) >= byte(k) {
+			t.Fatalf("edge %d = %v is not where toByte reaches %d", k, g.edges[k], k)
+		}
+		for d := uint64(0); d <= 4096; d++ {
+			check(math.Float64frombits(e - d))
+			check(math.Float64frombits(e + d))
+		}
+	}
+	r := rand.New(rand.NewPCG(1, 2))
+	for i := 0; i < 1e6; i++ {
+		check(r.Float64())
+	}
+}
+
+func TestSpecularPowMatchesPow(t *testing.T) {
+	check := func(sp, n float64) {
+		if got, want := specularPow(sp, n), math.Pow(sp, n); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("specularPow(%v, %v) = %v, math.Pow = %v", sp, n, got, want)
+		}
+	}
+	r := rand.New(rand.NewPCG(3, 4))
+	for n := 1.0; n <= 256; n++ {
+		for i := 0; i < 2000; i++ {
+			check(1-r.Float64(), n) // (0, 1]
+		}
+		// The bases whose n-th power is near 2^-1022, where the result
+		// stops being a normal float.
+		edge := math.Float64bits(math.Pow(2, -1022/n))
+		for d := uint64(0); d <= 2048; d++ {
+			check(math.Float64frombits(edge-d), n)
+			check(math.Float64frombits(edge+d), n)
+		}
+		check(1, n)
+		check(math.SmallestNonzeroFloat64, n)
+	}
+	for _, c := range [][2]float64{{0.5, 0}, {0.5, 2.5}, {0.5, -3}, {1.5, 3}, {0, 8}, {-0.5, 3}, {math.NaN(), 8}} {
+		check(c[0], c[1])
 	}
 }
