@@ -108,8 +108,7 @@ func (cf *chaosFleet) cutAll() {
 	pipes := append([]*netsim.Pipe(nil), cf.pipes...)
 	cf.mu.Unlock()
 	for _, p := range pipes {
-		p.Resume() // a paused pipe must not hold its relay at the gate
-		p.Cut()
+		p.Cut() // paused or not: a cut fails every pending call
 	}
 }
 

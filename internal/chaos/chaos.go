@@ -22,8 +22,9 @@
 //     wall-clock interleaving — is what a seed pins down.
 //   - Invariants: checkers for the properties every run must preserve —
 //     exactly-once in-order output, no leaked goroutines (which covers
-//     simulated sockets: every live pipe owns relay goroutines), no stale
-//     fleet leases, and journal-resume byte identity.
+//     simulated sockets: every endpoint the stack holds is read by its
+//     channel's read loop until it closes), no stale fleet leases, and
+//     journal-resume byte identity.
 package chaos
 
 import (

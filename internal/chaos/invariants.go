@@ -113,9 +113,10 @@ func VerifySegments(dir string, n int, want func(i int) []byte) error {
 }
 
 // LeakGuard snapshots the number of live Pando goroutines so a scenario
-// can assert it released everything it spun up. Because every live
-// simulated connection owns relay goroutines, and every channel, engine,
-// journal and pool runs its loops on goroutines, "no goroutine leaks"
+// can assert it released everything it spun up. A simulated pipe owns no
+// goroutine, but every endpoint the stack holds is wrapped in a channel
+// whose read loop runs until the socket closes, and every channel, engine,
+// journal and pool runs its loops on goroutines, so "no goroutine leaks"
 // subsumes "no socket leaks" in the simulated world.
 type LeakGuard struct {
 	baseline int

@@ -1,7 +1,7 @@
 package netsim
 
 // Tests for the chaos fault hooks: per-direction drop/corrupt injection,
-// asymmetric degradation, and the per-pipe locked jitter generator under
+// asymmetric degradation, and the per-direction jitter generators under
 // heavy concurrency (the -race tier's regression for the shared-RNG fix).
 
 import (
@@ -111,7 +111,8 @@ func TestPipeDegradeAsymmetric(t *testing.T) {
 
 // TestPipeJitterManyPipesConcurrent is the race regression for the jitter
 // generator: many pipes with jitter enabled, both directions active at
-// once, must be data-race free (each pipe owns one locked generator).
+// once, must be data-race free (each direction owns its generator, under
+// its own lock).
 func TestPipeJitterManyPipesConcurrent(t *testing.T) {
 	const pipes = 32
 	var wg sync.WaitGroup
@@ -153,7 +154,7 @@ func TestPipeFaultDuringPauseAndCut(t *testing.T) {
 	p.Resume()
 	time.Sleep(10 * time.Millisecond)
 	p.Pause()
-	p.Cut() // must release everything held at the gate
+	p.Cut() // must release everything the pause holds
 	buf := make([]byte, 1)
 	p.B.SetReadDeadline(time.Now().Add(time.Second))
 	if _, err := p.B.Read(buf); err == nil {

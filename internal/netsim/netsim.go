@@ -4,10 +4,12 @@
 // PlanetLab experiment (§5.4).
 //
 // NewPipe returns a pair of net.Conn endpoints joined by a link with
-// configurable propagation latency, jitter, and bandwidth. Chunks written
-// on one end are delivered on the other after the link delay, with
-// pipelining preserved: a second chunk may be in flight while the first is
-// still propagating, which is exactly the property that lets Pando hide
+// configurable propagation latency, jitter, and bandwidth. Each direction
+// is a bounded queue of timed chunks that Write stamps with their delivery
+// instants and Read hands over, in order, once due: a pipe owns no
+// goroutine, and a chunk costs one hand-off, the writer waking the reader.
+// Pipelining is preserved: a second chunk may be in flight while the first
+// is still propagating, which is exactly the property that lets Pando hide
 // latency by batching inputs (paper §5.5).
 //
 // The link can be Cut to simulate a sudden crash or loss of connectivity,
@@ -23,8 +25,12 @@ package netsim
 
 import (
 	"errors"
+	"io"
+	"maps"
 	"math/rand"
 	"net"
+	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -66,151 +72,119 @@ var (
 // want: packet-level loss that surfaces as a crash-stop failure.
 type FaultFunc func(data []byte) (out []byte, ok bool)
 
-// Directions of a pipe, for the asymmetric fault hooks.
-const (
-	dirAtoB = 0
-	dirBtoA = 1
-)
-
 // Pipe is a bidirectional in-memory connection with link simulation.
 type Pipe struct {
 	// A and B are the two endpoints.
 	A, B net.Conn
 
-	mu     sync.Mutex
-	inner  []net.Conn
-	cut    bool
-	closed chan struct{}
-	frozen chan struct{} // non-nil while the link is paused
+	ab, ba flow
 
-	// rng is the pipe's jitter source: one seeded generator per pipe,
-	// lock-protected because both relay directions draw from it. (A
-	// process-wide source would be a contention point — and a race
-	// magnet — with thousands of simulated pipes.)
-	rngMu sync.Mutex
-	rng   *rand.Rand
-
-	// Fault state, per direction, changeable at run time.
-	faultMu sync.Mutex
-	fault   [2]FaultFunc
-	extra   [2]time.Duration
-
-	// Bytes carried per direction, counted as chunks enter the link —
-	// what a bandwidth meter on the wire would see. The compression
-	// bench reads these to compare bytes-on-wire across formats.
-	bytes [2]atomic.Int64
+	ends   atomic.Int32 // endpoints closed
+	done   sync.Once
+	onDone func() // runs once both endpoints are closed or the pipe is cut
 }
 
-// chunk is a unit of data in flight on the link.
+// flow is one direction of a pipe: the chunks one endpoint wrote and the
+// other has not read yet, oldest first, with that direction's link state.
+// The directions share no lock and no random source: each draws jitter
+// from its own generator, seeded from (Link.Seed, direction), so its
+// delays do not depend on how the other direction's chunks interleave.
+type flow struct {
+	link  Link
+	seed  int64
+	bytes atomic.Int64
+	fault atomic.Pointer[FaultFunc]
+	extra atomic.Int64 // Degrade's extra one-way delay
+
+	rmu, wmu sync.Mutex // serialize Reads, and Writes, as net.Pipe does
+
+	mu                 sync.Mutex
+	q                  []chunk // q[head:] is in flight, off bytes of q[head] read
+	head, off          int
+	busyUntil          time.Time
+	rng                *rand.Rand // made for the first jittered chunk
+	paused, cut        bool
+	eof                bool          // the writer closed: Read drains q, then io.EOF
+	gone               bool          // the reader closed: writes are counted and dropped
+	rdl, wdl           time.Time     // deadlines; zero means none
+	rtimer, wtimer     *time.Timer   // reused by every timed wait of Read, of Write
+	readable, writable chan struct{} // capacity 1: wake a blocked Read, Write
+}
+
+// chunk is a unit of data in flight on the link, due at deliverAt (zero
+// on an ideal link: due at once, without reading the clock). buf, when
+// non-nil, is the chunkPool buffer behind data; chunks a fault hook saw
+// have none, as the hook may have kept or replaced the slice.
 type chunk struct {
 	data      []byte
 	deliverAt time.Time
-	// buf, when non-nil, is the chunkPool buffer backing data; the
-	// deliverer returns it to the pool after the write. Chunks that
-	// passed through a fault hook carry no buf: the hook may have
-	// swapped or retained the slice.
-	buf *[]byte
+	buf       *[]byte
 }
 
-// chunkPool recycles relay chunk buffers. Every chunk is at most
-// relayBufSize, so one size class covers all of them; without the pool a
-// busy fleet allocates (and the runtime zeroes) one fresh buffer per
-// write, which at tens of thousands of simulated pipes is the dominant
-// GC load of the simulation rather than of the system under test.
+func (c *chunk) recycle() {
+	if c.buf != nil {
+		chunkPool.Put(c.buf)
+	}
+}
+
+// chunkPool recycles chunk buffers: Write copies each chunk into one and
+// Read returns it once the chunk is consumed. Every chunk is at most
+// chunkSize, so one size class covers all of them; without the pool a busy
+// fleet allocates (and the runtime zeroes) one fresh buffer per write,
+// which at tens of thousands of simulated pipes is the dominant GC load of
+// the simulation rather than of the system under test.
 var chunkPool = sync.Pool{
-	New: func() any { b := make([]byte, relayBufSize); return &b },
+	New: func() any { b := make([]byte, chunkSize); return &b },
 }
 
-const relayBufSize = 32 * 1024
+const (
+	chunkSize = 32 * 1024
+	// maxInFlight bounds the chunks queued in one direction; past it a
+	// Write blocks, which is ordinary network backpressure.
+	maxInFlight = 256
+)
 
-// NewPipe creates a connected pair of endpoints joined by link l. The
-// pipe's jitter generator is seeded from l.Seed (zero selects a fixed
-// default of 1, so unseeded pipes stay deterministic); Listener.Dial
-// threads a distinct per-connection seed through here.
+// NewPipe creates a connected pair of endpoints joined by link l. Each
+// direction's jitter generator is seeded from l.Seed and the direction
+// (zero selects a fixed default of 1, so unseeded pipes stay
+// deterministic); Listener.Dial threads a distinct per-connection seed
+// through here.
 //
 //pando:deterministic
 func NewPipe(l Link) *Pipe {
-	aUser, aInner := net.Pipe()
-	bUser, bInner := net.Pipe()
-	p := &Pipe{
-		A:      aUser,
-		B:      bUser,
-		inner:  []net.Conn{aInner, bInner},
-		closed: make(chan struct{}),
-	}
 	seed := l.Seed
 	if seed == 0 {
 		seed = 1
 	}
-	p.rng = rand.New(rand.NewSource(seed))
-	go p.relay(aInner, bInner, l, dirAtoB)
-	go p.relay(bInner, aInner, l, dirBtoA)
+	p := &Pipe{onDone: func() {}}
+	for dir, f := range []*flow{&p.ab, &p.ba} {
+		f.link, f.seed = l, seed<<1|int64(dir)
+		f.readable, f.writable = make(chan struct{}, 1), make(chan struct{}, 1)
+	}
+	p.A = &end{p: p, in: &p.ba, out: &p.ab}
+	p.B = &end{p: p, in: &p.ab, out: &p.ba}
 	return p
 }
 
-// jitter draws one delay in [0, j) from the pipe's locked generator.
-//
-//pando:deterministic
-func (p *Pipe) jitter(j time.Duration) time.Duration {
-	if j <= 0 {
-		return 0
+func (p *Pipe) flow(aToB bool) *flow {
+	if aToB {
+		return &p.ab
 	}
-	p.rngMu.Lock()
-	defer p.rngMu.Unlock()
-	return time.Duration(p.rng.Int63n(int64(j)))
+	return &p.ba
 }
 
 // Inject installs f as the fault hook for one direction (A→B when aToB,
-// B→A otherwise); nil heals the direction. Each chunk read off the source
-// endpoint passes through f before it is queued on the link.
+// B→A otherwise); nil heals the direction. Each chunk written on the
+// source endpoint passes through f before it is queued on the link.
 func (p *Pipe) Inject(aToB bool, f FaultFunc) {
-	p.faultMu.Lock()
-	defer p.faultMu.Unlock()
-	p.fault[dirIdx(aToB)] = f
+	p.flow(aToB).fault.Store(&f)
 }
 
 // Degrade adds extra one-way propagation delay to a single direction,
 // modelling asymmetric link degradation (a congested uplink under a clean
 // downlink); zero heals the direction.
 func (p *Pipe) Degrade(aToB bool, extra time.Duration) {
-	p.faultMu.Lock()
-	defer p.faultMu.Unlock()
-	p.extra[dirIdx(aToB)] = extra
-}
-
-func dirIdx(aToB bool) int {
-	if aToB {
-		return dirAtoB
-	}
-	return dirBtoA
-}
-
-// mangle applies the direction's current fault state to one chunk. The
-// clean return reports whether the bytes passed through untouched by any
-// hook (and so may keep riding a pooled buffer).
-func (p *Pipe) mangle(dir int, data []byte) (out []byte, ok, clean bool, extra time.Duration) {
-	p.faultMu.Lock()
-	f := p.fault[dir]
-	extra = p.extra[dir]
-	p.faultMu.Unlock()
-	if f == nil {
-		return data, true, true, extra
-	}
-	out, ok = f(data)
-	return out, ok, false, extra
-}
-
-// gate blocks while the link is paused.
-func (p *Pipe) gate() {
-	p.mu.Lock()
-	frozen := p.frozen
-	p.mu.Unlock()
-	if frozen != nil {
-		select {
-		case <-frozen:
-		case <-p.closed:
-		}
-	}
+	p.flow(aToB).extra.Store(int64(extra))
 }
 
 // Pause freezes the link: bytes already in flight and new bytes are held
@@ -219,148 +193,282 @@ func (p *Pipe) gate() {
 // a stall shorter than the heartbeat timeout must not be treated as a
 // crash.
 func (p *Pipe) Pause() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.frozen == nil {
-		p.frozen = make(chan struct{})
-	}
+	set(&p.ab, &p.ab.paused, true)
+	set(&p.ba, &p.ba.paused, true)
 }
 
 // Resume releases a paused link; held bytes are delivered immediately.
 func (p *Pipe) Resume() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.frozen != nil {
-		close(p.frozen)
-		p.frozen = nil
-	}
+	set(&p.ab, &p.ab.paused, false)
+	set(&p.ba, &p.ba.paused, false)
 }
 
 // Cut severs the link abruptly in both directions: all pending and future
 // reads and writes on both endpoints fail. This models a browser tab
 // closing or connectivity loss without a goodbye.
 func (p *Pipe) Cut() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.cut {
-		return
-	}
-	p.cut = true
-	close(p.closed)
-	for _, c := range p.inner {
-		c.Close()
-	}
-	p.A.Close()
-	p.B.Close()
-}
-
-// relay moves chunks from src to dst applying the link delay model and
-// the direction's fault state. The gate blocks while the link is paused.
-// The delay/loss/jitter decisions are seed-determined; only the mapping
-// of those decisions onto delivery instants touches the wall clock (each
-// touch annotated below).
-//
-//pando:deterministic
-func (p *Pipe) relay(src, dst net.Conn, l Link, dir int) {
-	closed := p.closed
-	// The in-flight queue bounds how much data the link buffers beyond
-	// what the endpoints' own pipes hold; past it the writer blocks, which
-	// is ordinary network backpressure. Keep it modest: chunk headers
-	// carry pointers, so with tens of thousands of simulated pipes alive a
-	// deep preallocated queue per relay direction costs gigabytes of
-	// zeroed, GC-scanned channel buffer that dwarfs the traffic itself.
-	inFlight := make(chan chunk, 256)
-
-	// Deliverer: writes chunks at their delivery time, in order.
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for c := range inFlight {
-			//pando:nondeterministic waits out a delivery instant already stamped from the seeded delay model
-			d := time.Until(c.deliverAt)
-			if d > 0 {
-				timer := time.NewTimer(d)
-				select {
-				case <-timer.C:
-				case <-closed:
-					timer.Stop()
-					return
-				}
-			}
-			p.gate()
-			_, err := dst.Write(c.data)
-			if c.buf != nil {
-				chunkPool.Put(c.buf)
-			}
-			if err != nil {
-				return
-			}
-		}
-		// Source ended cleanly; propagate EOF.
-		dst.Close()
-	}()
-
-	// Reader: stamps each chunk with its delivery time at read time so
-	// later chunks propagate while earlier ones are still in flight.
-	// Each read lands directly in a pooled chunk buffer — no per-chunk
-	// allocation or copy on the clean path; the deliverer recycles the
-	// buffer once the bytes are written out the far end.
-	var busyUntil time.Time
-	for {
-		bp := chunkPool.Get().(*[]byte)
-		n, err := src.Read(*bp)
-		if n > 0 {
-			p.bytes[dir].Add(int64(n))
-			//pando:nondeterministic stamping delivery instants: the delay amounts are seeded, only their anchor is the wall clock
-			now := time.Now()
-			start := now
-			if busyUntil.After(now) {
-				start = busyUntil
-			}
-			var tx time.Duration
-			if l.Bandwidth > 0 {
-				tx = time.Duration(float64(n) / float64(l.Bandwidth) * float64(time.Second))
-			}
-			// Transmission occupies the link whether or not the chunk is
-			// then lost — a dropped packet still burned the bandwidth.
-			busyUntil = start.Add(tx)
-			data, deliver, clean, extra := p.mangle(dir, (*bp)[:n])
-			owner := bp
-			if !clean {
-				// A fault hook saw (and may retain or have replaced) the
-				// buffer; let the GC have it rather than risk recycling
-				// bytes still aliased somewhere.
-				owner = nil
-			}
-			if deliver {
-				delay := l.Latency + extra + p.jitter(l.Jitter)
-				select {
-				case inFlight <- chunk{data: data, deliverAt: busyUntil.Add(delay), buf: owner}:
-				case <-closed:
-					close(inFlight)
-					wg.Wait()
-					return
-				}
-			} else if owner != nil {
-				chunkPool.Put(owner)
-			}
-		} else {
-			chunkPool.Put(bp)
-		}
-		if err != nil {
-			close(inFlight)
-			wg.Wait()
-			return
-		}
-	}
+	set(&p.ab, &p.ab.cut, true)
+	set(&p.ba, &p.ba.cut, true)
+	p.done.Do(p.onDone)
 }
 
 // Bytes reports how many bytes have entered the link in each direction
 // (A→B, B→A) since the pipe was created. Dropped chunks still count:
 // they burned the simulated bandwidth.
 func (p *Pipe) Bytes() (aToB, bToA int64) {
-	return p.bytes[dirAtoB].Load(), p.bytes[dirBtoA].Load()
+	return p.ab.bytes.Load(), p.ba.bytes.Load()
+}
+
+// set changes one field of f's state, returning its old value, and wakes
+// whoever waits on f. A cut flow, or one nobody reads any more, drops what
+// it holds.
+func set[T any](f *flow, field *T, v T) (old T) {
+	f.mu.Lock()
+	old, *field = *field, v
+	if f.cut || f.gone {
+		for _, c := range f.q[f.head:] {
+			c.recycle()
+		}
+		f.q, f.head, f.off = nil, 0, 0
+	}
+	f.mu.Unlock()
+	signal(f.readable)
+	signal(f.writable)
+	return old
+}
+
+func signal(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
+	}
+}
+
+// waitLocked releases f.mu until ch is signalled or, when d > 0, until d
+// has passed on *t, the timer one side of the flow reuses for every wait.
+func (f *flow) waitLocked(ch chan struct{}, t **time.Timer, d time.Duration) {
+	var timeout <-chan time.Time
+	if d > 0 {
+		if *t == nil {
+			*t = time.NewTimer(d)
+		} else {
+			(*t).Reset(d)
+		}
+		timeout = (*t).C
+	}
+	f.mu.Unlock()
+	select {
+	case <-ch:
+	case <-timeout:
+	}
+	f.mu.Lock()
+}
+
+// until reports how long until t, reading the clock into *now on first
+// need. The zero time is always due, so an ideal link never reads it.
+//
+//pando:deterministic
+func until(t time.Time, now *time.Time) time.Duration {
+	if t.IsZero() {
+		return 0
+	}
+	if now.IsZero() {
+		//pando:nondeterministic maps instants stamped from the seeded delay model, and deadlines, onto real time
+		*now = time.Now()
+	}
+	return t.Sub(*now)
+}
+
+// end is one endpoint of a Pipe: it writes into one flow and reads from
+// the other.
+type end struct {
+	p       *Pipe
+	in, out *flow
+}
+
+// Write cuts b into chunks of at most chunkSize bytes, each stamped and
+// delayed on its own, and puts them on the link in turn.
+func (e *end) Write(b []byte) (int, error) {
+	e.out.wmu.Lock()
+	defer e.out.wmu.Unlock()
+	for n := 0; ; {
+		k := min(len(b)-n, chunkSize)
+		if err := e.out.put(b[n : n+k]); err != nil {
+			return n, err
+		}
+		if n += k; n == len(b) {
+			return n, nil
+		}
+	}
+}
+
+// put counts one chunk, stamps it with its delivery instant and queues
+// it, waiting while the direction holds maxInFlight chunks. The stamp is
+// the link model: transmission starts when the link is free and lasts
+// n/Bandwidth, then the chunk propagates for Latency, plus the direction's
+// Degrade delay, plus seeded jitter. A chunk the fault hook drops, or that
+// a closed reader will never see, still burned its transmission time.
+//
+//pando:deterministic
+func (f *flow) put(data []byte) error {
+	c, deliver := chunk{}, true
+	if hook := f.fault.Load(); hook != nil && *hook != nil {
+		// The hook may keep or replace what it is handed, so it gets a
+		// copy, and what it returns is never recycled.
+		c.data, deliver = (*hook)(append([]byte(nil), data...))
+	} else {
+		c.buf = chunkPool.Get().(*[]byte)
+		c.data = (*c.buf)[:copy(*c.buf, data)]
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var now time.Time
+	for {
+		now = time.Time{}
+		left := until(f.wdl, &now)
+		var err error
+		if f.cut || f.eof {
+			err = io.ErrClosedPipe
+		} else if !f.wdl.IsZero() && left <= 0 {
+			err = os.ErrDeadlineExceeded
+		}
+		if err != nil {
+			c.recycle()
+			return err
+		}
+		if f.gone || len(f.q)-f.head < maxInFlight {
+			break
+		}
+		f.waitLocked(f.writable, &f.wtimer, left)
+	}
+	f.bytes.Add(int64(len(data)))
+	keep := deliver && !f.gone && len(c.data) > 0
+	var delay time.Duration
+	if keep {
+		delay = f.link.Latency + time.Duration(f.extra.Load())
+		if j := f.link.Jitter; j > 0 {
+			if f.rng == nil {
+				f.rng = rand.New(rand.NewSource(f.seed))
+			}
+			delay += time.Duration(f.rng.Int63n(int64(j)))
+		}
+	}
+	if bw := f.link.Bandwidth; bw > 0 || delay > 0 {
+		if now.IsZero() {
+			//pando:nondeterministic anchors the seeded delays to the instant the chunk enters the link
+			now = time.Now()
+		}
+		if f.busyUntil.Before(now) {
+			f.busyUntil = now
+		}
+		if bw > 0 {
+			f.busyUntil = f.busyUntil.Add(time.Duration(float64(len(data)) / float64(bw) * float64(time.Second)))
+		}
+		c.deliverAt = f.busyUntil.Add(delay)
+	}
+	if !keep {
+		c.recycle()
+		return nil
+	}
+	f.q = append(f.q, c)
+	signal(f.readable)
+	return nil
+}
+
+// Read waits until the head chunk is due and the link not paused, then
+// copies it and every chunk due behind it, up to len(b), the way a socket
+// read takes its whole receive buffer.
+//
+//pando:deterministic
+func (e *end) Read(b []byte) (int, error) {
+	f := e.in
+	f.rmu.Lock()
+	defer f.rmu.Unlock()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for {
+		var now time.Time
+		left := until(f.rdl, &now)
+		switch {
+		case f.cut || f.gone:
+			return 0, io.ErrClosedPipe
+		case !f.rdl.IsZero() && left <= 0:
+			return 0, os.ErrDeadlineExceeded
+		case f.head == len(f.q) && f.eof:
+			return 0, io.EOF
+		}
+		if f.head < len(f.q) && !f.paused {
+			due := until(f.q[f.head].deliverAt, &now)
+			if due <= 0 {
+				return f.takeLocked(b, now), nil
+			}
+			if left == 0 || due < left {
+				left = due
+			}
+		}
+		f.waitLocked(f.readable, &f.rtimer, left)
+	}
+}
+
+// takeLocked copies the head chunk, which is due, and the due chunks
+// behind it into b.
+func (f *flow) takeLocked(b []byte, now time.Time) int {
+	if len(f.q)-f.head >= maxInFlight {
+		signal(f.writable) // there will be room
+	}
+	n := 0
+	for n < len(b) && f.head < len(f.q) {
+		c := &f.q[f.head]
+		if n > 0 && until(c.deliverAt, &now) > 0 {
+			break
+		}
+		k := copy(b[n:], c.data[f.off:])
+		n += k
+		if f.off += k; f.off < len(c.data) {
+			break
+		}
+		c.recycle()
+		*c = chunk{}
+		f.head, f.off = f.head+1, 0
+		if f.head > len(f.q)/2 { // reuse the array: move what is left to its front
+			m := copy(f.q, f.q[f.head:])
+			clear(f.q[m:])
+			f.q, f.head = f.q[:m], 0
+		}
+	}
+	return n
+}
+
+// Close ends this endpoint. What it already wrote stays readable by the
+// peer, followed by io.EOF; what was queued towards it is dropped, and
+// the peer's later writes are counted and dropped, as a socket whose peer
+// vanished still accepts them.
+func (e *end) Close() error {
+	if !set(e.in, &e.in.gone, true) {
+		set(e.out, &e.out.eof, true)
+		if e.p.ends.Add(1) == 2 {
+			e.p.done.Do(e.p.onDone)
+		}
+	}
+	return nil
+}
+
+func (e *end) LocalAddr() net.Addr  { return simAddr("pipe") }
+func (e *end) RemoteAddr() net.Addr { return simAddr("pipe") }
+
+func (e *end) SetDeadline(t time.Time) error {
+	e.SetReadDeadline(t)
+	return e.SetWriteDeadline(t)
+}
+
+func (e *end) SetReadDeadline(t time.Time) error {
+	set(e.in, &e.in.rdl, t)
+	return nil
+}
+
+func (e *end) SetWriteDeadline(t time.Time) error {
+	set(e.out, &e.out.wdl, t)
+	return nil
 }
 
 // Listener is an in-memory listener whose accepted connections go through
@@ -371,7 +479,8 @@ type Listener struct {
 	mu      sync.Mutex
 	queue   chan net.Conn
 	closed  bool
-	pipes   []*Pipe
+	pipes   map[*Pipe]struct{} // live: not cut, and an endpoint still open
+	gone    [2]int64           // bytes carried by the pipes no longer listed
 	addr    simAddr
 	nextSeq int64
 }
@@ -386,6 +495,7 @@ func NewListener(name string, l Link) *Listener {
 	return &Listener{
 		link:  l,
 		queue: make(chan net.Conn, 64),
+		pipes: make(map[*Pipe]struct{}),
 		addr:  simAddr(name),
 	}
 }
@@ -402,13 +512,20 @@ func (ln *Listener) Dial() (net.Conn, *Pipe, error) {
 	ln.nextSeq++
 	link.Seed = ln.nextSeq * 7919
 	p := NewPipe(link)
-	ln.pipes = append(ln.pipes, p)
-	ln.mu.Unlock()
-
+	p.onDone = func() { // nothing enters a dead pipe: fold in its counts
+		a, b := p.Bytes()
+		ln.mu.Lock()
+		defer ln.mu.Unlock()
+		delete(ln.pipes, p)
+		ln.gone[0], ln.gone[1] = ln.gone[0]+a, ln.gone[1]+b
+	}
 	select {
 	case ln.queue <- p.B:
+		ln.pipes[p] = struct{}{}
+		ln.mu.Unlock()
 		return p.A, p, nil
 	default:
+		ln.mu.Unlock()
 		p.Cut()
 		return nil, nil, errors.New("netsim: accept queue full")
 	}
@@ -426,13 +543,15 @@ func (ln *Listener) Accept() (net.Conn, error) {
 // Close shuts the listener down and severs every connection it created.
 func (ln *Listener) Close() error {
 	ln.mu.Lock()
-	defer ln.mu.Unlock()
 	if ln.closed {
+		ln.mu.Unlock()
 		return nil
 	}
 	ln.closed = true
 	close(ln.queue)
-	for _, p := range ln.pipes {
+	live := slices.Collect(maps.Keys(ln.pipes))
+	ln.mu.Unlock()
+	for _, p := range live {
 		p.Cut()
 	}
 	return nil
@@ -448,7 +567,8 @@ func (ln *Listener) Addr() net.Addr { return ln.addr }
 func (ln *Listener) Bytes() (in, out int64) {
 	ln.mu.Lock()
 	defer ln.mu.Unlock()
-	for _, p := range ln.pipes {
+	in, out = ln.gone[0], ln.gone[1]
+	for p := range ln.pipes {
 		a, b := p.Bytes()
 		in += a
 		out += b
