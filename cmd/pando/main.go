@@ -21,13 +21,11 @@ import (
 	"time"
 
 	"pando/internal/apps"
-	"pando/internal/fleet"
 	"pando/internal/journal"
 	"pando/internal/master"
 	"pando/internal/netsim"
 	"pando/internal/pprofserve"
 	"pando/internal/pullstream"
-	"pando/internal/shard"
 	"pando/internal/transport"
 	"pando/internal/worker"
 )
@@ -54,7 +52,6 @@ func run() error {
 		fsync    = fs.Duration("fsync", 0, "checkpoint fsync batching interval (0: default 100ms; negative: every record)")
 		window   = fs.Int("window", 0, "bound buffered results to this many; past it input reads pause (or overflow spills, with -spill)")
 		spill    = fs.String("spill", "", "with -window: page far-ahead results to this transient file instead of pausing input reads")
-		shards   = fs.Int("shards", 1, "partition the input across this many cooperating master shards (ordered output, volunteer-pool leasing)")
 		pprofArg = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	)
 	fs.Usage = func() {
@@ -94,9 +91,6 @@ func run() error {
 		Batch:    *batch,
 		Ordered:  true,
 	}
-	if *shards > 1 && (*ckpt != "" || *spill != "") {
-		return fmt.Errorf("-shards cannot be combined with -checkpoint or -spill; each shard keeps its own completion segment")
-	}
 	if *ckpt != "" {
 		j, err := journal.Open(*ckpt, journal.Options{SyncInterval: *fsync})
 		if err != nil {
@@ -124,48 +118,7 @@ func run() error {
 		}
 		fmt.Fprintf(os.Stderr, "pprof at http://%s/debug/pprof/\n", *pprofArg)
 	}
-	// Single master or a sharded group: either way the rest of the
-	// command talks to a front master (HTTP, reporter), a bind function
-	// and a volunteer entry point.
-	var (
-		front      *master.Master[string, json.RawMessage]
-		bind       func(pullstream.Source[string]) pullstream.Source[json.RawMessage]
-		serveWS    func(net.Listener)
-		serveRTC   func(*transport.RTCAnswerer)
-		admitLocal func()
-	)
-	if *shards > 1 {
-		dir, err := os.MkdirTemp("", "pando-shards-")
-		if err != nil {
-			return fmt.Errorf("shard segment dir: %w", err)
-		}
-		defer os.RemoveAll(dir)
-		pool := fleet.NewPool(fleet.Config{})
-		defer pool.Close()
-		g, err := shard.New[string, json.RawMessage](pool, shard.Config{
-			Shards:    *shards,
-			Dir:       dir,
-			DeadAfter: 10 * time.Second,
-			Master:    cfg,
-		}, stringCodec{}, rawCodec{})
-		if err != nil {
-			return err
-		}
-		defer g.Close()
-		front = g.Front()
-		front.SetShardStats(g.Stats)
-		bind = g.Bind
-		serveWS = func(ln net.Listener) { go pool.ServeWS(ln) }
-		serveRTC = func(a *transport.RTCAnswerer) { go pool.ServeRTC(a) }
-		admitLocal = func() { addPoolWorker(pool, funcName) }
-	} else {
-		m := master.New[string, json.RawMessage](cfg, stringCodec{}, rawCodec{})
-		front = m
-		bind = m.Bind
-		serveWS = func(ln net.Listener) { go m.ServeWS(ln) }
-		serveRTC = func(a *transport.RTCAnswerer) { go m.ServeRTC(a) }
-		admitLocal = func() { addLocalWorker(m, funcName) }
-	}
+	m := master.New[string, json.RawMessage](cfg, stringCodec{}, rawCodec{})
 
 	// Data plane on :port+1, deployment URL on :port — the paper's
 	// "Serving volunteer code at http://10.10.14.119:5000" (Figure 3).
@@ -174,14 +127,14 @@ func run() error {
 		return fmt.Errorf("listen data: %w", err)
 	}
 	defer dataLn.Close()
-	serveWS(dataLn)
+	go m.ServeWS(dataLn)
 
 	httpLn, err := net.Listen("tcp", fmt.Sprintf(":%d", *port))
 	if err != nil {
 		return fmt.Errorf("listen http: %w", err)
 	}
 	defer httpLn.Close()
-	srv := front.ServeHTTPInfo(httpLn, master.Invitation{
+	srv := m.ServeHTTPInfo(httpLn, master.Invitation{
 		Transport: "ws",
 		DataAddr:  advertiseAddr(httpLn, *port+1),
 	})
@@ -211,17 +164,17 @@ func run() error {
 		defer directLn.Close()
 		answerer := transport.NewRTCAnswerer(signal, directLn, transport.Config{})
 		defer answerer.Close()
-		serveRTC(answerer)
+		go m.ServeRTC(answerer)
 		fmt.Fprintf(os.Stderr, "Registered on public server %s as %q\n", *public, *masterID)
 		fmt.Fprintf(os.Stderr, "Remote volunteers join with: volunteer --via %s --master %s\n", *public, *masterID)
 	}
 
 	for i := 0; i < *local; i++ {
-		admitLocal()
+		addLocalWorker(m, funcName)
 	}
 
 	if *report {
-		rep := front.StartReporter(os.Stderr, 2*time.Second, 10*time.Second)
+		rep := m.StartReporter(os.Stderr, 2*time.Second, 10*time.Second)
 		defer rep.Stop()
 	}
 
@@ -242,7 +195,7 @@ func run() error {
 		src = pullstream.Values(fs.Args()...)
 	}
 
-	out := bind(src)
+	out := m.Bind(src)
 	w := bufio.NewWriter(os.Stdout)
 	defer w.Flush()
 	return pullstream.Drain(out, func(v json.RawMessage) error {
@@ -265,16 +218,6 @@ func addLocalWorker[I, O any](m *master.Master[I, O], funcName string) {
 	pipe := netsim.NewPipe(netsim.Loopback)
 	go v.JoinWS(pipe.A)
 	go m.Admit(transport.NewWSock(pipe.B, transport.Config{}))
-}
-
-// addPoolWorker attaches one in-process volunteer to the shared fleet, so
-// the pool may lease it to whichever shard master needs it.
-func addPoolWorker(p *fleet.Pool, funcName string) {
-	h, _ := worker.Lookup(funcName)
-	v := &worker.Volunteer{Name: "local", Handler: h, CrashAfter: -1, Functions: []string{funcName}}
-	pipe := netsim.NewPipe(netsim.Loopback)
-	go v.JoinWS(pipe.A)
-	go p.Admit(transport.NewWSock(pipe.B, transport.Config{}))
 }
 
 // advertiseAddr picks a non-loopback address to print, as the paper does.

@@ -11,10 +11,8 @@ import (
 // as text for the log of a stream that stopped making progress.
 func (p *Pando[I, O]) Diagnostics() string {
 	var b strings.Builder
-	if p.m != nil {
-		lent, failed, subs, ended := p.m.LenderStats()
-		fmt.Fprintf(&b, "lender: %d lent, %d awaiting re-lend, %d sub-streams (%d ended)\n", lent, failed, subs, ended)
-	}
+	lent, failed, subs, ended := p.m.LenderStats()
+	fmt.Fprintf(&b, "lender: %d lent, %d awaiting re-lend, %d sub-streams (%d ended)\n", lent, failed, subs, ended)
 	for _, w := range p.pool.Workers() {
 		fmt.Fprintf(&b, "pool: %+v\n", w)
 	}

@@ -3,9 +3,7 @@ package chaos
 import (
 	"bytes"
 	"fmt"
-	"path/filepath"
 	"runtime"
-	"sort"
 	"strings"
 	"time"
 
@@ -64,49 +62,6 @@ func VerifyJournal(path string, n int, want func(i int) []byte) error {
 		}
 		if w := want(i); !bytes.Equal(e.Data, w) {
 			return fmt.Errorf("chaos: journal payload %d = %q, want %q (resume would not be byte-identical)", i, e.Data, w)
-		}
-	}
-	return nil
-}
-
-// VerifySegments is VerifyJournal for a sharded run: it reads every
-// completion segment left under dir — all shards, all epochs, including
-// the segments of masters that were killed mid-run — and checks that the
-// union covers exactly the indices 0..n-1 and that every recorded
-// payload equals want(i) byte for byte. Epochs of one shard may overlap
-// (a migration copies the dead master's completed prefix into its
-// successor's segment); overlapping records must agree.
-func VerifySegments(dir string, n int, want func(i int) []byte) error {
-	paths, err := filepath.Glob(filepath.Join(dir, "*.seg"))
-	if err != nil {
-		return fmt.Errorf("chaos: scan segments: %w", err)
-	}
-	if len(paths) == 0 {
-		return fmt.Errorf("chaos: no segments under %s", dir)
-	}
-	sort.Strings(paths)
-	seen := make(map[int]bool, n)
-	for _, p := range paths {
-		entries, err := journal.ReadSegment(p)
-		if err != nil {
-			return fmt.Errorf("chaos: reread segment: %w", err)
-		}
-		for _, e := range entries {
-			if e.Idx < 0 || e.Idx >= n {
-				return fmt.Errorf("chaos: %s records index %d, outside 0..%d", filepath.Base(p), e.Idx, n-1)
-			}
-			if w := want(e.Idx); !bytes.Equal(e.Data, w) {
-				return fmt.Errorf("chaos: %s payload for %d = %q, want %q (restore would not be byte-identical)",
-					filepath.Base(p), e.Idx, e.Data, w)
-			}
-			seen[e.Idx] = true
-		}
-	}
-	if len(seen) != n {
-		for i := 0; i < n; i++ {
-			if !seen[i] {
-				return fmt.Errorf("chaos: index %d missing from every segment (result emitted but never made durable)", i)
-			}
 		}
 	}
 	return nil

@@ -39,7 +39,6 @@ type DistributedMap[I, O any] struct {
 
 	mu       sync.Mutex
 	closed   bool
-	live     int
 	observer func(Event)
 }
 
@@ -219,7 +218,6 @@ func (d *DistributedMap[I, O]) admit(name string) error {
 		d.mu.Unlock()
 		return ErrEngineClosed
 	}
-	d.live++
 	observer := d.observer
 	d.mu.Unlock()
 	if observer != nil {
@@ -233,16 +231,10 @@ func (d *DistributedMap[I, O]) admit(name string) error {
 // processor's controller when the stream ends.
 func (d *DistributedMap[I, O]) watch(name string, sd pullstream.Duplex[O, I], results pullstream.Source[O], ctrl *sched.Controller) {
 	observer := d.observer
-	var gone sync.Once
 	sd.Sink(pullstream.Tap(results, func(end error, _ O) {
 		if end == nil {
 			return
 		}
-		gone.Do(func() {
-			d.mu.Lock()
-			d.live--
-			d.mu.Unlock()
-		})
 		d.s.Detach(ctrl)
 		if observer != nil {
 			if pullstream.IsNormalEnd(end) {
@@ -251,17 +243,6 @@ func (d *DistributedMap[I, O]) watch(name string, sd pullstream.Duplex[O, I], re
 			observer(Event{Kind: "detach", Processor: name, Err: end})
 		}
 	}))
-}
-
-// Live returns how many attached processors are currently serving —
-// attachments whose result streams have not ended. A sharded master's
-// coordinator reads it (through the fleet's lease accounting) as the
-// liveness signal that decides when a shard lost its whole fleet and its
-// range should migrate.
-func (d *DistributedMap[I, O]) Live() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.live
 }
 
 // Stats exposes the coordination counters (values lent, failed queue
@@ -292,9 +273,3 @@ func (d *DistributedMap[I, O]) Close() {
 	d.mu.Unlock()
 	d.s.Stop()
 }
-
-// Abort fails the engine's merged output from the owner's side: the
-// parked output ask (and every future one) answers err immediately,
-// releasing a consumer whose remaining results can never arrive (see
-// Lender.Abort).
-func (d *DistributedMap[I, O]) Abort(err error) { d.l.Abort(err) }

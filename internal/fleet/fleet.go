@@ -732,24 +732,3 @@ func (p *Pool) Quarantined(name string) bool {
 	_, bad := p.banned[name]
 	return bad
 }
-
-// SeverJob crash-stops every session currently leased (or moving) to j
-// by closing its channel, as if the job's whole fleet vanished at once.
-// The sessions die through the normal channel-failure path: the job's
-// duplex fails and re-lends its in-flight values, the sessions' routers
-// see the close and prune them from the pool. A sharded master's Kill
-// uses it to make the loss of one shard total, so range migration — not
-// lingering half-dead leases — recovers the work.
-func (p *Pool) SeverJob(j Job) {
-	p.mu.Lock()
-	var held []*session
-	for _, s := range p.sessions {
-		if s.currentJob() == j {
-			held = append(held, s)
-		}
-	}
-	p.mu.Unlock()
-	for _, s := range held {
-		s.ch.Close()
-	}
-}

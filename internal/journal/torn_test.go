@@ -123,45 +123,68 @@ func TestTornTailEveryByteOffset(t *testing.T) {
 }
 
 // TestTornTailEveryOffsetWithGarbage repeats the sweep with the truncated
-// tail replaced by garbage of the same length (a misdirected or shredded
+// tail followed by bytes that are not a record (a misdirected or shredded
 // write rather than a short one): recovery must still stop at the last
-// intact record and never mistake garbage for data.
+// intact record, never mistake the tail for data, and truncate it so the
+// next append survives a second recovery.
 func TestTornTailEveryOffsetWithGarbage(t *testing.T) {
 	dir := t.TempDir()
 	data, ends, _ := buildTornFixture(t, filepath.Join(dir, "fixture.log"))
 
-	// A deterministic non-record byte pattern. 0xA7 (the record magic) is
-	// included so resync-on-magic alone cannot pass; the CRC must reject.
-	garbage := func(n int) []byte {
-		g := make([]byte, n)
-		for i := range g {
-			g[i] = byte((i*131 + 7) ^ 0xA7)
-		}
-		return g
+	tails := []struct {
+		name string
+		tail func(n int) []byte
+	}{
+		// A deterministic non-record byte pattern. 0xA7 (the record magic)
+		// is included so resync-on-magic alone cannot pass; the CRC must
+		// reject.
+		{"garbage", func(n int) []byte {
+			g := make([]byte, n)
+			for i := range g {
+				g[i] = byte((i*131 + 7) ^ 0xA7)
+			}
+			return g
+		}},
+		// A record header torn inside a multi-byte index varint, which the
+		// fixture's one-byte varints never produce.
+		{"header", func(int) []byte { return []byte{recordMagic, 0xFF, 0xFF} }},
 	}
 
-	for cut := 0; cut <= len(data); cut++ {
-		path := filepath.Join(dir, fmt.Sprintf("g%d.log", cut))
-		torn := append(append([]byte(nil), data[:cut]...), garbage(len(data)-cut+3)...)
-		if err := os.WriteFile(path, torn, 0o644); err != nil {
-			t.Fatal(err)
+	for _, tc := range tails {
+		for cut := 0; cut <= len(data); cut++ {
+			path := filepath.Join(dir, fmt.Sprintf("%s-%d.log", tc.name, cut))
+			torn := append(append([]byte(nil), data[:cut]...), tc.tail(len(data)-cut+3)...)
+			if err := os.WriteFile(path, torn, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			j, err := Open(path, Options{SyncInterval: -1, SnapshotEvery: -1})
+			if err != nil {
+				t.Fatalf("%s, cut %d: open: %v", tc.name, cut, err)
+			}
+			// Garbage may happen to extend the last partial record into a
+			// valid-looking one only if its CRC matches — effectively never;
+			// recovery must land exactly on the intact prefix.
+			want := recordsThatFit(ends, cut)
+			if got := j.Recovered(); got != want {
+				t.Fatalf("%s, cut %d: recovered %d records, want %d", tc.name, cut, got, want)
+			}
+			if err := j.Record(999, []byte("alive")); err != nil {
+				t.Fatalf("%s, cut %d: append: %v", tc.name, cut, err)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			j2, err := Open(path, Options{SyncInterval: -1, SnapshotEvery: -1})
+			if err != nil {
+				t.Fatalf("%s, cut %d: reopen: %v", tc.name, cut, err)
+			}
+			if got := j2.Recovered(); got != want+1 {
+				t.Fatalf("%s, cut %d: second recovery found %d records, want %d", tc.name, cut, got, want+1)
+			}
+			if err := j2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			os.Remove(path)
 		}
-		j, err := Open(path, Options{SyncInterval: -1, SnapshotEvery: -1})
-		if err != nil {
-			t.Fatalf("cut %d: open: %v", cut, err)
-		}
-		// Garbage may happen to extend the last partial record into a
-		// valid-looking one only if its CRC matches — effectively never;
-		// recovery must land exactly on the intact prefix.
-		if got, want := j.Recovered(), recordsThatFit(ends, cut); got != want {
-			t.Fatalf("cut %d: recovered %d records, want %d", cut, got, want)
-		}
-		if err := j.Record(999, []byte("alive")); err != nil {
-			t.Fatalf("cut %d: append: %v", cut, err)
-		}
-		if err := j.Close(); err != nil {
-			t.Fatal(err)
-		}
-		os.Remove(path)
 	}
 }

@@ -415,29 +415,6 @@ func (l *Lender[I, O]) OnResult(fn func(idx int, v O)) {
 	l.mu.Unlock()
 }
 
-// Abort fails the merged output from the producer's side: the parked
-// output ask (and every future one) answers err immediately. The shard
-// layer uses it on a killed member — its fleet is severed, so the
-// results its output is waiting on will never arrive and the consumer's
-// pull would otherwise park forever.
-func (l *Lender[I, O]) Abort(err error) {
-	l.mu.Lock()
-	if l.aborted == nil {
-		l.aborted = err
-	}
-	l.outDone = true
-	var st step[I, O]
-	st.out.cb, st.out.end = l.out, err
-	l.out = nil
-	if !l.reading {
-		// No read in flight to carry the abort to the input (inputAnswer
-		// would): the idle reader has nothing left to wait for.
-		l.retireReaderLocked()
-	}
-	l.mu.Unlock()
-	st.run()
-}
-
 // Bind attaches the input source and returns the merged output source,
 // mirroring pull(input, lender, output) in the paper's Figure 9.
 func (l *Lender[I, O]) Bind(src pullstream.Source[I]) pullstream.Source[O] {
@@ -896,7 +873,7 @@ func (l *Lender[I, O]) requestReadLocked() {
 // goroutine because input sources may block until a value is available
 // while the goroutine that triggered the service step may be needed
 // elsewhere (it might even be the one that will produce the input). It
-// returns once retireReaderLocked closed req: the input ended or aborted.
+// returns once endInputLocked closed req: the input ended or aborted.
 func (l *Lender[I, O]) readInput(input pullstream.Source[I], req <-chan struct{}) {
 	answer := l.inputAnswer // one method value for the stream, not one per read
 	for range req {
@@ -904,19 +881,15 @@ func (l *Lender[I, O]) readInput(input pullstream.Source[I], req <-chan struct{}
 	}
 }
 
-// retireReaderLocked lets the input reader go: no read can follow.
-func (l *Lender[I, O]) retireReaderLocked() {
+// endInputLocked records the input's end signal and lets the input reader
+// go: no read can follow.
+func (l *Lender[I, O]) endInputLocked(end error) {
+	l.reading = false
+	l.inEnd = end
 	if l.readReq != nil && !l.readRetired {
 		l.readRetired = true
 		close(l.readReq)
 	}
-}
-
-// endInputLocked records the input's end signal.
-func (l *Lender[I, O]) endInputLocked(end error) {
-	l.reading = false
-	l.inEnd = end
-	l.retireReaderLocked()
 }
 
 // inputAnswer receives one answer from the input source.

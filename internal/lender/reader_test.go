@@ -1,7 +1,6 @@
 package lender
 
 import (
-	"errors"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -60,7 +59,7 @@ func TestInputReaderIsLazy(t *testing.T) {
 	base := inputReaders()
 	in := &countingSource{}
 	l := New[int, int]()
-	l.Bind(in.source)
+	out := l.Bind(in.source)
 	var subs []pullstream.Duplex[int, int]
 	for i := 0; i < 3; i++ {
 		_, d := l.LendStream()
@@ -80,13 +79,13 @@ func TestInputReaderIsLazy(t *testing.T) {
 	if n := inputReaders() - base; n != 1 {
 		t.Fatalf("%d input reader goroutines for one lender, want 1", n)
 	}
-	l.Abort(errors.New("test over"))
-	awaitNoReader(t, base, "Abort")
+	out(pullstream.ErrAborted, func(error, int) {})
+	awaitNoReader(t, base, "a downstream abort")
 }
 
 // TestInputReaderExits: the reader goroutine is gone after the input's
-// normal end, after a downstream abort (with and without a read in
-// flight), and after Abort.
+// normal end and after a downstream abort (with and without a read in
+// flight).
 func TestInputReaderExits(t *testing.T) {
 	base := inputReaders()
 	t.Run("input end", func(t *testing.T) {
@@ -141,20 +140,6 @@ func TestInputReaderExits(t *testing.T) {
 		if !aborted.Load() {
 			t.Fatal("the input was never told about the abort")
 		}
-	})
-	t.Run("Abort", func(t *testing.T) {
-		in := &countingSource{}
-		l := New[int, int]()
-		l.Bind(in.source)
-		_, d := l.LendStream()
-		if _, end := ask(t, d.Source); end != nil {
-			t.Fatal(end)
-		}
-		if inputReaders() != base+1 {
-			t.Fatal("no reader after the first read")
-		}
-		l.Abort(errors.New("owner gave up"))
-		awaitNoReader(t, base, "Abort")
 	})
 }
 

@@ -43,15 +43,6 @@ func (m *Master[I, O]) ServeHTTPInfo(ln net.Listener, inv Invitation) *http.Serv
 	})
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		// A sharded master aggregates per-shard rows next to the worker
-		// accounting; a plain master keeps the historical bare-array shape.
-		if shards := m.ShardStats(); shards != nil {
-			_ = json.NewEncoder(w).Encode(struct {
-				Workers []WorkerStats `json:"workers"`
-				Shards  []ShardStats  `json:"shards"`
-			}{Workers: m.Stats(), Shards: shards})
-			return
-		}
 		_ = json.NewEncoder(w).Encode(m.Stats())
 	})
 	srv := &http.Server{Handler: mux}

@@ -80,14 +80,6 @@ type Config struct {
 	// speed ahead of a slow consumer. The caller owns the store's
 	// lifecycle (Close it after the master).
 	Spill *journal.SpillStore
-	// ResultHook, when non-nil, receives every newly accepted result as
-	// (index, encoded payload), after the journal write (if any) and
-	// before the result is emitted downstream. A sharded master records
-	// results into its shard's completion segment through it, so any
-	// result a consumer ever sees is already durable in some segment —
-	// the invariant that makes range migration exactly-once. The hook
-	// must not block.
-	ResultHook func(idx int, data []byte)
 	// BlobCacheBytes caps the content-addressed intern table backing
 	// payload dedup on '/pando/2.2.0' channels: payload blocks the job
 	// has transmitted stay interned (LRU) so repeats travel as SHA-256
@@ -95,13 +87,6 @@ type Config struct {
 	// blob.DefaultInternBytes; negative disables dedup entirely (every
 	// payload travels in full, compression still applies).
 	BlobCacheBytes int64
-	// RestoreEntries seeds the engine with completed results recovered
-	// from elsewhere than Config.Journal — e.g. the segment copy an
-	// adopting shard received in a range hand-off. Entries are decoded
-	// with the output codec; ones that no longer decode are skipped and
-	// recomputed. Applied after the Journal's own recovered set (later
-	// entries win on index collisions).
-	RestoreEntries []journal.Entry
 }
 
 // spillStore adapts the optional config store to the engine's interface
@@ -207,60 +192,6 @@ type WorkerStats struct {
 	window *itemWindow
 }
 
-// ShardStats is one shard's row in a sharded master's accounting: which
-// contiguous chunks of the global index space it owns, how hungry it is,
-// and how deep the merge layer is buffering on its behalf. A shard.Group
-// installs a provider via SetShardStats; single-master deployments never
-// see this type.
-type ShardStats struct {
-	// Shard is the shard's id (its position in the coordinator's ring).
-	Shard int `json:"shard"`
-	// Epoch counts ownership hand-offs of this shard's range set; it
-	// starts at 0 and increments each time the range migrates.
-	Epoch int `json:"epoch"`
-	// Lo and Hi bound the global indices routed to this shard so far
-	// (inclusive/exclusive); both are 0 before its first value.
-	Lo int `json:"lo"`
-	Hi int `json:"hi"`
-	// Outstanding and Failed mirror the shard engine's Backlog — the
-	// demand signal its fleet.Job presents to the shared pool.
-	Outstanding int `json:"outstanding"`
-	Failed      int `json:"failed"`
-	// MergeDepth is how many of this shard's results the merge layer is
-	// currently holding for global reordering.
-	MergeDepth int `json:"merge_depth"`
-	// LiveWorkers counts the shard's currently attached processors.
-	LiveWorkers int `json:"live_workers"`
-	// Items counts results the shard has accepted (including any it
-	// recovered from a migrated segment copy).
-	Items int `json:"items"`
-	// Migrated marks a shard whose range was handed to a sibling; Dead
-	// marks one the coordinator declared lost.
-	Migrated bool `json:"migrated"`
-	Dead     bool `json:"dead"`
-}
-
-// SetShardStats installs the per-shard stats provider. The master's
-// /stats endpoint and reporter include the provider's rows once set; fn
-// must be safe for concurrent use.
-func (m *Master[I, O]) SetShardStats(fn func() []ShardStats) {
-	m.mu.Lock()
-	m.shardStats = fn
-	m.mu.Unlock()
-}
-
-// ShardStats returns the per-shard rows, or nil when this master is not
-// the front of a sharded group.
-func (m *Master[I, O]) ShardStats() []ShardStats {
-	m.mu.Lock()
-	fn := m.shardStats
-	m.mu.Unlock()
-	if fn == nil {
-		return nil
-	}
-	return fn()
-}
-
 // Throughput returns items per second over the device's active period.
 func (w WorkerStats) Throughput() float64 {
 	d := w.LastSeen.Sub(w.FirstSeen)
@@ -285,12 +216,11 @@ type Master[I, O any] struct {
 	// (NewJob) leasing from a shared pool.
 	pool *fleet.Pool
 
-	mu         sync.Mutex
-	workers    map[string]*device
-	closed     bool
-	jerr       error // first journal write failure, for diagnostics
-	shardStats func() []ShardStats
-	ledger     *verify.Ledger // non-nil once EnableVerification ran
+	mu      sync.Mutex
+	workers map[string]*device
+	closed  bool
+	jerr    error          // first journal write failure, for diagnostics
+	ledger  *verify.Ledger // non-nil once EnableVerification ran
 
 	// Bandwidth-aware data plane state: the job-wide intern table behind
 	// payload dedup, per-worker dedup counters, and the registry of
@@ -311,14 +241,12 @@ type engine[I, O any] interface {
 	Stats() (lentNow, failedQueue, subStreams, ended int)
 	Backlog() (outstanding, failed int, complete bool)
 	Flows() []sched.WorkerFlow
-	Live() int
 	Close()
-	Abort(error)
 }
 
 // lane is the engine: a DistributedMap lending units of type U and
 // collecting results of type R, with the unit's codecs doing the wire,
-// journal, spill, ResultHook and digest encoding. A plain job lends
+// journal, spill and digest encoding. A plain job lends
 // values (U, R = I, O); a grouped job lends lists (U, R = []I, []O under
 // transport.ListCodec) — inputs are grouped before the StreamLender, so
 // the unit of lending, re-lending on crash, ordering, journaling and
@@ -387,8 +315,8 @@ func (e *lane[I, O, U, R]) EnableVerification(pol verify.Policy, f func(I) (O, e
 }
 
 // newLane builds the engine for one lending unit and wires the config's
-// durability into it: journal/hand-off restore, result recording and the
-// memory bound all speak the unit's output codec.
+// durability into it: journal restore, result recording and the memory
+// bound all speak the unit's output codec.
 func newLane[I, O, U, R any](m *Master[I, O], unit int, in transport.Codec[U], out transport.Codec[R],
 	pack pullstream.Through[I, U], unpack pullstream.Through[R, O],
 	lift func(func(I) (O, error)) func(U) (R, error)) *lane[I, O, U, R] {
@@ -398,9 +326,9 @@ func newLane[I, O, U, R any](m *Master[I, O], unit int, in transport.Codec[U], o
 		opts = append(opts, core.WithUnordered())
 	}
 	d := core.New[U, R](opts...)
-	if cfg.Journal != nil || cfg.ResultHook != nil || len(cfg.RestoreEntries) > 0 {
-		d.Restore(restoreSet(cfg, out))
-		d.OnResult(recorder(cfg, out, m.noteJournalErr))
+	if cfg.Journal != nil {
+		d.Restore(restoreSet(cfg.Journal, out))
+		d.OnResult(recorder(cfg.Journal, out, m.noteJournalErr))
 	}
 	if cfg.SpillHighWater > 0 {
 		d.BoundMemory(cfg.SpillHighWater, cfg.spillStore(), out.Encode, out.Decode)
@@ -522,18 +450,13 @@ func (m *Master[I, O]) hintLoop(stop chan struct{}) {
 	}
 }
 
-// restoreSet decodes every completed entry the config recovers from — the
-// journal's own recovered set first, then RestoreEntries (so a hand-off
-// copy wins index collisions) — into the lender's completed set. An entry
-// whose payload no longer decodes (e.g. the deployment's output codec or
-// group size changed) is skipped — that index is simply recomputed, so a
-// stale journal degrades to extra work, never to a failed restart.
-func restoreSet[R any](cfg Config, out transport.Codec[R]) map[int]R {
-	var entries []journal.Entry
-	if cfg.Journal != nil {
-		entries = cfg.Journal.Completed()
-	}
-	entries = append(entries, cfg.RestoreEntries...)
+// restoreSet decodes the journal's recovered entries into the lender's
+// completed set. An entry whose payload no longer decodes (e.g. the
+// deployment's output codec or group size changed) is skipped — that
+// index is simply recomputed, so a stale journal degrades to extra work,
+// never to a failed restart.
+func restoreSet[R any](jnl *journal.Journal, out transport.Codec[R]) map[int]R {
+	entries := jnl.Completed()
 	restore := make(map[int]R, len(entries))
 	for _, e := range entries {
 		if v, err := out.Decode(e.Data); err == nil {
@@ -543,25 +466,17 @@ func restoreSet[R any](cfg Config, out transport.Codec[R]) map[int]R {
 	return restore
 }
 
-// recorder journals one accepted result and hands its encoding to the
-// ResultHook. Write failures are remembered (journalErr) but do not
-// interrupt the stream: a deployment with a full disk keeps computing, it
-// just stops gaining durability.
-func recorder[R any](cfg Config, out transport.Codec[R], noteErr func(error)) func(int, R) {
-	jnl, hook := cfg.Journal, cfg.ResultHook
+// recorder journals one accepted result. Write failures are remembered
+// (journalErr) but do not interrupt the stream: a deployment with a full
+// disk keeps computing, it just stops gaining durability.
+func recorder[R any](jnl *journal.Journal, out transport.Codec[R], noteErr func(error)) func(int, R) {
 	return func(idx int, v R) {
 		data, err := out.Encode(v)
+		if err == nil {
+			err = jnl.Record(idx, data)
+		}
 		if err != nil {
 			noteErr(err)
-			return
-		}
-		if jnl != nil {
-			if err := jnl.Record(idx, data); err != nil {
-				noteErr(err)
-			}
-		}
-		if hook != nil {
-			hook(idx, data)
 		}
 	}
 }
@@ -820,11 +735,6 @@ func (m *Master[I, O]) LenderStats() (lentNow, failedQueue, subStreams, ended in
 	return m.engine.Stats()
 }
 
-// LiveWorkers counts the currently attached processors — attachments
-// whose streams have not ended. A shard coordinator polls it as the
-// liveness signal behind range migration.
-func (m *Master[I, O]) LiveWorkers() int { return m.engine.Live() }
-
 // Close marks the master as shutting down; its own pool (if any) refuses
 // further admissions, in-flight Serve loops exit on their next accept
 // error and the engine's straggler scan stops.
@@ -841,12 +751,6 @@ func (m *Master[I, O]) Close() {
 	}
 	m.engine.Close()
 }
-
-// Abort fails the master's bound output stream immediately: the engine's
-// parked and future output asks answer err. The shard coordinator calls
-// it on a killed member — the severed fleet will never deliver the
-// results the output is parked on, and the drain must come home.
-func (m *Master[I, O]) Abort(err error) { m.engine.Abort(err) }
 
 func (m *Master[I, O]) isClosed() bool {
 	m.mu.Lock()

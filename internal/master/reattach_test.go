@@ -100,7 +100,7 @@ func TestReattachDoesNotInheritStaleFlowState(t *testing.T) {
 	// still running.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		_, _, subs, ended := m.LenderStats()
+		_, _, subs, ended := m.engine.Stats()
 		flows := m.engine.Flows()
 		if subs >= 2 && ended >= 1 && len(flows) == 1 && flows[0].Name == "w" {
 			break

@@ -83,15 +83,4 @@ func (m *Master[I, O]) report(w io.Writer, window time.Duration) {
 		}
 		fmt.Fprintln(w)
 	}
-	for _, sh := range m.ShardStats() {
-		state := "live"
-		switch {
-		case sh.Dead:
-			state = "dead"
-		case sh.Migrated:
-			state = "migrated"
-		}
-		fmt.Fprintf(w, "[pando]   shard %02d e%d %-8s range [%d,%d) %6d items, backlog %d+%d, merge depth %d, %d worker(s)\n",
-			sh.Shard, sh.Epoch, state, sh.Lo, sh.Hi, sh.Items, sh.Outstanding, sh.Failed, sh.MergeDepth, sh.LiveWorkers)
-	}
 }

@@ -1,3 +1,6 @@
+// Package shard holds the Merger, which restores one global order over
+// several concurrent producers with bounded buffering. The benchmark's
+// layer ladder times it (shard.merge_ns_per_item).
 package shard
 
 import (
@@ -6,31 +9,26 @@ import (
 	"pando/internal/pullstream"
 )
 
-// Merger restores global output order from the per-shard ordered
-// substreams with O(window) buffering. Each shard's drainer inserts
-// (global index, result) pairs in ascending global order (its engine is
-// ordered and its feed is routed in global arrival order); the merger
-// holds at most `window` results ahead of the emission cursor and blocks
-// any inserter that would exceed it — the backpressure that keeps an
-// arbitrarily long sharded stream in bounded master memory, riding the
-// same bound-and-block discipline as the lender's memory bound.
+// Merger restores global output order from concurrent producers with
+// O(window) buffering. Each producer inserts (global index, result) pairs
+// in ascending global order; the merger holds at most `window` results
+// ahead of the emission cursor and blocks any inserter that would exceed
+// it — the backpressure that keeps an arbitrarily long stream in bounded
+// memory, the same bound-and-block discipline as the lender's memory
+// bound.
 //
 // Deadlock-freedom of the bound: the cursor's next value is always the
-// minimal uninserted global, and the shard owning it inserts its globals
-// ascending, so that shard's next insert IS the cursor value — which is
-// always admitted regardless of buffer depth. Every other blocked
+// minimal uninserted global, and the producer owning it inserts its
+// globals ascending, so that producer's next insert IS the cursor value —
+// which is always admitted regardless of buffer depth. Every other blocked
 // inserter wakes as emissions advance the cursor.
 type Merger[O any] struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	buf      map[int]O
-	cursor   int
-	window   int
-	total    int
-	totalSet bool
-	failed   error
-	onEmit   func(global int)
-	maxDepth int
+	mu     sync.Mutex
+	cond   *sync.Cond
+	buf    map[int]O
+	cursor int
+	window int
+	failed error
 }
 
 // NewMerger creates a merger admitting at most window results ahead of
@@ -44,39 +42,11 @@ func NewMerger[O any](window int) *Merger[O] {
 	return m
 }
 
-// OnEmit registers fn, invoked (outside the merger's lock) with each
-// global index as it is emitted; the coordinator prunes its retained
-// input there. Call before the first Insert.
-func (m *Merger[O]) OnEmit(fn func(global int)) { m.onEmit = fn }
-
-// SetTotal fixes the stream length: the source ends once the cursor
-// reaches it.
-func (m *Merger[O]) SetTotal(n int) {
-	m.mu.Lock()
-	m.total, m.totalSet = n, true
-	m.cond.Broadcast()
-	m.mu.Unlock()
-}
-
-// Fail poisons the merger: the source answers err and blocked inserters
-// return.
-func (m *Merger[O]) Fail(err error) {
-	if err == nil {
-		return
-	}
-	m.mu.Lock()
-	if m.failed == nil {
-		m.failed = err
-	}
-	m.cond.Broadcast()
-	m.mu.Unlock()
-}
-
 // Insert offers one result. It blocks while the buffer is full — unless
 // global IS the cursor, which is always admitted (see the deadlock note
-// above). A global below the cursor (already emitted: a migration replay
-// racing the original owner's drain) is dropped; re-inserting a buffered
-// global overwrites idempotently.
+// above). A global below the cursor (already emitted: a replay racing the
+// original producer) is dropped; re-inserting a buffered global
+// overwrites idempotently.
 func (m *Merger[O]) Insert(global int, v O) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -93,53 +63,23 @@ func (m *Merger[O]) Insert(global int, v O) {
 		return
 	}
 	m.buf[global] = v
-	if len(m.buf) > m.maxDepth {
-		m.maxDepth = len(m.buf)
-	}
 	m.cond.Broadcast()
 }
 
-// Depth reports how many results are buffered ahead of the cursor.
-func (m *Merger[O]) Depth() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.buf)
-}
-
-// MaxDepth reports the high-water buffer depth over the merger's life.
-func (m *Merger[O]) MaxDepth() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.maxDepth
-}
-
-// Cursor reports the next global index to emit.
-func (m *Merger[O]) Cursor() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.cursor
-}
-
-// Buffered snapshots the buffered global indices (unordered).
-func (m *Merger[O]) Buffered() []int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]int, 0, len(m.buf))
-	for g := range m.buf {
-		out = append(out, g)
-	}
-	return out
-}
-
 // Source is the globally ordered output stream. Requests block until the
-// cursor's value arrives; the stream ends when the cursor reaches the
-// total (SetTotal) or fails when the merger is poisoned. Aborting the
-// source poisons the merger so shard drainers unblock.
+// cursor's value arrives; the stream has no end of its own, so the
+// consumer stops after the values it expects. Aborting the source fails
+// the merger, which releases every blocked inserter.
 func (m *Merger[O]) Source() pullstream.Source[O] {
 	return func(abort error, cb pullstream.Callback[O]) {
 		var zero O
 		if abort != nil {
-			m.Fail(abort)
+			m.mu.Lock()
+			if m.failed == nil {
+				m.failed = abort
+			}
+			m.cond.Broadcast()
+			m.mu.Unlock()
 			cb(abort, zero)
 			return
 		}
@@ -152,21 +92,11 @@ func (m *Merger[O]) Source() pullstream.Source[O] {
 				return
 			}
 			if v, ok := m.buf[m.cursor]; ok {
-				g := m.cursor
-				delete(m.buf, g)
+				delete(m.buf, m.cursor)
 				m.cursor++
 				m.cond.Broadcast()
-				onEmit := m.onEmit
 				m.mu.Unlock()
-				if onEmit != nil {
-					onEmit(g)
-				}
 				cb(nil, v)
-				return
-			}
-			if m.totalSet && m.cursor >= m.total {
-				m.mu.Unlock()
-				cb(pullstream.ErrDone, zero)
 				return
 			}
 			m.cond.Wait()

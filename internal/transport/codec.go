@@ -64,7 +64,7 @@ func (BinaryCodec[T, PT]) DecodeAliases() bool { return true }
 // over an element codec, which is all the grouped data plane is — the
 // same duplex, engine, journal and spill store, carrying lists. Encode
 // and Decode frame the group for everything off the wire (journal
-// entries, spilled results, ResultHook payloads, verification digests):
+// entries, spilled results, verification digests):
 // a uvarint count, then each value as a uvarint length + its encoding.
 // On the wire MasterDuplex recognizes the codec and packs the same
 // element encodings into the channel's negotiated batch frames

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"os"
 	"sync"
 	"time"
 
@@ -37,7 +36,6 @@ import (
 	"pando/internal/proto"
 	"pando/internal/pullstream"
 	"pando/internal/sched"
-	"pando/internal/shard"
 	"pando/internal/transport"
 	"pando/internal/verify"
 	"pando/internal/worker"
@@ -53,9 +51,6 @@ type (
 	ChannelConfig = transport.Config
 	// WorkerStats is the per-device throughput accounting.
 	WorkerStats = master.WorkerStats
-	// ShardStats is one shard master's row in a sharded deployment's
-	// statistics (range, backlog, merge-buffer depth, lineage).
-	ShardStats = master.ShardStats
 	// Dialer opens a raw connection to a candidate address during the
 	// WebRTC-like bootstrap.
 	Dialer = transport.Dialer
@@ -116,9 +111,6 @@ type options struct {
 	fsync          time.Duration
 	highWater      int
 	spillPath      string
-	shards         int
-	shardWindow    int
-	shardDir       string
 	verifyK        int
 	verifyQuorum   int
 	spotRate       float64
@@ -292,36 +284,6 @@ func WithSpill(path string) Option {
 	return func(o *options) { o.spillPath = path }
 }
 
-// WithShards partitions the deployment's input stream across n
-// cooperating master shards. Each shard owns a contiguous slice of the
-// index space (chunked round-robin), runs its own dispatch engine and
-// completion segment, and leases workers independently from the fleet, so
-// aggregate dispatch throughput scales with n instead of saturating one
-// master's event loop. A merge layer restores global output order with
-// O(window) buffering — see WithShardWindow — and when a shard's workers
-// all die its range migrates to a fresh sibling (completed results
-// restored from the segment copy, the rest recomputed), so the output is
-// byte-identical to a single-master run even across shard failures.
-//
-// Sharding preserves ordered-map semantics only: combining it with
-// WithUnordered, WithCheckpoint/WithResume or WithSpill is reported as an
-// error by Process / ProcessSlice (per-shard completion segments are the
-// sharded counterpart of the checkpoint journal). n <= 1 means a single
-// classic master.
-func WithShards(n int) Option { return func(o *options) { o.shards = n } }
-
-// WithShardWindow bounds the sharded merge layer's reorder buffer at w
-// results (default shard.DefaultWindow). Larger windows let fast shards
-// run further ahead of the global emission cursor; smaller windows bound
-// master memory more tightly. Zero keeps the default.
-func WithShardWindow(w int) Option { return func(o *options) { o.shardWindow = w } }
-
-// WithShardDir places the per-shard completion segments under dir
-// (created if missing) instead of a transient temp directory, and leaves
-// them on disk at Close — the run's durable record, inspectable after
-// the fact. Only meaningful with WithShards.
-func WithShardDir(dir string) Option { return func(o *options) { o.shardDir = dir } }
-
 // WithVerification enables Byzantine-tolerant result verification:
 // every input is dispatched to k distinct workers (devices, by
 // accounting name — several sessions of one device share a vote), and a
@@ -335,9 +297,7 @@ func WithShardDir(dir string) Option { return func(o *options) { o.shardDir = di
 // fast path, and WithSpotCheck to keep even trusted workers honest.
 //
 // With WithGroup(n > 1) the unit of replication and voting is the group
-// (the digest covers the whole group's results). Verification needs the
-// unsharded data plane: combining it with WithShards is reported as an
-// error by Process / ProcessSlice.
+// (the digest covers the whole group's results).
 func WithVerification(k, quorum int) Option {
 	return func(o *options) {
 		o.verifyK = k
@@ -403,7 +363,6 @@ type Pool struct {
 	mu       sync.Mutex
 	handlers map[string]worker.Handler // job name -> payload handler (local workers)
 	jobs     []poolJob
-	locals   []*worker.Volunteer
 	pipes    []*netsim.Pipe
 	closed   bool
 }
@@ -475,7 +434,6 @@ func (p *Pool) AddWorker(name string, link netsim.Link, delay time.Duration, cra
 	}
 	pipe := netsim.NewPipe(link)
 	p.mu.Lock()
-	p.locals = append(p.locals, v)
 	p.pipes = append(p.pipes, pipe)
 	p.mu.Unlock()
 	go func() { _ = v.JoinWS(pipe.A) }()
@@ -612,15 +570,10 @@ type Pando[I, O any] struct {
 	journal *journal.Journal
 	spill   *journal.SpillStore
 
-	shards        *shard.Group[I, O] // non-nil iff WithShards(n>1)
-	shardDir      string             // segment directory
-	shardDirOwned bool               // transient temp dir: removed at Close
+	initErr error // deferred WithCheckpoint/WithSpill failure, surfaced by Process
 
-	initErr error // deferred WithCheckpoint/WithSpill/WithShards failure, surfaced by Process
-
-	mu     sync.Mutex
-	locals []*worker.Volunteer
-	pipes  []*netsim.Pipe
+	mu    sync.Mutex
+	pipes []*netsim.Pipe
 }
 
 // wireFormats resolves the formats a deployment negotiates: an explicit
@@ -707,17 +660,6 @@ func Map[I, O any](pool *Pool, name string, f func(I) (O, error), opts ...Option
 		Formats:        o.wireFormats(),
 		BlobCacheBytes: o.blobCache,
 	}
-	if o.shards > 1 {
-		h := CodecHandler(f, in, out)
-		p.initShards(o, cfg)
-		pool.register(p, h)
-		if o.register {
-			if _, exists := worker.Lookup(name); !exists {
-				worker.Register(name, h)
-			}
-		}
-		return p
-	}
 	if o.checkpoint != "" {
 		j, err := journal.Open(o.checkpoint, journal.Options{SyncInterval: o.fsync})
 		switch {
@@ -781,67 +723,6 @@ func Map[I, O any](pool *Pool, name string, f func(I) (O, error), opts ...Option
 // Name returns the job's function name.
 func (p *Pando[I, O]) Name() string { return p.name }
 
-// defaultDeadAfter is how long a shard must sit with demand, zero live
-// workers and no returning devices before the coordinator declares it
-// dead and migrates its range.
-const defaultDeadAfter = 10 * time.Second
-
-// initShards builds the sharded engine behind Map when WithShards(n > 1)
-// is set. Failures surface through initErr on the first Process, like
-// checkpoint failures — except option combinations that could never work,
-// which follow the same rule as WithCodec mismatches and are rejected
-// here.
-func (p *Pando[I, O]) initShards(o options, cfg master.Config) {
-	switch {
-	case o.unordered:
-		p.initErr = fmt.Errorf("pando: WithShards needs ordered output (the merge layer restores input order); remove WithUnordered")
-		return
-	case o.checkpoint != "" || o.resume:
-		p.initErr = fmt.Errorf("pando: WithShards cannot be combined with WithCheckpoint/WithResume; each shard keeps its own completion segment")
-		return
-	case o.spillPath != "":
-		p.initErr = fmt.Errorf("pando: WithShards cannot be combined with WithSpill; bound the merge buffer with WithShardWindow instead")
-		return
-	case o.verifyK > 0:
-		p.initErr = fmt.Errorf("pando: WithShards cannot be combined with WithVerification; replica routing needs the single-master index space")
-		return
-	}
-	cfg.SpillHighWater = o.highWater
-	dir := o.shardDir
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			p.initErr = fmt.Errorf("pando: WithShardDir: %w", err)
-			return
-		}
-	} else {
-		var err error
-		dir, err = os.MkdirTemp("", "pando-shards-")
-		if err != nil {
-			p.initErr = fmt.Errorf("pando: WithShards: %w", err)
-			return
-		}
-		p.shardDirOwned = true
-	}
-	g, err := shard.New[I, O](p.pool.fp, shard.Config{
-		Shards:    o.shards,
-		Window:    o.shardWindow,
-		Dir:       dir,
-		DeadAfter: defaultDeadAfter,
-		Master:    cfg,
-	}, p.in, p.out)
-	if err != nil {
-		if p.shardDirOwned {
-			_ = os.RemoveAll(dir)
-		}
-		p.initErr = fmt.Errorf("pando: WithShards(%d): %w", o.shards, err)
-		return
-	}
-	// The front master answers HTTP /stats for the whole group.
-	g.Front().SetShardStats(g.Stats)
-	p.shards = g
-	p.shardDir = dir
-}
-
 // Handler adapts a typed processing function into a registry handler, the
 // equivalent of the paper's Figure 2 glue code: decode the input, apply
 // the function, encode the result, report errors through the callback.
@@ -886,12 +767,7 @@ func (p *Pando[I, O]) Process(ctx context.Context, in <-chan I) (<-chan O, <-cha
 	}
 	ctxErr := make(chan error, 1)
 	src := pullstream.FromChan(in, ctxErr)
-	var bound pullstream.Source[O]
-	if p.shards != nil {
-		bound = p.shards.Bind(src)
-	} else {
-		bound = p.m.Bind(src)
-	}
+	bound := p.m.Bind(src)
 	if ctx == nil {
 		return pullstream.ToChan(bound)
 	}
@@ -985,7 +861,6 @@ func (p *Pando[I, O]) AddWorker(name string, link netsim.Link, delay time.Durati
 	}
 	pipe := netsim.NewPipe(link)
 	p.mu.Lock()
-	p.locals = append(p.locals, v)
 	p.pipes = append(p.pipes, pipe)
 	p.mu.Unlock()
 	go func() { _ = v.JoinWS(pipe.A) }()
@@ -1001,69 +876,20 @@ func (p *Pando[I, O]) ServeWS(acc Acceptor) error { return p.pool.fp.ServeWS(acc
 // Run it on a goroutine.
 func (p *Pando[I, O]) ServeRTC(answerer *transport.RTCAnswerer) { p.pool.fp.ServeRTC(answerer) }
 
-// Stats snapshots per-device accounting (items processed, active period);
-// in a sharded deployment, across every shard master.
+// Stats snapshots per-device accounting (items processed, active period).
 func (p *Pando[I, O]) Stats() []WorkerStats {
-	if p.shards != nil {
-		return p.shards.WorkerStats()
-	}
-	if p.m == nil {
-		return nil
-	}
 	return p.m.Stats()
 }
 
 // TotalItems is the total number of results received from all devices.
 func (p *Pando[I, O]) TotalItems() int {
-	if p.shards != nil {
-		return p.shards.TotalItems()
-	}
-	if p.m == nil {
-		return 0
-	}
 	return p.m.TotalItems()
-}
-
-// ShardStats snapshots the per-shard rows of a WithShards deployment —
-// range ownership, backlog, merge-buffer depth and migration lineage —
-// and is nil for a classic single-master deployment.
-func (p *Pando[I, O]) ShardStats() []ShardStats {
-	if p.shards == nil {
-		return nil
-	}
-	return p.shards.Stats()
-}
-
-// FailShard crash-stops the current master of shard `slot` in a
-// WithShards deployment: its leased sessions are severed mid-flight and
-// its index range handed to a fresh sibling (completed results restored
-// from the segment copy, the rest recomputed). This is the
-// fault-injection entry the chaos suite drives; the output stream must
-// come through unchanged.
-func (p *Pando[I, O]) FailShard(slot int) error {
-	if p.shards == nil {
-		return fmt.Errorf("pando: FailShard: not a sharded deployment")
-	}
-	return p.shards.Kill(slot)
-}
-
-// MigrateShard gracefully hands shard `slot`'s range to a fresh sibling
-// without severing its sessions — the operator's drain, e.g. ahead of
-// retiring the host.
-func (p *Pando[I, O]) MigrateShard(slot int) error {
-	if p.shards == nil {
-		return fmt.Errorf("pando: MigrateShard: not a sharded deployment")
-	}
-	return p.shards.Migrate(slot)
 }
 
 // Reputations snapshots the per-worker reputation rows of a
 // WithVerification deployment (score, agreement counts, spot-check
 // tallies, quarantine state); nil without verification.
 func (p *Pando[I, O]) Reputations() map[string]WorkerRep {
-	if p.m == nil {
-		return nil
-	}
 	return p.m.Reputations()
 }
 
@@ -1072,9 +898,6 @@ func (p *Pando[I, O]) Reputations() map[string]WorkerRep {
 // matching results carried the vote (or the fast path / spot-check that
 // sealed it). Nil without verification.
 func (p *Pando[I, O]) VerifyAudit() []Acceptance {
-	if p.m == nil {
-		return nil
-	}
 	return p.m.VerifyAudit()
 }
 
@@ -1092,16 +915,9 @@ func (p *Pando[I, O]) Close() {
 	// Unregister first so the fleet reclaims this job's leases (or, for
 	// an owned single-job pool, volunteers are dismissed) before the
 	// engine shuts down.
-	if p.job != nil {
-		p.pool.fp.Unregister(p.job)
-	}
+	p.pool.fp.Unregister(p.job)
 	p.pool.unregister(p)
-	if p.shards != nil {
-		p.shards.Close()
-	}
-	if p.m != nil {
-		p.m.Close()
-	}
+	p.m.Close()
 	if p.ownsPool {
 		p.pool.Close()
 	}
@@ -1117,10 +933,5 @@ func (p *Pando[I, O]) Close() {
 	}
 	if p.spill != nil {
 		_ = p.spill.Close()
-	}
-	if p.shardDir != "" && p.shardDirOwned {
-		// The segments were this run's transient durable record; the run
-		// is over. A WithShardDir directory is the user's and stays.
-		_ = os.RemoveAll(p.shardDir)
 	}
 }
