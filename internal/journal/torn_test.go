@@ -122,6 +122,67 @@ func TestTornTailEveryByteOffset(t *testing.T) {
 	}
 }
 
+// TestSegmentTornTail tears a segment with a partial record header after
+// its last record: recovery keeps the five intact records and truncates
+// the header so the next append lands on a clean boundary.
+func TestSegmentTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "segment.log")
+	j, err := Open(path, Options{SyncInterval: -1, SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if err := j.Record(i, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Simulate the partial write of a crash: garbage after the last record.
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{recordMagic, 0xFF, 0xFF}); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	j2, err := Open(path, Options{SyncInterval: -1, SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j2.Recovered() != 5 {
+		t.Fatalf("Recovered = %d, want 5 (torn tail dropped)", j2.Recovered())
+	}
+	// The truncation must leave a clean boundary for the next append.
+	if err := j2.Record(5, []byte{5}); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(j2.Completed()); n != 6 {
+		t.Fatalf("after truncate+append: %d entries, want 6", n)
+	}
+	if err := j2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j3, err := Open(path, Options{SyncInterval: -1, SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j3.Close()
+	entries := j3.Completed()
+	if len(entries) != 6 {
+		t.Fatalf("after reopen: %d entries, want 6", len(entries))
+	}
+	for i, e := range entries {
+		if e.Idx != i || !bytes.Equal(e.Data, []byte{byte(i)}) {
+			t.Fatalf("entry %d = (%d, %v), want (%d, [%d])", i, e.Idx, e.Data, i, i)
+		}
+	}
+}
+
 // TestTornTailEveryOffsetWithGarbage repeats the sweep with the truncated
 // tail followed by bytes that are not a record (a misdirected or shredded
 // write rather than a short one): recovery must still stop at the last
