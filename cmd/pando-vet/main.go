@@ -1,7 +1,6 @@
 // Command pando-vet is the repo's custom static-analysis suite: a
-// multichecker over the four protocol analyzers (bufown, detrand,
-// locksend, ctxguard) that machine-check the conventions the chaos
-// harness otherwise only probes dynamically. CI runs it over ./... and
+// multichecker over the two protocol analyzers (ctxguard, locksend) whose
+// bug classes no test tier reliably catches. CI runs it over ./... and
 // fails on any unsuppressed diagnostic; see TESTING.md ("Tier 5 —
 // vet") for the suppression grammar and how to add an analyzer.
 //
@@ -22,16 +21,12 @@ import (
 	"os"
 
 	"pando/internal/analysis"
-	"pando/internal/analysis/bufown"
 	"pando/internal/analysis/ctxguard"
-	"pando/internal/analysis/detrand"
 	"pando/internal/analysis/locksend"
 )
 
 var analyzers = []*analysis.Analyzer{
-	bufown.Analyzer,
 	ctxguard.Analyzer,
-	detrand.Analyzer,
 	locksend.Analyzer,
 }
 

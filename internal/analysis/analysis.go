@@ -1,10 +1,9 @@
 // Package analysis is pando-vet's analyzer framework: a small,
 // dependency-free analogue of golang.org/x/tools/go/analysis built on
-// the standard library's go/ast and go/types. It exists because the
-// repo's correctness protocols — frame-arena ownership, chaos
-// determinism, lock discipline, context-guarded goroutines — are
-// conventions that dynamic chaos runs can only probe; the analyzers in
-// the sub-packages check them on every build.
+// the standard library's go/ast and go/types. It exists because two of
+// the repo's correctness protocols — lock discipline and context-guarded
+// goroutines — are conventions whose violations no test run reliably
+// reaches; the analyzers in the sub-packages check them on every build.
 //
 // The shape mirrors x/tools deliberately (Analyzer, Pass, Reportf) so
 // an analyzer written here ports to the upstream framework by swapping
@@ -12,17 +11,7 @@
 //
 // # Directives
 //
-// Analyzers and the driver honor //pando: directive comments:
-//
-//	//pando:deterministic
-//	    On a function's doc comment: the function body is a
-//	    deterministic domain — detrand forbids wall clocks, global
-//	    math/rand, and map-order iteration inside it.
-//
-//	//pando:nondeterministic <reason>
-//	    On (or immediately above) an offending line inside a
-//	    deterministic domain: suppresses the detrand diagnostic. The
-//	    reason is mandatory.
+// Analyzers and the driver honor one //pando: directive comment:
 //
 //	//pando:allow <analyzer> <reason>
 //	    On (or immediately above) an offending line: suppresses that
@@ -81,37 +70,24 @@ type Directive struct {
 	Pos  token.Pos
 	Line int    // line the directive applies to (its own line)
 	End  int    // last line the directive covers (Line, or Line+1 when standalone)
-	Verb string // "deterministic", "nondeterministic", "allow", ...
+	Verb string // the word after //pando:, "allow" for a suppression
 	Args string // rest of the comment, space-trimmed
 }
 
 // Reportf records a diagnostic at pos unless a directive suppresses it.
-// Suppression: an "allow <analyzer> <reason>" directive — or, for the
-// detrand analyzer, a "nondeterministic <reason>" directive — on the
-// same line as pos or standing alone on the line above it.
+// Suppression: an "allow <analyzer> <reason>" directive on the same line
+// as pos or standing alone on the line above it.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	position := p.Fset.Position(pos)
 	for _, d := range p.directives {
-		if position.Line < d.Line || position.Line > d.End {
+		if d.Verb != "allow" || position.Line < d.Line || position.Line > d.End {
 			continue
 		}
-		var reason string
-		switch d.Verb {
-		case "allow":
-			name, rest, _ := strings.Cut(d.Args, " ")
-			if name != p.Analyzer.Name {
-				continue
-			}
-			reason = strings.TrimSpace(rest)
-		case "nondeterministic":
-			if p.Analyzer.Name != "detrand" {
-				continue
-			}
-			reason = strings.TrimSpace(d.Args)
-		default:
+		name, rest, _ := strings.Cut(d.Args, " ")
+		if name != p.Analyzer.Name {
 			continue
 		}
-		if reason == "" {
+		if strings.TrimSpace(rest) == "" {
 			p.diags = append(p.diags, Diagnostic{
 				Pos:      p.Fset.Position(d.Pos),
 				Analyzer: p.Analyzer.Name,
@@ -126,28 +102,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// Directives returns every parsed //pando: directive of the package.
-func (p *Pass) Directives() []Directive { return p.directives }
-
-// FuncMarked reports whether fn's doc comment (or a directive on the
-// lines immediately preceding the declaration) carries the verb.
-func (p *Pass) FuncMarked(fn *ast.FuncDecl, verb string) bool {
-	if fn.Doc != nil {
-		for _, c := range fn.Doc.List {
-			if v, _, ok := parseDirective(c.Text); ok && v == verb {
-				return true
-			}
-		}
-	}
-	declLine := p.Fset.Position(fn.Pos()).Line
-	for _, d := range p.directives {
-		if d.Verb == verb && declLine >= d.Line && declLine <= d.End+1 {
-			return true
-		}
-	}
-	return false
 }
 
 // parseDirective splits one comment into a //pando: verb and its args.

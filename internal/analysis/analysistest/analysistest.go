@@ -4,15 +4,13 @@
 // written here port to the upstream harness unchanged in spirit.
 //
 // Layout: each analyzer package holds testdata/src/<pkg>/*.go trees.
-// Imports in testdata resolve against testdata/src first — a stub
-// pando/internal/proto there shadows the real package, so ownership
-// fixtures type-check without dragging in the arena — and fall back to
-// compiler export data for the standard library.
+// Fixtures import only the standard library, which resolves through
+// compiler export data.
 //
 // Expectations are `// want` comments carrying one or more regular
 // expressions, quoted or backquoted:
 //
-//	m, err := c.Recv() // want `arena frame "m" is not released`
+//	h.out <- v // want `blocking channel send while h.mu is held`
 //
 // A want comment on a line with code applies to that line. A want
 // comment standing alone applies to the next line — the same adjacency
@@ -49,9 +47,9 @@ func Run(t *testing.T, a *analysis.Analyzer, pkgs ...string) {
 		t.Fatalf("analysistest: getwd: %v", err)
 	}
 	root := filepath.Join(wd, "testdata", "src")
-	ld := newLoader(root)
+	ld := analysis.NewLoader(root)
 	for _, name := range pkgs {
-		pkg, err := ld.load(name)
+		pkg, err := load(ld, name, filepath.Join(root, filepath.FromSlash(name)))
 		if err != nil {
 			t.Fatalf("analysistest: load %s: %v", name, err)
 		}
@@ -63,49 +61,15 @@ func Run(t *testing.T, a *analysis.Analyzer, pkgs ...string) {
 	}
 }
 
-// loader type-checks testdata packages from source, resolving imports
-// against testdata/src first and the real toolchain's export data last.
-type loader struct {
-	root string
-	base *analysis.Loader
-	deps map[string]*types.Package
-}
-
-func newLoader(root string) *loader {
-	return &loader{root: root, base: analysis.NewLoader(root), deps: map[string]*types.Package{}}
-}
-
-// Import implements types.Importer for the testdata tree.
-func (l *loader) Import(path string) (*types.Package, error) {
-	if p, ok := l.deps[path]; ok {
-		return p, nil
-	}
-	dir := filepath.Join(l.root, filepath.FromSlash(path))
-	if fi, err := os.Stat(dir); err == nil && fi.IsDir() {
-		pkg, err := l.check(path, dir)
-		if err != nil {
-			return nil, err
-		}
-		l.deps[path] = pkg.Types
-		return pkg.Types, nil
-	}
-	return l.base.Import(path)
-}
-
-// load type-checks the target testdata package.
-func (l *loader) load(name string) (*analysis.Package, error) {
-	return l.check(name, filepath.Join(l.root, filepath.FromSlash(name)))
-}
-
-// check parses and type-checks one testdata directory. Type errors are
+// load parses and type-checks one testdata directory. Type errors are
 // fatal: fixtures must be valid Go, or the analyzers see half-filled
 // type information and the suite proves nothing.
-func (l *loader) check(path, dir string) (*analysis.Package, error) {
+func load(ld *analysis.Loader, path, dir string) (*analysis.Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	fset := l.base.Fset()
+	fset := ld.Fset()
 	var files []*ast.File
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
@@ -128,7 +92,7 @@ func (l *loader) check(path, dir string) (*analysis.Package, error) {
 		Implicits:  map[ast.Node]types.Object{},
 		Scopes:     map[ast.Node]*types.Scope{},
 	}
-	conf := types.Config{Importer: l}
+	conf := types.Config{Importer: ld}
 	tpkg, err := conf.Check(path, fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("typecheck %s: %w", path, err)

@@ -1,48 +1,8 @@
 package analysis
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/types"
 
 // Shared type-query helpers for the analyzers.
-
-// CalleeFunc resolves the called function or method of a call
-// expression, or nil when the callee is not a named func (a func-typed
-// variable, a conversion, a builtin).
-func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	case *ast.IndexExpr: // generic instantiation f[T](...)
-		if base, ok := ast.Unparen(fun.X).(*ast.Ident); ok {
-			id = base
-		}
-	default:
-		return nil
-	}
-	if id == nil {
-		return nil
-	}
-	fn, _ := info.Uses[id].(*types.Func)
-	return fn
-}
-
-// IsPkgFunc reports whether call invokes the package-level function
-// pkgpath.name.
-func IsPkgFunc(info *types.Info, call *ast.CallExpr, pkgpath, name string) bool {
-	fn := CalleeFunc(info, call)
-	if fn == nil || fn.Name() != name {
-		return false
-	}
-	if fn.Signature().Recv() != nil {
-		return false
-	}
-	return fn.Pkg() != nil && fn.Pkg().Path() == pkgpath
-}
 
 // NamedTypeIs reports whether t (after pointer unwrapping) is the named
 // type pkgpath.name.
@@ -59,15 +19,4 @@ func NamedTypeIs(t types.Type, pkgpath, name string) bool {
 		return false
 	}
 	return obj.Pkg() != nil && obj.Pkg().Path() == pkgpath
-}
-
-// ObjectOf resolves an identifier expression (through parens) to its
-// variable object, or nil.
-func ObjectOf(info *types.Info, e ast.Expr) *types.Var {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	v, _ := info.ObjectOf(id).(*types.Var)
-	return v
 }

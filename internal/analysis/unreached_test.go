@@ -52,21 +52,24 @@ func TestUnreached(t *testing.T) {
 }
 
 // unreachedExempt lists the packages (paths below internal/) whose exports
-// the rule does not check: test support by design (chaos, race), the
-// analyzers and the paper's application kernels.
+// the rule does not check: test support by design (chaos, race) and the
+// paper's application kernels.
 var unreachedExempt = []string{
-	"analysis", "chaos", "race",
+	"chaos", "race",
 	"apps", "chain", "landsat", "qlearn", "stubborn",
 }
 
 // unreachedAllow names exports that only tests reach but that must live
 // in a product file, because a test in another package needs them. Each
-// entry names that test. An entry whose export is reached, or gone, fails
-// the test: the list holds only what it must.
+// entry names that test, or the interface call that reaches a method no
+// selector names. An entry whose export is reached, or gone, fails the
+// test: the list holds only what it must.
 var unreachedAllow = map[string]string{
+	"analysis.Loader.Import":       "go/types, through types.Config.Importer: an interface call that no selector names",
+	"analysis/analysistest.Run":    "ctxguard: TestCtxguard; locksend: TestLocksend",
 	"master.Master.LenderStats":    "pando: Diagnostics (export_test.go), the chaos tests' wedge evidence",
 	"proto.SetPoisonPut":           "transport: TestHelloRejectionReleasesWelcome",
-	"proto.SetReleaseObserver":     "transport: TestHelloRejectionReleasesWelcome",
+	"proto.SetReleaseObserver":     "transport: TestHelloRejectionReleasesWelcome, TestDuplexReleasesEveryFrame",
 	"transport.SignalServer.Peers": "pando: TestChaosSignalFlap",
 	"worker.ServeWithReconnect":    "pando: TestChaosSignalFlap; master: TestReattachDoesNotInheritStaleFlowState",
 }

@@ -28,8 +28,6 @@ import (
 // input payload and a key: deterministic (same input, same lie — a
 // re-lent value is answered identically), never empty, and chosen so
 // distinct keys virtually never produce colliding lies.
-//
-//pando:deterministic
 func wrongBytes(key int64, input []byte) []byte {
 	h := uint64(14695981039346656037) ^ uint64(key)
 	for i := 0; i < len(input); i++ {
@@ -64,7 +62,6 @@ func WrongResult(r *Rand, h worker.Handler, rate float64) worker.Handler {
 // value whose honest result differs from its input — the classic
 // credit-farming volunteer of the BOINC era.
 func LazyEcho() worker.Handler {
-	//pando:deterministic
 	return func(input []byte) ([]byte, error) {
 		out := make([]byte, len(input))
 		copy(out, input)
@@ -79,7 +76,6 @@ func LazyEcho() worker.Handler {
 // exactly that.
 func Colluder(group int64, h worker.Handler) worker.Handler {
 	_ = h // the coalition never bothers computing honestly
-	//pando:deterministic
 	return func(input []byte) ([]byte, error) {
 		return wrongBytes(group, input), nil
 	}

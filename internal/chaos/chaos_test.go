@@ -83,10 +83,10 @@ func TestScheduleDeterministicDescription(t *testing.T) {
 
 // TestDescribeDeterministic: a full scenario built through the fault
 // builders from one seed describes byte-identically across two
-// independent builds — the property the detrand analyzer enforces
-// statically on the schedule-construction path. Each injector draws from
-// its own fork, so the comparison also pins the fork-isolation contract
-// (one builder's draw count must not shift another's timings).
+// independent builds, so one seed always replays one schedule. Each
+// injector draws from its own fork, so the comparison also pins the
+// fork-isolation contract (one builder's draw count must not shift
+// another's timings).
 func TestDescribeDeterministic(t *testing.T) {
 	build := func(seed int64) string {
 		r := New(seed)

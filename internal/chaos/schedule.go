@@ -29,8 +29,6 @@ type Schedule struct {
 // Add appends one event. Events may be added in any order; Play and
 // Describe sort by offset (stable, so same-offset events keep insertion
 // order — which is deterministic when the builder is).
-//
-//pando:deterministic
 func (s *Schedule) Add(at time.Duration, name string, do func()) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -51,9 +49,7 @@ func (s *Schedule) Len() int {
 // firing order — the artifact to log so a seed's fault schedule is
 // visible and comparable across runs. Two schedules built from the same
 // seed must describe byte-identically (TestDescribeDeterministic pins
-// this; detrand enforces the ingredients statically).
-//
-//pando:deterministic
+// this).
 func (s *Schedule) Describe() []string {
 	s.mu.Lock()
 	events := append([]Event(nil), s.events...)
@@ -69,18 +65,14 @@ func (s *Schedule) Describe() []string {
 // Play fires the events at their offsets from the moment it is called,
 // returning when every event has fired or stop is closed. Run it on its
 // own goroutine alongside the workload.
-//
-//pando:deterministic
 func (s *Schedule) Play(stop <-chan struct{}) {
 	s.mu.Lock()
 	s.played = true
 	events := append([]Event(nil), s.events...)
 	s.mu.Unlock()
 	sort.SliceStable(events, func(a, b int) bool { return events[a].At < events[b].At })
-	//pando:nondeterministic Play's whole job is mapping the seed-fixed offsets onto real time; the event list and order are already determined
 	start := time.Now()
 	for _, e := range events {
-		//pando:nondeterministic real-time pacing of an already-deterministic offset list
 		if d := time.Until(start.Add(e.At)); d > 0 {
 			timer := time.NewTimer(d)
 			select {

@@ -149,8 +149,6 @@ const (
 // (zero selects a fixed default of 1, so unseeded pipes stay
 // deterministic); Listener.Dial threads a distinct per-connection seed
 // through here.
-//
-//pando:deterministic
 func NewPipe(l Link) *Pipe {
 	seed := l.Seed
 	if seed == 0 {
@@ -266,14 +264,11 @@ func (f *flow) waitLocked(ch chan struct{}, t **time.Timer, d time.Duration) {
 
 // until reports how long until t, reading the clock into *now on first
 // need. The zero time is always due, so an ideal link never reads it.
-//
-//pando:deterministic
 func until(t time.Time, now *time.Time) time.Duration {
 	if t.IsZero() {
 		return 0
 	}
 	if now.IsZero() {
-		//pando:nondeterministic maps instants stamped from the seeded delay model, and deadlines, onto real time
 		*now = time.Now()
 	}
 	return t.Sub(*now)
@@ -308,8 +303,6 @@ func (e *end) Write(b []byte) (int, error) {
 // n/Bandwidth, then the chunk propagates for Latency, plus the direction's
 // Degrade delay, plus seeded jitter. A chunk the fault hook drops, or that
 // a closed reader will never see, still burned its transmission time.
-//
-//pando:deterministic
 func (f *flow) put(data []byte) error {
 	c, deliver := chunk{}, true
 	if hook := f.fault.Load(); hook != nil && *hook != nil {
@@ -355,7 +348,6 @@ func (f *flow) put(data []byte) error {
 	}
 	if bw := f.link.Bandwidth; bw > 0 || delay > 0 {
 		if now.IsZero() {
-			//pando:nondeterministic anchors the seeded delays to the instant the chunk enters the link
 			now = time.Now()
 		}
 		if f.busyUntil.Before(now) {
@@ -378,8 +370,6 @@ func (f *flow) put(data []byte) error {
 // Read waits until the head chunk is due and the link not paused, then
 // copies it and every chunk due behind it, up to len(b), the way a socket
 // read takes its whole receive buffer.
-//
-//pando:deterministic
 func (e *end) Read(b []byte) (int, error) {
 	f := e.in
 	f.rmu.Lock()

@@ -10,12 +10,14 @@ import (
 )
 
 // TestHelloRejectionReleasesWelcome pins the Hello error-path release
-// discipline (the bufown analyzer's flagship repo finding): a rejection
-// frame must be returned to the arena after the error is built from its
-// decode-time copies, and the error text must survive the release. The
-// poison canary scribbles every recycled buffer, so if the error were
-// built from state aliasing the frame after Release, the assertion on the
-// text would read 0xDB garbage instead of passing by luck.
+// discipline: a rejection frame must be returned to the arena after the
+// error is built from its decode-time copies, and the error text must
+// survive the release. A leak here would be harmless (a cold path, and
+// pool.go's contract lets the GC collect it); reading the frame after
+// release would not be. The poison canary scribbles every recycled
+// buffer, so if the error were built from state aliasing the frame after
+// Release, the assertion on the text would read 0xDB garbage instead of
+// passing by luck.
 func TestHelloRejectionReleasesWelcome(t *testing.T) {
 	prevPoison := proto.SetPoisonPut(true)
 	defer proto.SetPoisonPut(prevPoison)

@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"pando/internal/chaos"
 	"pando/internal/netsim"
 )
 
@@ -100,6 +102,41 @@ func TestProcessContextCancellation(t *testing.T) {
 	}
 	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestProcessSliceCancelLeaksNoGoroutine: cancelling ProcessSlice
+// mid-stream behind a slow worker ends every goroutine the call started.
+// The input feeder is the one at risk: once the stream has ended, nobody
+// takes its next send, so only its select on ctx.Done() lets it return.
+func TestProcessSliceCancelLeaksNoGoroutine(t *testing.T) {
+	// Goroutines of earlier tests may still be winding down, and each one
+	// that exits after the baseline would hide one leaked here.
+	for prev, deadline := -1, time.Now().Add(2*time.Second); time.Now().Before(deadline); time.Sleep(20 * time.Millisecond) {
+		n := runtime.NumGoroutine()
+		if n == prev {
+			break
+		}
+		prev = n
+	}
+	guard := chaos.Guard()
+	for i := 0; i < 5; i++ {
+		p := New(uniqueName("cancel"), func(v int) (int, error) {
+			time.Sleep(2 * time.Millisecond)
+			return v, nil
+		})
+		p.AddLocalWorkers(1)
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		// The error is not asserted: when the feeder sees the cancellation
+		// first, it closes the input and the stream ends normally, cut short.
+		if out, _ := p.ProcessSlice(ctx, make([]int, 1000)); len(out) == 1000 {
+			t.Fatal("the stream finished before the cancellation")
+		}
+		cancel()
+		p.Close()
+	}
+	if err := guard.Check(5 * time.Second); err != nil {
+		t.Fatal(err)
 	}
 }
 
