@@ -243,14 +243,13 @@ func BenchmarkTransportRoundTrip(b *testing.B) {
 	}
 }
 
-// --- Wire-format benchmarks (ISSUE 1: v1 JSON vs v2 binary) ---
+// --- Wire benchmarks ---
 
-// benchWireDeployment runs a full deployment — master, negotiated
-// channel, one local volunteer — pinned to one wire format, over the
-// given inputs, and reports items/s.
-func benchWireDeployment[I, O any](b *testing.B, wire string, name string, f func(I) (O, error), inputs []I, opts ...pando.Option) {
+// benchWireDeployment runs a full deployment — master, channel, one local
+// volunteer — over the given inputs, and reports items/s.
+func benchWireDeployment[I, O any](b *testing.B, name string, f func(I) (O, error), inputs []I, opts ...pando.Option) {
 	b.Helper()
-	opts = append(opts, pando.WithoutRegistry(), pando.WithWireFormat(wire), pando.WithBatch(8))
+	opts = append(opts, pando.WithoutRegistry(), pando.WithBatch(8))
 	var processed int
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
@@ -271,8 +270,8 @@ func benchWireDeployment[I, O any](b *testing.B, wire string, name string, f fun
 	}
 }
 
-// BenchmarkWireSmallCollatz compares the formats end to end on the
-// small-item workload: JSON-string inputs, envelope-dominated frames.
+// BenchmarkWireSmallCollatz runs the wire end to end on the small-item
+// workload: JSON-string inputs, envelope-dominated frames.
 func BenchmarkWireSmallCollatz(b *testing.B) {
 	inputs := apps.CollatzInputs(big.NewInt(1_000_000), 64)
 	f := func(n string) (int, error) {
@@ -282,16 +281,12 @@ func BenchmarkWireSmallCollatz(b *testing.B) {
 		}
 		return r.Steps, nil
 	}
-	for _, wire := range []string{pando.WireV1, pando.WireV2, pando.WireV3} {
-		b.Run(wire, func(b *testing.B) {
-			benchWireDeployment(b, wire, "bench-collatz", f, inputs)
-		})
-	}
+	benchWireDeployment(b, "bench-collatz", f, inputs)
 }
 
-// BenchmarkWireLargeImgproc compares the formats end to end on the
-// large-payload workload: 16 KiB raw tiles through RawCodec, where v1
-// pays base64 inflation on every frame and v2 ships the bytes verbatim.
+// BenchmarkWireLargeImgproc runs the wire end to end on the large-payload
+// workload: 16 KiB raw tiles through RawCodec, shipped as raw bytes and
+// compressed where the adaptive policy finds it pays.
 func BenchmarkWireLargeImgproc(b *testing.B) {
 	tiles := make([][]byte, 16) // 128x128 grayscale, distinct per tile
 	for i := range tiles {
@@ -301,12 +296,8 @@ func BenchmarkWireLargeImgproc(b *testing.B) {
 		}
 	}
 	f := func(tile []byte) ([]byte, error) { return tile, nil } // transfer-bound
-	for _, wire := range []string{pando.WireV1, pando.WireV2, pando.WireV3} {
-		b.Run(wire, func(b *testing.B) {
-			benchWireDeployment(b, wire, "bench-imgproc", f, tiles,
-				pando.WithCodec[[]byte, []byte](pando.RawCodec{}, pando.RawCodec{}))
-		})
-	}
+	benchWireDeployment(b, "bench-imgproc", f, tiles,
+		pando.WithCodec[[]byte, []byte](pando.RawCodec{}, pando.RawCodec{}))
 }
 
 // --- Application-kernel benchmarks (the compute the devices perform) ---

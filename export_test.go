@@ -17,8 +17,8 @@ func (p *Pando[I, O]) Diagnostics() string {
 		fmt.Fprintf(&b, "pool: %+v\n", w)
 	}
 	for _, s := range p.Stats() {
-		fmt.Fprintf(&b, "device %s: alive=%v items=%d in-flight=%d/%d wire=%s last=%s\n",
-			s.Name, s.Alive, s.Items, s.InFlight, s.Credits, s.Wire, s.LastSeen.Format(time.StampMilli))
+		fmt.Fprintf(&b, "device %s: alive=%v items=%d in-flight=%d/%d last=%s\n",
+			s.Name, s.Alive, s.Items, s.InFlight, s.Credits, s.LastSeen.Format(time.StampMilli))
 	}
 	return b.String()
 }

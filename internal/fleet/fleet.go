@@ -1,8 +1,7 @@
 // Package fleet implements the shared volunteer pool of a multi-job
 // deployment: the untyped layer of the master that owns listeners, the
-// admission handshake, wire-format negotiation, heartbeat configuration
-// and the live worker set — everything that does not depend on a job's
-// value types.
+// admission handshake, heartbeat configuration and the live worker set —
+// everything that does not depend on a job's value types.
 //
 // Personal volunteer computing (the paper's DP1) assumes the same
 // devices are reused across a person's many applications; a Pool makes
@@ -69,18 +68,12 @@ type Job interface {
 	// accounting name. The channel may be a pool lease: the job speaks to
 	// it exactly as to a dedicated volunteer channel.
 	Lease(worker string, ch transport.Channel) error
-	// RecordWire notes the negotiated wire format of a leased worker in
-	// the job's accounting.
-	RecordWire(worker, wire string)
 }
 
 // Config parameterizes a Pool.
 type Config struct {
 	// Channel tunes heartbeat detection on volunteer channels.
 	Channel transport.Config
-	// Formats restricts the wire formats the pool negotiates, best first;
-	// empty allows everything this build supports.
-	Formats []string
 	// Rebalance is the period of the fair-share rebalancing scan; zero
 	// selects DefaultRebalance, negative disables the scan (workers still
 	// move on job completion).
@@ -98,8 +91,6 @@ type WorkerInfo struct {
 	// Job is the function name of the job currently holding the lease;
 	// empty while parked or between jobs.
 	Job string
-	// Wire is the negotiated wire format.
-	Wire string
 	// Aware reports a pool-aware volunteer (reassignable mid-session).
 	Aware bool
 	// State is "parked", "leased", "reclaiming" or "dismissing".
@@ -269,7 +260,7 @@ func (p *Pool) Admit(ch *transport.WSock) error {
 		ch.Close()
 		return ErrClosed
 	}
-	hello, wire, err := transport.RecvHello(ch, p.cfg.Formats)
+	hello, err := transport.RecvHello(ch)
 	if err != nil {
 		return fmt.Errorf("fleet: admission: %w", err)
 	}
@@ -283,7 +274,7 @@ func (p *Pool) Admit(ch *transport.WSock) error {
 	if hello.Seq > 0 && hello.Token != "" {
 		p.severIncarnation(hello.Token, hello.Seq)
 	}
-	s := newSession(p, hello, wire, ch)
+	s := newSession(p, hello, ch)
 	p.mu.Lock()
 	if _, bad := p.banned[s.name]; bad {
 		p.mu.Unlock()
@@ -469,12 +460,11 @@ func (p *Pool) leaseCountsLocked() map[Job]int {
 func (p *Pool) leaseTo(s *session, job Job) error {
 	if !s.welcome() {
 		// First lease: send the welcome naming the routed job.
-		if err := transport.SendWelcome(s.ch, job.Name(), job.Batch(), s.wire, p.cfg.Formats); err != nil {
+		if err := transport.SendWelcome(s.ch, job.Name(), job.Batch()); err != nil {
 			p.sessionGone(s)
 			return err
 		}
 	}
-	job.RecordWire(s.name, s.wire.Name())
 	ch := s.startLease(job)
 	if ch == nil {
 		return transport.ErrChannelClosed

@@ -46,7 +46,6 @@ func (j *fakeJob) Lease(worker string, ch transport.Channel) error {
 	j.leaseC <- ch
 	return nil
 }
-func (j *fakeJob) RecordWire(worker, wire string) {}
 
 func (j *fakeJob) waitLease(t *testing.T) transport.Channel {
 	t.Helper()
@@ -68,9 +67,6 @@ func rawVolunteer(t *testing.T, p *Pool, hello *proto.Message) transport.Channel
 	ch := transport.NewWSock(pipe.A, cfg)
 	hello.Type = proto.TypeHello
 	hello.Version = proto.Version
-	if len(hello.Formats) == 0 {
-		hello.Formats = proto.SupportedFormats()
-	}
 	if err := ch.Send(hello); err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,6 @@ type session struct {
 	seq       uint64   // join incarnation (>0 on rejoins)
 	functions []string // advertised functions; nil = pre-pool (any job, never reassigned)
 	aware     bool     // advertised a Functions list: reassignable mid-session
-	wire      proto.WireFormat
 	ch        transport.Channel
 
 	mu       sync.Mutex
@@ -43,7 +42,7 @@ type session struct {
 	sendMu sync.Mutex
 }
 
-func newSession(p *Pool, hello *proto.Message, wire proto.WireFormat, ch transport.Channel) *session {
+func newSession(p *Pool, hello *proto.Message, ch transport.Channel) *session {
 	return &session{
 		pool:      p,
 		name:      hello.Peer,
@@ -51,7 +50,6 @@ func newSession(p *Pool, hello *proto.Message, wire proto.WireFormat, ch transpo
 		seq:       hello.Seq,
 		functions: append([]string(nil), hello.Functions...),
 		aware:     len(hello.Functions) > 0,
-		wire:      wire,
 		ch:        ch,
 	}
 }
@@ -69,7 +67,7 @@ func (s *session) serves(name string) bool {
 func (s *session) info() WorkerInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	info := WorkerInfo{Name: s.name, Wire: s.wire.Name(), Aware: s.aware}
+	info := WorkerInfo{Name: s.name, Aware: s.aware}
 	if s.curJob != nil {
 		info.Job = s.curJob.Name()
 	}
@@ -504,9 +502,8 @@ func (l *lease) Close() error {
 	return nil
 }
 
-func (l *lease) Wire() proto.WireFormat      { return l.s.ch.Wire() }
-func (l *lease) SetWire(wf proto.WireFormat) { l.s.ch.SetWire(wf) }
-func (l *lease) RemoteAddr() string          { return l.s.ch.RemoteAddr() }
+func (l *lease) Wire() *proto.WireFormat { return l.s.ch.Wire() }
+func (l *lease) RemoteAddr() string      { return l.s.ch.RemoteAddr() }
 
 // watchedChannel wraps a pre-pool session's raw channel so the pool's
 // worker set is pruned when the connection ends. The job owns Recv; the

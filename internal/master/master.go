@@ -49,13 +49,6 @@ type Config struct {
 	Flow sched.Policy
 	// Channel tunes heartbeat detection on volunteer channels.
 	Channel transport.Config
-	// Formats restricts the wire formats this master will negotiate, best
-	// first. Empty allows everything this build supports ('/pando/2.2.0'
-	// preferred, then binary '/pando/2.1.0', JSON '/pando/1.0.0' as the
-	// fallback). When non-empty, volunteers that speak none of the listed
-	// formats are refused with proto.ErrNoCommonFormat — so a list
-	// excluding '/pando/1.0.0' turns off the v1 fallback entirely.
-	Formats []string
 	// Journal, when non-nil, makes the deployment's progress durable:
 	// every result the lender accepts is recorded (index + encoded
 	// payload, fsynced in batches on the journal's configured interval),
@@ -81,7 +74,7 @@ type Config struct {
 	// lifecycle (Close it after the master).
 	Spill *journal.SpillStore
 	// BlobCacheBytes caps the content-addressed intern table backing
-	// payload dedup on '/pando/2.2.0' channels: payload blocks the job
+	// payload dedup on leased channels: payload blocks the job
 	// has transmitted stay interned (LRU) so repeats travel as SHA-256
 	// references and worker cache misses can be served. Zero means
 	// blob.DefaultInternBytes; negative disables dedup entirely (every
@@ -144,12 +137,7 @@ type WorkerStats struct {
 	FirstSeen time.Time
 	LastSeen  time.Time
 	Alive     bool
-	// Wire is the wire format negotiated at admission ("/pando/1.0.0",
-	// "/pando/2.1.0" or "/pando/2.2.0"); empty for devices attached
-	// without a handshake.
-	Wire string
-
-	// Blob dedup counters ('/pando/2.2.0' channels only, summed over the
+	// Blob dedup counters (leased channels only, summed over the
 	// device's attachments): inputs that travelled as digest-only
 	// references (BlobHits), reference fetches served because the
 	// device's cache missed (BlobMisses), and reference-tracker evictions
@@ -203,7 +191,7 @@ func (w WorkerStats) Throughput() float64 {
 
 // Master coordinates one typed job: a single streaming map, for the
 // lifetime of the corresponding tasks (design principle DP1). Everything
-// untyped — listeners, admission, negotiation, the live worker set —
+// untyped — listeners, admission, the live worker set —
 // lives in the fleet.Pool the job leases workers from: its own
 // single-job pool when created with New (the classic one-deployment
 // master), or a shared multi-job pool when created with NewJob and
@@ -224,11 +212,11 @@ type Master[I, O any] struct {
 
 	// Bandwidth-aware data plane state: the job-wide intern table behind
 	// payload dedup, per-worker dedup counters, and the registry of
-	// '/pando/2.2.0' channels the rate hinter feeds the scheduler's EWMA
-	// throughput into (all guarded by mu; see wrapChannel).
+	// leased channels' wire formats the rate hinter feeds the scheduler's
+	// EWMA throughput into (all guarded by mu; see wrapChannel).
 	intern    *blob.Intern
 	blobStats map[string]*blob.FlowStats
-	hintChans map[string][]transport.Channel
+	hintWires map[string][]*proto.WireFormat
 	hintStop  chan struct{}
 }
 
@@ -258,7 +246,6 @@ type lane[I, O, U, R any] struct {
 	in   transport.Codec[U]
 	out  transport.Codec[R]
 	unit int // values per lending unit: 1, or Config.Group
-	wrap func(name string, ch transport.Channel) transport.Channel
 	row  func(name string) *device
 
 	pack   pullstream.Through[I, U]                    // values to units
@@ -271,7 +258,7 @@ func (e *lane[I, O, U, R]) Bind(src pullstream.Source[I]) pullstream.Source[O] {
 }
 
 func (e *lane[I, O, U, R]) AttachChannel(name string, ch transport.Channel) error {
-	d := transport.MasterDuplex(e.wrap(name, ch), e.in, e.out)
+	d := transport.MasterDuplex(ch, e.in, e.out)
 	d.Source = countResults(d.Source, e.row(name))
 	return e.Attach(name, d)
 }
@@ -333,7 +320,7 @@ func newLane[I, O, U, R any](m *Master[I, O], unit int, in transport.Codec[U], o
 	if cfg.SpillHighWater > 0 {
 		d.BoundMemory(cfg.SpillHighWater, cfg.spillStore(), out.Encode, out.Decode)
 	}
-	return &lane[I, O, U, R]{DistributedMap: d, in: in, out: out, unit: unit, wrap: m.wrapChannel, row: m.device,
+	return &lane[I, O, U, R]{DistributedMap: d, in: in, out: out, unit: unit, row: m.device,
 		pack: pack, unpack: unpack, lift: lift}
 }
 
@@ -357,7 +344,7 @@ func liftGroup[I, O any](f func(I) (O, error)) func([]I) ([]O, error) {
 // exactly as before the shared-fleet split.
 func New[I, O any](cfg Config, in transport.Codec[I], out transport.Codec[O]) *Master[I, O] {
 	m := NewJob[I, O](cfg, in, out)
-	m.pool = fleet.NewPool(fleet.Config{Channel: cfg.Channel, Formats: cfg.Formats})
+	m.pool = fleet.NewPool(fleet.Config{Channel: cfg.Channel})
 	_ = m.pool.Register(m.Job())
 	return m
 }
@@ -379,21 +366,20 @@ func NewJob[I, O any](cfg Config, in transport.Codec[I], out transport.Codec[O])
 }
 
 // wrapChannel prepares one leased channel for the bandwidth-aware data
-// plane before the duplex is built around it: '/pando/2.2.0' channels are
-// registered with the rate hinter (the compression policy backs off on
-// links the scheduler's EWMA says are not bandwidth-bound) and, unless
-// dedup is disabled, wrapped with the master-side dedup half that
-// rewrites repeated payloads into digest references. Other formats pass
-// through untouched.
+// plane before the duplex is built around it: the channel is registered
+// with the rate hinter (the compression policy backs off on links the
+// scheduler's EWMA says are not bandwidth-bound) and, unless dedup is
+// disabled, wrapped with the master-side dedup half that rewrites
+// repeated payloads into digest references. Only leased channels are
+// wrapped: their far end passed the handshake, so it runs the worker-side
+// dedup half that resolves those references (Attach's bare channels have
+// no such guarantee).
 func (m *Master[I, O]) wrapChannel(name string, ch transport.Channel) transport.Channel {
-	if ch.Wire() == nil || ch.Wire().Name() != proto.Version3 {
-		return ch
-	}
 	m.mu.Lock()
-	if m.hintChans == nil {
-		m.hintChans = make(map[string][]transport.Channel)
+	if m.hintWires == nil {
+		m.hintWires = make(map[string][]*proto.WireFormat)
 	}
-	m.hintChans[name] = append(m.hintChans[name], ch)
+	m.hintWires[name] = append(m.hintWires[name], ch.Wire())
 	if m.hintStop == nil && !m.closed {
 		m.hintStop = make(chan struct{})
 		go m.hintLoop(m.hintStop)
@@ -424,8 +410,8 @@ func (m *Master[I, O]) wrapChannel(name string, ch transport.Channel) transport.
 const hintRateInterval = 250 * time.Millisecond
 
 // hintLoop periodically feeds the scheduler's per-worker EWMA throughput
-// to the registered '/pando/2.2.0' channels. It is started on the first
-// registration and stopped by Close.
+// to the registered wire formats. It is started on the first registration
+// and stopped by Close.
 func (m *Master[I, O]) hintLoop(stop chan struct{}) {
 	t := time.NewTicker(hintRateInterval)
 	defer t.Stop()
@@ -440,10 +426,9 @@ func (m *Master[I, O]) hintLoop(stop chan struct{}) {
 			rates[f.Name] += f.Rate
 		}
 		m.mu.Lock()
-		for name, chans := range m.hintChans {
-			rate := rates[name]
-			for _, ch := range chans {
-				transport.HintRate(ch, rate)
+		for name, wires := range m.hintWires {
+			for _, wf := range wires {
+				wf.HintRate(rates[name])
 			}
 		}
 		m.mu.Unlock()
@@ -528,7 +513,7 @@ func (m *Master[I, O]) observe(ev core.Event) {
 		stats.Alive = false
 		// The device's channels are gone; drop them from the rate-hint
 		// registry (a re-attach registers the new ones).
-		delete(m.hintChans, ev.Processor)
+		delete(m.hintWires, ev.Processor)
 	}
 }
 
@@ -542,7 +527,7 @@ func (m *Master[I, O]) Bind(src pullstream.Source[I]) pullstream.Source[O] {
 // Admit performs the hello/welcome handshake on a fresh volunteer
 // channel and, on success, attaches the device to the computation. It
 // delegates to the master's single-job pool, where the admission
-// handshake and wire-format negotiation now live; a bare job created
+// handshake lives; a bare job created
 // with NewJob has no pool and refuses direct admissions — volunteers
 // reach it through the shared pool it registered with.
 func (m *Master[I, O]) Admit(ch *transport.WSock) error {
@@ -588,17 +573,7 @@ func (j job[I, O]) Lease(worker string, ch transport.Channel) error {
 	if j.m.isClosed() {
 		return ErrClosed
 	}
-	return j.m.engine.AttachChannel(worker, ch)
-}
-
-func (j job[I, O]) RecordWire(worker, wire string) { j.m.recordWire(worker, wire) }
-
-// recordWire notes the negotiated wire format in the device's stats row,
-// creating it if the attach event has not fired yet.
-func (m *Master[I, O]) recordWire(name, wire string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.deviceLocked(name).Wire = wire
+	return j.m.engine.AttachChannel(worker, j.m.wrapChannel(worker, ch))
 }
 
 // Attach wires an already-admitted channel into the DistributedMap

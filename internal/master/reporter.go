@@ -72,12 +72,8 @@ func (m *Master[I, O]) report(w io.Writer, window time.Duration) {
 		if s.Alive {
 			state = "alive"
 		}
-		wire := s.Wire
-		if wire == "" {
-			wire = "-"
-		}
-		fmt.Fprintf(w, "[pando]   %-24s %s %-13s %6d items %8.1f items/s  win %d, %d in flight, ewma %.1f/s",
-			s.Name, state, wire, s.Items, perDevice[s.Name], s.Credits, s.InFlight, s.EWMARate)
+		fmt.Fprintf(w, "[pando]   %-24s %s %6d items %8.1f items/s  win %d, %d in flight, ewma %.1f/s",
+			s.Name, state, s.Items, perDevice[s.Name], s.Credits, s.InFlight, s.EWMARate)
 		if s.Speculated > 0 {
 			fmt.Fprintf(w, ", %d re-dispatched", s.Speculated)
 		}

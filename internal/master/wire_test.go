@@ -1,172 +1,58 @@
 package master
 
 import (
+	"encoding/binary"
 	"errors"
+	"io"
 	"testing"
 	"time"
 
+	"pando/internal/chaos"
 	"pando/internal/netsim"
 	"pando/internal/proto"
-	"pando/internal/pullstream"
 	"pando/internal/transport"
 	"pando/internal/worker"
 )
 
-// workerWire waits for the master's accounting to show the device and
-// returns its negotiated wire format.
-func workerWire(t *testing.T, m *Master[int, int], name string) string {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		for _, w := range m.Stats() {
-			if w.Name == name && w.Wire != "" {
-				return w.Wire
-			}
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("no wire recorded for %q in %v", name, m.Stats())
-	return ""
-}
-
-// TestAdmitNegotiatesBinaryWire: a format-advertising worker and an
-// unrestricted master settle on the newest binary format
-// ('/pando/2.2.0') and complete a computation over it.
-func TestAdmitNegotiatesBinaryWire(t *testing.T) {
-	m := newTestMaster(t, Config{})
-	ln := netsim.NewListener("master", netsim.LAN)
-	defer ln.Close()
-	go m.ServeWS(ln)
-
-	out := m.Bind(pullstream.Count(10))
-	startVolunteer(t, ln, &worker.Volunteer{Name: "modern", Handler: jsonSquare, CrashAfter: -1})
-
-	got, err := pullstream.Collect(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 10 {
-		t.Fatalf("got %d results, want 10", len(got))
-	}
-	if wire := workerWire(t, m, "modern"); wire != proto.Version3 {
-		t.Fatalf("negotiated %q, want %q", wire, proto.Version3)
-	}
-}
-
-// TestAdmitMasterPinnedToV2 keeps a deployment on '/pando/2.1.0' — no
-// compression, no dedup — even for v3-capable workers.
-func TestAdmitMasterPinnedToV2(t *testing.T) {
-	m := newTestMaster(t, Config{Formats: []string{proto.Version2, proto.Version}})
-	ln := netsim.NewListener("master", netsim.LAN)
-	defer ln.Close()
-	go m.ServeWS(ln)
-
-	out := m.Bind(pullstream.Count(10))
-	startVolunteer(t, ln, &worker.Volunteer{Name: "modern", Handler: jsonSquare, CrashAfter: -1})
-
-	if _, err := pullstream.Collect(out); err != nil {
-		t.Fatal(err)
-	}
-	if wire := workerWire(t, m, "modern"); wire != proto.Version2 {
-		t.Fatalf("negotiated %q, want %q", wire, proto.Version2)
-	}
-}
-
-// TestAdmitV1OnlyWorkerFallsBack: a worker that only speaks the JSON wire
-// still completes a computation against a v2-capable master — the ISSUE's
-// backward-compatibility acceptance criterion.
-func TestAdmitV1OnlyWorkerFallsBack(t *testing.T) {
-	m := newTestMaster(t, Config{})
-	ln := netsim.NewListener("master", netsim.LAN)
-	defer ln.Close()
-	go m.ServeWS(ln)
-
-	out := m.Bind(pullstream.Count(10))
-	startVolunteer(t, ln, &worker.Volunteer{
-		Name:    "legacy",
-		Handler: jsonSquare,
-		Formats: []string{proto.Version},
-	})
-
-	got, err := pullstream.Collect(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 10 {
-		t.Fatalf("got %d results, want 10", len(got))
-	}
-	for i, v := range got {
-		if v != (i+1)*(i+1) {
-			t.Fatalf("got[%d] = %d", i, v)
-		}
-	}
-	if wire := workerWire(t, m, "legacy"); wire != proto.Version {
-		t.Fatalf("negotiated %q, want %q", wire, proto.Version)
-	}
-}
-
-// TestAdmitMasterPinnedToV1 keeps the whole deployment on the JSON wire
-// even for v2-capable workers.
-func TestAdmitMasterPinnedToV1(t *testing.T) {
-	m := newTestMaster(t, Config{Formats: []string{proto.Version}})
-	ln := netsim.NewListener("master", netsim.LAN)
-	defer ln.Close()
-	go m.ServeWS(ln)
-
-	out := m.Bind(pullstream.Count(5))
-	startVolunteer(t, ln, &worker.Volunteer{Name: "modern", Handler: jsonSquare, CrashAfter: -1})
-
-	if _, err := pullstream.Collect(out); err != nil {
-		t.Fatal(err)
-	}
-	if wire := workerWire(t, m, "modern"); wire != proto.Version {
-		t.Fatalf("negotiated %q, want %q", wire, proto.Version)
-	}
-}
-
-// TestAdmitV2OnlyMasterRefusesV1Worker: a deployment that excludes the v1
-// fallback refuses a v1-only volunteer instead of silently admitting it
-// on an excluded format.
+// TestAdmitV2OnlyMasterRefusesV1Worker is what a legacy peer now meets: a
+// raw '/pando/1.0.0' JSON hello frame, as a volunteer of the retired JSON
+// wire sends it, reaches the pool's admission (Master.Admit is Pool.Admit
+// on the master's single-job pool). The frame is not a '/pando/2.2.0'
+// body, so admission fails promptly with proto.ErrBadFrame, the channel
+// closes under the peer, and nothing the attempt started outlives it.
 func TestAdmitV2OnlyMasterRefusesV1Worker(t *testing.T) {
-	m := newTestMaster(t, Config{Formats: []string{proto.Version2}})
-
+	guard := chaos.Guard()
+	m := newTestMaster(t, Config{})
 	p := netsim.NewPipe(netsim.Loopback)
-	cfg := transport.Config{HeartbeatInterval: -1}
-	masterCh := transport.NewWSock(p.A, cfg)
 
 	errc := make(chan error, 1)
-	go func() { errc <- m.Admit(masterCh) }()
+	go func() { errc <- m.Admit(transport.NewWSock(p.A, transport.Config{})) }()
 
-	v := &worker.Volunteer{Name: "legacy", Handler: jsonSquare, CrashAfter: -1,
-		Channel: cfg, Formats: []string{proto.Version}}
-	if err := v.JoinWS(p.B); err == nil {
-		t.Fatal("v1-only volunteer joined a v2-only master")
+	hello := `{"t":"hello","v":"/pando/1.0.0","p":"legacy","fmts":["/pando/1.0.0"]}`
+	frame := append(binary.BigEndian.AppendUint32(nil, uint32(len(hello))), hello...)
+	if _, err := p.B.Write(frame); err != nil {
+		t.Fatal(err)
 	}
-	if err := <-errc; !errors.Is(err, proto.ErrNoCommonFormat) {
-		t.Fatalf("Admit error = %v, want proto.ErrNoCommonFormat", err)
+	select {
+	case err := <-errc:
+		if !errors.Is(err, proto.ErrBadFrame) {
+			t.Fatalf("Admit error = %v, want proto.ErrBadFrame", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("admission of a JSON hello did not fail within 2s")
 	}
-}
-
-// TestAdmitV1OnlyMasterRefusesV2OnlyWorker: the refusal must key off what
-// the volunteer offered, not just the fallback — a peer that declared it
-// cannot speak v1 must not be silently admitted on v1.
-func TestAdmitV1OnlyMasterRefusesV2OnlyWorker(t *testing.T) {
-	m := newTestMaster(t, Config{Formats: []string{proto.Version}})
-
-	p := netsim.NewPipe(netsim.Loopback)
-	cfg := transport.Config{HeartbeatInterval: -1}
-	masterCh := transport.NewWSock(p.A, cfg)
-
-	errc := make(chan error, 1)
-	go func() { errc <- m.Admit(masterCh) }()
-
-	v := &worker.Volunteer{Name: "v2only", Handler: jsonSquare, CrashAfter: -1,
-		Channel: cfg, Formats: []string{proto.Version2}}
-	if err := v.JoinWS(p.B); err == nil {
-		t.Fatal("v2-only volunteer joined a v1-only master")
+	// The master closed the channel without a word: the peer reads EOF.
+	_ = p.B.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if n, err := p.B.Read(make([]byte, 64)); !errors.Is(err, io.EOF) {
+		t.Fatalf("legacy peer read %d bytes, %v; want io.EOF", n, err)
 	}
-	if err := <-errc; !errors.Is(err, proto.ErrNoCommonFormat) {
-		t.Fatalf("Admit error = %v, want proto.ErrNoCommonFormat", err)
+	if len(m.Stats()) != 0 {
+		t.Fatalf("refused peer accounted as a worker: %v", m.Stats())
+	}
+	p.B.Close()
+	m.Close()
+	if err := guard.Check(5 * time.Second); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -4,32 +4,30 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 )
 
-// This file implements the '/pando/2.1.0' binary wire format. The outer
-// framing (4-byte big-endian body length) is shared with v1; the body is
+// This file implements the binary envelope of the '/pando/2.2.0' wire,
+// the raw body every frame carries (compressed or not, see compress.go).
+// After the 4-byte big-endian length prefix the body is
 //
 //	magic byte 0xB2, then a sequence of fields:
 //	  tag byte with the high bit clear:  uvarint value      (numeric)
 //	  tag byte with the high bit set:    uvarint length + raw bytes
 //	then a 4-byte little-endian CRC32 (IEEE) of everything before it.
 //
-// Zero-valued fields are omitted, mirroring JSON's omitempty, and unknown
-// tags are skipped (the high bit tells a decoder how), so fields can be
-// added without breaking older v2 peers. Message types are one-byte codes
-// instead of strings, and Data travels as raw bytes — eliminating the
-// base64 inflation that dominated v1 frames carrying binary payloads.
+// Zero-valued fields are omitted and unknown tags are skipped (the high
+// bit tells a decoder how), so fields can be added without breaking older
+// peers. Message types are one-byte codes instead of strings, and Data
+// travels as raw bytes.
 //
-// The CRC trailer (the 2.0 → 2.1 bump) exists because the chaos suite
-// injects byte-level drop and corruption on simulated links: without an
-// integrity check, a flipped bit inside a payload or a seq varint decodes
-// as a *valid* frame carrying wrong data, silently corrupting the output
-// stream — the one failure mode the crash-stop design cannot absorb. With
-// the trailer, any corruption surfaces as ErrBadFrame, the channel fails,
-// and the engine re-lends the peer's values: corruption degrades to a
-// crash, which the stack already tolerates. (v1 JSON has no trailer; it
-// remains the permissive legacy format.)
+// The CRC trailer exists because the chaos suite injects byte-level drop
+// and corruption on simulated links: without an integrity check, a
+// flipped bit inside a payload or a seq varint decodes as a *valid* frame
+// carrying wrong data, silently corrupting the output stream — the one
+// failure mode the crash-stop design cannot absorb. With the trailer, any
+// corruption surfaces as ErrBadFrame, the channel fails, and the engine
+// re-lends the peer's values: corruption degrades to a crash, which the
+// stack already tolerates.
 //
 // Grouped batches (the Data field of inputs/results frames) get their own
 // compact encoding: magic 0xB3, uvarint item count, then per item a
@@ -37,9 +35,9 @@ import (
 // batches ride inside a frame body, so the frame CRC covers them.
 
 const (
-	binMagic      = 0xB2 // first body byte of a v2 envelope
-	binBatchMagic = 0xB3 // first byte of a v2 batch payload
-	binCRCSize    = 4    // CRC32 trailer bytes at the end of a v2 body
+	binMagic      = 0xB2 // first body byte of a raw envelope
+	binBatchMagic = 0xB3 // first byte of a batch payload
+	binCRCSize    = 4    // CRC32 trailer bytes at the end of a raw body
 )
 
 // Field tags. The high bit selects the wire kind so unknown tags remain
@@ -59,8 +57,6 @@ const (
 	tagPeer    = 0x87
 	tagTo      = 0x88
 	tagAddr    = 0x89
-	tagFormat  = 0x8A // repeated, one per supported format
-	tagWire    = 0x8B
 	tagFunc2   = 0x8C // repeated, one per registered function (hello)
 	tagDigest  = 0x8D // SHA-256 content address (dedup extension)
 )
@@ -85,11 +81,6 @@ var codeTypes = func() map[uint64]Type {
 	}
 	return m
 }()
-
-// binaryWire is the '/pando/2.1.0' WireFormat.
-type binaryWire struct{}
-
-func (binaryWire) Name() string { return Version2 }
 
 func appendUint(b []byte, tag byte, v uint64) []byte {
 	if v == 0 {
@@ -121,18 +112,14 @@ func appendString(b []byte, tag byte, v string) []byte {
 // included), for sizing the pooled encode buffer without regrowth.
 func binaryFrameSize(m *Message) int {
 	n := 4 + len(m.Data) + len(m.Err) + len(m.Version) + len(m.Func) +
-		len(m.Token) + len(m.Peer) + len(m.To) + len(m.Addr) + len(m.Wire) +
-		len(m.Digest) + 64
-	for _, f := range m.Formats {
-		n += len(f) + 11
-	}
+		len(m.Token) + len(m.Peer) + len(m.To) + len(m.Addr) + len(m.Digest) + 64
 	for _, f := range m.Functions {
 		n += len(f) + 11
 	}
 	return n
 }
 
-// appendBinaryFrame appends one complete v2 frame — length prefix, body,
+// appendBinaryFrame appends one complete raw frame — length prefix, body,
 // CRC trailer — to b and returns the extended buffer. Appending into a
 // caller-owned buffer is what lets WriteFrame encode into the arena and
 // SendBatch pack several frames back to back for one vectored write.
@@ -157,10 +144,6 @@ func appendBinaryFrame(b []byte, m *Message) []byte {
 	b = appendString(b, tagPeer, m.Peer)
 	b = appendString(b, tagTo, m.To)
 	b = appendString(b, tagAddr, m.Addr)
-	for _, f := range m.Formats {
-		b = appendString(b, tagFormat, f)
-	}
-	b = appendString(b, tagWire, m.Wire)
 	for _, f := range m.Functions {
 		b = appendString(b, tagFunc2, f)
 	}
@@ -170,17 +153,17 @@ func appendBinaryFrame(b []byte, m *Message) []byte {
 	return b
 }
 
-// decodeBinaryBodyInto parses a v2 body (including the magic byte) into
+// decodeBinaryBodyInto parses a raw body (including the magic byte) into
 // m, verifying the CRC trailer first so a corrupted frame fails the
 // channel instead of decoding into a plausible message with wrong
 // content. m's Data aliases body; the caller decides whether the message
 // adopts the buffer (pooled reads) or the buffer outlives it.
 func decodeBinaryBodyInto(m *Message, body []byte) error {
 	if len(body) == 0 || body[0] != binMagic {
-		return fmt.Errorf("%w: missing v2 magic", ErrBadFrame)
+		return fmt.Errorf("%w: missing envelope magic", ErrBadFrame)
 	}
 	if len(body) < 1+binCRCSize {
-		return fmt.Errorf("%w: v2 body shorter than its CRC trailer", ErrBadFrame)
+		return fmt.Errorf("%w: body shorter than its CRC trailer", ErrBadFrame)
 	}
 	payload := body[:len(body)-binCRCSize]
 	sum := binary.LittleEndian.Uint32(body[len(body)-binCRCSize:])
@@ -202,9 +185,8 @@ func decodeBinaryBodyInto(m *Message, body []byte) error {
 				t, ok := codeTypes[v]
 				if !ok {
 					// A code from a newer peer: surface an opaque type
-					// the receive loops skip, mirroring how v1 treats
-					// unknown type strings, instead of failing the
-					// whole channel.
+					// the receive loops skip, like an unknown type
+					// string, instead of failing the whole channel.
 					t = Type(fmt.Sprintf("unknown-%d", v))
 				}
 				m.Type = t
@@ -254,10 +236,6 @@ func decodeBinaryBodyInto(m *Message, body []byte) error {
 			m.To = string(val)
 		case tagAddr:
 			m.Addr = string(val)
-		case tagFormat:
-			m.Formats = append(m.Formats, string(val))
-		case tagWire:
-			m.Wire = string(val)
 		case tagFunc2:
 			m.Functions = append(m.Functions, string(val))
 		default:
@@ -270,74 +248,8 @@ func decodeBinaryBodyInto(m *Message, body []byte) error {
 	return nil
 }
 
-func (binaryWire) WriteFrame(w io.Writer, m *Message) error {
-	// Encode into an arena buffer: the steady-state write path performs no
-	// allocation per frame.
-	frame := appendBinaryFrame(GetBuf(binaryFrameSize(m)), m)
-	if len(frame)-4 > MaxFrameSize {
-		PutBuf(frame)
-		return ErrFrameTooLarge
-	}
-	// A single Write for the whole frame, like writeBody, so interleaved
-	// writers cannot corrupt the stream boundary mid-frame.
-	_, err := w.Write(frame)
-	PutBuf(frame)
-	if err != nil {
-		return fmt.Errorf("proto: write frame: %w", err)
-	}
-	return nil
-}
-
-func (binaryWire) ReadFrame(r io.Reader) (*Message, error) {
-	body, err := readBody(r)
-	if err != nil {
-		return nil, err
-	}
-	m := GetMessage()
-	if err := decodeBinaryBodyInto(m, body); err != nil {
-		Release(m)
-		PutBuf(body)
-		return nil, err
-	}
-	m.adoptBuf(body)
-	return m, nil
-}
-
-// AppendFrame appends one complete frame (length prefix included) encoded
-// by wf to dst and returns the extended buffer. It is the building block
-// of vectored batch sends: a session packs several frames back to back in
-// one arena buffer and hands the result to a single writev. For the v2
-// binary format the append is direct; other formats fall through to their
-// WriteFrame via an in-memory writer.
-func AppendFrame(dst []byte, wf WireFormat, m *Message) ([]byte, error) {
-	if _, ok := wf.(binaryWire); ok {
-		start := len(dst)
-		dst = appendBinaryFrame(dst, m)
-		if len(dst)-start-4 > MaxFrameSize {
-			return dst[:start], ErrFrameTooLarge
-		}
-		return dst, nil
-	}
-	if cw, ok := wf.(*compressedWire); ok {
-		start := len(dst)
-		dst, err := cw.appendCompressedFrame(dst, m)
-		if err != nil {
-			return dst[:start], err
-		}
-		if len(dst)-start-4 > MaxFrameSize {
-			return dst[:start], ErrFrameTooLarge
-		}
-		return dst, nil
-	}
-	sw := sliceWriter{buf: dst}
-	if err := wf.WriteFrame(&sw, m); err != nil {
-		return dst, err
-	}
-	return sw.buf, nil
-}
-
-// sliceWriter adapts an append-target buffer to io.Writer for WireFormats
-// without a native append path.
+// sliceWriter adapts an append-target buffer to io.Writer, the sink the
+// pooled DEFLATE encoder writes into.
 type sliceWriter struct{ buf []byte }
 
 func (w *sliceWriter) Write(p []byte) (int, error) {
@@ -345,7 +257,8 @@ func (w *sliceWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func (binaryWire) EncodeBatch(items []BatchItem) ([]byte, error) {
+// EncodeBatch packs grouped payloads for a frame's Data field.
+func EncodeBatch(items []BatchItem) []byte {
 	size := 16
 	for _, it := range items {
 		size += len(it.D) + len(it.E) + 10
@@ -359,14 +272,15 @@ func (binaryWire) EncodeBatch(items []BatchItem) ([]byte, error) {
 		b = binary.AppendUvarint(b, uint64(len(it.E)))
 		b = append(b, it.E...)
 	}
-	return b, nil
+	return b
 }
 
-func (binaryWire) DecodeBatch(data []byte) ([]BatchItem, error) {
+// DecodeBatch unpacks a grouped frame's Data field.
+func DecodeBatch(data []byte) ([]BatchItem, error) {
 	return decodeBinaryBatch(data, false)
 }
 
-// DecodeBatchShared parses a grouped payload like DecodeBatch but lets v2
+// DecodeBatchShared parses a grouped payload like DecodeBatch but lets
 // item payloads alias data instead of copying them. It is for strictly
 // serial consumers that fully process (or copy) every item before the
 // backing frame is released — the worker's apply loop — where the decoded
@@ -374,13 +288,10 @@ func (binaryWire) DecodeBatch(data []byte) ([]BatchItem, error) {
 // Retaining an item past the frame's release is a use-after-free of arena
 // memory; when in doubt use DecodeBatch.
 func DecodeBatchShared(data []byte) ([]BatchItem, error) {
-	if len(data) == 0 || data[0] != binBatchMagic {
-		return DecodeBatch(data) // v1 JSON copies every field anyway
-	}
 	return decodeBinaryBatch(data, true)
 }
 
-// decodeBinaryBatch parses a v2 batch payload. Unless share is set every
+// decodeBinaryBatch parses a batch payload. Unless share is set every
 // item payload is copied out: aliasing the frame would let one retained
 // item pin the whole multi-item frame buffer for its lifetime (batch-size
 // memory amplification). Message.Data stays aliased — there the mapping

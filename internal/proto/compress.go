@@ -12,43 +12,40 @@ import (
 	"sync/atomic"
 )
 
-// This file implements the '/pando/2.2.0' wire format: the v2 binary
-// envelope wrapped, frame by frame, in an optional DEFLATE layer. The
-// outer framing (4-byte big-endian body length) is shared with v1 and v2;
-// a compressed body is
+// This file implements the compression layer of the '/pando/2.2.0' wire:
+// the binary envelope (binary.go) wrapped, frame by frame, in an optional
+// DEFLATE layer. A compressed body is
 //
 //	magic byte 0xB4,
 //	uvarint raw (inflated) body length,
-//	DEFLATE stream of a complete v2 body (magic 0xB2 ... inner CRC),
+//	DEFLATE stream of a complete raw body (magic 0xB2 ... inner CRC),
 //	then a 4-byte little-endian CRC32 (IEEE) of everything before it.
 //
 // The trailing CRC is computed over the *compressed* bytes, so a flipped
 // bit on the link is detected before the inflater ever runs: corruption
 // surfaces as ErrBadFrame, the channel fails, and the engine re-lends —
-// the same degrade-to-crash-stop contract the v2 trailer established.
-// The inflated payload is a byte-exact v2 body (its own CRC included),
-// so the decoder is the existing one; compression composes with the
+// the same degrade-to-crash-stop contract the raw body's trailer
+// establishes. The inflated payload is a byte-exact raw body (its own CRC
+// included), so the decoder is the raw one; compression composes with the
 // envelope instead of forking it.
 //
 // Compression is per frame and adaptive: the writer decides for every
 // frame whether the DEFLATE layer pays for itself, and frames it leaves
-// raw are plain v2 bodies (magic 0xB2). Readers sniff each body — the
-// property every format here shares — so the mix needs no signalling.
-// The policy (see decide) skips small frames, skips runs of frames after
-// the payload proves incompressible, and skips entirely when the sched
-// controller's EWMA throughput hint says the link is fast enough that
-// trading CPU for bytes is a loss. Both coders run out of pooled state
-// (flate coders, arena buffers), preserving the 0 allocs/op steady state
-// of the v2 hot path.
+// raw are plain 0xB2 bodies. Readers sniff each body, so the mix needs no
+// signalling. The policy (see decide) skips small frames, skips runs of
+// frames after the payload proves incompressible, and skips entirely when
+// the sched controller's EWMA throughput hint says the link is fast
+// enough that trading CPU for bytes is a loss. Both coders run out of
+// pooled state (flate coders, arena buffers), so the hot path performs no
+// allocation per frame.
 
-// cmpMagic is the first body byte of a compressed v3 envelope. Like
-// binMagic, no JSON body can start with it.
+// cmpMagic is the first body byte of a compressed envelope.
 const cmpMagic = 0xB4
 
 // Compression policy constants.
 const (
 	// cmpMinData is the smallest Data payload worth compressing; control
-	// frames and small results stay on the raw v2 fast path.
+	// frames and small results stay on the raw fast path.
 	cmpMinData = 512
 	// cmpGainNum/cmpGainDen: a compressed body must shrink below
 	// num/den of the raw body or the raw encoding is sent instead (the
@@ -65,45 +62,16 @@ const (
 	// cmpRatioAlpha smooths the per-frame compression ratio samples.
 	cmpRatioAlpha = 0.25
 	// cmpFastLinkBPS: when the rate hint (items/s from the sched
-	// controller, see RateHinted) times the smoothed frame size on the wire
+	// controller, see HintRate) times the smoothed frame size on the wire
 	// (raw × compression ratio) exceeds this many bytes per second, the link
 	// moves data faster than compression could help and the writer stays raw.
 	cmpFastLinkBPS = 32 << 20
 )
 
-// Version3 tags the compressed wire format: v2 envelopes with adaptive
-// per-frame DEFLATE and content-addressed payload references (Digest).
-const Version3 = "/pando/2.2.0"
-
-// RateHinted is implemented by wire formats whose write policy can use a
-// throughput estimate for the channel they are negotiated on. The master
-// feeds it the sched controller's per-worker EWMA rate so compression
-// backs off on links that are not bandwidth-bound.
-type RateHinted interface {
-	HintRate(itemsPerSec float64)
-}
-
-// compressedWire is the '/pando/2.2.0' WireFormat. Unlike the stateless
-// v1/v2 singletons, each negotiated channel gets its own instance
-// (LookupFormat returns a fresh one) because the adaptive policy is
-// per-link state. Fields are atomics: SendBatch encodes via AppendFrame
-// outside the channel's write lock, concurrently with Send.
-type compressedWire struct {
-	rateHint  atomic.Uint64 // float64 bits; items/s hint from the scheduler
-	ewmaBytes atomic.Uint64 // float64 bits; smoothed raw frame size
-	ewmaRatio atomic.Uint64 // float64 bits; smoothed compressed/raw ratio
-	skipLeft  atomic.Int64  // raw frames remaining before the next probe
-}
-
-// NewCompressedWire returns a fresh v3 format instance with neutral
-// policy state. Channels obtain one through LookupFormat(Version3).
-func NewCompressedWire() WireFormat { return &compressedWire{} }
-
-func (c *compressedWire) Name() string { return Version3 }
-
 // HintRate records the scheduler's smoothed items-per-second estimate
-// for this channel.
-func (c *compressedWire) HintRate(itemsPerSec float64) {
+// for this channel, so compression backs off on links that are not
+// bandwidth-bound.
+func (c *WireFormat) HintRate(itemsPerSec float64) {
 	c.rateHint.Store(math.Float64bits(itemsPerSec))
 }
 
@@ -119,7 +87,7 @@ func storeEWMA(a *atomic.Uint64, sample, alpha float64) {
 }
 
 // decide reports whether this frame should attempt compression.
-func (c *compressedWire) decide(m *Message) bool {
+func (c *WireFormat) decide(m *Message) bool {
 	if len(m.Data) < cmpMinData {
 		return false
 	}
@@ -143,7 +111,7 @@ func (c *compressedWire) decide(m *Message) bool {
 }
 
 // observe feeds one compression outcome into the adaptive state.
-func (c *compressedWire) observe(rawLen, compLen int) {
+func (c *WireFormat) observe(rawLen, compLen int) {
 	ratio := float64(compLen) / float64(rawLen)
 	storeEWMA(&c.ewmaRatio, ratio, cmpRatioAlpha)
 	if loadF64(&c.ewmaRatio) > cmpSkipRatio {
@@ -221,18 +189,18 @@ func inflate(dst, src []byte) error {
 	return err
 }
 
-// appendCompressedFrame appends one complete v3 frame to b: either a
+// appendCompressedFrame appends one complete frame to b: either a
 // compressed envelope or, when the policy or the outcome says raw wins,
-// a plain v2 frame. Appending into a caller-owned buffer keeps the
-// vectored batch path (AppendFrame) alloc-free.
-func (c *compressedWire) appendCompressedFrame(b []byte, m *Message) ([]byte, error) {
+// a raw one. Appending into a caller-owned buffer keeps the vectored
+// batch path (AppendFrame) alloc-free.
+func (c *WireFormat) appendCompressedFrame(b []byte, m *Message) []byte {
 	if !c.decide(m) {
-		return appendBinaryFrame(b, m), nil
+		return appendBinaryFrame(b, m)
 	}
-	// Encode the complete v2 body into a scratch arena buffer, then
+	// Encode the complete raw body into a scratch arena buffer, then
 	// compress it. The scratch recycles before return on every path.
 	scratch := appendBinaryFrame(GetBuf(binaryFrameSize(m)), m)
-	raw := scratch[4:] // strip the length prefix; the v3 body carries its own
+	raw := scratch[4:] // strip the length prefix; the compressed body carries its own
 	start := len(b)
 	b = append(b, 0, 0, 0, 0) // length prefix, filled in below
 	b = append(b, cmpMagic)
@@ -242,33 +210,33 @@ func (c *compressedWire) appendCompressedFrame(b []byte, m *Message) ([]byte, er
 		// Deflate failures are exceptional (a broken pool state); fall
 		// back to the raw encoding rather than failing the channel.
 		PutBuf(scratch)
-		return appendBinaryFrame(b[:start], m), nil
+		return appendBinaryFrame(b[:start], m)
 	}
 	b = compressed
 	compLen := len(b) - start - 4
 	c.observe(len(raw), compLen)
 	if compLen*cmpGainDen >= len(raw)*cmpGainNum {
-		// Not worth it: ship the already-encoded v2 frame bytes.
+		// Not worth it: ship the already-encoded raw frame bytes.
 		b = append(b[:start], scratch...)
 		PutBuf(scratch)
-		return b, nil
+		return b
 	}
 	PutBuf(scratch)
 	sum := crc32.ChecksumIEEE(b[start+4:])
 	b = binary.LittleEndian.AppendUint32(b, sum)
 	binary.BigEndian.PutUint32(b[start:start+4], uint32(len(b)-start-4))
-	return b, nil
+	return b
 }
 
-// decodeCompressedBody verifies and inflates a v3 body (including the
-// magic byte), returning the inflated v2 body in a fresh arena buffer.
+// decodeCompressedBody verifies and inflates a compressed body (including
+// the magic byte), returning the inflated raw body in a fresh arena buffer.
 // The caller owns the returned buffer; src is untouched.
 func decodeCompressedBody(body []byte) ([]byte, error) {
 	if len(body) == 0 || body[0] != cmpMagic {
-		return nil, fmt.Errorf("%w: missing v3 magic", ErrBadFrame)
+		return nil, fmt.Errorf("%w: missing compressed-body magic", ErrBadFrame)
 	}
 	if len(body) < 1+binCRCSize {
-		return nil, fmt.Errorf("%w: v3 body shorter than its CRC trailer", ErrBadFrame)
+		return nil, fmt.Errorf("%w: compressed body shorter than its CRC trailer", ErrBadFrame)
 	}
 	payload := body[:len(body)-binCRCSize]
 	sum := binary.LittleEndian.Uint32(body[len(body)-binCRCSize:])
@@ -290,63 +258,4 @@ func decodeCompressedBody(body []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: inflate: %v", ErrBadFrame, err)
 	}
 	return raw, nil
-}
-
-func (c *compressedWire) WriteFrame(w io.Writer, m *Message) error {
-	frame, err := c.appendCompressedFrame(GetBuf(binaryFrameSize(m)), m)
-	if err != nil {
-		PutBuf(frame)
-		return err
-	}
-	if len(frame)-4 > MaxFrameSize {
-		PutBuf(frame)
-		return ErrFrameTooLarge
-	}
-	_, err = w.Write(frame)
-	PutBuf(frame)
-	if err != nil {
-		return fmt.Errorf("proto: write frame: %w", err)
-	}
-	return nil
-}
-
-func (c *compressedWire) ReadFrame(r io.Reader) (*Message, error) {
-	body, err := readBody(r)
-	if err != nil {
-		return nil, err
-	}
-	if len(body) > 0 && body[0] == cmpMagic {
-		raw, err := decodeCompressedBody(body)
-		PutBuf(body)
-		if err != nil {
-			return nil, err
-		}
-		m := GetMessage()
-		if err := decodeBinaryBodyInto(m, raw); err != nil {
-			Release(m)
-			PutBuf(raw)
-			return nil, err
-		}
-		m.adoptBuf(raw)
-		return m, nil
-	}
-	// Raw fast-path frames (and peers negotiated down): plain v2 body.
-	m := GetMessage()
-	if err := decodeBinaryBodyInto(m, body); err != nil {
-		Release(m)
-		PutBuf(body)
-		return nil, err
-	}
-	m.adoptBuf(body)
-	return m, nil
-}
-
-// Grouped batches ride inside the frame Data, which the envelope already
-// compresses; the batch encoding itself is the v2 binary one.
-func (c *compressedWire) EncodeBatch(items []BatchItem) ([]byte, error) {
-	return V2.EncodeBatch(items)
-}
-
-func (c *compressedWire) DecodeBatch(data []byte) ([]BatchItem, error) {
-	return V2.DecodeBatch(data)
 }

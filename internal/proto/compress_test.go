@@ -8,8 +8,8 @@ import (
 	"testing"
 )
 
-// compressibleData returns n bytes that DEFLATE collapses well, so the
-// v3 writer's first probe always chooses the compressed encoding.
+// compressibleData returns n bytes that DEFLATE collapses well, so a
+// writer's first probe always chooses the compressed encoding.
 func compressibleData(n int) []byte {
 	b := make([]byte, n)
 	for i := range b {
@@ -18,21 +18,21 @@ func compressibleData(n int) []byte {
 	return b
 }
 
-// v3Frame encodes m through a fresh v3 instance (neutral policy state)
+// wireFrame encodes m through a fresh WireFormat (neutral policy state)
 // and returns the complete frame bytes.
-func v3Frame(t testing.TB, m *Message) []byte {
+func wireFrame(t testing.TB, m *Message) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := NewCompressedWire().WriteFrame(&buf, m); err != nil {
-		t.Fatalf("v3 write: %v", err)
+	if err := new(WireFormat).WriteFrame(&buf, m); err != nil {
+		t.Fatalf("write: %v", err)
 	}
 	return buf.Bytes()
 }
 
-// forgeV3 assembles a v3 frame by hand — declared raw length, arbitrary
+// forgeCompressed assembles a compressed frame by hand — declared raw length, arbitrary
 // "compressed" bytes, and a *valid* CRC over them — so tests can reach
 // the inflate error paths that live behind the CRC check.
-func forgeV3(declaredLen uint64, flateBytes []byte) []byte {
+func forgeCompressed(declaredLen uint64, flateBytes []byte) []byte {
 	body := []byte{cmpMagic}
 	body = binary.AppendUvarint(body, declaredLen)
 	body = append(body, flateBytes...)
@@ -41,56 +41,41 @@ func forgeV3(declaredLen uint64, flateBytes []byte) []byte {
 	return append(frame, body...)
 }
 
-// TestCompressedFrameRoundTrip pins the v3 envelope end to end: a
-// compressible payload must come back byte-identical (through the
-// format's own reader and through the sniffing global ReadFrame), must
-// actually travel compressed, and every message field must survive.
+// TestCompressedFrameRoundTrip pins the compressed envelope end to end: a
+// compressible payload must come back byte-identical, must actually
+// travel compressed, and every message field must survive.
 func TestCompressedFrameRoundTrip(t *testing.T) {
 	in := &Message{
 		Type: TypeInput, Seq: 41, Data: compressibleData(4096),
 		Digest: bytes.Repeat([]byte{0xAB}, 32),
 	}
-	frame := v3Frame(t, in)
+	frame := wireFrame(t, in)
 	if frame[4] != cmpMagic {
 		t.Fatalf("compressible frame body starts with %#x, want compressed magic %#x", frame[4], cmpMagic)
 	}
-	var v2 bytes.Buffer
-	if err := V2.WriteFrame(&v2, in); err != nil {
+	var raw bytes.Buffer
+	if err := WriteFrame(&raw, in); err != nil {
 		t.Fatal(err)
 	}
-	if len(frame) >= v2.Len() {
-		t.Errorf("compressed frame is %d bytes, raw v2 is %d — no gain", len(frame), v2.Len())
+	if len(frame) >= raw.Len() {
+		t.Errorf("compressed frame is %d bytes, raw is %d — no gain", len(frame), raw.Len())
 	}
-	for _, read := range []struct {
-		name string
-		m    *Message
-		err  error
-	}{
-		{name: "v3 reader"}, {name: "sniffing ReadFrame"},
-	} {
-		var m *Message
-		var err error
-		if read.name == "v3 reader" {
-			m, err = NewCompressedWire().ReadFrame(bytes.NewReader(frame))
-		} else {
-			m, err = ReadFrame(bytes.NewReader(frame))
-		}
-		if err != nil {
-			t.Fatalf("%s: %v", read.name, err)
-		}
-		if m.Type != in.Type || m.Seq != in.Seq || !bytes.Equal(m.Data, in.Data) || !bytes.Equal(m.Digest, in.Digest) {
-			t.Fatalf("%s: round trip mismatch: %+v", read.name, m)
-		}
-		Release(m)
+	m, err := ReadFrame(bytes.NewReader(frame))
+	if err != nil {
+		t.Fatal(err)
 	}
+	if m.Type != in.Type || m.Seq != in.Seq || !bytes.Equal(m.Data, in.Data) || !bytes.Equal(m.Digest, in.Digest) {
+		t.Fatalf("round trip mismatch: %+v", m)
+	}
+	Release(m)
 
 	// Small frames stay on the raw fast path and still decode.
 	small := &Message{Type: TypePing, Seq: 7}
-	sf := v3Frame(t, small)
+	sf := wireFrame(t, small)
 	if sf[4] != binMagic {
-		t.Fatalf("small frame body starts with %#x, want raw v2 magic %#x", sf[4], binMagic)
+		t.Fatalf("small frame body starts with %#x, want raw magic %#x", sf[4], binMagic)
 	}
-	m, err := NewCompressedWire().ReadFrame(bytes.NewReader(sf))
+	m, err = ReadFrame(bytes.NewReader(sf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,16 +85,16 @@ func TestCompressedFrameRoundTrip(t *testing.T) {
 	Release(m)
 
 	// Incompressible data past the size floor is tried, loses, and ships
-	// as exactly the v2 frame: v3 never inflates it.
+	// as exactly the raw frame: compression never inflates it.
 	noise := make([]byte, 4096)
 	rand.New(rand.NewSource(1)).Read(noise)
 	noisy := &Message{Type: TypeInput, Seq: 8, Data: noise}
-	v2.Reset()
-	if err := V2.WriteFrame(&v2, noisy); err != nil {
+	raw.Reset()
+	if err := WriteFrame(&raw, noisy); err != nil {
 		t.Fatal(err)
 	}
-	if nf := v3Frame(t, noisy); !bytes.Equal(nf, v2.Bytes()) {
-		t.Fatalf("incompressible frame: v3 sent %d bytes, want the %d-byte v2 frame", len(nf), v2.Len())
+	if nf := wireFrame(t, noisy); !bytes.Equal(nf, raw.Bytes()) {
+		t.Fatalf("incompressible frame: sent %d bytes, want the %d-byte raw frame", len(nf), raw.Len())
 	}
 }
 
@@ -118,7 +103,7 @@ func TestCompressedFrameRoundTrip(t *testing.T) {
 // degrade-to-crash-stop contract: the channel reader surfaces the error
 // and the engine treats the peer as crashed.
 func TestCompressedFrameCorruption(t *testing.T) {
-	good := v3Frame(t, &Message{Type: TypeInput, Seq: 9, Data: compressibleData(2048)})
+	good := wireFrame(t, &Message{Type: TypeInput, Seq: 9, Data: compressibleData(2048)})
 
 	// A valid DEFLATE stream of 64 bytes, used to forge frames whose CRC
 	// passes but whose declared length lies.
@@ -136,12 +121,12 @@ func TestCompressedFrameCorruption(t *testing.T) {
 		"truncated mid-body":  good[:len(good)-5],
 		"truncated to magic":  append(binary.BigEndian.AppendUint32(nil, 1), cmpMagic),
 		"missing CRC trailer": append(binary.BigEndian.AppendUint32(nil, 3), cmpMagic, 0x01, 0x02),
-		"garbage flate, valid CRC": forgeV3(64,
+		"garbage flate, valid CRC": forgeCompressed(64,
 			[]byte{0xDE, 0xAD, 0xBE, 0xEF, 0x00, 0x11, 0x22, 0x33}),
-		"declared length too short": forgeV3(32, deflated),
-		"declared length too long":  forgeV3(128, deflated),
-		"oversize declared length":  forgeV3(uint64(MaxFrameSize)+1, deflated),
-		"unterminated varint": forgeV3Raw(t, append([]byte{cmpMagic},
+		"declared length too short": forgeCompressed(32, deflated),
+		"declared length too long":  forgeCompressed(128, deflated),
+		"oversize declared length":  forgeCompressed(uint64(MaxFrameSize)+1, deflated),
+		"unterminated varint": forgeCompressedRaw(t, append([]byte{cmpMagic},
 			0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80)),
 	}
 	// A single flipped bit in the compressed body must fail the CRC.
@@ -150,29 +135,29 @@ func TestCompressedFrameCorruption(t *testing.T) {
 	cases["flipped bit"] = flipped
 
 	for name, frame := range cases {
-		if m, err := NewCompressedWire().ReadFrame(bytes.NewReader(frame)); err == nil {
+		if m, err := ReadFrame(bytes.NewReader(frame)); err == nil {
 			t.Errorf("%s: decoded %+v, want error", name, m)
 			Release(m)
 		}
 	}
 }
 
-// forgeV3Raw wraps an arbitrary body (already starting with cmpMagic)
+// forgeCompressedRaw wraps an arbitrary body (already starting with cmpMagic)
 // with a valid CRC trailer and length prefix.
-func forgeV3Raw(t *testing.T, body []byte) []byte {
+func forgeCompressedRaw(t *testing.T, body []byte) []byte {
 	t.Helper()
 	if body[0] != cmpMagic {
-		t.Fatal("forgeV3Raw: body must start with cmpMagic")
+		t.Fatal("forgeCompressedRaw: body must start with cmpMagic")
 	}
 	body = binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
 	frame := binary.BigEndian.AppendUint32(nil, uint32(len(body)))
 	return append(frame, body...)
 }
 
-// FuzzCompressedFrame throws adversarial bytes at the v3 reader —
+// FuzzCompressedFrame throws adversarial bytes at the reader —
 // truncations, garbage DEFLATE bodies behind valid CRCs, lying length
 // declarations — and round-trips the fuzzer's payload through a fresh
-// v3 writer. Decoding must never panic and never return a message that
+// WireFormat. Decoding must never panic and never return a message that
 // differs from what was written; corrupt input must surface as an
 // error. Run the corpus as a test, or explore with
 // `go test -fuzz=FuzzCompressedFrame ./internal/proto`.
@@ -184,7 +169,7 @@ func FuzzCompressedFrame(f *testing.F) {
 	}
 	for _, m := range seedMsgs {
 		var buf bytes.Buffer
-		_ = NewCompressedWire().WriteFrame(&buf, m)
+		_ = new(WireFormat).WriteFrame(&buf, m)
 		f.Add(buf.Bytes(), []byte(nil))
 		if buf.Len() > 8 {
 			f.Add(buf.Bytes()[:buf.Len()-6], []byte(nil)) // truncation
@@ -193,8 +178,8 @@ func FuzzCompressedFrame(f *testing.F) {
 	// Hostile hand-built bodies: bare magic, magic with only a CRC, a
 	// valid CRC over garbage flate bytes, varint abuse.
 	f.Add(append(binary.BigEndian.AppendUint32(nil, 1), cmpMagic), []byte(nil))
-	f.Add(forgeV3(512, []byte{0xFF, 0xFF, 0x00, 0xAA}), []byte(nil))
-	f.Add(forgeV3(1<<40, []byte{0x01}), []byte(nil))
+	f.Add(forgeCompressed(512, []byte{0xFF, 0xFF, 0x00, 0xAA}), []byte(nil))
+	f.Add(forgeCompressed(1<<40, []byte{0x01}), []byte(nil))
 	f.Add([]byte{0x00, 0x00, 0x00, 0x06, cmpMagic, 0x80, 0x80, 0x80, 0x80, 0x80}, []byte(nil))
 	// Round-trip payload seeds.
 	f.Add([]byte(nil), compressibleData(4096))
@@ -203,7 +188,7 @@ func FuzzCompressedFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, frame, payload []byte) {
 		// Adversarial read: any bytes, never a panic, nil error implies a
 		// message.
-		if m, err := NewCompressedWire().ReadFrame(bytes.NewReader(frame)); err == nil {
+		if m, err := ReadFrame(bytes.NewReader(frame)); err == nil {
 			if m == nil {
 				t.Fatal("nil message with nil error")
 			}
@@ -211,34 +196,23 @@ func FuzzCompressedFrame(f *testing.F) {
 		}
 
 		// Round trip: whatever the policy chose (compressed or raw), the
-		// reader must hand back exactly what was written — through the
-		// writing format and through the sniffing global ReadFrame.
+		// reader must hand back exactly what was written.
 		if len(payload) > MaxFrameSize/2 {
 			return
 		}
 		in := &Message{Type: TypeInput, Seq: 11, Data: payload}
 		var buf bytes.Buffer
-		w := NewCompressedWire()
-		if err := w.WriteFrame(&buf, in); err != nil {
+		if err := new(WireFormat).WriteFrame(&buf, in); err != nil {
 			t.Fatalf("write: %v", err)
 		}
-		encoded := buf.Bytes()
-		for _, via := range []string{"v3", "sniff"} {
-			var m *Message
-			var err error
-			if via == "v3" {
-				m, err = w.ReadFrame(bytes.NewReader(encoded))
-			} else {
-				m, err = ReadFrame(bytes.NewReader(encoded))
-			}
-			if err != nil {
-				t.Fatalf("%s read back: %v", via, err)
-			}
-			if m.Type != TypeInput || m.Seq != 11 || !bytes.Equal(m.Data, payload) {
-				t.Fatalf("%s round trip mismatch: %+v", via, m)
-			}
-			Release(m)
+		m, err := ReadFrame(&buf)
+		if err != nil {
+			t.Fatalf("read back: %v", err)
 		}
+		if m.Type != TypeInput || m.Seq != 11 || !bytes.Equal(m.Data, payload) {
+			t.Fatalf("round trip mismatch: %+v", m)
+		}
+		Release(m)
 	})
 }
 
@@ -260,7 +234,7 @@ func TestCompressFastLinkCountsWireBytes(t *testing.T) {
 		{"compressible frames, wire rate past the fast-link bound", 0.1, 25000, false},
 	}
 	for _, tc := range cases {
-		c := NewCompressedWire().(*compressedWire)
+		c := new(WireFormat)
 		m := &Message{Type: TypeInput, Data: make([]byte, frame)}
 		for i := 0; i < 8; i++ {
 			c.observe(frame, int(tc.ratio*frame))

@@ -18,7 +18,7 @@ import (
 //   - WriteFrame owns its encode buffer for the duration of the write and
 //     recycles it before returning; callers never see it.
 //   - ReadFrame transfers ownership of the body buffer to the returned
-//     Message: a v2 Message's Data field aliases it (the zero-copy decode),
+//     Message: its Data field aliases it (the zero-copy decode),
 //     and the Message remembers the buffer in its unexported buf field.
 //   - Release(m) returns the Message and its owned buffer to the arena.
 //     After Release the caller must not touch m, m.Data, or any sub-slice

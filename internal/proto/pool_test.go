@@ -9,19 +9,20 @@ import (
 )
 
 type codecGateCase struct {
-	name string
-	wf   WireFormat
-	data []byte
+	name       string
+	write      func(io.Writer, *Message) error
+	compressed bool // the frame must go out as a compressed body
+	data       []byte
 }
 
-// codecGateCases are the frames the zero-alloc gates measure: 1 KiB on
-// the plain binary wire, and 16 KiB of compressible data on
-// '/pando/2.2.0', so the write side deflates and the read side inflates
+// codecGateCases are the frames the zero-alloc gates measure: 1 KiB in a
+// raw (0xB2) body, and 16 KiB of compressible data through a channel's
+// WireFormat, so the write side deflates and the read side inflates
 // through the pooled coders.
 func codecGateCases() []codecGateCase {
 	return []codecGateCase{
-		{"v2-1KiB", V2, bytes.Repeat([]byte{0xAB}, 1024)},
-		{"v3-16KiB", NewCompressedWire(), compressibleData(16 << 10)},
+		{"v2-1KiB", WriteFrame, false, bytes.Repeat([]byte{0xAB}, 1024)},
+		{"v3-16KiB", new(WireFormat).WriteFrame, true, compressibleData(16 << 10)},
 	}
 }
 
@@ -37,18 +38,18 @@ func TestCodecWriteZeroAlloc(t *testing.T) {
 			m := &Message{Type: TypeInput, Seq: 7, Data: c.data}
 			// Warm the pools outside the measured region.
 			for i := 0; i < 8; i++ {
-				if err := c.wf.WriteFrame(io.Discard, m); err != nil {
+				if err := c.write(io.Discard, m); err != nil {
 					t.Fatal(err)
 				}
 			}
 			allocs := testing.AllocsPerRun(200, func() {
 				m.Seq++
-				if err := c.wf.WriteFrame(io.Discard, m); err != nil {
+				if err := c.write(io.Discard, m); err != nil {
 					t.Fatal(err)
 				}
 			})
 			if allocs != 0 {
-				t.Fatalf("%s WriteFrame: %v allocs/op, want 0", c.wf.Name(), allocs)
+				t.Fatalf("WriteFrame: %v allocs/op, want 0", allocs)
 			}
 		})
 	}
@@ -66,12 +67,12 @@ func TestCodecReadZeroAlloc(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			var buf bytes.Buffer
 			m := &Message{Type: TypeResult, Seq: 42, Data: c.data}
-			if err := c.wf.WriteFrame(&buf, m); err != nil {
+			if err := c.write(&buf, m); err != nil {
 				t.Fatal(err)
 			}
 			frame := buf.Bytes()
-			if c.wf.Name() == Version3 && frame[4] != cmpMagic {
-				t.Fatal("v3 frame went out uncompressed: the gate would not inflate")
+			if c.compressed && frame[4] != cmpMagic {
+				t.Fatal("frame went out uncompressed: the gate would not inflate")
 			}
 			r := bytes.NewReader(frame)
 			for i := 0; i < 8; i++ { // warm the pools
@@ -94,7 +95,7 @@ func TestCodecReadZeroAlloc(t *testing.T) {
 				Release(out)
 			})
 			if allocs != 0 {
-				t.Fatalf("%s ReadFrame+Release: %v allocs/op, want 0", c.wf.Name(), allocs)
+				t.Fatalf("ReadFrame+Release: %v allocs/op, want 0", allocs)
 			}
 		})
 	}
@@ -110,7 +111,7 @@ func TestReleaseCanary(t *testing.T) {
 
 	var buf bytes.Buffer
 	payload := bytes.Repeat([]byte{0x11}, 256)
-	if err := V2.WriteFrame(&buf, &Message{Type: TypeInput, Seq: 1, Data: payload}); err != nil {
+	if err := WriteFrame(&buf, &Message{Type: TypeInput, Seq: 1, Data: payload}); err != nil {
 		t.Fatal(err)
 	}
 	m, err := ReadFrame(&buf)
@@ -140,7 +141,7 @@ func TestDetachPreservesData(t *testing.T) {
 
 	var buf bytes.Buffer
 	payload := bytes.Repeat([]byte{0x22}, 256)
-	if err := V2.WriteFrame(&buf, &Message{Type: TypeInput, Seq: 2, Data: payload}); err != nil {
+	if err := WriteFrame(&buf, &Message{Type: TypeInput, Seq: 2, Data: payload}); err != nil {
 		t.Fatal(err)
 	}
 	m, err := ReadFrame(&buf)
@@ -163,7 +164,7 @@ func TestReleaseRecyclesAcrossFrames(t *testing.T) {
 	second := bytes.Repeat([]byte{0x44}, 512)
 
 	var buf bytes.Buffer
-	if err := V2.WriteFrame(&buf, &Message{Type: TypeInput, Seq: 1, Data: first}); err != nil {
+	if err := WriteFrame(&buf, &Message{Type: TypeInput, Seq: 1, Data: first}); err != nil {
 		t.Fatal(err)
 	}
 	m1, err := ReadFrame(&buf)
@@ -175,7 +176,7 @@ func TestReleaseRecyclesAcrossFrames(t *testing.T) {
 	Release(m1)
 
 	buf.Reset()
-	if err := V2.WriteFrame(&buf, &Message{Type: TypeInput, Seq: 2, Data: second}); err != nil {
+	if err := WriteFrame(&buf, &Message{Type: TypeInput, Seq: 2, Data: second}); err != nil {
 		t.Fatal(err)
 	}
 	m2, err := ReadFrame(&buf)
@@ -211,36 +212,33 @@ func TestGetBufClasses(t *testing.T) {
 
 // TestAppendFrameMatchesWriteFrame checks that the append-path encoder
 // (the vectored-batch building block) produces byte-identical frames to
-// WriteFrame for both wire formats.
+// WriteFrame, for a frame that stays raw and for one that compresses.
 func TestAppendFrameMatchesWriteFrame(t *testing.T) {
-	m := fullMessage()
-	for _, wf := range []WireFormat{V1, V2} {
+	big := &Message{Type: TypeInput, Seq: 9, Data: compressibleData(8 << 10)}
+	for _, m := range []*Message{fullMessage(), big} {
 		var buf bytes.Buffer
-		if err := wf.WriteFrame(&buf, m); err != nil {
+		if err := new(WireFormat).WriteFrame(&buf, m); err != nil {
 			t.Fatal(err)
 		}
-		appended, err := AppendFrame(nil, wf, m)
+		appended, err := new(WireFormat).AppendFrame(nil, m)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(buf.Bytes(), appended) {
-			t.Fatalf("%s: AppendFrame differs from WriteFrame", wf.Name())
+			t.Fatalf("seq %d: AppendFrame differs from WriteFrame", m.Seq)
 		}
 	}
 }
 
 // TestDecodeBatchShared checks the aliasing batch decoder round-trips and
-// actually aliases (no copy) for v2 batches.
+// actually aliases (no copy).
 func TestDecodeBatchShared(t *testing.T) {
 	items := []BatchItem{
 		{D: []byte("alpha")},
 		{E: "boom"},
 		{D: []byte("gamma"), E: "warn"},
 	}
-	data, err := V2.EncodeBatch(items)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := EncodeBatch(items)
 	got, err := DecodeBatchShared(data)
 	if err != nil {
 		t.Fatal(err)
@@ -261,19 +259,6 @@ func TestDecodeBatchShared(t *testing.T) {
 			t.Fatal("DecodeBatchShared copied items; expected aliasing")
 		}
 	}
-
-	// v1 fallback still works (and copies, which is fine).
-	v1data, err := V1.EncodeBatch(items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = DecodeBatchShared(v1data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(items) {
-		t.Fatalf("v1 fallback: got %d items, want %d", len(got), len(items))
-	}
 }
 
 // FuzzFrameReuse drives random payloads through the full pooled
@@ -289,7 +274,7 @@ func FuzzFrameReuse(f *testing.F) {
 		defer poisonPut.Store(false)
 
 		var buf bytes.Buffer
-		if err := V2.WriteFrame(&buf, &Message{Type: TypeInput, Seq: 1, Data: a}); err != nil {
+		if err := WriteFrame(&buf, &Message{Type: TypeInput, Seq: 1, Data: a}); err != nil {
 			t.Fatal(err)
 		}
 		m1, err := ReadFrame(&buf)
@@ -301,7 +286,7 @@ func FuzzFrameReuse(f *testing.F) {
 		Release(m1)
 
 		buf.Reset()
-		if err := V2.WriteFrame(&buf, &Message{Type: TypeResult, Seq: 2, Data: b}); err != nil {
+		if err := WriteFrame(&buf, &Message{Type: TypeResult, Seq: 2, Data: b}); err != nil {
 			t.Fatal(err)
 		}
 		m2, err := ReadFrame(&buf)

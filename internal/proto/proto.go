@@ -1,39 +1,31 @@
 // Package proto defines the wire protocol spoken between a Pando master,
 // its volunteers, and the public (signalling) server. It is the Go
-// rendering of the '/pando/1.0.0' protocol the paper's Figure 2 refers to:
-// a worker declares which protocol version its processing function targets
-// and the master streams inputs and collects results over a framed,
-// heartbeat-monitored message channel.
+// rendering of the protocol the paper's Figure 2 refers to: a worker
+// declares which protocol version its processing function targets
+// ('/pando/1.0.0', checked at the hello) and the master streams inputs
+// and collects results over a framed, heartbeat-monitored message
+// channel.
 //
-// Two wire formats share the same outer framing (a 4-byte big-endian body
-// length): '/pando/1.0.0' encodes the body as JSON, keeping the protocol
-// debuggable and mirroring the JavaScript original, while '/pando/2.1.0'
-// encodes it as binary tag-length-value fields with varint lengths and raw
-// payload bytes, removing the base64 inflation JSON imposes on []byte
-// payloads. Bodies are self-describing (a v2 body starts with a magic byte
-// no JSON body can start with), so a reader accepts both formats at any
-// time; which format a peer *writes* is negotiated during the
-// hello/welcome handshake (see WireFormat and Negotiate).
+// Every channel speaks one encoding, '/pando/2.2.0', from its first frame
+// on, so there is nothing to negotiate. A frame is a 4-byte big-endian
+// body length and a body: either a binary tag-length-value envelope with
+// varint lengths and raw payload bytes (magic 0xB2, binary.go) or that
+// envelope DEFLATE-compressed (magic 0xB4, compress.go). The writer picks
+// per frame (see WireFormat); readers sniff the magic byte.
 package proto
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 )
 
-// Version is the baseline protocol version tag, mirroring the
-// '/pando/1.0.0' property of the paper's programming interface (Figure 2).
-// Every peer speaks it; hellos always declare it so v1-only masters admit
-// newer workers unchanged.
+// Version is the protocol version tag of the paper's programming
+// interface (Figure 2, the '/pando/1.0.0' property): hellos declare it and
+// CheckHello and invitations check it. It names the API a processing
+// function targets, not the wire encoding (WireVersion).
 const Version = "/pando/1.0.0"
-
-// Version2 tags the binary wire format: same message vocabulary, binary
-// tag-length-value envelope, raw payload bytes (no base64), varint
-// lengths, and binary grouped batches.
-const Version2 = "/pando/2.1.0"
 
 // MaxFrameSize bounds a single frame. The paper notes a limitation on the
 // size of individual WebRTC messages in the simple-peer library (§5.1);
@@ -96,35 +88,28 @@ const (
 	TypeError     Type = "error"
 )
 
-// Message is the single envelope used for every exchange. Unused fields
-// are omitted from the wire encoding.
+// Message is the single envelope used for every exchange. Zero-valued
+// fields are omitted from the wire encoding.
 type Message struct {
-	Type Type   `json:"t"`
-	Seq  uint64 `json:"seq,omitempty"` // input/result sequence number
-	Data []byte `json:"d,omitempty"`   // payload (JSON or opaque bytes)
-	Err  string `json:"e,omitempty"`   // error carried by a result
+	Type Type
+	Seq  uint64 // input/result sequence number
+	Data []byte // payload (JSON or opaque bytes)
+	Err  string // error carried by a result
 
 	// Digest is the SHA-256 of a content-addressed payload (the
 	// '/pando/2.2.0' dedup extension): on an input it names Data (present
 	// alongside the bytes on first transmission, alone on later ones), and
-	// on blobmiss/blob frames it names the payload being fetched. Decoded
-	// from a v2 body it aliases the frame buffer like Data does — copy it
-	// before retaining it past Release.
-	Digest []byte `json:"dg,omitempty"`
+	// on blobmiss/blob frames it names the payload being fetched. Decoded,
+	// it aliases the frame buffer like Data does — copy it before
+	// retaining it past Release.
+	Digest []byte
 
 	// Handshake fields.
-	Version string `json:"v,omitempty"`  // protocol version
-	Func    string `json:"f,omitempty"`  // processing function name
-	Cores   int    `json:"c,omitempty"`  // worker parallelism
-	Batch   int    `json:"b,omitempty"`  // values in flight (Limiter bound)
-	Token   string `json:"tk,omitempty"` // deployment invitation token
-
-	// Wire-format negotiation (hello/welcome only). A worker's hello
-	// lists the formats it can speak, best first; the master's welcome
-	// names the one chosen for the rest of the session. Absent fields
-	// mean v1, which is how pre-negotiation peers interoperate.
-	Formats []string `json:"fmts,omitempty"` // hello: supported wire formats
-	Wire    string   `json:"w,omitempty"`    // welcome: selected wire format
+	Version string // protocol version
+	Func    string // processing function name
+	Cores   int    // worker parallelism
+	Batch   int    // values in flight (Limiter bound)
+	Token   string // deployment invitation token
 
 	// Functions (hello only) lists every processing function the
 	// volunteer's registry can resolve, sorted — what lets a shared pool
@@ -137,12 +122,12 @@ type Message struct {
 	// rejoins) and Token (a per-volunteer-instance nonce), so the master
 	// can sever the departed incarnation's half-open sessions instead of
 	// waiting for their heartbeats to time out.
-	Functions []string `json:"fns,omitempty"`
+	Functions []string
 
 	// Signalling fields.
-	Peer string `json:"p,omitempty"`  // sender peer ID
-	To   string `json:"to,omitempty"` // destination peer ID
-	Addr string `json:"a,omitempty"`  // candidate network address
+	Peer string // sender peer ID
+	To   string // destination peer ID
+	Addr string // candidate network address
 
 	// buf is the pooled frame buffer backing Data when the message was
 	// decoded from the arena's read path; Release returns it. See pool.go
@@ -153,19 +138,9 @@ type Message struct {
 // BatchItem is one element of a grouped input or result frame.
 type BatchItem struct {
 	// D is the payload.
-	D []byte `json:"d,omitempty"`
+	D []byte
 	// E is a per-item error (results only).
-	E string `json:"e,omitempty"`
-}
-
-// DecodeBatch parses a grouped frame's Data field, accepting both the v1
-// JSON array and the v2 binary batch encoding (a binary batch starts with
-// a magic byte no JSON value can start with).
-func DecodeBatch(data []byte) ([]BatchItem, error) {
-	if len(data) > 0 && data[0] == binBatchMagic {
-		return V2.DecodeBatch(data)
-	}
-	return V1.DecodeBatch(data)
+	E string
 }
 
 // Errors returned by the framing layer.
@@ -175,34 +150,25 @@ var (
 	ErrBadFrame      = errors.New("proto: malformed frame body")
 )
 
-// WriteFrame encodes m as one v1 frame on w, the pre-negotiation default.
+// WriteFrame encodes m as one uncompressed frame on w: what a WireFormat
+// writes for a frame its compression policy leaves raw, for writers that
+// keep no per-channel state.
 func WriteFrame(w io.Writer, m *Message) error {
-	return V1.WriteFrame(w, m)
+	// Encode into an arena buffer: the steady-state write path performs no
+	// allocation per frame.
+	frame := appendBinaryFrame(GetBuf(binaryFrameSize(m)), m)
+	return writeFrame(w, frame)
 }
 
-// writeBody length-prefixes body and writes the frame with one Write from
-// an arena buffer, so the v1 path allocates nothing beyond its JSON. A
-// body too large for the arena goes out as two ordered Writes instead of
-// being copied; callers serialize writes per connection, so the two
-// cannot interleave with another frame.
-func writeBody(w io.Writer, body []byte) error {
-	if len(body) > MaxFrameSize {
+// writeFrame writes one encoded frame with a single Write, so interleaved
+// writers cannot corrupt the stream boundary mid-frame, and recycles it.
+func writeFrame(w io.Writer, frame []byte) error {
+	if len(frame)-4 > MaxFrameSize {
+		PutBuf(frame)
 		return ErrFrameTooLarge
-	}
-	inline := 4+len(body) <= maxPooledBuf
-	size := 4
-	if inline {
-		size += len(body)
-	}
-	frame := binary.BigEndian.AppendUint32(GetBuf(size), uint32(len(body)))
-	if inline {
-		frame = append(frame, body...)
 	}
 	_, err := w.Write(frame)
 	PutBuf(frame)
-	if err == nil && !inline {
-		_, err = w.Write(body)
-	}
 	if err != nil {
 		return fmt.Errorf("proto: write frame: %w", err)
 	}
@@ -234,10 +200,9 @@ func readBody(r io.Reader) ([]byte, error) {
 	return body, nil
 }
 
-// ReadFrame decodes one frame from r, accepting either wire format: the
-// body's first byte distinguishes a v2 binary envelope from v1 JSON.
-// Readers therefore never depend on negotiation state, which keeps the
-// hello/welcome format switch race-free even with heartbeats in flight.
+// ReadFrame decodes one frame from r. The body's first byte tells a raw
+// envelope (0xB2) from a compressed one (0xB4); any other body, a JSON
+// one included, fails with ErrBadFrame.
 //
 // The returned Message comes from the arena: its Data aliases a pooled
 // buffer the message owns. Receive loops should Release it once the
@@ -248,40 +213,21 @@ func ReadFrame(r io.Reader) (*Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(body) > 0 && body[0] == binMagic {
-		m := GetMessage()
-		if err := decodeBinaryBodyInto(m, body); err != nil {
-			Release(m)
-			PutBuf(body)
-			return nil, err
-		}
-		m.adoptBuf(body)
-		return m, nil
-	}
 	if len(body) > 0 && body[0] == cmpMagic {
 		raw, err := decodeCompressedBody(body)
 		PutBuf(body)
 		if err != nil {
 			return nil, err
 		}
-		m := GetMessage()
-		if err := decodeBinaryBodyInto(m, raw); err != nil {
-			Release(m)
-			PutBuf(raw)
-			return nil, err
-		}
-		m.adoptBuf(raw)
-		return m, nil
+		body = raw
 	}
 	m := GetMessage()
-	err = json.Unmarshal(body, m)
-	// v1 JSON decoding copies every field out of the body (base64 []byte
-	// included), so the read buffer recycles immediately.
-	PutBuf(body)
-	if err != nil {
+	if err := decodeBinaryBodyInto(m, body); err != nil {
 		Release(m)
-		return nil, fmt.Errorf("proto: unmarshal: %w", err)
+		PutBuf(body)
+		return nil, err
 	}
+	m.adoptBuf(body)
 	return m, nil
 }
 

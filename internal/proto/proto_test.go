@@ -10,7 +10,6 @@ import (
 	"testing"
 	"testing/iotest"
 	"testing/quick"
-	"unicode/utf8"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -111,55 +110,55 @@ func TestQuickFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzReadFrame exercises the framing layer — both wire formats, since
-// ReadFrame sniffs the body — against adversarial bytes. Without -fuzz it
-// runs the seed corpus as a regular test; with
+// FuzzReadFrame exercises the framing layer — raw and compressed bodies,
+// since ReadFrame sniffs the body — against adversarial bytes. Without
+// -fuzz it runs the seed corpus as a regular test; with
 // `go test -fuzz=FuzzReadFrame ./internal/proto` it explores further.
 func FuzzReadFrame(f *testing.F) {
-	// Well-formed v1 and v2 frames.
+	// Well-formed frames, raw and compressed.
 	var good bytes.Buffer
 	_ = WriteFrame(&good, &Message{Type: TypeInput, Seq: 3, Data: []byte(`"x"`)})
 	f.Add(good.Bytes())
 	var goodBin bytes.Buffer
-	_ = V2.WriteFrame(&goodBin, &Message{Type: TypeInput, Seq: 3, Data: []byte{0x00, 0xFF}})
+	_ = WriteFrame(&goodBin, &Message{Type: TypeInput, Seq: 3, Data: []byte{0x00, 0xFF}})
 	f.Add(goodBin.Bytes())
-	// Pool-era hellos: a Functions list in both formats, and a reassign
+	var goodCmp bytes.Buffer
+	_ = new(WireFormat).WriteFrame(&goodCmp, &Message{Type: TypeInput, Seq: 4, Data: bytes.Repeat([]byte("tile "), 400)})
+	f.Add(goodCmp.Bytes())
+	// Pool-era frames: a hello with a Functions list, and a reassign
 	// frame (type code 15).
 	var helloFns bytes.Buffer
-	_ = V1.WriteFrame(&helloFns, &Message{Type: TypeHello, Version: Version,
-		Functions: []string{"collatz", "render"}, Formats: SupportedFormats()})
+	_ = WriteFrame(&helloFns, &Message{Type: TypeHello, Version: Version,
+		Functions: []string{"collatz", "render"}})
 	f.Add(helloFns.Bytes())
-	var helloFnsBin bytes.Buffer
-	_ = V2.WriteFrame(&helloFnsBin, &Message{Type: TypeHello, Version: Version,
-		Functions: []string{"collatz", "render"}, Formats: SupportedFormats()})
-	f.Add(helloFnsBin.Bytes())
 	var reassign bytes.Buffer
-	_ = V2.WriteFrame(&reassign, &Message{Type: TypeReassign, Func: "mining"})
+	_ = WriteFrame(&reassign, &Message{Type: TypeReassign, Func: "mining"})
 	f.Add(reassign.Bytes())
-	// Verification-era results: a digest-bearing TypeResult in both wire
-	// formats (the end-to-end integrity digest rides the same field the
-	// dedup layer uses for content addresses).
+	// Verification-era results: digest-bearing results (the end-to-end
+	// integrity digest rides the same field the dedup layer uses for
+	// content addresses).
 	digest := bytes.Repeat([]byte{0xD1, 0x6E}, 16)
 	var resDig bytes.Buffer
-	_ = V1.WriteFrame(&resDig, &Message{Type: TypeResult, Seq: 7, Data: []byte(`42`), Digest: digest})
+	_ = WriteFrame(&resDig, &Message{Type: TypeResult, Seq: 7, Data: []byte(`42`), Digest: digest})
 	f.Add(resDig.Bytes())
 	var resDigBin bytes.Buffer
-	_ = V2.WriteFrame(&resDigBin, &Message{Type: TypeResultBatch, Seq: 9, Data: []byte{0x01, 0x02}, Digest: digest})
+	_ = WriteFrame(&resDigBin, &Message{Type: TypeResultBatch, Seq: 9, Data: []byte{0x01, 0x02}, Digest: digest})
 	f.Add(resDigBin.Bytes())
-	// Hostile v2 digest field: tag 0x8D with a length running past the
+	// Hostile digest field: tag 0x8D with a length running past the
 	// frame end, and a bare tag with no length at all.
 	f.Add([]byte{0x00, 0x00, 0x00, 0x05, 0xB2, 0x01, 0x05, 0x8D, 0x20})
 	f.Add([]byte{0x00, 0x00, 0x00, 0x02, 0xB2, 0x8D})
-	// Hostile v2 Functions field: truncated repeated string entry.
+	// Hostile Functions field: truncated repeated string entry.
 	f.Add([]byte{0x00, 0x00, 0x00, 0x04, 0xB2, 0x01, 0x01, 0x8C})
-	// Truncations, garbage, hostile lengths.
+	// Truncations, garbage, hostile lengths, JSON bodies of the retired
+	// JSON wire.
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
 	f.Add([]byte{0x00, 0x00, 0x00, 0x00})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x41})
 	f.Add([]byte{0x00, 0x00, 0x00, 0x05, '{', '"', 't', '"', ':'})
 	f.Add(append([]byte{0x00, 0x00, 0x00, 0x02}, []byte("{}")...))
-	// Hostile v2 bodies: bare magic, bad varints, lengths past the end,
+	// Hostile bodies: bare magic, bad varints, lengths past the end,
 	// unknown type code.
 	f.Add([]byte{0x00, 0x00, 0x00, 0x01, 0xB2})
 	f.Add([]byte{0x00, 0x00, 0x00, 0x03, 0xB2, 0x02, 0x80})
@@ -181,12 +180,11 @@ func FuzzReadFrame(f *testing.F) {
 }
 
 // FuzzFrameRoundTrip checks Write/Read inversion — Decode(Encode(m)) == m
-// — for arbitrary payloads under both wire formats, including the
-// pool-era hello fields (a repeated Functions list). A hello written in
-// either format must also decode identically through the sniffing
-// ReadFrame, which is the v1↔v2 interop property the shared-fleet
-// admission path depends on (the hello always travels v1, but relays may
-// re-emit it in v2).
+// — for arbitrary payloads and strings (invalid UTF-8 included), with the
+// pool-era hello fields (a repeated Functions list), through both writers:
+// a channel's WireFormat, which compresses payloads its policy deems
+// worth it, and the stateless raw WriteFrame. Both encodings must decode
+// to the same message.
 func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(uint64(1), []byte("data"), "err", "peer", "collatz", "render")
 	f.Add(uint64(0), []byte{}, "", "", "", "")
@@ -198,62 +196,48 @@ func FuzzFrameRoundTrip(f *testing.F) {
 				functions = append(functions, fn)
 			}
 		}
-		strs := append([]string{errStr, peer}, functions...)
-		allUTF8 := true
-		for _, s := range strs {
-			if !utf8.ValidString(s) {
-				allUTF8 = false
-			}
-		}
 		var decoded []*Message
-		for _, wf := range []WireFormat{V1, V2} {
-			// encoding/json replaces invalid UTF-8 in strings with
-			// U+FFFD, so the v1 wire cannot round-trip such strings
-			// exactly; the binary wire carries them verbatim.
-			if wf == V1 && !allUTF8 {
-				continue
-			}
+		for _, w := range []struct {
+			name  string
+			write func(io.Writer, *Message) error
+		}{{"wire", new(WireFormat).WriteFrame}, {"raw", WriteFrame}} {
 			var buf bytes.Buffer
 			in := &Message{Type: TypeResult, Seq: seq, Data: data, Err: errStr,
 				Peer: peer, Functions: functions}
-			if err := wf.WriteFrame(&buf, in); err != nil {
+			if err := w.write(&buf, in); err != nil {
 				continue // oversize payloads may legitimately fail
 			}
 			out, err := ReadFrame(&buf)
 			if err != nil {
-				t.Fatalf("%s: round trip read: %v", wf.Name(), err)
+				t.Fatalf("%s: round trip read: %v", w.name, err)
 			}
 			if out.Seq != seq || !bytes.Equal(out.Data, data) || out.Err != errStr || out.Peer != peer {
-				t.Fatalf("%s: round trip mismatch: %+v", wf.Name(), out)
+				t.Fatalf("%s: round trip mismatch: %+v", w.name, out)
 			}
 			if len(out.Functions) != len(functions) {
-				t.Fatalf("%s: Functions count changed: %v != %v", wf.Name(), out.Functions, functions)
+				t.Fatalf("%s: Functions count changed: %v != %v", w.name, out.Functions, functions)
 			}
 			for i := range functions {
 				if out.Functions[i] != functions[i] {
-					t.Fatalf("%s: Functions[%d] = %q, want %q", wf.Name(), i, out.Functions[i], functions[i])
+					t.Fatalf("%s: Functions[%d] = %q, want %q", w.name, i, out.Functions[i], functions[i])
 				}
 			}
 			decoded = append(decoded, out)
 		}
-		// v1↔v2 interop: when both formats carried the message, the two
-		// decodings must agree field for field.
 		if len(decoded) == 2 {
 			a, b := decoded[0], decoded[1]
 			if a.Seq != b.Seq || !bytes.Equal(a.Data, b.Data) || a.Err != b.Err ||
 				a.Peer != b.Peer || len(a.Functions) != len(b.Functions) {
-				t.Fatalf("v1/v2 disagree: %+v != %+v", a, b)
+				t.Fatalf("the two writers' frames decode differently: %+v != %+v", a, b)
 			}
 		}
 	})
 }
 
-// FuzzDecodeBatch exercises the grouped-payload decoders of both formats.
+// FuzzDecodeBatch exercises the grouped-payload decoder.
 func FuzzDecodeBatch(f *testing.F) {
-	jsonBatch, _ := V1.EncodeBatch([]BatchItem{{D: []byte(`1`)}, {E: "x"}})
-	f.Add(jsonBatch)
-	binBatch, _ := V2.EncodeBatch([]BatchItem{{D: []byte{0xFF}}, {E: "x"}})
-	f.Add(binBatch)
+	f.Add([]byte(`[{"d":"MQ=="},{"e":"x"}]`)) // a batch of the retired JSON wire
+	f.Add(EncodeBatch([]BatchItem{{D: []byte{0xFF}}, {E: "x"}}))
 	f.Add([]byte{0xB3})
 	f.Add([]byte{0xB3, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F})
 	f.Add([]byte(`[]`))
@@ -262,12 +246,8 @@ func FuzzDecodeBatch(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Whatever decoded must re-encode and decode identically in v2.
-		re, err := V2.EncodeBatch(items)
-		if err != nil {
-			t.Fatalf("re-encode: %v", err)
-		}
-		back, err := V2.DecodeBatch(re)
+		// Whatever decoded must re-encode and decode identically.
+		back, err := DecodeBatch(EncodeBatch(items))
 		if err != nil {
 			t.Fatalf("re-decode: %v", err)
 		}

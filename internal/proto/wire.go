@@ -1,139 +1,55 @@
 package proto
 
 import (
-	"encoding/json"
-	"errors"
-	"fmt"
 	"io"
-	"slices"
+	"sync/atomic"
 )
 
-// WireFormat is one complete encoding of the protocol: how a Message
-// envelope crosses a stream and how grouped batch payloads are packed
-// into a frame's Data field. Both implementations share the outer 4-byte
-// length prefix, so a stream can carry a mix of formats and readers can
-// sniff each body (ReadFrame) — negotiation only decides what a peer
-// writes.
-type WireFormat interface {
-	// Name is the protocol tag exchanged during negotiation
-	// ("/pando/1.0.0" or "/pando/2.1.0").
-	Name() string
-	// WriteFrame encodes m as one frame on w.
-	WriteFrame(w io.Writer, m *Message) error
-	// ReadFrame decodes one frame strictly in this format.
-	ReadFrame(r io.Reader) (*Message, error)
-	// EncodeBatch packs grouped payloads for a frame's Data field.
-	EncodeBatch(items []BatchItem) ([]byte, error)
-	// DecodeBatch unpacks a grouped frame's Data field.
-	DecodeBatch(data []byte) ([]BatchItem, error)
+// WireVersion tags the one wire encoding: binary envelopes with adaptive
+// per-frame DEFLATE (compress.go) and content-addressed payload
+// references (Message.Digest, resolved by the transport's dedup halves).
+const WireVersion = "/pando/2.2.0"
+
+// WireFormat is the write side of one channel's '/pando/2.2.0' encoding:
+// it decides frame by frame whether the DEFLATE layer pays for itself and
+// writes either a compressed envelope or a raw one. Each channel owns one
+// (a WSock embeds it) because the adaptive policy is per-link state; the
+// zero value is ready to use. Fields are atomics: SendBatch encodes via
+// AppendFrame outside the channel's write lock, concurrently with Send.
+type WireFormat struct {
+	rateHint  atomic.Uint64 // float64 bits; items/s hint from the scheduler
+	ewmaBytes atomic.Uint64 // float64 bits; smoothed raw frame size
+	ewmaRatio atomic.Uint64 // float64 bits; smoothed compressed/raw ratio
+	skipLeft  atomic.Int64  // raw frames remaining before the next probe
 }
 
-// The two wire formats. V1 is length-prefixed JSON, the debuggable
-// baseline every peer speaks; V2 is the binary envelope with raw payload
-// bytes and varint lengths.
-var (
-	V1 WireFormat = jsonWire{}
-	V2 WireFormat = binaryWire{}
-)
-
-// SupportedFormats lists the formats this build speaks, best first. It is
-// what workers advertise in their hello.
-func SupportedFormats() []string { return []string{Version3, Version2, Version} }
-
-// LookupFormat resolves a format by its protocol tag. Version3 resolves
-// to a fresh instance per call: its adaptive compression policy is
-// per-channel state, unlike the stateless v1/v2 singletons.
-func LookupFormat(name string) (WireFormat, bool) {
-	switch name {
-	case Version:
-		return V1, true
-	case Version2:
-		return V2, true
-	case Version3:
-		return NewCompressedWire(), true
+// LookupFormat resolves a format by its tag: WireVersion yields a fresh
+// instance, anything else nothing.
+func LookupFormat(name string) (*WireFormat, bool) {
+	if name != WireVersion {
+		return nil, false
 	}
-	return nil, false
+	return new(WireFormat), true
 }
 
-// Negotiate picks the best wire format both sides speak: the first entry
-// of preferred (the master's allowed list, best first; empty means all
-// supported) that the remote peer offered. Peers that advertise nothing
-// are pre-negotiation v1 speakers, so the fallback is always V1.
-func Negotiate(preferred, offered []string) WireFormat {
-	if len(preferred) == 0 {
-		preferred = SupportedFormats()
-	}
-	for _, want := range preferred {
-		for _, have := range offered {
-			if want == have {
-				if wf, ok := LookupFormat(want); ok {
-					return wf
-				}
-			}
-		}
-	}
-	return V1
+// WriteFrame encodes m as one frame on w.
+func (c *WireFormat) WriteFrame(w io.Writer, m *Message) error {
+	return writeFrame(w, c.appendCompressedFrame(GetBuf(binaryFrameSize(m)), m))
 }
 
-// ErrNoCommonFormat reports a handshake whose peers share no acceptable
-// wire format.
-var ErrNoCommonFormat = errors.New("proto: no common wire format")
+// ReadFrame decodes one frame from r; reading needs no per-channel state,
+// so it is the package-level ReadFrame.
+func (c *WireFormat) ReadFrame(r io.Reader) (*Message, error) { return ReadFrame(r) }
 
-// NegotiateStrict picks like Negotiate but refuses — instead of silently
-// falling back to v1 — when the outcome is acceptable to only one side: a
-// peer that listed formats excluding v1 must not be admitted on v1, and a
-// restricted local list excluding v1 turns the fallback off entirely. A
-// peer that advertised nothing is a pre-negotiation speaker, which speaks
-// v1 implicitly.
-func NegotiateStrict(preferred, offered []string) (WireFormat, error) {
-	wf := Negotiate(preferred, offered)
-	if len(offered) == 0 {
-		offered = []string{Version}
+// AppendFrame appends one complete frame (length prefix included) to dst
+// and returns the extended buffer. It is the building block of vectored
+// batch sends: a channel packs several frames back to back in one arena
+// buffer and hands the result to a single write.
+func (c *WireFormat) AppendFrame(dst []byte, m *Message) ([]byte, error) {
+	start := len(dst)
+	dst = c.appendCompressedFrame(dst, m)
+	if len(dst)-start-4 > MaxFrameSize {
+		return dst[:start], ErrFrameTooLarge
 	}
-	allowed := preferred
-	if len(allowed) == 0 {
-		allowed = SupportedFormats()
-	}
-	if !slices.Contains(offered, wf.Name()) || !slices.Contains(allowed, wf.Name()) {
-		return nil, fmt.Errorf("%w: peer offers %v, deployment allows %v",
-			ErrNoCommonFormat, offered, allowed)
-	}
-	return wf, nil
-}
-
-// jsonWire is the '/pando/1.0.0' format: JSON bodies, JSON-array batches.
-type jsonWire struct{}
-
-func (jsonWire) Name() string { return Version }
-
-func (jsonWire) WriteFrame(w io.Writer, m *Message) error {
-	body, err := json.Marshal(m)
-	if err != nil {
-		return fmt.Errorf("proto: marshal: %w", err)
-	}
-	return writeBody(w, body)
-}
-
-func (jsonWire) ReadFrame(r io.Reader) (*Message, error) {
-	body, err := readBody(r)
-	if err != nil {
-		return nil, err
-	}
-	m := new(Message)
-	if err := json.Unmarshal(body, m); err != nil {
-		return nil, fmt.Errorf("proto: unmarshal: %w", err)
-	}
-	return m, nil
-}
-
-func (jsonWire) EncodeBatch(items []BatchItem) ([]byte, error) {
-	return json.Marshal(items)
-}
-
-func (jsonWire) DecodeBatch(data []byte) ([]BatchItem, error) {
-	var items []BatchItem
-	if err := json.Unmarshal(data, &items); err != nil {
-		return nil, fmt.Errorf("proto: decode batch: %w", err)
-	}
-	return items, nil
+	return dst, nil
 }

@@ -3,13 +3,14 @@ package proto
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"reflect"
 	"testing"
 	"testing/quick"
 )
 
-// withCRC appends the v2 CRC trailer to a hand-built body so tests reach
+// withCRC appends the CRC trailer to a hand-built body so tests reach
 // the field-level validation behind the integrity check.
 func withCRC(body []byte) []byte {
 	return binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
@@ -29,18 +30,16 @@ func fullMessage() *Message {
 		Peer:    "iPhone SE",
 		To:      "master",
 		Addr:    "10.0.0.1:4242",
-		Formats: []string{Version2, Version},
-		Wire:    Version2,
 	}
 }
 
 func TestBinaryFrameRoundTrip(t *testing.T) {
 	in := fullMessage()
 	var buf bytes.Buffer
-	if err := V2.WriteFrame(&buf, in); err != nil {
+	if err := WriteFrame(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := V2.ReadFrame(&buf)
+	out, err := ReadFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,14 +51,14 @@ func TestBinaryFrameRoundTrip(t *testing.T) {
 
 func TestBinaryFrameOmitsEmptyFields(t *testing.T) {
 	var buf bytes.Buffer
-	if err := V2.WriteFrame(&buf, &Message{Type: TypePing}); err != nil {
+	if err := WriteFrame(&buf, &Message{Type: TypePing}); err != nil {
 		t.Fatal(err)
 	}
 	// 4-byte prefix + magic + tag + 1-byte type code + 4-byte CRC.
 	if got := buf.Len(); got != 11 {
 		t.Fatalf("ping frame is %d bytes, want 11", got)
 	}
-	m, err := V2.ReadFrame(&buf)
+	m, err := ReadFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,10 +70,10 @@ func TestBinaryFrameOmitsEmptyFields(t *testing.T) {
 func TestBinaryFrameUnknownTypeString(t *testing.T) {
 	in := &Message{Type: Type("future-extension")}
 	var buf bytes.Buffer
-	if err := V2.WriteFrame(&buf, in); err != nil {
+	if err := WriteFrame(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := V2.ReadFrame(&buf)
+	out, err := ReadFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,18 +82,20 @@ func TestBinaryFrameUnknownTypeString(t *testing.T) {
 	}
 }
 
-// TestReadFrameSniffsBothFormats interleaves v1 and v2 frames on one
-// stream: the reader must accept both without knowing the negotiation
-// state, the property the handshake's format switch relies on.
+// TestReadFrameSniffsBothFormats interleaves raw (0xB2) and compressed
+// (0xB4) bodies on one stream, the mix a channel's adaptive writer
+// produces: the reader must take each body for what its magic byte says.
 func TestReadFrameSniffsBothFormats(t *testing.T) {
 	var buf bytes.Buffer
-	if err := V1.WriteFrame(&buf, &Message{Type: TypeInput, Seq: 1, Data: []byte(`"a"`)}); err != nil {
+	if err := WriteFrame(&buf, &Message{Type: TypeInput, Seq: 1, Data: []byte(`"a"`)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := V2.WriteFrame(&buf, &Message{Type: TypeInput, Seq: 2, Data: []byte{0xB2, 0x00}}); err != nil {
-		t.Fatal(err)
+	compressed := wireFrame(t, &Message{Type: TypeInput, Seq: 2, Data: compressibleData(4 << 10)})
+	if compressed[4] != cmpMagic {
+		t.Fatalf("compressible frame went out with magic %#x", compressed[4])
 	}
-	if err := V1.WriteFrame(&buf, &Message{Type: TypePing}); err != nil {
+	buf.Write(compressed)
+	if err := WriteFrame(&buf, &Message{Type: TypePing}); err != nil {
 		t.Fatal(err)
 	}
 	for i, want := range []uint64{1, 2, 0} {
@@ -108,19 +109,24 @@ func TestReadFrameSniffsBothFormats(t *testing.T) {
 	}
 }
 
+// jsonFrame frames body the way the retired JSON wire did: a length
+// prefix and the JSON text.
+func jsonFrame(body string) []byte {
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
+}
+
+// TestBinaryFrameStrictReader: a JSON body — what a peer of the retired
+// JSON wire writes — is a malformed frame, not a message.
 func TestBinaryFrameStrictReader(t *testing.T) {
-	var buf bytes.Buffer
-	if err := V1.WriteFrame(&buf, &Message{Type: TypePing}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := V2.ReadFrame(&buf); err == nil {
-		t.Fatal("v2 reader accepted a JSON body")
+	frame := jsonFrame(`{"t":"hello","v":"/pando/1.0.0"}`)
+	if _, err := ReadFrame(bytes.NewReader(frame)); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("JSON body read as %v, want ErrBadFrame", err)
 	}
 }
 
 func TestBinaryFrameTruncations(t *testing.T) {
 	var buf bytes.Buffer
-	if err := V2.WriteFrame(&buf, fullMessage()); err != nil {
+	if err := WriteFrame(&buf, fullMessage()); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -148,7 +154,7 @@ func TestBinaryBodyCorruptions(t *testing.T) {
 
 // TestBinaryBodyUnknownTypeCode: a type code from a newer peer must not
 // kill the channel — it decodes to an opaque type the receive loops skip,
-// matching how v1 treats unknown type strings.
+// like an unknown type string.
 func TestBinaryBodyUnknownTypeCode(t *testing.T) {
 	m := new(Message)
 	if err := decodeBinaryBodyInto(m, withCRC([]byte{binMagic, tagType, 0x7F})); err != nil {
@@ -180,85 +186,51 @@ func TestBinaryBatchRoundTrip(t *testing.T) {
 		{D: []byte{0xB3, 0x00, 0xFF}, E: "both"},
 		{},
 	}
-	data, err := V2.EncodeBatch(items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := V2.DecodeBatch(data)
+	got, err := DecodeBatch(EncodeBatch(items))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(items, got) {
 		t.Fatalf("round trip mismatch: %+v != %+v", got, items)
 	}
-	// The format-agnostic decoder must sniff it too.
-	got, err = DecodeBatch(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(items, got) {
-		t.Fatalf("sniffed round trip mismatch: %+v", got)
-	}
 }
 
 func TestBinaryBatchRejectsHostileCounts(t *testing.T) {
 	// Claims 2^32 items in a 3-byte body: must fail before allocating.
 	data := []byte{binBatchMagic, 0x80, 0x80, 0x80, 0x80, 0x10}
-	if _, err := V2.DecodeBatch(data); err == nil {
+	if _, err := DecodeBatch(data); err == nil {
 		t.Fatal("hostile count decoded successfully")
 	}
 	// Trailing garbage after a valid batch.
-	ok, _ := V2.EncodeBatch([]BatchItem{{D: []byte("x")}})
-	if _, err := V2.DecodeBatch(append(ok, 0x00)); err == nil {
+	ok := EncodeBatch([]BatchItem{{D: []byte("x")}})
+	if _, err := DecodeBatch(append(ok, 0x00)); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
 }
 
+// TestDecodeBatchSniffsJSON: a JSON array — the retired JSON wire's
+// batch — fails on its first byte instead of decoding as anything.
 func TestDecodeBatchSniffsJSON(t *testing.T) {
-	items := []BatchItem{{D: []byte(`1`)}, {D: []byte(`2`)}}
-	data, err := V1.EncodeBatch(items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeBatch(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("len = %d", len(got))
-	}
-}
-
-func TestNegotiate(t *testing.T) {
-	cases := []struct {
-		name      string
-		preferred []string
-		offered   []string
-		want      string
-	}{
-		{"both v2-capable", nil, []string{Version2, Version}, Version2},
-		{"v1-only worker", nil, []string{Version}, Version},
-		{"pre-negotiation worker", nil, nil, Version},
-		{"master pinned to v1", []string{Version}, []string{Version2, Version}, Version},
-		{"no overlap falls back", []string{Version2}, []string{"/pando/9.9.9"}, Version},
-		{"unknown offers ignored", nil, []string{"/pando/9.9.9", Version2}, Version2},
-	}
-	for _, tc := range cases {
-		if got := Negotiate(tc.preferred, tc.offered).Name(); got != tc.want {
-			t.Errorf("%s: negotiated %q, want %q", tc.name, got, tc.want)
+	for _, decode := range []func([]byte) ([]BatchItem, error){DecodeBatch, DecodeBatchShared} {
+		if _, err := decode([]byte(`[{"d":"MQ=="},{"d":"Mg=="}]`)); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("JSON batch decoded as %v, want ErrBadFrame", err)
 		}
 	}
 }
 
+// TestLookupFormat: the one wire tag resolves, to a fresh instance per
+// call (the compression policy is per-channel state); the retired tags
+// and unknown ones do not.
 func TestLookupFormat(t *testing.T) {
-	for _, name := range SupportedFormats() {
-		wf, ok := LookupFormat(name)
-		if !ok || wf.Name() != name {
-			t.Fatalf("LookupFormat(%q) = %v, %v", name, wf, ok)
-		}
+	a, ok := LookupFormat(WireVersion)
+	b, _ := LookupFormat(WireVersion)
+	if !ok || a == nil || a == b {
+		t.Fatalf("LookupFormat(%q) = %p, %p, %v: want two distinct instances", WireVersion, a, b, ok)
 	}
-	if _, ok := LookupFormat("/pando/0.1.0"); ok {
-		t.Fatal("unknown format resolved")
+	for _, name := range []string{Version, "/pando/2.1.0", "/pando/0.1.0"} {
+		if _, ok := LookupFormat(name); ok {
+			t.Fatalf("LookupFormat(%q) resolved", name)
+		}
 	}
 }
 
@@ -271,10 +243,10 @@ func TestQuickBinaryRoundTrip(t *testing.T) {
 			Peer: peer, Func: fn, Cores: int(cores), Batch: int(batch),
 		}
 		var buf bytes.Buffer
-		if err := V2.WriteFrame(&buf, in); err != nil {
+		if err := WriteFrame(&buf, in); err != nil {
 			return false
 		}
-		out, err := V2.ReadFrame(&buf)
+		out, err := ReadFrame(&buf)
 		if err != nil {
 			return false
 		}
@@ -289,29 +261,31 @@ func TestQuickBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// BenchmarkWireEnvelope compares the two envelopes on a payload-free
-// control frame and on payload-bearing frames; see also the end-to-end
-// BenchmarkWire* workload benchmarks in the repo root.
+// BenchmarkWireEnvelope round-trips a payload-free control frame and a
+// 16 KiB compressible payload through one channel's wire format; see also
+// the end-to-end BenchmarkWire* workload benchmarks in the repo root.
 func BenchmarkWireEnvelope(b *testing.B) {
-	payload := bytes.Repeat([]byte{0xA5}, 16<<10)
 	for _, tc := range []struct {
 		name string
-		wf   WireFormat
-	}{{"v1-json", V1}, {"v2-binary", V2}} {
+		data []byte
+	}{{"control", nil}, {"16KiB", bytes.Repeat([]byte{0xA5}, 16<<10)}} {
 		b.Run(tc.name, func(b *testing.B) {
-			m := &Message{Type: TypeInput, Seq: 7, Data: payload}
+			wf := new(WireFormat)
+			m := &Message{Type: TypeInput, Seq: 7, Data: tc.data}
 			var buf bytes.Buffer
 			var frameLen int
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				buf.Reset()
-				if err := tc.wf.WriteFrame(&buf, m); err != nil {
+				if err := wf.WriteFrame(&buf, m); err != nil {
 					b.Fatal(err)
 				}
 				frameLen = buf.Len() // before ReadFrame drains the buffer
-				if _, err := tc.wf.ReadFrame(&buf); err != nil {
+				got, err := ReadFrame(&buf)
+				if err != nil {
 					b.Fatal(err)
 				}
+				Release(got)
 			}
 			b.SetBytes(int64(frameLen))
 			b.ReportMetric(float64(frameLen), "wire-bytes/frame")
@@ -320,14 +294,14 @@ func BenchmarkWireEnvelope(b *testing.B) {
 }
 
 // TestBinaryFrameRejectsBitFlips is the chaos-suite regression for the
-// CRC trailer: flipping any single bit anywhere in a v2 frame (length
+// CRC trailer: flipping any single bit anywhere in a frame (length
 // prefix included) must produce a read error, never a silently different
 // message — on the wire, corruption has to degrade to a connection
 // failure the crash-stop machinery already handles.
 func TestBinaryFrameRejectsBitFlips(t *testing.T) {
 	var buf bytes.Buffer
 	in := &Message{Type: TypeResult, Seq: 32, Data: []byte(`"s32-ok"`)}
-	if err := V2.WriteFrame(&buf, in); err != nil {
+	if err := WriteFrame(&buf, in); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -11,26 +12,34 @@ import (
 )
 
 // TestSendBatchDeliversInOrder packs many frames into one vectored write
-// and checks the peer reads them back individually, in order, in both
-// wire formats.
+// and checks the peer reads them back individually, in order: once with
+// every body small enough to stay raw, and once with raw and compressed
+// bodies mixed, as the adaptive writer produces them.
 func TestSendBatchDeliversInOrder(t *testing.T) {
-	for _, wf := range []proto.WireFormat{proto.V1, proto.V2} {
-		t.Run(wf.Name(), func(t *testing.T) {
+	small := func(i int) string { return fmt.Sprintf(`"payload-%d"`, i) }
+	for _, tc := range []struct {
+		name    string
+		payload func(i int) string
+	}{
+		{"raw", small},
+		{"mixed", func(i int) string {
+			if i%5 == 0 { // large and compressible: goes out deflated
+				return strings.Repeat(small(i), 100)
+			}
+			return small(i)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{HeartbeatInterval: -1}
 			p := netsim.NewPipe(netsim.Loopback)
 			defer p.Cut()
 			a := NewWSock(p.A, cfg)
 			b := NewWSock(p.B, cfg)
-			a.SetWire(wf)
 
 			const n = 50
 			ms := make([]*proto.Message, 0, n)
 			for i := 1; i <= n; i++ {
-				ms = append(ms, &proto.Message{
-					Type: proto.TypeInput,
-					Seq:  uint64(i),
-					Data: []byte(fmt.Sprintf(`"payload-%d"`, i)),
-				})
+				ms = append(ms, &proto.Message{Type: proto.TypeInput, Seq: uint64(i), Data: []byte(tc.payload(i))})
 			}
 			if err := a.SendBatch(ms); err != nil {
 				t.Fatal(err)
@@ -43,7 +52,7 @@ func TestSendBatchDeliversInOrder(t *testing.T) {
 				if m.Seq != uint64(i) {
 					t.Fatalf("frame %d: seq %d", i, m.Seq)
 				}
-				if want := fmt.Sprintf(`"payload-%d"`, i); string(m.Data) != want {
+				if want := tc.payload(i); string(m.Data) != want {
 					t.Fatalf("frame %d: data %q, want %q", i, m.Data, want)
 				}
 				proto.Release(m)
@@ -60,7 +69,6 @@ func TestSendBatchConcurrentWithSend(t *testing.T) {
 	defer p.Cut()
 	a := NewWSock(p.A, cfg)
 	b := NewWSock(p.B, cfg)
-	a.SetWire(proto.V2)
 
 	const senders, per = 4, 25
 	var wg sync.WaitGroup
@@ -109,8 +117,6 @@ func TestMasterDuplexRawCodec(t *testing.T) {
 	defer p.Cut()
 	masterCh := NewWSock(p.A, cfg)
 	workerCh := NewWSock(p.B, cfg)
-	masterCh.SetWire(proto.V2)
-	workerCh.SetWire(proto.V2)
 
 	go WorkerServe[[]byte, []byte](workerCh, RawCodec{}, RawCodec{}, func(v []byte) ([]byte, error) {
 		return v, nil // identity: threads the input buffer through to the reply

@@ -9,15 +9,14 @@ import (
 )
 
 // This file holds payload codecs beyond the JSON default (duplex.go).
-// With the v2 binary envelope the frame no longer inflates Data, so the
-// payload codec decides whether a workload pays any serialization cost at
+// The binary envelope does not inflate Data, so the payload codec decides whether a workload pays any serialization cost at
 // all: RawCodec makes []byte-shaped values (image tiles, ray-trace
 // buffers) cross the wire untouched, and BinaryCodec plugs in a type's
 // own MarshalBinary/UnmarshalBinary.
 
-// RawCodec passes []byte payloads through untouched. Combined with the
-// '/pando/2.1.0' envelope the bytes appear on the wire verbatim — no
-// JSON, no base64.
+// RawCodec passes []byte payloads through untouched: the bytes appear on
+// the wire verbatim (unless the wire compresses the frame) — no JSON, no
+// base64.
 type RawCodec struct{}
 
 // Encode returns b unchanged.
@@ -67,7 +66,7 @@ func (BinaryCodec[T, PT]) DecodeAliases() bool { return true }
 // entries, spilled results, verification digests):
 // a uvarint count, then each value as a uvarint length + its encoding.
 // On the wire MasterDuplex recognizes the codec and packs the same
-// element encodings into the channel's negotiated batch frames
+// element encodings into binary batch frames
 // (TypeInputBatch / TypeResultBatch) instead.
 type ListCodec[T any] struct{ Elem Codec[T] }
 

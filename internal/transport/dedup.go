@@ -8,7 +8,7 @@ import (
 )
 
 // This file implements the channel-level halves of content-addressed
-// payload dedup (the '/pando/2.2.0' extension). Both halves are plain
+// payload dedup (part of the '/pando/2.2.0' wire). Both halves are plain
 // Channel wrappers, so the duplexes, the reply queue, and the fleet
 // machinery compose around them unchanged:
 //
@@ -309,15 +309,5 @@ func (r *dedupReceiver) fetch(ref *proto.Message, d blob.Digest) (*proto.Message
 		// Anything else (later inputs, strays) waits its turn behind the
 		// pending one.
 		r.queue = append(r.queue, m)
-	}
-}
-
-// HintRate feeds a throughput estimate (items/s, typically the sched
-// controller's per-worker EWMA) to ch's negotiated wire format, when that
-// format adapts to it — the '/pando/2.2.0' compression policy skips
-// compression on links the estimate says are not bandwidth-bound.
-func HintRate(ch Channel, itemsPerSec float64) {
-	if h, ok := ch.Wire().(proto.RateHinted); ok {
-		h.HintRate(itemsPerSec)
 	}
 }

@@ -66,7 +66,7 @@ func testDigestMismatch[T any](t *testing.T, codec Codec[T], input T, wantFrame 
 		t.Fatalf("worker received %q, want %q", m.Type, wantFrame)
 	}
 	// A digest of different bytes: the payload mutated after hashing.
-	reply := handReply(t, workerCh, m, `1`, `4`)
+	reply := handReply(m, `1`, `4`)
 	bogus := sha256.Sum256([]byte(`tampered`))
 	reply.Digest = bogus[:]
 	if err := workerCh.Send(reply); err != nil {

@@ -80,8 +80,8 @@ func (e *WorkerError) Error() string {
 // batch adapts to the live credit window with no framing parameter (an
 // idle channel sends a lone frame at once). A group of values is just an
 // item whose codec is a ListCodec: the same duplex then emits
-// TypeInputBatch and accepts TypeResultBatch frames, packed in the
-// channel's negotiated wire format.
+// TypeInputBatch and accepts TypeResultBatch frames (binary batches,
+// proto.EncodeBatch).
 //
 // Failure semantics: a channel error (including heartbeat timeout) or an
 // application error reported by the worker ends the Source with an error,
@@ -118,7 +118,7 @@ func MasterDuplex[I, O any](ch Channel, in Codec[I], out Codec[O]) pullstream.Du
 					}
 					return
 				}
-				m, err := inputFrame(ch, in, inList, v)
+				m, err := inputFrame(in, inList, v)
 				if err != nil {
 					// Encoding failures are programming errors; fail the
 					// channel so the value is re-lent (and likely fails
@@ -140,10 +140,8 @@ func MasterDuplex[I, O any](ch Channel, in Codec[I], out Codec[O]) pullstream.Du
 }
 
 // inputFrame renders one lent value as its frame: a plain codec's value
-// is one TypeInput payload, a list codec's value a TypeInputBatch packed
-// in the channel's negotiated wire format (binary batches under v2, JSON
-// arrays under v1).
-func inputFrame[I any](ch Channel, in Codec[I], list batchCodec[I], v I) (*proto.Message, error) {
+// is one TypeInput payload, a list codec's value a TypeInputBatch.
+func inputFrame[I any](in Codec[I], list batchCodec[I], v I) (*proto.Message, error) {
 	if list == nil {
 		data, err := in.Encode(v)
 		return &proto.Message{Type: proto.TypeInput, Data: data}, err
@@ -152,8 +150,7 @@ func inputFrame[I any](ch Channel, in Codec[I], list batchCodec[I], v I) (*proto
 	if err != nil {
 		return nil, err
 	}
-	data, err := ch.Wire().EncodeBatch(items)
-	return &proto.Message{Type: proto.TypeInputBatch, Data: data}, err
+	return &proto.Message{Type: proto.TypeInputBatch, Data: proto.EncodeBatch(items)}, nil
 }
 
 // masterSource is the result side of MasterDuplex: a pull-stream source
@@ -318,7 +315,7 @@ func WorkerServe[I, O any](ch Channel, in Codec[I], out Codec[O], f func(I) (O, 
 		case proto.TypeInput:
 			reply = applyOne(m.Seq, m.Data, in, out, f)
 		case proto.TypeInputBatch:
-			reply = applyBatch(ch, m, in, out, f)
+			reply = applyBatch(m, in, out, f)
 		case proto.TypeGoodbye:
 			proto.Release(m)
 			q.enqueue(&proto.Message{Type: proto.TypeGoodbye}, nil)
@@ -344,7 +341,7 @@ func WorkerServe[I, O any](ch Channel, in Codec[I], out Codec[O], f func(I) (O, 
 // result batch frame. The apply loop is strictly serial and the reply
 // batch is re-encoded (copied), so the aliasing batch decode is safe here
 // and skips one copy of every member payload.
-func applyBatch[I, O any](ch Channel, m *proto.Message, in Codec[I], out Codec[O], f func(I) (O, error)) *proto.Message {
+func applyBatch[I, O any](m *proto.Message, in Codec[I], out Codec[O], f func(I) (O, error)) *proto.Message {
 	items, err := proto.DecodeBatchShared(m.Data)
 	if err != nil {
 		return &proto.Message{Type: proto.TypeResultBatch, Seq: m.Seq, Err: "decode batch: " + err.Error()}
@@ -354,10 +351,7 @@ func applyBatch[I, O any](ch Channel, m *proto.Message, in Codec[I], out Codec[O
 		one := applyOne(m.Seq, it.D, in, out, f)
 		results = append(results, proto.BatchItem{D: one.Data, E: one.Err})
 	}
-	data, err := ch.Wire().EncodeBatch(results)
-	if err != nil {
-		return &proto.Message{Type: proto.TypeResultBatch, Seq: m.Seq, Err: "encode batch: " + err.Error()}
-	}
+	data := proto.EncodeBatch(results)
 	sum := sha256.Sum256(data)
 	return &proto.Message{Type: proto.TypeResultBatch, Seq: m.Seq, Data: data, Digest: sum[:]}
 }

@@ -18,18 +18,14 @@ func TestBatchEncodeDecodeRoundTrip(t *testing.T) {
 		{D: []byte(`"two"`)},
 		{E: "boom"},
 	}
-	data, err := proto.V1.EncodeBatch(items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := proto.DecodeBatch(data)
+	got, err := proto.DecodeBatch(proto.EncodeBatch(items))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 3 || string(got[0].D) != `1` || got[2].E != "boom" {
 		t.Fatalf("got %+v", got)
 	}
-	if _, err := proto.DecodeBatch([]byte("not-json")); err == nil {
+	if _, err := proto.DecodeBatch([]byte("garbage")); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }
@@ -143,8 +139,7 @@ func TestGroupedMapFewerMessagesThanItems(t *testing.T) {
 				for i, it := range items {
 					results[i] = proto.BatchItem{D: it.D}
 				}
-				data, _ := proto.V1.EncodeBatch(results)
-				workerCh.Send(&proto.Message{Type: proto.TypeResultBatch, Seq: m.Seq, Data: data})
+				workerCh.Send(&proto.Message{Type: proto.TypeResultBatch, Seq: m.Seq, Data: proto.EncodeBatch(results)})
 			case proto.TypeGoodbye:
 				workerCh.Send(&proto.Message{Type: proto.TypeGoodbye})
 				return

@@ -32,9 +32,8 @@ var listOf = ListCodec[int]{Elem: JSONCodec[int]{}}
 
 // handReply builds the result frame a hand-written worker answers input
 // frame in with: a plain input takes the first payload, an input batch
-// packs all of them in the channel's batch format.
-func handReply(t *testing.T, ch Channel, in *proto.Message, payloads ...string) *proto.Message {
-	t.Helper()
+// packs all of them in one batch.
+func handReply(in *proto.Message, payloads ...string) *proto.Message {
 	if in.Type == proto.TypeInput {
 		return &proto.Message{Type: proto.TypeResult, Seq: in.Seq, Data: []byte(payloads[0])}
 	}
@@ -42,11 +41,7 @@ func handReply(t *testing.T, ch Channel, in *proto.Message, payloads ...string) 
 	for i, p := range payloads {
 		items[i].D = []byte(p)
 	}
-	data, err := ch.Wire().EncodeBatch(items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &proto.Message{Type: proto.TypeResultBatch, Seq: in.Seq, Data: data}
+	return &proto.Message{Type: proto.TypeResultBatch, Seq: in.Seq, Data: proto.EncodeBatch(items)}
 }
 
 // TestMasterDuplexDetectsDroppedResult: the worker answers inputs 1 and 2
@@ -78,7 +73,7 @@ func testDroppedResult[T any](t *testing.T, codec Codec[T], inputs []T, wantFram
 			t.Fatalf("worker received %q, want %q", m.Type, wantFrame)
 		}
 		if m.Seq == 2 {
-			if err := workerCh.Send(handReply(t, workerCh, m, `9`, `16`)); err != nil {
+			if err := workerCh.Send(handReply(m, `9`, `16`)); err != nil {
 				t.Fatal(err)
 			}
 		}

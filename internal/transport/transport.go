@@ -35,16 +35,12 @@ type Channel interface {
 	// Send transmits one message. It is safe for concurrent use.
 	Send(m *proto.Message) error
 	// Recv blocks until a message arrives or the channel fails. Ping and
-	// pong frames are handled internally and never returned. Incoming
-	// frames are accepted in any wire format regardless of negotiation
-	// state, so SetWire never races the peer's switch.
+	// pong frames are handled internally and never returned.
 	Recv() (*proto.Message, error)
-	// Wire reports the format used for outgoing frames (proto.V1 until
-	// negotiation selects another).
-	Wire() proto.WireFormat
-	// SetWire switches outgoing frames (and batch payload encoding) to
-	// wf, the result of the hello/welcome negotiation.
-	SetWire(wf proto.WireFormat)
+	// Wire is the channel's outgoing frame format, whose compression
+	// policy the master tunes with the scheduler's rate estimate
+	// (proto.WireFormat.HintRate).
+	Wire() *proto.WireFormat
 	// Close shuts the channel down; pending Recv calls fail.
 	Close() error
 	// RemoteAddr describes the peer, for diagnostics.

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"pando/internal/netsim"
@@ -12,94 +13,55 @@ import (
 	"pando/internal/pullstream"
 )
 
-// newWirePair returns a connected channel pair with both ends switched to
-// wf, as the hello/welcome negotiation leaves them.
-func newWirePair(t *testing.T, wf proto.WireFormat) (*WSock, *WSock) {
+// newWirePair returns a connected channel pair.
+func newWirePair(t *testing.T) (*WSock, *WSock) {
 	t.Helper()
 	p := netsim.NewPipe(netsim.Loopback)
 	cfg := Config{HeartbeatInterval: -1}
 	a := NewWSock(p.A, cfg)
 	b := NewWSock(p.B, cfg)
-	a.SetWire(wf)
-	b.SetWire(wf)
 	t.Cleanup(func() { a.Close(); b.Close() })
 	return a, b
 }
 
-func TestWSockDefaultWireIsV1(t *testing.T) {
-	p := netsim.NewPipe(netsim.Loopback)
-	w := NewWSock(p.A, Config{HeartbeatInterval: -1})
-	defer w.Close()
-	if got := w.Wire().Name(); got != proto.Version {
-		t.Fatalf("default wire = %q, want %q", got, proto.Version)
-	}
-}
-
 // TestDuplexWireFormatRoundTrip round-trips plain items and lists through
-// the one duplex/serve pair over each envelope: lists must travel as batch
-// frames packed in the channel's own format (JSON arrays under v1, binary
-// batches under v2).
+// the one duplex/serve pair: lists must travel as binary batch frames.
 func TestDuplexWireFormatRoundTrip(t *testing.T) {
 	square := func(v int) (int, error) { return v * v, nil }
-	for _, wf := range []proto.WireFormat{proto.V1, proto.V2} {
-		t.Run("plain"+wf.Name(), func(t *testing.T) {
-			masterCh, workerCh := newWirePair(t, wf)
-			go func() { _ = WorkerServe[int, int](workerCh, JSONCodec[int]{}, JSONCodec[int]{}, square, nil) }()
-			d := MasterDuplex[int, int](masterCh, JSONCodec[int]{}, JSONCodec[int]{})
-			go d.Sink(pullstream.Values(1, 2, 3, 4))
-			got, err := pullstream.Collect(d.Source)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := []int{1, 4, 9, 16}; fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("results = %v, want %v", got, want)
-			}
-		})
-		t.Run("list"+wf.Name(), func(t *testing.T) {
-			masterCh, workerCh := newWirePair(t, wf)
-			go func() { _ = WorkerServe[int, int](workerCh, JSONCodec[int]{}, JSONCodec[int]{}, square, nil) }()
-			d := MasterDuplex[[]int, []int](masterCh, listOf, listOf)
-			go d.Sink(pullstream.Values([]int{1, 2}, []int{3}))
-			got, err := pullstream.Collect(d.Source)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := [][]int{{1, 4}, {9}}; fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("results = %v, want %v", got, want)
-			}
-		})
-	}
+	t.Run("plain", func(t *testing.T) {
+		masterCh, workerCh := newWirePair(t)
+		go func() { _ = WorkerServe[int, int](workerCh, JSONCodec[int]{}, JSONCodec[int]{}, square, nil) }()
+		d := MasterDuplex[int, int](masterCh, JSONCodec[int]{}, JSONCodec[int]{})
+		go d.Sink(pullstream.Values(1, 2, 3, 4))
+		got, err := pullstream.Collect(d.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []int{1, 4, 9, 16}; fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("results = %v, want %v", got, want)
+		}
+	})
+	t.Run("list", func(t *testing.T) {
+		masterCh, workerCh := newWirePair(t)
+		go func() { _ = WorkerServe[int, int](workerCh, JSONCodec[int]{}, JSONCodec[int]{}, square, nil) }()
+		d := MasterDuplex[[]int, []int](masterCh, listOf, listOf)
+		go d.Sink(pullstream.Values([]int{1, 2}, []int{3}))
+		got, err := pullstream.Collect(d.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := [][]int{{1, 4}, {9}}; fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("results = %v, want %v", got, want)
+		}
+	})
 }
 
-// TestMixedWirePair proves reception is format-agnostic: one side writes
-// v2 while the other still writes v1, as happens mid-handshake when the
-// welcome (v1) crosses a worker that already switched.
-func TestMixedWirePair(t *testing.T) {
-	masterCh, workerCh := newWirePair(t, proto.V1)
-	masterCh.SetWire(proto.V2) // only the master upgraded
-
-	go func() {
-		_ = WorkerServe[int, int](workerCh, JSONCodec[int]{}, JSONCodec[int]{}, func(v int) (int, error) {
-			return -v, nil
-		}, nil)
-	}()
-
-	d := MasterDuplex[int, int](masterCh, JSONCodec[int]{}, JSONCodec[int]{})
-	go d.Sink(pullstream.Values(5, 6))
-	got, err := pullstream.Collect(d.Source)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != -5 || got[1] != -6 {
-		t.Fatalf("results = %v", got)
-	}
-}
-
-// TestRawCodecBinaryWireBytesOnWire measures the bytes the two formats
-// put on the wire for the same payloads, once as one input frame per item
-// and once as a single batch frame. A 64 KiB []byte payload must travel
-// without v1's base64 inflation, and small JSON-encoded collatz inputs,
-// where the envelope dominates, must not regress on either plane.
+// TestRawCodecBinaryWireBytesOnWire measures the bytes the wire puts on
+// the link for the same payloads, once as one input frame per item and
+// once as a single batch frame. A 64 KiB []byte payload must travel with
+// no more than a few dozen bytes of envelope (no base64, no escaping),
+// and small JSON-encoded collatz inputs, where the envelope dominates,
+// must cost fewer bytes as one batch than as one frame each.
 func TestRawCodecBinaryWireBytesOnWire(t *testing.T) {
 	collatz := make([][]byte, 256)
 	for i := range collatz {
@@ -108,17 +70,18 @@ func TestRawCodecBinaryWireBytesOnWire(t *testing.T) {
 	cases := []struct {
 		name  string
 		items [][]byte
-		// maxOverhead bounds v2's per-frame bytes beyond the payload; 0
+		// maxOverhead bounds the per-frame bytes beyond the payload; 0
 		// skips the check.
 		maxOverhead int
 	}{
-		{"tile-64KiB", [][]byte{bytes.Repeat([]byte{0xC7}, 64<<10)}, 64},
+		{"tile-64KiB", [][]byte{randomBytes(64 << 10)}, 64},
 		{"collatz-json", collatz, 0},
 	}
-	// wireBytes returns wf's bytes on the wire for items sent one frame
+	// wireBytes returns the bytes on the wire for items sent one frame
 	// each and for items sent as one batch frame.
-	wireBytes := func(t *testing.T, wf proto.WireFormat, items [][]byte) (frames, batch int) {
+	wireBytes := func(t *testing.T, items [][]byte) (frames, batch int) {
 		t.Helper()
+		wf := new(proto.WireFormat)
 		var buf bytes.Buffer
 		batchItems := make([]proto.BatchItem, len(items))
 		for i, item := range items {
@@ -128,40 +91,39 @@ func TestRawCodecBinaryWireBytesOnWire(t *testing.T) {
 			batchItems[i] = proto.BatchItem{D: item}
 		}
 		frames = buf.Len()
-		data, err := wf.EncodeBatch(batchItems)
-		if err != nil {
-			t.Fatal(err)
-		}
 		buf.Reset()
-		if err := wf.WriteFrame(&buf, &proto.Message{Type: proto.TypeInputBatch, Seq: 1, Data: data}); err != nil {
+		if err := wf.WriteFrame(&buf, &proto.Message{Type: proto.TypeInputBatch, Seq: 1, Data: proto.EncodeBatch(batchItems)}); err != nil {
 			t.Fatal(err)
 		}
 		return frames, buf.Len()
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			v1Frames, v1Batch := wireBytes(t, proto.V1, c.items)
-			v2Frames, v2Batch := wireBytes(t, proto.V2, c.items)
-			if v2Frames >= v1Frames {
-				t.Errorf("frames: v2 %d B not smaller than v1 %d B", v2Frames, v1Frames)
+			frames, batch := wireBytes(t, c.items)
+			payload := 0
+			for _, item := range c.items {
+				payload += len(item)
 			}
-			if v2Batch >= v1Batch {
-				t.Errorf("batch: v2 %d B not smaller than v1 %d B", v2Batch, v1Batch)
+			if len(c.items) > 1 && batch >= frames {
+				t.Errorf("batch %d B not smaller than %d frames of %d B", batch, len(c.items), frames)
 			}
+			// The payload is incompressible, so the frames carry it
+			// verbatim: the overhead is the envelope alone.
 			if c.maxOverhead > 0 {
-				payload := 0
-				for _, item := range c.items {
-					payload += len(item)
-				}
-				// v1 base64-inflates Data by 4/3; v2 overhead must stay
-				// within a few dozen bytes of the raw payload.
-				if overhead := v2Frames - payload; overhead > c.maxOverhead*len(c.items) {
-					t.Errorf("v2 overhead = %d bytes on %d payload bytes", overhead, payload)
+				if overhead := frames - payload; overhead > c.maxOverhead*len(c.items) {
+					t.Errorf("overhead = %d bytes on %d payload bytes", overhead, payload)
 				}
 			}
-			t.Logf("frames v1 %d B, v2 %d B; batch v1 %d B, v2 %d B", v1Frames, v2Frames, v1Batch, v2Batch)
+			t.Logf("payload %d B; frames %d B, batch %d B", payload, frames, batch)
 		})
 	}
+}
+
+// randomBytes returns n incompressible bytes from a fixed seed.
+func randomBytes(n int) []byte {
+	b := make([]byte, n)
+	rand.New(rand.NewSource(int64(n))).Read(b)
+	return b
 }
 
 // wirePoint is a BinaryCodec test type with its own binary encoding.
@@ -205,7 +167,7 @@ func TestBinaryCodec(t *testing.T) {
 }
 
 func TestBinaryCodecOverChannel(t *testing.T) {
-	masterCh, workerCh := newWirePair(t, proto.V2)
+	masterCh, workerCh := newWirePair(t)
 	codec := BinaryCodec[wirePoint, *wirePoint]{}
 
 	go func() {

@@ -38,8 +38,9 @@ type WSock struct {
 	deliver atomic.Pointer[func(*proto.Message)]
 	exited  bool // the read loop has returned (under dmu)
 
+	wire proto.WireFormat // outgoing frame format
+
 	mu     sync.Mutex
-	wire   proto.WireFormat // outgoing frame format (negotiated)
 	err    error
 	closed bool
 	done   chan struct{}
@@ -53,7 +54,6 @@ func NewWSock(conn net.Conn, cfg Config) *WSock {
 	w := &WSock{
 		conn:  conn,
 		br:    bufio.NewReaderSize(conn, readBufSize),
-		wire:  proto.V1,
 		recvq: make(chan *proto.Message, 64),
 		done:  make(chan struct{}),
 	}
@@ -68,7 +68,7 @@ func NewWSock(conn net.Conn, cfg Config) *WSock {
 // keep per connection of a large fleet.
 const readBufSize = 4 << 10
 
-// Send transmits one message in the currently negotiated wire format.
+// Send transmits one message.
 func (w *WSock) Send(m *proto.Message) error {
 	w.mu.Lock()
 	if w.closed {
@@ -79,12 +79,11 @@ func (w *WSock) Send(m *proto.Message) error {
 		}
 		return err
 	}
-	wire := w.wire
 	w.mu.Unlock()
 
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
-	if err := wire.WriteFrame(w.conn, m); err != nil {
+	if err := w.wire.WriteFrame(w.conn, m); err != nil {
 		w.fail(fmt.Errorf("transport: send: %w", err))
 		return err
 	}
@@ -114,7 +113,6 @@ func (w *WSock) SendBatch(ms []*proto.Message) error {
 		}
 		return err
 	}
-	wire := w.wire
 	w.mu.Unlock()
 
 	size := 0
@@ -124,7 +122,7 @@ func (w *WSock) SendBatch(ms []*proto.Message) error {
 	buf := proto.GetBuf(size)
 	var err error
 	for _, m := range ms {
-		if buf, err = proto.AppendFrame(buf, wire, m); err != nil {
+		if buf, err = w.wire.AppendFrame(buf, m); err != nil {
 			proto.PutBuf(buf)
 			return err
 		}
@@ -143,23 +141,7 @@ func (w *WSock) SendBatch(ms []*proto.Message) error {
 }
 
 // Wire reports the outgoing frame format.
-func (w *WSock) Wire() proto.WireFormat {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.wire
-}
-
-// SetWire switches outgoing frames to wf. Reception always sniffs both
-// formats, so the switch needs no coordination with the peer beyond the
-// handshake that selected wf.
-func (w *WSock) SetWire(wf proto.WireFormat) {
-	if wf == nil {
-		return
-	}
-	w.mu.Lock()
-	w.wire = wf
-	w.mu.Unlock()
-}
+func (w *WSock) Wire() *proto.WireFormat { return &w.wire }
 
 // Recv returns the next non-heartbeat message.
 func (w *WSock) Recv() (*proto.Message, error) {

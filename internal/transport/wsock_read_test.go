@@ -41,15 +41,16 @@ func (c *scriptedConn) Write(p []byte) (int, error) { return len(p), nil }
 func (c *scriptedConn) Close() error                { c.once.Do(func() { close(c.closed) }); return nil }
 func (c *scriptedConn) RemoteAddr() net.Addr        { return nil }
 
-// frameStream encodes n data frames, alternating the three wire formats,
-// with payload sizes chosen by size.
+// frameStream encodes n data frames, alternating the raw writer and a
+// compressing WireFormat (which deflates the payloads of 512 bytes and
+// more), with payload sizes chosen by size.
 func frameStream(t *testing.T, n int, size func(i int) int) (stream []byte, want [][]byte) {
 	t.Helper()
-	wires := []proto.WireFormat{proto.V1, proto.V2, proto.NewCompressedWire()}
+	writers := []func(io.Writer, *proto.Message) error{proto.WriteFrame, new(proto.WireFormat).WriteFrame}
 	var buf bytes.Buffer
 	for i := 0; i < n; i++ {
 		data := bytes.Repeat([]byte{byte('a' + i%26)}, size(i))
-		if err := wires[i%len(wires)].WriteFrame(&buf, &proto.Message{Type: proto.TypeInput, Seq: uint64(i + 1), Data: data}); err != nil {
+		if err := writers[i%len(writers)](&buf, &proto.Message{Type: proto.TypeInput, Seq: uint64(i + 1), Data: data}); err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, data)
@@ -151,7 +152,7 @@ func TestWSockSilenceBounds(t *testing.T) {
 	// The peer talks for a while (raw frames from its end), then stops.
 	var lastFrame time.Time
 	for i := 0; i < 8; i++ {
-		if err := proto.V2.WriteFrame(p.B, &proto.Message{Type: proto.TypeInput, Seq: uint64(i + 1)}); err != nil {
+		if err := proto.WriteFrame(p.B, &proto.Message{Type: proto.TypeInput, Seq: uint64(i + 1)}); err != nil {
 			t.Fatal(err)
 		}
 		lastFrame = time.Now()
@@ -244,11 +245,11 @@ func TestWSockSlowConsumerIsNotSilence(t *testing.T) {
 			go silentPeer(peer)
 			go func() {
 				for i := 0; i < n; i++ {
-					if proto.V2.WriteFrame(peer, &proto.Message{Type: proto.TypeInput, Seq: uint64(i + 1)}) != nil {
+					if proto.WriteFrame(peer, &proto.Message{Type: proto.TypeInput, Seq: uint64(i + 1)}) != nil {
 						return
 					}
 				}
-				for proto.V2.WriteFrame(peer, &proto.Message{Type: proto.TypePing}) == nil {
+				for proto.WriteFrame(peer, &proto.Message{Type: proto.TypePing}) == nil {
 					time.Sleep(cfg.HeartbeatInterval)
 				}
 			}()
@@ -374,16 +375,15 @@ func TestWSockRouteAfterFailure(t *testing.T) {
 	}
 }
 
-// TestWSockRoundTripAllocs guards the frame path: on the binary wire a
-// send and its echo allocate nothing, heartbeats on (they used to cost a
-// deadline reset, with its timer allocations, per frame).
+// TestWSockRoundTripAllocs guards the frame path: on a fresh channel pair,
+// with no setup, a send and its echo allocate nothing, heartbeats on
+// (they used to cost a deadline reset, with its timer allocations, per
+// frame).
 func TestWSockRoundTripAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("sync.Pool drops puts under the race detector")
 	}
 	near, far, _ := wsockPair(t, netsim.Loopback, Config{})
-	near.SetWire(proto.V2)
-	far.SetWire(proto.V2)
 	go func() {
 		for {
 			m, err := far.Recv()

@@ -92,10 +92,6 @@ type Volunteer struct {
 	// that many items; negative means never. The crash severs the
 	// connection without a goodbye, the paper's crash-stop failure.
 	CrashAfter int
-	// Formats restricts the wire formats this volunteer advertises, best
-	// first. Empty advertises everything this build supports; set it to
-	// []string{proto.Version} to emulate a v1-only device.
-	Formats []string
 	// Functions overrides the function list the hello advertises — what a
 	// shared pool routes and reassigns the device by. The single entry
 	// "*" advertises "any function" (pair it with Handler or Resolve).
@@ -107,13 +103,13 @@ type Volunteer struct {
 	// embedders (e.g. a pando.Pool's local workers) resolve reassignment
 	// targets from their own handler table.
 	Resolve func(name string) (Handler, bool)
-	// BlobCacheBytes caps the content-addressed payload cache used when
-	// the session negotiates '/pando/2.2.0': repeated payloads the master
-	// references by digest resolve from here instead of re-crossing the
-	// link. Zero means blob.DefaultCacheBytes; negative degenerates the
-	// cache to a single most-recent block (references beyond it miss and
-	// fetch). The cache lives as long as the Volunteer and is keyed by
-	// content, so it stays valid across rejoins and fleet reassignment.
+	// BlobCacheBytes caps the content-addressed payload cache: repeated
+	// payloads the master references by digest resolve from here instead
+	// of re-crossing the link. Zero means blob.DefaultCacheBytes; negative
+	// degenerates the cache to a single most-recent block (references
+	// beyond it miss and fetch). The cache lives as long as the Volunteer
+	// and is keyed by content, so it stays valid across rejoins and fleet
+	// reassignment.
 	BlobCacheBytes int64
 
 	mu        sync.Mutex
@@ -263,18 +259,11 @@ func (v *Volunteer) incarnation() (uint64, string) {
 }
 
 func (v *Volunteer) serve(ch transport.Channel) error {
-	// The hello still declares '/pando/1.0.0' and travels as a v1 frame:
-	// that is the lingua franca an un-upgraded master understands. The
-	// Formats list advertises newer wire formats, and the Functions list
-	// (pool-aware volunteers) the jobs the device can serve.
+	// The Functions list (pool-aware volunteers) advertises the jobs the
+	// device can serve.
 	seq, nonce := v.incarnation()
-	formats := v.Formats
-	if len(formats) == 0 {
-		formats = proto.SupportedFormats()
-	}
 	welcome, err := transport.Hello(ch, &proto.Message{
 		Peer:      v.Name,
-		Formats:   formats,
 		Functions: v.advertised(),
 		Seq:       seq,
 		Token:     nonce,
@@ -283,14 +272,10 @@ func (v *Volunteer) serve(ch transport.Channel) error {
 		return err
 	}
 
-	// Under '/pando/2.2.0' the master may send digest-only payload
-	// references; the dedup receiver resolves them against the
-	// volunteer's blob cache (fetching on a miss) before the serve loop
-	// sees the frame. Other formats never carry references, so the
-	// channel stays unwrapped.
-	if ch.Wire().Name() == proto.Version3 {
-		ch = transport.DedupWorkerChannel(ch, v.blobCache())
-	}
+	// The master may send digest-only payload references; the dedup
+	// receiver resolves them against the volunteer's blob cache (fetching
+	// on a miss) before the serve loop sees the frame.
+	ch = transport.DedupWorkerChannel(ch, v.blobCache())
 
 	h, err := v.resolve(welcome.Func)
 	if err != nil {

@@ -58,8 +58,8 @@ type (
 	Codec[T any] = transport.Codec[T]
 	// JSONCodec is the default payload codec.
 	JSONCodec[T any] = transport.JSONCodec[T]
-	// RawCodec passes []byte payloads through untouched; with the binary
-	// wire format they cross the network verbatim.
+	// RawCodec passes []byte payloads through untouched: they cross the
+	// network verbatim (or compressed, where the wire finds it pays).
 	RawCodec = transport.RawCodec
 	// PoolWorker is one live worker-set row of a shared pool.
 	PoolWorker = fleet.WorkerInfo
@@ -74,20 +74,6 @@ type (
 	Acceptance = verify.Acceptance
 )
 
-// Wire format tags, for WithWireFormat.
-const (
-	// WireV1 is the length-prefixed JSON format of the original
-	// '/pando/1.0.0' protocol — debuggable, spoken by every peer.
-	WireV1 = proto.Version
-	// WireV2 is the binary tag-length-value format: raw payload bytes
-	// (no base64), varint lengths, binary batches.
-	WireV2 = proto.Version2
-	// WireV3 is the bandwidth-aware format (the default): v2 envelopes
-	// with adaptive per-frame compression and content-addressed payload
-	// dedup (repeated payloads travel as SHA-256 references).
-	WireV3 = proto.Version3
-)
-
 // Option configures a Pando instance.
 type Option func(*options)
 
@@ -100,8 +86,6 @@ type options struct {
 	unordered      bool
 	channel        transport.Config
 	register       bool
-	formats        []string
-	noCompress     bool
 	blobCache      int64
 	rebalance      time.Duration
 	inCodec        any // transport.Codec[I], stored untyped (Option is not generic)
@@ -182,38 +166,13 @@ func WithRebalanceInterval(d time.Duration) Option {
 // name in tests).
 func WithoutRegistry() Option { return func(o *options) { o.register = false } }
 
-// WithWireFormat restricts which wire formats the deployment negotiates
-// with volunteers, best first (WireV3, WireV2, WireV1). The default
-// allows all three, preferring the bandwidth-aware format.
-// WithWireFormat(WireV1) pins a deployment to the JSON wire for
-// debuggability; WithWireFormat(WireV2) enforces the plain binary wire —
-// volunteers that cannot speak any allowed format are refused at
-// admission rather than silently falling back. Unknown format names are
-// programming errors and panic at pando.New, like WithCodec mismatches —
-// a typo would otherwise refuse every volunteer at runtime.
-func WithWireFormat(names ...string) Option {
-	return func(o *options) { o.formats = names }
-}
-
-// WithCompression toggles the bandwidth-aware data plane. It is on by
-// default: deployments negotiate '/pando/2.2.0', whose adaptive policy
-// compresses frames only when the payload is compressible and the link
-// is bandwidth-bound, and whose dedup layer sends repeated payloads as
-// digest references. WithCompression(false) pins negotiation to the
-// plain formats (WireV2, WireV1) — every byte crosses the wire verbatim,
-// exactly as before the v3 format existed. An explicit WithWireFormat
-// list overrides this toggle either way.
-func WithCompression(on bool) Option {
-	return func(o *options) { o.noCompress = !on }
-}
-
 // WithBlobCache caps the content-addressed blob stores behind payload
-// dedup on '/pando/2.2.0' channels: the master-side intern table
-// (payload blocks kept so repeats travel as SHA-256 references and
-// worker cache misses can be served) and the caches of workers attached
-// through AddWorker/AddLocalWorkers. Zero keeps the defaults
-// (blob.DefaultInternBytes / blob.DefaultCacheBytes); negative disables
-// dedup — payloads always travel in full, compression still applies.
+// dedup: the master-side intern table (payload blocks kept so repeats
+// travel as SHA-256 references and worker cache misses can be served) and
+// the caches of workers attached through AddWorker/AddLocalWorkers. Zero
+// keeps the defaults (blob.DefaultInternBytes / blob.DefaultCacheBytes);
+// negative is the switch that turns dedup off — payloads always travel in
+// full, while the wire's adaptive per-frame compression still applies.
 func WithBlobCache(maxBytes int64) Option {
 	return func(o *options) { o.blobCache = maxBytes }
 }
@@ -327,8 +286,8 @@ func WithTrustThreshold(t float64) Option {
 // WithCodec replaces the JSON payload codecs. The type parameters must
 // match the deployment's input and output types — pando.New panics
 // otherwise, since a mismatched codec could never encode a single value.
-// Pair RawCodec with the binary wire format to move []byte workloads
-// (image tiles, ray-trace buffers) with zero serialization overhead.
+// RawCodec moves []byte workloads (image tiles, ray-trace buffers) with
+// zero serialization overhead.
 func WithCodec[I, O any](in Codec[I], out Codec[O]) Option {
 	return func(o *options) {
 		o.inCodec = in
@@ -376,18 +335,16 @@ type poolJob interface {
 }
 
 // NewPool creates a shared fleet. Pool-level options apply
-// (WithChannelConfig, WithWireFormat, WithRebalanceInterval); job-level
+// (WithChannelConfig, WithRebalanceInterval); job-level
 // options are given to Map per job.
 func NewPool(opts ...Option) *Pool {
 	o := options{register: true}
 	for _, opt := range opts {
 		opt(&o)
 	}
-	checkFormats(o.formats)
 	return &Pool{
 		fp: fleet.NewPool(fleet.Config{
 			Channel:   o.channel,
-			Formats:   o.wireFormats(),
 			Rebalance: o.rebalance,
 		}),
 		opts:     o,
@@ -448,8 +405,7 @@ func (p *Pool) resolveHandler(name string) (worker.Handler, bool) {
 }
 
 // Workers snapshots the pool's live worker set: which device is leased
-// to which job, its negotiated wire format and whether it is
-// reassignable.
+// to which job and whether it is reassignable.
 func (p *Pool) Workers() []PoolWorker { return p.fp.Workers() }
 
 // Stats snapshots per-device accounting for every job, keyed by job
@@ -576,35 +532,10 @@ type Pando[I, O any] struct {
 	pipes []*netsim.Pipe
 }
 
-// wireFormats resolves the formats a deployment negotiates: an explicit
-// WithWireFormat list wins; otherwise WithCompression(false) pins to the
-// plain formats, and the default (nil) lets the master advertise
-// everything this build supports, best first.
-func (o *options) wireFormats() []string {
-	if len(o.formats) > 0 {
-		return o.formats
-	}
-	if o.noCompress {
-		return []string{proto.Version2, proto.Version}
-	}
-	return nil
-}
-
-// checkFormats panics on unknown wire-format names, which are
-// programming errors like WithCodec mismatches.
-func checkFormats(formats []string) {
-	for _, f := range formats {
-		if _, ok := proto.LookupFormat(f); !ok {
-			panic(fmt.Sprintf("pando: WithWireFormat: unknown wire format %q (supported: %v)",
-				f, proto.SupportedFormats()))
-		}
-	}
-}
-
 // New creates a deployment that applies f, registered under name so that
 // generic volunteer binaries can resolve it (the Go substitute for
 // shipping browserified code). It is a single-job pool: the same
-// admission, negotiation and leasing machinery as NewPool, serving
+// admission and leasing machinery as NewPool, serving
 // exactly one job — so every pre-pool deployment keeps working
 // unchanged.
 func New[I, O any](name string, f func(I) (O, error), opts ...Option) *Pando[I, O] {
@@ -625,7 +556,6 @@ func Map[I, O any](pool *Pool, name string, f func(I) (O, error), opts ...Option
 	for _, opt := range opts {
 		opt(&o)
 	}
-	checkFormats(o.formats)
 	var in transport.Codec[I] = transport.JSONCodec[I]{}
 	var out transport.Codec[O] = transport.JSONCodec[O]{}
 	if o.inCodec != nil {
@@ -657,7 +587,6 @@ func Map[I, O any](pool *Pool, name string, f func(I) (O, error), opts ...Option
 		Group:          o.group,
 		Flow:           o.flow(),
 		Channel:        o.channel,
-		Formats:        o.wireFormats(),
 		BlobCacheBytes: o.blobCache,
 	}
 	if o.checkpoint != "" {
@@ -813,6 +742,11 @@ func (p *Pando[I, O]) ProcessSlice(ctx context.Context, inputs []I) ([]O, error)
 	}
 	if err := <-errc; err != nil {
 		return out, err
+	}
+	if ctx != nil && len(out) < len(inputs) {
+		// Cancellation stopped the feeder, which closed the input: the
+		// stream ended normally, cut short.
+		return out, ctx.Err()
 	}
 	return out, nil
 }

@@ -127,10 +127,15 @@ func TestProcessSliceCancelLeaksNoGoroutine(t *testing.T) {
 		})
 		p.AddLocalWorkers(1)
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-		// The error is not asserted: when the feeder sees the cancellation
-		// first, it closes the input and the stream ends normally, cut short.
-		if out, _ := p.ProcessSlice(ctx, make([]int, 1000)); len(out) == 1000 {
+		// Whichever side sees the cancellation first — the feeder, which
+		// closes the input, or the stream's watcher — a cut-short result
+		// must come with the context's error.
+		out, err := p.ProcessSlice(ctx, make([]int, 1000))
+		if len(out) == 1000 {
 			t.Fatal("the stream finished before the cancellation")
+		}
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("ProcessSlice returned %d of 1000 results with error %v, want context.DeadlineExceeded", len(out), err)
 		}
 		cancel()
 		p.Close()

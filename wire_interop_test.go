@@ -1,9 +1,7 @@
 package pando_test
 
-// End-to-end interoperability tests for the negotiated wire formats
-// (ISSUE 1 acceptance criteria): a v2-capable pair settles on the binary
-// wire for both the plain and grouped data planes, and a v1-only worker
-// still completes a computation against a v2 master.
+// End-to-end tests of the '/pando/2.2.0' wire: the plain and grouped data
+// planes and raw []byte payloads round-trip through a whole deployment.
 
 import (
 	"bytes"
@@ -14,27 +12,10 @@ import (
 	"time"
 
 	pando "pando"
-	"pando/internal/netsim"
-	"pando/internal/proto"
-	"pando/internal/worker"
 )
 
-func assertWire(t *testing.T, stats []pando.WorkerStats, name, want string) {
-	t.Helper()
-	for _, w := range stats {
-		if w.Name == name {
-			if w.Wire != want {
-				t.Fatalf("%s negotiated %q, want %q", name, w.Wire, want)
-			}
-			return
-		}
-	}
-	t.Fatalf("no stats row for %q in %v", name, stats)
-}
-
-// TestWireV3PlainEndToEnd: default deployments negotiate the
-// bandwidth-aware wire ('/pando/2.2.0') and the plain data plane
-// round-trips over it.
+// TestWireV3PlainEndToEnd: the plain data plane round-trips over the
+// '/pando/2.2.0' wire.
 func TestWireV3PlainEndToEnd(t *testing.T) {
 	p := pando.New("wire2-square", func(v int) (int, error) { return v * v, nil },
 		pando.WithoutRegistry())
@@ -54,11 +35,10 @@ func TestWireV3PlainEndToEnd(t *testing.T) {
 			t.Fatalf("out[%d] = %d, want %d", i, v, i*i)
 		}
 	}
-	assertWire(t, p.Stats(), "local-1", pando.WireV3)
 }
 
 // TestWireV3GroupedEndToEnd: the grouped data plane (several values per
-// frame) round-trips over binary batches on the bandwidth-aware wire.
+// frame) round-trips over binary batches.
 func TestWireV3GroupedEndToEnd(t *testing.T) {
 	p := pando.New("wire2-grouped", func(v int) (int, error) { return v + 1, nil },
 		pando.WithoutRegistry(), pando.WithGroup(4), pando.WithBatch(8))
@@ -81,113 +61,6 @@ func TestWireV3GroupedEndToEnd(t *testing.T) {
 			t.Fatalf("out[%d] = %d, want %d", i, v, i+1)
 		}
 	}
-	assertWire(t, p.Stats(), "local-1", pando.WireV3)
-}
-
-// TestWireV2WorkerAgainstV3Master: a volunteer that tops out at the
-// plain binary wire joins a v3-preferring master and the computation
-// completes on '/pando/2.1.0' — no compression, no dedup, correct
-// results (the negotiation-interop half of the fuzz satellite).
-func TestWireV2WorkerAgainstV3Master(t *testing.T) {
-	p := pando.New("wire23-square", func(v int) (int, error) { return v * v, nil },
-		pando.WithoutRegistry())
-	defer p.Close()
-
-	ln := netsim.NewListener("master", netsim.LAN)
-	defer ln.Close()
-	go p.ServeWS(ln)
-
-	conn, _, err := ln.Dial()
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := &worker.Volunteer{
-		Name:       "plain",
-		Handler:    pando.Handler(func(v int) (int, error) { return v * v, nil }),
-		Formats:    []string{proto.Version2, proto.Version}, // no v3
-		CrashAfter: -1,
-	}
-	go v.JoinWS(conn)
-
-	inputs := []int{1, 2, 3, 4, 5, 6, 7}
-	out, err := p.ProcessSlice(context.Background(), inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, got := range out {
-		if want := inputs[i] * inputs[i]; got != want {
-			t.Fatalf("out[%d] = %d, want %d", i, got, want)
-		}
-	}
-	assertWire(t, p.Stats(), "plain", pando.WireV2)
-}
-
-// TestWireCompressionOff: WithCompression(false) pins an otherwise
-// default deployment to the plain formats — v3-capable local workers
-// land on '/pando/2.1.0'.
-func TestWireCompressionOff(t *testing.T) {
-	p := pando.New("wire-nocomp", func(v int) (int, error) { return v - 1, nil },
-		pando.WithoutRegistry(), pando.WithCompression(false))
-	defer p.Close()
-	p.AddLocalWorkers(1)
-
-	if _, err := p.ProcessSlice(context.Background(), []int{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	assertWire(t, p.Stats(), "local-1", pando.WireV2)
-}
-
-// TestWireFormatOverridesCompressionToggle: an explicit WithWireFormat
-// list wins over WithCompression either way.
-func TestWireFormatOverridesCompressionToggle(t *testing.T) {
-	p := pando.New("wire-override", func(v int) (int, error) { return v, nil },
-		pando.WithoutRegistry(),
-		pando.WithCompression(false), pando.WithWireFormat(pando.WireV3, pando.WireV1))
-	defer p.Close()
-	p.AddLocalWorkers(1)
-
-	if _, err := p.ProcessSlice(context.Background(), []int{4, 5, 6}); err != nil {
-		t.Fatal(err)
-	}
-	assertWire(t, p.Stats(), "local-1", pando.WireV3)
-}
-
-// TestWireV1WorkerAgainstV2Master: a volunteer that only speaks the JSON
-// wire joins a v2-preferring master and the computation completes on the
-// v1 fallback.
-func TestWireV1WorkerAgainstV2Master(t *testing.T) {
-	p := pando.New("wire1-square", func(v int) (int, error) { return v * v, nil },
-		pando.WithoutRegistry())
-	defer p.Close()
-
-	ln := netsim.NewListener("master", netsim.LAN)
-	defer ln.Close()
-	go p.ServeWS(ln)
-
-	conn, _, err := ln.Dial()
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := &worker.Volunteer{
-		Name:       "legacy",
-		Handler:    pando.Handler(func(v int) (int, error) { return v * v, nil }),
-		Formats:    []string{proto.Version}, // v1-only device
-		CrashAfter: -1,
-	}
-	go v.JoinWS(conn)
-
-	inputs := []int{1, 2, 3, 4, 5}
-	out, err := p.ProcessSlice(context.Background(), inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, got := range out {
-		want := inputs[i] * inputs[i]
-		if got != want {
-			t.Fatalf("out[%d] = %d, want %d", i, got, want)
-		}
-	}
-	assertWire(t, p.Stats(), "legacy", pando.WireV1)
 }
 
 // TestWireRawCodecEndToEnd: WithCodec(RawCodec) moves []byte values
@@ -222,19 +95,6 @@ func TestWireRawCodecEndToEnd(t *testing.T) {
 	}
 }
 
-// TestWirePinnedToV1 keeps a whole deployment on the JSON wire.
-func TestWirePinnedToV1(t *testing.T) {
-	p := pando.New("wire1-pinned", func(v int) (int, error) { return v, nil },
-		pando.WithoutRegistry(), pando.WithWireFormat(pando.WireV1))
-	defer p.Close()
-	p.AddLocalWorkers(1)
-
-	if _, err := p.ProcessSlice(context.Background(), []int{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	assertWire(t, p.Stats(), "local-1", pando.WireV1)
-}
-
 // TestWithCodecMismatchPanics: a codec for the wrong value type is a
 // programming error surfaced at construction, not at first encode.
 func TestWithCodecMismatchPanics(t *testing.T) {
@@ -246,18 +106,6 @@ func TestWithCodecMismatchPanics(t *testing.T) {
 	pando.New("wire-mismatch", func(v int) (int, error) { return v, nil },
 		pando.WithoutRegistry(),
 		pando.WithCodec[string, string](pando.JSONCodec[string]{}, pando.JSONCodec[string]{}))
-}
-
-// TestWithWireFormatUnknownNamePanics: a typo'd format name fails fast at
-// construction instead of refusing every volunteer at runtime.
-func TestWithWireFormatUnknownNamePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown wire format did not panic")
-		}
-	}()
-	pando.New("wire-typo", func(v int) (int, error) { return v, nil },
-		pando.WithoutRegistry(), pando.WithWireFormat("pando/2.0.0")) // missing leading slash
 }
 
 // TestProcessReleasesContextWatcher: the cancellation watcher goroutine
