@@ -70,7 +70,7 @@ func main() {
 
 	// Wrap the distributed map in the stubborn feedback loop.
 	distributed := func(src pullstream.Source[apps.TileJob]) pullstream.Source[apps.TileDone] {
-		in, errc := pullstream.ToChan(src)
+		in, errc := pullstream.ToChan(context.Background(), src)
 		_ = errc
 		out, _ := p2.Process(context.Background(), in)
 		return pullstream.FromChan(out, nil)

@@ -2,6 +2,7 @@ package master
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -173,7 +174,7 @@ func TestMasterLateJoin(t *testing.T) {
 	go m.ServeWS(ln)
 
 	out := m.Bind(pullstream.Count(10))
-	outc, errc := pullstream.ToChan(out)
+	outc, errc := pullstream.ToChan(context.Background(), out)
 
 	time.Sleep(30 * time.Millisecond) // nobody there yet
 	startVolunteer(t, ln, &worker.Volunteer{Name: "late", Handler: jsonSquare})

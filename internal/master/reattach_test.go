@@ -1,6 +1,7 @@
 package master
 
 import (
+	"context"
 	"net"
 	"sync"
 	"testing"
@@ -79,7 +80,7 @@ func TestReattachDoesNotInheritStaleFlowState(t *testing.T) {
 	}()
 
 	out := m.Bind(pullstream.Count(n))
-	outc, errc := pullstream.ToChan(out)
+	outc, errc := pullstream.ToChan(context.Background(), out)
 
 	consumed := 0
 	for consumed < 100 {

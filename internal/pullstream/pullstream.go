@@ -17,6 +17,7 @@
 package pullstream
 
 import (
+	"context"
 	"errors"
 	"fmt"
 )
@@ -263,17 +264,21 @@ func FromChan[T any](ch <-chan T, errc <-chan error) Source[T] {
 	}
 }
 
-// ToChan drains src into a newly created channel. The channel is closed
-// when the source ends; a failure is delivered on the returned error
-// channel (capacity 1).
-func ToChan[T any](src Source[T]) (<-chan T, <-chan error) {
+// ToChan drains src into a new channel, closed when the source ends. Once
+// ctx is done it stops sending and aborts src. A failure, or ctx.Err(), is
+// delivered on the returned error channel (capacity 1).
+func ToChan[T any](ctx context.Context, src Source[T]) (<-chan T, <-chan error) {
 	out := make(chan T)
 	errc := make(chan error, 1)
 	go func() {
 		defer close(out)
 		err := Drain(src, func(v T) error {
-			out <- v
-			return nil
+			select {
+			case out <- v:
+				return nil
+			case <-ctx.Done():
+				return ctx.Err()
+			}
 		})
 		if err != nil && !IsNormalEnd(err) {
 			errc <- err

@@ -1,6 +1,7 @@
 package pullstream
 
 import (
+	"context"
 	"errors"
 	"strconv"
 	"sync/atomic"
@@ -188,7 +189,7 @@ func TestFromChanToChan(t *testing.T) {
 	in <- 2
 	in <- 3
 	close(in)
-	out, errc := ToChan(FromChan(in, nil))
+	out, errc := ToChan(context.Background(), FromChan(in, nil))
 	var got []int
 	for v := range out {
 		got = append(got, v)

@@ -3,7 +3,6 @@ package transport
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/json"
 	"fmt"
 
 	"pando/internal/proto"
@@ -16,24 +15,6 @@ type Codec[T any] interface {
 	Encode(T) ([]byte, error)
 	Decode([]byte) (T, error)
 }
-
-// JSONCodec encodes values with encoding/json.
-type JSONCodec[T any] struct{}
-
-// Encode marshals v.
-func (JSONCodec[T]) Encode(v T) ([]byte, error) { return json.Marshal(v) }
-
-// Decode unmarshals data.
-func (JSONCodec[T]) Decode(data []byte) (T, error) {
-	var v T
-	err := json.Unmarshal(data, &v)
-	return v, err
-}
-
-// DecodeAliases reports false: encoding/json copies every field out of
-// the input (including json.RawMessage, whose UnmarshalJSON appends into
-// its own backing array), so decoded values never reference the frame.
-func (JSONCodec[T]) DecodeAliases() bool { return false }
 
 // AliasingCodec is implemented by codecs that declare whether Decode's
 // result can alias the input buffer. Receive loops use it to decide the

@@ -56,7 +56,8 @@ type (
 	Dialer = transport.Dialer
 	// Codec serializes stream values for the wire; see WithCodec.
 	Codec[T any] = transport.Codec[T]
-	// JSONCodec is the default payload codec.
+	// JSONCodec is the default payload codec: encoding/json's bytes, values
+	// and errors, with a fast path for plain strings, numbers and flat structs.
 	JSONCodec[T any] = transport.JSONCodec[T]
 	// RawCodec passes []byte payloads through untouched: they cross the
 	// network verbatim (or compressed, where the wire finds it pays).
@@ -684,7 +685,9 @@ func CodecHandler[I, O any](f func(I) (O, error), in Codec[I], out Codec[O]) wor
 // Process applies f to every value received on in and delivers results on
 // the returned channel, closed at end of stream. A failure (input error
 // or context cancellation) is delivered on the error channel (capacity 1).
-// Results arrive in input order unless WithUnordered was set.
+// Results arrive in input order unless WithUnordered was set. Once ctx is
+// done the caller may stop reading: Process sends no further result,
+// aborts the stream, closes the result channel and delivers ctx.Err().
 func (p *Pando[I, O]) Process(ctx context.Context, in <-chan I) (<-chan O, <-chan error) {
 	if p.initErr != nil {
 		out := make(chan O)
@@ -698,7 +701,7 @@ func (p *Pando[I, O]) Process(ctx context.Context, in <-chan I) (<-chan O, <-cha
 	src := pullstream.FromChan(in, ctxErr)
 	bound := p.m.Bind(src)
 	if ctx == nil {
-		return pullstream.ToChan(bound)
+		return pullstream.ToChan(context.Background(), bound)
 	}
 	// Watch the stream's end signal so the cancellation watcher can be
 	// released when the stream completes before the context is ever
@@ -718,7 +721,7 @@ func (p *Pando[I, O]) Process(ctx context.Context, in <-chan I) (<-chan O, <-cha
 		case <-done:
 		}
 	}()
-	return pullstream.ToChan(watched)
+	return pullstream.ToChan(ctx, watched)
 }
 
 // ProcessSlice is a convenience for finite workloads: it feeds every

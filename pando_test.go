@@ -110,16 +110,7 @@ func TestProcessContextCancellation(t *testing.T) {
 // The input feeder is the one at risk: once the stream has ended, nobody
 // takes its next send, so only its select on ctx.Done() lets it return.
 func TestProcessSliceCancelLeaksNoGoroutine(t *testing.T) {
-	// Goroutines of earlier tests may still be winding down, and each one
-	// that exits after the baseline would hide one leaked here.
-	for prev, deadline := -1, time.Now().Add(2*time.Second); time.Now().Before(deadline); time.Sleep(20 * time.Millisecond) {
-		n := runtime.NumGoroutine()
-		if n == prev {
-			break
-		}
-		prev = n
-	}
-	guard := chaos.Guard()
+	guard := settledGuard()
 	for i := 0; i < 5; i++ {
 		p := New(uniqueName("cancel"), func(v int) (int, error) {
 			time.Sleep(2 * time.Millisecond)
@@ -140,6 +131,62 @@ func TestProcessSliceCancelLeaksNoGoroutine(t *testing.T) {
 		cancel()
 		p.Close()
 	}
+	if err := guard.Check(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// settledGuard waits for the goroutine count to hold still before it
+// takes chaos.Guard's baseline: goroutines of earlier tests may still be
+// winding down, and each one that exits after the baseline would hide
+// one leaked by the test.
+func settledGuard() *chaos.LeakGuard {
+	for prev, deadline := -1, time.Now().Add(2*time.Second); time.Now().Before(deadline); time.Sleep(20 * time.Millisecond) {
+		n := runtime.NumGoroutine()
+		if n == prev {
+			break
+		}
+		prev = n
+	}
+	return chaos.Guard()
+}
+
+// TestProcessAbandonedOutputLeaksNoGoroutine: a caller that cancels the
+// context and stops reading Process's output strands no goroutine. The
+// output pump is the one at risk: with nobody reading, only its select
+// on ctx.Done() lets it return, close the output and report the
+// context's error.
+func TestProcessAbandonedOutputLeaksNoGoroutine(t *testing.T) {
+	guard := settledGuard()
+	p := New(uniqueName("abandon"), func(v int) (int, error) { return v, nil })
+	p.AddLocalWorkers(1)
+	ctx, cancel := context.WithCancel(context.Background())
+	in := make(chan int)
+	go func() {
+		defer close(in)
+		for i := 0; ; i++ {
+			select {
+			case in <- i:
+			case <-ctx.Done():
+				return
+			}
+		}
+	}()
+	out, errc := p.Process(ctx, in)
+	<-out
+	cancel()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no error 5s after the cancellation: the output pump is stuck sending to nobody")
+	}
+	if _, ok := <-out; ok {
+		t.Fatal("the output delivered a value after the cancellation")
+	}
+	p.Close()
 	if err := guard.Check(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
