@@ -14,14 +14,14 @@
 // job when its job completes — over the same connection, via the
 // reassign frame, instead of dismissing the device.
 //
-// Volunteers come in two generations. A pool-aware volunteer advertises
-// Functions in its hello (the single entry "*" means "any function");
-// its channel's frames are routed by the pool to the
-// current lease, which lets the pool intercept a job's goodbye, drain
-// the connection behind a reassign barrier, and hand the same device to
-// the next job. A pre-pool volunteer advertises nothing: it is routed
-// once, to a compatible job, over its raw channel — exactly the old
-// master behavior — and leaves when that job dismisses it.
+// Every volunteer reaches its job through a lease: the pool routes its
+// channel's frames to the current lease, which lets the pool intercept a
+// job's goodbye, drain the connection behind a reassign barrier, and hand
+// the same device to the next job. The hello's Functions list names the
+// jobs the volunteer serves (the single entry "*" means "any function").
+// A volunteer that advertises no list is routed once, to a compatible
+// job, and never reassigned: its first lease pins its list to that job's
+// name, so it leaves when that job dismisses it.
 package fleet
 
 import (
@@ -91,8 +91,6 @@ type WorkerInfo struct {
 	// Job is the function name of the job currently holding the lease;
 	// empty while parked or between jobs.
 	Job string
-	// Aware reports a pool-aware volunteer (reassignable mid-session).
-	Aware bool
 	// State is "parked", "leased", "reclaiming" or "dismissing".
 	State string
 }
@@ -243,10 +241,10 @@ func (p *Pool) ServeRTC(answerer *transport.RTCAnswerer) {
 }
 
 // Admit performs the hello half of the handshake on a fresh volunteer
-// channel, routes the volunteer to a job it can serve (a pool-aware
-// volunteer arriving before any job is registered parks — the welcome is
-// simply delayed until one appears), and completes the handshake with a
-// welcome naming the routed job.
+// channel, routes the volunteer to a job it can serve (a volunteer
+// arriving before any job is registered parks — the welcome is simply
+// delayed until one appears), and completes the handshake with a welcome
+// naming the routed job.
 //
 // A rejoining volunteer (hello.Seq > 0) has the half-open sessions of its
 // previous incarnation — identified by the hello's instance token —
@@ -290,9 +288,7 @@ func (p *Pool) Admit(ch *transport.WSock) error {
 	}
 	p.sessions[s.id] = s
 	p.mu.Unlock()
-	if s.aware {
-		ch.Route(s.route)
-	}
+	ch.Route(s.route)
 	return p.place(s, nil)
 }
 
@@ -331,15 +327,11 @@ func (p *Pool) place(s *session, exclude Job) error {
 		}
 		job := p.routeLocked(s, exclude)
 		if job == nil {
-			if s.aware && (len(p.jobs) == 0 || (len(p.jobs) == 1 && p.jobs[0] == exclude)) {
+			if len(p.jobs) == 0 || (len(p.jobs) == 1 && p.jobs[0] == exclude) {
 				// No job yet: park until one registers. The volunteer is
 				// blocked awaiting its welcome; heartbeats keep flowing
 				// underneath, and the session's router notices a death and
-				// wakes this wait. Pre-pool volunteers have no router (the
-				// job owns their raw channel), so a dead parked legacy
-				// session would linger undetected — they are refused
-				// instead; no pre-pool flow ever admitted volunteers
-				// before its job existed, so nothing regresses.
+				// wakes this wait.
 				p.cond.Wait()
 				p.mu.Unlock()
 				exclude = nil
@@ -465,11 +457,11 @@ func (p *Pool) leaseTo(s *session, job Job) error {
 			return err
 		}
 	}
-	ch := s.startLease(job)
-	if ch == nil {
+	l := s.startLease(job)
+	if l == nil {
 		return transport.ErrChannelClosed
 	}
-	if err := job.Lease(s.name, ch); err != nil {
+	if err := job.Lease(s.name, l); err != nil {
 		s.endLeaseRefused()
 		return fmt.Errorf("%w: %v", errJobRefused, err)
 	}
@@ -487,13 +479,8 @@ func (p *Pool) moveWorker(s *session, from Job) {
 }
 
 // routeNext reassigns a reclaimed session to the best open job other
-// than `from`, dismissing the volunteer when none exists. Pre-pool
-// sessions cannot be reassigned and are always dismissed.
+// than `from`, dismissing the volunteer when none exists.
 func (p *Pool) routeNext(s *session, from Job) {
-	if !s.aware {
-		s.dismiss()
-		return
-	}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -525,8 +512,7 @@ func (p *Pool) jobReleased(s *session, from Job) {
 // jobAborted handles a job closing a leased worker's channel (pipeline
 // abort, decode failure, or a worker-reported application error). The
 // worker may still serve other jobs, so it is reclaimed and routed away
-// from the aborting job; if no other job is open the channel is closed
-// for real — the old single-master behavior.
+// from the aborting job; if no other job is open it is dismissed.
 func (p *Pool) jobAborted(s *session, from Job) {
 	go p.routeNext(s, from)
 }
@@ -665,10 +651,9 @@ func (p *Pool) roundRobinLocked(counts map[Job]int) (donor, receiver Job) {
 	return donor, receiver
 }
 
-// moveLease reassigns one movable session — pool-aware, currently
-// leased to the donor, able to serve the receiver — from donor to
-// receiver. A nil donor or receiver, or no such session, makes the move
-// a no-op.
+// moveLease reassigns one movable session — currently leased to the
+// donor, able to serve the receiver — from donor to receiver. A nil
+// donor or receiver, or no such session, makes the move a no-op.
 func (p *Pool) moveLease(donor, receiver Job) {
 	if donor == nil || receiver == nil || donor == receiver {
 		return
@@ -676,7 +661,7 @@ func (p *Pool) moveLease(donor, receiver Job) {
 	p.mu.Lock()
 	var victim *session
 	for _, s := range p.sessions {
-		if s.aware && s.currentJob() == donor && s.isLeased() && s.serves(receiver.Name()) {
+		if s.currentJob() == donor && s.isLeased() && s.serves(receiver.Name()) {
 			victim = s
 			break
 		}

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -17,6 +18,7 @@ type fakeJob struct {
 
 	mu      sync.Mutex
 	demand  int
+	refuse  error // returned by Lease, as by a job closing concurrently
 	leases  []transport.Channel
 	workers []string
 	leaseC  chan transport.Channel
@@ -40,6 +42,10 @@ func (j *fakeJob) setDemand(d int) {
 }
 func (j *fakeJob) Lease(worker string, ch transport.Channel) error {
 	j.mu.Lock()
+	if j.refuse != nil {
+		j.mu.Unlock()
+		return j.refuse
+	}
 	j.leases = append(j.leases, ch)
 	j.workers = append(j.workers, worker)
 	j.mu.Unlock()
@@ -198,7 +204,7 @@ func TestPoolReassignBarrier(t *testing.T) {
 			leased = &wi
 		}
 	}
-	if leased == nil || leased.Job != "job-b" || leased.State != "leased" || !leased.Aware {
+	if leased == nil || leased.Job != "job-b" || leased.State != "leased" {
 		t.Fatalf("worker set = %+v, want dev leased to job-b", p.Workers())
 	}
 }
@@ -216,35 +222,68 @@ func recvTypeCh(t *testing.T, ch transport.Channel, want proto.Type) *proto.Mess
 	return m
 }
 
-// TestPoolDismissesWhenNoNextJob: with no other open job, the pool
-// forwards the goodbye for real and the volunteer leaves — the old
-// single-master end-of-stream behavior.
+// TestPoolDismissesWhenNoNextJob: with no other job the volunteer
+// serves, the pool forwards the goodbye for real and the volunteer leaves
+// — the old single-master end-of-stream behavior. A volunteer that
+// advertised no functions serves only the job its first successful lease
+// went to: neither a release nor the fair-share scan moves it to another
+// open job, and a job that refuses its lease does not pin it.
 func TestPoolDismissesWhenNoNextJob(t *testing.T) {
-	p := NewPool(Config{Rebalance: -1})
-	defer p.Close()
-	jobA := newFakeJob("job-a", 1)
-	if err := p.Register(jobA); err != nil {
-		t.Fatal(err)
-	}
-	ch := rawVolunteer(t, p, &proto.Message{Peer: "dev", Functions: []string{"job-a"}})
-	recvType(t, ch, proto.TypeWelcome)
-	leaseA := jobA.waitLease(t)
+	for _, tc := range []struct {
+		name      string
+		functions []string
+		jobs      []string // open jobs, in registration order
+		refuse    string   // job refusing leases, as a closing job does
+		leased    string   // job the volunteer is leased to
+	}{
+		{"advertised list, one job", []string{"job-a"}, []string{"job-a"}, "", "job-a"},
+		{"empty list, two open jobs", nil, []string{"job-a", "job-b"}, "", "job-a"},
+		{"empty list, first job refuses", nil, []string{"job-a", "job-b"}, "job-a", "job-b"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := NewPool(Config{Rebalance: -1})
+			defer p.Close()
+			jobs := make(map[string]*fakeJob)
+			for _, name := range tc.jobs {
+				jobs[name] = newFakeJob(name, 1)
+				if name == tc.refuse {
+					jobs[name].refuse = errors.New("job closing")
+				}
+				if err := p.Register(jobs[name]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ch := rawVolunteer(t, p, &proto.Message{Peer: "dev", Functions: tc.functions})
+			recvType(t, ch, proto.TypeWelcome)
+			held := jobs[tc.leased]
+			lease := held.waitLease(t)
 
-	jobA.setDemand(0)
-	if err := leaseA.Send(&proto.Message{Type: proto.TypeGoodbye}); err != nil {
-		t.Fatal(err)
-	}
-	recvType(t, ch, proto.TypeGoodbye)
-	// The worker replies goodbye and hangs up, like a real serve loop.
-	_ = ch.Send(&proto.Message{Type: proto.TypeGoodbye})
-	ch.Close()
+			// A lease-less open job is the scan's receiver; the volunteer
+			// must not be the donor's victim.
+			p.rebalanceOnce()
+			held.setDemand(0)
+			if err := lease.Send(&proto.Message{Type: proto.TypeGoodbye}); err != nil {
+				t.Fatal(err)
+			}
+			recvType(t, ch, proto.TypeGoodbye)
+			// The worker replies goodbye and hangs up, like a real serve loop.
+			_ = ch.Send(&proto.Message{Type: proto.TypeGoodbye})
+			ch.Close()
 
-	deadline := time.Now().Add(2 * time.Second)
-	for len(p.Workers()) != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("worker set not pruned after dismissal: %+v", p.Workers())
-		}
-		time.Sleep(2 * time.Millisecond)
+			waitWorkers(t, p, func(ws []WorkerInfo) bool { return len(ws) == 0 })
+			for name, j := range jobs {
+				j.mu.Lock()
+				n := len(j.leases)
+				j.mu.Unlock()
+				want := 0
+				if j == held {
+					want = 1
+				}
+				if n != want {
+					t.Fatalf("%s holds %d leases, want %d", name, n, want)
+				}
+			}
+		})
 	}
 }
 
@@ -301,27 +340,57 @@ func TestPoolSeversPreviousIncarnation(t *testing.T) {
 }
 
 // TestPoolParkedVolunteerLeasedOnRegister: volunteers admitted before
-// any job parks pre-welcome and lease as soon as a job registers.
+// any job park pre-welcome and lease as soon as a job registers, whether
+// they advertise a list or none; the router sees a parked volunteer hang
+// up and prunes it from the worker set.
 func TestPoolParkedVolunteerLeasedOnRegister(t *testing.T) {
-	p := NewPool(Config{Rebalance: -1})
-	defer p.Close()
+	for _, tc := range []struct {
+		name      string
+		functions []string
+	}{
+		{"wildcard", []string{"*"}},
+		{"empty list", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := NewPool(Config{Rebalance: -1})
+			defer p.Close()
 
-	ch := rawVolunteer(t, p, &proto.Message{Peer: "early", Functions: []string{"*"}})
-	time.Sleep(20 * time.Millisecond)
-	ws := p.Workers()
-	if len(ws) != 1 || ws[0].State != "parked" {
-		t.Fatalf("worker set = %+v, want one parked", ws)
-	}
+			ch := rawVolunteer(t, p, &proto.Message{Peer: "early", Functions: tc.functions})
+			quitter := rawVolunteer(t, p, &proto.Message{Peer: "quitter", Functions: tc.functions})
+			waitWorkers(t, p, func(ws []WorkerInfo) bool {
+				return len(ws) == 2 && ws[0].State == "parked" && ws[1].State == "parked"
+			})
+			quitter.Close()
+			waitWorkers(t, p, func(ws []WorkerInfo) bool {
+				return len(ws) == 1 && ws[0].Name == "early" && ws[0].State == "parked"
+			})
 
-	job := newFakeJob("late-job", 1)
-	if err := p.Register(job); err != nil {
-		t.Fatal(err)
+			job := newFakeJob("late-job", 1)
+			if err := p.Register(job); err != nil {
+				t.Fatal(err)
+			}
+			w := recvType(t, ch, proto.TypeWelcome)
+			if w.Func != "late-job" {
+				t.Fatalf("welcome = %+v", w)
+			}
+			job.waitLease(t)
+			if job.workers[0] != "early" || len(job.leaseC) != 0 {
+				t.Fatalf("leased workers = %v, want only early", job.workers)
+			}
+		})
 	}
-	w := recvType(t, ch, proto.TypeWelcome)
-	if w.Func != "late-job" {
-		t.Fatalf("welcome = %+v", w)
+}
+
+// waitWorkers polls the worker set until ok accepts it.
+func waitWorkers(t *testing.T, p *Pool, ok func([]WorkerInfo) bool) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for ws := p.Workers(); !ok(ws); ws = p.Workers() {
+		if time.Now().After(deadline) {
+			t.Fatalf("worker set = %+v", ws)
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
-	job.waitLease(t)
 }
 
 // TestPoolQuarantine: quarantining a name severs its live sessions

@@ -11,7 +11,7 @@ import (
 // Session states.
 const (
 	stateParked     = iota // admitted, awaiting a job (welcome not sent yet, or between jobs)
-	stateLeased            // channel held by a job (through a lease when pool-aware)
+	stateLeased            // channel held by a job through a lease
 	stateReclaiming        // reassign sent, draining until the worker's echo
 	stateDismissing        // goodbye forwarded, awaiting the connection to end
 	stateDead              // connection gone
@@ -21,21 +21,20 @@ const (
 // multi-core device contributes several sessions under one accounting
 // name, exactly as it contributed several channels to the old master.
 type session struct {
-	pool      *Pool
-	id        int
-	name      string
-	token     string   // volunteer instance nonce (rejoin severing)
-	seq       uint64   // join incarnation (>0 on rejoins)
-	functions []string // advertised functions; nil = pre-pool (any job, never reassigned)
-	aware     bool     // advertised a Functions list: reassignable mid-session
-	ch        transport.Channel
+	pool  *Pool
+	id    int
+	name  string
+	token string // volunteer instance nonce (rejoin severing)
+	seq   uint64 // join incarnation (>0 on rejoins)
+	ch    transport.Channel
 
-	mu       sync.Mutex
-	state    int
-	welcomed bool
-	cur      *lease // active lease (aware sessions only)
-	curJob   Job    // job holding the channel (or reassign destination)
-	pending  Job    // reassign destination awaiting the worker's echo
+	mu        sync.Mutex
+	functions []string // advertised functions; an absent list is pinned by the first lease
+	state     int
+	welcomed  bool
+	cur       *lease // active lease
+	curJob    Job    // job holding the channel (or reassign destination)
+	pending   Job    // reassign destination awaiting the worker's echo
 
 	// sendMu serializes job-side sends with lease revocation so no data
 	// frame can slip onto the wire after the reassign barrier frame.
@@ -49,25 +48,23 @@ func newSession(p *Pool, hello *proto.Message, ch transport.Channel) *session {
 		token:     hello.Token,
 		seq:       hello.Seq,
 		functions: append([]string(nil), hello.Functions...),
-		aware:     len(hello.Functions) > 0,
 		ch:        ch,
 	}
 }
 
-// serves reports whether the volunteer can resolve the named function. A
-// pre-pool session (no advertised list) and the wildcard "*" serve
-// anything.
+// serves reports whether the volunteer can resolve the named function.
+// The wildcard "*" serves anything, and so does an absent list until the
+// session's first lease pins it to that job.
 func (s *session) serves(name string) bool {
-	if len(s.functions) == 0 || slices.Contains(s.functions, "*") {
-		return true
-	}
-	return slices.Contains(s.functions, name)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.functions) == 0 || slices.Contains(s.functions, "*") || slices.Contains(s.functions, name)
 }
 
 func (s *session) info() WorkerInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	info := WorkerInfo{Name: s.name, Aware: s.aware}
+	info := WorkerInfo{Name: s.name}
 	if s.curJob != nil {
 		info.Job = s.curJob.Name()
 	}
@@ -141,10 +138,12 @@ func (s *session) welcome() bool {
 	return was
 }
 
-// startLease transitions the session to leased and returns the channel
-// to hand the job: a lease for pool-aware sessions, the watched raw
-// channel otherwise. Returns nil when the session died meanwhile.
-func (s *session) startLease(job Job) transport.Channel {
+// startLease transitions the session to leased and returns the job's
+// lease on its channel, or nil when the session died meanwhile. A session
+// that advertised no functions is routed once and never reassigned: its
+// list becomes the job's name here, in the step that makes it movable, so
+// no fair-share move or later release finds another job it serves.
+func (s *session) startLease(job Job) *lease {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.state == stateDead {
@@ -153,22 +152,26 @@ func (s *session) startLease(job Job) transport.Channel {
 	s.state = stateLeased
 	s.curJob = job
 	s.pending = nil
-	if !s.aware {
-		return &watchedChannel{Channel: s.ch, s: s}
+	s.cur = newLease(s, job)
+	if len(s.functions) == 0 {
+		s.functions = []string{job.Name()}
+		s.cur.pinned = true
 	}
-	l := newLease(s, job)
-	s.cur = l
-	return l
+	return s.cur
 }
 
 // endLeaseRefused rolls back startLease after the job refused the Lease
-// call (it was closing concurrently).
+// call (it was closing concurrently), lifting the pin it took: the
+// session is routed once only when a lease succeeds.
 func (s *session) endLeaseRefused() {
 	s.mu.Lock()
 	l := s.cur
 	s.cur = nil
 	s.curJob = nil
 	s.state = stateParked
+	if l != nil && l.pinned {
+		s.functions = nil
+	}
 	s.mu.Unlock()
 	if l != nil {
 		l.end(nil)
@@ -244,13 +247,13 @@ func (s *session) revoke(from Job) bool {
 	return true
 }
 
-// reassign moves a reclaimed pool-aware session to the destination job:
-// it sends the reassign frame and waits (via route) for the worker's
-// echo before leasing. The echo is the drain barrier — every result of
+// reassign moves a reclaimed session to the destination job: it sends
+// the reassign frame and waits (via route) for the worker's echo before
+// leasing. The echo is the drain barrier — every result of
 // the previous job precedes it on the ordered channel.
 func (s *session) reassign(job Job) {
 	s.mu.Lock()
-	if s.state != stateParked || !s.aware {
+	if s.state != stateParked {
 		s.mu.Unlock()
 		return
 	}
@@ -291,7 +294,7 @@ func (s *session) dismiss() {
 	s.state = stateDismissing
 	s.curJob = nil
 	s.pending = nil
-	welcomed, aware := s.welcomed, s.aware
+	welcomed := s.welcomed
 	s.mu.Unlock()
 	if !welcomed {
 		// Never routed: refuse politely and drop the connection; the
@@ -301,30 +304,14 @@ func (s *session) dismiss() {
 		s.pool.sessionGone(s)
 		return
 	}
+	// The worker replies goodbye and hangs up; route sees the end.
 	_ = s.ch.Send(&proto.Message{Type: proto.TypeGoodbye})
-	if !aware {
-		// Nothing routes a pre-pool session's frames between jobs; reap it here.
-		go s.reap()
-	}
 }
 
-// reap drains the channel of a dismissing pre-pool session until it
-// fails (the worker replies goodbye and closes), pruning the worker set.
-func (s *session) reap() {
-	for {
-		m, err := s.ch.Recv()
-		if err != nil {
-			s.pool.sessionGone(s)
-			return
-		}
-		proto.Release(m)
-	}
-}
-
-// route consumes every frame of a pool-aware session's channel for the
-// connection's lifetime, on the channel's own read loop (WSock.Route):
-// it hands frames to the current lease, watches for reassign echoes while
-// reclaiming, and discards stale frames in between. A nil frame is the
+// route consumes every frame of a session's channel for the connection's
+// lifetime, on the channel's own read loop (WSock.Route): it hands frames
+// to the current lease, watches for reassign echoes while reclaiming, and
+// discards stale frames in between. A nil frame is the
 // channel's end.
 func (s *session) route(m *proto.Message) {
 	if m == nil {
@@ -351,8 +338,8 @@ func (s *session) route(m *proto.Message) {
 	proto.Release(m)
 }
 
-// lease is the channel a job holds on a pool-aware worker: a routed view
-// of the session's connection that the pool can end without closing the
+// lease is the channel a job holds on a worker: a routed view of the
+// session's connection that the pool can end without closing the
 // connection itself.
 type lease struct {
 	s   *session
@@ -366,6 +353,7 @@ type lease struct {
 	endMsg    *proto.Message // synthesized final message (goodbye), if any
 	endErr    error          // terminal error after endMsg is consumed
 	delivered bool
+	pinned    bool // startLease pinned the session's absent list to job
 }
 
 var _ transport.Channel = (*lease)(nil)
@@ -493,8 +481,7 @@ var _ transport.BatchSender = (*lease)(nil)
 
 // Close ends the job's use of the worker without closing the connection:
 // the pool reclaims the device and routes it to another open job, or
-// closes the connection for real when none exists (the old behavior for
-// worker-reported errors on a single-job master).
+// dismisses it when none exists.
 func (l *lease) Close() error {
 	if job, ok := l.s.abortedLease(l); ok {
 		l.s.pool.jobAborted(l.s, job)
@@ -504,41 +491,3 @@ func (l *lease) Close() error {
 
 func (l *lease) Wire() *proto.WireFormat { return l.s.ch.Wire() }
 func (l *lease) RemoteAddr() string      { return l.s.ch.RemoteAddr() }
-
-// watchedChannel wraps a pre-pool session's raw channel so the pool's
-// worker set is pruned when the connection ends. The job owns Recv; the
-// wrapper only observes.
-type watchedChannel struct {
-	transport.Channel
-	s *session
-}
-
-func (w *watchedChannel) Recv() (*proto.Message, error) {
-	m, err := w.Channel.Recv()
-	if err != nil {
-		w.s.pool.sessionGone(w.s)
-		return m, err
-	}
-	if m.Type == proto.TypeGoodbye {
-		// The worker acknowledged a dismissal; after this frame the job
-		// stops reading, so hand the tail of the connection to a reaper.
-		w.s.mu.Lock()
-		w.s.state = stateDismissing
-		w.s.curJob = nil
-		w.s.mu.Unlock()
-		go w.s.reap()
-	}
-	return m, nil
-}
-
-// SendBatch forwards a batch to the wrapped channel's vectored path (or
-// degrades to per-frame sends when the inner channel has none).
-func (w *watchedChannel) SendBatch(ms []*proto.Message) error {
-	return transport.SendAll(w.Channel, ms)
-}
-
-func (w *watchedChannel) Close() error {
-	err := w.Channel.Close()
-	w.s.pool.sessionGone(w.s)
-	return err
-}

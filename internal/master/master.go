@@ -370,10 +370,9 @@ func NewJob[I, O any](cfg Config, in transport.Codec[I], out transport.Codec[O])
 // with the rate hinter (the compression policy backs off on links the
 // scheduler's EWMA says are not bandwidth-bound) and, unless dedup is
 // disabled, wrapped with the master-side dedup half that rewrites
-// repeated payloads into digest references. Only leased channels are
-// wrapped: their far end passed the handshake, so it runs the worker-side
-// dedup half that resolves those references (Attach's bare channels have
-// no such guarantee).
+// repeated payloads into digest references. Every channel reaches the job
+// through a pool lease, so its far end passed the handshake and runs the
+// worker-side dedup half that resolves those references.
 func (m *Master[I, O]) wrapChannel(name string, ch transport.Channel) transport.Channel {
 	m.mu.Lock()
 	if m.hintWires == nil {
@@ -539,10 +538,6 @@ func (m *Master[I, O]) Admit(ch *transport.WSock) error {
 	return m.pool.Admit(ch)
 }
 
-// Pool exposes the master's own single-job pool (nil for NewJob
-// masters), e.g. for worker-set diagnostics.
-func (m *Master[I, O]) Pool() *fleet.Pool { return m.pool }
-
 // job adapts the typed master to the pool's untyped Job interface.
 type job[I, O any] struct{ m *Master[I, O] }
 
@@ -574,13 +569,6 @@ func (j job[I, O]) Lease(worker string, ch transport.Channel) error {
 		return ErrClosed
 	}
 	return j.m.engine.AttachChannel(worker, j.m.wrapChannel(worker, ch))
-}
-
-// Attach wires an already-admitted channel into the DistributedMap
-// engine: pull(sub.Source, Gate(ctrl, MasterDuplex(ch)), sub.Sink).
-// Each attachment is one browser tab of the paper's deployment example.
-func (m *Master[I, O]) Attach(name string, ch transport.Channel) {
-	_ = m.engine.AttachChannel(name, ch)
 }
 
 // ServeWS accepts WebSocket-like volunteers from acc until the acceptor

@@ -64,9 +64,8 @@ const (
 	// the new processing function, like a welcome; the worker echoes it
 	// back once it has switched, which doubles as the drain barrier — the
 	// channel is ordered and the worker serial, so every result of the
-	// previous job precedes the echo. Pre-pool workers ignore the frame
-	// (unknown control messages are skipped), which is why masters only
-	// reassign workers whose hello advertised a Functions list.
+	// previous job precedes the echo. A worker whose hello advertised no
+	// Functions list is never sent one: its first job is its only job.
 	TypeReassign Type = "reassign"
 
 	// Content-addressed payload dedup (the '/pando/2.2.0' extension). An
@@ -115,9 +114,9 @@ type Message struct {
 	// volunteer's registry can resolve, sorted — what lets a shared pool
 	// route the device to any job it can serve and reassign it when that
 	// job completes. The single entry "*" advertises "any function"
-	// (volunteers with an explicit handler or resolver). An absent list
-	// marks a pre-pool volunteer: it is routed once, to a compatible job,
-	// and never reassigned. On a rejoin after a transient failure the
+	// (volunteers with an explicit handler or resolver). A volunteer with
+	// an absent list is routed once, to a compatible job, and never
+	// reassigned. On a rejoin after a transient failure the
 	// hello also carries Seq (the volunteer's join incarnation, >0 on
 	// rejoins) and Token (a per-volunteer-instance nonce), so the master
 	// can sever the departed incarnation's half-open sessions instead of

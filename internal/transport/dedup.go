@@ -189,8 +189,6 @@ func isLeaseControl(m *proto.Message) bool {
 	switch m.Type {
 	case proto.TypeReassign, proto.TypeGoodbye, proto.TypeError:
 		return true
-	case proto.TypeWelcome:
-		return m.Func != "" // a mid-session re-welcome redirects the lease
 	}
 	return false
 }

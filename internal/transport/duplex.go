@@ -247,14 +247,13 @@ func decodeBatchResult[O any](m *proto.Message, list batchCodec[O]) (O, error) {
 // sends results back. It returns when the master says goodbye (nil) or
 // the channel fails.
 //
-// A reassign (or mid-session re-welcome) frame from a shared fleet moves
-// the worker to another job. reassign resolves the named function to a
-// new processing function; the switch is acknowledged by echoing the
-// reassign frame AFTER the resolution, which is the drain barrier the
-// master waits on — the ack rides the same ordered queue as results, so
-// every result of the previous job has already been written when the
-// echo goes out. A nil reassign ignores such frames like any unknown
-// control message.
+// A reassign frame from a shared fleet moves the worker to another job.
+// reassign resolves the named function to a new processing function; the
+// switch is acknowledged by echoing the reassign frame AFTER the
+// resolution, which is the drain barrier the master waits on — the ack
+// rides the same ordered queue as results, so every result of the
+// previous job has already been written when the echo goes out. A nil
+// reassign ignores such frames like any unknown control message.
 //
 // Replies go out through a sendQueue: results that accumulate while the
 // previous write is in flight leave in one vectored write. Input frames
@@ -273,12 +272,10 @@ func WorkerServe[I, O any](ch Channel, in Codec[I], out Codec[O], f func(I) (O, 
 		}
 		var reply *proto.Message
 		switch m.Type {
-		case proto.TypeReassign, proto.TypeWelcome:
-			fn, rewelcome := m.Func, m.Type == proto.TypeWelcome
+		case proto.TypeReassign:
+			fn := m.Func
 			proto.Release(m)
-			if reassign == nil || (rewelcome && fn == "") {
-				// No hook, or a welcome that is not a re-welcome: a stray
-				// control frame.
+			if reassign == nil {
 				continue
 			}
 			nf, err := reassign(fn)

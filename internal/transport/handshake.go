@@ -11,9 +11,8 @@ import (
 // admitting side of a pool (RecvHello, then SendWelcome), so the protocol
 // cannot drift between them. Both frames travel in the channel's one wire
 // format like every other frame; the hello declares the API version
-// (proto.Version) and, for pool-aware volunteers, the processing
-// functions its registry resolves, and the welcome names the routed
-// function and the batch bound.
+// (proto.Version) and the processing functions the volunteer advertises,
+// and the welcome names the routed function and the batch bound.
 
 // Hello performs the volunteer side of the handshake on ch: it sends the
 // hello message (filling in Type and Version), validates the reply and

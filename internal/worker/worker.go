@@ -96,8 +96,8 @@ type Volunteer struct {
 	// shared pool routes and reassigns the device by. The single entry
 	// "*" advertises "any function" (pair it with Handler or Resolve).
 	// Empty advertises the global registry when Handler and Resolve are
-	// nil, and nothing otherwise — an un-advertised volunteer behaves
-	// exactly like a pre-pool device: routed once, never reassigned.
+	// nil, and nothing otherwise — a volunteer that advertises nothing is
+	// routed once, to a compatible job, and never reassigned.
 	Functions []string
 	// Resolve overrides the global registry lookup when non-nil, letting
 	// embedders (e.g. a pando.Pool's local workers) resolve reassignment
@@ -208,7 +208,8 @@ func (v *Volunteer) JoinRTC(signal transport.Channel, selfID, masterID string, d
 // advertised returns the function list the hello carries: the explicit
 // Functions override, or the global registry for registry-backed
 // volunteers. A volunteer with an explicit Handler or Resolve and no
-// override advertises nothing, which keeps it a pre-pool device.
+// override advertises nothing, so the pool routes it once, to a
+// compatible job, and never reassigns it.
 func (v *Volunteer) advertised() []string {
 	if len(v.Functions) > 0 {
 		return v.Functions
@@ -259,8 +260,7 @@ func (v *Volunteer) incarnation() (uint64, string) {
 }
 
 func (v *Volunteer) serve(ch transport.Channel) error {
-	// The Functions list (pool-aware volunteers) advertises the jobs the
-	// device can serve.
+	// The Functions list advertises the jobs the device can serve.
 	seq, nonce := v.incarnation()
 	welcome, err := transport.Hello(ch, &proto.Message{
 		Peer:      v.Name,
@@ -310,7 +310,7 @@ func (v *Volunteer) serve(ch transport.Channel) error {
 	}
 
 	// A pool master may reassign the device to another job mid-session (a
-	// re-welcome); switching the handler in place keeps the same
+	// reassign frame); switching the handler in place keeps the same
 	// connection, credits and accounting alive across jobs.
 	reassign := func(name string) (func([]byte) ([]byte, error), error) {
 		nh, err := v.resolve(name)

@@ -406,7 +406,7 @@ func (p *Pool) resolveHandler(name string) (worker.Handler, bool) {
 }
 
 // Workers snapshots the pool's live worker set: which device is leased
-// to which job and whether it is reassignable.
+// to which job, and in which state.
 func (p *Pool) Workers() []PoolWorker { return p.fp.Workers() }
 
 // Stats snapshots per-device accounting for every job, keyed by job
@@ -536,9 +536,9 @@ type Pando[I, O any] struct {
 // New creates a deployment that applies f, registered under name so that
 // generic volunteer binaries can resolve it (the Go substitute for
 // shipping browserified code). It is a single-job pool: the same
-// admission and leasing machinery as NewPool, serving
-// exactly one job — so every pre-pool deployment keeps working
-// unchanged.
+// admission and leasing machinery as NewPool, serving exactly one job. A
+// volunteer that advertises no function list is routed once, to that
+// job, and never reassigned.
 func New[I, O any](name string, f func(I) (O, error), opts ...Option) *Pando[I, O] {
 	pool := NewPool(opts...)
 	p := Map(pool, name, f, opts...)
