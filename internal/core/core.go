@@ -202,12 +202,18 @@ func (h subHandle[I, O]) Speculate(max int) int             { return h.l.Specula
 // duplex.Sink and its results flow out of duplex.Source, gated by the
 // processor's credit controller. It returns ErrEngineClosed after Close.
 func (d *DistributedMap[I, O]) Attach(name string, duplex pullstream.Duplex[I, O]) error {
+	return d.AttachMetered(name, func(*sched.Controller) pullstream.Duplex[I, O] { return duplex })
+}
+
+// AttachMetered is Attach for an endpoint that charges its inputs' wire
+// sizes to the processor's credit controller, which it is handed.
+func (d *DistributedMap[I, O]) AttachMetered(name string, endpoint func(*sched.Controller) pullstream.Duplex[I, O]) error {
 	if err := d.admit(name); err != nil {
 		return err
 	}
 	sub, sd := d.l.LendStreamNamed(name)
 	ctrl := d.s.Attach(name, subHandle[I, O]{l: d.l, sub: sub})
-	d.watch(name, sd, sched.Gate(ctrl, duplex)(sd.Source), ctrl)
+	d.watch(name, sd, sched.Gate(ctrl, endpoint(ctrl))(sd.Source), ctrl)
 	return nil
 }
 

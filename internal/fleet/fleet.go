@@ -313,7 +313,10 @@ func (p *Pool) severIncarnation(token string, seq uint64) {
 
 // place routes a session to a job, parking while none is registered.
 // exclude names a job that just failed to lease (it is skipped once).
+// The welcome named a job that refused, so the next job reaches the
+// worker in a reassign frame, as any move does.
 func (p *Pool) place(s *session, exclude Job) error {
+	welcomed := false
 	for {
 		p.mu.Lock()
 		if p.closed {
@@ -344,9 +347,13 @@ func (p *Pool) place(s *session, exclude Job) error {
 			return err
 		}
 		p.mu.Unlock()
+		if welcomed {
+			s.reassign(job)
+			return nil
+		}
 		if err := p.leaseTo(s, job); err != nil {
 			if errors.Is(err, errJobRefused) {
-				exclude = job
+				exclude, welcomed = job, true
 				continue
 			}
 			return err

@@ -239,6 +239,7 @@ func TestPoolDismissesWhenNoNextJob(t *testing.T) {
 		{"advertised list, one job", []string{"job-a"}, []string{"job-a"}, "", "job-a"},
 		{"empty list, two open jobs", nil, []string{"job-a", "job-b"}, "", "job-a"},
 		{"empty list, first job refuses", nil, []string{"job-a", "job-b"}, "job-a", "job-b"},
+		{"wildcard, first job refuses", []string{"*"}, []string{"job-a", "job-b"}, "job-a", "job-b"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := NewPool(Config{Rebalance: -1})
@@ -255,8 +256,32 @@ func TestPoolDismissesWhenNoNextJob(t *testing.T) {
 			}
 			ch := rawVolunteer(t, p, &proto.Message{Peer: "dev", Functions: tc.functions})
 			recvType(t, ch, proto.TypeWelcome)
+			if tc.refuse != "" {
+				// The welcome named the job that refused: the next one
+				// arrives in a reassign frame, before any input, and is
+				// leased on the echo.
+				got := make(chan *proto.Message, 1)
+				go func() {
+					m, _ := ch.Recv()
+					got <- m
+				}()
+				select {
+				case m := <-got:
+					if m == nil || m.Type != proto.TypeReassign || m.Func != tc.leased {
+						t.Fatalf("after the welcome: %+v, want a reassign to %s", m, tc.leased)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("no reassign to %s after the welcome named %s", tc.leased, tc.refuse)
+				}
+				if err := ch.Send(&proto.Message{Type: proto.TypeReassign, Func: tc.leased}); err != nil {
+					t.Fatal(err)
+				}
+			}
 			held := jobs[tc.leased]
 			lease := held.waitLease(t)
+			if refusing := jobs[tc.refuse]; refusing != nil {
+				refusing.setDemand(0) // a closing job has nothing left to lend
+			}
 
 			// A lease-less open job is the scan's receiver; the volunteer
 			// must not be the donor's victim.

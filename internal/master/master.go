@@ -159,8 +159,9 @@ type WorkerStats struct {
 	// InFlight is how many values the device currently holds (summed
 	// over its attachments — one per contributed core).
 	InFlight int
-	// Credits is the device's current credit window (summed over its
-	// attachments); with the static policy it equals attachments × batch.
+	// Credits is the device's credit window in values of the smoothed wire
+	// size, though an adaptive one holds bytes (summed over attachments);
+	// with the static policy it equals attachments × batch.
 	Credits int
 	// EWMARate is the scheduler's smoothed throughput estimate in items
 	// per second (summed over the device's attachments).
@@ -258,9 +259,11 @@ func (e *lane[I, O, U, R]) Bind(src pullstream.Source[I]) pullstream.Source[O] {
 }
 
 func (e *lane[I, O, U, R]) AttachChannel(name string, ch transport.Channel) error {
-	d := transport.MasterDuplex(ch, e.in, e.out)
-	d.Source = countResults(d.Source, e.row(name))
-	return e.Attach(name, d)
+	return e.AttachMetered(name, func(ctrl *sched.Controller) pullstream.Duplex[U, R] {
+		d := transport.MasterDuplex(ch, e.in, e.out, ctrl.Charge)
+		d.Source = countResults(d.Source, e.out, e.row(name))
+		return d
+	})
 }
 
 // Backlog rescales the unit-counted backlog to values.

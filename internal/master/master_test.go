@@ -364,7 +364,7 @@ func TestWorkerStatsItemsWithin(t *testing.T) {
 	now := time.Now().Truncate(time.Second)
 	var d device
 	for i := 0; i < 10; i++ {
-		d.record(now.Add(time.Duration(i) * time.Second))
+		d.record(now.Add(time.Duration(i)*time.Second), 1)
 	}
 	w := d.snapshot()
 	latest := now.Add(9 * time.Second)
@@ -379,12 +379,12 @@ func TestWorkerStatsItemsWithin(t *testing.T) {
 	}
 	// The one bucket of error: an item at t=6.5 is inside the window
 	// (6.4, 9.4] but in the second the window's far edge cuts through.
-	d.record(now.Add(6500 * time.Millisecond))
+	d.record(now.Add(6500*time.Millisecond), 1)
 	if got := w.ItemsWithin(3*time.Second, latest.Add(400*time.Millisecond)); got != 3 {
 		t.Fatalf("ItemsWithin(3s) at +0.4s = %d, want 3 (t=7,8,9; t=6.5 falls in the cut bucket)", got)
 	}
 	// The ring is reused: the same bucket MaxWindow later starts over.
-	d.record(now.Add(MaxWindow))
+	d.record(now.Add(MaxWindow), 1)
 	if got := d.snapshot().ItemsWithin(2*time.Second, now.Add(MaxWindow)); got != 1 {
 		t.Fatalf("recycled bucket holds %d items, want 1", got)
 	}
@@ -404,7 +404,7 @@ func TestDeviceAccountingBoundedAndExact(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	var wg sync.WaitGroup
 	for a := 0; a < attachments; a++ {
-		src := countResults(pullstream.Count(each), m.device("dev"))
+		src := countResults(pullstream.Count(each), transport.JSONCodec[int]{}, m.device("dev"))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

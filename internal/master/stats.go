@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"pando/internal/pullstream"
+	"pando/internal/transport"
 )
 
 // This file implements the evaluation's measurement methodology (§5.1):
@@ -27,14 +28,14 @@ const windowBuckets = int(MaxWindow / time.Second)
 // many items it processed.
 type itemWindow [windowBuckets]atomic.Uint64
 
-func (w *itemWindow) add(now time.Time) {
+func (w *itemWindow) add(now time.Time, n int) {
 	sec := uint64(uint32(now.Unix()))
 	b := &w[sec%uint64(windowBuckets)]
 	for {
 		old := b.Load()
-		next := old + 1
+		next := old + uint64(n)
 		if old>>32 != sec {
-			next = sec<<32 | 1 // the bucket still holds a second MaxWindow ago
+			next = sec<<32 | uint64(n) // the bucket still holds a second MaxWindow ago
 		}
 		if b.CompareAndSwap(old, next) {
 			return
@@ -72,10 +73,10 @@ type device struct {
 	window   itemWindow
 }
 
-func (d *device) record(now time.Time) {
-	d.items.Add(1)
+func (d *device) record(now time.Time, n int) {
+	d.items.Add(int64(n))
 	d.lastSeen.Store(now.UnixNano())
-	d.window.add(now)
+	d.window.add(now, n)
 }
 
 // snapshot returns the device's row with the counters read into it.
@@ -89,13 +90,13 @@ func (d *device) snapshot() WorkerStats {
 	return row
 }
 
-// countResults counts every result src delivers into d — the "result"
-// half of the §5.1 accounting, taken at the attachment, where the
-// device's row is already in hand, instead of by name per result.
-func countResults[R any](src pullstream.Source[R], d *device) pullstream.Source[R] {
-	return pullstream.Tap(src, func(end error, _ R) {
+// countResults counts the values of every result src delivers into d (a
+// group's, by out) — the "result" half of the §5.1 accounting, taken at
+// the attachment, where the device's row is already in hand.
+func countResults[R any](src pullstream.Source[R], out transport.Codec[R], d *device) pullstream.Source[R] {
+	return pullstream.Tap(src, func(end error, r R) {
 		if end == nil {
-			d.record(time.Now())
+			d.record(time.Now(), transport.Values(out, r))
 		}
 	})
 }

@@ -131,8 +131,13 @@ type Message struct {
 	// buf is the pooled frame buffer backing Data when the message was
 	// decoded from the arena's read path; Release returns it. See pool.go
 	// for the ownership rules.
-	buf []byte
+	buf  []byte
+	wire int // see WireLen
 }
+
+// WireLen is the length of the frame the last write of m produced, after
+// compression and any rewrite of m (a dedup reference) before it.
+func (m *Message) WireLen() int { return m.wire }
 
 // BatchItem is one element of a grouped input or result frame.
 type BatchItem struct {

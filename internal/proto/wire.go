@@ -34,7 +34,9 @@ func LookupFormat(name string) (*WireFormat, bool) {
 
 // WriteFrame encodes m as one frame on w.
 func (c *WireFormat) WriteFrame(w io.Writer, m *Message) error {
-	return writeFrame(w, c.appendCompressedFrame(GetBuf(binaryFrameSize(m)), m))
+	frame := c.appendCompressedFrame(GetBuf(binaryFrameSize(m)), m)
+	m.wire = len(frame)
+	return writeFrame(w, frame)
 }
 
 // ReadFrame decodes one frame from r; reading needs no per-channel state,
@@ -51,5 +53,6 @@ func (c *WireFormat) AppendFrame(dst []byte, m *Message) ([]byte, error) {
 	if len(dst)-start-4 > MaxFrameSize {
 		return dst[:start], ErrFrameTooLarge
 	}
+	m.wire = len(dst) - start
 	return dst, nil
 }

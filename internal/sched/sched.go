@@ -7,24 +7,38 @@
 // to the batch size — the single static bound on values in flight per
 // worker — and volunteer fleets are heterogeneous by definition: a fast
 // desktop and a throttled phone should not share one window. Each
-// Controller therefore sizes its worker's window as delay-based congestion
-// control (TCP Vegas) does. It smooths the result round-trip (ewmaRTT) and
-// keeps a base, the smallest round-trip of its last two sample buckets:
-// what a value costs when none of ours queues ahead of it. window × (1 −
-// base/ewmaRTT) estimates the in-flight values queueing beyond what the
-// path needs to stay busy. Under queueLow (α) they still hide transmission
-// latency, the purpose of batching in §5.5, and the window gains a credit
-// per windowful (per result in the initial slow start); over queueHigh (β)
-// they only wait on the device, costing fault-tolerance granularity and
-// tail latency for no throughput, and it loses one; a round-trip of
-// grossRatio × base (a stalled or throttled device) halves it. Moves other
-// than slow start's are a windowful apart: the results in flight were
-// queued under the window before. The base is windowed because a lifetime
-// minimum, taken on small or deduplicated payloads, makes every larger
-// payload read as permanent congestion; two rotating buckets re-base after
-// a change of payload mix. Lest a standing queue of our own become the
-// base, a rotation that finds one (even the newer bucket's smallest
-// round-trip met a queue) takes the estimated queue out of the window.
+// Controller therefore sizes its worker's window in wire bytes, as
+// delay-based congestion control (TCP Vegas) does, counting its
+// thresholds and moves in units, the EWMA wire size of one value. It
+// smooths the result round-trip (ewmaRTT) and keeps a base, the smallest
+// round-trip of its last two sample buckets: what a value costs when none
+// of ours queues ahead of it. window × (1 − base/ewmaRTT) estimates the
+// bytes in flight queueing beyond what the path needs to stay busy. Under
+// queueLow (α) units they still hide transmission latency, the purpose of
+// batching in §5.5, and the window gains a unit per windowful (per result
+// in the initial slow start); over queueHigh (β) they only wait on the
+// device, costing fault-tolerance granularity and tail latency for no
+// throughput, and it loses one; a round-trip of grossRatio × base (a
+// stalled or throttled device) halves it. Moves other than slow start's
+// are a windowful apart: the results in flight were queued under the
+// window before. It grows neither past Max units nor, after slow start,
+// while only Policy.Max, which caps the values in flight, or the input
+// held values back: 60 B dedup references would inflate it into a burst
+// of the next 16 KiB tiles. The base is windowed because a lifetime minimum, taken on
+// small or deduplicated payloads, makes every larger payload read as
+// permanent congestion; two rotating buckets re-base after a change of
+// payload mix, and a result rebaseGrowth units large restarts them. Lest
+// a standing queue of our own become the base, a rotation that finds one
+// (even the newer bucket's smallest round-trip met a queue) takes the
+// estimated queue out of the window.
+//
+// A value is charged from its admission: Sent charges a unit, the master
+// duplex raises it to the encoded length before the next admission and
+// sets the wire length, after dedup and compression, once the frame is
+// written (Charge); its result or Drop releases it, FIFO. Blob fetches (a
+// payload resent on a cache miss) are not charged. Until a wire length is
+// known the window counts values, and equal sizes make exactly the moves
+// a window of values makes; Static(n) holds n values whatever their size.
 //
 // The Scheduler aggregates the controllers of one engine. When the stream
 // nears its tail — workers are idle with parked asks at the StreamLender —
@@ -46,9 +60,10 @@
 // permanent congestion and collapses the window to its minimum. The
 // scheduler drops on detach (Detach and Close clear all pending
 // dispatches); an embedder driving a Controller through its own gate
-// calls Drop itself when it discards an in-flight value. The dispatch queue is a ring buffer: popping the head
-// does not pin the backing array, so a long-lived worker's queue stays
-// proportional to its window, not its history.
+// calls Drop itself when it discards an in-flight value. The dispatch
+// queue is a ring buffer: popping the head does not pin the backing array,
+// so a long-lived worker's queue stays proportional to its window, not its
+// history.
 package sched
 
 import (
@@ -62,8 +77,8 @@ import (
 
 // Policy is the per-worker flow-control policy of one engine.
 type Policy struct {
-	// Min and Max bound the credit window. Min == Max freezes the window
-	// — the static pull-limit of the original design.
+	// Min and Max bound the values in flight. Min == Max freezes the
+	// window — the static pull-limit of the original design.
 	Min, Max int
 	// Speculation enables speculative re-dispatch when > 0: near the tail
 	// of the stream, a worker whose oldest outstanding value is older than
@@ -74,27 +89,21 @@ type Policy struct {
 
 // Static returns the original fixed-window behavior: exactly n values in
 // flight per worker, no speculation.
-func Static(n int) Policy {
-	if n < 1 {
-		n = 1
-	}
-	return Policy{Min: n, Max: n}
-}
+func Static(n int) Policy { return Policy{Min: n, Max: n}.norm() }
 
 // Adaptive returns an adaptive policy probing each worker's window within
 // [min, max].
-func Adaptive(min, max int) Policy {
-	if min < 1 {
-		min = 1
-	}
-	if max < min {
-		max = min
-	}
-	return Policy{Min: min, Max: max}
-}
+func Adaptive(min, max int) Policy { return Policy{Min: min, Max: max}.norm() }
 
 // Adaptive reports whether the window may move.
 func (p Policy) Adaptive() bool { return p.Max > p.Min }
+
+// norm keeps at least one value in flight and Max no smaller than Min.
+func (p Policy) norm() Policy {
+	p.Min = max(p.Min, 1)
+	p.Max = max(p.Max, p.Min)
+	return p
+}
 
 // The window rule's constants (package comment): hold while the estimated
 // queue is within [queueLow, queueHigh], halve at grossRatio × base. A base
@@ -106,37 +115,42 @@ const (
 	baseBucket          = 32
 )
 
-// rttAlpha is the EWMA smoothing factor for round-trip samples.
-const rttAlpha = 0.3
-
-// rateAlpha is the EWMA smoothing factor for inter-result intervals.
-const rateAlpha = 0.2
+// EWMA factors for round-trips, result gaps and the wire size of one
+// value; a result rebaseGrowth times that size restarts the base.
+const rttAlpha, rateAlpha, unitAlpha, rebaseGrowth = 0.3, 0.2, 0.25, 4
 
 // Controller is the adaptive credit gate of one attached worker. It is a
 // generalization of the Limiter's token gate: values acquire a credit
-// before going in flight, results release one, and the number of credits
-// — the window — moves with the measured round-trip when the policy is
-// adaptive.
+// before going in flight, results release one, and the window moves with
+// the measured round-trip when the policy is adaptive.
 type Controller struct {
 	policy Policy
 
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	window   int
+	// window is in wire bytes once sized by a wire length, in values
+	// before; unit is the EWMA wire size of one value (1 until sized).
+	window   float64
+	unit     float64
+	bytes    float64 // charges of the values in flight
+	sized    bool
 	inFlight int
 	closed   bool
 
-	// sends[sendHead:] holds the dispatch time of each in-flight value,
-	// oldest first; results match FIFO, like the lender's own matching.
-	// Popping advances sendHead instead of re-slicing so the backing
-	// array is compacted (not pinned) as the queue drains; see
-	// popSendLocked.
-	sends    []time.Time
-	sendHead int
+	// sends[sendHead:] holds the dispatch time of each in-flight value and
+	// charges[chargeHead:] its charge, oldest first; results match FIFO,
+	// like the lender's own matching. released counts charges popped, so
+	// the k-th value Sent is charges[chargeHead+k-released-1].
+	sends      []time.Time
+	sendHead   int
+	charges    []float64
+	chargeHead int
+	released   uint64
 
 	slowStart bool
-	sinceMove int // results since the window last moved
+	sinceMove float64 // units released since the window last moved
+	filled    bool    // the window, not Max or the input, held back a value since then
 
 	bestRTT    float64 // seconds; base round-trip: min(baseCur, basePrev)
 	baseCur    float64 // seconds; smallest of the baseN latest round-trips
@@ -151,13 +165,8 @@ type Controller struct {
 // NewController returns a credit gate starting at the policy's minimum
 // window (a conservative slow start).
 func NewController(p Policy) *Controller {
-	if p.Min < 1 {
-		p.Min = 1
-	}
-	if p.Max < p.Min {
-		p.Max = p.Min
-	}
-	c := &Controller{policy: p, window: p.Min, slowStart: p.Adaptive(), baseCur: math.Inf(1), basePrev: math.Inf(1)}
+	p = p.norm()
+	c := &Controller{policy: p, window: float64(p.Min), unit: 1, slowStart: p.Adaptive(), baseCur: math.Inf(1), basePrev: math.Inf(1)}
 	c.cond = sync.NewCond(&c.mu)
 	return c
 }
@@ -167,24 +176,60 @@ func NewController(p Policy) *Controller {
 func (c *Controller) Acquire() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for c.inFlight >= c.window && !c.closed {
+	for !c.closed && !c.admitLocked() {
 		c.cond.Wait()
 	}
-	if c.closed {
+	return !c.closed
+}
+
+// admitLocked takes a credit if Min to Max values are in flight and their
+// charges plus half a unit fit the window (so equal sizes admit exactly
+// window/unit values); else it notes whether the window, not Max, held
+// the value back. Caller holds mu.
+func (c *Controller) admitLocked() bool {
+	if c.inFlight >= c.policy.Max || c.inFlight >= c.policy.Min && c.bytes+c.unit/2 > c.window {
+		c.filled = c.filled || c.inFlight < c.policy.Max
 		return false
 	}
 	c.inFlight++
 	return true
 }
 
-// Sent records the dispatch time of a value that just went in flight.
-// It is deliberately separate from Acquire: a credit may be held for a
-// long time waiting for the upstream to produce a value, and that wait
-// must not count as worker round-trip.
+// Sent records the dispatch time of a value that just went in flight and
+// charges it one unit until Charge says more. It is deliberately separate
+// from Acquire: a credit may be held for a long time waiting for the
+// upstream to produce a value, and that wait must not count as worker
+// round-trip.
 func (c *Controller) Sent() {
 	c.mu.Lock()
-	c.sends = append(c.sends, time.Now())
+	c.sends, c.charges = append(c.sends, time.Now()), append(c.charges, c.unit)
+	c.bytes += c.unit
 	c.mu.Unlock()
+}
+
+// Charge sets the bytes, n > 0, that the k-th value Sent (from 1) costs:
+// the encoded length, which only raises the charge, then the wire length
+// (wire), the first of which turns the window from values into bytes.
+func (c *Controller) Charge(k uint64, n int, wire bool) {
+	if !c.policy.Adaptive() {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	bytes, window, size := c.bytes, c.window, float64(n)
+	if i := c.chargeHead + int(k-c.released) - 1; k > c.released && i < len(c.charges) {
+		if !wire {
+			size = max(size, c.charges[i])
+		}
+		c.bytes += size - c.charges[i]
+		c.charges[i] = size
+	}
+	if wire && !c.sized {
+		c.sized, c.window, c.unit = true, c.window*size, size
+	}
+	if c.bytes < bytes || c.window > window {
+		c.cond.Signal()
+	}
 }
 
 // Cancel returns an acquired credit whose value never went in flight
@@ -198,46 +243,59 @@ func (c *Controller) Cancel() {
 	c.cond.Signal()
 }
 
-// popSendLocked removes and returns the oldest pending dispatch time.
-// The head index advances instead of re-slicing, and the live window is
+// popFront removes and returns the oldest entry of the FIFO (*q)[*head:].
+// The head index advances instead of re-slicing, and the live part is
 // copied down once the dead prefix dominates, so the backing array never
-// pins the full dispatch history of a long-lived worker. Caller holds mu.
-func (c *Controller) popSendLocked() (time.Time, bool) {
-	if c.sendHead >= len(c.sends) {
-		return time.Time{}, false
+// pins the full history of a long-lived worker.
+func popFront[T any](q *[]T, head *int) (T, bool) {
+	var zero T
+	if *head >= len(*q) {
+		return zero, false
 	}
-	at := c.sends[c.sendHead]
-	c.sends[c.sendHead] = time.Time{}
-	c.sendHead++
-	if c.sendHead == len(c.sends) {
-		c.sends = c.sends[:0]
-		c.sendHead = 0
-	} else if c.sendHead > 32 && c.sendHead > len(c.sends)/2 {
-		n := copy(c.sends, c.sends[c.sendHead:])
-		c.sends = c.sends[:n]
-		c.sendHead = 0
+	v := (*q)[*head]
+	(*q)[*head] = zero
+	*head++
+	if *head == len(*q) {
+		*q, *head = (*q)[:0], 0
+	} else if *head > 32 && *head > len(*q)/2 {
+		n := copy(*q, (*q)[*head:])
+		*q, *head = (*q)[:n], 0
 	}
-	return at, true
+	return v, true
 }
 
-// Drop discards the oldest pending dispatch and releases its credit: the
-// caller knows that value will never produce a result frame (worker
-// detached mid-flight, or the value was deduplicated upstream), so pairing
-// its dispatch time with the next result would mis-measure every later
-// round-trip. It reports whether a pending dispatch existed.
+// releaseLocked pops the oldest charge; an uncharged value costs a unit.
+func (c *Controller) releaseLocked() float64 {
+	charge, ok := popFront(&c.charges, &c.chargeHead)
+	if !ok {
+		return c.unit
+	}
+	c.released++
+	c.bytes -= charge
+	return charge
+}
+
+// Drop discards the oldest pending dispatch and releases its credit and
+// charge: the caller knows that value will never produce a result frame
+// (worker detached mid-flight, or the value was deduplicated upstream), so
+// pairing its dispatch time with the next result would mis-measure every
+// later round-trip. It reports whether a pending dispatch existed.
 func (c *Controller) Drop() bool {
 	c.mu.Lock()
-	_, ok := c.popSendLocked()
-	if ok && c.inFlight > 0 {
-		c.inFlight--
+	_, ok := popFront(&c.sends, &c.sendHead)
+	if ok {
+		c.releaseLocked()
+		if c.inFlight > 0 {
+			c.inFlight--
+		}
 	}
 	c.mu.Unlock()
 	c.cond.Signal()
 	return ok
 }
 
-// Result releases one credit for a returned result and feeds the
-// adaptive window with the measured round-trip.
+// Result releases one credit and the oldest charge for a returned result
+// and feeds the adaptive window with the measured round-trip.
 func (c *Controller) Result() { c.resultAt(time.Now()) }
 
 // resultAt is Result with the arrival time given (tests pass exact ones).
@@ -247,9 +305,16 @@ func (c *Controller) resultAt(now time.Time) {
 		c.inFlight--
 	}
 	var rtt float64
-	if at, ok := c.popSendLocked(); ok {
+	if at, ok := popFront(&c.sends, &c.sendHead); ok {
 		rtt = now.Sub(at).Seconds()
 	}
+	charge := c.releaseLocked()
+	released := charge / c.unit
+	if charge > rebaseGrowth*c.unit {
+		// A base taken on far smaller values says nothing of this one's.
+		c.bestRTT, c.baseCur, c.basePrev, c.baseN = math.Inf(1), math.Inf(1), math.Inf(1), 0
+	}
+	c.unit += unitAlpha * (charge - c.unit)
 	if !c.lastResult.IsZero() {
 		gap := now.Sub(c.lastResult).Seconds()
 		if c.ewmaGap == 0 {
@@ -272,58 +337,64 @@ func (c *Controller) resultAt(now time.Time) {
 		// Rotate. A queue that never emptied while the newer bucket filled
 		// (its smallest round-trip met half a value or more) is standing.
 		standing := false
-		if c.baseN >= baseBucket && c.baseN >= 4*c.window {
-			standing = float64(c.window)*(1-c.bestRTT/c.baseCur) >= 0.5
+		if w := c.window / c.unit; c.baseN >= baseBucket && float64(c.baseN) >= 4*w {
+			standing = w*(1-c.bestRTT/c.baseCur) >= 0.5
 			c.basePrev, c.baseCur, c.baseN = c.baseCur, math.Inf(1), 0
 		}
-		c.adaptLocked(standing)
+		c.adaptLocked(standing, released)
 	}
 	c.mu.Unlock()
 	c.cond.Signal()
 }
 
-// queuedLocked estimates how many in-flight values queue beyond what the
+// queuedLocked estimates how many units in flight queue beyond what the
 // path needs: window × (1 − base/ewmaRTT). Caller holds c.mu.
 func (c *Controller) queuedLocked() float64 {
 	if c.ewmaRTT <= c.bestRTT {
 		return 0
 	}
-	return float64(c.window) * (1 - c.bestRTT/c.ewmaRTT)
+	return c.window / c.unit * (1 - c.bestRTT/c.ewmaRTT)
 }
 
 // adaptLocked moves the window by the rule in the package comment;
-// standing reports a bucket rotation that found a queue. Caller holds c.mu.
-func (c *Controller) adaptLocked(standing bool) {
+// standing reports a bucket rotation that found a queue, released the
+// units the result gave back. Caller holds c.mu.
+func (c *Controller) adaptLocked(standing bool, released float64) {
 	if !c.policy.Adaptive() {
 		return
 	}
+	w := c.window / c.unit
 	queued := c.queuedLocked()
 	gross := c.ewmaRTT >= grossRatio*c.bestRTT
 	c.slowStart = c.slowStart && queued < queueLow && !gross
-	c.sinceMove++
-	w := c.window
+	c.sinceMove += released
+	nw := w
 	switch {
 	case standing:
-		w -= int(queued + 0.5)
+		nw -= math.Floor(queued + 0.5)
 	case c.slowStart:
-		w++
-	case c.sinceMove < c.window: // results in flight still carry the last window's queue
+		nw++
+	case c.sinceMove < w: // results in flight still carry the last window's queue
 	case gross:
-		w /= 2
+		nw = math.Floor(nw / 2)
 	case queued < queueLow:
-		w++
+		nw++
 	case queued > queueHigh:
-		w--
+		nw--
 	}
-	w = min(max(w, c.policy.Min), c.policy.Max)
-	if w == c.window {
+	// Past slow start a sized window grows only if it held a value back.
+	if nw > w && c.sized && !c.filled && !c.slowStart {
+		nw = w
+	}
+	nw = max(min(nw, max(w, float64(c.policy.Max))), float64(c.policy.Min))
+	if nw == w {
 		return
 	}
-	if w > c.window {
+	if nw > w {
 		c.cond.Broadcast()
 	}
 	// After a cut, the values beyond the new window are in flight as well.
-	c.window, c.sinceMove = w, min(0, w-c.window)
+	c.window, c.sinceMove, c.filled = nw*c.unit, min(0, nw-w), false
 }
 
 // Close releases all blocked acquirers; they report failure. Pending
@@ -333,8 +404,8 @@ func (c *Controller) adaptLocked(standing bool) {
 func (c *Controller) Close() {
 	c.mu.Lock()
 	c.closed = true
-	c.sends = nil
-	c.sendHead = 0
+	c.sends, c.sendHead = nil, 0
+	c.charges, c.chargeHead, c.bytes = nil, 0, 0
 	c.mu.Unlock()
 	c.cond.Broadcast()
 }
@@ -346,11 +417,15 @@ func (c *Controller) pendingSends() int {
 	return len(c.sends) - c.sendHead
 }
 
-// Window returns the current credit window.
+// Window returns the credit window in values of the EWMA wire size.
 func (c *Controller) Window() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.window
+	return c.windowLocked()
+}
+
+func (c *Controller) windowLocked() int {
+	return min(max(int(c.window/c.unit+0.5), c.policy.Min), c.policy.Max)
 }
 
 // InFlight returns how many values currently hold a credit.
@@ -379,8 +454,10 @@ func (c *Controller) Rate() float64 {
 }
 
 // Gate wraps the duplex endpoint d into a Through that lets at most the
-// controller's current window of values in flight:
-// pull(sub.Source, Gate(c, d), sub.Sink). With a Static(n) controller it
+// controller's current window in flight:
+// pull(sub.Source, Gate(c, d), sub.Sink). A duplex that charges its values
+// to c (transport.MasterDuplex) makes that window one of wire bytes; the
+// gate's own Sent charges each value one unit. With a Static(n) controller it
 // is the paper's Limiter (pull-limit, §2.4.3 and Figure 9): network
 // duplexes read eagerly on their sending side, and without a bound they
 // would drain the whole input into one worker's buffers, destroying
@@ -449,7 +526,7 @@ type WorkerFlow struct {
 	Name string
 	// InFlight is how many values currently hold a credit.
 	InFlight int
-	// Window is the current credit window.
+	// Window is the credit window in values of the EWMA wire size.
 	Window int
 	// Rate is the smoothed throughput in items per second.
 	Rate float64
@@ -490,22 +567,13 @@ type Scheduler struct {
 // non-zero means the stream is near its tail and spare capacity exists;
 // it may be nil when speculation is disabled.
 func New(p Policy, parked func() int) *Scheduler {
-	if p.Min < 1 {
-		p.Min = 1
-	}
-	if p.Max < p.Min {
-		p.Max = p.Min
-	}
 	return &Scheduler{
-		policy:  p,
+		policy:  p.norm(),
 		parked:  parked,
 		entries: make(map[*Controller]*entry),
 		stop:    make(chan struct{}),
 	}
 }
-
-// Policy returns the scheduler's policy.
-func (s *Scheduler) Policy() Policy { return s.policy }
 
 // SetCreditWeight installs a per-worker credit weight in [0, 1],
 // consulted at Attach time: the verification layer's reputation ledger
@@ -537,21 +605,10 @@ func (s *Scheduler) weightedPolicy(name string) Policy {
 	if w >= 1 {
 		return p
 	}
-	if w < 0 {
-		w = 0
-	}
-	scale := func(n int) int {
-		v := int(float64(n)*w + 0.5)
-		if v < 1 {
-			v = 1
-		}
-		return v
-	}
+	scale := func(n int) int { return max(int(float64(n)*max(w, 0)+0.5), 1) }
 	if p.Adaptive() {
 		p.Max = scale(p.Max)
-		if p.Max < p.Min {
-			p.Min = p.Max
-		}
+		p.Min = min(p.Min, p.Max)
 		return p
 	}
 	p.Min = scale(p.Min)
@@ -602,7 +659,7 @@ func (s *Scheduler) Flows() []WorkerFlow {
 		out = append(out, WorkerFlow{
 			Name:       e.name,
 			InFlight:   e.ctrl.inFlight,
-			Window:     e.ctrl.window,
+			Window:     e.ctrl.windowLocked(),
 			Speculated: e.ctrl.speculated,
 			RTT:        time.Duration(e.ctrl.ewmaRTT * float64(time.Second)),
 			BaseRTT:    time.Duration(e.ctrl.bestRTT * float64(time.Second)),
@@ -676,12 +733,7 @@ func (s *Scheduler) scanOnce() time.Duration {
 	interval := idleScan
 	if median > 0 {
 		interval = time.Duration(median * s.policy.Speculation / 4 * float64(time.Second))
-		if interval < minScanInterval {
-			interval = minScanInterval
-		}
-		if interval > maxScanInterval {
-			interval = maxScanInterval
-		}
+		interval = min(max(interval, minScanInterval), maxScanInterval)
 	}
 	idle := s.parked()
 	if idle <= 0 || median <= 0 {

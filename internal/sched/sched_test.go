@@ -63,8 +63,15 @@ func TestControllerSlowStartGrowsToMax(t *testing.T) {
 // queueModel is a single-server queue behind a fixed delay: a value
 // nothing queues ahead of comes back after d, the server takes s per
 // value, so the path holds knee = d/s values and each one beyond them
-// waits another s: RTT = d + queued·s.
-type queueModel struct{ d, s time.Duration }
+// waits another s: RTT = d + queued·s. With a bandwidth bw (bytes per
+// second) the server is a link instead: value i takes size(i)/bw of it,
+// and up to jitter more on its way back (link, in sized_test.go).
+type queueModel struct {
+	d, s   time.Duration
+	bw     float64
+	size   func(i int) int
+	jitter time.Duration
+}
 
 func (q queueModel) knee() int { return int(q.d / q.s) }
 

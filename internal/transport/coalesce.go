@@ -56,6 +56,7 @@ func SendAll(ch Channel, ms []*proto.Message) error {
 // released only after it is written.
 type sendQueue struct {
 	ch      Channel
+	charge  func(seq uint64, n int, wire bool) // told each input's wire length; nil on the worker side
 	mu      sync.Mutex
 	cond    *sync.Cond
 	pending []*proto.Message // frames awaiting the next vectored write
@@ -65,8 +66,8 @@ type sendQueue struct {
 	wg      sync.WaitGroup
 }
 
-func newSendQueue(ch Channel) *sendQueue {
-	q := &sendQueue{ch: ch}
+func newSendQueue(ch Channel, charge func(uint64, int, bool)) *sendQueue {
+	q := &sendQueue{ch: ch, charge: charge}
 	q.cond = sync.NewCond(&q.mu)
 	q.wg.Add(1)
 	go q.run()
@@ -91,6 +92,11 @@ func (q *sendQueue) run() {
 			err := SendAll(q.ch, batch)
 			for _, m := range frames {
 				proto.Release(m)
+			}
+			for _, m := range batch {
+				if n := m.WireLen(); q.charge != nil && m.Seq > 0 && n > 0 {
+					q.charge(m.Seq, n, true)
+				}
 			}
 			clear(batch)
 			clear(frames)

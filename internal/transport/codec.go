@@ -140,6 +140,16 @@ func (c ListCodec[T]) decodeItems(items []proto.BatchItem) ([]T, error) {
 	return vs, nil
 }
 
+// Values is how many values v is under c: a ListCodec group's length, or 1.
+func Values[T any](c Codec[T], v T) int {
+	if list, ok := c.(interface{ count(T) int }); ok {
+		return list.count(v)
+	}
+	return 1
+}
+
+func (ListCodec[T]) count(vs []T) int { return len(vs) }
+
 // batchCodec is how MasterDuplex tells a list codec from a plain one: a
 // codec with the item methods travels as batch frames.
 type batchCodec[T any] interface {

@@ -55,7 +55,7 @@ func TestMasterDuplexRejectsDigestMismatch(t *testing.T) {
 
 func testDigestMismatch[T any](t *testing.T, codec Codec[T], input T, wantFrame proto.Type) {
 	master, workerCh, _ := wsockPair(t, netsim.Loopback, Config{HeartbeatInterval: -1})
-	d := MasterDuplex(master, codec, codec)
+	d := MasterDuplex(master, codec, codec, nil)
 	go d.Sink(pullstream.Values(input))
 
 	m, err := workerCh.Recv()
@@ -86,7 +86,7 @@ func testDigestMismatch[T any](t *testing.T, codec Codec[T], input T, wantFrame 
 // and a frame with no digest at all (older peer) is accepted unchecked.
 func TestMasterDuplexAcceptsDigestedAndBareResults(t *testing.T) {
 	master, workerCh, _ := wsockPair(t, netsim.Loopback, Config{HeartbeatInterval: -1})
-	d := MasterDuplex(master, JSONCodec[int]{}, JSONCodec[int]{})
+	d := MasterDuplex(master, JSONCodec[int]{}, JSONCodec[int]{}, nil)
 
 	inputs := []int{1, 2}
 	go d.Sink(func(abort error, cb pullstream.Callback[int]) {

@@ -64,6 +64,9 @@ func (e *WorkerError) Error() string {
 // TypeInputBatch and accepts TypeResultBatch frames (binary batches,
 // proto.EncodeBatch).
 //
+// charge, when not nil, is told each input's payload length as soon as
+// its frame is made and its wire length once written (sched.Controller).
+//
 // Failure semantics: a channel error (including heartbeat timeout) or an
 // application error reported by the worker ends the Source with an error,
 // which the StreamLender converts into re-lending.
@@ -79,11 +82,11 @@ func (e *WorkerError) Error() string {
 // output survives. (The chaos suite's packet-drop fault is what forces
 // this: a cleanly dropped result frame leaves the stream parseable, so
 // only the Seq discipline can detect it.)
-func MasterDuplex[I, O any](ch Channel, in Codec[I], out Codec[O]) pullstream.Duplex[I, O] {
+func MasterDuplex[I, O any](ch Channel, in Codec[I], out Codec[O], charge func(seq uint64, n int, wire bool)) pullstream.Duplex[I, O] {
 	inList, _ := any(in).(batchCodec[I])
 	return pullstream.Duplex[I, O]{
 		Sink: func(src pullstream.Source[I]) {
-			q := newSendQueue(ch)
+			q := newSendQueue(ch, charge)
 			defer q.close()
 			var seq uint64
 			pull := pullstream.NewPuller(src)
@@ -109,6 +112,9 @@ func MasterDuplex[I, O any](ch Channel, in Codec[I], out Codec[O]) pullstream.Du
 				}
 				seq++
 				m.Seq = seq
+				if charge != nil {
+					charge(seq, len(m.Data), false)
+				}
 				if !q.enqueue(m, nil) {
 					// Channel failed mid-batch: stop pulling. The Source
 					// side reports the error to the lender.
@@ -261,7 +267,7 @@ func decodeBatchResult[O any](m *proto.Message, list batchCodec[O]) (O, error) {
 // retain its (possibly frame-aliasing) argument past return — the
 // contract worker.Handler documents.
 func WorkerServe[I, O any](ch Channel, in Codec[I], out Codec[O], f func(I) (O, error), reassign func(name string) (func(I) (O, error), error)) error {
-	q := newSendQueue(ch)
+	q := newSendQueue(ch, nil)
 	for {
 		m, err := ch.Recv()
 		if err != nil {

@@ -61,7 +61,7 @@ func releaseGate[T any](t *testing.T, c Codec[T], value func(string) T) {
 	for i := range values {
 		values[i] = value(fmt.Sprintf("%s %03d", marker, i))
 	}
-	d := MasterDuplex[T, T](masterCh, c, c)
+	d := MasterDuplex[T, T](masterCh, c, c, nil)
 	sunk := make(chan struct{})
 	go func() { d.Sink(pullstream.Values(values...)); close(sunk) }()
 	got, err := pullstream.Collect(d.Source)

@@ -36,7 +36,7 @@ func TestBatchEncodeDecodeRoundTrip(t *testing.T) {
 func groupedPipeline(masterCh Channel, group, inFlight int) pullstream.Through[int, int] {
 	return func(src pullstream.Source[int]) pullstream.Source[int] {
 		grouped := pullstream.Group[int](group)(src)
-		d := MasterDuplex[[]int, []int](masterCh, listOf, listOf)
+		d := MasterDuplex[[]int, []int](masterCh, listOf, listOf, nil)
 		results := sched.Gate(sched.NewController(sched.Static(inFlight)), d)(grouped)
 		return pullstream.Flatten[int]()(results)
 	}
@@ -73,7 +73,7 @@ func TestListCodecRoundTrip(t *testing.T) {
 // result's Err — not as an unrelated batch-decode failure.
 func TestMasterDuplexBatchErrIsWorkerError(t *testing.T) {
 	master, workerCh, _ := wsockPair(t, netsim.Loopback, Config{HeartbeatInterval: -1})
-	d := MasterDuplex(master, listOf, listOf)
+	d := MasterDuplex(master, listOf, listOf, nil)
 	go d.Sink(pullstream.Values([]int{1, 2}))
 
 	m, err := workerCh.Recv()
@@ -216,7 +216,7 @@ func TestWorkerServeHandlesPlainInputs(t *testing.T) {
 		return v + 1, nil
 	}, nil)
 
-	d := MasterDuplex[int, int](masterCh, JSONCodec[int]{}, JSONCodec[int]{})
+	d := MasterDuplex[int, int](masterCh, JSONCodec[int]{}, JSONCodec[int]{}, nil)
 	go d.Sink(pullstream.Count(5))
 	got, err := pullstream.Collect(d.Source)
 	if err != nil {

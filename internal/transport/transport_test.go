@@ -314,7 +314,7 @@ func TestMasterDuplexWorkerServeRoundTrip(t *testing.T) {
 		}
 	}()
 
-	d := MasterDuplex[int, int](masterCh, JSONCodec[int]{}, JSONCodec[int]{})
+	d := MasterDuplex[int, int](masterCh, JSONCodec[int]{}, JSONCodec[int]{}, nil)
 	go d.Sink(pullstream.Count(100))
 	got, err := pullstream.Collect(d.Source)
 	if err != nil {
@@ -344,7 +344,7 @@ func TestMasterDuplexWorkerApplicationError(t *testing.T) {
 		return v, nil
 	}, nil)
 
-	d := MasterDuplex[int, int](masterCh, JSONCodec[int]{}, JSONCodec[int]{})
+	d := MasterDuplex[int, int](masterCh, JSONCodec[int]{}, JSONCodec[int]{}, nil)
 	go d.Sink(pullstream.Count(10))
 	got, err := pullstream.Collect(d.Source)
 	var werr *WorkerError
@@ -366,7 +366,7 @@ func TestMasterDuplexWorkerCrash(t *testing.T) {
 		return v, nil
 	}, nil)
 
-	d := MasterDuplex[int, int](masterCh, JSONCodec[int]{}, JSONCodec[int]{})
+	d := MasterDuplex[int, int](masterCh, JSONCodec[int]{}, JSONCodec[int]{}, nil)
 	go d.Sink(pullstream.Count(100))
 
 	// Pull two results, then crash the link while values are in flight.

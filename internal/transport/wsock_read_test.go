@@ -358,8 +358,10 @@ func TestWSockRouteDeliversInOrder(t *testing.T) {
 func TestWSockRouteAfterFailure(t *testing.T) {
 	stream, _ := frameStream(t, 3, func(int) int { return 5 })
 	w := NewWSock(newScriptedConn(bytes.NewReader(stream)), Config{HeartbeatInterval: -1})
-	for w.Err() == ErrChannelClosed { // wait for the EOF
-		runtime.Gosched()
+	for exited := false; !exited; runtime.Gosched() { // wait for the read loop to end at the EOF
+		w.dmu.Lock()
+		exited = w.exited
+		w.dmu.Unlock()
 	}
 	var got []uint64
 	ended := false

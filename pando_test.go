@@ -369,6 +369,15 @@ func TestWithGroupEndToEnd(t *testing.T) {
 			t.Fatalf("got[%d] = %d (ordered through grouped frames)", i, v)
 		}
 	}
+	// §5.1's cross-check counts values, not groups: twelve groups of four
+	// and a last group of two.
+	items := 0
+	for _, w := range p.Stats() {
+		items += w.Items
+	}
+	if items != 50 || p.TotalItems() != 50 {
+		t.Fatalf("devices report %d items and TotalItems %d, want 50 (the values, not the groups)", items, p.TotalItems())
+	}
 }
 
 func TestWithGroupCrashRecovery(t *testing.T) {
