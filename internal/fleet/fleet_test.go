@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -279,8 +280,11 @@ func TestPoolDismissesWhenNoNextJob(t *testing.T) {
 			}
 			held := jobs[tc.leased]
 			lease := held.waitLease(t)
-			if refusing := jobs[tc.refuse]; refusing != nil {
-				refusing.setDemand(0) // a closing job has nothing left to lend
+			if refusing := jobs[tc.refuse]; refusing != nil && slices.Contains(tc.functions, "*") {
+				// A closing job has nothing left to lend; with demand the
+				// scan would move a "*" volunteer back to it. The pinned
+				// empty-list volunteer keeps it as the scan's receiver.
+				refusing.setDemand(0)
 			}
 
 			// A lease-less open job is the scan's receiver; the volunteer

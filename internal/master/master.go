@@ -159,9 +159,8 @@ type WorkerStats struct {
 	// InFlight is how many values the device currently holds (summed
 	// over its attachments — one per contributed core).
 	InFlight int
-	// Credits is the device's credit window in values of the smoothed wire
-	// size, though an adaptive one holds bytes (summed over attachments);
-	// with the static policy it equals attachments × batch.
+	// Credits is the device's credit window in values, summed over its
+	// attachments: batch each if static, else bytes ÷ the EWMA value size.
 	Credits int
 	// EWMARate is the scheduler's smoothed throughput estimate in items
 	// per second (summed over the device's attachments).

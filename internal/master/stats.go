@@ -94,9 +94,10 @@ func (d *device) snapshot() WorkerStats {
 // group's, by out) — the "result" half of the §5.1 accounting, taken at
 // the attachment, where the device's row is already in hand.
 func countResults[R any](src pullstream.Source[R], out transport.Codec[R], d *device) pullstream.Source[R] {
+	values := transport.Values(out)
 	return pullstream.Tap(src, func(end error, r R) {
 		if end == nil {
-			d.record(time.Now(), transport.Values(out, r))
+			d.record(time.Now(), values(r))
 		}
 	})
 }

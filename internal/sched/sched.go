@@ -7,38 +7,37 @@
 // to the batch size — the single static bound on values in flight per
 // worker — and volunteer fleets are heterogeneous by definition: a fast
 // desktop and a throttled phone should not share one window. Each
-// Controller therefore sizes its worker's window in wire bytes, as
-// delay-based congestion control (TCP Vegas) does, counting its
-// thresholds and moves in units, the EWMA wire size of one value. It
-// smooths the result round-trip (ewmaRTT) and keeps a base, the smallest
-// round-trip of its last two sample buckets: what a value costs when none
-// of ours queues ahead of it. window × (1 − base/ewmaRTT) estimates the
-// bytes in flight queueing beyond what the path needs to stay busy. Under
-// queueLow (α) units they still hide transmission latency, the purpose of
-// batching in §5.5, and the window gains a unit per windowful (per result
-// in the initial slow start); over queueHigh (β) they only wait on the
-// device, costing fault-tolerance granularity and tail latency for no
-// throughput, and it loses one; a round-trip of grossRatio × base (a
-// stalled or throttled device) halves it. Moves other than slow start's
-// are a windowful apart: the results in flight were queued under the
-// window before. It grows neither past Max units nor, after slow start,
-// while only Policy.Max, which caps the values in flight, or the input
-// held values back: 60 B dedup references would inflate it into a burst
-// of the next 16 KiB tiles. The base is windowed because a lifetime minimum, taken on
-// small or deduplicated payloads, makes every larger payload read as
-// permanent congestion; two rotating buckets re-base after a change of
-// payload mix, and a result rebaseGrowth units large restarts them. Lest
-// a standing queue of our own become the base, a rotation that finds one
-// (even the newer bucket's smallest round-trip met a queue) takes the
-// estimated queue out of the window.
+// Controller therefore sizes its worker's window in wire bytes as
+// delay-based congestion control (TCP Vegas) does, counting thresholds and
+// moves in units, the EWMA wire size of one value. It smooths the result
+// round-trip (ewmaRTT) and keeps a base, the smallest round-trip of its
+// last two sample buckets: what a value costs when none of ours queues
+// ahead of it. window × (1 − base/ewmaRTT) estimates the bytes queueing
+// beyond what the path needs to stay busy. Under queueLow (α) units they
+// still hide transmission latency, the purpose of batching in §5.5, and
+// the window gains a unit per windowful (per result in the initial slow
+// start); over queueHigh (β) they only wait on the device, costing
+// fault-tolerance granularity and tail latency for no throughput, and it
+// loses one; a round-trip of grossRatio × base (a stalled or throttled
+// device) halves it. Moves other than slow start's are a windowful apart:
+// the results in flight were queued under the window before. It grows
+// neither past Max units nor, after slow start, while Policy.Max (a cap on
+// values) or the input held values back, lest 60 B dedup references
+// inflate it into a burst of 16 KiB tiles. The base is windowed because a
+// lifetime minimum, taken on small or deduplicated payloads, makes every
+// larger payload read as permanent congestion; two rotating buckets
+// re-base after a change of payload mix, and a result rebaseGrowth units
+// large restarts them. Lest a standing queue of our own become the base,
+// a rotation that finds one (even the newer bucket's smallest round-trip
+// met a queue) takes the estimated queue out of the window.
 //
-// A value is charged from its admission: Sent charges a unit, the master
-// duplex raises it to the encoded length before the next admission and
-// sets the wire length, after dedup and compression, once the frame is
-// written (Charge); its result or Drop releases it, FIFO. Blob fetches (a
-// payload resent on a cache miss) are not charged. Until a wire length is
-// known the window counts values, and equal sizes make exactly the moves
-// a window of values makes; Static(n) holds n values whatever their size.
+// A value is charged from admission: Sent charges a unit, Charge raises it
+// to the encoded length before the next admission and sets the wire
+// length, after dedup and compression, once the frame is written; its
+// result or Drop releases it, FIFO. Blob fetches (a payload resent on a
+// cache miss) are not charged. Until a wire length is known the window
+// counts values, and equal sizes move it exactly as values do. Static
+// policies keep no charges: Static(n) holds n values whatever their size.
 //
 // The Scheduler aggregates the controllers of one engine. When the stream
 // nears its tail — workers are idle with parked asks at the StreamLender —
@@ -195,21 +194,24 @@ func (c *Controller) admitLocked() bool {
 	return true
 }
 
-// Sent records the dispatch time of a value that just went in flight and
-// charges it one unit until Charge says more. It is deliberately separate
-// from Acquire: a credit may be held for a long time waiting for the
-// upstream to produce a value, and that wait must not count as worker
-// round-trip.
+// Sent records the dispatch time of a value that just went in flight and,
+// under an adaptive policy, charges it one unit until Charge says more.
+// It is deliberately separate from Acquire: a credit may be held for a
+// long time waiting for the upstream to produce a value, and that wait
+// must not count as worker round-trip.
 func (c *Controller) Sent() {
 	c.mu.Lock()
-	c.sends, c.charges = append(c.sends, time.Now()), append(c.charges, c.unit)
-	c.bytes += c.unit
+	c.sends = append(c.sends, time.Now())
+	if c.policy.Adaptive() {
+		c.charges, c.bytes = append(c.charges, c.unit), c.bytes+c.unit
+	}
 	c.mu.Unlock()
 }
 
 // Charge sets the bytes, n > 0, that the k-th value Sent (from 1) costs:
 // the encoded length, which only raises the charge, then the wire length
 // (wire), the first of which turns the window from values into bytes.
+// Static policies keep no charges.
 func (c *Controller) Charge(k uint64, n int, wire bool) {
 	if !c.policy.Adaptive() {
 		return
@@ -221,11 +223,10 @@ func (c *Controller) Charge(k uint64, n int, wire bool) {
 		if !wire {
 			size = max(size, c.charges[i])
 		}
-		c.bytes += size - c.charges[i]
-		c.charges[i] = size
+		c.bytes, c.charges[i] = c.bytes+size-c.charges[i], size
 	}
 	if wire && !c.sized {
-		c.sized, c.window, c.unit = true, c.window*size, size
+		c.sized, c.window, c.unit = true, c.window/c.unit*size, size
 	}
 	if c.bytes < bytes || c.window > window {
 		c.cond.Signal()
@@ -264,7 +265,8 @@ func popFront[T any](q *[]T, head *int) (T, bool) {
 	return v, true
 }
 
-// releaseLocked pops the oldest charge; an uncharged value costs a unit.
+// releaseLocked pops the oldest charge; an uncharged value (every value
+// under a static policy) costs a unit.
 func (c *Controller) releaseLocked() float64 {
 	charge, ok := popFront(&c.charges, &c.chargeHead)
 	if !ok {
@@ -308,13 +310,15 @@ func (c *Controller) resultAt(now time.Time) {
 	if at, ok := popFront(&c.sends, &c.sendHead); ok {
 		rtt = now.Sub(at).Seconds()
 	}
-	charge := c.releaseLocked()
-	released := charge / c.unit
-	if charge > rebaseGrowth*c.unit {
-		// A base taken on far smaller values says nothing of this one's.
-		c.bestRTT, c.baseCur, c.basePrev, c.baseN = math.Inf(1), math.Inf(1), math.Inf(1), 0
+	charge, released := c.releaseLocked(), 1.0 // a value until a wire length sizes the window
+	if c.sized {
+		released = charge / c.unit
+		if charge > rebaseGrowth*c.unit {
+			// A base taken on far smaller values says nothing of this one's.
+			c.bestRTT, c.baseCur, c.basePrev, c.baseN = math.Inf(1), math.Inf(1), math.Inf(1), 0
+		}
+		c.unit += unitAlpha * (charge - c.unit)
 	}
-	c.unit += unitAlpha * (charge - c.unit)
 	if !c.lastResult.IsZero() {
 		gap := now.Sub(c.lastResult).Seconds()
 		if c.ewmaGap == 0 {
@@ -454,10 +458,9 @@ func (c *Controller) Rate() float64 {
 }
 
 // Gate wraps the duplex endpoint d into a Through that lets at most the
-// controller's current window in flight:
-// pull(sub.Source, Gate(c, d), sub.Sink). A duplex that charges its values
-// to c (transport.MasterDuplex) makes that window one of wire bytes; the
-// gate's own Sent charges each value one unit. With a Static(n) controller it
+// controller's current window in flight: pull(sub.Source, Gate(c, d),
+// sub.Sink); a duplex charging its values to c (transport.MasterDuplex)
+// makes it a window of wire bytes. With a Static(n) controller it
 // is the paper's Limiter (pull-limit, §2.4.3 and Figure 9): network
 // duplexes read eagerly on their sending side, and without a bound they
 // would drain the whole input into one worker's buffers, destroying

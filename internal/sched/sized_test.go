@@ -264,3 +264,27 @@ func TestControllerGrowsOnlyWhenTheWindowBinds(t *testing.T) {
 		t.Fatalf("window %d after 200 results with the input binding, want 2", got)
 	}
 }
+
+// TestControllerResultBeforeWireCharge: the send queue reports a frame's
+// wire length after writing it, so the value's result may come back
+// first. The window, one value growing to two in slow start, must become
+// two units of the first wire length, not a windowful of the encoded
+// charge that result released.
+func TestControllerResultBeforeWireCharge(t *testing.T) {
+	c := NewController(Adaptive(1, 16))
+	if !admit(c) {
+		t.Fatal("an empty window refused a value")
+	}
+	c.Sent()
+	c.Charge(1, tileRaw, false)
+	c.Result()
+	c.Charge(1, 2<<10, true)
+	k := uint64(1)
+	for admit(c) {
+		k++
+		send(c, k, time.Now(), 2<<10, 2<<10)
+	}
+	if got := k - 1; got != 2 {
+		t.Fatalf("%d values of 2 KiB admitted after the first result, want 2", got)
+	}
+}

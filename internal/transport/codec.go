@@ -140,12 +140,13 @@ func (c ListCodec[T]) decodeItems(items []proto.BatchItem) ([]T, error) {
 	return vs, nil
 }
 
-// Values is how many values v is under c: a ListCodec group's length, or 1.
-func Values[T any](c Codec[T], v T) int {
+// Values returns how many values each T is under c: a ListCodec group's
+// length, or 1.
+func Values[T any](c Codec[T]) func(T) int {
 	if list, ok := c.(interface{ count(T) int }); ok {
-		return list.count(v)
+		return list.count
 	}
-	return 1
+	return func(T) int { return 1 }
 }
 
 func (ListCodec[T]) count(vs []T) int { return len(vs) }

@@ -62,10 +62,8 @@ func (e *WorkerError) Error() string {
 // idle channel sends a lone frame at once). A group of values is just an
 // item whose codec is a ListCodec: the same duplex then emits
 // TypeInputBatch and accepts TypeResultBatch frames (binary batches,
-// proto.EncodeBatch).
-//
-// charge, when not nil, is told each input's payload length as soon as
-// its frame is made and its wire length once written (sched.Controller).
+// proto.EncodeBatch). charge, when not nil, is told each input's payload
+// length as soon as its frame is made and its wire length once written.
 //
 // Failure semantics: a channel error (including heartbeat timeout) or an
 // application error reported by the worker ends the Source with an error,

@@ -109,14 +109,13 @@ type options struct {
 func WithBatch(n int) Option { return func(o *options) { o.batch = n } }
 
 // WithAdaptiveLimit replaces the static pull-limit with a per-device
-// adaptive credit window of wire bytes, holding min to max values. From a
-// device's result round-trips the scheduler estimates how many bytes in
-// flight queue beyond what the path needs — window × (1 − smallest recent
-// round-trip/smoothed one) — and, in units of one value's smoothed wire
-// size, adds one per windowful under about 1.5, takes one away over about
-// 3, halves when the round-trip triples. A change of payload size re-bases
-// instead of reading as congestion. The batch-size sensitivity of the
-// paper's §5.2–5.4, tuned per device at run time (package sched has the rule).
+// adaptive credit window of wire bytes, holding min to max values: the
+// batch-size sensitivity of the paper's §5.2–5.4, tuned per device at run
+// time. From result round-trips it estimates the bytes queueing beyond
+// what the path needs, window × (1 − smallest recent round-trip/smoothed
+// one), and in units of one value's smoothed wire size adds one per
+// windowful under about 1.5, takes one away over about 3 and halves when
+// the round-trip triples; a change of payload size re-bases (package sched).
 func WithAdaptiveLimit(min, max int) Option {
 	return func(o *options) {
 		o.adaptMin = min
