@@ -1,7 +1,13 @@
 // Package blob implements content-addressed payload storage for the
 // '/pando/2.2.0' dedup extension: a master-side intern table that
-// remembers payload blocks it has already transmitted, and a worker-side
+// remembers payload blocks the job sent more than once, and a worker-side
 // size-capped LRU cache that resolves blob references back to bytes.
+//
+// The intern table admits a payload on its second sighting. A bounded
+// doorkeeper of 64-bit maphash keys remembers payloads seen once; only a
+// payload it recognises is hashed with SHA-256, stored, and sent with its
+// digest. Most of a stream's large inputs are never seen twice, so they
+// cross as plain data: neither store holds a copy nor hashes them.
 //
 // Both stores key entries by the SHA-256 of the payload, so an entry is
 // valid wherever it is found — a worker's cache safely survives fleet
@@ -17,6 +23,7 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"errors"
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 )
@@ -203,10 +210,24 @@ func (e *entry) poison() bool {
 }
 
 // Intern is the master-side content store: payload blocks the job has
-// transmitted at least once, kept so blob references can be served on a
+// sighted at least twice, kept so blob references can be served on a
 // worker's miss. It shares the LRU machinery but does not verify on get —
-// the master hashed the bytes itself when interning them.
-type Intern struct{ s *store }
+// the master hashed the bytes itself when interning them. Its doorkeeper
+// (Admit) decides which payloads reach the store at all.
+type Intern struct {
+	s *store
+
+	seed maphash.Seed
+	mu   sync.Mutex
+	seen map[uint64]struct{} // doorkeeper keys, FIFO-capped by ring
+	ring []uint64
+	next int
+}
+
+// DoorkeeperKeys bounds the intern table's doorkeeper. Past it the oldest
+// key is forgotten: that payload's next sighting counts as a first one
+// again, which costs one plain send, never correctness.
+const DoorkeeperKeys = 8192
 
 // NewIntern returns an intern table capped at maxBytes
 // (DefaultInternBytes when maxBytes is 0).
@@ -214,7 +235,29 @@ func NewIntern(maxBytes int64) *Intern {
 	if maxBytes <= 0 {
 		maxBytes = DefaultInternBytes
 	}
-	return &Intern{s: newStore(maxBytes)}
+	return &Intern{s: newStore(maxBytes), seed: maphash.MakeSeed(), seen: make(map[uint64]struct{})}
+}
+
+// Admit is the admission rule: it reports whether the job sighted data
+// before, and remembers it otherwise. A first sighting (false) travels
+// plain — no digest, no intern copy. A 64-bit key collision only admits
+// a payload one sighting early.
+func (in *Intern) Admit(data []byte) bool {
+	k := maphash.Bytes(in.seed, data)
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if _, ok := in.seen[k]; ok {
+		return true
+	}
+	if len(in.ring) < DoorkeeperKeys {
+		in.ring = append(in.ring, k)
+	} else {
+		delete(in.seen, in.ring[in.next])
+		in.ring[in.next] = k
+		in.next = (in.next + 1) % DoorkeeperKeys
+	}
+	in.seen[k] = struct{}{}
+	return false
 }
 
 // Add stores a copy of data under d (the caller computed d = Sum(data)).
@@ -229,8 +272,8 @@ func (in *Intern) Get(d Digest) ([]byte, bool) { return in.s.get(d) }
 // one per worker name and merges it into WorkerStats (and the per-job
 // /stats JSON). Hits are inputs that travelled as a digest-only
 // reference; Misses are blob fetches served because the worker's cache
-// could not resolve a reference; Evicts are intern-table evictions
-// charged to this worker's sends.
+// could not resolve a reference; Evicts are digests the channel's
+// reference tracker forgot, which send later repeats in full again.
 type FlowStats struct {
 	Hits   atomic.Int64
 	Misses atomic.Int64

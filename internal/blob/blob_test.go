@@ -2,8 +2,11 @@ package blob
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -209,5 +212,60 @@ func TestFlowStatsIndependentCounters(t *testing.T) {
 	s.Misses.Add(1)
 	if h, m, e := s.Hits.Load(), s.Misses.Load(), s.Evicts.Load(); h != 2 || m != 1 || e != 0 {
 		t.Fatal(fmt.Sprintf("counters crossed: hits=%d misses=%d evicts=%d", h, m, e))
+	}
+}
+
+// TestInternAdmitsSecondSighting pins the doorkeeper: a payload is
+// admitted on its second sighting, stays admitted while fewer than
+// DoorkeeperKeys distinct payloads follow it, and is forgotten after that.
+func TestInternAdmitsSecondSighting(t *testing.T) {
+	in := NewIntern(0)
+	first := []byte("first sighting")
+	if in.Admit(first) {
+		t.Fatal("first sighting admitted")
+	}
+	if !in.Admit(first) {
+		t.Fatal("second sighting not admitted")
+	}
+	var key [8]byte
+	for i := 0; i < DoorkeeperKeys-1; i++ {
+		binary.LittleEndian.PutUint64(key[:], uint64(i))
+		if in.Admit(key[:]) {
+			t.Fatalf("distinct payload %d admitted on its first sighting", i)
+		}
+	}
+	if !in.Admit(first) {
+		t.Fatalf("forgotten after %d other payloads, want remembered", DoorkeeperKeys-1)
+	}
+	binary.LittleEndian.PutUint64(key[:], DoorkeeperKeys)
+	in.Admit(key[:])
+	if in.Admit(first) {
+		t.Fatalf("remembered after %d other payloads, want forgotten", DoorkeeperKeys)
+	}
+}
+
+// TestInternAdmitConcurrent: the doorkeeper is job-wide, so every
+// channel's sender admits through it at once. Of many concurrent first
+// sightings of one payload, exactly one is the first.
+func TestInternAdmitConcurrent(t *testing.T) {
+	in := NewIntern(0)
+	data := payload(7, 2048)
+	var firsts atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 64; i++ {
+				if !in.Admit(data) {
+					firsts.Add(1)
+				}
+				in.Admit([]byte(fmt.Sprintf("payload %d/%d", g, i)))
+			}
+		}()
+	}
+	wg.Wait()
+	if n := firsts.Load(); n != 1 {
+		t.Fatalf("%d first sightings of one payload, want 1", n)
 	}
 }

@@ -270,12 +270,14 @@ func (d *DistributedMap[I, O]) Flows() []sched.WorkerFlow {
 	return d.s.Flows()
 }
 
-// Close marks the engine closed; subsequent Attach calls fail. In-flight
-// processors finish their streams normally (their controllers close when
-// their streams end); only the straggler scan stops immediately.
+// Close marks the engine closed; subsequent Attach calls fail and the
+// straggler scan stops. A bound stream whose results are not all in ends
+// with ErrEngineClosed: no processor can join to answer its values (see
+// Lender.Abort). A stream whose results are all in drains normally.
 func (d *DistributedMap[I, O]) Close() {
 	d.mu.Lock()
 	d.closed = true
 	d.mu.Unlock()
 	d.s.Stop()
+	d.l.Abort(ErrEngineClosed)
 }

@@ -219,7 +219,7 @@ type Lender[I, O any] struct {
 	waiters fifo[waiter[I]]        // parked sub-stream asks, FIFO
 	out     pullstream.Callback[O] // parked output ask (at most one)
 
-	aborted error // set when the output consumer aborts
+	aborted error // set when the output consumer or the owner aborts
 	outDone bool  // the output already delivered its end signal
 
 	nextSubID int
@@ -413,6 +413,31 @@ func (l *Lender[I, O]) OnResult(fn func(idx int, v O)) {
 	l.mu.Lock()
 	l.onResult = fn
 	l.mu.Unlock()
+}
+
+// Abort fails the merged output from the producer's side, for an owner
+// that lets its processors go: the parked output ask (and every future
+// one) answers err at once, since the values still out will never be
+// answered. A stream whose results are all in is left to drain and end
+// normally, and one that already ended is untouched.
+func (l *Lender[I, O]) Abort(err error) {
+	var st step[I, O]
+	l.mu.Lock()
+	if l.outDone || (l.inEnd != nil && l.pending == 0) {
+		l.mu.Unlock()
+		return
+	}
+	l.aborted, l.outDone = err, true
+	st.out.cb, st.out.end = l.out, err
+	l.out = nil
+	if !l.reading && l.inEnd == nil {
+		// No read in flight to carry the abort to the input (inputAnswer
+		// would): the idle reader has nothing left to wait for.
+		l.endInputLocked(err)
+	}
+	l.serviceLocked(&st)
+	l.mu.Unlock()
+	st.run()
 }
 
 // Bind attaches the input source and returns the merged output source,

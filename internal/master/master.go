@@ -75,8 +75,8 @@ type Config struct {
 	Spill *journal.SpillStore
 	// BlobCacheBytes caps the content-addressed intern table backing
 	// payload dedup on leased channels: payload blocks the job
-	// has transmitted stay interned (LRU) so repeats travel as SHA-256
-	// references and worker cache misses can be served. Zero means
+	// has sent more than once stay interned (LRU) so repeats travel as
+	// SHA-256 references and worker cache misses can be served. Zero means
 	// blob.DefaultInternBytes; negative disables dedup entirely (every
 	// payload travels in full, compression still applies).
 	BlobCacheBytes int64
@@ -702,7 +702,8 @@ func (m *Master[I, O]) LenderStats() (lentNow, failedQueue, subStreams, ended in
 
 // Close marks the master as shutting down; its own pool (if any) refuses
 // further admissions, in-flight Serve loops exit on their next accept
-// error and the engine's straggler scan stops.
+// error, the engine's straggler scan stops, and a bound stream that has
+// not completed ends with an error (core's Close).
 func (m *Master[I, O]) Close() {
 	m.mu.Lock()
 	m.closed = true

@@ -29,15 +29,17 @@ import (
 // included), so the decoder is the raw one; compression composes with the
 // envelope instead of forking it.
 //
-// Compression is per frame and adaptive: the writer decides for every
-// frame whether the DEFLATE layer pays for itself, and frames it leaves
-// raw are plain 0xB2 bodies. Readers sniff each body, so the mix needs no
-// signalling. The policy (see decide) skips small frames, skips runs of
-// frames after the payload proves incompressible, and skips entirely when
-// the sched controller's EWMA throughput hint says the link is fast
-// enough that trading CPU for bytes is a loss. Both coders run out of
-// pooled state (flate coders, arena buffers), so the hot path performs no
-// allocation per frame.
+// Compression is decided frame by frame, from the frame itself: the
+// writer deflates every frame whose Data reaches cmpMinData and ships the
+// result only if it beats the raw body by the gain check; frames it
+// leaves raw are plain 0xB2 bodies. Readers sniff each body, so the mix
+// needs no signalling. No history of earlier frames decides a frame's
+// fate, so a compressible frame after a run of incompressible ones is
+// compressed. The one exemption (see decide) is a fast link: when the
+// sched controller's EWMA throughput hint says the link moves bytes
+// faster than compression could help, the writer stays raw. Both coders
+// run out of pooled state (flate coders, arena buffers), so the hot path
+// performs no allocation per frame.
 
 // cmpMagic is the first body byte of a compressed envelope.
 const cmpMagic = 0xB4
@@ -52,14 +54,8 @@ const (
 	// deflate overhead is not worth single-digit savings).
 	cmpGainNum = 15
 	cmpGainDen = 16
-	// cmpSkipRun is how many frames the writer skips compression for
-	// after the compressibility EWMA settles above cmpSkipRatio, before
-	// probing again.
-	cmpSkipRun = 32
-	// cmpSkipRatio is the smoothed compressed/raw ratio beyond which the
-	// payload stream is considered incompressible.
-	cmpSkipRatio = 0.92
-	// cmpRatioAlpha smooths the per-frame compression ratio samples.
+	// cmpRatioAlpha smooths the per-frame compression ratio samples that
+	// feed the fast-link test.
 	cmpRatioAlpha = 0.25
 	// cmpFastLinkBPS: when the rate hint (items/s from the sched
 	// controller, see HintRate) times the smoothed frame size on the wire
@@ -96,27 +92,13 @@ func (c *WireFormat) decide(m *Message) bool {
 	// rate where bytes are not the bottleneck; spend no CPU. Bytes on the
 	// wire: well compressed frames moving quickly do not make a link fast
 	// (and until a first frame was compressed the ratio, 0, says try).
-	if rate := loadF64(&c.rateHint); rate > 0 {
-		if rate*loadF64(&c.ewmaBytes)*loadF64(&c.ewmaRatio) >= cmpFastLinkBPS {
-			return false
-		}
-	}
-	// Incompressible run: after the ratio EWMA settles high, skip a run
-	// of frames, then probe again (the stream may have changed phase).
-	if c.skipLeft.Load() > 0 {
-		c.skipLeft.Add(-1)
-		return false
-	}
-	return true
+	rate := loadF64(&c.rateHint)
+	return rate <= 0 || rate*loadF64(&c.ewmaBytes)*loadF64(&c.ewmaRatio) < cmpFastLinkBPS
 }
 
-// observe feeds one compression outcome into the adaptive state.
+// observe feeds one compression outcome into the fast-link test.
 func (c *WireFormat) observe(rawLen, compLen int) {
-	ratio := float64(compLen) / float64(rawLen)
-	storeEWMA(&c.ewmaRatio, ratio, cmpRatioAlpha)
-	if loadF64(&c.ewmaRatio) > cmpSkipRatio {
-		c.skipLeft.Store(cmpSkipRun)
-	}
+	storeEWMA(&c.ewmaRatio, float64(compLen)/float64(rawLen), cmpRatioAlpha)
 }
 
 // flateEncoder bundles a flate.Writer with its reusable append sink so

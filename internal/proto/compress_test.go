@@ -245,3 +245,31 @@ func TestCompressFastLinkCountsWireBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestCompressAfterIncompressibleRun: the decision is the frame's own.
+// After a run of incompressible 16 KiB frames on one WireFormat, the next
+// compressible frame goes out compressed.
+func TestCompressAfterIncompressibleRun(t *testing.T) {
+	const frame = 16 << 10
+	c := new(WireFormat)
+	noise := make([]byte, frame)
+	rnd := rand.New(rand.NewSource(2))
+	var buf bytes.Buffer
+	for i := 0; i < 40; i++ {
+		rnd.Read(noise)
+		buf.Reset()
+		if err := c.WriteFrame(&buf, &Message{Type: TypeInput, Seq: uint64(i), Data: noise}); err != nil {
+			t.Fatal(err)
+		}
+		if buf.Bytes()[4] != binMagic {
+			t.Fatalf("incompressible frame %d went out compressed", i)
+		}
+	}
+	buf.Reset()
+	if err := c.WriteFrame(&buf, &Message{Type: TypeInput, Seq: 40, Data: compressibleData(frame)}); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Bytes()[4] != cmpMagic {
+		t.Fatalf("compressible frame after 40 incompressible ones: body starts with %#x, want compressed magic %#x", buf.Bytes()[4], cmpMagic)
+	}
+}

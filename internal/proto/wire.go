@@ -5,7 +5,7 @@ import (
 	"sync/atomic"
 )
 
-// WireVersion tags the one wire encoding: binary envelopes with adaptive
+// WireVersion tags the one wire encoding: binary envelopes with
 // per-frame DEFLATE (compress.go) and content-addressed payload
 // references (Message.Digest, resolved by the transport's dedup halves).
 const WireVersion = "/pando/2.2.0"
@@ -13,14 +13,13 @@ const WireVersion = "/pando/2.2.0"
 // WireFormat is the write side of one channel's '/pando/2.2.0' encoding:
 // it decides frame by frame whether the DEFLATE layer pays for itself and
 // writes either a compressed envelope or a raw one. Each channel owns one
-// (a WSock embeds it) because the adaptive policy is per-link state; the
-// zero value is ready to use. Fields are atomics: SendBatch encodes via
-// AppendFrame outside the channel's write lock, concurrently with Send.
+// (a WSock embeds it) because the fast-link test reads per-link state;
+// the zero value is ready to use. Fields are atomics: SendBatch encodes
+// via AppendFrame outside the channel's write lock, concurrently with Send.
 type WireFormat struct {
 	rateHint  atomic.Uint64 // float64 bits; items/s hint from the scheduler
 	ewmaBytes atomic.Uint64 // float64 bits; smoothed raw frame size
 	ewmaRatio atomic.Uint64 // float64 bits; smoothed compressed/raw ratio
-	skipLeft  atomic.Int64  // raw frames remaining before the next probe
 }
 
 // LookupFormat resolves a format by its tag: WireVersion yields a fresh

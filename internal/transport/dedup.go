@@ -12,10 +12,11 @@ import (
 // Channel wrappers, so the duplexes, the reply queue, and the fleet
 // machinery compose around them unchanged:
 //
-//   - DedupMasterChannel rewrites outgoing inputs whose payload was
-//     already transmitted on this channel into digest-only references,
-//     interns first transmissions so references can be resolved later,
-//     and answers the worker's blobmiss fetches out of the intern table.
+//   - DedupMasterChannel sends a payload's first sighting in the job
+//     plain. From the second sighting on, it interns the payload and
+//     sends it in full with its digest the first time on this channel,
+//     then as a digest-only reference. It answers the worker's blobmiss
+//     fetches out of the intern table.
 //   - DedupWorkerChannel resolves incoming references against the
 //     volunteer's blob cache, fetching the bytes over the same ordered
 //     channel on a miss, and verifies every payload that carries a digest
@@ -66,15 +67,17 @@ func DedupMasterChannel(ch Channel, intern *blob.Intern, stats *blob.FlowStats) 
 	}
 }
 
-// transform rewrites one outgoing input in place: first transmission of a
-// payload is interned and travels with its digest alongside the bytes
-// (seeding the worker's cache); a repeat whose bytes are still interned
-// travels as a digest-only reference.
+// transform rewrites one outgoing input in place. The job's first
+// sighting of a payload stays plain: most large inputs are never sent
+// again, so hashing, interning and caching them would be wasted. A later
+// sighting is interned and travels with its digest alongside the bytes
+// (seeding the worker's cache) the first time on this channel; a repeat
+// whose bytes are still interned travels as a digest-only reference.
 func (s *dedupSender) transform(m *proto.Message) {
 	if m.Type != proto.TypeInput && m.Type != proto.TypeInputBatch {
 		return
 	}
-	if len(m.Data) < dedupMinSize {
+	if len(m.Data) < dedupMinSize || !s.intern.Admit(m.Data) {
 		return
 	}
 	d := blob.Sum(m.Data)

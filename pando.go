@@ -167,12 +167,14 @@ func WithRebalanceInterval(d time.Duration) Option {
 func WithoutRegistry() Option { return func(o *options) { o.register = false } }
 
 // WithBlobCache caps the content-addressed blob stores behind payload
-// dedup: the master-side intern table (payload blocks kept so repeats
-// travel as SHA-256 references and worker cache misses can be served) and
-// the caches of workers attached through AddWorker/AddLocalWorkers. Zero
-// keeps the defaults (blob.DefaultInternBytes / blob.DefaultCacheBytes);
-// negative is the switch that turns dedup off — payloads always travel in
-// full, while the wire's adaptive per-frame compression still applies.
+// dedup: the master-side intern table (payloads the job sent more than
+// once, kept so later repeats travel as SHA-256 references and worker
+// cache misses can be served; a payload's first sighting travels plain
+// and is stored nowhere) and the caches of workers attached through
+// AddWorker/AddLocalWorkers. Zero keeps the defaults
+// (blob.DefaultInternBytes / blob.DefaultCacheBytes); negative is the
+// switch that turns dedup off — payloads always travel in full, while
+// the wire's per-frame compression still applies.
 func WithBlobCache(maxBytes int64) Option {
 	return func(o *options) { o.blobCache = maxBytes }
 }
@@ -845,8 +847,8 @@ func (p *Pando[I, O]) Checkpoint() *journal.Journal { return p.journal }
 // Close releases local resources; remote volunteers observe the
 // disconnection through their heartbeats — except in a shared pool,
 // where the job's leased workers are handed back to the fleet and move
-// on to the remaining jobs. The checkpoint journal, if any, is flushed
-// and closed.
+// on to the remaining jobs. A stream still waiting on results ends with
+// an error. The checkpoint journal, if any, is flushed and closed.
 func (p *Pando[I, O]) Close() {
 	// Unregister first so the fleet reclaims this job's leases (or, for
 	// an owned single-job pool, volunteers are dismissed) before the

@@ -136,6 +136,88 @@ func TestProcessSliceCancelLeaksNoGoroutine(t *testing.T) {
 	}
 }
 
+// TestCloseEndsOutstandingStream: closing the engine while results are
+// still outstanding ends the bound output with an error, instead of
+// leaving it open for values no volunteer will return. Both Process and
+// ProcessSlice return within a second of Close.
+func TestCloseEndsOutstandingStream(t *testing.T) {
+	start := func() *Pando[int, int] {
+		p := New(uniqueName("close"), func(v int) (int, error) { return v, nil })
+		p.AddWorker("slow", netsim.Loopback, 5*time.Second, -1)
+		return p
+	}
+
+	p := start()
+	in := make(chan int, 4)
+	for i := 0; i < 4; i++ {
+		in <- i
+	}
+	close(in)
+	out, errc := p.Process(context.Background(), in)
+	time.Sleep(300 * time.Millisecond)
+	p.Close()
+	deadline := time.After(time.Second)
+	for open := true; open; {
+		select {
+		case _, open = <-out:
+		case <-deadline:
+			t.Fatal("Process output still open 1 s after Close")
+		}
+	}
+	select {
+	case err := <-errc:
+		if err == nil {
+			t.Fatal("Close ended an incomplete stream without an error")
+		}
+	case <-deadline:
+		t.Fatal("no error 1 s after Close")
+	}
+
+	p = start()
+	go func() {
+		time.Sleep(300 * time.Millisecond)
+		p.Close()
+	}()
+	res := make(chan error, 1)
+	go func() {
+		_, err := p.ProcessSlice(context.Background(), []int{1, 2, 3, 4})
+		res <- err
+	}()
+	select {
+	case err := <-res:
+		if err == nil {
+			t.Fatal("ProcessSlice returned no error for a stream cut by Close")
+		}
+	case <-time.After(1300 * time.Millisecond):
+		t.Fatal("ProcessSlice still running 1 s after Close")
+	}
+}
+
+// TestCloseAfterCompletedStreamChangesNothing: Close after every result is
+// in, before the consumer has read them, leaves the stream to drain and
+// end without error.
+func TestCloseAfterCompletedStreamChangesNothing(t *testing.T) {
+	p := New(uniqueName("close-done"), func(v int) (int, error) { return v * 2, nil })
+	p.AddLocalWorkers(1)
+	in := make(chan int, 4)
+	for i := 0; i < 4; i++ {
+		in <- i
+	}
+	close(in)
+	out, errc := p.Process(context.Background(), in)
+	for p.job.Demand() > 0 { // until the input ended and every value is answered
+		time.Sleep(time.Millisecond)
+	}
+	p.Close()
+	var got []int
+	for v := range out {
+		got = append(got, v)
+	}
+	if err := <-errc; err != nil || fmt.Sprint(got) != "[0 2 4 6]" {
+		t.Fatalf("after Close: results %v, error %v; want [0 2 4 6] and none", got, err)
+	}
+}
+
 // settledGuard waits for the goroutine count to hold still before it
 // takes chaos.Guard's baseline: goroutines of earlier tests may still be
 // winding down, and each one that exits after the baseline would hide
