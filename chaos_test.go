@@ -236,7 +236,7 @@ func runChaosStack(t *testing.T, seed int64) {
 			pando.WithAdaptiveLimit(1, 8),
 			pando.WithSpeculation(2.0),
 			pando.WithCheckpoint(ckpt), pando.WithResume(), pando.WithFsyncInterval(5*time.Millisecond),
-			pando.WithMemoryBound(4), pando.WithSpill(spillPath),
+			pando.WithMemoryBound(4, spillPath),
 			pando.WithChannelConfig(hb),
 			pando.WithoutRegistry())
 	}
@@ -985,9 +985,7 @@ func runChaosByzantine(t *testing.T, seed int64, group int) {
 	pool := pando.NewPool(pando.WithChannelConfig(hb), pando.WithRebalanceInterval(25*time.Millisecond))
 	defer pool.Close()
 	job := pando.Map(pool, name, f,
-		pando.WithVerification(k, quorum),
-		pando.WithSpotCheck(0.15),
-		pando.WithTrustThreshold(0.9),
+		pando.WithVerification(pando.Verification{K: k, Quorum: quorum, SpotRate: 0.15, TrustThreshold: 0.9}),
 		pando.WithBatch(2*group),
 		pando.WithGroup(group),
 		pando.WithChannelConfig(hb),

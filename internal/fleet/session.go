@@ -489,5 +489,4 @@ func (l *lease) Close() error {
 	return nil
 }
 
-func (l *lease) Wire() *proto.WireFormat { return l.s.ch.Wire() }
-func (l *lease) RemoteAddr() string      { return l.s.ch.RemoteAddr() }
+func (l *lease) RemoteAddr() string { return l.s.ch.RemoteAddr() }

@@ -210,14 +210,10 @@ type Master[I, O any] struct {
 	jerr    error          // first journal write failure, for diagnostics
 	ledger  *verify.Ledger // non-nil once EnableVerification ran
 
-	// Bandwidth-aware data plane state: the job-wide intern table behind
-	// payload dedup, per-worker dedup counters, and the registry of
-	// leased channels' wire formats the rate hinter feeds the scheduler's
-	// EWMA throughput into (all guarded by mu; see wrapChannel).
+	// Payload dedup state: the job-wide intern table and per-worker dedup
+	// counters (guarded by mu; see wrapChannel).
 	intern    *blob.Intern
 	blobStats map[string]*blob.FlowStats
-	hintWires map[string][]*proto.WireFormat
-	hintStop  chan struct{}
 }
 
 // engine erases the lending-unit type parameters of lane, its one
@@ -367,28 +363,17 @@ func NewJob[I, O any](cfg Config, in transport.Codec[I], out transport.Codec[O])
 	return m
 }
 
-// wrapChannel prepares one leased channel for the bandwidth-aware data
-// plane before the duplex is built around it: the channel is registered
-// with the rate hinter (the compression policy backs off on links the
-// scheduler's EWMA says are not bandwidth-bound) and, unless dedup is
-// disabled, wrapped with the master-side dedup half that rewrites
-// repeated payloads into digest references. Every channel reaches the job
-// through a pool lease, so its far end passed the handshake and runs the
-// worker-side dedup half that resolves those references.
+// wrapChannel prepares one leased channel before the duplex is built
+// around it: unless dedup is disabled, the channel is wrapped with the
+// master-side dedup half that rewrites repeated payloads into digest
+// references. Every channel reaches the job through a pool lease, so its
+// far end passed the handshake and runs the worker-side dedup half that
+// resolves those references.
 func (m *Master[I, O]) wrapChannel(name string, ch transport.Channel) transport.Channel {
-	m.mu.Lock()
-	if m.hintWires == nil {
-		m.hintWires = make(map[string][]*proto.WireFormat)
-	}
-	m.hintWires[name] = append(m.hintWires[name], ch.Wire())
-	if m.hintStop == nil && !m.closed {
-		m.hintStop = make(chan struct{})
-		go m.hintLoop(m.hintStop)
-	}
 	if m.cfg.BlobCacheBytes < 0 {
-		m.mu.Unlock()
 		return ch
 	}
+	m.mu.Lock()
 	if m.intern == nil {
 		m.intern = blob.NewIntern(m.cfg.BlobCacheBytes)
 	}
@@ -403,37 +388,6 @@ func (m *Master[I, O]) wrapChannel(name string, ch transport.Channel) transport.
 	intern := m.intern
 	m.mu.Unlock()
 	return transport.DedupMasterChannel(ch, intern, stats)
-}
-
-// hintRateInterval paces the rate hinter: fast enough that the
-// compression policy tracks a device's regime changes, slow enough that
-// a large fleet's Flows() snapshot stays negligible.
-const hintRateInterval = 250 * time.Millisecond
-
-// hintLoop periodically feeds the scheduler's per-worker EWMA throughput
-// to the registered wire formats. It is started on the first registration
-// and stopped by Close.
-func (m *Master[I, O]) hintLoop(stop chan struct{}) {
-	t := time.NewTicker(hintRateInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-		}
-		rates := make(map[string]float64)
-		for _, f := range m.engine.Flows() {
-			rates[f.Name] += f.Rate
-		}
-		m.mu.Lock()
-		for name, wires := range m.hintWires {
-			for _, wf := range wires {
-				wf.HintRate(rates[name])
-			}
-		}
-		m.mu.Unlock()
-	}
 }
 
 // restoreSet decodes the journal's recovered entries into the lender's
@@ -509,13 +463,13 @@ func (m *Master[I, O]) observe(ev core.Event) {
 	stats := m.deviceLocked(ev.Processor)
 	switch ev.Kind {
 	case "attach":
-		stats.Alive = true
+		stats.live++
 	case "detach":
-		stats.Alive = false
-		// The device's channels are gone; drop them from the rate-hint
-		// registry (a re-attach registers the new ones).
-		delete(m.hintWires, ev.Processor)
+		stats.live--
 	}
+	// A device contributing several cores stays alive while any of its
+	// sessions does.
+	stats.Alive = stats.live > 0
 }
 
 // Bind attaches the input stream and returns the output stream — the
@@ -707,10 +661,6 @@ func (m *Master[I, O]) LenderStats() (lentNow, failedQueue, subStreams, ended in
 func (m *Master[I, O]) Close() {
 	m.mu.Lock()
 	m.closed = true
-	if m.hintStop != nil {
-		close(m.hintStop)
-		m.hintStop = nil
-	}
 	m.mu.Unlock()
 	if m.pool != nil {
 		m.pool.Close()

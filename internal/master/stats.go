@@ -68,6 +68,7 @@ func (w *itemWindow) within(window time.Duration, now time.Time) int {
 // another's.
 type device struct {
 	WorkerStats
+	live     int // attachments between attach and detach (under Master.mu)
 	items    atomic.Int64
 	lastSeen atomic.Int64 // unix nanoseconds of the latest result
 	window   itemWindow

@@ -7,9 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"sync"
-	"sync/atomic"
 )
 
 // This file implements the compression layer of the '/pando/2.2.0' wire:
@@ -33,13 +31,11 @@ import (
 // writer deflates every frame whose Data reaches cmpMinData and ships the
 // result only if it beats the raw body by the gain check; frames it
 // leaves raw are plain 0xB2 bodies. Readers sniff each body, so the mix
-// needs no signalling. No history of earlier frames decides a frame's
-// fate, so a compressible frame after a run of incompressible ones is
-// compressed. The one exemption (see decide) is a fast link: when the
-// sched controller's EWMA throughput hint says the link moves bytes
-// faster than compression could help, the writer stays raw. Both coders
-// run out of pooled state (flate coders, arena buffers), so the hot path
-// performs no allocation per frame.
+// needs no signalling. No history of earlier frames and no state of the
+// link decides a frame's fate, so a compressible frame after a run of
+// incompressible ones is compressed. Both coders run out of pooled state
+// (flate coders, arena buffers), so the hot path performs no allocation
+// per frame.
 
 // cmpMagic is the first body byte of a compressed envelope.
 const cmpMagic = 0xB4
@@ -54,52 +50,7 @@ const (
 	// deflate overhead is not worth single-digit savings).
 	cmpGainNum = 15
 	cmpGainDen = 16
-	// cmpRatioAlpha smooths the per-frame compression ratio samples that
-	// feed the fast-link test.
-	cmpRatioAlpha = 0.25
-	// cmpFastLinkBPS: when the rate hint (items/s from the sched
-	// controller, see HintRate) times the smoothed frame size on the wire
-	// (raw × compression ratio) exceeds this many bytes per second, the link
-	// moves data faster than compression could help and the writer stays raw.
-	cmpFastLinkBPS = 32 << 20
 )
-
-// HintRate records the scheduler's smoothed items-per-second estimate
-// for this channel, so compression backs off on links that are not
-// bandwidth-bound.
-func (c *WireFormat) HintRate(itemsPerSec float64) {
-	c.rateHint.Store(math.Float64bits(itemsPerSec))
-}
-
-func loadF64(a *atomic.Uint64) float64 { return math.Float64frombits(a.Load()) }
-
-func storeEWMA(a *atomic.Uint64, sample, alpha float64) {
-	prev := loadF64(a)
-	if prev == 0 {
-		a.Store(math.Float64bits(sample))
-		return
-	}
-	a.Store(math.Float64bits((1-alpha)*prev + alpha*sample))
-}
-
-// decide reports whether this frame should attempt compression.
-func (c *WireFormat) decide(m *Message) bool {
-	if len(m.Data) < cmpMinData {
-		return false
-	}
-	storeEWMA(&c.ewmaBytes, float64(len(m.Data)), cmpRatioAlpha)
-	// Fast link: the controller says this worker is consuming items at a
-	// rate where bytes are not the bottleneck; spend no CPU. Bytes on the
-	// wire: well compressed frames moving quickly do not make a link fast
-	// (and until a first frame was compressed the ratio, 0, says try).
-	rate := loadF64(&c.rateHint)
-	return rate <= 0 || rate*loadF64(&c.ewmaBytes)*loadF64(&c.ewmaRatio) < cmpFastLinkBPS
-}
-
-// observe feeds one compression outcome into the fast-link test.
-func (c *WireFormat) observe(rawLen, compLen int) {
-	storeEWMA(&c.ewmaRatio, float64(compLen)/float64(rawLen), cmpRatioAlpha)
-}
 
 // flateEncoder bundles a flate.Writer with its reusable append sink so
 // one pool hit services the whole encode path.
@@ -172,11 +123,11 @@ func inflate(dst, src []byte) error {
 }
 
 // appendCompressedFrame appends one complete frame to b: either a
-// compressed envelope or, when the policy or the outcome says raw wins,
-// a raw one. Appending into a caller-owned buffer keeps the vectored
+// compressed envelope or, when Data is under cmpMinData or the gain check
+// says raw wins, a raw one. Appending into a caller-owned buffer keeps the vectored
 // batch path (AppendFrame) alloc-free.
-func (c *WireFormat) appendCompressedFrame(b []byte, m *Message) []byte {
-	if !c.decide(m) {
+func appendCompressedFrame(b []byte, m *Message) []byte {
+	if len(m.Data) < cmpMinData {
 		return appendBinaryFrame(b, m)
 	}
 	// Encode the complete raw body into a scratch arena buffer, then
@@ -196,7 +147,6 @@ func (c *WireFormat) appendCompressedFrame(b []byte, m *Message) []byte {
 	}
 	b = compressed
 	compLen := len(b) - start - 4
-	c.observe(len(raw), compLen)
 	if compLen*cmpGainDen >= len(raw)*cmpGainNum {
 		// Not worth it: ship the already-encoded raw frame bytes.
 		b = append(b[:start], scratch...)

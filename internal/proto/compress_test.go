@@ -18,8 +18,8 @@ func compressibleData(n int) []byte {
 	return b
 }
 
-// wireFrame encodes m through a fresh WireFormat (neutral policy state)
-// and returns the complete frame bytes.
+// wireFrame encodes m through a fresh WireFormat and returns the
+// complete frame bytes.
 func wireFrame(t testing.TB, m *Message) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -216,36 +216,6 @@ func FuzzCompressedFrame(f *testing.F) {
 	})
 }
 
-// TestCompressFastLinkCountsWireBytes pins what the fast-link test
-// measures: the bytes that reach the link. 16 KiB frames that DEFLATE
-// tenfold at 2 500 items/s are 4 MB/s on the wire — a slow link kept busy
-// by compression, which must stay on — although they are 41 MB/s raw.
-func TestCompressFastLinkCountsWireBytes(t *testing.T) {
-	const frame = 16 << 10
-	cases := []struct {
-		name     string
-		ratio    float64 // compressed/raw the writer has been observing
-		hint     float64 // items/s from the scheduler
-		compress bool
-	}{
-		{"compressible frames, slow link kept busy", 0.1, 2500, true},
-		{"no hint yet", 0.1, 0, true},
-		{"incompressible frames", 0.95, 2500, false},
-		{"compressible frames, wire rate past the fast-link bound", 0.1, 25000, false},
-	}
-	for _, tc := range cases {
-		c := new(WireFormat)
-		m := &Message{Type: TypeInput, Data: make([]byte, frame)}
-		for i := 0; i < 8; i++ {
-			c.observe(frame, int(tc.ratio*frame))
-		}
-		c.HintRate(tc.hint)
-		if got := c.decide(m); got != tc.compress {
-			t.Errorf("%s (ratio %.2f, %.0f items/s): decide = %v, want %v", tc.name, tc.ratio, tc.hint, got, tc.compress)
-		}
-	}
-}
-
 // TestCompressAfterIncompressibleRun: the decision is the frame's own.
 // After a run of incompressible 16 KiB frames on one WireFormat, the next
 // compressible frame goes out compressed.
@@ -266,10 +236,16 @@ func TestCompressAfterIncompressibleRun(t *testing.T) {
 		}
 	}
 	buf.Reset()
-	if err := c.WriteFrame(&buf, &Message{Type: TypeInput, Seq: 40, Data: compressibleData(frame)}); err != nil {
+	msg := &Message{Type: TypeInput, Seq: 40, Data: compressibleData(frame)}
+	if err := c.WriteFrame(&buf, msg); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Bytes()[4] != cmpMagic {
 		t.Fatalf("compressible frame after 40 incompressible ones: body starts with %#x, want compressed magic %#x", buf.Bytes()[4], cmpMagic)
+	}
+	// No history decides a frame: the same message from a fresh
+	// WireFormat is the same bytes.
+	if fresh := wireFrame(t, msg); !bytes.Equal(buf.Bytes(), fresh) {
+		t.Fatalf("frame after the incompressible run (%d B) differs from a fresh WireFormat's (%d B)", buf.Len(), len(fresh))
 	}
 }

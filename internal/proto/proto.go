@@ -155,8 +155,7 @@ var (
 )
 
 // WriteFrame encodes m as one uncompressed frame on w: what a WireFormat
-// writes for a frame its compression policy leaves raw, for writers that
-// keep no per-channel state.
+// writes for a frame it leaves raw, for writers that never compress.
 func WriteFrame(w io.Writer, m *Message) error {
 	// Encode into an arena buffer: the steady-state write path performs no
 	// allocation per frame.

@@ -182,9 +182,8 @@ func FuzzReadFrame(f *testing.F) {
 // FuzzFrameRoundTrip checks Write/Read inversion — Decode(Encode(m)) == m
 // — for arbitrary payloads and strings (invalid UTF-8 included), with the
 // pool-era hello fields (a repeated Functions list), through both writers:
-// a channel's WireFormat, which compresses payloads its policy deems
-// worth it, and the stateless raw WriteFrame. Both encodings must decode
-// to the same message.
+// WireFormat, which compresses payloads where that pays, and the raw
+// WriteFrame. Both encodings must decode to the same message.
 func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(uint64(1), []byte("data"), "err", "peer", "collatz", "render")
 	f.Add(uint64(0), []byte{}, "", "", "", "")

@@ -37,10 +37,6 @@ type Channel interface {
 	// Recv blocks until a message arrives or the channel fails. Ping and
 	// pong frames are handled internally and never returned.
 	Recv() (*proto.Message, error)
-	// Wire is the channel's outgoing frame format, whose compression
-	// policy the master tunes with the scheduler's rate estimate
-	// (proto.WireFormat.HintRate).
-	Wire() *proto.WireFormat
 	// Close shuts the channel down; pending Recv calls fail.
 	Close() error
 	// RemoteAddr describes the peer, for diagnostics.

@@ -140,9 +140,6 @@ func (w *WSock) SendBatch(ms []*proto.Message) error {
 	return nil
 }
 
-// Wire reports the outgoing frame format.
-func (w *WSock) Wire() *proto.WireFormat { return &w.wire }
-
 // Recv returns the next non-heartbeat message.
 func (w *WSock) Recv() (*proto.Message, error) {
 	select {

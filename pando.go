@@ -79,27 +79,24 @@ type (
 type Option func(*options)
 
 type options struct {
-	batch          int
-	adaptMin       int
-	adaptMax       int
-	speculation    float64
-	group          int
-	unordered      bool
-	channel        transport.Config
-	register       bool
-	blobCache      int64
-	rebalance      time.Duration
-	inCodec        any // transport.Codec[I], stored untyped (Option is not generic)
-	outCodec       any // transport.Codec[O]
-	checkpoint     string
-	resume         bool
-	fsync          time.Duration
-	highWater      int
-	spillPath      string
-	verifyK        int
-	verifyQuorum   int
-	spotRate       float64
-	trustThreshold float64
+	batch        int
+	adaptMin     int
+	adaptMax     int
+	speculation  float64
+	group        int
+	unordered    bool
+	channel      transport.Config
+	register     bool
+	blobCache    int64
+	rebalance    time.Duration
+	inCodec      any // transport.Codec[I], stored untyped (Option is not generic)
+	outCodec     any // transport.Codec[O]
+	checkpoint   string
+	resume       bool
+	fsync        time.Duration
+	highWater    int
+	spillPath    string
+	verification Verification
 }
 
 // WithBatch sets how many values may be in flight per device (the Limiter
@@ -223,66 +220,65 @@ func WithFsyncInterval(d time.Duration) Option {
 // (groups, when WithGroup is set). Ordered output must buffer results
 // that arrive ahead of the emission cursor; unbounded, a slow output
 // consumer behind fast volunteers grows that buffer without limit. With
-// this bound the master instead pauses input reads once hw results are
-// buffered — output backpressure propagates all the way to the input
-// source — so a billion-item stream holds O(hw) master state. Pair with
-// WithSpill to absorb the overflow on disk instead of slowing the
-// volunteers down. hw <= 0 (the default) leaves the window unbounded.
-func WithMemoryBound(hw int) Option {
-	return func(o *options) { o.highWater = hw }
-}
-
-// WithSpill attaches an on-disk overflow segment at path for results past
-// the WithMemoryBound window: far-ahead results page out (CRC-checked,
-// journal record format) and page back exactly when the output reaches
-// their index, so volunteers keep running at full speed ahead of a slow
-// consumer while the master's heap stays at O(window). The file is
-// transient — truncated at open, removed at Close; nothing is recovered
-// from it across runs (that is WithCheckpoint's job). Without
-// WithMemoryBound the store is never used. Open failures are reported by
-// Process / ProcessSlice, not at New.
-func WithSpill(path string) Option {
-	return func(o *options) { o.spillPath = path }
-}
-
-// WithVerification enables Byzantine-tolerant result verification:
-// every input is dispatched to k distinct workers (devices, by
-// accounting name — several sessions of one device share a vote), and a
-// result reaches the output only once quorum of them returned
-// byte-identical results (matching SHA-256 digests of the wire
-// encoding). Workers whose results disagree with accepted votes lose
-// reputation; below the quarantine line they are expelled from the
-// fleet (their sessions severed, their name banned, their in-flight
-// values re-lent to workers in good standing). Use WithTrustThreshold
-// to let long-standing honest workers graduate to a replication-free
-// fast path, and WithSpotCheck to keep even trusted workers honest.
+// this bound and an empty spillPath the master instead pauses input reads
+// once hw results are buffered — output backpressure propagates all the
+// way to the input source — so a billion-item stream holds O(hw) master
+// state. hw <= 0 (the default) leaves the window unbounded, and spillPath
+// is then unused.
 //
-// With WithGroup(n > 1) the unit of replication and voting is the group
-// (the digest covers the whole group's results).
-func WithVerification(k, quorum int) Option {
+// A non-empty spillPath absorbs the overflow on disk instead of slowing
+// the volunteers down: far-ahead results page out to an overflow segment
+// at that path (CRC-checked, journal record format) and page back exactly
+// when the output reaches their index, so volunteers keep running at full
+// speed ahead of a slow consumer while the master's heap stays at
+// O(window). The file is transient — truncated at open, removed at Close;
+// nothing is recovered from it across runs (that is WithCheckpoint's
+// job). Open failures are reported by Process / ProcessSlice, not at New.
+func WithMemoryBound(hw int, spillPath string) Option {
 	return func(o *options) {
-		o.verifyK = k
-		o.verifyQuorum = quorum
+		o.highWater = hw
+		o.spillPath = spillPath
 	}
 }
 
-// WithSpotCheck makes the master recompute a deterministic pseudo-random
-// sample of accepted results locally (rate in [0,1], the fraction of
-// indices checked): if the recomputation disagrees with an accepted
-// digest — even a quorum of colluders, or a trusted fast-path result —
-// the local truth wins, and every worker that voted for the wrong digest
-// is graded against it. Only meaningful with WithVerification.
-func WithSpotCheck(rate float64) Option {
-	return func(o *options) { o.spotRate = rate }
+// Verification configures WithVerification's Byzantine-tolerant result
+// checking.
+type Verification struct {
+	// K is how many distinct workers each input is dispatched to
+	// (devices, by accounting name — several sessions of one device share
+	// a vote).
+	K int
+	// Quorum is how many of them must return byte-identical results
+	// (matching SHA-256 digests of the wire encoding) before a result
+	// reaches the output.
+	Quorum int
+	// SpotRate makes the master recompute a deterministic pseudo-random
+	// sample of accepted results locally (the fraction of indices
+	// checked, in [0,1]): if the recomputation disagrees with an accepted
+	// digest — even a quorum of colluders, or a trusted fast-path result —
+	// the local truth wins, and every worker that voted for the wrong
+	// digest is graded against it. Zero checks nothing.
+	SpotRate float64
+	// TrustThreshold is the reputation score in (0,1] above which a
+	// worker's results are accepted without replication — the fast path
+	// that recovers most of the unreplicated throughput once the fleet
+	// has proven itself. Zero disables the fast path: every value is
+	// replicated K ways forever.
+	TrustThreshold float64
 }
 
-// WithTrustThreshold sets the reputation score (0,1] above which a
-// worker's results are accepted without replication — the fast path that
-// recovers most of the unreplicated throughput once the fleet has proven
-// itself. Zero (the default) disables the fast path: every value is
-// replicated k ways forever. Only meaningful with WithVerification.
-func WithTrustThreshold(t float64) Option {
-	return func(o *options) { o.trustThreshold = t }
+// WithVerification enables Byzantine-tolerant result verification: every
+// input is dispatched to v.K distinct workers, and a result reaches the
+// output only once v.Quorum of them agree. Workers whose results disagree
+// with accepted votes lose reputation; below the quarantine line they are
+// expelled from the fleet (their sessions severed, their name banned,
+// their in-flight values re-lent to workers in good standing). K <= 0
+// leaves verification off.
+//
+// With WithGroup(n > 1) the unit of replication and voting is the group
+// (the digest covers the whole group's results).
+func WithVerification(v Verification) Option {
+	return func(o *options) { o.verification = v }
 }
 
 // WithCodec replaces the JSON payload codecs. The type parameters must
@@ -528,7 +524,7 @@ type Pando[I, O any] struct {
 	journal *journal.Journal
 	spill   *journal.SpillStore
 
-	initErr error // deferred WithCheckpoint/WithSpill failure, surfaced by Process
+	initErr error // deferred WithCheckpoint/WithMemoryBound spill failure, surfaced by Process
 
 	mu    sync.Mutex
 	pipes []*netsim.Pipe
@@ -621,13 +617,8 @@ func Map[I, O any](pool *Pool, name string, f func(I) (O, error), opts ...Option
 		}
 	}
 	p.m = master.NewJob[I, O](cfg, in, out)
-	if o.verifyK > 0 {
-		pol := verify.Policy{
-			K:              o.verifyK,
-			Quorum:         o.verifyQuorum,
-			SpotRate:       o.spotRate,
-			TrustThreshold: o.trustThreshold,
-		}
+	if v := o.verification; v.K > 0 {
+		pol := verify.Policy{K: v.K, Quorum: v.Quorum, SpotRate: v.SpotRate, TrustThreshold: v.TrustThreshold}
 		// Expulsion runs on its own goroutine: the quarantine hook fires on
 		// a result-delivery path deep inside the engine, and severing
 		// sessions re-enters it.

@@ -364,6 +364,45 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
+// TestStatsDeviceAliveWhileOneSessionServes: a device contributing two
+// cores under one name stays alive in Stats after one of its sessions
+// crashes, while the other keeps serving the open stream.
+func TestStatsDeviceAliveWhileOneSessionServes(t *testing.T) {
+	p := New(uniqueName("duo"), func(v int) (int, error) { return v, nil })
+	defer p.Close()
+	p.AddWorker("duo", netsim.Loopback, 0, 5)
+	p.AddWorker("duo", netsim.Loopback, time.Millisecond, -1)
+
+	in := make(chan int) // held open: the stream is mid-flight when Stats is read
+	defer close(in)
+	out, _ := p.Process(context.Background(), in)
+	go func() {
+		for i := 0; i < 40; i++ {
+			in <- i
+		}
+	}()
+	for i := 0; i < 40; i++ {
+		select {
+		case <-out:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of 40 results after 10 s\n%s", i, p.Diagnostics())
+		}
+	}
+	// The crashed session's sub-stream ends after its detach is observed.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if _, _, _, ended := p.m.LenderStats(); ended >= 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the crashing session never ended\n%s", p.Diagnostics())
+		}
+	}
+	rows := p.Stats()
+	if len(rows) != 1 || rows[0].Name != "duo" || !rows[0].Alive || rows[0].Items != 40 {
+		t.Fatalf("Stats = %+v, want one alive row duo with 40 items", rows)
+	}
+}
+
 func TestEmptyInputCompletes(t *testing.T) {
 	p := New(uniqueName("empty"), func(v int) (int, error) { return v, nil })
 	defer p.Close()
@@ -493,7 +532,7 @@ func TestWithGroupCrashRecovery(t *testing.T) {
 // group.
 func TestWithGroupAndVerification(t *testing.T) {
 	p := New(uniqueName("grouped-verified"), func(v int) (int, error) { return v + 7, nil },
-		WithBatch(8), WithGroup(4), WithVerification(2, 2))
+		WithBatch(8), WithGroup(4), WithVerification(Verification{K: 2, Quorum: 2}))
 	defer p.Close()
 	p.AddSimulatedWorkers(3, "dev", netsim.Loopback, 0, -1)
 	inputs := make([]int, 50)
@@ -534,7 +573,7 @@ func TestMemoryBoundWithSpill(t *testing.T) {
 	// Close.
 	spillPath := filepath.Join(t.TempDir(), "job.spill")
 	p := New(uniqueName("bounded"), func(v int) (int, error) { return v * 2, nil },
-		WithMemoryBound(4), WithSpill(spillPath))
+		WithMemoryBound(4, spillPath))
 	p.AddLocalWorkers(4)
 
 	const n = 500
@@ -564,7 +603,7 @@ func TestMemoryBoundBackpressureOnly(t *testing.T) {
 	// The bound without a store: backpressure alone must still deliver
 	// the full ordered stream, just more slowly when the consumer lags.
 	p := New(uniqueName("gated"), func(v int) (int, error) { return v + 7, nil },
-		WithMemoryBound(3))
+		WithMemoryBound(3, ""))
 	defer p.Close()
 	p.AddLocalWorkers(3)
 
