@@ -20,13 +20,13 @@ type fakeJob struct {
 	mu      sync.Mutex
 	demand  int
 	refuse  error // returned by Lease, as by a job closing concurrently
-	leases  []transport.Channel
+	leases  []*inbox
 	workers []string
-	leaseC  chan transport.Channel
+	leaseC  chan *inbox
 }
 
 func newFakeJob(name string, demand int) *fakeJob {
-	return &fakeJob{name: name, batch: 2, demand: demand, leaseC: make(chan transport.Channel, 8)}
+	return &fakeJob{name: name, batch: 2, demand: demand, leaseC: make(chan *inbox, 8)}
 }
 
 func (j *fakeJob) Name() string { return j.name }
@@ -47,14 +47,48 @@ func (j *fakeJob) Lease(worker string, ch transport.Channel) error {
 		j.mu.Unlock()
 		return j.refuse
 	}
-	j.leases = append(j.leases, ch)
+	in := newInbox(ch)
+	j.leases = append(j.leases, in)
 	j.workers = append(j.workers, worker)
 	j.mu.Unlock()
-	j.leaseC <- ch
+	j.leaseC <- in
 	return nil
 }
 
-func (j *fakeJob) waitLease(t *testing.T) transport.Channel {
+// inbox stands in for a job's handler on a lease: it queues what the
+// lease routes, for the test to read back frame by frame.
+type inbox struct {
+	transport.Channel
+	q chan routed
+}
+
+type routed struct {
+	m   *proto.Message
+	err error
+}
+
+func newInbox(ch transport.Channel) *inbox {
+	in := &inbox{Channel: ch, q: make(chan routed, 1024)}
+	ch.Route(func(m *proto.Message, err error) { in.q <- routed{m, err} })
+	return in
+}
+
+// Recv returns the next routed frame; once the end came, the end again.
+func (in *inbox) Recv() (*proto.Message, error) {
+	r := <-in.q
+	if r.m == nil {
+		in.q <- r
+	}
+	return r.m, r.err
+}
+
+// receiver is what the tests read frames from: a raw volunteer's WSock or
+// a lease's inbox.
+type receiver interface {
+	Recv() (*proto.Message, error)
+}
+
+func (j *fakeJob) waitLease(t *testing.T) *inbox {
 	t.Helper()
 	select {
 	case ch := <-j.leaseC:
@@ -66,7 +100,7 @@ func (j *fakeJob) waitLease(t *testing.T) transport.Channel {
 }
 
 // rawVolunteer opens a channel to the pool and performs the hello half.
-func rawVolunteer(t *testing.T, p *Pool, hello *proto.Message) transport.Channel {
+func rawVolunteer(t *testing.T, p *Pool, hello *proto.Message) *transport.WSock {
 	t.Helper()
 	pipe := netsim.NewPipe(netsim.Loopback)
 	cfg := transport.Config{HeartbeatInterval: -1}
@@ -80,7 +114,7 @@ func rawVolunteer(t *testing.T, p *Pool, hello *proto.Message) transport.Channel
 	return ch
 }
 
-func recvType(t *testing.T, ch transport.Channel, want proto.Type) *proto.Message {
+func recvType(t *testing.T, ch receiver, want proto.Type) *proto.Message {
 	t.Helper()
 	m, err := ch.Recv()
 	if err != nil {
@@ -211,7 +245,7 @@ func TestPoolReassignBarrier(t *testing.T) {
 }
 
 // recvTypeCh is recvType for a lease (pool-side channel).
-func recvTypeCh(t *testing.T, ch transport.Channel, want proto.Type) *proto.Message {
+func recvTypeCh(t *testing.T, ch receiver, want proto.Type) *proto.Message {
 	t.Helper()
 	m, err := ch.Recv()
 	if err != nil {
@@ -466,4 +500,48 @@ func TestPoolQuarantine(t *testing.T) {
 	// An honest name is unaffected.
 	ch3 := rawVolunteer(t, p, &proto.Message{Peer: "honest", Functions: []string{"job-a"}})
 	recvType(t, ch3, proto.TypeWelcome)
+}
+
+// closingJob ends each lease from inside its handler at the first frame,
+// as MasterDuplex's result source does on a frame it rejects.
+type closingJob struct {
+	*fakeJob
+	got chan routed
+}
+
+func (j *closingJob) Lease(_ string, ch transport.Channel) error {
+	ch.Route(func(m *proto.Message, err error) {
+		j.got <- routed{m, err}
+		if m != nil {
+			ch.Close()
+		}
+	})
+	return nil
+}
+
+// TestLeaseHandlerMayEndLease: the lease runs its job's handler holding
+// no lock, so a handler that ends the lease gets its end after the frame
+// instead of deadlocking the read loop.
+func TestLeaseHandlerMayEndLease(t *testing.T) {
+	p := NewPool(Config{Rebalance: -1})
+	defer p.Close()
+	job := &closingJob{fakeJob: newFakeJob("job", 1), got: make(chan routed, 4)}
+	if err := p.Register(job); err != nil {
+		t.Fatal(err)
+	}
+	ch := rawVolunteer(t, p, &proto.Message{Peer: "dev", Functions: []string{"job"}})
+	recvType(t, ch, proto.TypeWelcome)
+	if err := ch.Send(&proto.Message{Type: proto.TypeResult, Seq: 1, Data: []byte(`1`)}); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []proto.Type{proto.TypeResult, ""} {
+		select {
+		case r := <-job.got:
+			if (want == "") != (r.m == nil) || (r.m != nil && r.m.Type != want) {
+				t.Fatalf("handler call %d got %+v (err %v), want the result, then the end", i, r.m, r.err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("handler call %d never came: the lease deadlocked ending itself", i)
+		}
+	}
 }

@@ -116,7 +116,7 @@ func (s *session) markDead() {
 	s.cur = nil
 	s.mu.Unlock()
 	if l != nil {
-		l.fail(transport.ErrChannelClosed)
+		l.end(nil)
 	}
 }
 
@@ -152,7 +152,7 @@ func (s *session) startLease(job Job) *lease {
 	s.state = stateLeased
 	s.curJob = job
 	s.pending = nil
-	s.cur = newLease(s, job)
+	s.cur = &lease{s: s, job: job}
 	if len(s.functions) == 0 {
 		s.functions = []string{job.Name()}
 		s.cur.pinned = true
@@ -309,11 +309,12 @@ func (s *session) dismiss() {
 }
 
 // route consumes every frame of a session's channel for the connection's
-// lifetime, on the channel's own read loop (WSock.Route): it hands frames
-// to the current lease, watches for reassign echoes while reclaiming, and
-// discards stale frames in between. A nil frame is the
-// channel's end.
-func (s *session) route(m *proto.Message) {
+// lifetime, on the channel's own read loop (the Channel's Route): it hands
+// frames to the current lease, whose job handles them right there, watches
+// for reassign echoes while reclaiming, and discards stale frames in
+// between. A nil frame is the channel's end. Like every routed handler it
+// never waits on a write.
+func (s *session) route(m *proto.Message, _ error) {
 	if m == nil {
 		s.pool.sessionGone(s)
 		return
@@ -327,8 +328,7 @@ func (s *session) route(m *proto.Message) {
 		return
 	case state == stateReclaiming && m.Type == proto.TypeReassign:
 		// Off the read loop: leasing to the next job may write to the
-		// channel, and a read loop that waits on a write can wedge
-		// against a peer doing the same.
+		// channel.
 		go s.pool.reassigned(s)
 	}
 	// Anything else is stale — a result of the previous job racing the
@@ -340,95 +340,85 @@ func (s *session) route(m *proto.Message) {
 
 // lease is the channel a job holds on a worker: a routed view of the
 // session's connection that the pool can end without closing the
-// connection itself.
+// connection itself. A mailbox serialises the read loop's deliveries with
+// the pool's end: whoever finds it idle runs the job's handler, holding no
+// lock, until the box is empty; a frame that comes meanwhile waits there.
 type lease struct {
 	s   *session
 	job Job
 
-	inbox chan *proto.Message
-	done  chan struct{}
-
-	mu        sync.Mutex
-	once      sync.Once
-	endMsg    *proto.Message // synthesized final message (goodbye), if any
-	endErr    error          // terminal error after endMsg is consumed
-	delivered bool
-	pinned    bool // startLease pinned the session's absent list to job
+	mu     sync.Mutex
+	h      func(*proto.Message, error) // the job's handler, once routed
+	box    []*proto.Message            // frames for h, oldest first; nil is the end
+	busy   bool                        // a goroutine is running h
+	ended  bool                        // the end is in the box: no frame follows it
+	pinned bool                        // startLease pinned the session's absent list to job
 }
 
 var _ transport.Channel = (*lease)(nil)
 
-func newLease(s *session, job Job) *lease {
-	return &lease{
-		s:     s,
-		job:   job,
-		inbox: make(chan *proto.Message, 64),
-		done:  make(chan struct{}),
-	}
-}
-
 // deliver routes one inbound frame to the job; ended leases drop it
-// (back into the arena — nobody will Recv it).
+// (back into the arena — nobody will handle it).
 func (l *lease) deliver(m *proto.Message) {
-	select {
-	case l.inbox <- m:
-	case <-l.done:
+	l.mu.Lock()
+	if l.ended {
+		l.mu.Unlock()
 		proto.Release(m)
+		return
 	}
+	l.box = append(l.box, m)
+	l.run()
 }
 
-// end terminates the lease: a pending or future Recv first drains queued
-// frames, then returns final (when non-nil), then ErrChannelClosed.
+// Route implements transport.Channel. Frames that came before it go to h
+// at once, on the caller's goroutine.
+func (l *lease) Route(h func(*proto.Message, error)) {
+	l.mu.Lock()
+	l.h = h
+	l.run()
+}
+
+// end terminates the lease: the handler gets the frames already in the
+// box, then final (when non-nil), then ErrChannelClosed.
 func (l *lease) end(final *proto.Message) {
 	l.mu.Lock()
-	l.endMsg = final
-	if l.endErr == nil {
-		l.endErr = transport.ErrChannelClosed
-	}
-	l.mu.Unlock()
-	l.once.Do(func() { close(l.done) })
-}
-
-// fail terminates the lease with the connection's error.
-func (l *lease) fail(err error) {
-	l.mu.Lock()
-	l.endErr = err
-	l.mu.Unlock()
-	l.once.Do(func() { close(l.done) })
-}
-
-func (l *lease) ended() bool {
-	select {
-	case <-l.done:
-		return true
-	default:
-		return false
-	}
-}
-
-// Recv returns the next frame routed to this lease. After the lease
-// ends, queued frames drain first, then the synthesized end (a goodbye
-// for graceful handovers), then the terminal error.
-func (l *lease) Recv() (*proto.Message, error) {
-	for {
-		select {
-		case m := <-l.inbox:
-			return m, nil
-		case <-l.done:
-			select {
-			case m := <-l.inbox:
-				return m, nil
-			default:
-			}
-			l.mu.Lock()
-			defer l.mu.Unlock()
-			if l.endMsg != nil && !l.delivered {
-				l.delivered = true
-				return l.endMsg, nil
-			}
-			return nil, l.endErr
+	if !l.ended {
+		l.ended = true
+		if final != nil {
+			l.box = append(l.box, final)
 		}
+		l.box = append(l.box, nil)
 	}
+	l.run()
+}
+
+// run empties the box into h unless h is not routed yet or another
+// goroutine is at it. Called with l.mu held; returns with it released.
+func (l *lease) run() {
+	if l.busy || l.h == nil {
+		l.mu.Unlock()
+		return
+	}
+	l.busy = true
+	for len(l.box) > 0 {
+		m := l.box[0]
+		l.box = l.box[:copy(l.box, l.box[1:])]
+		l.mu.Unlock()
+		var err error
+		if m == nil {
+			err = transport.ErrChannelClosed
+		}
+		l.h(m, err)
+		l.mu.Lock()
+	}
+	l.busy = false
+	l.mu.Unlock()
+}
+
+func (l *lease) isEnded() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.ended
 }
 
 // Send forwards a job frame to the worker. A goodbye is intercepted: it
@@ -443,7 +433,7 @@ func (l *lease) Send(m *proto.Message) error {
 	}
 	l.s.sendMu.Lock()
 	defer l.s.sendMu.Unlock()
-	if l.ended() {
+	if l.isEnded() {
 		return transport.ErrChannelClosed
 	}
 	return l.s.ch.Send(m)
@@ -461,7 +451,7 @@ func (l *lease) SendBatch(ms []*proto.Message) error {
 	}
 	if len(ms) > 0 {
 		l.s.sendMu.Lock()
-		if l.ended() {
+		if l.isEnded() {
 			l.s.sendMu.Unlock()
 			return transport.ErrChannelClosed
 		}

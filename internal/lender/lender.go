@@ -643,22 +643,22 @@ func (l *Lender[I, O]) subAsk(s *SubStream[I], abort error, cb pullstream.Callba
 
 // consumeResults drains a sub-stream's result source, feeding results into
 // the merge machinery and signalling termination (crash-stop or graceful)
-// when the source ends.
+// when the source ends. It pumps, so a source that answers from its
+// channel's read loop (transport.MasterDuplex) has results accepted there.
 func (l *Lender[I, O]) consumeResults(s *SubStream[I], src pullstream.Source[O]) {
-	err := pullstream.Drain(src, func(v O) error {
+	pullstream.Pump(src, func(v O) {
 		var st step[I, O]
 		l.mu.Lock()
 		l.resultLocked(&st, s, v)
 		l.mu.Unlock()
 		st.run()
-		return nil
+	}, func(error) { // both graceful end and failure re-lend outstanding values
+		var st step[I, O]
+		l.mu.Lock()
+		l.endSubLocked(&st, s)
+		l.mu.Unlock()
+		st.run()
 	})
-	_ = err // both graceful end and failure re-lend outstanding values
-	var st step[I, O]
-	l.mu.Lock()
-	l.endSubLocked(&st, s)
-	l.mu.Unlock()
-	st.run()
 }
 
 // resultLocked records one result arriving on sub-stream s.

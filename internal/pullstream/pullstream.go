@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 )
 
 // ErrDone is the sentinel "end" signal of the pull-stream protocol. It is
@@ -155,6 +156,37 @@ func Drain[T any](src Source[T], each func(T) error) error {
 			return err
 		}
 	}
+}
+
+// Pump consumes src like Drain without ever waiting for an answer: it
+// asks on the calling goroutine while src answers synchronously, and
+// returns at the first ask left pending, whose answerer then runs each and
+// the next ask; done gets the end. Synchronous answers loop rather than
+// recurse, so the stack stays flat.
+func Pump[T any](src Source[T], each func(T), done func(error)) {
+	const asking, answered, pending = 0, 1, 2 // the latest ask's state
+	var state atomic.Int32
+	var cb Callback[T]
+	ask := func() {
+		for {
+			state.Store(asking)
+			src(nil, cb)
+			if state.CompareAndSwap(asking, pending) {
+				return
+			}
+		}
+	}
+	cb = func(end error, v T) {
+		if end != nil {
+			done(end)
+			return
+		}
+		each(v)
+		if !state.CompareAndSwap(asking, answered) {
+			ask()
+		}
+	}
+	ask()
 }
 
 // Collect consumes src and returns all of its values.

@@ -17,7 +17,7 @@ import (
 // into one. Coalesced frames are ordinary frames — wire-compatible with
 // every existing peer — so coalescing composes with the credit gate and
 // re-lending machinery unchanged. Both directions share one queue: the
-// master duplex's Sink enqueues inputs, the worker loop enqueues replies.
+// master duplex's Sink enqueues inputs, the worker's read loop replies.
 
 // BatchSender is implemented by channels that can transmit several frames
 // in one vectored write (a single syscall). SendAll uses it when present.
@@ -66,9 +66,17 @@ type sendQueue struct {
 	wg      sync.WaitGroup
 }
 
+// queued is implemented by channel wrappers whose Route handler sends
+// frames of its own (dedup's blob fetches and replies): a send queue made
+// on one hands itself over, so the read loop never waits on a write.
+type queued interface{ useQueue(q *sendQueue) }
+
 func newSendQueue(ch Channel, charge func(uint64, int, bool)) *sendQueue {
 	q := &sendQueue{ch: ch, charge: charge}
 	q.cond = sync.NewCond(&q.mu)
+	if w, ok := ch.(queued); ok {
+		w.useQueue(q)
+	}
 	q.wg.Add(1)
 	go q.run()
 	return q
@@ -115,11 +123,11 @@ func (q *sendQueue) run() {
 
 // enqueue queues m for the next vectored write; frame (which may be nil)
 // is released once m is on the wire. It reports false after a send
-// failure, at which point the caller should stop and close.
+// failure or close, at which point the caller should stop and close.
 func (q *sendQueue) enqueue(m, frame *proto.Message) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.err != nil {
+	if q.err != nil || q.done {
 		return false
 	}
 	q.pending = append(q.pending, m)

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"slices"
 
 	"pando/internal/blob"
 	"pando/internal/proto"
@@ -9,7 +10,7 @@ import (
 
 // This file implements the channel-level halves of content-addressed
 // payload dedup (part of the '/pando/2.2.0' wire). Both halves are plain
-// Channel wrappers, so the duplexes, the reply queue, and the fleet
+// Channel wrappers, so the duplexes, the send queues, and the fleet
 // machinery compose around them unchanged:
 //
 //   - DedupMasterChannel sends a payload's first sighting in the job
@@ -21,6 +22,8 @@ import (
 //     volunteer's blob cache, fetching the bytes over the same ordered
 //     channel on a miss, and verifies every payload that carries a digest
 //     before the processing function ever sees it.
+//
+// Both work in the routed handler, sending through the duplex's queue.
 //
 // Digest mismatches and un-servable fetches are channel failures: the
 // stack already treats a failed channel as a crashed worker and re-lends
@@ -52,6 +55,8 @@ type dedupSender struct {
 	sent  map[blob.Digest]struct{}
 	order []blob.Digest
 	next  int
+
+	q *sendQueue // the duplex's: blob replies ride it
 }
 
 // DedupMasterChannel wraps ch with the master-side dedup half. intern is
@@ -128,18 +133,16 @@ func (s *dedupSender) SendBatch(ms []*proto.Message) error {
 	return SendAll(s.Channel, ms)
 }
 
-// Recv passes frames through, servicing blobmiss fetches on the way: the
-// worker asked for bytes its cache could not resolve, and the result
-// source that calls Recv is exactly the goroutine that keeps pulling
-// while values are outstanding, so a fetch is always answered.
-func (s *dedupSender) Recv() (*proto.Message, error) {
-	for {
-		m, err := s.Channel.Recv()
-		if err != nil {
-			return nil, err
-		}
-		if m.Type != proto.TypeBlobMiss {
-			return m, nil
+// useQueue implements queued.
+func (s *dedupSender) useQueue(q *sendQueue) { s.q = q }
+
+// Route passes frames through, answering the worker's blobmiss fetches on
+// the way, through the send queue: behind the inputs already queued.
+func (s *dedupSender) Route(h func(*proto.Message, error)) {
+	s.Channel.Route(func(m *proto.Message, err error) {
+		if m == nil || m.Type != proto.TypeBlobMiss {
+			h(m, err)
+			return
 		}
 		d, ok := blob.SumOf(m.Digest)
 		proto.Release(m)
@@ -147,7 +150,7 @@ func (s *dedupSender) Recv() (*proto.Message, error) {
 			// A miss without a well-formed digest cannot be answered and
 			// the worker is wedged waiting for one: fail the channel.
 			s.Channel.Close()
-			return nil, fmt.Errorf("transport: blobmiss without digest")
+			return
 		}
 		s.stats.Misses.Add(1)
 		reply := &proto.Message{Type: proto.TypeBlob, Digest: d[:]}
@@ -159,26 +162,27 @@ func (s *dedupSender) Recv() (*proto.Message, error) {
 			// the value — bounded memory beats this corner case.
 			reply.Err = "blob evicted from intern table"
 		}
-		if err := s.Channel.Send(reply); err != nil {
-			return nil, err
-		}
-	}
+		s.q.enqueue(reply, nil)
+	})
 }
 
-// dedupReceiver is the worker-side half.
+// dedupReceiver is the worker-side half, a state machine on the read loop:
+// a reference the cache cannot resolve starts a fetch, and the frames that
+// arrive before its blob wait behind it, in order.
 type dedupReceiver struct {
 	Channel
 	cache *blob.Cache
-
-	// queue holds frames that arrived while a blob fetch was pending;
-	// they are delivered FIFO before the channel is read again. Recv is
-	// called from the single serve loop, so no lock guards it.
-	queue []*proto.Message
+	q     *sendQueue // the serve loop's: blobmiss requests ride it
+	h     func(*proto.Message, error)
+	ref   *proto.Message   // the reference a fetch is pending for
+	want  blob.Digest      // ref's digest
+	held  []*proto.Message // frames that arrived since, oldest first
+	over  bool             // h got its end
 }
 
 // DedupWorkerChannel wraps ch with the worker-side dedup half, resolving
-// payload references against cache (shared across the volunteer's
-// sessions — content addressing makes that safe across reassignment).
+// payload references against cache (shared across sessions: content
+// addressing is safe across reassignment). Fetches ride WorkerServe's queue.
 func DedupWorkerChannel(ch Channel, cache *blob.Cache) Channel {
 	return &dedupReceiver{Channel: ch, cache: cache}
 }
@@ -196,41 +200,48 @@ func isLeaseControl(m *proto.Message) bool {
 	return false
 }
 
-func (r *dedupReceiver) Recv() (*proto.Message, error) {
-	for {
-		var m *proto.Message
-		if len(r.queue) > 0 {
-			m = r.queue[0]
-			r.queue = r.queue[1:]
-		} else {
-			var err error
-			m, err = r.Channel.Recv()
-			if err != nil {
-				return nil, err
-			}
+// useQueue implements queued.
+func (r *dedupReceiver) useQueue(q *sendQueue) { r.q = q }
+
+// Route hands h every frame with its payload resolved and verified.
+func (r *dedupReceiver) Route(h func(*proto.Message, error)) {
+	r.h = h
+	r.Channel.Route(r.deliver)
+}
+
+// deliver takes one frame off the channel.
+func (r *dedupReceiver) deliver(m *proto.Message, err error) {
+	switch {
+	case r.over:
+		proto.Release(m)
+	case m == nil:
+		r.fail(err)
+	case r.ref == nil:
+		r.pass(m)
+	case m.Type == proto.TypeBlob:
+		r.fetched(m)
+	default:
+		// Later frames wait behind the pending one; a control frame
+		// abandons it (isLeaseControl).
+		r.held = append(r.held, m)
+		if isLeaseControl(m) {
+			proto.Release(r.ref)
+			r.ref = nil
+			r.drain()
 		}
-		out, err := r.resolve(m)
-		if err != nil {
-			r.Channel.Close()
-			return nil, err
-		}
-		if out != nil {
-			return out, nil
-		}
-		// Abandoned reference: loop and deliver whatever is next.
 	}
 }
 
-// resolve rewrites an incoming digest-bearing input into a deliverable
-// frame. It returns (nil, nil) when the frame was a reference abandoned
-// because the lease ended mid-fetch.
-func (r *dedupReceiver) resolve(m *proto.Message) (*proto.Message, error) {
+// pass resolves one frame and hands it on, or starts a fetch for it.
+func (r *dedupReceiver) pass(m *proto.Message) {
 	if m.Type != proto.TypeInput && m.Type != proto.TypeInputBatch {
-		return m, nil
+		r.h(m, nil)
+		return
 	}
 	d, ok := blob.SumOf(m.Digest)
 	if !ok {
-		return m, nil // no digest: the plain data plane
+		r.h(m, nil) // no digest: the plain data plane
+		return
 	}
 	seq := m.Seq
 	if len(m.Data) > 0 {
@@ -238,77 +249,70 @@ func (r *dedupReceiver) resolve(m *proto.Message) (*proto.Message, error) {
 		// processing function sees a byte, then seed the cache.
 		if err := r.cache.Put(d, m.Data); err != nil {
 			proto.Release(m)
-			return nil, fmt.Errorf("transport: payload for input %d: %w", seq, err)
+			r.fail(fmt.Errorf("transport: payload for input %d: %w", seq, err))
+			return
 		}
-		return m, nil
+		r.h(m, nil)
+		return
 	}
 	// Digest-only reference: resolve locally or fetch.
 	data, hit, err := r.cache.Get(d)
-	if err != nil {
+	switch {
+	case err != nil:
 		proto.Release(m)
-		return nil, fmt.Errorf("transport: cached payload for input %d: %w", seq, err)
-	}
-	if hit {
+		r.fail(fmt.Errorf("transport: cached payload for input %d: %w", seq, err))
+	case hit:
 		m.Data = data
-		return m, nil
+		r.h(m, nil)
+	case slices.ContainsFunc(r.held, isLeaseControl):
+		proto.Release(m) // abandoned already: a control frame follows it
+	default:
+		r.ref, r.want = m, d
+		r.q.enqueue(&proto.Message{Type: proto.TypeBlobMiss, Digest: append([]byte(nil), d[:]...)}, nil)
 	}
-	return r.fetch(m, d)
 }
 
-// fetch asks the master for the bytes behind d and waits for the blob
-// reply, queueing unrelated frames so their order is preserved. The
-// channel is ordered and the master serves fetches from its result
-// source, so the reply (or a lease-ending control frame) always arrives.
-func (r *dedupReceiver) fetch(ref *proto.Message, d blob.Digest) (*proto.Message, error) {
-	seq := ref.Seq
-	if err := r.Channel.Send(&proto.Message{Type: proto.TypeBlobMiss, Digest: d[:]}); err != nil {
-		proto.Release(ref)
-		return nil, err
+// fetched completes the pending fetch with its blob reply, then hands on
+// the frames held behind it.
+func (r *dedupReceiver) fetched(m *proto.Message) {
+	if got, ok := blob.SumOf(m.Digest); !ok || got != r.want {
+		proto.Release(m) // a blob we did not ask for
+		return
 	}
-	for {
-		m, err := r.Channel.Recv()
-		if err != nil {
-			proto.Release(ref)
-			return nil, err
-		}
-		if m.Type == proto.TypeBlob {
-			got, ok := blob.SumOf(m.Digest)
-			if ok && got == d {
-				if m.Err != "" {
-					errMsg := m.Err
-					proto.Release(m)
-					proto.Release(ref)
-					return nil, fmt.Errorf("transport: blob fetch for input %d failed: %s", seq, errMsg)
-				}
-				if err := r.cache.Put(d, m.Data); err != nil {
-					proto.Release(m)
-					proto.Release(ref)
-					return nil, fmt.Errorf("transport: fetched payload for input %d: %w", seq, err)
-				}
-				proto.Release(m)
-				data, hit, err := r.cache.Get(d)
-				if err != nil || !hit {
-					proto.Release(ref)
-					return nil, fmt.Errorf("transport: fetched blob vanished from cache: %v", err)
-				}
-				ref.Data = data
-				return ref, nil
-			}
-			// A blob we did not ask for; drop it.
-			proto.Release(m)
-			continue
-		}
-		if isLeaseControl(m) {
-			// The lease ended or moved mid-fetch: the reply may never
-			// come. Abandon the reference (the master re-lends the value)
-			// and let the control frame — after any frames that preceded
-			// it — take over the delivery order.
-			r.queue = append(r.queue, m)
-			proto.Release(ref)
-			return nil, nil
-		}
-		// Anything else (later inputs, strays) waits its turn behind the
-		// pending one.
-		r.queue = append(r.queue, m)
+	if m.Err != "" {
+		err := fmt.Errorf("transport: blob fetch for input %d failed: %s", r.ref.Seq, m.Err)
+		proto.Release(m)
+		r.fail(err)
+		return
 	}
+	// pass verifies and caches the payload, as a full transmission's.
+	ref := r.ref
+	r.ref = nil
+	ref.Data = m.Data
+	m.Detach()
+	proto.Release(m)
+	r.pass(ref)
+	r.drain()
+}
+
+// drain hands on the held frames, in order, until one starts a fetch.
+func (r *dedupReceiver) drain() {
+	for r.ref == nil && !r.over && len(r.held) > 0 {
+		m := r.held[0]
+		r.held = r.held[:copy(r.held, r.held[1:])]
+		r.pass(m)
+	}
+}
+
+// fail gives h its end and closes the channel, dropping the fetch in
+// progress and what it held: dedup corruption degrades to crash-stop.
+func (r *dedupReceiver) fail(err error) {
+	r.over = true
+	proto.Release(r.ref)
+	for _, m := range r.held {
+		proto.Release(m)
+	}
+	r.ref, r.held = nil, nil
+	r.h(nil, err)
+	r.Channel.Close()
 }

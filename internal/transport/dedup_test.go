@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"testing"
+	"time"
 
 	"pando/internal/blob"
 	"pando/internal/netsim"
@@ -20,19 +21,52 @@ func dedupPayload(tag byte, n int) []byte {
 }
 
 // dedupPair wires a master-half and worker-half dedup channel over one
-// simulated pipe, returning them with their shared stores.
-func dedupPair(t *testing.T) (Channel, Channel, *blob.Intern, *blob.Cache, *blob.FlowStats) {
+// simulated pipe, returning the master half, the worker half routed into
+// an inbox, and their shared stores.
+func dedupPair(t *testing.T) (Channel, *inbox, *blob.Intern, *blob.Cache, *blob.FlowStats) {
 	t.Helper()
 	a, b, _ := wsockPair(t, netsim.Loopback, Config{HeartbeatInterval: -1})
 	intern := blob.NewIntern(0)
 	cache := blob.NewCache(0)
 	stats := &blob.FlowStats{}
-	return DedupMasterChannel(a, intern, stats), DedupWorkerChannel(b, cache), intern, cache, stats
+	return DedupMasterChannel(a, intern, stats), routeInbox(t, DedupWorkerChannel(b, cache)), intern, cache, stats
+}
+
+// inbox stands in for a routed channel's consumer (MasterDuplex's result
+// source, WorkerServe): it queues what the channel routes, for the test
+// to read back frame by frame.
+type inbox struct{ q chan routedFrame }
+
+type routedFrame struct {
+	m   *proto.Message
+	err error
+}
+
+// routeInbox routes ch into a new inbox, behind a send queue of its own
+// as the duplexes make one: a dedup half sends its blob fetches and
+// replies through it.
+func routeInbox(t *testing.T, ch Channel) *inbox {
+	t.Helper()
+	q := newSendQueue(ch, nil)
+	t.Cleanup(func() { q.close() })
+	in := &inbox{q: make(chan routedFrame, 256)}
+	ch.Route(func(m *proto.Message, err error) { in.q <- routedFrame{m, err} })
+	return in
+}
+
+// Recv returns the next routed frame, or the channel's end.
+func (in *inbox) Recv() (*proto.Message, error) {
+	select {
+	case r := <-in.q:
+		return r.m, r.err
+	case <-time.After(5 * time.Second):
+		return nil, errors.New("nothing routed within 5s")
+	}
 }
 
 // sendRaw sends data as input seq through master and returns the frame
 // exactly as it crossed the wire, read by the raw peer.
-func sendRaw(t *testing.T, master, peer Channel, seq uint64, data []byte) *proto.Message {
+func sendRaw(t *testing.T, master Channel, peer *WSock, seq uint64, data []byte) *proto.Message {
 	t.Helper()
 	if err := master.Send(&proto.Message{Type: proto.TypeInput, Seq: seq, Data: append([]byte(nil), data...)}); err != nil {
 		t.Fatal(err)
@@ -225,6 +259,7 @@ func TestDedupMissFetchesBlob(t *testing.T) {
 	stats := &blob.FlowStats{}
 	master := DedupMasterChannel(a, blob.NewIntern(0), stats)
 	wkr := DedupWorkerChannel(b, blob.NewCache(-1))
+	masterIn, wkrIn := routeInbox(t, master), routeInbox(t, wkr)
 
 	first := dedupPayload(4, 2048)
 	second := dedupPayload(5, 2048)
@@ -242,7 +277,7 @@ func TestDedupMissFetchesBlob(t *testing.T) {
 		}
 	}
 	for i := 0; i < 4; i++ {
-		m, err := wkr.Recv()
+		m, err := wkrIn.Recv()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,28 +285,24 @@ func TestDedupMissFetchesBlob(t *testing.T) {
 	}
 
 	// The repeat of the displaced payload arrives as a reference the
-	// cache cannot resolve: the worker fetches. The master half services
-	// the fetch from its Recv loop, which returns when the worker's
-	// result lands.
-	done := make(chan error, 1)
-	go func() {
-		m, err := wkr.Recv()
-		if err != nil {
-			done <- err
-			return
-		}
-		if !bytes.Equal(m.Data, first) {
-			done <- errors.New("fetched payload differs from the original")
-			proto.Release(m)
-			return
-		}
-		proto.Release(m)
-		done <- wkr.Send(&proto.Message{Type: proto.TypeResult, Seq: 3})
-	}()
+	// cache cannot resolve: the worker fetches. The master half answers
+	// the fetch on its read loop, so its handler sees only the worker's
+	// result.
 	if err := master.Send(&proto.Message{Type: proto.TypeInput, Seq: 3, Data: append([]byte(nil), first...)}); err != nil {
 		t.Fatal(err)
 	}
-	m, err := master.Recv() // services the blobmiss, then yields the result
+	m, err := wkrIn.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(m.Data, first) {
+		t.Fatal("fetched payload differs from the original")
+	}
+	proto.Release(m)
+	if err := wkr.Send(&proto.Message{Type: proto.TypeResult, Seq: 3}); err != nil {
+		t.Fatal(err)
+	}
+	m, err = masterIn.Recv()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,9 +310,6 @@ func TestDedupMissFetchesBlob(t *testing.T) {
 		t.Fatalf("master received %+v, want the result frame", m)
 	}
 	proto.Release(m)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
 	if misses := stats.Misses.Load(); misses != 1 {
 		t.Fatalf("%d misses, want 1", misses)
 	}
@@ -323,7 +351,7 @@ func TestDedupPoisonedCacheCrashStops(t *testing.T) {
 // wedging or inventing data.
 func TestDedupFailedFetchCrashStops(t *testing.T) {
 	a, b, _ := wsockPair(t, netsim.Loopback, Config{HeartbeatInterval: -1})
-	wkr := DedupWorkerChannel(b, blob.NewCache(0))
+	wkr := routeInbox(t, DedupWorkerChannel(b, blob.NewCache(0)))
 
 	d := blob.Sum(dedupPayload(7, 2048))
 	if err := a.Send(&proto.Message{Type: proto.TypeInput, Seq: 1, Digest: d[:]}); err != nil {
@@ -351,7 +379,7 @@ func TestDedupFailedFetchCrashStops(t *testing.T) {
 // re-lends it) and takes its place in the delivery order.
 func TestDedupFetchAbandonedOnReassign(t *testing.T) {
 	a, b, _ := wsockPair(t, netsim.Loopback, Config{HeartbeatInterval: -1})
-	wkr := DedupWorkerChannel(b, blob.NewCache(0))
+	wkr := routeInbox(t, DedupWorkerChannel(b, blob.NewCache(0)))
 
 	d := blob.Sum(dedupPayload(8, 2048))
 	if err := a.Send(&proto.Message{Type: proto.TypeInput, Seq: 1, Digest: d[:]}); err != nil {
@@ -375,4 +403,107 @@ func TestDedupFetchAbandonedOnReassign(t *testing.T) {
 		t.Fatalf("received %+v, want the reassign frame", m)
 	}
 	proto.Release(m)
+}
+
+// TestDedupMissHoldsLaterFrames: while a reference waits for its blob,
+// the plain inputs that arrive after it wait too. All three reach the
+// handler in arrival order, once the blob is in.
+func TestDedupMissHoldsLaterFrames(t *testing.T) {
+	a, b, _ := wsockPair(t, netsim.Loopback, Config{HeartbeatInterval: -1})
+	wkr := routeInbox(t, DedupWorkerChannel(b, blob.NewCache(0)))
+
+	big := dedupPayload(12, 2048)
+	d := blob.Sum(big)
+	// The wire is ordered: inputs 2 and 3 reach the worker before the blob
+	// the reference's miss asks for.
+	for _, m := range []*proto.Message{
+		{Type: proto.TypeInput, Seq: 1, Digest: d[:]},
+		{Type: proto.TypeInput, Seq: 2, Data: []byte("two")},
+		{Type: proto.TypeInput, Seq: 3, Data: []byte("three")},
+	} {
+		if err := a.Send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	miss, err := a.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := blob.SumOf(miss.Digest); miss.Type != proto.TypeBlobMiss || !ok || got != d {
+		t.Fatalf("worker sent %+v, want a blobmiss for %x", miss, d[:])
+	}
+	proto.Release(miss)
+	select {
+	case r := <-wkr.q:
+		t.Fatalf("the handler got %+v (err %v) before the blob", r.m, r.err)
+	default:
+	}
+	if err := a.Send(&proto.Message{Type: proto.TypeBlob, Digest: d[:], Data: big}); err != nil {
+		t.Fatal(err)
+	}
+	for seq := uint64(1); seq <= 3; seq++ {
+		m, err := wkr.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Seq != seq {
+			t.Fatalf("handler got input %d, want %d", m.Seq, seq)
+		}
+		if seq == 1 && !bytes.Equal(m.Data, big) {
+			t.Fatal("the reference reached the handler without its fetched payload")
+		}
+		proto.Release(m)
+	}
+}
+
+// TestDedupHeldReferenceAbandonedOnReassign: a reference held behind a
+// pending fetch is abandoned too when a lease-control frame arrived
+// behind it, rather than starting a fetch nobody will answer. The plain
+// input between them still reaches the handler, then the control frame.
+func TestDedupHeldReferenceAbandonedOnReassign(t *testing.T) {
+	a, b, _ := wsockPair(t, netsim.Loopback, Config{HeartbeatInterval: -1})
+	wkr := routeInbox(t, DedupWorkerChannel(b, blob.NewCache(0)))
+
+	d1, d2 := blob.Sum(dedupPayload(13, 2048)), blob.Sum(dedupPayload(14, 2048))
+	for _, m := range []*proto.Message{
+		{Type: proto.TypeInput, Seq: 1, Digest: d1[:]},
+		{Type: proto.TypeInput, Seq: 2, Data: []byte("two")},
+		{Type: proto.TypeInput, Seq: 3, Digest: d2[:]},
+		{Type: proto.TypeReassign, Func: "elsewhere"},
+	} {
+		if err := a.Send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, want := range []proto.Type{proto.TypeInput, proto.TypeReassign} {
+		m, err := wkr.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Type != want || (want == proto.TypeInput && m.Seq != 2) {
+			t.Fatalf("handler got %+v, want input 2 then the reassign", m)
+		}
+		proto.Release(m)
+	}
+	// By now every fetch the worker asked for is queued: exactly one, the
+	// first reference's, crosses the wire.
+	miss, err := a.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := blob.SumOf(miss.Digest); miss.Type != proto.TypeBlobMiss || !ok || got != d1 {
+		t.Fatalf("first frame back %+v, want the blobmiss for input 1", miss)
+	}
+	proto.Release(miss)
+	more := make(chan *proto.Message, 1)
+	go func() {
+		if m, err := a.Recv(); err == nil {
+			more <- m
+		}
+	}()
+	select {
+	case m := <-more:
+		t.Fatalf("a second frame came back: %+v", m)
+	case <-time.After(100 * time.Millisecond):
+	}
 }

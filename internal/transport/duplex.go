@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"sync"
 
 	"pando/internal/proto"
 	"pando/internal/pullstream"
@@ -50,9 +51,8 @@ func (e *WorkerError) Error() string {
 
 // MasterDuplex exposes a channel to the master as a pull-stream duplex:
 // its Sink consumes the inputs lent to the worker (sending them as input
-// frames) and its Source produces the worker's results. The duplex is
-// meant to be wrapped with the sched credit gate and wired to a
-// StreamLender sub-stream:
+// frames) and its Source produces the worker's results, accepted on the
+// channel's read loop, which the StreamLender's pump then runs on too:
 // pull(sub.Source, Gate(ctrl, MasterDuplex(ch)), sub.Sink).
 //
 // It is the one master data path. Sends are smart-batched: the Sink
@@ -82,9 +82,9 @@ func (e *WorkerError) Error() string {
 // only the Seq discipline can detect it.)
 func MasterDuplex[I, O any](ch Channel, in Codec[I], out Codec[O], charge func(seq uint64, n int, wire bool)) pullstream.Duplex[I, O] {
 	inList, _ := any(in).(batchCodec[I])
+	q := newSendQueue(ch, charge)
 	return pullstream.Duplex[I, O]{
 		Sink: func(src pullstream.Source[I]) {
-			q := newSendQueue(ch, charge)
 			defer q.close()
 			var seq uint64
 			pull := pullstream.NewPuller(src)
@@ -144,6 +144,8 @@ func inputFrame[I any](in Codec[I], list batchCodec[I], v I) (*proto.Message, er
 // is decoded (detached first when the codec aliases). It accepts the
 // result kind its codec calls for (TypeResultBatch for a list codec,
 // TypeResult otherwise) and treats every check the same on both.
+// It routes the channel and answers asks from the read loop; a result
+// that arrives before its ask waits, decoded, for the next one.
 func masterSource[O any](ch Channel, out Codec[O]) pullstream.Source[O] {
 	aliases := codecAliases(out)
 	list, _ := any(out).(batchCodec[O])
@@ -188,6 +190,44 @@ func masterSource[O any](ch Channel, out Codec[O]) pullstream.Source[O] {
 		}
 		return v, nil
 	}
+
+	var (
+		mu    sync.Mutex
+		asked pullstream.Callback[O] // the pending ask
+		ready []result[O]            // answers made before their ask, oldest first
+	)
+	// give answers the pending ask, or keeps the answer for the next one.
+	give := func(end error, v O) {
+		mu.Lock()
+		cb := asked
+		if asked = nil; cb == nil {
+			ready = append(ready, result[O]{end, v})
+		}
+		mu.Unlock()
+		if cb != nil {
+			cb(end, v)
+		}
+	}
+	ch.Route(func(m *proto.Message, err error) {
+		var zero O
+		switch {
+		case m == nil:
+			give(err, zero)
+		case m.Type == want:
+			v, err := accept(m)
+			proto.Release(m)
+			if err != nil {
+				ch.Close()
+			}
+			give(err, v)
+		case m.Type == proto.TypeGoodbye:
+			proto.Release(m)
+			give(pullstream.ErrDone, zero)
+		default:
+			// Ignore stray control messages.
+			proto.Release(m)
+		}
+	})
 	return func(abort error, cb pullstream.Callback[O]) {
 		var zero O
 		if abort != nil {
@@ -195,31 +235,23 @@ func masterSource[O any](ch Channel, out Codec[O]) pullstream.Source[O] {
 			cb(abort, zero)
 			return
 		}
-		for {
-			m, err := ch.Recv()
-			if err != nil {
-				cb(err, zero)
-				return
-			}
-			switch m.Type {
-			case want:
-				v, err := accept(m)
-				proto.Release(m)
-				if err != nil {
-					ch.Close()
-				}
-				cb(err, v)
-				return
-			case proto.TypeGoodbye:
-				proto.Release(m)
-				cb(pullstream.ErrDone, zero)
-				return
-			default:
-				// Ignore stray control messages.
-				proto.Release(m)
-			}
+		mu.Lock()
+		if len(ready) == 0 {
+			asked = cb
+			mu.Unlock()
+			return
 		}
+		r := ready[0]
+		ready = ready[:copy(ready, ready[1:])]
+		mu.Unlock()
+		cb(r.end, r.v)
 	}
+}
+
+// result is one answer of masterSource made before its ask.
+type result[O any] struct {
+	end error
+	v   O
 }
 
 // decodeBatchResult unpacks a result batch into the list codec's value.
@@ -245,11 +277,11 @@ func decodeBatchResult[O any](m *proto.Message, list batchCodec[O]) (O, error) {
 }
 
 // WorkerServe runs the volunteer side of a channel, the one worker loop:
-// it receives inputs, applies f one value at a time (as a browser tab
-// does) — to the single value of a TypeInput frame or to every member of
-// a TypeInputBatch, reporting per-member errors in the result batch — and
-// sends results back. It returns when the master says goodbye (nil) or
-// the channel fails.
+// it routes the channel and, on its read loop, applies f to each input one
+// value at a time (as a browser tab handles each message in its callback)
+// — to the single value of a TypeInput frame or to every member of a
+// TypeInputBatch, reporting per-member errors in the result batch. It
+// returns when the master says goodbye (nil) or the channel fails.
 //
 // A reassign frame from a shared fleet moves the worker to another job.
 // reassign resolves the named function to a new processing function; the
@@ -259,20 +291,22 @@ func decodeBatchResult[O any](m *proto.Message, list batchCodec[O]) (O, error) {
 // previous job has already been written when the echo goes out. A nil
 // reassign ignores such frames like any unknown control message.
 //
-// Replies go out through a sendQueue: results that accumulate while the
-// previous write is in flight leave in one vectored write. Input frames
-// recycle into the arena after their reply is written, so f must not
-// retain its (possibly frame-aliasing) argument past return — the
-// contract worker.Handler documents.
+// Replies go out through a sendQueue, never from the read loop: results
+// that accumulate while the previous write is in flight leave in one
+// vectored write. Input frames recycle into the arena after their reply is
+// written, so f must not retain its (possibly frame-aliasing) argument
+// past return — the contract worker.Handler documents.
 func WorkerServe[I, O any](ch Channel, in Codec[I], out Codec[O], f func(I) (O, error), reassign func(name string) (func(I) (O, error), error)) error {
 	q := newSendQueue(ch, nil)
-	for {
-		m, err := ch.Recv()
-		if err != nil {
-			if qerr := q.close(); qerr != nil {
-				return qerr
+	over, stopped := false, make(chan error, 1) // over: what still arrives is dropped
+	halt := func(err error) { over = true; stopped <- err }
+	ch.Route(func(m *proto.Message, err error) {
+		if over || m == nil {
+			if !over {
+				halt(err)
 			}
-			return err
+			proto.Release(m)
+			return
 		}
 		var reply *proto.Message
 		switch m.Type {
@@ -280,20 +314,19 @@ func WorkerServe[I, O any](ch Channel, in Codec[I], out Codec[O], f func(I) (O, 
 			fn := m.Func
 			proto.Release(m)
 			if reassign == nil {
-				continue
+				return
 			}
 			nf, err := reassign(fn)
 			if err != nil {
 				q.enqueue(&proto.Message{Type: proto.TypeError, Err: err.Error()}, nil)
-				_ = q.close()
-				ch.Close()
-				return err
+				halt(err)
+				return
 			}
 			f = nf
 			if !q.enqueue(&proto.Message{Type: proto.TypeReassign, Func: fn}, nil) {
-				return q.close()
+				halt(ErrChannelClosed)
 			}
-			continue
+			return
 		case proto.TypeInput:
 			reply = applyOne(m.Seq, m.Data, in, out, f)
 		case proto.TypeInputBatch:
@@ -301,22 +334,27 @@ func WorkerServe[I, O any](ch Channel, in Codec[I], out Codec[O], f func(I) (O, 
 		case proto.TypeGoodbye:
 			proto.Release(m)
 			q.enqueue(&proto.Message{Type: proto.TypeGoodbye}, nil)
-			_ = q.close()
-			ch.Close()
-			return nil
+			halt(nil)
+			return
 		default:
 			// Ignore stray control messages.
 			proto.Release(m)
-			continue
+			return
 		}
 		// The reply may thread the input's bytes through (an identity
 		// handler under RawCodec), so the frame releases only after the
 		// reply is on the wire — the queue owns it from here.
 		if !q.enqueue(reply, m) {
 			proto.Release(m)
-			return q.close()
+			halt(ErrChannelClosed)
 		}
+	})
+	err := <-stopped
+	if qerr := q.close(); qerr != nil && err == ErrChannelClosed {
+		err = qerr // the queue's send error says why the channel closed
 	}
+	ch.Close()
+	return err
 }
 
 // applyBatch applies f to every member of an input batch, producing the

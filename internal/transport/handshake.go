@@ -20,7 +20,7 @@ import (
 // the channel is closed. The caller may preset Peer, Functions, Seq (join
 // incarnation, >0 on rejoins) and Token (the volunteer instance nonce
 // that lets the master sever the departed incarnation's sessions).
-func Hello(ch Channel, hello *proto.Message) (*proto.Message, error) {
+func Hello(ch *WSock, hello *proto.Message) (*proto.Message, error) {
 	hello.Type = proto.TypeHello
 	hello.Version = proto.Version
 	if err := ch.Send(hello); err != nil {
@@ -51,7 +51,7 @@ func Hello(ch Channel, hello *proto.Message) (*proto.Message, error) {
 // before it can name the function in the welcome. On error the peer is
 // sent a TypeError frame (when it got as far as a well-formed hello) and
 // the channel is closed.
-func RecvHello(ch Channel) (*proto.Message, error) {
+func RecvHello(ch *WSock) (*proto.Message, error) {
 	hello, err := ch.Recv()
 	if err != nil {
 		ch.Close()

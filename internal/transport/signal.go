@@ -140,7 +140,7 @@ func (s *SignalServer) pickMaster(functions []string) (string, bool) {
 	return "", false
 }
 
-func (s *SignalServer) handle(ch Channel) {
+func (s *SignalServer) handle(ch *WSock) {
 	defer ch.Close()
 
 	// The first message must register the peer. A join carrying a
@@ -257,14 +257,14 @@ func (s *SignalServer) handle(ch Channel) {
 
 // JoinSignal connects a peer to the signalling relay over ch: it sends the
 // join message and waits for the acknowledgement.
-func JoinSignal(ch Channel, peerID string) error {
+func JoinSignal(ch *WSock, peerID string) error {
 	return JoinSignalServing(ch, peerID, nil)
 }
 
 // JoinSignalServing is JoinSignal for a master: the join advertises the
 // processing functions the master serves, registering it for pool-mode
 // assignment of anonymous volunteers.
-func JoinSignalServing(ch Channel, peerID string, functions []string) error {
+func JoinSignalServing(ch *WSock, peerID string, functions []string) error {
 	if err := ch.Send(&proto.Message{Type: proto.TypeJoin, Peer: peerID, Functions: functions}); err != nil {
 		return err
 	}

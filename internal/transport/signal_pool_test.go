@@ -26,7 +26,7 @@ func TestSignalServerOnLeavePrunesPeers(t *testing.T) {
 	go srv.Serve(ln, Config{HeartbeatInterval: -1})
 	defer srv.Close()
 
-	dial := func() Channel {
+	dial := func() *WSock {
 		c, _, err := ln.Dial()
 		if err != nil {
 			t.Fatal(err)
@@ -81,7 +81,7 @@ func TestSignalServerPoolAssignsMaster(t *testing.T) {
 	go srv.Serve(ln, Config{HeartbeatInterval: -1})
 	defer srv.Close()
 
-	dial := func() Channel {
+	dial := func() *WSock {
 		c, _, err := ln.Dial()
 		if err != nil {
 			t.Fatal(err)

@@ -9,6 +9,13 @@
 // heartbeats for longer than the timeout is suspected of having crashed
 // and its channel fails with ErrHeartbeatTimeout, which the StreamLender
 // turns into re-lending of the values that peer held.
+//
+// The data plane handles each frame on the goroutine that read it, as the
+// paper's JavaScript handles each WebSocket message in its callback: Route
+// runs a handler on the channel's read loop, where WorkerServe applies f
+// and MasterDuplex accepts results. A handler never waits on a write (the
+// peer may be waiting on its own, and neither end would read again):
+// replies and blob fetches go through a send queue's goroutine.
 package transport
 
 import (
@@ -30,14 +37,17 @@ var (
 
 // Channel is a bidirectional, ordered, reliable message channel with
 // failure detection — the abstraction shared by the WebSocket-like and
-// WebRTC-like transports.
+// WebRTC-like transports, the fleet's leases and the dedup wrappers.
 type Channel interface {
 	// Send transmits one message. It is safe for concurrent use.
 	Send(m *proto.Message) error
-	// Recv blocks until a message arrives or the channel fails. Ping and
-	// pong frames are handled internally and never returned.
-	Recv() (*proto.Message, error)
-	// Close shuts the channel down; pending Recv calls fail.
+	// Route hands every data frame to h, in arrival order, one call at a
+	// time (pings and pongs are handled internally); after the last, h
+	// gets (nil, err) once, err being the channel's end. h runs on the
+	// read loop: while it runs nothing more is read, and it must never
+	// wait on a write. Route is called once.
+	Route(h func(m *proto.Message, err error))
+	// Close shuts the channel down; the routed handler then gets its end.
 	Close() error
 	// RemoteAddr describes the peer, for diagnostics.
 	RemoteAddr() string

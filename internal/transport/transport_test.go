@@ -156,7 +156,7 @@ func TestSignalServerRelay(t *testing.T) {
 	go srv.Serve(ln, Config{HeartbeatInterval: -1})
 	defer srv.Close()
 
-	dial := func() Channel {
+	dial := func() *WSock {
 		c, _, err := ln.Dial()
 		if err != nil {
 			t.Fatal(err)
@@ -477,7 +477,7 @@ func TestSignalServerOnJoinHook(t *testing.T) {
 	go srv.Serve(ln, Config{HeartbeatInterval: -1})
 	defer srv.Close()
 
-	dial := func() Channel {
+	dial := func() *WSock {
 		c, _, err := ln.Dial()
 		if err != nil {
 			t.Fatal(err)

@@ -24,7 +24,7 @@ import (
 // on its signalling channel with its own candidate address and then
 // matches inbound direct connections to the offer by nonce.
 type RTCAnswerer struct {
-	signal Channel
+	signal *WSock
 	acc    Acceptor
 	cfg    Config
 
@@ -47,7 +47,7 @@ type RTCAnswerer struct {
 // joined the signalling relay (JoinSignal). Established channels are
 // delivered on Incoming(), which closes after Close (or after both the
 // signalling channel and the acceptor fail).
-func NewRTCAnswerer(signal Channel, acc Acceptor, cfg Config) *RTCAnswerer {
+func NewRTCAnswerer(signal *WSock, acc Acceptor, cfg Config) *RTCAnswerer {
 	a := &RTCAnswerer{
 		signal:   signal,
 		acc:      acc,
@@ -163,7 +163,7 @@ func (a *RTCAnswerer) acceptLoop() {
 // registered master (see SignalServer.EnablePool) and the answer from
 // whichever master it picked is accepted. functions, when non-nil, rides
 // on the offer so the relay can prefer masters serving them.
-func RTCOfferServing(signal Channel, selfID, remoteID string, functions []string, dial Dialer, cfg Config) (Channel, error) {
+func RTCOfferServing(signal *WSock, selfID, remoteID string, functions []string, dial Dialer, cfg Config) (*WSock, error) {
 	if err := signal.Send(&proto.Message{Type: proto.TypeOffer, To: remoteID, Peer: selfID, Functions: functions}); err != nil {
 		return nil, fmt.Errorf("transport: send offer: %w", err)
 	}

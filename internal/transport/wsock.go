@@ -35,7 +35,7 @@ type WSock struct {
 	// Route: once deliver is set the read loop hands frames to it instead
 	// of recvq; dmu orders the switch against the read loop's queueing.
 	dmu     sync.Mutex
-	deliver atomic.Pointer[func(*proto.Message)]
+	deliver atomic.Pointer[func(*proto.Message, error)]
 	exited  bool // the read loop has returned (under dmu)
 
 	wire proto.WireFormat // outgoing frame format
@@ -140,7 +140,8 @@ func (w *WSock) SendBatch(ms []*proto.Message) error {
 	return nil
 }
 
-// Recv returns the next non-heartbeat message.
+// Recv returns the next non-heartbeat message: the handshake's and the
+// signalling's reads, before the data plane routes the channel.
 func (w *WSock) Recv() (*proto.Message, error) {
 	select {
 	case m, ok := <-w.recvq:
@@ -198,14 +199,10 @@ func (w *WSock) fail(err error) {
 	w.conn.Close()
 }
 
-// Route switches the channel to direct delivery: the read loop hands
-// every data frame to h itself instead of queueing it for Recv, saving an
-// owner that only forwards frames (the fleet's session router) a goroutine
-// hand-off per frame. Frames already queued go first, so h sees arrival
-// order. h runs on the read loop — while it blocks, the connection is not
-// read, the back-pressure a full queue gives — and gets nil once, after
-// the last frame of a failed channel. Recv must not be used after Route.
-func (w *WSock) Route(h func(*proto.Message)) {
+// Route implements Channel. Frames Recv had not taken go first, on the
+// caller's goroutine. While h runs nothing is read: back-pressure, which
+// the keepalive does not count as silence. Recv must not follow Route.
+func (w *WSock) Route(h func(*proto.Message, error)) {
 	w.dmu.Lock()
 	w.flushLocked(h)
 	exited := w.exited
@@ -214,19 +211,19 @@ func (w *WSock) Route(h func(*proto.Message)) {
 	}
 	w.dmu.Unlock()
 	if exited {
-		h(nil)
+		h(nil, w.Err())
 	}
 }
 
 // flushLocked hands h whatever recvq holds. Caller holds dmu.
-func (w *WSock) flushLocked(h func(*proto.Message)) {
+func (w *WSock) flushLocked(h func(*proto.Message, error)) {
 	for {
 		select {
 		case m, ok := <-w.recvq:
 			if !ok {
 				return
 			}
-			h(m)
+			h(m, nil)
 		default:
 			return
 		}
@@ -237,7 +234,7 @@ func (w *WSock) flushLocked(h func(*proto.Message)) {
 // reports false when the channel shut down first.
 func (w *WSock) dispatch(m *proto.Message) bool {
 	if h := w.deliver.Load(); h != nil {
-		(*h)(m)
+		(*h)(m, nil)
 		return true
 	}
 	select {
@@ -264,7 +261,7 @@ func (w *WSock) readLoop() {
 		w.dmu.Unlock()
 		close(w.recvq)
 		if h != nil {
-			(*h)(nil)
+			(*h)(nil, w.Err())
 		}
 	}()
 	for {

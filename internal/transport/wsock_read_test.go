@@ -13,6 +13,7 @@ import (
 
 	"pando/internal/netsim"
 	"pando/internal/proto"
+	"pando/internal/pullstream"
 	"pando/internal/race"
 )
 
@@ -177,8 +178,10 @@ func TestWSockSilenceBounds(t *testing.T) {
 }
 
 // TestWSockBusyVolunteerIsNotSilent: a volunteer whose f outlasts the
-// timeout sends no result for a long time, but its read loop still
-// answers pings, so neither end suspects the other.
+// timeout sends no result for a long time, and its read loop, running f,
+// answers no ping meanwhile. Its own pings keep the master hearing it, and
+// a read loop parked on its handler is not silence, so neither end
+// suspects the other.
 func TestWSockBusyVolunteerIsNotSilent(t *testing.T) {
 	cfg := Config{HeartbeatInterval: 10 * time.Millisecond, HeartbeatTimeout: 40 * time.Millisecond}
 	master, volunteer, _ := wsockPair(t, netsim.Loopback, cfg)
@@ -202,6 +205,35 @@ func TestWSockBusyVolunteerIsNotSilent(t *testing.T) {
 	proto.Release(m)
 	if err := master.Send(&proto.Message{Type: proto.TypeGoodbye}); err != nil {
 		t.Fatal(err)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("volunteer suspected its master while busy: %v", err)
+	}
+}
+
+// TestWSockBusyVolunteerIsNotSilentRouted is the same with both
+// ends' data planes routed: the master accepts results on its read loop
+// (MasterDuplex) while pinging, and f outlasts the timeout twice in a row
+// on the worker's read loop. Every result arrives, and both ends end
+// cleanly.
+func TestWSockBusyVolunteerIsNotSilentRouted(t *testing.T) {
+	cfg := Config{HeartbeatInterval: 10 * time.Millisecond, HeartbeatTimeout: 40 * time.Millisecond}
+	master, volunteer, _ := wsockPair(t, netsim.Loopback, cfg)
+	served := make(chan error, 1)
+	go func() {
+		served <- WorkerServe[int, int](volunteer, JSONCodec[int]{}, JSONCodec[int]{}, func(v int) (int, error) {
+			time.Sleep(6 * cfg.HeartbeatTimeout)
+			return v * 10, nil
+		}, nil)
+	}()
+	d := MasterDuplex[int, int](master, JSONCodec[int]{}, JSONCodec[int]{}, nil)
+	go d.Sink(pullstream.Values(1, 2))
+	got, err := pullstream.Collect(d.Source)
+	if err != nil {
+		t.Fatalf("master suspected a busy volunteer: %v", err)
+	}
+	if len(got) != 2 || got[0] != 10 || got[1] != 20 {
+		t.Fatalf("results %v, want [10 20]", got)
 	}
 	if err := <-served; err != nil {
 		t.Fatalf("volunteer suspected its master while busy: %v", err)
@@ -257,7 +289,7 @@ func TestWSockSlowConsumerIsNotSilence(t *testing.T) {
 			got := make(chan *proto.Message)
 			if routed {
 				first := true
-				go w.Route(func(m *proto.Message) {
+				go w.Route(func(m *proto.Message, _ error) {
 					if first {
 						first = false
 						time.Sleep(pause)
@@ -332,7 +364,7 @@ func TestWSockRouteDeliversInOrder(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	var next uint64
 	ended := make(chan struct{})
-	b.Route(func(m *proto.Message) {
+	b.Route(func(m *proto.Message, _ error) {
 		if m == nil {
 			close(ended)
 			return
@@ -365,7 +397,7 @@ func TestWSockRouteAfterFailure(t *testing.T) {
 	}
 	var got []uint64
 	ended := false
-	w.Route(func(m *proto.Message) {
+	w.Route(func(m *proto.Message, _ error) {
 		if m == nil {
 			ended = true
 			return

@@ -11,7 +11,7 @@ import (
 )
 
 // scriptedMaster wraps the master side of a pipe for direct frame play.
-func scriptedMaster(t *testing.T) (transport.Channel, *Volunteer, chan error) {
+func scriptedMaster(t *testing.T) (*transport.WSock, *Volunteer, chan error) {
 	t.Helper()
 	pipe := netsim.NewPipe(netsim.Loopback)
 	cfg := transport.Config{HeartbeatInterval: -1}
@@ -40,7 +40,7 @@ func scriptedMaster(t *testing.T) (transport.Channel, *Volunteer, chan error) {
 	return transport.NewWSock(pipe.B, cfg), v, done
 }
 
-func expectFrame(t *testing.T, ch transport.Channel, want proto.Type) *proto.Message {
+func expectFrame(t *testing.T, ch *transport.WSock, want proto.Type) *proto.Message {
 	t.Helper()
 	for {
 		m, err := ch.Recv()

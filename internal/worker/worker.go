@@ -189,7 +189,7 @@ func (v *Volunteer) JoinURL(url string, dial transport.Dialer) error {
 // via the public server channel, then a direct connection (paper §5.4).
 // An empty masterID is pool mode: the relay assigns a registered master,
 // guided by the functions this volunteer advertises.
-func (v *Volunteer) JoinRTC(signal transport.Channel, selfID, masterID string, dial transport.Dialer) error {
+func (v *Volunteer) JoinRTC(signal *transport.WSock, selfID, masterID string, dial transport.Dialer) error {
 	if err := transport.JoinSignal(signal, selfID); err != nil {
 		signal.Close()
 		return err
@@ -259,10 +259,10 @@ func (v *Volunteer) incarnation() (uint64, string) {
 	return seq, v.nonce
 }
 
-func (v *Volunteer) serve(ch transport.Channel) error {
+func (v *Volunteer) serve(conn *transport.WSock) error {
 	// The Functions list advertises the jobs the device can serve.
 	seq, nonce := v.incarnation()
-	welcome, err := transport.Hello(ch, &proto.Message{
+	welcome, err := transport.Hello(conn, &proto.Message{
 		Peer:      v.Name,
 		Functions: v.advertised(),
 		Seq:       seq,
@@ -275,7 +275,7 @@ func (v *Volunteer) serve(ch transport.Channel) error {
 	// The master may send digest-only payload references; the dedup
 	// receiver resolves them against the volunteer's blob cache (fetching
 	// on a miss) before the serve loop sees the frame.
-	ch = transport.DedupWorkerChannel(ch, v.blobCache())
+	ch := transport.DedupWorkerChannel(conn, v.blobCache())
 
 	h, err := v.resolve(welcome.Func)
 	if err != nil {

@@ -64,7 +64,7 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 }
 
 // fakeMaster speaks the master's side of the handshake on a channel.
-func fakeMaster(t *testing.T, ch transport.Channel, funcName string, inputs []int) <-chan []int {
+func fakeMaster(t *testing.T, ch *transport.WSock, funcName string, inputs []int) <-chan []int {
 	t.Helper()
 	results := make(chan []int, 1)
 	go func() {
