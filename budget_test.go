@@ -1,6 +1,8 @@
 package pando_test
 
 import (
+	"encoding/binary"
+	"math/rand/v2"
 	"runtime"
 	"runtime/metrics"
 	"slices"
@@ -22,69 +24,118 @@ import (
 var budgets = []struct {
 	shape       string
 	setBy       string
-	schedEvents float64 // /sched/latencies:seconds samples ×8, per item
+	schedEvents float64 // /sched/latencies:seconds samples ×8, per item (collatz only)
 	allocs      float64 // /gc/heap/allocs:objects, per item
+	wire        int64   // bytes on the netsim links both ways, whole run, held exactly (tiles only)
 }{
-	{shape: "collatz", setBy: "each frame handled on the goroutine that read it", schedEvents: 8.51, allocs: 10.0},
+	{shape: "collatz", setBy: "outbound frames from the arena; CollatzSteps on one scratch struct", schedEvents: 8.51, allocs: 3.5},
+	{shape: "tiles", setBy: "outbound frames from the arena", allocs: 9.93, wire: 5_185_922},
 }
 
 const budgetBand = 0.03
 
-// TestBudget runs a fixed in-process deployment at one P and holds its
-// scheduler events and heap allocations per item to the budgets table.
-// At one P these counts barely move between runs, where timings drift by
-// tens of percent, so a goroutine hand-off or an allocation added to (or
-// removed from) the per-item path shows here.
+// TestBudget runs fixed in-process deployments at one P and holds their
+// scheduler events, heap allocations and wire bytes per item to the
+// budgets table. At one P these counts barely move between runs, where
+// timings drift by tens of percent, so a goroutine hand-off or an
+// allocation added to (or removed from) the per-item path shows here.
 //
-// The shape: small collatz values, the JSON codec, two volunteers over
-// netsim loopback links, 60k items.
+// The shapes:
+//   - collatz: small collatz values, the JSON codec, two volunteers over
+//     netsim loopback links, 60k items.
+//   - tiles: 16 KiB raw tiles whose kind cycles compressible, repeated
+//     (eight distinct tiles) and incompressible every 256 items, one
+//     volunteer on a 2 ms link, the adaptive window, 1024 items. One
+//     volunteer and no heartbeats make the wire bytes exact: which channel
+//     sees a repeated tile first decides whether it travels in full.
 func TestBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector adds allocations and scheduling of its own")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	const n = 60_000
-	b := budgets[0]
 
-	name := "budget-collatz"
-	p := pando.New(name, apps.CollatzSteps, pando.WithoutRegistry())
-	defer p.Close()
-	ln := netsim.NewListener(name, netsim.Loopback)
+	t.Run("collatz", func(t *testing.T) {
+		const n = 60_000
+		b := budgets[0]
+		p := pando.New("budget-collatz", apps.CollatzSteps, pando.WithoutRegistry())
+		h := pando.CodecHandler(apps.CollatzSteps, pando.JSONCodec[string]{}, pando.JSONCodec[apps.CollatzResult]{})
+		r := runBudget(t, p, "budget-collatz", h, 2, netsim.Loopback, pando.ChannelConfig{}, n, 6,
+			func(i int) string { return strconv.Itoa(1_000_000 + i) })
+		// Now and then an episode of 10k–40k items, more often beside
+		// other processes, reads events a few percent low: frames batch,
+		// several taken per wake-up. Batching only removes events, so the
+		// count is the busiest window's, the unbatched cost that every
+		// window pays once the per-item path changes. Allocations do not
+		// batch; they are the median window's.
+		slices.Sort(r.allocs)
+		checkBudget(t, b.setBy, "scheduler events", slices.Max(r.events), b.schedEvents)
+		checkBudget(t, b.setBy, "allocations", r.allocs[len(r.allocs)/2], b.allocs)
+	})
+
+	t.Run("tiles", func(t *testing.T) {
+		const n = 1024
+		b := budgets[1]
+		cfg := pando.ChannelConfig{HeartbeatInterval: -1}
+		p := pando.New("budget-tiles", tileSum, pando.WithoutRegistry(),
+			pando.WithCodec[[]byte, []byte](pando.RawCodec{}, pando.RawCodec{}),
+			pando.WithAdaptiveLimit(1, 16), pando.WithChannelConfig(cfg))
+		tiles := make([][]byte, n)
+		for i := range tiles {
+			tiles[i] = budgetTile(i)
+		}
+		r := runBudget(t, p, "budget-tiles", worker.Handler(tileSum), 1,
+			netsim.Link{Latency: 2 * time.Millisecond, Bandwidth: 64 << 20}, cfg, n, 1,
+			func(i int) []byte { return tiles[i] })
+		checkBudget(t, b.setBy, "allocations", r.allocs[0], b.allocs)
+		if r.wire != b.wire {
+			t.Errorf("wire: %d bytes, budget %d exactly (set by %q)", r.wire, b.wire, b.setBy)
+		}
+	})
+}
+
+// budgetRun is what one run of a shape read.
+type budgetRun struct {
+	events, allocs []float64 // per item, by window
+	wire           int64     // both ways over the links, once everything closed
+}
+
+// runBudget streams n inputs through p, the job name, served to vols
+// volunteers running h over netsim links, reading the counts per item in
+// each of windows equal windows.
+func runBudget[I, O any](t *testing.T, p *pando.Pando[I, O], name string, h worker.Handler, vols int, link netsim.Link,
+	cfg pando.ChannelConfig, n, windows int, input func(int) I) budgetRun {
+	t.Helper()
+	ln := netsim.NewListener(name, link)
 	defer ln.Close()
 	go func() { _ = p.ServeWS(ln) }()
-	for k := 0; k < 2; k++ {
+	joined := make(chan error, vols)
+	for k := 0; k < vols; k++ {
 		conn, _, err := ln.Dial()
 		if err != nil {
 			t.Fatal(err)
 		}
 		v := &worker.Volunteer{
 			Name:       "v" + strconv.Itoa(k),
-			Handler:    pando.CodecHandler(apps.CollatzSteps, pando.JSONCodec[string]{}, pando.JSONCodec[apps.CollatzResult]{}),
+			Channel:    cfg,
+			Handler:    h,
 			CrashAfter: -1,
 			Functions:  []string{name},
 		}
-		go func() { _ = v.JoinWS(conn) }()
+		go func() { joined <- v.JoinWS(conn) }()
 	}
-	for deadline := time.Now().Add(10 * time.Second); len(p.Stats()) < 2; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(10 * time.Second); len(p.Stats()) < vols; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatal("the two volunteers were never admitted")
+			t.Fatalf("the %d volunteers were never admitted", vols)
 		}
 	}
-	in := make(chan string)
+	in := make(chan I)
 	go func() {
 		defer close(in)
 		for i := 0; i < n; i++ {
-			in <- strconv.Itoa(1_000_000 + i)
+			in <- input(i)
 		}
 	}()
 
-	// Six windows of n/6 items. Now and then an episode of 10k–40k items,
-	// more often beside other processes, reads events a few percent low:
-	// frames batch, several taken per wake-up. Batching only removes
-	// events, so the count is the busiest window's, the unbatched cost
-	// that every window pays once the per-item path changes. Allocations
-	// do not batch; they are the median window's.
-	const windows = 6
 	runtime.GC()
 	out, errc := p.Process(t.Context(), in)
 	marks := []budgetMetrics{readBudgetMetrics()}
@@ -97,22 +148,69 @@ func TestBudget(t *testing.T) {
 	if err := <-errc; err != nil || got != n {
 		t.Fatalf("processed %d of %d items: %v", got, n, err)
 	}
-	var events, allocs []float64
+	var r budgetRun
 	for w := 1; w < len(marks); w++ {
-		events = append(events, 8*float64(marks[w].schedEvents-marks[w-1].schedEvents)/(n/windows))
-		allocs = append(allocs, float64(marks[w].allocs-marks[w-1].allocs)/(n/windows))
+		r.events = append(r.events, 8*float64(marks[w].schedEvents-marks[w-1].schedEvents)/float64(n/windows))
+		r.allocs = append(r.allocs, float64(marks[w].allocs-marks[w-1].allocs)/float64(n/windows))
 	}
-	t.Logf("%s: scheduler events per item %.2f, allocations per item %.2f, by window", b.shape, events, allocs)
-	slices.Sort(allocs)
-	check := func(what string, got, want float64) {
-		t.Helper()
-		if got < want*(1-budgetBand) || got > want*(1+budgetBand) {
-			t.Errorf("%s: %.2f per item, budget %.2f ±%.0f%% (set by %q): record the new figure if the change is meant",
-				what, got, want, budgetBand*100, b.setBy)
+	p.Close()
+	for k := 0; k < vols; k++ {
+		<-joined
+	}
+	toMaster, toVolunteers := ln.Bytes()
+	r.wire = toMaster + toVolunteers
+	t.Logf("scheduler events per item %.2f, allocations per item %.2f, by window; %d wire bytes (%.1f per item)",
+		r.events, r.allocs, r.wire, float64(r.wire)/float64(n))
+	return r
+}
+
+// checkBudget holds one count per item to its budget's band.
+func checkBudget(t *testing.T, setBy, what string, got, want float64) {
+	t.Helper()
+	if got < want*(1-budgetBand) || got > want*(1+budgetBand) {
+		t.Errorf("%s: %.2f per item, budget %.2f ±%.0f%% (set by %q): record the new figure if the change is meant",
+			what, got, want, budgetBand*100, setBy)
+	}
+}
+
+// budgetTile is tile i of the tiles shape: runs of 16–63 equal bytes
+// (DEFLATE shrinks them roughly tenfold), one of eight random tiles, or a
+// random tile of its own, by i's 256-item phase.
+func budgetTile(i int) []byte {
+	b := make([]byte, 16<<10)
+	switch phase := i / 256 % 4; {
+	case phase < 2:
+		r := rand.New(rand.NewPCG(1, uint64(i)))
+		for off := 0; off < len(b); {
+			n, v := 16+r.IntN(48), byte(r.IntN(64))
+			for ; n > 0 && off < len(b); n-- {
+				b[off] = v
+				off++
+			}
 		}
+	case phase == 2:
+		fillBudgetRandom(b, uint64(i%8))
+	default:
+		fillBudgetRandom(b, uint64(1000+i))
 	}
-	check("scheduler events", slices.Max(events), b.schedEvents)
-	check("allocations", allocs[windows/2], b.allocs)
+	return b
+}
+
+func fillBudgetRandom(b []byte, seed uint64) {
+	r := rand.New(rand.NewPCG(2, seed))
+	for off := 0; off+8 <= len(b); off += 8 {
+		binary.LittleEndian.PutUint64(b[off:], r.Uint64())
+	}
+}
+
+// tileSum is the tiles shape's kernel: FNV-1a over the tile, big-endian.
+func tileSum(tile []byte) ([]byte, error) {
+	h := uint32(2166136261)
+	for _, c := range tile {
+		h ^= uint32(c)
+		h *= 16777619
+	}
+	return binary.BigEndian.AppendUint32(nil, h), nil
 }
 
 type budgetMetrics struct{ schedEvents, allocs uint64 }

@@ -3,6 +3,7 @@ package apps
 import (
 	"fmt"
 	"math/big"
+	"strconv"
 )
 
 // This file implements the Collatz application (paper §4.1): an ongoing
@@ -26,16 +27,23 @@ type CollatzResult struct {
 // CollatzSteps counts the Collatz steps for the decimal integer nStr:
 // n -> n/2 if even, n -> 3n+1 if odd, until n reaches 1. It works in place:
 // a run of halvings is one shift, and 3n+1 is n + 2n + 1 via a temporary.
+// Both integers start on four words each of one scratch allocation, and
+// a start that fits 64 bits skips SetString.
 func CollatzSteps(nStr string) (CollatzResult, error) {
-	n, ok := new(big.Int).SetString(nStr, 10)
-	if !ok {
+	s := new(struct {
+		n, t big.Int
+		w    [8]big.Word
+	})
+	n, t := s.n.SetBits(s.w[:0:4]), s.t.SetBits(s.w[4:4:8])
+	if u, err := strconv.ParseUint(nStr, 10, 64); err == nil {
+		n.SetUint64(u)
+	} else if _, ok := n.SetString(nStr, 10); !ok {
 		return CollatzResult{}, fmt.Errorf("collatz: %q is not a decimal integer", nStr)
 	}
 	if n.Sign() <= 0 {
 		return CollatzResult{}, fmt.Errorf("collatz: %s is not positive", nStr)
 	}
 	res := CollatzResult{N: nStr}
-	t := new(big.Int)
 	for n.Cmp(bigOne) != 0 {
 		if z := n.TrailingZeroBits(); z > 0 {
 			n.Rsh(n, z)

@@ -216,7 +216,7 @@ func decodeBinaryBodyInto(m *Message, body []byte) error {
 			m.Type = Type(val)
 		case tagData:
 			// Alias the body: no copy even for large payloads. The body
-			// buffer's ownership follows the message (adoptBuf) or the
+			// buffer's ownership follows the message (Own) or the
 			// caller keeps it alive — see the arena rules in pool.go.
 			m.Data = val
 		case tagDigest:

@@ -19,7 +19,12 @@ import (
 //     recycles it before returning; callers never see it.
 //   - ReadFrame transfers ownership of the body buffer to the returned
 //     Message: its Data field aliases it (the zero-copy decode),
-//     and the Message remembers the buffer in its unexported buf field.
+//     and the Message remembers the buffer (Own).
+//   - An outbound Message may come from the arena too (GetMessage), with
+//     its payload encoded into a GetBuf buffer it Owns. A frame handed to
+//     a send queue belongs to the queue, which Releases it once it is
+//     written, or when the queue closes if it never is: after the hand-off
+//     the sender must not touch the frame or its Data.
 //   - Release(m) returns the Message and its owned buffer to the arena.
 //     After Release the caller must not touch m, m.Data, or any sub-slice
 //     of m.Data — the memory will be handed to a future frame. Receive
@@ -122,8 +127,8 @@ func putHeader(h *[]byte) { headerPool.Put(h) }
 var msgPool = sync.Pool{New: func() any { return new(Message) }}
 
 // GetMessage returns a zeroed Message from the arena. It is what ReadFrame
-// uses; callers constructing outbound messages may use it too, paired with
-// Release once the frame is written.
+// uses; the send side uses it too, and its queue Releases the frame once
+// it is written.
 func GetMessage() *Message {
 	return msgPool.Get().(*Message)
 }
@@ -157,8 +162,8 @@ func (m *Message) Detach() {
 	}
 }
 
-// adoptBuf records buf as the pooled storage backing m's decoded fields,
-// transferring its ownership to the message (reclaimed by Release).
-func (m *Message) adoptBuf(buf []byte) {
+// Own records buf as the pooled storage backing m's fields, transferring
+// its ownership to the message (reclaimed by Release).
+func (m *Message) Own(buf []byte) {
 	m.buf = buf
 }

@@ -98,9 +98,9 @@ type Message struct {
 	// Digest is the SHA-256 of a content-addressed payload (the
 	// '/pando/2.2.0' dedup extension): on an input it names Data (present
 	// alongside the bytes on first transmission, alone on later ones), and
-	// on blobmiss/blob frames it names the payload being fetched. Decoded,
-	// it aliases the frame buffer like Data does — copy it before
-	// retaining it past Release.
+	// on blobmiss/blob frames it names the payload being fetched; a
+	// result's names its Data. Decoded, it aliases the frame buffer like
+	// Data does — copy it before retaining it past Release.
 	Digest []byte
 
 	// Handshake fields.
@@ -132,7 +132,15 @@ type Message struct {
 	// decoded from the arena's read path; Release returns it. See pool.go
 	// for the ownership rules.
 	buf  []byte
-	wire int // see WireLen
+	wire int      // see WireLen
+	dig  [32]byte // Digest's storage when SetDigest set it
+}
+
+// SetDigest sets Digest to d, held in m itself so that an outbound
+// frame's digest costs no allocation of its own.
+func (m *Message) SetDigest(d [32]byte) {
+	m.dig = d
+	m.Digest = m.dig[:]
 }
 
 // WireLen is the length of the frame the last write of m produced, after
@@ -180,7 +188,7 @@ func writeFrame(w io.Writer, frame []byte) error {
 
 // readBody reads one length-prefixed frame body from r into a pooled
 // buffer. The caller owns the buffer: either PutBuf it once decoded, or
-// hand it to the decoded Message (adoptBuf) so Release reclaims it.
+// hand it to the decoded Message (Own) so Release reclaims it.
 func readBody(r io.Reader) ([]byte, error) {
 	// The prefix buffer comes from the arena too: a stack array would
 	// escape through the io.Reader interface call and cost one heap
@@ -230,7 +238,7 @@ func ReadFrame(r io.Reader) (*Message, error) {
 		PutBuf(body)
 		return nil, err
 	}
-	m.adoptBuf(body)
+	m.Own(body)
 	return m, nil
 }
 

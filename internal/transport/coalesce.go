@@ -51,9 +51,10 @@ func SendAll(ch Channel, ms []*proto.Message) error {
 // queued reply answers such an input. The queue preserves order, so
 // control frames (reassign acks, goodbyes) enqueued after data keep the
 // serial loop's drain-barrier property: everything enqueued before them
-// is on the wire first. Received frames whose bytes a reply may alias
-// (identity handlers under RawCodec) are handed over with the reply and
-// released only after it is written.
+// is on the wire first. A frame handed to the queue belongs to it: the
+// queue Releases it once it is written, or at close if it never is. A
+// received frame whose bytes a reply may alias (an identity handler under
+// RawCodec) is handed over with the reply and released after it.
 type sendQueue struct {
 	ch      Channel
 	charge  func(seq uint64, n int, wire bool) // told each input's wire length; nil on the worker side
@@ -98,13 +99,14 @@ func (q *sendQueue) run() {
 		q.mu.Unlock()
 		if len(batch) > 0 {
 			err := SendAll(q.ch, batch)
-			for _, m := range frames {
-				proto.Release(m)
-			}
 			for _, m := range batch {
 				if n := m.WireLen(); q.charge != nil && m.Seq > 0 && n > 0 {
 					q.charge(m.Seq, n, true)
 				}
+				proto.Release(m)
+			}
+			for _, m := range frames {
+				proto.Release(m)
 			}
 			clear(batch)
 			clear(frames)
@@ -122,12 +124,15 @@ func (q *sendQueue) run() {
 }
 
 // enqueue queues m for the next vectored write; frame (which may be nil)
-// is released once m is on the wire. It reports false after a send
-// failure or close, at which point the caller should stop and close.
+// is released after m. It reports false after a send failure or close,
+// at which point the caller should stop and close; m and frame are
+// released at once then.
 func (q *sendQueue) enqueue(m, frame *proto.Message) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.err != nil || q.done {
+		proto.Release(m)
+		proto.Release(frame)
 		return false
 	}
 	q.pending = append(q.pending, m)
@@ -139,8 +144,8 @@ func (q *sendQueue) enqueue(m, frame *proto.Message) bool {
 }
 
 // close lets the sender drain everything enqueued so far, stops it, and
-// returns the first send error if any. Frames whose replies never made
-// the wire are still released.
+// returns the first send error if any. Frames that never made the wire
+// are still released.
 func (q *sendQueue) close() error {
 	q.mu.Lock()
 	q.done = true
@@ -149,6 +154,9 @@ func (q *sendQueue) close() error {
 	q.wg.Wait()
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	for _, m := range q.pending {
+		proto.Release(m)
+	}
 	for _, m := range q.owned {
 		proto.Release(m)
 	}

@@ -88,7 +88,7 @@ func (s *dedupSender) transform(m *proto.Message) {
 	d := blob.Sum(m.Data)
 	if _, seen := s.sent[d]; seen {
 		if _, ok := s.intern.Get(d); ok {
-			m.Digest = append(m.Digest[:0], d[:]...)
+			m.SetDigest(d)
 			m.Data = nil
 			s.stats.Hits.Add(1)
 			return
@@ -98,7 +98,7 @@ func (s *dedupSender) transform(m *proto.Message) {
 	}
 	s.intern.Add(d, m.Data)
 	s.markSent(d)
-	m.Digest = append(m.Digest[:0], d[:]...)
+	m.SetDigest(d)
 }
 
 func (s *dedupSender) markSent(d blob.Digest) {

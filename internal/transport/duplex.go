@@ -28,6 +28,12 @@ type AliasingCodec interface {
 	DecodeAliases() bool
 }
 
+// appendEncoder is implemented by codecs that can encode into a given
+// buffer (JSONCodec): an input frame then owns a pooled one.
+type appendEncoder[T any] interface {
+	appendEncode(dst []byte, v T) ([]byte, error)
+}
+
 // codecAliases resolves the aliasing contract of an arbitrary codec.
 func codecAliases(c any) bool {
 	if a, ok := c.(AliasingCodec); ok {
@@ -124,18 +130,23 @@ func MasterDuplex[I, O any](ch Channel, in Codec[I], out Codec[O], charge func(s
 	}
 }
 
-// inputFrame renders one lent value as its frame: a plain codec's value
-// is one TypeInput payload, a list codec's value a TypeInputBatch.
-func inputFrame[I any](in Codec[I], list batchCodec[I], v I) (*proto.Message, error) {
-	if list == nil {
-		data, err := in.Encode(v)
-		return &proto.Message{Type: proto.TypeInput, Data: data}, err
+// inputFrame renders one lent value as its frame, taken from the arena:
+// a plain codec's value is one TypeInput payload, a list codec's value a
+// TypeInputBatch.
+func inputFrame[I any](in Codec[I], list batchCodec[I], v I) (m *proto.Message, err error) {
+	m = proto.GetMessage()
+	m.Type = proto.TypeInput
+	if ae, ok := in.(appendEncoder[I]); ok {
+		m.Data, err = ae.appendEncode(proto.GetBuf(0), v)
+		m.Own(m.Data)
+	} else if list == nil {
+		m.Data, err = in.Encode(v)
+	} else {
+		var items []proto.BatchItem
+		items, err = list.encodeItems(v)
+		m.Type, m.Data = proto.TypeInputBatch, proto.EncodeBatch(items)
 	}
-	items, err := list.encodeItems(v)
-	if err != nil {
-		return nil, err
-	}
-	return &proto.Message{Type: proto.TypeInputBatch, Data: proto.EncodeBatch(items)}, nil
+	return m, err
 }
 
 // masterSource is the result side of MasterDuplex: a pull-stream source
@@ -343,9 +354,8 @@ func WorkerServe[I, O any](ch Channel, in Codec[I], out Codec[O], f func(I) (O, 
 		}
 		// The reply may thread the input's bytes through (an identity
 		// handler under RawCodec), so the frame releases only after the
-		// reply is on the wire — the queue owns it from here.
+		// reply is on the wire — the queue owns both from here.
 		if !q.enqueue(reply, m) {
-			proto.Release(m)
 			halt(ErrChannelClosed)
 		}
 	})
@@ -364,32 +374,41 @@ func WorkerServe[I, O any](ch Channel, in Codec[I], out Codec[O], f func(I) (O, 
 func applyBatch[I, O any](m *proto.Message, in Codec[I], out Codec[O], f func(I) (O, error)) *proto.Message {
 	items, err := proto.DecodeBatchShared(m.Data)
 	if err != nil {
-		return &proto.Message{Type: proto.TypeResultBatch, Seq: m.Seq, Err: "decode batch: " + err.Error()}
+		return resultFrame(proto.TypeResultBatch, m.Seq, nil, "decode batch: "+err.Error())
 	}
 	results := make([]proto.BatchItem, 0, len(items))
 	for _, it := range items {
 		one := applyOne(m.Seq, it.D, in, out, f)
 		results = append(results, proto.BatchItem{D: one.Data, E: one.Err})
+		proto.Release(one) // its Data is the codec's, not the arena's
 	}
-	data := proto.EncodeBatch(results)
-	sum := sha256.Sum256(data)
-	return &proto.Message{Type: proto.TypeResultBatch, Seq: m.Seq, Data: data, Digest: sum[:]}
+	return resultFrame(proto.TypeResultBatch, m.Seq, proto.EncodeBatch(results), "")
 }
 
 // applyOne applies f to a single encoded input, producing a result frame.
 func applyOne[I, O any](seq uint64, data []byte, in Codec[I], out Codec[O], f func(I) (O, error)) *proto.Message {
 	v, err := in.Decode(data)
 	if err != nil {
-		return &proto.Message{Type: proto.TypeResult, Seq: seq, Err: "decode: " + err.Error()}
+		return resultFrame(proto.TypeResult, seq, nil, "decode: "+err.Error())
 	}
 	r, err := f(v)
 	if err != nil {
-		return &proto.Message{Type: proto.TypeResult, Seq: seq, Err: err.Error()}
+		return resultFrame(proto.TypeResult, seq, nil, err.Error())
 	}
 	encoded, err := out.Encode(r)
 	if err != nil {
-		return &proto.Message{Type: proto.TypeResult, Seq: seq, Err: "encode: " + err.Error()}
+		return resultFrame(proto.TypeResult, seq, nil, "encode: "+err.Error())
 	}
-	sum := sha256.Sum256(encoded)
-	return &proto.Message{Type: proto.TypeResult, Seq: seq, Data: encoded, Digest: sum[:]}
+	return resultFrame(proto.TypeResult, seq, encoded, "")
+}
+
+// resultFrame is a result frame from the arena: data with its digest, or
+// the error e.
+func resultFrame(t proto.Type, seq uint64, data []byte, e string) *proto.Message {
+	m := proto.GetMessage()
+	m.Type, m.Seq, m.Data, m.Err = t, seq, data, e
+	if e == "" {
+		m.SetDigest(sha256.Sum256(data))
+	}
+	return m
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -20,13 +21,21 @@ import (
 type JSONCodec[T any] struct{}
 
 // Encode marshals v.
-func (JSONCodec[T]) Encode(v T) ([]byte, error) {
+func (c JSONCodec[T]) Encode(v T) ([]byte, error) { return c.appendEncode(nil, v) }
+
+// appendEncode appends v's encoding to dst (appendEncoder): the duplexes
+// hand it a pooled buffer their frame owns.
+func (JSONCodec[T]) appendEncode(dst []byte, v T) ([]byte, error) {
 	if p := jsonPlanFor[T](); p != nil {
-		if b, ok := p.encode(reflect.ValueOf(&v).Elem()); ok {
+		if b, ok := p.encode(dst, reflect.ValueOf(&v).Elem()); ok {
 			return b, nil
 		}
 	}
-	return json.Marshal(v)
+	b, err := json.Marshal(v)
+	if dst == nil || err != nil {
+		return b, err
+	}
+	return append(dst, b...), nil
 }
 
 // Decode unmarshals data.
@@ -131,8 +140,9 @@ func (f *jsonField) of(v reflect.Value) reflect.Value {
 	return v.Field(f.index)
 }
 
-// encode writes v as json.Marshal would, in one allocation, or reports false.
-func (p *jsonPlan) encode(v reflect.Value) ([]byte, bool) {
+// encode appends v to b as json.Marshal would write it, growing b at
+// most once, or reports false.
+func (p *jsonPlan) encode(b []byte, v reflect.Value) ([]byte, bool) {
 	n := len(p.end)
 	for i := range p.fields {
 		f := &p.fields[i]
@@ -141,7 +151,7 @@ func (p *jsonPlan) encode(v reflect.Value) ([]byte, bool) {
 			n += len(f.of(v).String())
 		}
 	}
-	b := make([]byte, 0, n)
+	b = slices.Grow(b, n)
 	for i := range p.fields {
 		f := &p.fields[i]
 		var ok bool

@@ -105,7 +105,7 @@ func roundTripsOnPlan[T comparable](t *testing.T, v T) {
 	if p == nil {
 		t.Fatalf("%T has no plan", v)
 	}
-	b, ok := p.encode(reflect.ValueOf(&v).Elem())
+	b, ok := p.encode(nil, reflect.ValueOf(&v).Elem())
 	if !ok {
 		return
 	}
@@ -301,7 +301,7 @@ func valueOnPlan[T any](v T) func(*testing.T) bool {
 	return func(t *testing.T) bool {
 		t.Helper()
 		encodeLikeJSON(t, v)
-		_, ok := jsonPlanFor[T]().encode(reflect.ValueOf(v))
+		_, ok := jsonPlanFor[T]().encode(nil, reflect.ValueOf(v))
 		return ok
 	}
 }
