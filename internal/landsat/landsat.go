@@ -56,11 +56,11 @@ func valueAt(id, x, y, channel int) byte {
 		v10 := corner(gx+1, gy)
 		v01 := corner(gx, gy+1)
 		v11 := corner(gx+1, gy+1)
-		top := v00*(1-fx) + v10*fx
-		bot := v01*(1-fx) + v11*fx
-		return top*(1-fy) + bot*fy
+		top := float64(v00*(1-fx)) + float64(v10*fx)
+		bot := float64(v01*(1-fx)) + float64(v11*fx)
+		return float64(top*(1-fy)) + float64(bot*fy)
 	}
-	v := 0.65*sample(32) + 0.35*sample(8)
+	v := float64(0.65*sample(32)) + float64(0.35*sample(8))
 	if v > 1 {
 		v = 1
 	}
@@ -160,7 +160,7 @@ func Variance(t Tile) float64 {
 	var v float64
 	for _, b := range t.Pix {
 		d := float64(b) - mean
-		v += d * d
+		v += float64(d * d)
 	}
 	return v / float64(len(t.Pix))
 }

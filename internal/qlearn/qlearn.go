@@ -192,9 +192,9 @@ func TrainInteractive(p Params, observe func(Progress) bool) (Outcome, error) {
 			best := q[ns][argmax(q[ns])]
 			target := r
 			if !done {
-				target += p.Gamma * best
+				target += float64(p.Gamma * best)
 			}
-			q[s][a] += p.Alpha * (target - q[s][a])
+			q[s][a] += float64(p.Alpha * (target - q[s][a]))
 			x, y = nx, ny
 			if done {
 				steps++

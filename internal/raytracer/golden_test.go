@@ -1,9 +1,11 @@
-//go:build amd64
+//go:build amd64 || wasm
 
-// The digests below hold only where Go rounds every float64 operation on
-// its own. arm64, ppc64, s390x and riscv64 fuse x*y+z into one rounding,
-// so their frames differ in a few low bits; amd64 fuses only at an
-// explicit math.FMA, at every GOAMD64 level.
+// The digests below hold where Go rounds every float64 operation on its
+// own: amd64 fuses only at an explicit math.FMA, at every GOAMD64 level,
+// and wasm not at all. arm64, ppc64, s390x and riscv64 may fuse x*y+z
+// into one rounding; the kernel's explicit float64 conversions forbid
+// that at every product that meets a sum (CI checks the arm64 build for
+// fused instructions), but no such host has run these digests yet.
 
 package raytracer
 

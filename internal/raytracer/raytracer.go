@@ -64,8 +64,8 @@ type Sphere struct {
 func (s *Sphere) Intersect(r Ray) (float64, bool) {
 	oc := r.Origin.Sub(s.Center)
 	b := oc.Dot(r.Dir)
-	c := oc.Dot(oc) - s.Radius*s.Radius
-	disc := b*b - c
+	c := oc.Dot(oc) - float64(s.Radius*s.Radius)
+	disc := float64(b*b) - c
 	if disc < 0 {
 		return 0, false
 	}
@@ -265,7 +265,7 @@ type Camera struct {
 // scene centre. The animation of the paper's Figure 1 is a sweep of this
 // angle.
 func OrbitCamera(angle, radius, height float64) Camera {
-	pos := Vec3{math.Cos(angle) * radius, height, math.Sin(angle) * radius}
+	pos := Vec3{float64(math.Cos(angle) * radius), height, float64(math.Sin(angle) * radius)}
 	target := Vec3{0, 0.7, 0}
 	forward := target.Sub(pos).Norm()
 	right := forward.Cross(Vec3{Y: 1}).Norm()
@@ -298,7 +298,7 @@ func (s *Scene) Render(cam Camera, w, h int) []byte {
 // toByte is the reference gamma, 2.2 for a pleasant image. Render looks
 // its answers up in gamma().
 func toByte(x float64) byte {
-	return byte(255*math.Pow(clamp01(x), 1/2.2) + 0.5)
+	return byte(float64(255*math.Pow(clamp01(x), 1/2.2)) + 0.5)
 }
 
 // gammaTable is toByte as a lookup. edges[k], for k in 1..255, is the

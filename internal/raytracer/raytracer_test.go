@@ -397,7 +397,7 @@ func TestSpecularPowMatchesPow(t *testing.T) {
 	r := rand.New(rand.NewPCG(3, 4))
 	for n := 1.0; n <= 256; n++ {
 		for i := 0; i < 2000; i++ {
-			check(1-r.Float64(), n) // (0, 1]
+			check(1-float64(r.Float64()), n) // (0, 1]
 		}
 		// The bases whose n-th power is near 2^-1022, where the result
 		// stops being a normal float.

@@ -14,20 +14,24 @@ func (v Vec3) Add(w Vec3) Vec3 { return Vec3{v.X + w.X, v.Y + w.Y, v.Z + w.Z} }
 func (v Vec3) Sub(w Vec3) Vec3 { return Vec3{v.X - w.X, v.Y - w.Y, v.Z - w.Z} }
 
 // Mul returns the component-wise product v * w.
-func (v Vec3) Mul(w Vec3) Vec3 { return Vec3{v.X * w.X, v.Y * w.Y, v.Z * w.Z} }
+func (v Vec3) Mul(w Vec3) Vec3 {
+	return Vec3{float64(v.X * w.X), float64(v.Y * w.Y), float64(v.Z * w.Z)}
+}
 
 // Scale returns v * s.
-func (v Vec3) Scale(s float64) Vec3 { return Vec3{v.X * s, v.Y * s, v.Z * s} }
+func (v Vec3) Scale(s float64) Vec3 {
+	return Vec3{float64(v.X * s), float64(v.Y * s), float64(v.Z * s)}
+}
 
 // Dot returns the dot product.
-func (v Vec3) Dot(w Vec3) float64 { return v.X*w.X + v.Y*w.Y + v.Z*w.Z }
+func (v Vec3) Dot(w Vec3) float64 { return float64(v.X*w.X) + float64(v.Y*w.Y) + float64(v.Z*w.Z) }
 
 // Cross returns the cross product.
 func (v Vec3) Cross(w Vec3) Vec3 {
 	return Vec3{
-		v.Y*w.Z - v.Z*w.Y,
-		v.Z*w.X - v.X*w.Z,
-		v.X*w.Y - v.Y*w.X,
+		float64(v.Y*w.Z) - float64(v.Z*w.Y),
+		float64(v.Z*w.X) - float64(v.X*w.Z),
+		float64(v.X*w.Y) - float64(v.Y*w.X),
 	}
 }
 

@@ -370,7 +370,8 @@ func WorkerServe[I, O any](ch Channel, in Codec[I], out Codec[O], f func(I) (O, 
 // applyBatch applies f to every member of an input batch, producing the
 // result batch frame. The apply loop is strictly serial and the reply
 // batch is re-encoded (copied), so the aliasing batch decode is safe here
-// and skips one copy of every member payload.
+// and skips one copy of every member payload. Only the batch is hashed:
+// its digest is the one that goes on the wire.
 func applyBatch[I, O any](m *proto.Message, in Codec[I], out Codec[O], f func(I) (O, error)) *proto.Message {
 	items, err := proto.DecodeBatchShared(m.Data)
 	if err != nil {
@@ -378,28 +379,34 @@ func applyBatch[I, O any](m *proto.Message, in Codec[I], out Codec[O], f func(I)
 	}
 	results := make([]proto.BatchItem, 0, len(items))
 	for _, it := range items {
-		one := applyOne(m.Seq, it.D, in, out, f)
-		results = append(results, proto.BatchItem{D: one.Data, E: one.Err})
-		proto.Release(one) // its Data is the codec's, not the arena's
+		data, e := apply(it.D, in, out, f)
+		results = append(results, proto.BatchItem{D: data, E: e})
 	}
 	return resultFrame(proto.TypeResultBatch, m.Seq, proto.EncodeBatch(results), "")
 }
 
 // applyOne applies f to a single encoded input, producing a result frame.
 func applyOne[I, O any](seq uint64, data []byte, in Codec[I], out Codec[O], f func(I) (O, error)) *proto.Message {
+	encoded, e := apply(data, in, out, f)
+	return resultFrame(proto.TypeResult, seq, encoded, e)
+}
+
+// apply applies f to one encoded input: the encoded result, or what went
+// wrong.
+func apply[I, O any](data []byte, in Codec[I], out Codec[O], f func(I) (O, error)) ([]byte, string) {
 	v, err := in.Decode(data)
 	if err != nil {
-		return resultFrame(proto.TypeResult, seq, nil, "decode: "+err.Error())
+		return nil, "decode: " + err.Error()
 	}
 	r, err := f(v)
 	if err != nil {
-		return resultFrame(proto.TypeResult, seq, nil, err.Error())
+		return nil, err.Error()
 	}
 	encoded, err := out.Encode(r)
 	if err != nil {
-		return resultFrame(proto.TypeResult, seq, nil, "encode: "+err.Error())
+		return nil, "encode: " + err.Error()
 	}
-	return resultFrame(proto.TypeResult, seq, encoded, "")
+	return encoded, ""
 }
 
 // resultFrame is a result frame from the arena: data with its digest, or

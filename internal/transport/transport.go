@@ -55,15 +55,18 @@ type Channel interface {
 
 // Config tunes a channel's liveness detection.
 type Config struct {
-	// HeartbeatInterval is the period between pings. Zero selects the
-	// default; negative disables heartbeats (for tests).
+	// HeartbeatInterval is the longest a channel stays quiet: it pings
+	// once nothing was written on it for this long, so a busy link, whose
+	// frames are heartbeats already, carries no pings. Zero selects the
+	// default; negative disables pings (for tests), though pongs still
+	// answer the peer's.
 	HeartbeatInterval time.Duration
 	// HeartbeatTimeout is how long a silent peer is tolerated. Zero
 	// selects 3x the interval.
 	HeartbeatTimeout time.Duration
 }
 
-// DefaultHeartbeatInterval is the default ping period.
+// DefaultHeartbeatInterval is the default HeartbeatInterval.
 const DefaultHeartbeatInterval = 250 * time.Millisecond
 
 func (c Config) interval() time.Duration {

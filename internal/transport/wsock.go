@@ -29,6 +29,9 @@ type WSock struct {
 	// loop is handing a frame on (a full recvq, a blocked Route handler)
 	// and not reading — back-pressure of ours, not silence of the peer's.
 	heard, parked atomic.Bool
+	// lastWrite is when the last write completed, in nanoseconds since
+	// epoch: the keepalive pings only after a full interval without one.
+	lastWrite atomic.Int64
 
 	recvq chan *proto.Message
 
@@ -87,8 +90,15 @@ func (w *WSock) Send(m *proto.Message) error {
 		w.fail(fmt.Errorf("transport: send: %w", err))
 		return err
 	}
+	w.wrote()
 	return nil
 }
+
+// epoch anchors lastWrite on the monotonic clock.
+var epoch = time.Now()
+
+// wrote records that a write completed.
+func (w *WSock) wrote() { w.lastWrite.Store(int64(time.Since(epoch))) }
 
 // SendBatch transmits several messages as a single write: the frames are
 // encoded back to back into one arena buffer and handed to the kernel in
@@ -137,6 +147,7 @@ func (w *WSock) SendBatch(ms []*proto.Message) error {
 		w.fail(err)
 		return err
 	}
+	w.wrote()
 	return nil
 }
 
@@ -291,28 +302,36 @@ func (w *WSock) readLoop() {
 	}
 }
 
-// keepalive sends the pings and is the failure detector, once per tick
-// (the ping interval, or timeout/8 without pings) where every frame used
-// to pay for a deadline reset on the conn.
+// keepalive sends the pings and is the failure detector. It wakes at
+// least once per tick (the ping interval, or timeout/8 without pings),
+// where every frame used to pay for a deadline reset on the conn.
+//
+// Every frame is a heartbeat, so a ping goes out only when nothing was
+// written for a whole interval: the keepalive sleeps until the last
+// completed write is an interval old, and a link that carries data or
+// pongs carries no pings. The peer still hears a frame from us at least
+// once per interval, and a pong answers each of its pings, so a peer that
+// does not ping stays alive on our pongs.
 //
 // Silence is a timer, not a read deadline: a deadline that expires
-// between a frame and the tick that would have moved it kills a live
-// peer, whereas the timer's handler can look at heard first. Each tick
+// between a frame and the wake that would have moved it kills a live
+// peer, whereas the timer's handler can look at heard first. Each wake
 // that heard a frame restarts the timer, so a peer that falls silent fails
 // with ErrHeartbeatTimeout no earlier than timeout after its last frame
 // and less than one tick later than that. Time the read loop spends parked
 // on its consumer does not count: nothing was read, so nothing was missed.
 //
-// A stalled write is caught by the conn's write deadline, which each tick
-// pushes timeout+tick ahead before taking the write lock itself (for the
-// ping): behind a write the peer does not drain the loop stops ticking,
-// so that write fails no earlier than timeout and at most two ticks later.
+// A stalled write is caught by the conn's write deadline, which each wake
+// pushes timeout+tick ahead. The write completes no more, so within a
+// tick the link is idle and the keepalive takes the write lock itself (for
+// the ping) and stops waking: that write fails no earlier than timeout and
+// at most two ticks later.
 func (w *WSock) keepalive(interval, timeout time.Duration) {
 	tick := interval
 	if tick <= 0 {
 		tick = max(timeout/8, time.Millisecond)
 	}
-	t := time.NewTicker(tick)
+	t := time.NewTimer(tick)
 	defer t.Stop()
 	var silence <-chan time.Time
 	var timer *time.Timer
@@ -345,11 +364,15 @@ func (w *WSock) keepalive(interval, timeout time.Duration) {
 			timer.Reset(timeout)
 		}
 		pushWriteDeadline()
+		next := tick
 		if interval <= 0 {
 			w.wmu.Lock() // wait out a write in progress, as a ping would
 			w.wmu.Unlock()
+		} else if idle := time.Since(epoch) - time.Duration(w.lastWrite.Load()); idle < interval {
+			next = interval - idle // a frame went out: it was the heartbeat
 		} else if err := w.Send(&proto.Message{Type: proto.TypePing}); err != nil {
 			return
 		}
+		t.Reset(next)
 	}
 }
