@@ -26,10 +26,11 @@ var budgets = []struct {
 	setBy       string
 	schedEvents float64 // /sched/latencies:seconds samples ×8, per item (collatz only)
 	allocs      float64 // /gc/heap/allocs:objects, per item
-	wire        int64   // bytes on the netsim links both ways, whole run, held exactly (tiles only)
+	wire        int64   // bytes on the netsim links both ways, whole run, with a one-byte service stamp, held exactly (tiles only)
 }{
 	{shape: "collatz", setBy: "outbound frames from the arena; CollatzSteps on one scratch struct", schedEvents: 8.51, allocs: 3.5},
-	{shape: "tiles", setBy: "outbound frames from the arena", allocs: 9.93, wire: 5_185_922},
+	{shape: "tiles", setBy: "the service stamp on a session's first result", allocs: 9.93, wire: 5_185_924},
+	{shape: "verified", setBy: "adaptive windows sized from their first two results", allocs: 27.5},
 }
 
 const budgetBand = 0.03
@@ -87,16 +88,32 @@ func TestBudget(t *testing.T) {
 			netsim.Link{Latency: 2 * time.Millisecond, Bandwidth: 64 << 20}, cfg, n, 1,
 			func(i int) []byte { return tiles[i] })
 		checkBudget(t, b.setBy, "allocations", r.allocs[0], b.allocs)
-		if r.wire != b.wire {
-			t.Errorf("wire: %d bytes, budget %d exactly (set by %q)", r.wire, b.wire, b.setBy)
+		// The volunteer stamps its first result with f's time in µs, a
+		// varint: one byte under 128 µs, more when that tile ran slow.
+		stamp := len(binary.AppendUvarint(nil, uint64(r.service/time.Microsecond)))
+		if want := b.wire + int64(stamp) - 1; r.wire != want {
+			t.Errorf("wire: %d bytes, budget %d exactly with a %d-byte stamp (set by %q)", r.wire, want, stamp, b.setBy)
 		}
+	})
+
+	t.Run("verified", func(t *testing.T) {
+		const n = 20_000
+		b := budgets[2]
+		p := pando.New("budget-verified", apps.CollatzSteps, pando.WithoutRegistry(),
+			pando.WithVerification(pando.Verification{K: 2, Quorum: 2}))
+		h := pando.CodecHandler(apps.CollatzSteps, pando.JSONCodec[string]{}, pando.JSONCodec[apps.CollatzResult]{})
+		r := runBudget(t, p, "budget-verified", h, 2, netsim.Loopback, pando.ChannelConfig{}, n, 5,
+			func(i int) string { return strconv.Itoa(1_000_000 + i) })
+		slices.Sort(r.allocs)
+		checkBudget(t, b.setBy, "allocations", r.allocs[len(r.allocs)/2], b.allocs)
 	})
 }
 
 // budgetRun is what one run of a shape read.
 type budgetRun struct {
-	events, allocs []float64 // per item, by window
-	wire           int64     // both ways over the links, once everything closed
+	events, allocs []float64     // per item, by window
+	wire           int64         // both ways over the links, once everything closed
+	service        time.Duration // the largest service stamp, read at the first output
 }
 
 // runBudget streams n inputs through p, the job name, served to vols
@@ -139,16 +156,21 @@ func runBudget[I, O any](t *testing.T, p *pando.Pando[I, O], name string, h work
 	runtime.GC()
 	out, errc := p.Process(t.Context(), in)
 	marks := []budgetMetrics{readBudgetMetrics()}
+	var r budgetRun
 	got := 0
 	for range out {
-		if got++; got%(n/windows) == 0 {
+		if got++; got == 1 {
+			for _, w := range p.Stats() {
+				r.service = max(r.service, w.Service)
+			}
+		}
+		if got%(n/windows) == 0 {
 			marks = append(marks, readBudgetMetrics())
 		}
 	}
 	if err := <-errc; err != nil || got != n {
 		t.Fatalf("processed %d of %d items: %v", got, n, err)
 	}
-	var r budgetRun
 	for w := 1; w < len(marks); w++ {
 		r.events = append(r.events, 8*float64(marks[w].schedEvents-marks[w-1].schedEvents)/float64(n/windows))
 		r.allocs = append(r.allocs, float64(marks[w].allocs-marks[w-1].allocs)/float64(n/windows))
@@ -159,8 +181,8 @@ func runBudget[I, O any](t *testing.T, p *pando.Pando[I, O], name string, h work
 	}
 	toMaster, toVolunteers := ln.Bytes()
 	r.wire = toMaster + toVolunteers
-	t.Logf("scheduler events per item %.2f, allocations per item %.2f, by window; %d wire bytes (%.1f per item)",
-		r.events, r.allocs, r.wire, float64(r.wire)/float64(n))
+	t.Logf("scheduler events per item %.2f, allocations per item %.2f, by window; %d wire bytes (%.1f per item); service stamp %v",
+		r.events, r.allocs, r.wire, float64(r.wire)/float64(n), r.service)
 	return r
 }
 

@@ -26,6 +26,7 @@ import (
 	"pando/internal/netsim"
 	"pando/internal/pprofserve"
 	"pando/internal/pullstream"
+	"pando/internal/sched"
 	"pando/internal/transport"
 	"pando/internal/worker"
 )
@@ -42,7 +43,7 @@ func run() error {
 	var (
 		stdin    = fs.Bool("stdin", false, "read inputs from standard input, one per line")
 		port     = fs.Int("port", 5000, "TCP port volunteers join on")
-		batch    = fs.Int("batch", master.DefaultBatch, "values in flight per volunteer (batch size)")
+		batch    = fs.Int("batch", sched.DefaultBatch, "values in flight per volunteer (batch size)")
 		local    = fs.Int("local", 0, "number of in-process workers to add (one per core)")
 		public   = fs.String("public", "", "public (signalling) server address, for volunteers outside the LAN")
 		masterID = fs.String("id", "master", "peer ID on the public server")

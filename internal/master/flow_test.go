@@ -76,6 +76,43 @@ func TestStatsExposeFlowControl(t *testing.T) {
 	}
 }
 
+// TestStatsExposeServiceStamp: the service time a volunteer stamps on its
+// first result reaches the device's row, and it is the processing
+// function's time: at least the 4 ms the volunteer sleeps per item.
+func TestStatsExposeServiceStamp(t *testing.T) {
+	m := newTestMaster(t, Config{Batch: 2})
+	ln := netsim.NewListener("master-service", netsim.Loopback)
+	defer ln.Close()
+	go m.ServeWS(ln)
+
+	out := m.Bind(pullstream.Count(40))
+	startVolunteer(t, ln, &worker.Volunteer{Name: "dev", Handler: jsonSquare, Delay: 4 * time.Millisecond})
+	done := make(chan error, 1)
+	go func() {
+		_, err := pullstream.Collect(out)
+		done <- err
+	}()
+	var service time.Duration
+	for service == 0 {
+		for _, w := range m.Stats() {
+			if w.Name == "dev" {
+				service = w.Service
+			}
+		}
+		select {
+		case err := <-done:
+			t.Fatalf("stream ended (%v) before the stamp surfaced", err)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	if service < 4*time.Millisecond {
+		t.Fatalf("Service = %v, want at least the volunteer's 4ms per item", service)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestHTTPStatsCarriesFlowFields: the /stats JSON must include the
 // flow-control fields so operators can watch the controller remotely.
 func TestHTTPStatsCarriesFlowFields(t *testing.T) {
@@ -112,7 +149,7 @@ func TestHTTPStatsCarriesFlowFields(t *testing.T) {
 	if len(rows) == 0 {
 		t.Fatal("no stats rows")
 	}
-	for _, key := range []string{"InFlight", "Credits", "EWMARate", "Speculated", "rtt_ns", "base_rtt_ns", "queued"} {
+	for _, key := range []string{"InFlight", "Credits", "EWMARate", "Speculated", "rtt_ns", "base_rtt_ns", "queued", "service_ns"} {
 		if _, ok := rows[0][key]; !ok {
 			t.Fatalf("stats JSON lacks %q: %s", key, body)
 		}

@@ -23,11 +23,6 @@ import (
 	"pando/internal/verify"
 )
 
-// DefaultBatch is the default number of values in flight per device. The
-// paper used 2 on LAN and VPN ("effectively enabling one input to be
-// transferred while the other is processed") and 4 on the WAN.
-const DefaultBatch = 2
-
 // Config parameterizes a Master.
 type Config struct {
 	// FuncName is the processing function volunteers must apply; it is
@@ -93,7 +88,7 @@ func (c Config) spillStore() lender.SpillStore {
 
 func (c Config) batch() int {
 	if c.Batch <= 0 {
-		return DefaultBatch
+		return sched.DefaultBatch
 	}
 	return c.Batch
 }
@@ -174,6 +169,10 @@ type WorkerStats struct {
 	RTT     time.Duration `json:"rtt_ns"`
 	BaseRTT time.Duration `json:"base_rtt_ns"`
 	Queued  float64       `json:"queued"`
+	// Service is how long the device's processing function took on the
+	// first value of its session, as the device stamped it (the largest
+	// over the attachments).
+	Service time.Duration `json:"service_ns"`
 
 	// window points at the device's live per-second counts (the §5.1
 	// windowed throughput); nil on a row not taken from a master.
@@ -255,7 +254,7 @@ func (e *lane[I, O, U, R]) Bind(src pullstream.Source[I]) pullstream.Source[O] {
 
 func (e *lane[I, O, U, R]) AttachChannel(name string, ch transport.Channel) error {
 	return e.AttachMetered(name, func(ctrl *sched.Controller) pullstream.Duplex[U, R] {
-		d := transport.MasterDuplex(ch, e.in, e.out, ctrl.Charge)
+		d := transport.MasterDuplex(ch, e.in, e.out, ctrl)
 		d.Source = countResults(d.Source, e.out, e.row(name))
 		return d
 	})
@@ -567,7 +566,7 @@ func (m *Master[I, O]) Stats() []WorkerStats {
 		agg.Rate += f.Rate
 		agg.Speculated += f.Speculated
 		agg.Queued += f.Queued
-		agg.RTT, agg.BaseRTT = max(agg.RTT, f.RTT), max(agg.BaseRTT, f.BaseRTT)
+		agg.RTT, agg.BaseRTT, agg.Service = max(agg.RTT, f.RTT), max(agg.BaseRTT, f.BaseRTT), max(agg.Service, f.Service)
 		byName[f.Name] = agg
 	}
 	out := make([]WorkerStats, 0, len(m.workers))
@@ -578,7 +577,7 @@ func (m *Master[I, O]) Stats() []WorkerStats {
 			row.Credits = f.Window
 			row.EWMARate = f.Rate
 			row.Speculated = f.Speculated
-			row.RTT, row.BaseRTT, row.Queued = f.RTT, f.BaseRTT, f.Queued
+			row.RTT, row.BaseRTT, row.Queued, row.Service = f.RTT, f.BaseRTT, f.Queued, f.Service
 		}
 		if bs, ok := m.blobStats[w.Name]; ok {
 			row.BlobHits = bs.Hits.Load()

@@ -17,6 +17,7 @@ import (
 	"pando/internal/netsim"
 	"pando/internal/proto"
 	"pando/internal/pullstream"
+	"pando/internal/sched"
 	"pando/internal/transport"
 	"pando/internal/worker"
 )
@@ -440,7 +441,7 @@ func TestHTTPInfoStatsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inv.Func != "square" || inv.Transport != "ws" || inv.Batch != DefaultBatch {
+	if inv.Func != "square" || inv.Transport != "ws" || inv.Batch != sched.DefaultBatch {
 		t.Fatalf("invitation = %+v", inv)
 	}
 	resp, err := http.Get("http://" + httpLn.Addr().String() + "/stats")

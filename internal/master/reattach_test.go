@@ -133,7 +133,7 @@ func TestSchedulerReattachFreshController(t *testing.T) {
 	c1 := s.Attach("w", nil)
 	// Grow the first controller's window with steady round-trips (long
 	// enough that scheduler jitter cannot read as congestion).
-	for i := 0; i < 200 && c1.Window() < 2; i++ {
+	for i := 0; i < 200 && c1.Window() <= sched.DefaultBatch; i++ {
 		if !c1.Acquire() {
 			t.Fatal("acquire failed")
 		}
@@ -141,14 +141,14 @@ func TestSchedulerReattachFreshController(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 		c1.Result()
 	}
-	if c1.Window() <= 1 {
+	if c1.Window() <= sched.DefaultBatch {
 		t.Fatalf("first controller never grew: window %d", c1.Window())
 	}
 	s.Detach(c1)
 	c2 := s.Attach("w", nil)
 	defer s.Detach(c2)
-	if got := c2.Window(); got != 1 {
-		t.Fatalf("reattached controller window = %d, want the policy minimum 1 (no inheritance)", got)
+	if got := c2.Window(); got != sched.DefaultBatch {
+		t.Fatalf("reattached controller window = %d, want the start window %d (no inheritance)", got, sched.DefaultBatch)
 	}
 	flows := s.Flows()
 	if len(flows) != 1 {

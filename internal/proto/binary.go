@@ -43,10 +43,11 @@ const (
 // Field tags. The high bit selects the wire kind so unknown tags remain
 // skippable: clear = uvarint value, set = uvarint length + bytes.
 const (
-	tagType  = 0x01 // type code (see typeCodes)
-	tagSeq   = 0x02
-	tagCores = 0x03
-	tagBatch = 0x04
+	tagType    = 0x01 // type code (see typeCodes)
+	tagSeq     = 0x02
+	tagCores   = 0x03
+	tagBatch   = 0x04
+	tagService = 0x05 // worker service time in µs (a session's first result)
 
 	tagTypeStr = 0x81 // type as string, for types without a code
 	tagData    = 0x82
@@ -135,6 +136,7 @@ func appendBinaryFrame(b []byte, m *Message) []byte {
 	b = appendUint(b, tagSeq, m.Seq)
 	b = appendUint(b, tagCores, uint64(m.Cores))
 	b = appendUint(b, tagBatch, uint64(m.Batch))
+	b = appendUint(b, tagService, m.Service)
 	b = appendBytes(b, tagData, m.Data)
 	b = appendBytes(b, tagDigest, m.Digest)
 	b = appendString(b, tagErr, m.Err)
@@ -196,6 +198,8 @@ func decodeBinaryBodyInto(m *Message, body []byte) error {
 				m.Cores = int(v)
 			case tagBatch:
 				m.Batch = int(v)
+			case tagService:
+				m.Service = v
 			default:
 				// Unknown numeric field from a newer peer: skip.
 			}

@@ -95,6 +95,14 @@ type Message struct {
 	Data []byte // payload (JSON or opaque bytes)
 	Err  string // error carried by a result
 
+	// Service is how long the worker's processing function took on this
+	// result's input, in µs. WorkerServe stamps the first result of a
+	// session and the first after each reassign; every other frame omits
+	// it, and a reader that predates the field skips it (tag 0x05, a
+	// numeric field). The master's credit controller sizes a fresh window
+	// from it.
+	Service uint64
+
 	// Digest is the SHA-256 of a content-addressed payload (the
 	// '/pando/2.2.0' dedup extension): on an input it names Data (present
 	// alongside the bytes on first transmission, alone on later ones), and

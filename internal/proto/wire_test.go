@@ -26,6 +26,7 @@ func fullMessage() *Message {
 		Func:    "render",
 		Cores:   8,
 		Batch:   4,
+		Service: 4321,
 		Token:   "tok",
 		Peer:    "iPhone SE",
 		To:      "master",
@@ -176,6 +177,61 @@ func TestBinaryBodySkipsUnknownTags(t *testing.T) {
 	}
 	if m.Type != TypePing {
 		t.Fatalf("type = %q, want ping", m.Type)
+	}
+
+	// A reader older than the service stamp knows tag 0x05 as this one
+	// knows 0x70: it skips the field and reads the rest of the frame.
+	stamped := []byte{binMagic, tagType, 0x04, tagSeq, 0x09, tagService, 0xAC, 0x02, tagData, 0x02, 'h', 'i'}
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, &Message{Type: TypeResult, Seq: 9, Service: 300, Data: []byte("hi")}); err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.Bytes()[4:]; !bytes.Equal(got, withCRC(stamped)) {
+		t.Fatalf("stamped result body % x, want % x", got, withCRC(stamped))
+	}
+	older := bytes.Clone(stamped)
+	older[5] = 0x70
+	for _, tc := range []struct {
+		body    []byte
+		service uint64
+	}{{stamped, 300}, {older, 0}} {
+		m := new(Message)
+		if err := decodeBinaryBodyInto(m, withCRC(tc.body)); err != nil {
+			t.Fatal(err)
+		}
+		if m.Type != TypeResult || m.Seq != 9 || string(m.Data) != "hi" || m.Service != tc.service {
+			t.Fatalf("decoded %+v, want result 9 \"hi\" stamped %d", m, tc.service)
+		}
+	}
+}
+
+// TestServiceStampRoundTrip: the service stamp survives raw and
+// compressed frames, and a zero stamp takes no byte on the wire.
+func TestServiceStampRoundTrip(t *testing.T) {
+	for _, data := range [][]byte{[]byte("7"), compressibleData(4096)} {
+		in := &Message{Type: TypeResult, Seq: 3, Data: data, Service: 123456}
+		frame := wireFrame(t, in)
+		if compressed := frame[4] == cmpMagic; compressed != (len(data) > 1) {
+			t.Fatalf("%d B result: compressed %v", len(data), compressed)
+		}
+		m, err := ReadFrame(bytes.NewReader(frame))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Service != in.Service || !bytes.Equal(m.Data, data) {
+			t.Fatalf("%d B result (magic %#x): stamp %d, want %d", len(data), frame[4], m.Service, in.Service)
+		}
+		Release(m)
+	}
+	var bare, stamped bytes.Buffer
+	if err := WriteFrame(&bare, &Message{Type: TypeResult, Seq: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFrame(&stamped, &Message{Type: TypeResult, Seq: 3, Service: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if bare.Len() != stamped.Len()-2 || bytes.IndexByte(bare.Bytes()[5:bare.Len()-binCRCSize], tagService) >= 0 {
+		t.Fatalf("unstamped frame % x, stamped % x: want the stamp's two bytes absent", bare.Bytes(), stamped.Bytes())
 	}
 }
 

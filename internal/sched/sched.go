@@ -31,6 +31,17 @@
 // a rotation that finds one (even the newer bucket's smallest round-trip
 // met a queue) takes the estimated queue out of the window.
 //
+// A window starts at DefaultBatch, where a static one sits, in slow
+// start. Volunteers arrive all through a run, so it does not wait out
+// slow start's round-trips to reach its path: the first result that
+// brings both a result gap and the worker's service stamp (Served: how
+// long f took on the session's first value) sets it to ⌈base / max(gap,
+// stamp)⌉ units, the values that keep the worker busy for one round-trip,
+// and ends slow start. The gap catches a link-bound path, the stamp keeps
+// jitter that bunches results from making the worker look faster than it
+// is. The jump only raises the window, stays within [Min, Max] and comes
+// once; a worker that sends no stamp leaves slow start to run its course.
+//
 // A value is charged from admission: Sent charges a unit, Charge raises it
 // to the encoded length before the next admission and sets the wire
 // length, after dedup and compression, once the frame is written; its
@@ -85,6 +96,12 @@ type Policy struct {
 	// straggler and its values are duplicated to idle workers.
 	Speculation float64
 }
+
+// DefaultBatch is the default number of values in flight per worker, and
+// where an adaptive window starts. The paper used 2 on LAN and VPN
+// ("effectively enabling one input to be transferred while the other is
+// processed") and 4 on the WAN.
+const DefaultBatch = 2
 
 // Static returns the original fixed-window behavior: exactly n values in
 // flight per worker, no speculation.
@@ -155,17 +172,25 @@ type Controller struct {
 	baseCur    float64 // seconds; smallest of the baseN latest round-trips
 	basePrev   float64 // seconds; smallest of the bucket before; +Inf if none
 	baseN      int
-	ewmaRTT    float64 // seconds; smoothed round-trip
-	ewmaGap    float64 // seconds; smoothed inter-result interval
+	ewmaRTT    float64       // seconds; smoothed round-trip
+	ewmaGap    float64       // seconds; smoothed inter-result interval
+	service    time.Duration // the worker's service stamp, 0 until one came
 	lastResult time.Time
 	speculated int
 }
 
-// NewController returns a credit gate starting at the policy's minimum
-// window (a conservative slow start).
+// NewController returns a credit gate. An adaptive window starts at
+// DefaultBatch, clamped to [Min, Max], in slow start. At the first result
+// that brings both a result gap and the worker's service stamp (Served)
+// while still in slow start, it sizes itself to the path: ⌈base round-trip
+// / max(gap, stamp)⌉ units, clamped to [Min, Max]. That jump only raises
+// the window, ends slow start and restarts the windowful count; it happens
+// at most once. Without a stamp the window grows a unit per result until
+// slow start ends.
 func NewController(p Policy) *Controller {
 	p = p.norm()
-	c := &Controller{policy: p, window: float64(p.Min), unit: 1, slowStart: p.Adaptive(), baseCur: math.Inf(1), basePrev: math.Inf(1)}
+	start := min(max(DefaultBatch, p.Min), p.Max)
+	c := &Controller{policy: p, window: float64(start), unit: 1, slowStart: p.Adaptive(), baseCur: math.Inf(1), basePrev: math.Inf(1)}
 	c.cond = sync.NewCond(&c.mu)
 	return c
 }
@@ -277,6 +302,15 @@ func (c *Controller) releaseLocked() float64 {
 	return charge
 }
 
+// Served records the worker's service stamp: how long its processing
+// function took on one value. It sizes the window once (NewController) and
+// is shown in Flows.
+func (c *Controller) Served(d time.Duration) {
+	c.mu.Lock()
+	c.service = d
+	c.mu.Unlock()
+}
+
 // Drop discards the oldest pending dispatch and releases its credit and
 // charge: the caller knows that value will never produce a result frame
 // (worker detached mid-flight, or the value was deduplicated upstream), so
@@ -345,7 +379,11 @@ func (c *Controller) resultAt(now time.Time) {
 			standing = w*(1-c.bestRTT/c.baseCur) >= 0.5
 			c.basePrev, c.baseCur, c.baseN = c.baseCur, math.Inf(1), 0
 		}
-		c.adaptLocked(standing, released)
+		if c.slowStart && c.service > 0 && c.ewmaGap > 0 {
+			c.sizeLocked()
+		} else {
+			c.adaptLocked(standing, released)
+		}
 	}
 	c.mu.Unlock()
 	c.cond.Signal()
@@ -399,6 +437,18 @@ func (c *Controller) adaptLocked(standing bool, released float64) {
 	}
 	// After a cut, the values beyond the new window are in flight as well.
 	c.window, c.sinceMove, c.filled = nw*c.unit, min(0, nw-w), false
+}
+
+// sizeLocked is the one jump out of slow start (NewController): the
+// window becomes the values that keep the worker busy for a base
+// round-trip, if that is more. Caller holds c.mu.
+func (c *Controller) sizeLocked() {
+	w := c.window / c.unit
+	nw := max(w, min(math.Ceil(c.bestRTT/max(c.ewmaGap, c.service.Seconds())), float64(c.policy.Max)))
+	if nw > w {
+		c.cond.Broadcast()
+	}
+	c.window, c.slowStart, c.sinceMove, c.filled = nw*c.unit, false, 0, false
 }
 
 // Close releases all blocked acquirers; they report failure. Pending
@@ -540,6 +590,9 @@ type WorkerFlow struct {
 	// and windowed-minimum round-trip, values estimated to queue beyond need.
 	RTT, BaseRTT time.Duration
 	Queued       float64
+	// Service is the worker's service stamp: how long its processing
+	// function took on one value of its session; 0 until one came.
+	Service time.Duration
 }
 
 // entry pairs a controller with its sub-stream handle.
@@ -667,6 +720,7 @@ func (s *Scheduler) Flows() []WorkerFlow {
 			RTT:        time.Duration(e.ctrl.ewmaRTT * float64(time.Second)),
 			BaseRTT:    time.Duration(e.ctrl.bestRTT * float64(time.Second)),
 			Queued:     e.ctrl.queuedLocked(),
+			Service:    e.ctrl.service,
 		})
 		gap := e.ctrl.ewmaGap
 		e.ctrl.mu.Unlock()

@@ -41,8 +41,10 @@ func (m *meter) Peak() int {
 // feedResult injects a synthetic in-flight value whose dispatch happened
 // exactly rtt before its result — a deterministic way to drive the
 // adaptive window without real sleeps or the host's clock jitter.
-func feedResult(c *Controller, rtt time.Duration) {
-	now := time.Now()
+func feedResult(c *Controller, rtt time.Duration) { feedResultAt(c, time.Now(), rtt) }
+
+// feedResultAt is feedResult with the result's arrival time given.
+func feedResultAt(c *Controller, now time.Time, rtt time.Duration) {
 	c.mu.Lock()
 	c.inFlight++
 	c.sends = append(c.sends, now.Add(-rtt))
@@ -64,13 +66,39 @@ func TestControllerSlowStartGrowsToMax(t *testing.T) {
 // nothing queues ahead of comes back after d, the server takes s per
 // value, so the path holds knee = d/s values and each one beyond them
 // waits another s: RTT = d + queued·s. With a bandwidth bw (bytes per
-// second) the server is a link instead: value i takes size(i)/bw of it,
-// and up to jitter more on its way back (link, in sized_test.go).
+// second) the server is a link instead: value i takes size(i)/bw of it
+// (link, in sized_test.go). Each round-trip takes up to jitter more,
+// drawn from a stream seed picks. A stamp > 0 is the service time the
+// worker reports with its first result, as the master duplex passes it on.
 type queueModel struct {
 	d, s   time.Duration
 	bw     float64
 	size   func(i int) int
 	jitter time.Duration
+	seed   uint64
+	stamp  time.Duration
+}
+
+// noise is a model's seeded jitter: xorshift64 draws in [0, max].
+type noise uint64
+
+func (q queueModel) noise() *noise {
+	n := noise(88172645463325252 ^ q.seed)
+	return &n
+}
+
+func (n *noise) draw(max time.Duration) time.Duration {
+	*n ^= *n << 13
+	*n ^= *n >> 7
+	*n ^= *n << 17
+	return time.Duration(uint64(*n) % uint64(max+1))
+}
+
+// served hands c the model's service stamp ahead of the first result.
+func (q queueModel) served(c *Controller, result int) {
+	if result == 0 && q.stamp > 0 {
+		c.Served(q.stamp)
+	}
 }
 
 func (q queueModel) knee() int { return int(q.d / q.s) }
@@ -78,17 +106,26 @@ func (q queueModel) knee() int { return int(q.d / q.s) }
 // drive feeds c the round-trips the model gives a sender that keeps c's
 // window full: every value is charged the queue it met when it was sent,
 // so the controller sees a window change one windowful late, as it does
-// on a real path. each, when set, is called with the window after every
-// result.
+// on a real path. Results leave the server one per s, in virtual time
+// that goes on from c's last result. each, when set, is called with the
+// window after every result.
 func (q queueModel) drive(c *Controller, results int, each func(window int)) {
 	var ahead []int // per outstanding value, the values in flight when it left, itself included
+	now, jitter := time.Now(), q.noise()
+	c.mu.Lock()
+	if !c.lastResult.IsZero() {
+		now = c.lastResult
+	}
+	c.mu.Unlock()
 	for i := 0; i < results; i++ {
 		for len(ahead) < c.Window() {
 			ahead = append(ahead, len(ahead)+1)
 		}
 		queued := max(ahead[0]-q.knee(), 0)
 		ahead = ahead[1:]
-		feedResult(c, q.d+time.Duration(queued)*q.s)
+		now = now.Add(q.s)
+		q.served(c, i)
+		feedResultAt(c, now, q.d+time.Duration(queued)*q.s+jitter.draw(q.jitter))
 		if each != nil {
 			each(c.Window())
 		}

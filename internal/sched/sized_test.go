@@ -41,7 +41,7 @@ func (q queueModel) link(c *Controller, n int, each func(i int)) (txStart, txEnd
 	t0 := time.Now()
 	var now, free time.Duration // the virtual clock; when the link is next idle
 	var back []time.Duration    // per value in flight, oldest first, when its result arrives
-	rng := uint64(88172645463325252)
+	jitter := q.noise()
 	for i := 0; i < n; i++ {
 		for admit(c) {
 			k := len(txStart)
@@ -49,16 +49,14 @@ func (q queueModel) link(c *Controller, n int, each func(i int)) (txStart, txEnd
 			start := max(now, free)
 			free = start + time.Duration(float64(q.size(k))/q.bw*float64(time.Second))
 			txStart, txEnd = append(txStart, start), append(txEnd, free)
-			rng ^= rng << 13
-			rng ^= rng >> 7
-			rng ^= rng << 17
-			at := free + q.d + time.Duration(rng%uint64(q.jitter+1))
+			at := free + q.d + jitter.draw(q.jitter)
 			if len(back) > 0 {
 				at = max(at, back[len(back)-1])
 			}
 			back = append(back, at)
 		}
 		now, back = back[0], back[1:]
+		q.served(c, i)
 		c.resultAt(t0.Add(now))
 		if each != nil {
 			each(i)
@@ -126,19 +124,29 @@ func TestControllerReachesMaxAfterSmallerValues(t *testing.T) {
 	}
 }
 
-// parentMoves are the window moves, "result:window", that the queue model
+// kneeMoves are the window moves, "result:window", that the queue model
 // of TestControllerSettlesAtKnee gives at knees 3 and 11 over 600 results
-// with the window counted in values, as it was before charges: the
+// with no service stamp, from the start window of DefaultBatch: the
 // sequence a constant size must reproduce exactly.
-var parentMoves = map[int]string{
+var kneeMoves = map[int]string{
+	3:  "1:3 2:4 3:5 4:6 5:7 6:8 7:9 16:8 25:7 33:6 40:5 64:3 69:4 73:5 78:6 128:3 134:4 138:5 143:6 192:3 198:4 202:5 207:6 256:3 262:4 266:5 271:6 320:3 326:4 330:5 335:6 384:3 390:4 394:5 399:6 448:3 454:4 458:5 463:6 512:3 518:4 522:5 527:6 576:3 582:4 586:5 591:6",
+	11: "1:3 2:4 3:5 4:6 5:7 6:8 7:9 8:10 9:11 10:12 11:13 12:14 13:15 14:16 30:15 46:14 61:13 108:11 121:12 133:13 146:14 220:11 234:12 246:13 259:14 332:11 346:12 358:13 371:14 444:11 458:12 470:13 483:14 556:11 570:12 582:13 595:14",
+}
+
+// oneValueMoves are the same moves from a start window of one value, as
+// windows started before they started at DefaultBatch. Past slow start
+// the rule is the same, so kneeMoves must make the same moves from there
+// on, each at the same result or one earlier.
+var oneValueMoves = map[int]string{
 	3:  "1:2 2:3 3:4 4:5 5:6 6:7 7:8 8:9 17:8 26:7 34:6 41:5 64:3 69:4 73:5 78:6 128:3 134:4 138:5 143:6 192:3 198:4 202:5 207:6 256:3 262:4 266:5 271:6 320:3 326:4 330:5 335:6 384:3 390:4 394:5 399:6 448:3 454:4 458:5 463:6 512:3 518:4 522:5 527:6 576:3 582:4 586:5 591:6",
 	11: "1:2 2:3 3:4 4:5 5:6 6:7 7:8 8:9 9:10 10:11 11:12 12:13 13:14 14:15 15:16 31:15 47:14 62:13 108:11 121:12 133:13 146:14 220:11 234:12 246:13 259:14 332:11 346:12 358:13 371:14 444:11 458:12 470:13 483:14 556:11 570:12 582:13 595:14",
 }
 
-// moves renders a window sequence from Min 1 the way parentMoves does.
+// moves renders a window sequence from the start window the way
+// kneeMoves does.
 func moves(windows []int) string {
 	var b strings.Builder
-	prev := 1
+	prev := DefaultBatch
 	for i, w := range windows {
 		if w != prev {
 			fmt.Fprintf(&b, " %d:%d", i+1, w)
@@ -146,6 +154,25 @@ func moves(windows []int) string {
 		}
 	}
 	return strings.TrimPrefix(b.String(), " ")
+}
+
+// pastSlowStart parses the moves of a moves string from the first one
+// that lowers the window: [result, window] pairs.
+func pastSlowStart(t *testing.T, s string) [][2]int {
+	t.Helper()
+	var out [][2]int
+	prev := 0
+	for _, f := range strings.Fields(s) {
+		var m [2]int
+		if _, err := fmt.Sscanf(f, "%d:%d", &m[0], &m[1]); err != nil {
+			t.Fatalf("move %q: %v", f, err)
+		}
+		if len(out) > 0 || m[1] < prev {
+			out = append(out, m)
+		}
+		prev = m[1]
+	}
+	return out
 }
 
 // driveSized is queueModel.drive with every value sent through the gate's
@@ -174,9 +201,19 @@ func (q queueModel) driveSized(c *Controller, results, size int) []int {
 
 // TestControllerConstantSizesMoveAsValues: when every value costs the
 // same, the window in bytes makes exactly the moves the window in values
-// made, whatever the size, and so do values nothing charges.
+// makes, whatever the size, and so do values nothing charges. Past slow
+// start they are the moves a window starting at one value made.
 func TestControllerConstantSizesMoveAsValues(t *testing.T) {
-	for knee, want := range parentMoves {
+	for knee, want := range kneeMoves {
+		got, old := pastSlowStart(t, want), pastSlowStart(t, oneValueMoves[knee])
+		if len(got) != len(old) {
+			t.Fatalf("knee %d: %d moves past slow start, %d from one value", knee, len(got), len(old))
+		}
+		for i := range got {
+			if got[i][1] != old[i][1] || got[i][0] > old[i][0] || got[i][0] < old[i][0]-1 {
+				t.Errorf("knee %d: move %d:%d past slow start, %d:%d from one value", knee, got[i][0], got[i][1], old[i][0], old[i][1])
+			}
+		}
 		q := queueModel{d: time.Duration(knee) * 4 * time.Millisecond, s: 4 * time.Millisecond}
 		c := NewController(Adaptive(1, 16))
 		var windows []int
@@ -267,9 +304,9 @@ func TestControllerGrowsOnlyWhenTheWindowBinds(t *testing.T) {
 
 // TestControllerResultBeforeWireCharge: the send queue reports a frame's
 // wire length after writing it, so the value's result may come back
-// first. The window, one value growing to two in slow start, must become
-// two units of the first wire length, not a windowful of the encoded
-// charge that result released.
+// first. The window, DefaultBatch values growing to three in slow start,
+// must become three units of the first wire length, not a windowful of
+// the encoded charge that result released (sixteen 2 KiB values).
 func TestControllerResultBeforeWireCharge(t *testing.T) {
 	c := NewController(Adaptive(1, 16))
 	if !admit(c) {
@@ -284,7 +321,7 @@ func TestControllerResultBeforeWireCharge(t *testing.T) {
 		k++
 		send(c, k, time.Now(), 2<<10, 2<<10)
 	}
-	if got := k - 1; got != 2 {
-		t.Fatalf("%d values of 2 KiB admitted after the first result, want 2", got)
+	if got := k - 1; got != 3 {
+		t.Fatalf("%d values of 2 KiB admitted after the first result, want 3", got)
 	}
 }

@@ -57,7 +57,7 @@ func SendAll(ch Channel, ms []*proto.Message) error {
 // RawCodec) is handed over with the reply and released after it.
 type sendQueue struct {
 	ch      Channel
-	charge  func(seq uint64, n int, wire bool) // told each input's wire length; nil on the worker side
+	meter   Meter // told each input's wire length; nil on the worker side
 	mu      sync.Mutex
 	cond    *sync.Cond
 	pending []*proto.Message // frames awaiting the next vectored write
@@ -72,8 +72,8 @@ type sendQueue struct {
 // on one hands itself over, so the read loop never waits on a write.
 type queued interface{ useQueue(q *sendQueue) }
 
-func newSendQueue(ch Channel, charge func(uint64, int, bool)) *sendQueue {
-	q := &sendQueue{ch: ch, charge: charge}
+func newSendQueue(ch Channel, meter Meter) *sendQueue {
+	q := &sendQueue{ch: ch, meter: meter}
 	q.cond = sync.NewCond(&q.mu)
 	if w, ok := ch.(queued); ok {
 		w.useQueue(q)
@@ -100,8 +100,8 @@ func (q *sendQueue) run() {
 		if len(batch) > 0 {
 			err := SendAll(q.ch, batch)
 			for _, m := range batch {
-				if n := m.WireLen(); q.charge != nil && m.Seq > 0 && n > 0 {
-					q.charge(m.Seq, n, true)
+				if n := m.WireLen(); q.meter != nil && m.Seq > 0 && n > 0 {
+					q.meter.Charge(m.Seq, n, true)
 				}
 				proto.Release(m)
 			}

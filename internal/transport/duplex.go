@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"sync"
+	"time"
 
 	"pando/internal/proto"
 	"pando/internal/pullstream"
@@ -55,6 +56,17 @@ func (e *WorkerError) Error() string {
 	return fmt.Sprintf("transport: worker failed on input %d: %s", e.Seq, e.Msg)
 }
 
+// Meter is told what the master duplex learns about the values it sends
+// to one worker (sched.Controller implements it).
+type Meter interface {
+	// Charge is told the k-th input's (from 1) payload length as soon as
+	// its frame is made, and its wire length (wire) once written.
+	Charge(k uint64, n int, wire bool)
+	// Served is told a result's service stamp (proto.Message.Service):
+	// how long the worker's processing function took on its input.
+	Served(d time.Duration)
+}
+
 // MasterDuplex exposes a channel to the master as a pull-stream duplex:
 // its Sink consumes the inputs lent to the worker (sending them as input
 // frames) and its Source produces the worker's results, accepted on the
@@ -68,8 +80,9 @@ func (e *WorkerError) Error() string {
 // idle channel sends a lone frame at once). A group of values is just an
 // item whose codec is a ListCodec: the same duplex then emits
 // TypeInputBatch and accepts TypeResultBatch frames (binary batches,
-// proto.EncodeBatch). charge, when not nil, is told each input's payload
-// length as soon as its frame is made and its wire length once written.
+// proto.EncodeBatch). meter, when not nil, is told each input's payload
+// length as soon as its frame is made and its wire length once written,
+// and each result's service stamp as the result is accepted.
 //
 // Failure semantics: a channel error (including heartbeat timeout) or an
 // application error reported by the worker ends the Source with an error,
@@ -86,9 +99,9 @@ func (e *WorkerError) Error() string {
 // output survives. (The chaos suite's packet-drop fault is what forces
 // this: a cleanly dropped result frame leaves the stream parseable, so
 // only the Seq discipline can detect it.)
-func MasterDuplex[I, O any](ch Channel, in Codec[I], out Codec[O], charge func(seq uint64, n int, wire bool)) pullstream.Duplex[I, O] {
+func MasterDuplex[I, O any](ch Channel, in Codec[I], out Codec[O], meter Meter) pullstream.Duplex[I, O] {
 	inList, _ := any(in).(batchCodec[I])
-	q := newSendQueue(ch, charge)
+	q := newSendQueue(ch, meter)
 	return pullstream.Duplex[I, O]{
 		Sink: func(src pullstream.Source[I]) {
 			defer q.close()
@@ -116,8 +129,8 @@ func MasterDuplex[I, O any](ch Channel, in Codec[I], out Codec[O], charge func(s
 				}
 				seq++
 				m.Seq = seq
-				if charge != nil {
-					charge(seq, len(m.Data), false)
+				if meter != nil {
+					meter.Charge(seq, len(m.Data), false)
 				}
 				if !q.enqueue(m, nil) {
 					// Channel failed mid-batch: stop pulling. The Source
@@ -126,7 +139,7 @@ func MasterDuplex[I, O any](ch Channel, in Codec[I], out Codec[O], charge func(s
 				}
 			}
 		},
-		Source: masterSource(ch, out),
+		Source: masterSource(ch, out, meter),
 	}
 }
 
@@ -156,8 +169,9 @@ func inputFrame[I any](in Codec[I], list batchCodec[I], v I) (m *proto.Message, 
 // result kind its codec calls for (TypeResultBatch for a list codec,
 // TypeResult otherwise) and treats every check the same on both.
 // It routes the channel and answers asks from the read loop; a result
-// that arrives before its ask waits, decoded, for the next one.
-func masterSource[O any](ch Channel, out Codec[O]) pullstream.Source[O] {
+// that arrives before its ask waits, decoded, for the next one. A result's
+// service stamp goes to meter (which may be nil) before the result does.
+func masterSource[O any](ch Channel, out Codec[O], meter Meter) pullstream.Source[O] {
 	aliases := codecAliases(out)
 	list, _ := any(out).(batchCodec[O])
 	want := proto.TypeResult
@@ -177,6 +191,9 @@ func masterSource[O any](ch Channel, out Codec[O]) pullstream.Source[O] {
 			return zero, fmt.Errorf("transport: result seq %d, want %d (frame lost or reordered)", m.Seq, got+1)
 		}
 		got = m.Seq
+		if m.Service > 0 && meter != nil {
+			meter.Served(time.Duration(m.Service) * time.Microsecond)
+		}
 		// End-to-end payload check: the worker hashed the encoded result
 		// right after f produced it, so a mismatch here means the bytes
 		// changed somewhere in between — a fault frame CRCs cannot see
@@ -294,6 +311,11 @@ func decodeBatchResult[O any](m *proto.Message, list batchCodec[O]) (O, error) {
 // TypeInputBatch, reporting per-member errors in the result batch. It
 // returns when the master says goodbye (nil) or the channel fails.
 //
+// The first result of the session, and the first after each reassign,
+// carries in Service how long applying f to its input took, in µs (at
+// least 1): the master's credit controller sizes its window from it. Only
+// those results are timed.
+//
 // A reassign frame from a shared fleet moves the worker to another job.
 // reassign resolves the named function to a new processing function; the
 // switch is acknowledged by echoing the reassign frame AFTER the
@@ -311,6 +333,7 @@ func WorkerServe[I, O any](ch Channel, in Codec[I], out Codec[O], f func(I) (O, 
 	q := newSendQueue(ch, nil)
 	over, stopped := false, make(chan error, 1) // over: what still arrives is dropped
 	halt := func(err error) { over = true; stopped <- err }
+	stamp := true // the next result carries its service time
 	ch.Route(func(m *proto.Message, err error) {
 		if over || m == nil {
 			if !over {
@@ -320,6 +343,10 @@ func WorkerServe[I, O any](ch Channel, in Codec[I], out Codec[O], f func(I) (O, 
 			return
 		}
 		var reply *proto.Message
+		var start time.Time
+		if stamp {
+			start = time.Now()
+		}
 		switch m.Type {
 		case proto.TypeReassign:
 			fn := m.Func
@@ -333,7 +360,7 @@ func WorkerServe[I, O any](ch Channel, in Codec[I], out Codec[O], f func(I) (O, 
 				halt(err)
 				return
 			}
-			f = nf
+			f, stamp = nf, true
 			if !q.enqueue(&proto.Message{Type: proto.TypeReassign, Func: fn}, nil) {
 				halt(ErrChannelClosed)
 			}
@@ -351,6 +378,9 @@ func WorkerServe[I, O any](ch Channel, in Codec[I], out Codec[O], f func(I) (O, 
 			// Ignore stray control messages.
 			proto.Release(m)
 			return
+		}
+		if stamp {
+			reply.Service, stamp = max(uint64(time.Since(start)/time.Microsecond), 1), false
 		}
 		// The reply may thread the input's bytes through (an identity
 		// handler under RawCodec), so the frame releases only after the

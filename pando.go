@@ -113,6 +113,10 @@ func WithBatch(n int) Option { return func(o *options) { o.batch = n } }
 // one), and in units of one value's smoothed wire size adds one per
 // windowful under about 1.5, takes one away over about 3 and halves when
 // the round-trip triples; a change of payload size re-bases (package sched).
+// A window starts at the static default of 2 values, clamped to [min, max],
+// and at its second result jumps to what the device's path holds: the base
+// round-trip over the larger of the result gap and the service time the
+// device stamps on its first result.
 func WithAdaptiveLimit(min, max int) Option {
 	return func(o *options) {
 		o.adaptMin = min
@@ -550,7 +554,7 @@ func New[I, O any](name string, f func(I) (O, error), opts ...Option) *Pando[I, 
 // attachment happen at the pool level. (Go methods cannot introduce type
 // parameters, so Map is a package function rather than a Pool method.)
 func Map[I, O any](pool *Pool, name string, f func(I) (O, error), opts ...Option) *Pando[I, O] {
-	o := options{batch: master.DefaultBatch, register: true}
+	o := options{batch: sched.DefaultBatch, register: true}
 	for _, opt := range opts {
 		opt(&o)
 	}
