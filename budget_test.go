@@ -29,7 +29,7 @@ var budgets = []struct {
 	wire        int64   // bytes on the netsim links both ways, whole run, with a one-byte service stamp, held exactly (tiles only)
 }{
 	{shape: "collatz", setBy: "outbound frames from the arena; CollatzSteps on one scratch struct", schedEvents: 8.51, allocs: 3.5},
-	{shape: "tiles", setBy: "the service stamp on a session's first result", allocs: 9.93, wire: 5_185_924},
+	{shape: "tiles", setBy: "the welcome without its unread batch field", allocs: 9.93, wire: 5_185_922},
 	{shape: "verified", setBy: "adaptive windows sized from their first two results", allocs: 27.5},
 }
 

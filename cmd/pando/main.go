@@ -89,8 +89,8 @@ func run() error {
 
 	cfg := master.Config{
 		FuncName: funcName,
-		Batch:    *batch,
 		Ordered:  true,
+		Flow:     sched.Static(*batch),
 	}
 	if *ckpt != "" {
 		j, err := journal.Open(*ckpt, journal.Options{SyncInterval: *fsync})

@@ -17,6 +17,7 @@ import (
 	"pando/internal/master"
 	"pando/internal/netsim"
 	"pando/internal/pullstream"
+	"pando/internal/sched"
 	"pando/internal/transport"
 	"pando/internal/worker"
 )
@@ -41,7 +42,7 @@ func main() {
 	// The master joins the relay and answers offers with its direct
 	// address; it uses the paper's WAN batch size of 4.
 	m := master.New[int, int](master.Config{
-		FuncName: "square", Batch: 4, Ordered: true, Channel: cfg,
+		FuncName: "square", Flow: sched.Static(4), Ordered: true, Channel: cfg,
 	}, transport.JSONCodec[int]{}, transport.JSONCodec[int]{})
 	directLn := netsim.NewListener("master-direct", netsim.WAN)
 	defer directLn.Close()

@@ -36,7 +36,6 @@ func integName(p string) string { return fmt.Sprintf("%s-%d", p, integSeq.Add(1)
 func TestIntegrationURLBootstrap(t *testing.T) {
 	cfg := master.Config{
 		FuncName: integName("square"),
-		Batch:    2,
 		Ordered:  true,
 		Channel:  transport.Config{HeartbeatInterval: 50 * time.Millisecond},
 	}

@@ -118,7 +118,7 @@ func (d *DistributedMap[I, O]) MemStats() (heap, spilled int) {
 
 // New creates an idle engine.
 func New[I, O any](opts ...Option) *DistributedMap[I, O] {
-	cfg := config{policy: sched.Static(2), ordered: true}
+	cfg := config{policy: sched.Static(sched.DefaultBatch), ordered: true}
 	for _, o := range opts {
 		o(&cfg)
 	}

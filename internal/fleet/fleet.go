@@ -54,10 +54,6 @@ var (
 type Job interface {
 	// Name is the processing function volunteers resolve for this job.
 	Name() string
-	// Batch is the job's static values-in-flight bound, named in the
-	// welcome (informational for the worker; the real gate is the
-	// master-side credit controller).
-	Batch() int
 	// Demand reports the job's appetite for workers: 0 when the job is
 	// complete or closed (it must not receive workers), otherwise a
 	// positive weight — 1 for an idle open job, growing with the job's
@@ -459,7 +455,7 @@ func (p *Pool) leaseCountsLocked() map[Job]int {
 func (p *Pool) leaseTo(s *session, job Job) error {
 	if !s.welcome() {
 		// First lease: send the welcome naming the routed job.
-		if err := transport.SendWelcome(s.ch, job.Name(), job.Batch()); err != nil {
+		if err := transport.SendWelcome(s.ch, job.Name()); err != nil {
 			p.sessionGone(s)
 			return err
 		}
@@ -509,18 +505,13 @@ func (p *Pool) routeNext(s *session, from Job) {
 	s.reassign(job)
 }
 
-// jobReleased handles a job's goodbye to a leased worker — the job's
-// stream completed for this session. The worker is routed to the next
-// open job over the same connection.
-func (p *Pool) jobReleased(s *session, from Job) {
-	go p.routeNext(s, from)
-}
-
-// jobAborted handles a job closing a leased worker's channel (pipeline
-// abort, decode failure, or a worker-reported application error). The
-// worker may still serve other jobs, so it is reclaimed and routed away
-// from the aborting job; if no other job is open it is dismissed.
-func (p *Pool) jobAborted(s *session, from Job) {
+// jobLeft handles a job giving a leased worker back: its goodbye (the
+// job's stream completed for this session) or its closing the channel
+// (pipeline abort, decode failure, or a worker-reported application
+// error). The worker may still serve other jobs, so it is routed away
+// from that job to the next open one over the same connection; if no
+// other job is open it is dismissed.
+func (p *Pool) jobLeft(s *session, from Job) {
 	go p.routeNext(s, from)
 }
 

@@ -14,8 +14,7 @@ import (
 
 // fakeJob records leases and lets tests control demand.
 type fakeJob struct {
-	name  string
-	batch int
+	name string
 
 	mu      sync.Mutex
 	demand  int
@@ -26,11 +25,10 @@ type fakeJob struct {
 }
 
 func newFakeJob(name string, demand int) *fakeJob {
-	return &fakeJob{name: name, batch: 2, demand: demand, leaseC: make(chan *inbox, 8)}
+	return &fakeJob{name: name, demand: demand, leaseC: make(chan *inbox, 8)}
 }
 
 func (j *fakeJob) Name() string { return j.name }
-func (j *fakeJob) Batch() int   { return j.batch }
 func (j *fakeJob) Demand() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()

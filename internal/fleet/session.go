@@ -260,11 +260,7 @@ func (s *session) reassign(job Job) {
 	s.state = stateReclaiming
 	s.pending = job
 	s.mu.Unlock()
-	if err := s.ch.Send(&proto.Message{
-		Type:  proto.TypeReassign,
-		Func:  job.Name(),
-		Batch: job.Batch(),
-	}); err != nil {
+	if err := s.ch.Send(&proto.Message{Type: proto.TypeReassign, Func: job.Name()}); err != nil {
 		s.pool.sessionGone(s)
 	}
 }
@@ -427,7 +423,7 @@ func (l *lease) isEnded() bool {
 func (l *lease) Send(m *proto.Message) error {
 	if m.Type == proto.TypeGoodbye {
 		if job, ok := l.s.released(l); ok {
-			l.s.pool.jobReleased(l.s, job)
+			l.s.pool.jobLeft(l.s, job)
 		}
 		return nil
 	}
@@ -474,7 +470,7 @@ var _ transport.BatchSender = (*lease)(nil)
 // dismisses it when none exists.
 func (l *lease) Close() error {
 	if job, ok := l.s.abortedLease(l); ok {
-		l.s.pool.jobAborted(l.s, job)
+		l.s.pool.jobLeft(l.s, job)
 	}
 	return nil
 }

@@ -193,16 +193,15 @@ type Lender[I, O any] struct {
 	outstanding int // value copies currently lent to live sub-streams
 	pending     int // distinct values read from the input but not yet answered
 
-	// spec tracks values with more than one copy in flight, created by
-	// Speculate: the first result for the value wins and later copies'
-	// results are discarded on arrival.
-	spec map[int]*specState[I]
-
-	// verify, when set (SetVerify), replaces the single-copy lending
-	// discipline with k-replication and vote-gated completion; votes is
-	// the per-index vote state. See verify.go.
-	verify *VerifyConfig[I, O]
-	votes  map[int]*voteState[I, O]
+	// votes holds the copy-tracking record of every value with more than
+	// one copy: each value under verification, and each value Speculate
+	// duplicated. verifying (SetVerify) replaces the single-copy lending
+	// discipline with k-replication and vote-gated completion under the
+	// settings in verify; without it, verify stays zero and a record votes
+	// with quorum 1, so the first result wins. See verify.go.
+	verifying bool
+	verify    VerifyConfig[I, O]
+	votes     map[int]*voteState[I, O]
 
 	// Memory bounding (SetHighWater/SetSpill). highWater caps how many
 	// buffered results the lender holds on the heap; beyond it, ordered
@@ -473,13 +472,6 @@ type SubStream[I any] struct {
 	parked      bool // this sub-stream has an ask in l.waiters
 }
 
-// specState is the bookkeeping of one speculatively duplicated value.
-type specState[I any] struct {
-	copies   int           // copies in flight (sub-stream queues + failed queue)
-	answered bool          // a result for this value was already delivered
-	origin   *SubStream[I] // holder of the original copy at duplication time
-}
-
 // ID returns a diagnostic identifier unique within this lender.
 func (s *SubStream[I]) ID() int { return s.id }
 
@@ -565,36 +557,19 @@ func (l *Lender[I, O]) IdleAtTail() int {
 
 // Speculate duplicates up to max of sub-stream s's oldest outstanding
 // values into the failed queue so they are re-lent to other sub-streams.
-// The original stays lent to s: whichever copy answers first delivers the
-// result and the loser's result is discarded on arrival. This is the
-// at-least-once re-dispatch behind the scheduler's straggler handling; a
-// value is duplicated at most once at a time, and a duplicate is never
-// handed back to the sub-stream holding the original. It returns how many
-// values were duplicated.
+// The original stays lent to s. A duplicate is one more replica of the
+// value: it is never lent to a sub-stream whose
+// worker name holds or has answered a copy, so not to s nor to another
+// sub-stream of s's device. Without verification the first copy to answer
+// delivers the result and later copies' results are discarded on arrival;
+// a value is duplicated at most once. This is the at-least-once
+// re-dispatch behind the scheduler's straggler handling. It returns how
+// many values were duplicated.
 func (l *Lender[I, O]) Speculate(s *SubStream[I], max int) int {
 	l.mu.Lock()
 	n := 0
-	if !s.dead && l.aborted == nil && l.verify != nil {
-		// Under verification a speculative duplicate is one more
-		// replica: name-keyed ballots and the participant check make
-		// it structurally impossible for the duplicate to count as an
-		// independent vote.
+	if !s.dead && l.aborted == nil {
 		n = l.voteSpeculateLocked(s, max)
-	} else if !s.dead && l.aborted == nil {
-		for _, it := range s.outstanding.live() {
-			if n >= max {
-				break
-			}
-			if _, dup := l.spec[it.idx]; dup {
-				continue
-			}
-			if l.spec == nil {
-				l.spec = make(map[int]*specState[I])
-			}
-			l.spec[it.idx] = &specState[I]{copies: 2, origin: s}
-			l.failed.push(lent[I]{idx: it.idx, v: it.v})
-			n++
-		}
 	}
 	var st step[I, O]
 	if n > 0 {
@@ -670,21 +645,12 @@ func (l *Lender[I, O]) resultLocked(st *step[I, O], s *SubStream[I], v O) {
 	}
 	item := s.outstanding.pop()
 	l.outstanding--
-	if l.verify != nil {
-		// Verification gates emission behind the quorum; the vote
+	if l.verifying || l.votes[item.idx] != nil {
+		// A value with several copies is accepted by its vote: at the
+		// quorum, or at the first result without verification. The vote
 		// machinery owns pending/emission from here.
 		l.voteResultLocked(st, s, item, v)
 		return
-	}
-	if sp, ok := l.spec[item.idx]; ok {
-		l.dropCopyLocked(item.idx, sp)
-		if sp.answered {
-			// Losing duplicate: the value was already answered by the
-			// faster copy; discard this result.
-			l.serviceLocked(st)
-			return
-		}
-		sp.answered = true
 	}
 	l.acceptLocked(st, item.idx, v)
 	l.serviceLocked(st)
@@ -722,7 +688,8 @@ func (l *Lender[I, O]) exportDone() {
 
 // endSubLocked terminates sub-stream s: outstanding values move to the
 // failed queue (oldest first) for re-lending, and any parked ask from s is
-// answered done.
+// answered done. A copy of a value with a record goes back only if its
+// vote still needs it (voteEndCopyLocked).
 func (l *Lender[I, O]) endSubLocked(st *step[I, O], s *SubStream[I]) {
 	if s.dead {
 		return
@@ -731,23 +698,7 @@ func (l *Lender[I, O]) endSubLocked(st *step[I, O], s *SubStream[I]) {
 	l.subsEnded++
 	for _, it := range s.outstanding.live() {
 		l.outstanding--
-		if l.verify != nil {
-			l.voteEndCopyLocked(s, it)
-			continue
-		}
-		if sp, ok := l.spec[it.idx]; ok {
-			if sp.answered || l.failedHasLocked(it.idx) {
-				// Either a duplicate already answered this value, so the
-				// dead copy need not be re-lent, or the value's other copy
-				// already waits in the failed queue — its holder died too
-				// (simultaneous failures near the tail) — and the two
-				// collapse to a single queued copy so each distinct value
-				// is re-lent exactly once.
-				l.dropCopyLocked(it.idx, sp)
-				continue
-			}
-		}
-		l.failed.push(it)
+		l.voteEndCopyLocked(s, it)
 	}
 	s.outstanding = fifo[lent[I]]{}
 
@@ -763,26 +714,6 @@ func (l *Lender[I, O]) endSubLocked(st *step[I, O], s *SubStream[I]) {
 		s.parked = false
 	}
 	l.serviceLocked(st)
-}
-
-// dropCopyLocked accounts one copy of a speculated value leaving flight.
-func (l *Lender[I, O]) dropCopyLocked(idx int, sp *specState[I]) {
-	if sp.copies--; sp.copies == 0 {
-		delete(l.spec, idx)
-	}
-}
-
-// failedHasLocked reports whether an idx is already queued for re-lending.
-// Caller holds mu. The scan is linear, but it only runs for speculatively
-// duplicated values on sub-stream death, and the failed queue drains to
-// asking workers ahead of fresh input, so it stays short.
-func (l *Lender[I, O]) failedHasLocked(idx int) bool {
-	for _, f := range l.failed.live() {
-		if f.idx == idx {
-			return true
-		}
-	}
-	return false
 }
 
 // dismissWaitersLocked answers every parked sub-stream ask done.
@@ -818,43 +749,16 @@ func (l *Lender[I, O]) serviceLocked(st *step[I, O]) {
 	}
 
 	// Answer waiters from the failed queue first (Algorithm 1,
-	// answerWithFailedValue: oldest failed value first). Speculative
-	// copies need two extra checks: a copy whose value was already
-	// answered by the winning duplicate is discarded instead of re-lent,
-	// and a duplicate is never handed back to the sub-stream that
-	// already holds the original.
+	// answerWithFailedValue: oldest failed value first). A copy of a
+	// value with a record (a replica or a speculative duplicate) needs two
+	// extra checks: a copy whose value is already answered is discarded
+	// instead of re-lent, and a copy goes only to a worker name that holds
+	// no copy of the value and has not answered it (voteRelendLocked).
 	fi := 0
 	for fi < l.failed.len() && l.waiters.len() > 0 {
-		if l.verify != nil {
-			if !l.voteRelendLocked(st, fi) {
-				fi++
-			}
-			continue
+		if !l.voteRelendLocked(st, fi) {
+			fi++
 		}
-		it := l.failed.live()[fi]
-		sp := l.spec[it.idx]
-		if sp != nil && sp.answered {
-			l.dropCopyLocked(it.idx, sp)
-			l.failed.removeAt(fi)
-			continue
-		}
-		wi := 0
-		if sp != nil {
-			wi = -1
-			for j, w := range l.waiters.live() {
-				if w.sub != sp.origin {
-					wi = j
-					break
-				}
-			}
-			if wi < 0 {
-				// Only the origin is asking; leave its duplicate queued
-				// for a different sub-stream.
-				fi++
-				continue
-			}
-		}
-		l.lendLocked(st, wi, l.failed.removeAt(fi))
 	}
 
 	if l.waiters.len() > 0 {
@@ -948,7 +852,7 @@ func (l *Lender[I, O]) inputAnswer(end error, v I) {
 		l.pending++
 		if l.waiters.len() > 0 {
 			sub := l.lendLocked(&st, 0, lent[I]{idx: idx, v: v})
-			if l.verify != nil {
+			if l.verifying {
 				l.voteLendFreshLocked(sub, idx, v)
 			}
 			break
@@ -957,7 +861,7 @@ func (l *Lender[I, O]) inputAnswer(end error, v I) {
 		// it is not lost (conservative property: it will be lent to the
 		// next asker).
 		l.failed.push(lent[I]{idx: idx, v: v})
-		if l.verify != nil {
+		if l.verifying {
 			// Track the queued copy; replicas fan out at first lend.
 			l.voteEnsureOpenLocked(idx, v).queued++
 		}

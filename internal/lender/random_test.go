@@ -18,7 +18,8 @@ import (
 
 // randomExecution runs one randomized StreamLender execution derived from
 // seed and validates all observable invariants. It returns a descriptive
-// error when an invariant is violated.
+// error when an invariant is violated. On odd seeds a speculator also
+// duplicates values of random live sub-streams while the stream runs.
 func randomExecution(seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
 
@@ -47,6 +48,37 @@ func randomExecution(seed int64) error {
 	var mu sync.Mutex
 	processed := make(map[int]int)
 	crashed := 0
+	live := make(map[*SubStream[int]]bool) // sub-streams whose worker runs
+	duplicated := 0                        // duplicates Speculate reported
+
+	stopSpec, specDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(specDone)
+		if seed%2 == 0 {
+			return
+		}
+		srng := rand.New(rand.NewSource(seed ^ 0x5bec))
+		for {
+			select {
+			case <-stopSpec:
+				return
+			case <-time.After(time.Duration(srng.Intn(300)) * time.Microsecond):
+			}
+			mu.Lock()
+			var subs []*SubStream[int]
+			for s := range live {
+				subs = append(subs, s)
+			}
+			mu.Unlock()
+			if len(subs) == 0 {
+				continue
+			}
+			n := l.Speculate(subs[srng.Intn(len(subs))], 1+srng.Intn(3))
+			mu.Lock()
+			duplicated += n
+			mu.Unlock()
+		}
+	}()
 
 	var wg sync.WaitGroup
 	reliable := rng.Intn(nWorkers) // index of the worker that never crashes
@@ -63,7 +95,15 @@ func randomExecution(seed int64) error {
 		go func() {
 			defer wg.Done()
 			wrng := rand.New(rand.NewSource(workerSeed))
-			_, d := l.LendStream()
+			sub, d := l.LendStream()
+			mu.Lock()
+			live[sub] = true
+			mu.Unlock()
+			defer func() {
+				mu.Lock()
+				delete(live, sub)
+				mu.Unlock()
+			}()
 			results := make(chan int)
 			crashErr := make(chan error, 1)
 			var sinkWG sync.WaitGroup
@@ -105,7 +145,10 @@ func randomExecution(seed int64) error {
 	}
 
 	got := <-outc
-	if err := <-errc; err != nil {
+	err := <-errc
+	close(stopSpec)
+	<-specDone
+	if err != nil {
 		return errors.New("output failed: " + err.Error())
 	}
 	wg.Wait()
@@ -137,7 +180,8 @@ func randomExecution(seed int64) error {
 	// at a time. A worker may crash after computing a result but before
 	// that result is recorded, in which case the value is legitimately
 	// re-lent, so a value can be processed up to 1 + crashed times — but
-	// never more, and every value is processed at least once.
+	// never more, and every value is processed at least once. Each
+	// duplicate Speculate reported may add one more.
 	mu.Lock()
 	defer mu.Unlock()
 	for v := 1; v <= nInputs; v++ {
@@ -145,7 +189,7 @@ func randomExecution(seed int64) error {
 		if n < 1 {
 			return errors.New("value never processed")
 		}
-		if n > 1+crashed {
+		if n > 1+crashed+duplicated {
 			return errors.New("value processed more times than crashes allow")
 		}
 	}

@@ -171,11 +171,47 @@ func TestSpeculateNeverHandsDuplicateToOrigin(t *testing.T) {
 	close(resultsA)
 }
 
+// TestSpeculateSkipsOriginDevice: a duplicate is kept from the origin's
+// device, not only from the origin sub-stream. A sibling sub-stream under
+// the same worker name gets fresh input; another device gets the
+// duplicate.
+func TestSpeculateSkipsOriginDevice(t *testing.T) {
+	l := New[int, int]()
+	l.Bind(pullstream.Values(10, 30))
+
+	subA, dA := l.LendStreamNamed("dev")
+	resultsA := make(chan int)
+	dA.Sink(pullstream.FromChan(resultsA, nil))
+	if v, err := ask(t, dA.Source); err != nil || v != 10 {
+		t.Fatalf("subA value = %d, %v", v, err)
+	}
+	if n := l.Speculate(subA, 1); n != 1 {
+		t.Fatalf("Speculate = %d, want 1", n)
+	}
+	_, dSib := l.LendStreamNamed("dev")
+	resultsSib := make(chan int)
+	dSib.Sink(pullstream.FromChan(resultsSib, nil))
+	if v, err := ask(t, dSib.Source); err != nil || v != 30 {
+		t.Fatalf("sibling value = %d, %v; want fresh 30, not the duplicate of 10", v, err)
+	}
+	_, dC := l.LendStreamNamed("other")
+	resultsC := make(chan int)
+	dC.Sink(pullstream.FromChan(resultsC, nil))
+	if v, err := ask(t, dC.Source); err != nil || v != 10 {
+		t.Fatalf("other device's value = %d, %v; want the duplicate of 10", v, err)
+	}
+	close(resultsA)
+	close(resultsSib)
+	close(resultsC)
+}
+
 // TestSpeculateCrashedOriginFallsBackToRelend: when the origin dies after
 // speculation while the duplicate is already lent to a live sub-stream,
-// the unanswered original is re-lent as usual and the value is still
-// answered exactly once. (When the duplicate is still queued instead, the
-// two copies collapse — see TestSingleHolderDeathWithQueuedDuplicate.)
+// the dead copy is not re-queued: the live duplicate answers the value,
+// once. (When the duplicate is still queued instead, the two copies
+// collapse — see TestSingleHolderDeathWithQueuedDuplicate; when every
+// holder dies, the value is re-lent once — see
+// TestSimultaneousTailFailuresRelendOnce.)
 func TestSpeculateCrashedOriginFallsBackToRelend(t *testing.T) {
 	l := New[int, int]()
 	out := l.Bind(pullstream.Values(10))
@@ -200,15 +236,26 @@ func TestSpeculateCrashedOriginFallsBackToRelend(t *testing.T) {
 		t.Fatalf("subB duplicate = %d, %v", v, err)
 	}
 
-	// ...then the origin crashes with its copy unanswered: the original
-	// goes through the failed queue and is re-lent.
+	// ...then the origin crashes with its copy unanswered: subB's copy is
+	// live, so nothing is queued for re-lending.
 	errA <- pullstream.ErrAborted
-	if v, err := ask(t, dB.Source); err != nil || v != 10 {
-		t.Fatalf("subB re-lent original = %d, %v", v, err)
+	waitStats(t, l, func(_, _, _, ended int) bool { return ended == 1 })
+	if _, failedQ, _, _ := l.Stats(); failedQ != 0 {
+		t.Fatalf("failed queue = %d, want 0 (subB's live copy answers the value)", failedQ)
 	}
 	askEnd := make(chan error, 1)
-	dB.Source(nil, func(end error, v int) { askEnd <- end })
-	resultsB <- 100 // answers the value; the second copy is now a zombie
+	dB.Source(nil, func(end error, v int) {
+		if end == nil {
+			t.Errorf("subB received a second copy: %d", v)
+		}
+		askEnd <- end
+	})
+	select {
+	case end := <-askEnd:
+		t.Fatalf("subB's ask answered %v before subB answered, want it parked", end)
+	case <-time.After(20 * time.Millisecond):
+	}
+	resultsB <- 100
 	if end := <-askEnd; !errors.Is(end, pullstream.ErrDone) {
 		t.Fatalf("parked ask end = %v, want ErrDone", end)
 	}
@@ -219,6 +266,5 @@ func TestSpeculateCrashedOriginFallsBackToRelend(t *testing.T) {
 	if len(got) != 1 || got[0] != 100 {
 		t.Fatalf("output = %v, want [100]", got)
 	}
-	resultsB <- 999 // the zombie copy's result, discarded
 	close(resultsB)
 }

@@ -6,11 +6,21 @@ import (
 	"pando/internal/verify"
 )
 
-// This file is the lender half of Byzantine-tolerant result
-// verification (internal/verify holds the pure voting machine and the
-// reputation ledger). With a VerifyConfig installed the lending rules
-// change from the paper's conservative single-copy discipline to
-// BOINC-style k-replication:
+// This file is the lender's one copy-tracking path: the record of every
+// value with more than one copy, and the lender half of Byzantine-tolerant
+// result verification (internal/verify holds the pure voting machine and
+// the reputation ledger).
+//
+// Without verification, only Speculate makes extra copies. A speculated
+// value gets a record whose vote has quorum 1 and no digest: the first
+// result wins and later copies' results are discarded. A dying holder's
+// copy is re-queued only when no other copy is lent or queued, so each
+// value is re-lent once however many of its holders fail. Values never
+// speculated have no record and take the plain single-copy path.
+//
+// With a VerifyConfig installed the lending rules change from the paper's
+// conservative single-copy discipline to BOINC-style k-replication, and
+// every value gets a record:
 //
 //   - A fresh value lent to an untrusted worker fans out K-1 replica
 //     copies onto the failed queue, so K distinct workers compute it.
@@ -109,9 +119,8 @@ func (vt *voteState[I, O]) resolved() bool {
 func (l *Lender[I, O]) SetVerify(cfg *VerifyConfig[I, O]) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.verifying, l.verify, l.votes = cfg != nil, VerifyConfig[I, O]{}, nil
 	if cfg == nil {
-		l.verify = nil
-		l.votes = nil
 		return
 	}
 	c := *cfg
@@ -121,12 +130,12 @@ func (l *Lender[I, O]) SetVerify(cfg *VerifyConfig[I, O]) {
 	if c.K < c.Quorum {
 		c.K = c.Quorum
 	}
-	l.verify = &c
-	l.votes = make(map[int]*voteState[I, O])
+	l.verify = c
 }
 
 // voteEnsureOpenLocked creates the vote record for a value the first
-// time it is tracked (fresh lend, or a read whose asker died).
+// time it is tracked (fresh lend, a read whose asker died, or a
+// speculative duplicate).
 func (l *Lender[I, O]) voteEnsureOpenLocked(idx int, v I) *voteState[I, O] {
 	vt := l.votes[idx]
 	if vt == nil {
@@ -135,6 +144,9 @@ func (l *Lender[I, O]) voteEnsureOpenLocked(idx int, v I) *voteState[I, O] {
 			voter:   verify.NewVoter(l.verify.Quorum),
 			values:  make(map[verify.Digest]O),
 			holders: make(map[string]int),
+		}
+		if l.votes == nil {
+			l.votes = make(map[int]*voteState[I, O])
 		}
 		l.votes[idx] = vt
 	}
@@ -200,7 +212,13 @@ func (l *Lender[I, O]) voteResultLocked(st *step[I, O], s *SubStream[I], item le
 	}
 	vt.dropHolder(s.name)
 
-	d, err := l.verify.Digest(v)
+	// Without verification every ballot is the zero digest: the first
+	// one reaches quorum 1.
+	var d verify.Digest
+	var err error
+	if l.verify.Digest != nil {
+		d, err = l.verify.Digest(v)
+	}
 	if err != nil {
 		// Undigestible result: no ballot. Keep the vote alive.
 		l.voteLivenessLocked(item.idx, vt)
@@ -331,24 +349,26 @@ func (l *Lender[I, O]) voteFinalizeLocked(st *step[I, O], idx int, vt *voteState
 	l.voteCleanupLocked(idx, vt)
 }
 
-// voteEndCopyLocked handles one outstanding copy of a dying sub-stream:
-// a resolved vote's zombie copy is discarded, an unresolved one is
-// re-queued — replica death mid-vote must not strand the quorum.
+// voteEndCopyLocked handles one outstanding copy of a dying sub-stream.
+// A copy with no record is re-queued, as Algorithm 1 re-lends it. A
+// resolved vote's zombie copy is discarded. An unresolved one is
+// re-queued — replica death mid-vote must not strand the quorum — except
+// without verification while another copy is lent or queued: that copy
+// answers the value, so each value is re-lent once however many of its
+// holders die together.
 func (l *Lender[I, O]) voteEndCopyLocked(s *SubStream[I], it lent[I]) {
-	vt := l.votes[it.idx]
-	if vt == nil {
-		return
+	if vt := l.votes[it.idx]; vt != nil {
+		vt.dropHolder(s.name)
+		if vt.resolved() || !l.verifying && vt.copiesLive() > 0 {
+			l.voteCleanupLocked(it.idx, vt)
+			return
+		}
+		vt.queued++
 	}
-	vt.dropHolder(s.name)
-	if vt.resolved() {
-		l.voteCleanupLocked(it.idx, vt)
-		return
-	}
-	vt.queued++
 	l.failed.push(it)
 }
 
-// voteRelendLocked is the verify-mode arm of the failed-queue loop in
+// voteRelendLocked is the body of the failed-queue loop in
 // serviceLocked: it drops copies of resolved votes, and hands a live
 // copy only to a waiter whose worker name is not already a participant.
 // It reports whether the queue entry at fi was consumed (the caller must
@@ -357,8 +377,7 @@ func (l *Lender[I, O]) voteRelendLocked(st *step[I, O], fi int) (consumed bool) 
 	it := l.failed.live()[fi]
 	vt := l.votes[it.idx]
 	if vt == nil {
-		// No vote record (value queued before SetVerify, or after
-		// cleanup): lend plainly to the first waiter.
+		// A single-copy value: lend plainly to the first waiter.
 		l.lendLocked(st, 0, l.failed.removeAt(fi))
 		return true
 	}
@@ -388,11 +407,13 @@ func (l *Lender[I, O]) voteRelendLocked(st *step[I, O], fi int) (consumed bool) 
 }
 
 // voteSpeculateLocked queues one extra copy of each of s's oldest
-// unresolved values (up to max). Under verification a speculative
-// duplicate is just one more replica: the participant check keeps it
-// away from s (and any same-named sibling), and the name-keyed ballots
-// mean it can never count as a second vote from the same worker — the
-// PR 2 speculation-dedup property, enforced structurally.
+// unresolved values (up to max). A speculative duplicate is just one more
+// replica: the participant check keeps it away from s (and any
+// same-named sibling), and the name-keyed ballots mean it can never count
+// as a second vote from the same worker. Under verification a value may
+// gain a copy whenever none is queued; without it, the duplicate opens
+// the value's record, with s's worker as the holder and nothing to fan
+// out, and a value that has a record is not duplicated again.
 func (l *Lender[I, O]) voteSpeculateLocked(s *SubStream[I], max int) int {
 	n := 0
 	for _, it := range s.outstanding.live() {
@@ -400,7 +421,11 @@ func (l *Lender[I, O]) voteSpeculateLocked(s *SubStream[I], max int) int {
 			break
 		}
 		vt := l.votes[it.idx]
-		if vt == nil || vt.resolved() || vt.queued > 0 {
+		if vt == nil && !l.verifying {
+			vt = l.voteEnsureOpenLocked(it.idx, it.v)
+			vt.holders[s.name]++
+			vt.fanned = true
+		} else if vt == nil || vt.resolved() || vt.queued > 0 || !l.verifying {
 			continue
 		}
 		vt.queued++

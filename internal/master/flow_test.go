@@ -19,7 +19,7 @@ import (
 // window, the in-flight count, and (after a few results) the EWMA
 // throughput estimate and the round-trips the window rule decides on.
 func TestStatsExposeFlowControl(t *testing.T) {
-	m := newTestMaster(t, Config{Batch: 2})
+	m := newTestMaster(t, Config{})
 	ln := netsim.NewListener("master-flow", netsim.Loopback)
 	defer ln.Close()
 	go m.ServeWS(ln)
@@ -80,7 +80,7 @@ func TestStatsExposeFlowControl(t *testing.T) {
 // first result reaches the device's row, and it is the processing
 // function's time: at least the 4 ms the volunteer sleeps per item.
 func TestStatsExposeServiceStamp(t *testing.T) {
-	m := newTestMaster(t, Config{Batch: 2})
+	m := newTestMaster(t, Config{})
 	ln := netsim.NewListener("master-service", netsim.Loopback)
 	defer ln.Close()
 	go m.ServeWS(ln)
@@ -116,7 +116,7 @@ func TestStatsExposeServiceStamp(t *testing.T) {
 // TestHTTPStatsCarriesFlowFields: the /stats JSON must include the
 // flow-control fields so operators can watch the controller remotely.
 func TestHTTPStatsCarriesFlowFields(t *testing.T) {
-	m := newTestMaster(t, Config{Batch: 3})
+	m := newTestMaster(t, Config{Flow: sched.Static(3)})
 	ln := netsim.NewListener("master-flow-http", netsim.Loopback)
 	defer ln.Close()
 	go m.ServeWS(ln)
@@ -164,10 +164,9 @@ func TestConfigFlowDefaults(t *testing.T) {
 		want sched.Policy
 	}{
 		{Config{}, sched.Policy{Min: 2, Max: 2}},
-		{Config{Batch: 5}, sched.Policy{Min: 5, Max: 5}},
+		{Config{Flow: sched.Static(5)}, sched.Policy{Min: 5, Max: 5}},
 		{Config{Flow: sched.Policy{Speculation: 2}}, sched.Policy{Min: 2, Max: 2, Speculation: 2}},
 		{Config{Flow: sched.Policy{Min: 1, Max: 8}}, sched.Policy{Min: 1, Max: 8}},
-		{Config{Batch: 4, Flow: sched.Policy{Min: 3}}, sched.Policy{Min: 3, Max: 3}},
 	}
 	for _, c := range cases {
 		if got := c.cfg.flow(); got != c.want {

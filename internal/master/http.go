@@ -30,7 +30,7 @@ func (m *Master[I, O]) ServeHTTPInfo(ln net.Listener, inv Invitation) *http.Serv
 		inv.Func = m.cfg.FuncName
 	}
 	if inv.Batch == 0 {
-		inv.Batch = m.cfg.batch()
+		inv.Batch = m.cfg.flow().Start()
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {

@@ -235,7 +235,7 @@ func TestMasterJournalUnderCrashStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	m := newTestMaster(t, Config{Journal: j, Batch: 2})
+	m := newTestMaster(t, Config{Journal: j})
 	ln := netsim.NewListener("crash-journal", netsim.LAN)
 	defer ln.Close()
 	go m.ServeWS(ln)

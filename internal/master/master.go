@@ -29,17 +29,15 @@ type Config struct {
 	// the Go substitute for the browserified code bundle the JavaScript
 	// implementation ships (volunteers resolve it in their registry).
 	FuncName string
-	// Batch bounds values in flight per device (the Limiter bound).
-	Batch int
 	// Ordered selects ordered output (default) or completion order.
 	Ordered bool
 	// Group sends several inputs per frame when > 1 (message-level
 	// batching, an extension of the paper's §5.5 batching idea).
 	Group int
 	// Flow is the per-device flow-control policy. The zero value keeps
-	// the original behavior: a static window of Batch values in flight
-	// per device and no speculation. Setting Min < Max turns on the
-	// adaptive credit controller; Speculation > 0 enables straggler
+	// the original behavior: a static window of sched.DefaultBatch values
+	// in flight per device and no speculation. Setting Min < Max turns on
+	// the adaptive credit controller; Speculation > 0 enables straggler
 	// re-dispatch near the stream's tail.
 	Flow sched.Policy
 	// Channel tunes heartbeat detection on volunteer channels.
@@ -86,19 +84,12 @@ func (c Config) spillStore() lender.SpillStore {
 	return c.Spill
 }
 
-func (c Config) batch() int {
-	if c.Batch <= 0 {
-		return sched.DefaultBatch
-	}
-	return c.Batch
-}
-
 // flow resolves the effective policy: an unset window falls back to the
-// static batch bound, preserving the original behavior.
+// static default, preserving the original behavior.
 func (c Config) flow() sched.Policy {
 	p := c.Flow
 	if p.Min <= 0 && p.Max <= 0 {
-		p.Min, p.Max = c.batch(), c.batch()
+		p.Min, p.Max = sched.DefaultBatch, sched.DefaultBatch
 	}
 	if p.Min <= 0 {
 		p.Min = 1
@@ -501,8 +492,6 @@ type job[I, O any] struct{ m *Master[I, O] }
 func (m *Master[I, O]) Job() fleet.Job { return job[I, O]{m} }
 
 func (j job[I, O]) Name() string { return j.m.cfg.FuncName }
-
-func (j job[I, O]) Batch() int { return j.m.cfg.batch() }
 
 // Demand weighs the job for the pool's fair-share leasing: zero once the
 // stream is complete (or the master closed), otherwise one for an open

@@ -87,7 +87,7 @@ func TestMasterSingleVolunteerWS(t *testing.T) {
 }
 
 func TestMasterMultipleVolunteersOrdered(t *testing.T) {
-	m := newTestMaster(t, Config{Batch: 2})
+	m := newTestMaster(t, Config{})
 	ln := netsim.NewListener("master", netsim.LAN)
 	defer ln.Close()
 	go m.ServeWS(ln)
@@ -118,7 +118,7 @@ func TestMasterMultipleVolunteersOrdered(t *testing.T) {
 func TestMasterVolunteerCrashRecovery(t *testing.T) {
 	// Figure 4 at the system level: a volunteer crashes mid-stream; its
 	// in-flight values are re-lent to the survivor; all outputs arrive.
-	m := newTestMaster(t, Config{Batch: 2})
+	m := newTestMaster(t, Config{})
 	ln := netsim.NewListener("master", netsim.LAN)
 	defer ln.Close()
 	go m.ServeWS(ln)
@@ -144,7 +144,7 @@ func TestMasterVolunteerCrashRecovery(t *testing.T) {
 func TestMasterNetworkCutRecovery(t *testing.T) {
 	// Crash injected at the network level: the link is severed without
 	// the volunteer's cooperation; heartbeats detect it.
-	m := newTestMaster(t, Config{Batch: 2})
+	m := newTestMaster(t, Config{})
 	ln := netsim.NewListener("master", netsim.LAN)
 	defer ln.Close()
 	go m.ServeWS(ln)
@@ -218,7 +218,7 @@ func TestMasterRejectsBadVersion(t *testing.T) {
 
 func TestMasterAdaptiveFasterDeviceProcessesMore(t *testing.T) {
 	// Table 2's % columns: throughput share tracks device speed.
-	m := newTestMaster(t, Config{Batch: 2})
+	m := newTestMaster(t, Config{})
 	ln := netsim.NewListener("master", netsim.LAN)
 	defer ln.Close()
 	go m.ServeWS(ln)
@@ -256,7 +256,7 @@ func TestMasterWebRTCVolunteer(t *testing.T) {
 	// declare a healthy peer dead whenever two jitter draws line up —
 	// and this deployment's single volunteer does not rejoin.
 	cfg := transport.Config{HeartbeatInterval: 25 * time.Millisecond, HeartbeatTimeout: 300 * time.Millisecond}
-	m := newTestMaster(t, Config{Batch: 4, Channel: cfg})
+	m := newTestMaster(t, Config{Flow: sched.Static(4), Channel: cfg})
 
 	signalLn := netsim.NewListener("public", netsim.WAN)
 	srv := transport.NewSignalServer()

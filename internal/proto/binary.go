@@ -46,7 +46,7 @@ const (
 	tagType    = 0x01 // type code (see typeCodes)
 	tagSeq     = 0x02
 	tagCores   = 0x03
-	tagBatch   = 0x04
+	tagBatch   = 0x04 // reserved: older masters' welcome batch, which no worker read
 	tagService = 0x05 // worker service time in µs (a session's first result)
 
 	tagTypeStr = 0x81 // type as string, for types without a code
@@ -135,7 +135,6 @@ func appendBinaryFrame(b []byte, m *Message) []byte {
 	}
 	b = appendUint(b, tagSeq, m.Seq)
 	b = appendUint(b, tagCores, uint64(m.Cores))
-	b = appendUint(b, tagBatch, uint64(m.Batch))
 	b = appendUint(b, tagService, m.Service)
 	b = appendBytes(b, tagData, m.Data)
 	b = appendBytes(b, tagDigest, m.Digest)
@@ -196,8 +195,6 @@ func decodeBinaryBodyInto(m *Message, body []byte) error {
 				m.Seq = v
 			case tagCores:
 				m.Cores = int(v)
-			case tagBatch:
-				m.Batch = int(v)
 			case tagService:
 				m.Service = v
 			default:

@@ -115,7 +115,6 @@ type Message struct {
 	Version string // protocol version
 	Func    string // processing function name
 	Cores   int    // worker parallelism
-	Batch   int    // values in flight (Limiter bound)
 	Token   string // deployment invitation token
 
 	// Functions (hello only) lists every processing function the

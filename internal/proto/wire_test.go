@@ -25,7 +25,6 @@ func fullMessage() *Message {
 		Version: Version,
 		Func:    "render",
 		Cores:   8,
-		Batch:   4,
 		Service: 4321,
 		Token:   "tok",
 		Peer:    "iPhone SE",
@@ -203,6 +202,17 @@ func TestBinaryBodySkipsUnknownTags(t *testing.T) {
 			t.Fatalf("decoded %+v, want result 9 \"hi\" stamped %d", m, tc.service)
 		}
 	}
+
+	// An older master's welcome names its batch under tag 0x04, now
+	// reserved: this reader skips the field and reads the rest.
+	welcome := []byte{binMagic, tagType, byte(typeCodes[TypeWelcome]), tagBatch, 0x04, tagFunc, 0x03, 's', 'q', 'r'}
+	m = new(Message)
+	if err := decodeBinaryBodyInto(m, withCRC(welcome)); err != nil {
+		t.Fatal(err)
+	}
+	if want := (&Message{Type: TypeWelcome, Func: "sqr"}); !reflect.DeepEqual(m, want) {
+		t.Fatalf("older welcome decoded %+v, want %+v", m, want)
+	}
 }
 
 // TestServiceStampRoundTrip: the service stamp survives raw and
@@ -290,10 +300,10 @@ func TestLookupFormat(t *testing.T) {
 // TestQuickBinaryRoundTrip property-checks Decode(Encode(m)) == m over
 // the binary format, the ISSUE's round-trip acceptance property.
 func TestQuickBinaryRoundTrip(t *testing.T) {
-	f := func(seq uint64, data []byte, errStr, peer, fn string, cores, batch uint16) bool {
+	f := func(seq uint64, data []byte, errStr, peer, fn string, cores uint16) bool {
 		in := &Message{
 			Type: TypeResult, Seq: seq, Data: data, Err: errStr,
-			Peer: peer, Func: fn, Cores: int(cores), Batch: int(batch),
+			Peer: peer, Func: fn, Cores: int(cores),
 		}
 		var buf bytes.Buffer
 		if err := WriteFrame(&buf, in); err != nil {

@@ -54,8 +54,11 @@
 // nears its tail — workers are idle with parked asks at the StreamLender —
 // it scans for stragglers: a worker whose oldest outstanding value is
 // older than k× the fleet's median per-item service time has its items
-// duplicated to an idle worker and the first result wins. The lender's
-// at-least-once semantics make the duplicates safe (see lender.Speculate).
+// duplicated to an idle worker on another device and the first result
+// wins. The lender tracks each duplicate as one more replica of the value,
+// so the duplicates are safe: later results are discarded, and a crashed
+// straggler's value is re-lent only when no copy of it is left (see
+// lender.Speculate).
 //
 // # Round-trip accounting and Drop
 //
@@ -113,6 +116,13 @@ func Adaptive(min, max int) Policy { return Policy{Min: min, Max: max}.norm() }
 
 // Adaptive reports whether the window may move.
 func (p Policy) Adaptive() bool { return p.Max > p.Min }
+
+// Start is where a window under p starts: DefaultBatch, clamped to
+// [Min, Max].
+func (p Policy) Start() int {
+	p = p.norm()
+	return min(max(DefaultBatch, p.Min), p.Max)
+}
 
 // norm keeps at least one value in flight and Max no smaller than Min.
 func (p Policy) norm() Policy {
@@ -189,8 +199,7 @@ type Controller struct {
 // slow start ends.
 func NewController(p Policy) *Controller {
 	p = p.norm()
-	start := min(max(DefaultBatch, p.Min), p.Max)
-	c := &Controller{policy: p, window: float64(start), unit: 1, slowStart: p.Adaptive(), baseCur: math.Inf(1), basePrev: math.Inf(1)}
+	c := &Controller{policy: p, window: float64(p.Start()), unit: 1, slowStart: p.Adaptive(), baseCur: math.Inf(1), basePrev: math.Inf(1)}
 	c.cond = sync.NewCond(&c.mu)
 	return c
 }

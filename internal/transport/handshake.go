@@ -67,10 +67,9 @@ func RecvHello(ch *WSock) (*proto.Message, error) {
 }
 
 // SendWelcome completes the admitting half: it replies with a welcome
-// naming the routed function and the batch bound. On error the channel
-// is closed.
-func SendWelcome(ch Channel, funcName string, batch int) error {
-	if err := ch.Send(&proto.Message{Type: proto.TypeWelcome, Func: funcName, Batch: batch}); err != nil {
+// naming the routed function. On error the channel is closed.
+func SendWelcome(ch Channel, funcName string) error {
+	if err := ch.Send(&proto.Message{Type: proto.TypeWelcome, Func: funcName}); err != nil {
 		ch.Close()
 		return fmt.Errorf("transport: welcome: %w", err)
 	}

@@ -64,7 +64,7 @@ func TestWorkerHandlesReassignMidSession(t *testing.T) {
 	if len(hello.Functions) != 2 || hello.Functions[0] != "double" {
 		t.Fatalf("hello functions = %v", hello.Functions)
 	}
-	if err := ch.Send(&proto.Message{Type: proto.TypeWelcome, Func: "double", Batch: 2}); err != nil {
+	if err := ch.Send(&proto.Message{Type: proto.TypeWelcome, Func: "double"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -107,7 +107,7 @@ func TestWorkerHandlesReassignMidSession(t *testing.T) {
 func TestWorkerRefusesUnknownReassign(t *testing.T) {
 	ch, _, done := scriptedMaster(t)
 	expectFrame(t, ch, proto.TypeHello)
-	_ = ch.Send(&proto.Message{Type: proto.TypeWelcome, Func: "double", Batch: 2})
+	_ = ch.Send(&proto.Message{Type: proto.TypeWelcome, Func: "double"})
 	_ = ch.Send(&proto.Message{Type: proto.TypeReassign, Func: "no-such-fn"})
 	if m := expectFrame(t, ch, proto.TypeError); m.Err == "" {
 		t.Fatalf("error frame = %+v", m)

@@ -78,7 +78,7 @@ func fakeMaster(t *testing.T, ch *transport.WSock, funcName string, inputs []int
 			t.Error(err)
 			return
 		}
-		if err := ch.Send(&proto.Message{Type: proto.TypeWelcome, Func: funcName, Batch: 2}); err != nil {
+		if err := ch.Send(&proto.Message{Type: proto.TypeWelcome, Func: funcName}); err != nil {
 			t.Error(err)
 			return
 		}
@@ -297,7 +297,7 @@ func TestServeWithReconnectResetsAfterProgress(t *testing.T) {
 				if _, err := masterCh.Recv(); err != nil { // hello
 					return
 				}
-				if err := masterCh.Send(&proto.Message{Type: proto.TypeWelcome, Func: name, Batch: 2}); err != nil {
+				if err := masterCh.Send(&proto.Message{Type: proto.TypeWelcome, Func: name}); err != nil {
 					return
 				}
 				data, _ := json.Marshal(round)

@@ -584,7 +584,6 @@ func Map[I, O any](pool *Pool, name string, f func(I) (O, error), opts ...Option
 	}
 	cfg := master.Config{
 		FuncName:       name,
-		Batch:          o.batch,
 		Ordered:        !o.unordered,
 		Group:          o.group,
 		Flow:           o.flow(),
