@@ -563,12 +563,20 @@ func (l *Lender[I, O]) IdleAtTail() int {
 // sub-stream of s's device. Without verification the first copy to answer
 // delivers the result and later copies' results are discarded on arrival;
 // a value is duplicated at most once. This is the at-least-once
-// re-dispatch behind the scheduler's straggler handling. It returns how
+// re-dispatch behind the scheduler's straggler handling. max counts idle
+// asks, as IdleAtTail does; those parked by s's device can take none of
+// the duplicates, so each of them lowers max by one, and a straggler whose
+// own siblings are the only idle asks gets no duplicate. It returns how
 // many values were duplicated.
 func (l *Lender[I, O]) Speculate(s *SubStream[I], max int) int {
 	l.mu.Lock()
 	n := 0
 	if !s.dead && l.aborted == nil {
+		for _, w := range l.waiters.live() {
+			if w.sub.name == s.name {
+				max--
+			}
+		}
 		n = l.voteSpeculateLocked(s, max)
 	}
 	var st step[I, O]

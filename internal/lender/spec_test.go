@@ -205,6 +205,79 @@ func TestSpeculateSkipsOriginDevice(t *testing.T) {
 	close(resultsC)
 }
 
+// TestSpeculateNeedsAnotherDevice: at the tail of a stream the only idle
+// ask is a sibling of the straggler's device. It may not take the
+// duplicate, so the straggler gets none: nothing waits in the failed queue
+// for a worker that is not there. Once another device parks an ask, the
+// scan's count of two idle asks buys one duplicate, and that device takes
+// it.
+func TestSpeculateNeedsAnotherDevice(t *testing.T) {
+	l := New[int, int]()
+	l.Bind(pullstream.Values(10))
+
+	subA, dA := l.LendStreamNamed("dev")
+	resultsA := make(chan int)
+	dA.Sink(pullstream.FromChan(resultsA, nil))
+	if v, err := ask(t, dA.Source); err != nil || v != 10 {
+		t.Fatalf("subA value = %d, %v", v, err)
+	}
+	// The sibling's ask reads the input's end and parks at the tail.
+	_, dSib := l.LendStreamNamed("dev")
+	resultsSib := make(chan int)
+	dSib.Sink(pullstream.FromChan(resultsSib, nil))
+	sibGot := make(chan int, 1)
+	dSib.Source(nil, func(end error, v int) {
+		if end == nil {
+			sibGot <- v
+		}
+	})
+	waitIdle := func(want int) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); l.IdleAtTail() != want; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d asks idle at the tail, want %d", l.IdleAtTail(), want)
+			}
+		}
+	}
+	waitIdle(1)
+	if n := l.Speculate(subA, l.IdleAtTail()); n != 0 {
+		t.Fatalf("Speculate with only the origin's sibling idle = %d, want 0", n)
+	}
+	if lentNow, failedQ, _, _ := l.Stats(); lentNow != 1 || failedQ != 0 {
+		t.Fatalf("%d lent, %d failed after a refused duplicate, want 1 and 0", lentNow, failedQ)
+	}
+
+	_, dC := l.LendStreamNamed("other")
+	resultsC := make(chan int)
+	dC.Sink(pullstream.FromChan(resultsC, nil))
+	got := make(chan int, 1)
+	dC.Source(nil, func(end error, v int) {
+		if end == nil {
+			got <- v
+		}
+	})
+	waitIdle(2)
+	if n := l.Speculate(subA, l.IdleAtTail()); n != 1 {
+		t.Fatalf("Speculate with another device idle = %d, want 1", n)
+	}
+	select {
+	case v := <-got:
+		if v != 10 {
+			t.Fatalf("other device's value = %d, want the duplicate of 10", v)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the other device's parked ask got no duplicate")
+	}
+	select {
+	case v := <-sibGot:
+		t.Fatalf("the origin's sibling received %d", v)
+	default:
+	}
+	close(resultsA)
+	close(resultsSib)
+	close(resultsC)
+}
+
 // TestSpeculateCrashedOriginFallsBackToRelend: when the origin dies after
 // speculation while the duplicate is already lent to a live sub-stream,
 // the dead copy is not re-queued: the live duplicate answers the value,

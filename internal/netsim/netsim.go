@@ -113,7 +113,7 @@ type flow struct {
 
 // chunk is a unit of data in flight on the link, due at deliverAt (zero
 // on an ideal link: due at once, without reading the clock). buf, when
-// non-nil, is the chunkPool buffer behind data; chunks a fault hook saw
+// non-nil, is the chunkPools buffer behind data; chunks a fault hook saw
 // have none, as the hook may have kept or replaced the slice.
 type chunk struct {
 	data      []byte
@@ -123,18 +123,32 @@ type chunk struct {
 
 func (c *chunk) recycle() {
 	if c.buf != nil {
-		chunkPool.Put(c.buf)
+		chunkPool(len(*c.buf)).Put(c.buf)
 	}
 }
 
-// chunkPool recycles chunk buffers: Write copies each chunk into one and
-// Read returns it once the chunk is consumed. Every chunk is at most
-// chunkSize, so one size class covers all of them; without the pool a busy
-// fleet allocates (and the runtime zeroes) one fresh buffer per write,
-// which at tens of thousands of simulated pipes is the dominant GC load of
-// the simulation rather than of the system under test.
-var chunkPool = sync.Pool{
-	New: func() any { b := make([]byte, chunkSize); return &b },
+// chunkPools recycle chunk buffers: Write copies each chunk into one and
+// Read returns it once the chunk is consumed. Without them a busy fleet
+// allocates (and the runtime zeroes) one fresh buffer per write, which at
+// tens of thousands of simulated pipes is the dominant GC load of the
+// simulation rather than of the system under test. Every chunk is at most
+// chunkSize, but most frames are far smaller, so buffers come in three
+// size classes: a 20 B frame in flight holds 512 B, not 32 KiB.
+var chunkPools = [...]sync.Pool{
+	{New: func() any { b := make([]byte, 512); return &b }},
+	{New: func() any { b := make([]byte, 4<<10); return &b }},
+	{New: func() any { b := make([]byte, chunkSize); return &b }},
+}
+
+// chunkPool returns the pool of the smallest size class that holds n bytes.
+func chunkPool(n int) *sync.Pool {
+	switch {
+	case n <= 512:
+		return &chunkPools[0]
+	case n <= 4<<10:
+		return &chunkPools[1]
+	}
+	return &chunkPools[2]
 }
 
 const (
@@ -310,7 +324,7 @@ func (f *flow) put(data []byte) error {
 		// copy, and what it returns is never recycled.
 		c.data, deliver = (*hook)(append([]byte(nil), data...))
 	} else {
-		c.buf = chunkPool.Get().(*[]byte)
+		c.buf = chunkPool(len(data)).Get().(*[]byte)
 		c.data = (*c.buf)[:copy(*c.buf, data)]
 	}
 	f.mu.Lock()

@@ -33,13 +33,18 @@
 //
 // A window starts at DefaultBatch, where a static one sits, in slow
 // start. Volunteers arrive all through a run, so it does not wait out
-// slow start's round-trips to reach its path: the first result that
-// brings both a result gap and the worker's service stamp (Served: how
-// long f took on the session's first value) sets it to ⌈base / max(gap,
-// stamp)⌉ units, the values that keep the worker busy for one round-trip,
-// and ends slow start. The gap catches a link-bound path, the stamp keeps
-// jitter that bunches results from making the worker look faster than it
-// is. The jump only raises the window, stays within [Min, Max] and comes
+// slow start's round-trips to reach its path: the second result, or the
+// first after it once the worker's service stamp came (Served: how long f
+// took on the session's first value), sets it to ⌈base / pace +
+// queueLow⌉ units and ends slow start. The pace is the stamp: a link's
+// jitter stretches or bunches single result gaps, so only a gap of more
+// than grossRatio × the stamp says that the link, not the worker, spaces
+// the results, and then the gap is the pace. base / pace values keep the
+// path busy for one round-trip, and queueLow more put the estimated queue
+// inside the band where the rule holds, so the window does not climb
+// there a windowful at a time. The values the old window put in flight
+// met none of that queue, so the first windowful is counted after them.
+// The jump only raises the window, stays within [Min, Max] and comes
 // once; a worker that sends no stamp leaves slow start to run its course.
 //
 // A value is charged from admission: Sent charges a unit, Charge raises it
@@ -191,12 +196,14 @@ type Controller struct {
 
 // NewController returns a credit gate. An adaptive window starts at
 // DefaultBatch, clamped to [Min, Max], in slow start. At the first result
-// that brings both a result gap and the worker's service stamp (Served)
-// while still in slow start, it sizes itself to the path: ⌈base round-trip
-// / max(gap, stamp)⌉ units, clamped to [Min, Max]. That jump only raises
-// the window, ends slow start and restarts the windowful count; it happens
-// at most once. Without a stamp the window grows a unit per result until
-// slow start ends.
+// after the first, a gap of 0 included, that finds the worker's service
+// stamp (Served) while still in slow start, it sizes itself to the path:
+// ⌈base round-trip / pace + queueLow⌉ units, clamped to [Min, Max], where
+// the pace is the stamp, or the smoothed result gap if that is more than
+// grossRatio × the stamp. That jump only raises the window, ends slow start
+// and restarts the windowful count behind the values already in flight;
+// it happens at most once. Without a stamp the window grows a unit per
+// result until slow start ends.
 func NewController(p Policy) *Controller {
 	p = p.norm()
 	c := &Controller{policy: p, window: float64(p.Start()), unit: 1, slowStart: p.Adaptive(), baseCur: math.Inf(1), basePrev: math.Inf(1)}
@@ -362,7 +369,8 @@ func (c *Controller) resultAt(now time.Time) {
 		}
 		c.unit += unitAlpha * (charge - c.unit)
 	}
-	if !c.lastResult.IsZero() {
+	gapped := !c.lastResult.IsZero() // a result came before: this one has a gap, if only 0
+	if gapped {
 		gap := now.Sub(c.lastResult).Seconds()
 		if c.ewmaGap == 0 {
 			c.ewmaGap = gap
@@ -388,7 +396,7 @@ func (c *Controller) resultAt(now time.Time) {
 			standing = w*(1-c.bestRTT/c.baseCur) >= 0.5
 			c.basePrev, c.baseCur, c.baseN = c.baseCur, math.Inf(1), 0
 		}
-		if c.slowStart && c.service > 0 && c.ewmaGap > 0 {
+		if c.slowStart && c.service > 0 && gapped {
 			c.sizeLocked()
 		} else {
 			c.adaptLocked(standing, released)
@@ -449,15 +457,21 @@ func (c *Controller) adaptLocked(standing bool, released float64) {
 }
 
 // sizeLocked is the one jump out of slow start (NewController): the
-// window becomes the values that keep the worker busy for a base
-// round-trip, if that is more. Caller holds c.mu.
+// window becomes the values that keep the path busy for a base round-trip
+// and queueLow more, if that is more. Caller holds c.mu.
 func (c *Controller) sizeLocked() {
 	w := c.window / c.unit
-	nw := max(w, min(math.Ceil(c.bestRTT/max(c.ewmaGap, c.service.Seconds())), float64(c.policy.Max)))
+	pace := c.service.Seconds()
+	if c.ewmaGap > grossRatio*pace {
+		pace = c.ewmaGap // the link, not the worker, spaces the results
+	}
+	nw := max(w, min(math.Ceil(c.bestRTT/pace+queueLow), float64(c.policy.Max)))
 	if nw > w {
 		c.cond.Broadcast()
 	}
-	c.window, c.slowStart, c.sinceMove, c.filled = nw*c.unit, false, 0, false
+	// The values the old window put in flight come back first, and they
+	// met none of the new window's queue: the windowful starts after them.
+	c.window, c.slowStart, c.sinceMove, c.filled = nw*c.unit, false, -w, false
 }
 
 // Close releases all blocked acquirers; they report failure. Pending

@@ -67,9 +67,10 @@ func TestControllerSlowStartGrowsToMax(t *testing.T) {
 // value, so the path holds knee = d/s values and each one beyond them
 // waits another s: RTT = d + queued·s. With a bandwidth bw (bytes per
 // second) the server is a link instead: value i takes size(i)/bw of it
-// (link, in sized_test.go). Each round-trip takes up to jitter more,
-// drawn from a stream seed picks. A stamp > 0 is the service time the
-// worker reports with its first result, as the master duplex passes it on.
+// (link, in sized_test.go). Each result arrives up to jitter later,
+// drawn from a stream seed picks, but never before the result ahead of
+// it, as on a netsim link. A stamp > 0 is the service time the worker
+// reports with its first result, as the master duplex passes it on.
 type queueModel struct {
 	d, s   time.Duration
 	bw     float64
@@ -107,8 +108,9 @@ func (q queueModel) knee() int { return int(q.d / q.s) }
 // window full: every value is charged the queue it met when it was sent,
 // so the controller sees a window change one windowful late, as it does
 // on a real path. Results leave the server one per s, in virtual time
-// that goes on from c's last result. each, when set, is called with the
-// window after every result.
+// that goes on from c's last result, and the link's jitter delays their
+// arrival, in order. each, when set, is called with the window after
+// every result.
 func (q queueModel) drive(c *Controller, results int, each func(window int)) {
 	var ahead []int // per outstanding value, the values in flight when it left, itself included
 	now, jitter := time.Now(), q.noise()
@@ -117,6 +119,7 @@ func (q queueModel) drive(c *Controller, results int, each func(window int)) {
 		now = c.lastResult
 	}
 	c.mu.Unlock()
+	arrived := now // results arrive in order: none before the one ahead of it
 	for i := 0; i < results; i++ {
 		for len(ahead) < c.Window() {
 			ahead = append(ahead, len(ahead)+1)
@@ -124,8 +127,11 @@ func (q queueModel) drive(c *Controller, results int, each func(window int)) {
 		queued := max(ahead[0]-q.knee(), 0)
 		ahead = ahead[1:]
 		now = now.Add(q.s)
+		if at := now.Add(jitter.draw(q.jitter)); at.After(arrived) {
+			arrived = at
+		}
 		q.served(c, i)
-		feedResultAt(c, now, q.d+time.Duration(queued)*q.s+jitter.draw(q.jitter))
+		feedResultAt(c, arrived, q.d+time.Duration(queued)*q.s+arrived.Sub(now))
 		if each != nil {
 			each(c.Window())
 		}
