@@ -12,114 +12,111 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"strings"
 	"time"
 
+	"pando"
 	"pando/internal/apps"
-	"pando/internal/journal"
 	"pando/internal/master"
-	"pando/internal/netsim"
 	"pando/internal/pprofserve"
-	"pando/internal/pullstream"
 	"pando/internal/sched"
 	"pando/internal/transport"
 	"pando/internal/worker"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "pando:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run is the command with its arguments (after the program name) and its
+// standard streams.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("pando", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		stdin    = fs.Bool("stdin", false, "read inputs from standard input, one per line")
-		port     = fs.Int("port", 5000, "TCP port volunteers join on")
-		batch    = fs.Int("batch", sched.DefaultBatch, "values in flight per volunteer (batch size)")
-		local    = fs.Int("local", 0, "number of in-process workers to add (one per core)")
-		public   = fs.String("public", "", "public (signalling) server address, for volunteers outside the LAN")
-		masterID = fs.String("id", "master", "peer ID on the public server")
-		listFn   = fs.Bool("list", false, "list registered processing functions and exit")
-		report   = fs.Bool("report", false, "print periodic per-device throughput on stderr")
-		ckpt     = fs.String("checkpoint", "", "journal completed results to this file; restarting with the same flag and inputs resumes instead of redoing work")
-		fsync    = fs.Duration("fsync", 0, "checkpoint fsync batching interval (0: default 100ms; negative: every record)")
-		window   = fs.Int("window", 0, "bound buffered results to this many; past it input reads pause (or overflow spills, with -spill)")
-		spill    = fs.String("spill", "", "with -window: page far-ahead results to this transient file instead of pausing input reads")
-		pprofArg = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+		fromStdin = fs.Bool("stdin", false, "read inputs from standard input, one per line")
+		port      = fs.Int("port", 5000, "TCP port volunteers join on")
+		batch     = fs.Int("batch", sched.DefaultBatch, "values in flight per volunteer (batch size)")
+		local     = fs.Int("local", 0, "number of in-process workers to add (one per core)")
+		public    = fs.String("public", "", "public (signalling) server address, for volunteers outside the LAN")
+		masterID  = fs.String("id", "master", "peer ID on the public server")
+		listFn    = fs.Bool("list", false, "list registered processing functions and exit")
+		report    = fs.Bool("report", false, "print periodic per-device throughput on stderr")
+		ckpt      = fs.String("checkpoint", "", "journal completed results to this file; restarting with the same flag and inputs resumes instead of redoing work")
+		fsync     = fs.Duration("fsync", 0, "checkpoint fsync batching interval (0: default 100ms; negative: every record)")
+		window    = fs.Int("window", 0, "bound buffered results to this many; past it input reads pause (or overflow spills, with -spill)")
+		spill     = fs.String("spill", "", "with -window: page far-ahead results to this transient file instead of pausing input reads")
+		pprofArg  = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	)
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: pando <function> [flags] [inputs...]")
+		fmt.Fprintln(stderr, "usage: pando <function> [flags] [inputs...]")
 		fs.PrintDefaults()
 	}
 	apps.RegisterAll()
 
-	args := os.Args[1:]
 	if len(args) == 0 {
 		fs.Usage()
 		return fmt.Errorf("missing function name (try --list)")
 	}
 	if args[0] == "--list" || args[0] == "-list" {
-		for _, n := range worker.Registered() {
-			fmt.Println(n)
-		}
-		return nil
-	}
-	funcName := args[0]
-	if err := fs.Parse(args[1:]); err != nil {
+		*listFn = true
+	} else if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
 	if *listFn {
 		for _, n := range worker.Registered() {
-			fmt.Println(n)
+			fmt.Fprintln(stdout, n)
 		}
 		return nil
 	}
-	if _, ok := worker.Lookup(funcName); !ok {
+	funcName := args[0]
+	h, ok := worker.Lookup(funcName)
+	if !ok {
 		return fmt.Errorf("unknown function %q (registered: %s)",
 			funcName, strings.Join(worker.Registered(), ", "))
-	}
-
-	cfg := master.Config{
-		FuncName: funcName,
-		Ordered:  true,
-		Flow:     sched.Static(*batch),
-	}
-	if *ckpt != "" {
-		j, err := journal.Open(*ckpt, journal.Options{SyncInterval: *fsync})
-		if err != nil {
-			return fmt.Errorf("open checkpoint: %w", err)
-		}
-		defer j.Close()
-		if n := j.Recovered(); n > 0 {
-			fmt.Fprintf(os.Stderr, "Resuming checkpoint %s: %d results already completed "+
-				"(feed the same inputs; completed ones are replayed, not recomputed)\n", *ckpt, n)
-		}
-		cfg.Journal = j
-	}
-	cfg.SpillHighWater = *window
-	if *spill != "" && *window > 0 {
-		s, err := journal.OpenSpill(*spill)
-		if err != nil {
-			return fmt.Errorf("open spill: %w", err)
-		}
-		defer s.Close()
-		cfg.Spill = s
 	}
 	if *pprofArg != "" {
 		if err := pprofserve.Serve(*pprofArg); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "pprof at http://%s/debug/pprof/\n", *pprofArg)
+		fmt.Fprintf(stderr, "pprof at http://%s/debug/pprof/\n", *pprofArg)
 	}
-	m := master.New[string, json.RawMessage](cfg, stringCodec{}, rawCodec{})
+
+	opts := []pando.Option{
+		pando.WithBatch(*batch),
+		pando.WithCodec[string, json.RawMessage](stringCodec{}, rawCodec{}),
+		pando.WithFsyncInterval(*fsync),
+		pando.WithMemoryBound(*window, *spill),
+	}
+	if *ckpt != "" {
+		opts = append(opts, pando.WithCheckpoint(*ckpt), pando.WithResume())
+	}
+	pool := pando.NewPool(opts...)
+	defer pool.Close()
+	// Local workers apply the registered handler to the input's encoding.
+	f := func(s string) (json.RawMessage, error) {
+		in, err := stringCodec{}.Encode(s)
+		if err != nil {
+			return nil, err
+		}
+		return h(in)
+	}
+	p := pando.Map(pool, funcName, f, opts...)
+	defer p.Close()
+	if j := p.Checkpoint(); j != nil && j.Recovered() > 0 {
+		fmt.Fprintf(stderr, "Resuming checkpoint %s: %d results already completed "+
+			"(feed the same inputs; completed ones are replayed, not recomputed)\n", *ckpt, j.Recovered())
+	}
 
 	// Data plane on :port+1, deployment URL on :port — the paper's
 	// "Serving volunteer code at http://10.10.14.119:5000" (Figure 3).
@@ -128,20 +125,21 @@ func run() error {
 		return fmt.Errorf("listen data: %w", err)
 	}
 	defer dataLn.Close()
-	go m.ServeWS(dataLn)
+	go pool.ServeWS(dataLn)
 
 	httpLn, err := net.Listen("tcp", fmt.Sprintf(":%d", *port))
 	if err != nil {
 		return fmt.Errorf("listen http: %w", err)
 	}
 	defer httpLn.Close()
-	srv := m.ServeHTTPInfo(httpLn, master.Invitation{
+	srv := pool.ServeHTTPInfo(httpLn, pando.Invitation{
+		Func:      funcName,
 		Transport: "ws",
 		DataAddr:  advertiseAddr(httpLn, *port+1),
 	})
 	defer srv.Close()
-	fmt.Fprintf(os.Stderr, "Serving volunteer code at http://%s\n", advertiseAddr(httpLn, *port))
-	fmt.Fprintf(os.Stderr, "Volunteers join with: volunteer --url http://%s\n", advertiseAddr(httpLn, *port))
+	fmt.Fprintf(stderr, "Serving volunteer code at http://%s\n", advertiseAddr(httpLn, *port))
+	fmt.Fprintf(stderr, "Volunteers join with: volunteer --url http://%s\n", advertiseAddr(httpLn, *port))
 
 	// Optionally register on a public server so friends outside the local
 	// network can join through the WebRTC-like bootstrap (paper §2.1.2:
@@ -165,41 +163,49 @@ func run() error {
 		defer directLn.Close()
 		answerer := transport.NewRTCAnswerer(signal, directLn, transport.Config{})
 		defer answerer.Close()
-		go m.ServeRTC(answerer)
-		fmt.Fprintf(os.Stderr, "Registered on public server %s as %q\n", *public, *masterID)
-		fmt.Fprintf(os.Stderr, "Remote volunteers join with: volunteer --via %s --master %s\n", *public, *masterID)
+		go pool.ServeRTC(answerer)
+		fmt.Fprintf(stderr, "Registered on public server %s as %q\n", *public, *masterID)
+		fmt.Fprintf(stderr, "Remote volunteers join with: volunteer --via %s --master %s\n", *public, *masterID)
 	}
 
-	for i := 0; i < *local; i++ {
-		addLocalWorker(m, funcName)
-	}
+	pool.AddLocalWorkers(*local)
 
 	if *report {
-		rep := m.StartReporter(os.Stderr, 2*time.Second, 10*time.Second)
+		rep := master.StartReporter(stderr, p.Stats, 2*time.Second, 10*time.Second)
 		defer rep.Stop()
 	}
 
 	// Input source: stdin lines or remaining command-line arguments.
-	var src pullstream.Source[string]
-	if *stdin {
-		lines := make(chan string)
-		go func() {
-			defer close(lines)
-			sc := bufio.NewScanner(os.Stdin)
-			sc.Buffer(make([]byte, 1<<20), 16<<20)
-			for sc.Scan() {
-				lines <- sc.Text()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	in := make(chan string)
+	go func() {
+		defer close(in)
+		send := func(s string) bool {
+			select {
+			case in <- s:
+				return true
+			case <-ctx.Done():
+				return false
 			}
-		}()
-		src = pullstream.FromChan(lines, nil)
-	} else {
-		src = pullstream.Values(fs.Args()...)
-	}
+		}
+		if !*fromStdin {
+			for _, a := range fs.Args() {
+				if !send(a) {
+					return
+				}
+			}
+			return
+		}
+		sc := bufio.NewScanner(stdin)
+		sc.Buffer(make([]byte, 1<<20), 16<<20)
+		for sc.Scan() && send(sc.Text()) {
+		}
+	}()
 
-	out := m.Bind(src)
-	w := bufio.NewWriter(os.Stdout)
-	defer w.Flush()
-	return pullstream.Drain(out, func(v json.RawMessage) error {
+	outs, errc := p.Process(ctx, in)
+	w := bufio.NewWriter(stdout)
+	for v := range outs {
 		// Results that are JSON strings are printed unquoted, so the
 		// output composes with ordinary Unix tools.
 		var s string
@@ -208,17 +214,12 @@ func run() error {
 		} else {
 			fmt.Fprintln(w, string(v))
 		}
-		return w.Flush()
-	})
-}
-
-// addLocalWorker attaches one in-process volunteer.
-func addLocalWorker[I, O any](m *master.Master[I, O], funcName string) {
-	h, _ := worker.Lookup(funcName)
-	v := &worker.Volunteer{Name: "local", Handler: h, CrashAfter: -1}
-	pipe := netsim.NewPipe(netsim.Loopback)
-	go v.JoinWS(pipe.A)
-	go m.Admit(transport.NewWSock(pipe.B, transport.Config{}))
+		if err := w.Flush(); err != nil {
+			cancel()
+			return err
+		}
+	}
+	return <-errc
 }
 
 // advertiseAddr picks a non-loopback address to print, as the paper does.

@@ -8,16 +8,15 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"net"
 	"time"
 
-	"pando/internal/master"
+	"pando"
 	"pando/internal/netsim"
-	"pando/internal/pullstream"
-	"pando/internal/sched"
 	"pando/internal/transport"
 	"pando/internal/worker"
 )
@@ -41,9 +40,9 @@ func main() {
 
 	// The master joins the relay and answers offers with its direct
 	// address; it uses the paper's WAN batch size of 4.
-	m := master.New[int, int](master.Config{
-		FuncName: "square", Flow: sched.Static(4), Ordered: true, Channel: cfg,
-	}, transport.JSONCodec[int]{}, transport.JSONCodec[int]{})
+	p := pando.New("square", func(v int) (int, error) { return v * v, nil },
+		pando.WithBatch(4), pando.WithChannelConfig(cfg))
+	defer p.Close()
 	directLn := netsim.NewListener("master-direct", netsim.WAN)
 	defer directLn.Close()
 	msc, _, err := signalLn.Dial()
@@ -56,7 +55,7 @@ func main() {
 	}
 	answerer := transport.NewRTCAnswerer(masterSignal, directLn, cfg)
 	defer answerer.Close()
-	go m.ServeRTC(answerer)
+	go p.ServeRTC(answerer)
 	fmt.Println("master registered on the public server as \"master\"")
 
 	// Volunteers around Europe: each joins the relay, offers, and ends up
@@ -89,9 +88,12 @@ func main() {
 		go v.JoinRTC(signal, id, "master", dial)
 	}
 
+	in := make([]int, *inputs)
+	for i := range in {
+		in[i] = i + 1
+	}
 	start := time.Now()
-	out := m.Bind(pullstream.Count(*inputs))
-	got, err := pullstream.Collect(out)
+	got, err := p.ProcessSlice(context.Background(), in)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -103,7 +105,7 @@ func main() {
 	}
 	fmt.Printf("processed %d inputs over the WAN in %v (%.0f items/s), outputs in order\n",
 		len(got), elapsed.Round(time.Millisecond), float64(len(got))/elapsed.Seconds())
-	for _, w := range m.Stats() {
+	for _, w := range p.Stats() {
 		fmt.Printf("  %-8s %4d items\n", w.Name, w.Items)
 	}
 }

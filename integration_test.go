@@ -19,9 +19,7 @@ import (
 	"time"
 
 	pando "pando"
-	"pando/internal/master"
 	"pando/internal/netsim"
-	"pando/internal/pullstream"
 	"pando/internal/transport"
 	"pando/internal/worker"
 )
@@ -34,25 +32,26 @@ func integName(p string) string { return fmt.Sprintf("%s-%d", p, integSeq.Add(1)
 // the master prints a URL; the volunteer "opens" it, receives the
 // invitation, joins over the advertised transport, and computes.
 func TestIntegrationURLBootstrap(t *testing.T) {
-	cfg := master.Config{
-		FuncName: integName("square"),
-		Ordered:  true,
-		Channel:  transport.Config{HeartbeatInterval: 50 * time.Millisecond},
-	}
-	m := master.New[int, int](cfg, transport.JSONCodec[int]{}, transport.JSONCodec[int]{})
+	name := integName("square")
+	pool := pando.NewPool(
+		pando.WithChannelConfig(pando.ChannelConfig{HeartbeatInterval: 50 * time.Millisecond}))
+	defer pool.Close()
+	p := pando.Map(pool, name, func(x int) (int, error) { return x * x, nil }, pando.WithoutRegistry())
+	defer p.Close()
 
 	dataLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dataLn.Close()
-	go m.ServeWS(dataLn)
+	go pool.ServeWS(dataLn)
 
 	httpLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := m.ServeHTTPInfo(httpLn, master.Invitation{
+	srv := pool.ServeHTTPInfo(httpLn, pando.Invitation{
+		Func:      name,
 		Transport: "ws",
 		DataAddr:  dataLn.Addr().String(),
 	})
@@ -67,8 +66,11 @@ func TestIntegrationURLBootstrap(t *testing.T) {
 	}
 	go v.JoinURL(url, transport.TCPDialer(5*time.Second))
 
-	out := m.Bind(pullstream.Count(15))
-	got, err := pullstream.Collect(out)
+	inputs := make([]int, 15)
+	for i := range inputs {
+		inputs[i] = i + 1
+	}
+	got, err := p.ProcessSlice(context.Background(), inputs)
 	if err != nil {
 		t.Fatal(err)
 	}

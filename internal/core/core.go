@@ -20,7 +20,6 @@ package core
 import (
 	"errors"
 	"sync"
-	"time"
 
 	"pando/internal/lender"
 	"pando/internal/pullstream"
@@ -194,8 +193,7 @@ type subHandle[I, O any] struct {
 	sub *lender.SubStream[I]
 }
 
-func (h subHandle[I, O]) Outstanding() (int, time.Duration) { return h.l.SubInfo(h.sub) }
-func (h subHandle[I, O]) Speculate(max int) int             { return h.l.Speculate(h.sub, max) }
+func (h subHandle[I, O]) Speculate(max int) int { return h.l.Speculate(h.sub, max) }
 
 // Attach wires one processor, reachable through the given duplex
 // endpoint, into the computation: values lent to the processor flow into

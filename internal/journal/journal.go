@@ -376,8 +376,9 @@ func (j *Journal) mergeSnapshot(w io.Writer, fresh []Entry) error {
 	if err == nil {
 		defer old.Close()
 		br := bufio.NewReaderSize(old, 1<<16)
+		var rec []byte
 		for {
-			e, ok := readRecord(br)
+			e, ok := readRecord(br, &rec)
 			if !ok {
 				break // end, or damaged tail: longest valid prefix
 			}

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 )
 
 // This file is the single definition of the append-only segment format
@@ -45,24 +46,31 @@ func appendRecord(buf []byte, idx int, payload []byte) []byte {
 	return binary.LittleEndian.AppendUint32(buf, sum)
 }
 
+// parseHeader decodes the framing in front of a record's payload at the
+// start of b: its index, its payload length and the header's length. ok
+// is false on a bad magic, a malformed uvarint or an out-of-bounds value.
+func parseHeader(b []byte) (idx, ln uint64, off int, ok bool) {
+	if len(b) < 1 || b[0] != recordMagic {
+		return 0, 0, 0, false
+	}
+	off = 1
+	idx, n := binary.Uvarint(b[off:])
+	if n <= 0 || idx > uint64(int(^uint(0)>>1)) {
+		return 0, 0, 0, false
+	}
+	off += n
+	ln, n = binary.Uvarint(b[off:])
+	if n <= 0 || ln > maxPayload {
+		return 0, 0, 0, false
+	}
+	return idx, ln, off + n, true
+}
+
 // parseRecord decodes one record at the start of b, returning the
 // consumed length. ok is false on any framing, bounds or checksum error.
 func parseRecord(b []byte) (idx int, payload []byte, consumed int, ok bool) {
-	if len(b) < 1 || b[0] != recordMagic {
-		return 0, nil, 0, false
-	}
-	off := 1
-	u, n := binary.Uvarint(b[off:])
-	if n <= 0 || u > uint64(int(^uint(0)>>1)) {
-		return 0, nil, 0, false
-	}
-	off += n
-	ln, n := binary.Uvarint(b[off:])
-	if n <= 0 || ln > maxPayload {
-		return 0, nil, 0, false
-	}
-	off += n
-	if uint64(len(b)-off) < ln+4 {
+	u, ln, off, ok := parseHeader(b)
+	if !ok || uint64(len(b)-off) < ln+4 {
 		return 0, nil, 0, false
 	}
 	end := off + int(ln)
@@ -91,51 +99,25 @@ func scan(data []byte, emit func(idx int, payload []byte)) (prefix, n int) {
 	return off, n
 }
 
-// readRecord reads and validates one record from br. ok is false at the
-// end of the stream or on the first damaged record.
-func readRecord(br *bufio.Reader) (Entry, bool) {
-	magic, err := br.ReadByte()
-	if err != nil || magic != recordMagic {
+// maxHeader is the longest record header: the magic and two uvarints.
+const maxHeader = 1 + 2*binary.MaxVarintLen64
+
+// readRecord reads one record from br, whose buffer holds at least
+// maxHeader bytes, into *buf (reused across calls) and validates it with
+// parseRecord. ok is false at the end of the stream or on the first
+// damaged record.
+func readRecord(br *bufio.Reader, buf *[]byte) (Entry, bool) {
+	head, _ := br.Peek(maxHeader) // shorter near the end of the stream
+	_, ln, off, ok := parseHeader(head)
+	if !ok {
 		return Entry{}, false
 	}
-	head := []byte{recordMagic}
-	readUvarint := func() (uint64, bool) {
-		var u uint64
-		for shift := 0; shift < 64; shift += 7 {
-			b, err := br.ReadByte()
-			if err != nil {
-				return 0, false
-			}
-			head = append(head, b)
-			u |= uint64(b&0x7F) << shift
-			if b&0x80 == 0 {
-				return u, true
-			}
-		}
-		return 0, false
-	}
-	idx, ok := readUvarint()
-	if !ok || idx > uint64(int(^uint(0)>>1)) {
+	*buf = slices.Grow((*buf)[:0], off+int(ln)+4)[:off+int(ln)+4]
+	if _, err := io.ReadFull(br, *buf); err != nil {
 		return Entry{}, false
 	}
-	ln, ok := readUvarint()
-	if !ok || ln > maxPayload {
-		return Entry{}, false
-	}
-	payload := make([]byte, ln)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return Entry{}, false
-	}
-	var crc [4]byte
-	if _, err := io.ReadFull(br, crc[:]); err != nil {
-		return Entry{}, false
-	}
-	sum := crc32.ChecksumIEEE(head)
-	sum = crc32.Update(sum, crc32.IEEETable, payload)
-	if sum != binary.LittleEndian.Uint32(crc[:]) {
-		return Entry{}, false
-	}
-	return Entry{Idx: int(idx), Data: payload}, true
+	idx, payload, _, ok := parseRecord(*buf)
+	return Entry{Idx: idx, Data: payload}, ok
 }
 
 // openRecovered opens (creating if necessary) the record file at path,

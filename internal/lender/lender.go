@@ -28,17 +28,14 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"pando/internal/pullstream"
 )
 
-// lent is a value borrowed from the input together with its stream index
-// and, while a sub-stream holds it, when it was handed over.
+// lent is a value borrowed from the input together with its stream index.
 type lent[I any] struct {
 	idx int
 	v   I
-	at  time.Time
 }
 
 // waiter is a parked sub-stream ask: a request that could not be answered
@@ -530,17 +527,6 @@ func (l *Lender[I, O]) Backlog() (outstanding, failed int, complete bool) {
 	return l.outstanding, l.failed.len(), complete
 }
 
-// SubInfo reports how many values are currently lent through s and the
-// age of the oldest one — the straggler signal the scheduler watches.
-func (l *Lender[I, O]) SubInfo(s *SubStream[I]) (outstanding int, oldest time.Duration) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if s.outstanding.len() == 0 {
-		return 0, 0
-	}
-	return s.outstanding.len(), time.Since(s.outstanding.live()[0].at)
-}
-
 // IdleAtTail reports how many sub-stream asks are parked after the input
 // ended — idle workers near the stream's tail, the scheduler's signal
 // that spare capacity exists for speculative re-dispatch. While the
@@ -739,7 +725,6 @@ func (l *Lender[I, O]) dismissWaitersLocked(st *step[I, O]) {
 func (l *Lender[I, O]) lendLocked(st *step[I, O], i int, it lent[I]) *SubStream[I] {
 	w := l.waiters.removeAt(i)
 	w.sub.parked = false
-	it.at = time.Now()
 	w.sub.outstanding.push(it)
 	l.outstanding++
 	st.answer(w.cb, nil, it.v)

@@ -107,15 +107,18 @@ func TestOrderedSpillBoundsHeap(t *testing.T) {
 // TestOrderedGatingWithoutSpill runs the same shape with no store: the
 // bound must instead propagate as backpressure that pauses fresh input
 // reads. Results already lent may still land, so the heap can overshoot
-// by the values in flight when the gate closes: one per worker plus the
-// read the lender had already issued.
+// by the values in flight when the last read was admitted, which
+// SetHighWater bounds at hw-1+workers for workers holding one value each.
+// The workers are strictly serial, as in TestUnorderedHighWaterBoundsReady
+// (runWorker may hold two values).
 func TestOrderedGatingWithoutSpill(t *testing.T) {
 	const n, hw, workers = 300, 6, 3
 	l := New[int, int]()
 	l.SetHighWater(hw)
 	out := l.Bind(pullstream.Count(n))
 	for i := 0; i < workers; i++ {
-		runWorker(t, l, func(v int) int { return v + 1000 }, 0, -1)
+		_, d := l.LendStream()
+		d.Sink(pullstream.Map(func(v int) int { return v + 1000 })(d.Source))
 	}
 	got, maxHeap, _, err := slowCollect(l, out, 200*time.Microsecond)
 	if err != nil {
@@ -129,8 +132,8 @@ func TestOrderedGatingWithoutSpill(t *testing.T) {
 			t.Fatalf("got[%d] = %d", i, v)
 		}
 	}
-	if maxHeap > hw+workers+1 {
-		t.Fatalf("heap peaked at %d results; gating should cap it near %d", maxHeap, hw)
+	if maxHeap > hw-1+workers {
+		t.Fatalf("heap peaked at %d results; the bound is hw-1+workers = %d", maxHeap, hw-1+workers)
 	}
 }
 

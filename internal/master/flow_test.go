@@ -1,10 +1,6 @@
 package master
 
 import (
-	"encoding/json"
-	"io"
-	"net"
-	"net/http"
 	"testing"
 	"time"
 
@@ -19,10 +15,10 @@ import (
 // window, the in-flight count, and (after a few results) the EWMA
 // throughput estimate and the round-trips the window rule decides on.
 func TestStatsExposeFlowControl(t *testing.T) {
-	m := newTestMaster(t, Config{})
+	m, pool := newTestMaster(t, Config{})
 	ln := netsim.NewListener("master-flow", netsim.Loopback)
 	defer ln.Close()
-	go m.ServeWS(ln)
+	go pool.ServeWS(ln)
 
 	out := m.Bind(pullstream.Count(80))
 	startVolunteer(t, ln, &worker.Volunteer{Name: "dev", Handler: jsonSquare, Delay: 2 * time.Millisecond})
@@ -80,10 +76,10 @@ func TestStatsExposeFlowControl(t *testing.T) {
 // first result reaches the device's row, and it is the processing
 // function's time: at least the 4 ms the volunteer sleeps per item.
 func TestStatsExposeServiceStamp(t *testing.T) {
-	m := newTestMaster(t, Config{})
+	m, pool := newTestMaster(t, Config{})
 	ln := netsim.NewListener("master-service", netsim.Loopback)
 	defer ln.Close()
-	go m.ServeWS(ln)
+	go pool.ServeWS(ln)
 
 	out := m.Bind(pullstream.Count(40))
 	startVolunteer(t, ln, &worker.Volunteer{Name: "dev", Handler: jsonSquare, Delay: 4 * time.Millisecond})
@@ -110,49 +106,6 @@ func TestStatsExposeServiceStamp(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestHTTPStatsCarriesFlowFields: the /stats JSON must include the
-// flow-control fields so operators can watch the controller remotely.
-func TestHTTPStatsCarriesFlowFields(t *testing.T) {
-	m := newTestMaster(t, Config{Flow: sched.Static(3)})
-	ln := netsim.NewListener("master-flow-http", netsim.Loopback)
-	defer ln.Close()
-	go m.ServeWS(ln)
-	httpLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := m.ServeHTTPInfo(httpLn, Invitation{Transport: "ws", DataAddr: "nowhere:1"})
-	defer srv.Close()
-
-	out := m.Bind(pullstream.Count(20))
-	startVolunteer(t, ln, &worker.Volunteer{Name: "dev", Handler: jsonSquare})
-	if _, err := pullstream.Collect(out); err != nil {
-		t.Fatal(err)
-	}
-
-	resp, err := http.Get("http://" + httpLn.Addr().String() + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rows []map[string]any
-	if err := json.Unmarshal(body, &rows); err != nil {
-		t.Fatalf("stats JSON: %v\n%s", err, body)
-	}
-	if len(rows) == 0 {
-		t.Fatal("no stats rows")
-	}
-	for _, key := range []string{"InFlight", "Credits", "EWMARate", "Speculated", "rtt_ns", "base_rtt_ns", "queued", "service_ns"} {
-		if _, ok := rows[0][key]; !ok {
-			t.Fatalf("stats JSON lacks %q: %s", key, body)
-		}
 	}
 }
 

@@ -23,10 +23,10 @@ func TestMasterJournalsResults(t *testing.T) {
 	}
 	defer j.Close()
 
-	m := newTestMaster(t, Config{Journal: j})
+	m, pool := newTestMaster(t, Config{Journal: j})
 	ln := netsim.NewListener("journal-master", netsim.LAN)
 	defer ln.Close()
-	go m.ServeWS(ln)
+	go pool.ServeWS(ln)
 	out := m.Bind(pullstream.Count(10))
 	startVolunteer(t, ln, &worker.Volunteer{Name: "dev", Handler: jsonSquare, CrashAfter: -1})
 	if _, err := pullstream.Collect(out); err != nil {
@@ -75,10 +75,10 @@ func TestMasterRestoresFromJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	m := newTestMaster(t, Config{Journal: j2})
+	m, pool := newTestMaster(t, Config{Journal: j2})
 	ln := netsim.NewListener("restore-master", netsim.LAN)
 	defer ln.Close()
-	go m.ServeWS(ln)
+	go pool.ServeWS(ln)
 	out := m.Bind(pullstream.Count(10))
 	startVolunteer(t, ln, &worker.Volunteer{Name: "dev", Handler: jsonSquare, CrashAfter: -1})
 	got, err := pullstream.Collect(out)
@@ -123,10 +123,10 @@ func TestMasterRestoreSkipsUndecodableEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	m := newTestMaster(t, Config{Journal: j2})
+	m, pool := newTestMaster(t, Config{Journal: j2})
 	ln := netsim.NewListener("skip-master", netsim.LAN)
 	defer ln.Close()
-	go m.ServeWS(ln)
+	go pool.ServeWS(ln)
 	out := m.Bind(pullstream.Count(3))
 	startVolunteer(t, ln, &worker.Volunteer{Name: "dev", Handler: jsonSquare, CrashAfter: -1})
 	got, err := pullstream.Collect(out)
@@ -151,10 +151,10 @@ func TestMasterGroupedJournalRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer j.Close()
-		m := newTestMaster(t, Config{Group: 3, Journal: j})
+		m, pool := newTestMaster(t, Config{Group: 3, Journal: j})
 		ln := netsim.NewListener("grouped-journal", netsim.LAN)
 		defer ln.Close()
-		go m.ServeWS(ln)
+		go pool.ServeWS(ln)
 		out := m.Bind(pullstream.Count(items))
 		startVolunteer(t, ln, &worker.Volunteer{Name: "dev", Handler: jsonSquare, CrashAfter: -1})
 		got, err := pullstream.Collect(out)
@@ -205,10 +205,10 @@ func TestMasterResumesParentGroupedJournal(t *testing.T) {
 	if j.Recovered() != 4 {
 		t.Fatalf("recovered %d group entries, want 4", j.Recovered())
 	}
-	m := newTestMaster(t, Config{Group: 3, Journal: j})
+	m, pool := newTestMaster(t, Config{Group: 3, Journal: j})
 	ln := netsim.NewListener("parent-journal", netsim.LAN)
 	defer ln.Close()
-	go m.ServeWS(ln)
+	go pool.ServeWS(ln)
 	out := m.Bind(pullstream.Count(12))
 	startVolunteer(t, ln, &worker.Volunteer{Name: "dev", Handler: jsonSquare, CrashAfter: -1})
 	got, err := pullstream.Collect(out)
@@ -235,10 +235,10 @@ func TestMasterJournalUnderCrashStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	m := newTestMaster(t, Config{Journal: j})
+	m, pool := newTestMaster(t, Config{Journal: j})
 	ln := netsim.NewListener("crash-journal", netsim.LAN)
 	defer ln.Close()
-	go m.ServeWS(ln)
+	go pool.ServeWS(ln)
 	out := m.Bind(pullstream.Count(30))
 	startVolunteer(t, ln, &worker.Volunteer{Name: "flaky", Handler: jsonSquare, CrashAfter: 5, Delay: time.Millisecond})
 	startVolunteer(t, ln, &worker.Volunteer{Name: "steady", Handler: jsonSquare, CrashAfter: -1, Delay: time.Millisecond})

@@ -1,10 +1,11 @@
-// Package master implements the Master process of Pando's architecture
+// Package master implements the typed job of Pando's Master process
 // (paper Figure 7): it owns the StreamLender that coordinates volunteers,
-// admits joining devices over WebSocket-like or WebRTC-like channels,
 // bounds in-flight values per device with the scheduler's credit gate
 // (the paper's Limiter is its static case), and accounts per-device
 // throughput (the measurements behind the paper's Table 2). Every device
 // is one pipeline, pull(sub.Source, Gate(ctrl, MasterDuplex(ch)), sub.Sink).
+// Admission over WebSocket-like or WebRTC-like channels lives in the
+// fleet.Pool a job registers with.
 package master
 
 import (
@@ -16,7 +17,6 @@ import (
 	"pando/internal/fleet"
 	"pando/internal/journal"
 	"pando/internal/lender"
-	"pando/internal/proto"
 	"pando/internal/pullstream"
 	"pando/internal/sched"
 	"pando/internal/transport"
@@ -40,8 +40,6 @@ type Config struct {
 	// the adaptive credit controller; Speculation > 0 enables straggler
 	// re-dispatch near the stream's tail.
 	Flow sched.Policy
-	// Channel tunes heartbeat detection on volunteer channels.
-	Channel transport.Config
 	// Journal, when non-nil, makes the deployment's progress durable:
 	// every result the lender accepts is recorded (index + encoded
 	// payload, fsynced in batches on the journal's configured interval),
@@ -181,18 +179,11 @@ func (w WorkerStats) Throughput() float64 {
 
 // Master coordinates one typed job: a single streaming map, for the
 // lifetime of the corresponding tasks (design principle DP1). Everything
-// untyped — listeners, admission, the live worker set —
-// lives in the fleet.Pool the job leases workers from: its own
-// single-job pool when created with New (the classic one-deployment
-// master), or a shared multi-job pool when created with NewJob and
-// registered there.
+// untyped — listeners, admission, the live worker set — lives in the
+// fleet.Pool the job is registered with and leases workers from.
 type Master[I, O any] struct {
 	cfg    Config
 	engine engine[I, O]
-
-	// pool is the master's own single-job pool (New); nil for a bare job
-	// (NewJob) leasing from a shared pool.
-	pool *fleet.Pool
 
 	mu      sync.Mutex
 	workers map[string]*device
@@ -327,18 +318,8 @@ func liftGroup[I, O any](f func(I) (O, error)) func([]I) ([]O, error) {
 	}
 }
 
-// New creates a classic single-deployment master: a typed job fused with
-// its own single-job fleet pool, so Admit/ServeWS/ServeRTC keep working
-// exactly as before the shared-fleet split.
-func New[I, O any](cfg Config, in transport.Codec[I], out transport.Codec[O]) *Master[I, O] {
-	m := NewJob[I, O](cfg, in, out)
-	m.pool = fleet.NewPool(fleet.Config{Channel: cfg.Channel})
-	_ = m.pool.Register(m.Job())
-	return m
-}
-
-// NewJob creates the typed-job half alone, for registration with a
-// shared fleet.Pool (see Job). It has no listeners of its own.
+// NewJob creates a typed job, for registration with a fleet.Pool (see
+// Job). It has no listeners of its own.
 func NewJob[I, O any](cfg Config, in transport.Codec[I], out transport.Codec[O]) *Master[I, O] {
 	m := &Master[I, O]{cfg: cfg, workers: make(map[string]*device)}
 	if g := cfg.Group; g > 1 {
@@ -469,26 +450,11 @@ func (m *Master[I, O]) Bind(src pullstream.Source[I]) pullstream.Source[O] {
 	return m.engine.Bind(src)
 }
 
-// Admit performs the hello/welcome handshake on a fresh volunteer
-// channel and, on success, attaches the device to the computation. It
-// delegates to the master's single-job pool, where the admission
-// handshake lives; a bare job created
-// with NewJob has no pool and refuses direct admissions — volunteers
-// reach it through the shared pool it registered with.
-func (m *Master[I, O]) Admit(ch *transport.WSock) error {
-	if m.pool == nil {
-		_ = ch.Send(&proto.Message{Type: proto.TypeError, Err: ErrClosed.Error()})
-		ch.Close()
-		return ErrClosed
-	}
-	return m.pool.Admit(ch)
-}
-
 // job adapts the typed master to the pool's untyped Job interface.
 type job[I, O any] struct{ m *Master[I, O] }
 
 // Job returns the fleet view of this master, for registration with a
-// shared pool: pool.Register(m.Job()).
+// pool: pool.Register(m.Job()).
 func (m *Master[I, O]) Job() fleet.Job { return job[I, O]{m} }
 
 func (j job[I, O]) Name() string { return j.m.cfg.FuncName }
@@ -513,25 +479,6 @@ func (j job[I, O]) Lease(worker string, ch transport.Channel) error {
 		return ErrClosed
 	}
 	return j.m.engine.AttachChannel(worker, j.m.wrapChannel(worker, ch))
-}
-
-// ServeWS accepts WebSocket-like volunteers from acc until the acceptor
-// closes, admitting each one through the pool. It mirrors volunteers
-// opening the deployment URL over a LAN or VPN (paper §5.2-5.3).
-func (m *Master[I, O]) ServeWS(acc transport.Acceptor) error {
-	if m.pool == nil {
-		return ErrClosed
-	}
-	return m.pool.ServeWS(acc)
-}
-
-// ServeRTC admits WebRTC-like volunteers whose direct channels are
-// delivered by the answerer (paper §5.4, the WAN deployment).
-func (m *Master[I, O]) ServeRTC(answerer *transport.RTCAnswerer) {
-	if m.pool == nil {
-		return
-	}
-	m.pool.ServeRTC(answerer)
 }
 
 // Stats snapshots per-worker accounting, folding in the scheduler's
@@ -642,17 +589,13 @@ func (m *Master[I, O]) LenderStats() (lentNow, failedQueue, subStreams, ended in
 	return m.engine.Stats()
 }
 
-// Close marks the master as shutting down; its own pool (if any) refuses
-// further admissions, in-flight Serve loops exit on their next accept
-// error, the engine's straggler scan stops, and a bound stream that has
+// Close marks the master as shutting down: its pool leases it no further
+// workers, the engine's straggler scan stops, and a bound stream that has
 // not completed ends with an error (core's Close).
 func (m *Master[I, O]) Close() {
 	m.mu.Lock()
 	m.closed = true
 	m.mu.Unlock()
-	if m.pool != nil {
-		m.pool.Close()
-	}
 	m.engine.Close()
 }
 

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
-	"net/http"
 	"runtime"
 	"strconv"
 	"strings"
@@ -14,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"pando/internal/fleet"
 	"pando/internal/netsim"
 	"pando/internal/proto"
 	"pando/internal/pullstream"
@@ -30,16 +30,28 @@ func jsonSquare(b []byte) ([]byte, error) {
 	return json.Marshal(v * v)
 }
 
-func newTestMaster(t *testing.T, cfg Config) *Master[int, int] {
+// newTestMaster creates an ordered job registered on a pool of its own,
+// the shape of every pando.New deployment, with 25 ms heartbeats on the
+// pool's channels. Volunteers join through the pool.
+func newTestMaster(t *testing.T, cfg Config) (*Master[int, int], *fleet.Pool) {
+	t.Helper()
+	return newTestMasterOn(t, cfg, transport.Config{HeartbeatInterval: 25 * time.Millisecond})
+}
+
+// newTestMasterOn is newTestMaster with the pool's channel config given.
+func newTestMasterOn(t *testing.T, cfg Config, ch transport.Config) (*Master[int, int], *fleet.Pool) {
 	t.Helper()
 	if cfg.FuncName == "" {
 		cfg.FuncName = "square"
 	}
-	if cfg.Channel.HeartbeatInterval == 0 {
-		cfg.Channel.HeartbeatInterval = 25 * time.Millisecond
-	}
 	cfg.Ordered = true
-	return New[int, int](cfg, transport.JSONCodec[int]{}, transport.JSONCodec[int]{})
+	m := NewJob[int, int](cfg, transport.JSONCodec[int]{}, transport.JSONCodec[int]{})
+	pool := fleet.NewPool(fleet.Config{Channel: ch})
+	if err := pool.Register(m.Job()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(pool.Close)
+	return m, pool
 }
 
 // startVolunteer dials the listener and joins on a goroutine, returning
@@ -61,10 +73,10 @@ func startVolunteer(t *testing.T, ln *netsim.Listener, v *worker.Volunteer) *net
 }
 
 func TestMasterSingleVolunteerWS(t *testing.T) {
-	m := newTestMaster(t, Config{})
+	m, pool := newTestMaster(t, Config{})
 	ln := netsim.NewListener("master", netsim.LAN)
 	defer ln.Close()
-	go m.ServeWS(ln)
+	go pool.ServeWS(ln)
 
 	out := m.Bind(pullstream.Count(25))
 	startVolunteer(t, ln, &worker.Volunteer{Name: "laptop", Handler: jsonSquare, CrashAfter: -1})
@@ -87,10 +99,10 @@ func TestMasterSingleVolunteerWS(t *testing.T) {
 }
 
 func TestMasterMultipleVolunteersOrdered(t *testing.T) {
-	m := newTestMaster(t, Config{})
+	m, pool := newTestMaster(t, Config{})
 	ln := netsim.NewListener("master", netsim.LAN)
 	defer ln.Close()
-	go m.ServeWS(ln)
+	go pool.ServeWS(ln)
 
 	out := m.Bind(pullstream.Count(100))
 	for i := 0; i < 4; i++ {
@@ -118,10 +130,10 @@ func TestMasterMultipleVolunteersOrdered(t *testing.T) {
 func TestMasterVolunteerCrashRecovery(t *testing.T) {
 	// Figure 4 at the system level: a volunteer crashes mid-stream; its
 	// in-flight values are re-lent to the survivor; all outputs arrive.
-	m := newTestMaster(t, Config{})
+	m, pool := newTestMaster(t, Config{})
 	ln := netsim.NewListener("master", netsim.LAN)
 	defer ln.Close()
-	go m.ServeWS(ln)
+	go pool.ServeWS(ln)
 
 	out := m.Bind(pullstream.Count(60))
 	startVolunteer(t, ln, &worker.Volunteer{Name: "tablet", Handler: jsonSquare, CrashAfter: 5, Delay: time.Millisecond})
@@ -144,10 +156,10 @@ func TestMasterVolunteerCrashRecovery(t *testing.T) {
 func TestMasterNetworkCutRecovery(t *testing.T) {
 	// Crash injected at the network level: the link is severed without
 	// the volunteer's cooperation; heartbeats detect it.
-	m := newTestMaster(t, Config{})
+	m, pool := newTestMaster(t, Config{})
 	ln := netsim.NewListener("master", netsim.LAN)
 	defer ln.Close()
-	go m.ServeWS(ln)
+	go pool.ServeWS(ln)
 
 	out := m.Bind(pullstream.Count(40))
 	victim := startVolunteer(t, ln, &worker.Volunteer{Name: "flaky", Handler: jsonSquare, Delay: 2 * time.Millisecond})
@@ -169,10 +181,10 @@ func TestMasterNetworkCutRecovery(t *testing.T) {
 func TestMasterLateJoin(t *testing.T) {
 	// Dynamic scaling: the computation starts with no volunteer at all;
 	// one joins later and the stream completes.
-	m := newTestMaster(t, Config{})
+	m, pool := newTestMaster(t, Config{})
 	ln := netsim.NewListener("master", netsim.LAN)
 	defer ln.Close()
-	go m.ServeWS(ln)
+	go pool.ServeWS(ln)
 
 	out := m.Bind(pullstream.Count(10))
 	outc, errc := pullstream.ToChan(context.Background(), out)
@@ -193,10 +205,10 @@ func TestMasterLateJoin(t *testing.T) {
 }
 
 func TestMasterRejectsBadVersion(t *testing.T) {
-	m := newTestMaster(t, Config{})
+	_, pool := newTestMaster(t, Config{})
 	ln := netsim.NewListener("master", netsim.Loopback)
 	defer ln.Close()
-	go m.ServeWS(ln)
+	go pool.ServeWS(ln)
 
 	conn, _, err := ln.Dial()
 	if err != nil {
@@ -218,10 +230,10 @@ func TestMasterRejectsBadVersion(t *testing.T) {
 
 func TestMasterAdaptiveFasterDeviceProcessesMore(t *testing.T) {
 	// Table 2's % columns: throughput share tracks device speed.
-	m := newTestMaster(t, Config{})
+	m, pool := newTestMaster(t, Config{})
 	ln := netsim.NewListener("master", netsim.LAN)
 	defer ln.Close()
-	go m.ServeWS(ln)
+	go pool.ServeWS(ln)
 
 	out := m.Bind(pullstream.Count(80))
 	startVolunteer(t, ln, &worker.Volunteer{Name: "fast", Handler: jsonSquare, Delay: 500 * time.Microsecond})
@@ -256,7 +268,7 @@ func TestMasterWebRTCVolunteer(t *testing.T) {
 	// declare a healthy peer dead whenever two jitter draws line up —
 	// and this deployment's single volunteer does not rejoin.
 	cfg := transport.Config{HeartbeatInterval: 25 * time.Millisecond, HeartbeatTimeout: 300 * time.Millisecond}
-	m := newTestMaster(t, Config{Flow: sched.Static(4), Channel: cfg})
+	m, pool := newTestMasterOn(t, Config{Flow: sched.Static(4)}, cfg)
 
 	signalLn := netsim.NewListener("public", netsim.WAN)
 	srv := transport.NewSignalServer()
@@ -274,7 +286,7 @@ func TestMasterWebRTCVolunteer(t *testing.T) {
 	}
 	answerer := transport.NewRTCAnswerer(masterSignal, directLn, cfg)
 	defer answerer.Close()
-	go m.ServeRTC(answerer)
+	go pool.ServeRTC(answerer)
 
 	out := m.Bind(pullstream.Count(20))
 
@@ -333,23 +345,28 @@ func mustHello(version string) *proto.Message {
 	return &proto.Message{Type: proto.TypeHello, Version: version}
 }
 
-func TestWindowedThroughput(t *testing.T) {
-	m := newTestMaster(t, Config{})
+// TestReporterWindowedRates reads the §5.1 windowed rates through the
+// reporter: the device's line shows a positive rate, and the summary line
+// shows the sum of the devices' rates.
+func TestReporterWindowedRates(t *testing.T) {
+	m, pool := newTestMaster(t, Config{})
 	ln := netsim.NewListener("master-window", netsim.Loopback)
 	defer ln.Close()
-	go m.ServeWS(ln)
+	go pool.ServeWS(ln)
 
 	out := m.Bind(pullstream.Count(30))
 	startVolunteer(t, ln, &worker.Volunteer{Name: "dev", Handler: jsonSquare})
 	if _, err := pullstream.Collect(out); err != nil {
 		t.Fatal(err)
 	}
-	per, total := m.WindowedThroughput(10 * time.Second)
+	var buf bytes.Buffer
+	report(&buf, m.Stats(), 10*time.Second, time.Now())
+	per, total := reportedRates(t, buf.String())
 	if per["dev"] <= 0 {
-		t.Fatalf("dev windowed throughput = %v", per["dev"])
+		t.Fatalf("dev windowed throughput = %v\n%s", per["dev"], buf.String())
 	}
 	if total != per["dev"] {
-		t.Fatalf("total %v != sum of devices %v", total, per["dev"])
+		t.Fatalf("total %v != sum of devices %v\n%s", total, per["dev"], buf.String())
 	}
 	// A window that opens after completion counts nothing.
 	for _, row := range m.Stats() {
@@ -357,6 +374,25 @@ func TestWindowedThroughput(t *testing.T) {
 			t.Fatalf("stale window shows %v items/s for %s", tp, row.Name)
 		}
 	}
+}
+
+// reportedRates parses one report tick: each device line's items/s by
+// name, and the summary line's total.
+func reportedRates(t *testing.T, report string) (perDevice map[string]float64, total float64) {
+	t.Helper()
+	perDevice = make(map[string]float64)
+	for _, line := range strings.Split(strings.TrimSpace(report), "\n") {
+		f := strings.Fields(line)
+		switch {
+		case len(f) > 9 && f[2] == "device(s)":
+			total, _ = strconv.ParseFloat(f[7], 64)
+		case len(f) > 6 && f[6] == "items/s":
+			perDevice[f[1]], _ = strconv.ParseFloat(f[5], 64)
+		default:
+			t.Fatalf("unexpected report line %q", line)
+		}
+	}
+	return perDevice, total
 }
 
 func TestWorkerStatsItemsWithin(t *testing.T) {
@@ -397,7 +433,7 @@ func TestWorkerStatsItemsWithin(t *testing.T) {
 // devices' totals equal what the output saw — must stay exact while
 // several attachments of the device count at once.
 func TestDeviceAccountingBoundedAndExact(t *testing.T) {
-	m := newTestMaster(t, Config{})
+	m, _ := newTestMaster(t, Config{})
 	const attachments, each = 4, 250_000
 	d := m.device("dev")
 	var before, after runtime.MemStats
@@ -428,40 +464,14 @@ func TestDeviceAccountingBoundedAndExact(t *testing.T) {
 	}
 }
 
-func TestHTTPInfoStatsEndpoint(t *testing.T) {
-	m := newTestMaster(t, Config{})
-	httpLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := m.ServeHTTPInfo(httpLn, Invitation{Transport: "ws", DataAddr: "nowhere:1"})
-	defer srv.Close()
-
-	inv, err := proto.FetchInvitation("http://" + httpLn.Addr().String() + "/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inv.Func != "square" || inv.Transport != "ws" || inv.Batch != sched.DefaultBatch {
-		t.Fatalf("invitation = %+v", inv)
-	}
-	resp, err := http.Get("http://" + httpLn.Addr().String() + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("stats status %s", resp.Status)
-	}
-}
-
 func TestReporterEmitsLines(t *testing.T) {
-	m := newTestMaster(t, Config{})
+	m, pool := newTestMaster(t, Config{})
 	ln := netsim.NewListener("master-report", netsim.Loopback)
 	defer ln.Close()
-	go m.ServeWS(ln)
+	go pool.ServeWS(ln)
 
 	var buf syncBuffer
-	r := m.StartReporter(&buf, 10*time.Millisecond, time.Second)
+	r := StartReporter(&buf, m.Stats, 10*time.Millisecond, time.Second)
 
 	out := m.Bind(pullstream.Count(20))
 	startVolunteer(t, ln, &worker.Volunteer{Name: "dev", Handler: jsonSquare, Delay: time.Millisecond})

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"pando/internal/fleet"
 	"pando/internal/netsim"
 	"pando/internal/pullstream"
 	"pando/internal/sched"
@@ -33,15 +34,19 @@ func TestReattachDoesNotInheritStaleFlowState(t *testing.T) {
 	const n = 400
 	cfg := Config{
 		FuncName: "reattach-square",
-		// The master never suspects the stall on its own: no pings, no
-		// read deadline. Only the rejoin hello can save it.
-		Channel: transport.Config{HeartbeatInterval: -1},
-		Flow:    sched.Policy{Min: 1, Max: 8},
+		Flow:     sched.Policy{Min: 1, Max: 8},
 	}
-	m := New[int, int](cfg, transport.JSONCodec[int]{}, transport.JSONCodec[int]{})
+	m := NewJob[int, int](cfg, transport.JSONCodec[int]{}, transport.JSONCodec[int]{})
+	// The master never suspects the stall on its own: no pings, no read
+	// deadline. Only the rejoin hello can save it.
+	pool := fleet.NewPool(fleet.Config{Channel: transport.Config{HeartbeatInterval: -1}})
+	defer pool.Close()
+	if err := pool.Register(m.Job()); err != nil {
+		t.Fatal(err)
+	}
 	ln := netsim.NewListener("master-reattach", netsim.Loopback)
 	defer ln.Close()
-	go m.ServeWS(ln)
+	go pool.ServeWS(ln)
 
 	var pmu sync.Mutex
 	var pipes []*netsim.Pipe

@@ -18,9 +18,9 @@ type Reporter struct {
 	once sync.Once
 }
 
-// StartReporter begins reporting to w every interval over the given
-// trailing window. Call Stop to end it.
-func (m *Master[I, O]) StartReporter(w io.Writer, interval, window time.Duration) *Reporter {
+// StartReporter begins reporting the rows stats returns to w every
+// interval over the given trailing window. Call Stop to end it.
+func StartReporter(w io.Writer, stats func() []WorkerStats, interval, window time.Duration) *Reporter {
 	if interval <= 0 {
 		interval = time.Second
 	}
@@ -38,7 +38,7 @@ func (m *Master[I, O]) StartReporter(w io.Writer, interval, window time.Duration
 		for {
 			select {
 			case <-t.C:
-				m.report(w, window)
+				report(w, stats(), window, time.Now())
 			case <-r.stop:
 				return
 			}
@@ -53,27 +53,30 @@ func (r *Reporter) Stop() {
 	<-r.done
 }
 
-func (m *Master[I, O]) report(w io.Writer, window time.Duration) {
-	stats := m.Stats()
+// report prints one tick: the deployment's summary line, then one line
+// per device, each device's windowed rate read from its row; the summary's
+// rate is their sum, the §5.1 cross-check against the output.
+func report(w io.Writer, stats []WorkerStats, window time.Duration, now time.Time) {
 	sort.Slice(stats, func(i, j int) bool { return stats[i].Name < stats[j].Name })
-	perDevice, total := m.WindowedThroughput(window)
-	alive := 0
-	items := 0
-	for _, s := range stats {
+	alive, items, total := 0, 0, 0.0
+	rates := make([]float64, len(stats))
+	for i, s := range stats {
 		if s.Alive {
 			alive++
 		}
 		items += s.Items
+		rates[i] = s.ThroughputWithin(window, now)
+		total += rates[i]
 	}
 	fmt.Fprintf(w, "[pando] %d device(s) alive, %d item(s) done, %.1f items/s over last %v\n",
 		alive, items, total, window)
-	for _, s := range stats {
+	for i, s := range stats {
 		state := "gone "
 		if s.Alive {
 			state = "alive"
 		}
 		fmt.Fprintf(w, "[pando]   %-24s %s %6d items %8.1f items/s  win %d, %d in flight, ewma %.1f/s",
-			s.Name, state, s.Items, perDevice[s.Name], s.Credits, s.InFlight, s.EWMARate)
+			s.Name, state, s.Items, rates[i], s.Credits, s.InFlight, s.EWMARate)
 		if s.Speculated > 0 {
 			fmt.Fprintf(w, ", %d re-dispatched", s.Speculated)
 		}

@@ -121,19 +121,3 @@ func (w WorkerStats) ThroughputWithin(window time.Duration, now time.Time) float
 	}
 	return float64(w.ItemsWithin(window, now)) / window.Seconds()
 }
-
-// WindowedThroughput reports each device's throughput over the trailing
-// window along with the aggregate — the §5.1 cross-check that the total
-// of all devices corresponds to the output throughput.
-func (m *Master[I, O]) WindowedThroughput(window time.Duration) (perDevice map[string]float64, total float64) {
-	now := time.Now()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	perDevice = make(map[string]float64, len(m.workers))
-	for name, d := range m.workers {
-		tp := d.snapshot().ThroughputWithin(window, now)
-		perDevice[name] = tp
-		total += tp
-	}
-	return perDevice, total
-}

@@ -16,17 +16,17 @@ import (
 
 // TestAdmitV2OnlyMasterRefusesV1Worker is what a legacy peer now meets: a
 // raw '/pando/1.0.0' JSON hello frame, as a volunteer of the retired JSON
-// wire sends it, reaches the pool's admission (Master.Admit is Pool.Admit
-// on the master's single-job pool). The frame is not a '/pando/2.2.0'
+// wire sends it, reaches the admission of the pool the job is registered
+// with. The frame is not a '/pando/2.2.0'
 // body, so admission fails promptly with proto.ErrBadFrame, the channel
 // closes under the peer, and nothing the attempt started outlives it.
 func TestAdmitV2OnlyMasterRefusesV1Worker(t *testing.T) {
 	guard := chaos.Guard()
-	m := newTestMaster(t, Config{})
+	m, pool := newTestMaster(t, Config{})
 	p := netsim.NewPipe(netsim.Loopback)
 
 	errc := make(chan error, 1)
-	go func() { errc <- m.Admit(transport.NewWSock(p.A, transport.Config{})) }()
+	go func() { errc <- pool.Admit(transport.NewWSock(p.A, transport.Config{})) }()
 
 	hello := `{"t":"hello","v":"/pando/1.0.0","p":"legacy","fmts":["/pando/1.0.0"]}`
 	frame := append(binary.BigEndian.AppendUint32(nil, uint32(len(hello))), hello...)
@@ -51,24 +51,26 @@ func TestAdmitV2OnlyMasterRefusesV1Worker(t *testing.T) {
 	}
 	p.B.Close()
 	m.Close()
+	pool.Close()
 	if err := guard.Check(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestAdmitClosedMasterRefuses: Admit on a closed master must refuse the
-// handshake with ErrClosed instead of attaching the volunteer to a
-// shut-down deployment.
+// TestAdmitClosedMasterRefuses: admission to a closed deployment (the job
+// and its pool closed) must refuse the handshake with ErrClosed instead of
+// attaching the volunteer to it.
 func TestAdmitClosedMasterRefuses(t *testing.T) {
-	m := newTestMaster(t, Config{})
+	m, pool := newTestMaster(t, Config{})
 	m.Close()
+	pool.Close()
 
 	p := netsim.NewPipe(netsim.Loopback)
 	cfg := transport.Config{HeartbeatInterval: -1}
 	masterCh := transport.NewWSock(p.A, cfg)
 
 	errc := make(chan error, 1)
-	go func() { errc <- m.Admit(masterCh) }()
+	go func() { errc <- pool.Admit(masterCh) }()
 
 	v := &worker.Volunteer{Name: "late", Handler: jsonSquare, CrashAfter: -1,
 		Channel: cfg}

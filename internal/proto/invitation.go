@@ -25,8 +25,6 @@ type Invitation struct {
 	// MasterID is the master's peer ID on the signalling server
 	// (webrtc only).
 	MasterID string `json:"masterId,omitempty"`
-	// Batch is the number of values kept in flight per device.
-	Batch int `json:"batch"`
 }
 
 // FetchInvitation retrieves a deployment invitation from a URL — the

@@ -40,7 +40,7 @@ func TestDropPreventsStaleRTTAfterMidFlightDeath(t *testing.T) {
 	if drops != 3 {
 		t.Fatalf("Drop cleared %d dispatches, want 3", drops)
 	}
-	if n := c.pendingSends(); n != 0 {
+	if n, _ := c.pendingSends(); n != 0 {
 		t.Fatalf("pending sends after drops = %d, want 0", n)
 	}
 	if got := c.InFlight(); got != 0 {
@@ -182,7 +182,7 @@ func TestSchedulerDetachDropsPendingSends(t *testing.T) {
 		c.Sent()
 	}
 	s.Detach(c)
-	if n := c.pendingSends(); n != 0 {
+	if n, _ := c.pendingSends(); n != 0 {
 		t.Fatalf("pending sends after Detach = %d, want 0", n)
 	}
 }
@@ -196,7 +196,7 @@ func TestCloseDropsPendingSends(t *testing.T) {
 	}
 	c.Sent()
 	c.Close()
-	if n := c.pendingSends(); n != 0 {
+	if n, _ := c.pendingSends(); n != 0 {
 		t.Fatalf("pending sends after Close = %d, want 0", n)
 	}
 }

@@ -487,11 +487,16 @@ func (c *Controller) Close() {
 	c.cond.Broadcast()
 }
 
-// pendingSends reports how many dispatches await a result (tests).
-func (c *Controller) pendingSends() int {
+// pendingSends reports how many dispatches await a result and the age of
+// the oldest: the values the worker holds, as the straggler scan reads
+// them.
+func (c *Controller) pendingSends() (n int, oldest time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.sends) - c.sendHead
+	if n = len(c.sends) - c.sendHead; n > 0 {
+		oldest = time.Since(c.sends[c.sendHead])
+	}
+	return n, oldest
 }
 
 // Window returns the credit window in values of the EWMA wire size.
@@ -585,11 +590,10 @@ func Gate[I, O any](c *Controller, d pullstream.Duplex[I, O]) pullstream.Through
 }
 
 // SubHandle is the scheduler's view of one worker's lending sub-stream,
-// implemented by the engine over lender.SubStream.
+// implemented by the engine over lender.SubStream. What the sub-stream
+// holds, and since when, the worker's controller already knows from its
+// dispatches.
 type SubHandle interface {
-	// Outstanding returns how many values are lent through the
-	// sub-stream and the age of the oldest one.
-	Outstanding() (count int, oldest time.Duration)
 	// Speculate duplicates up to max of the sub-stream's oldest
 	// outstanding values for re-dispatch to other workers, returning how
 	// many were duplicated.
@@ -827,7 +831,7 @@ func (s *Scheduler) scanOnce() time.Duration {
 	}
 	s.mu.Unlock()
 	for _, e := range entries {
-		n, oldest := e.sub.Outstanding()
+		n, oldest := e.ctrl.pendingSends()
 		if n == 0 || oldest < threshold {
 			continue
 		}

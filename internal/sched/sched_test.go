@@ -485,18 +485,12 @@ func TestGateStressConcurrentAbortClose(t *testing.T) {
 	}
 }
 
-// fakeSub is a controllable sub-stream view for straggler-scan tests.
+// fakeSub is a controllable sub-stream view for straggler-scan tests:
+// it holds n values it can duplicate.
 type fakeSub struct {
 	mu         sync.Mutex
 	n          int
-	oldest     time.Duration
 	speculated int
-}
-
-func (f *fakeSub) Outstanding() (int, time.Duration) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.n, f.oldest
 }
 
 func (f *fakeSub) Speculate(max int) int {
@@ -516,19 +510,33 @@ func TestSchedulerSpeculatesOnlyStragglers(t *testing.T) {
 	defer s.Close()
 
 	fast := &fakeSub{}
-	slow := &fakeSub{n: 3, oldest: 500 * time.Millisecond}
+	slow := &fakeSub{n: 3}
 	fastCtrl := s.Attach("fast", fast)
 	slowCtrl := s.Attach("slow", slow)
 	// The fast worker's smoothed service time defines the fleet median;
-	// the stalled worker has produced nothing.
+	// the stalled worker has produced nothing and holds three values, the
+	// oldest dispatched 500ms ago.
 	fastCtrl.mu.Lock()
 	fastCtrl.ewmaGap = 0.001 // 1ms per item
 	fastCtrl.mu.Unlock()
+	now := time.Now()
+	slowCtrl.mu.Lock()
+	slowCtrl.sends = []time.Time{now.Add(-500 * time.Millisecond), now.Add(-400 * time.Millisecond), now.Add(-300 * time.Millisecond)}
+	slowCtrl.mu.Unlock()
+	// A worker whose values went out just now is no straggler.
+	young := &fakeSub{n: 2}
+	youngCtrl := s.Attach("young", young)
+	youngCtrl.mu.Lock()
+	youngCtrl.sends = []time.Time{now, now}
+	youngCtrl.mu.Unlock()
 
 	s.scanOnce()
 
 	if fast.speculated != 0 {
 		t.Fatalf("fast worker speculated %d times; it has nothing outstanding", fast.speculated)
+	}
+	if young.speculated != 0 {
+		t.Fatalf("young worker speculated %d times; its values are fresh", young.speculated)
 	}
 	if slow.speculated != 2 {
 		t.Fatalf("straggler speculated %d values, want 2 (bounded by idle workers)", slow.speculated)
@@ -541,7 +549,6 @@ func TestSchedulerSpeculatesOnlyStragglers(t *testing.T) {
 	if bySpec["slow"] != 2 || bySpec["fast"] != 0 {
 		t.Fatalf("flow snapshots = %v", bySpec)
 	}
-	_ = slowCtrl
 
 	// No idle workers → no speculation, however old the values are.
 	parked = 0

@@ -65,7 +65,7 @@ type (
 	// PoolWorker is one live worker-set row of a shared pool.
 	PoolWorker = fleet.WorkerInfo
 	// Invitation is the deployment bootstrap document served over HTTP.
-	Invitation = master.Invitation
+	Invitation = proto.Invitation
 	// WorkerRep is one worker's reputation row under WithVerification:
 	// score, agreement counts, spot-check tallies and quarantine state.
 	WorkerRep = verify.WorkerRep
@@ -587,7 +587,6 @@ func Map[I, O any](pool *Pool, name string, f func(I) (O, error), opts ...Option
 		Ordered:        !o.unordered,
 		Group:          o.group,
 		Flow:           o.flow(),
-		Channel:        o.channel,
 		BlobCacheBytes: o.blobCache,
 	}
 	if o.checkpoint != "" {

@@ -8,6 +8,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"strings"
@@ -17,6 +18,7 @@ import (
 
 	pando "pando"
 	"pando/internal/netsim"
+	"pando/internal/proto"
 )
 
 // solo runs a dedicated single-job deployment and returns its outputs.
@@ -245,6 +247,99 @@ func TestPoolHTTPStatsPerJob(t *testing.T) {
 	}
 	close(bIn)
 	<-bDone
+}
+
+// TestHTTPInfoStatsEndpoint: the pool's invitation carries the function
+// and transport it was given and the protocol version, and nothing a
+// volunteer does not read (no batch); /stats answers.
+func TestHTTPInfoStatsEndpoint(t *testing.T) {
+	pool := pando.NewPool()
+	defer pool.Close()
+	httpLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := pool.ServeHTTPInfo(httpLn, pando.Invitation{Func: "square", Transport: "ws", DataAddr: "nowhere:1"})
+	defer srv.Close()
+
+	url := "http://" + httpLn.Addr().String()
+	inv, err := proto.FetchInvitation(url + "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inv.Func != "square" || inv.Transport != "ws" || inv.DataAddr != "nowhere:1" {
+		t.Fatalf("invitation = %+v", inv)
+	}
+	resp, err := http.Get(url + "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw map[string]any
+	err = json.NewDecoder(resp.Body).Decode(&raw)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := raw["batch"]; ok {
+		t.Fatalf("invitation carries a batch no volunteer reads: %v", raw)
+	}
+	resp, err = http.Get(url + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stats status %s", resp.Status)
+	}
+}
+
+// TestHTTPStatsCarriesFlowFields: the /stats JSON must include the
+// flow-control fields so operators can watch the controller remotely.
+func TestHTTPStatsCarriesFlowFields(t *testing.T) {
+	pool := pando.NewPool(
+		pando.WithChannelConfig(pando.ChannelConfig{HeartbeatInterval: 25 * time.Millisecond}))
+	defer pool.Close()
+	name := integName("flow-http")
+	p := pando.Map(pool, name, func(v int) (int, error) { return v * v, nil },
+		pando.WithBatch(3), pando.WithoutRegistry())
+	defer p.Close()
+	httpLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := pool.ServeHTTPInfo(httpLn, pando.Invitation{Func: name, Transport: "ws", DataAddr: "nowhere:1"})
+	defer srv.Close()
+
+	pool.AddWorker("dev", netsim.Loopback, 0, -1)
+	inputs := make([]int, 20)
+	if _, err := p.ProcessSlice(context.Background(), inputs); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Get("http://" + httpLn.Addr().String() + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats struct {
+		Jobs map[string][]map[string]any `json:"jobs"`
+	}
+	if err := json.Unmarshal(body, &stats); err != nil {
+		t.Fatalf("stats JSON: %v\n%s", err, body)
+	}
+	rows := stats.Jobs[name]
+	if len(rows) == 0 {
+		t.Fatal("no stats rows")
+	}
+	for _, key := range []string{"InFlight", "Credits", "EWMARate", "Speculated", "rtt_ns", "base_rtt_ns", "queued", "service_ns"} {
+		if _, ok := rows[0][key]; !ok {
+			t.Fatalf("stats JSON lacks %q: %s", key, body)
+		}
+	}
 }
 
 // TestPoolFairShareRebalance: with two long-running jobs and four
