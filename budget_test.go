@@ -28,9 +28,9 @@ var budgets = []struct {
 	allocs      float64 // /gc/heap/allocs:objects, per item
 	wire        int64   // bytes on the netsim links both ways, whole run, with a one-byte service stamp, held exactly (tiles only)
 }{
-	{shape: "collatz", setBy: "outbound frames from the arena; CollatzSteps on one scratch struct", schedEvents: 8.51, allocs: 3.5},
+	{shape: "collatz", setBy: "results appended into the frame that carries them", schedEvents: 8.51, allocs: 2.5},
 	{shape: "tiles", setBy: "the welcome without its unread batch field", allocs: 9.93, wire: 5_185_922},
-	{shape: "verified", setBy: "adaptive windows sized from their first two results", allocs: 27.5},
+	{shape: "verified", setBy: "results appended into the frame that carries them", allocs: 25.5},
 }
 
 const budgetBand = 0.03
@@ -84,7 +84,7 @@ func TestBudget(t *testing.T) {
 		for i := range tiles {
 			tiles[i] = budgetTile(i)
 		}
-		r := runBudget(t, p, "budget-tiles", worker.Handler(tileSum), 1,
+		r := runBudget(t, p, "budget-tiles", pando.CodecHandler(tileSum, pando.RawCodec{}, pando.RawCodec{}), 1,
 			netsim.Link{Latency: 2 * time.Millisecond, Bandwidth: 64 << 20}, cfg, n, 1,
 			func(i int) []byte { return tiles[i] })
 		checkBudget(t, b.setBy, "allocations", r.allocs[0], b.allocs)

@@ -94,7 +94,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 
 	opts := []pando.Option{
 		pando.WithBatch(*batch),
-		pando.WithCodec[string, json.RawMessage](stringCodec{}, rawCodec{}),
+		pando.WithCodec[json.RawMessage, json.RawMessage](rawCodec{}, rawCodec{}),
 		pando.WithFsyncInterval(*fsync),
 		pando.WithMemoryBound(*window, *spill),
 	}
@@ -103,14 +103,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	}
 	pool := pando.NewPool(opts...)
 	defer pool.Close()
-	// Local workers apply the registered handler to the input's encoding.
-	f := func(s string) (json.RawMessage, error) {
-		in, err := stringCodec{}.Encode(s)
-		if err != nil {
-			return nil, err
-		}
-		return h(in)
-	}
+	// Inputs travel as the JSON strings of their lines (the paper's
+	// Figure 2: cameraPos is a string the function parses), encoded once;
+	// local workers apply the registered handler to those bytes.
+	f := func(in json.RawMessage) (json.RawMessage, error) { return h(nil, in) }
 	p := pando.Map(pool, funcName, f, opts...)
 	defer p.Close()
 	if j := p.Checkpoint(); j != nil && j.Recovered() > 0 {
@@ -178,12 +174,13 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	// Input source: stdin lines or remaining command-line arguments.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	in := make(chan string)
+	in := make(chan json.RawMessage)
 	go func() {
 		defer close(in)
 		send := func(s string) bool {
+			b, _ := json.Marshal(s) // a string always marshals
 			select {
-			case in <- s:
+			case in <- b:
 				return true
 			case <-ctx.Done():
 				return false
@@ -235,19 +232,7 @@ func advertiseAddr(ln net.Listener, port int) string {
 	return ln.Addr().String()
 }
 
-// stringCodec sends inputs as JSON strings, matching the paper's
-// convention that inputs arrive as strings (Figure 2: cameraPos is a
-// string the function parses).
-type stringCodec struct{}
-
-func (stringCodec) Encode(s string) ([]byte, error) { return json.Marshal(s) }
-func (stringCodec) Decode(b []byte) (string, error) {
-	var s string
-	err := json.Unmarshal(b, &s)
-	return s, err
-}
-
-// rawCodec passes results through untouched.
+// rawCodec passes inputs and results through untouched.
 type rawCodec struct{}
 
 func (rawCodec) Encode(b json.RawMessage) ([]byte, error) { return b, nil }

@@ -96,10 +96,11 @@ func ExamplePando_Process() {
 }
 
 // Handler adapts a typed function into the volunteer registry form — the
-// Go equivalent of the paper's Figure 2 glue code.
+// Go equivalent of the paper's Figure 2 glue code. The result is appended
+// to the first argument, here nil.
 func ExampleHandler() {
 	h := pando.Handler(func(v int) (int, error) { return v * 2, nil })
-	out, err := h([]byte("21"))
+	out, err := h(nil, []byte("21"))
 	if err != nil {
 		fmt.Println("error:", err)
 		return

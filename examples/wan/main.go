@@ -40,8 +40,8 @@ func main() {
 
 	// The master joins the relay and answers offers with its direct
 	// address; it uses the paper's WAN batch size of 4.
-	p := pando.New("square", func(v int) (int, error) { return v * v, nil },
-		pando.WithBatch(4), pando.WithChannelConfig(cfg))
+	square := func(v int) (int, error) { return v * v, nil }
+	p := pando.New("square", square, pando.WithBatch(4), pando.WithChannelConfig(cfg))
 	defer p.Close()
 	directLn := netsim.NewListener("master-direct", netsim.WAN)
 	defer directLn.Close()
@@ -60,13 +60,6 @@ func main() {
 
 	// Volunteers around Europe: each joins the relay, offers, and ends up
 	// on a direct channel to the master.
-	square := func(b []byte) ([]byte, error) {
-		var v int
-		if err := jsonUnmarshal(b, &v); err != nil {
-			return nil, err
-		}
-		return jsonMarshal(v * v)
-	}
 	dial := func(addr string) (net.Conn, error) {
 		c, _, err := directLn.Dial()
 		return c, err
@@ -79,7 +72,7 @@ func main() {
 		signal := transport.NewWSock(vsc, cfg)
 		v := &worker.Volunteer{
 			Name:       fmt.Sprintf("node-%d", i+1),
-			Handler:    square,
+			Handler:    pando.Handler(square),
 			Channel:    cfg,
 			CrashAfter: -1,
 			Delay:      time.Duration(1+i) * time.Millisecond, // heterogeneous
@@ -108,14 +101,4 @@ func main() {
 	for _, w := range p.Stats() {
 		fmt.Printf("  %-8s %4d items\n", w.Name, w.Items)
 	}
-}
-
-// Minimal JSON helpers keep the example self-contained.
-func jsonUnmarshal(b []byte, v *int) error {
-	_, err := fmt.Sscanf(string(b), "%d", v)
-	return err
-}
-
-func jsonMarshal(v int) ([]byte, error) {
-	return []byte(fmt.Sprintf("%d", v)), nil
 }

@@ -49,8 +49,8 @@ var registerAllOnce sync.Once
 // the textual form.
 func flexible[I, O any](f func(I) (O, error), fromString func(string) (I, error)) worker.Handler {
 	direct := pando.Handler(f)
-	return func(input []byte) ([]byte, error) {
-		out, directErr := direct(input)
+	return func(dst, input []byte) ([]byte, error) {
+		out, directErr := direct(dst, input)
 		if directErr == nil {
 			return out, nil
 		}

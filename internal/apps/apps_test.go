@@ -381,7 +381,7 @@ func TestFlexibleHandlerBothEncodings(t *testing.T) {
 		t.Fatal("sl-test not registered")
 	}
 	// Direct JSON encoding (typed library master).
-	out, err := h([]byte(`7`))
+	out, err := h(nil, []byte(`7`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +389,7 @@ func TestFlexibleHandlerBothEncodings(t *testing.T) {
 		t.Fatalf("out = %s", out)
 	}
 	// String-wrapped encoding (the CLI's line-based input).
-	out, err = h([]byte(`"7"`))
+	out, err = h(nil, []byte(`"7"`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +397,7 @@ func TestFlexibleHandlerBothEncodings(t *testing.T) {
 		t.Fatalf("out = %s", out)
 	}
 	// Garbage still fails loudly.
-	if _, err := h([]byte(`"not-a-seed"`)); err == nil {
+	if _, err := h(nil, []byte(`"not-a-seed"`)); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }

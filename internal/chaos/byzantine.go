@@ -45,8 +45,8 @@ func wrongBytes(key int64, input []byte) []byte {
 // agreement between lies, so its score must fall on evidence, not on a
 // single verdict.
 func WrongResult(r *Rand, h worker.Handler, rate float64) worker.Handler {
-	return func(input []byte) ([]byte, error) {
-		out, err := h(input)
+	return func(dst, input []byte) ([]byte, error) {
+		out, err := h(dst, input)
 		if err != nil {
 			return nil, err
 		}
@@ -62,7 +62,7 @@ func WrongResult(r *Rand, h worker.Handler, rate float64) worker.Handler {
 // value whose honest result differs from its input — the classic
 // credit-farming volunteer of the BOINC era.
 func LazyEcho() worker.Handler {
-	return func(input []byte) ([]byte, error) {
+	return func(_, input []byte) ([]byte, error) {
 		out := make([]byte, len(input))
 		copy(out, input)
 		return out, nil
@@ -76,7 +76,7 @@ func LazyEcho() worker.Handler {
 // exactly that.
 func Colluder(group int64, h worker.Handler) worker.Handler {
 	_ = h // the coalition never bothers computing honestly
-	return func(input []byte) ([]byte, error) {
+	return func(_, input []byte) ([]byte, error) {
 		return wrongBytes(group, input), nil
 	}
 }

@@ -22,12 +22,12 @@ import (
 	"pando/internal/worker"
 )
 
-func jsonSquare(b []byte) ([]byte, error) {
+func jsonSquare(dst, b []byte) ([]byte, error) {
 	var v int
 	if err := json.Unmarshal(b, &v); err != nil {
 		return nil, err
 	}
-	return json.Marshal(v * v)
+	return strconv.AppendInt(dst, int64(v*v), 10), nil
 }
 
 // newTestMaster creates an ordered job registered on a pool of its own,
@@ -130,14 +130,21 @@ func TestMasterMultipleVolunteersOrdered(t *testing.T) {
 func TestMasterVolunteerCrashRecovery(t *testing.T) {
 	// Figure 4 at the system level: a volunteer crashes mid-stream; its
 	// in-flight values are re-lent to the survivor; all outputs arrive.
-	m, pool := newTestMaster(t, Config{})
+	// The crash closes the connection, which the master sees at once, so
+	// the silence timeout only decides how long a stall of the whole
+	// process is tolerated; 2 s as in the benchmark's fleet-churn. Under
+	// js/wasm a stall of Node's (likely compiling code on first use)
+	// outlasted the default three 25 ms intervals, and the master and both
+	// volunteers declared each other dead for good.
+	ch := transport.Config{HeartbeatInterval: 25 * time.Millisecond, HeartbeatTimeout: 2 * time.Second}
+	m, pool := newTestMasterOn(t, Config{}, ch)
 	ln := netsim.NewListener("master", netsim.LAN)
 	defer ln.Close()
 	go pool.ServeWS(ln)
 
 	out := m.Bind(pullstream.Count(60))
-	startVolunteer(t, ln, &worker.Volunteer{Name: "tablet", Handler: jsonSquare, CrashAfter: 5, Delay: time.Millisecond})
-	startVolunteer(t, ln, &worker.Volunteer{Name: "phone", Handler: jsonSquare})
+	startVolunteer(t, ln, &worker.Volunteer{Name: "tablet", Handler: jsonSquare, CrashAfter: 5, Delay: time.Millisecond, Channel: ch})
+	startVolunteer(t, ln, &worker.Volunteer{Name: "phone", Handler: jsonSquare, Channel: ch})
 
 	got, err := pullstream.Collect(out)
 	if err != nil {

@@ -118,7 +118,7 @@ func TestMasterDuplexRawCodec(t *testing.T) {
 	masterCh := NewWSock(p.A, cfg)
 	workerCh := NewWSock(p.B, cfg)
 
-	go WorkerServe[[]byte, []byte](workerCh, RawCodec{}, RawCodec{}, func(v []byte) ([]byte, error) {
+	go WorkerServe(workerCh, func(_, v []byte) ([]byte, error) {
 		return v, nil // identity: threads the input buffer through to the reply
 	}, nil)
 

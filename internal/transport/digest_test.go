@@ -21,9 +21,9 @@ import (
 // TestApplyOneAttachesDigest: every result frame a worker produces must
 // carry the SHA-256 of its encoded payload.
 func TestApplyOneAttachesDigest(t *testing.T) {
-	m := applyOne(1, []byte(`7`), JSONCodec[int]{}, JSONCodec[int]{}, func(v int) (int, error) {
+	m := applyOne(1, []byte(`7`), bytewise(JSONCodec[int]{}, JSONCodec[int]{}, func(v int) (int, error) {
 		return v * v, nil
-	})
+	}), 0)
 	if m.Err != "" {
 		t.Fatalf("applyOne failed: %s", m.Err)
 	}
@@ -32,9 +32,9 @@ func TestApplyOneAttachesDigest(t *testing.T) {
 		t.Fatalf("digest = %x, want sha256 of payload %x", m.Digest, want)
 	}
 	// Error frames carry no payload and no digest.
-	e := applyOne(2, []byte(`not json`), JSONCodec[int]{}, JSONCodec[int]{}, func(v int) (int, error) {
+	e := applyOne(2, []byte(`not json`), bytewise(JSONCodec[int]{}, JSONCodec[int]{}, func(v int) (int, error) {
 		return v, nil
-	})
+	}), 0)
 	if e.Err == "" || len(e.Digest) != 0 {
 		t.Fatalf("error frame = %+v, want Err set and no digest", e)
 	}

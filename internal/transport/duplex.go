@@ -30,9 +30,19 @@ type AliasingCodec interface {
 }
 
 // appendEncoder is implemented by codecs that can encode into a given
-// buffer (JSONCodec): an input frame then owns a pooled one.
+// buffer (JSONCodec): AppendEncode then fills a frame's pooled one.
 type appendEncoder[T any] interface {
 	appendEncode(dst []byte, v T) ([]byte, error)
+}
+
+// AppendEncode appends v's encoding by c to dst when c can encode in place
+// (JSONCodec can), and otherwise returns c.Encode(v), which need not share
+// dst. It is how a result or input reaches the arena buffer of its frame.
+func AppendEncode[T any](c Codec[T], dst []byte, v T) ([]byte, error) {
+	if ae, ok := c.(appendEncoder[T]); ok {
+		return ae.appendEncode(dst, v)
+	}
+	return c.Encode(v)
 }
 
 // codecAliases resolves the aliasing contract of an arbitrary codec.
@@ -148,18 +158,30 @@ func MasterDuplex[I, O any](ch Channel, in Codec[I], out Codec[O], meter Meter) 
 // TypeInputBatch.
 func inputFrame[I any](in Codec[I], list batchCodec[I], v I) (m *proto.Message, err error) {
 	m = proto.GetMessage()
-	m.Type = proto.TypeInput
-	if ae, ok := in.(appendEncoder[I]); ok {
-		m.Data, err = ae.appendEncode(proto.GetBuf(0), v)
-		m.Own(m.Data)
-	} else if list == nil {
-		m.Data, err = in.Encode(v)
-	} else {
+	if list != nil {
 		var items []proto.BatchItem
 		items, err = list.encodeItems(v)
 		m.Type, m.Data = proto.TypeInputBatch, proto.EncodeBatch(items)
+		return m, err
 	}
+	m.Type = proto.TypeInput
+	buf := proto.GetBuf(0)
+	m.Data, err = AppendEncode(in, buf, v)
+	own(m, buf)
 	return m, err
+}
+
+// own hands m the arena buffer its payload was appended to when m.Data
+// lies in it, and gives buf straight back to the arena otherwise: m.Data
+// is then other memory (the codec's or f's own, an input passed through,
+// what outgrew buf), which the GC keeps.
+func own(m *proto.Message, buf []byte) {
+	// Appending and reslicing keep the array's last element.
+	if d := m.Data; cap(d) > 0 && &d[:cap(d)][cap(d)-1] == &buf[:cap(buf)][cap(buf)-1] {
+		m.Own(buf)
+	} else {
+		proto.PutBuf(buf)
+	}
 }
 
 // masterSource is the result side of MasterDuplex: a pull-stream source
@@ -307,9 +329,18 @@ func decodeBatchResult[O any](m *proto.Message, list batchCodec[O]) (O, error) {
 // WorkerServe runs the volunteer side of a channel, the one worker loop:
 // it routes the channel and, on its read loop, applies f to each input one
 // value at a time (as a browser tab handles each message in its callback)
-// — to the single value of a TypeInput frame or to every member of a
+// — to the payload of a TypeInput frame or to every member of a
 // TypeInputBatch, reporting per-member errors in the result batch. It
 // returns when the master says goodbye (nil) or the channel fails.
+//
+// f appends the result of one input payload to dst and returns it, the
+// contract worker.Handler documents. A TypeInput's dst is an arena buffer
+// sized by the previous result, which the result frame owns when the
+// returned slice shares its array; otherwise (f returned its input, a
+// slice of its own, or outgrew dst) the buffer goes straight back to the
+// arena. A batch member's dst is nil: the reply batch copies every
+// member. Input frames recycle into the arena after their reply is
+// written, so f must retain neither argument past return.
 //
 // The first result of the session, and the first after each reassign,
 // carries in Service how long applying f to its input took, in µs (at
@@ -326,14 +357,13 @@ func decodeBatchResult[O any](m *proto.Message, list batchCodec[O]) (O, error) {
 //
 // Replies go out through a sendQueue, never from the read loop: results
 // that accumulate while the previous write is in flight leave in one
-// vectored write. Input frames recycle into the arena after their reply is
-// written, so f must not retain its (possibly frame-aliasing) argument
-// past return — the contract worker.Handler documents.
-func WorkerServe[I, O any](ch Channel, in Codec[I], out Codec[O], f func(I) (O, error), reassign func(name string) (func(I) (O, error), error)) error {
+// vectored write.
+func WorkerServe(ch Channel, f func(dst, input []byte) ([]byte, error), reassign func(name string) (func(dst, input []byte) ([]byte, error), error)) error {
 	q := newSendQueue(ch, nil)
 	over, stopped := false, make(chan error, 1) // over: what still arrives is dropped
 	halt := func(err error) { over = true; stopped <- err }
 	stamp := true // the next result carries its service time
+	last := 0     // the previous result's length, the next dst's size
 	ch.Route(func(m *proto.Message, err error) {
 		if over || m == nil {
 			if !over {
@@ -366,9 +396,10 @@ func WorkerServe[I, O any](ch Channel, in Codec[I], out Codec[O], f func(I) (O, 
 			}
 			return
 		case proto.TypeInput:
-			reply = applyOne(m.Seq, m.Data, in, out, f)
+			reply = applyOne(m.Seq, m.Data, f, last)
+			last = len(reply.Data)
 		case proto.TypeInputBatch:
-			reply = applyBatch(m, in, out, f)
+			reply = applyBatch(m, f)
 		case proto.TypeGoodbye:
 			proto.Release(m)
 			q.enqueue(&proto.Message{Type: proto.TypeGoodbye}, nil)
@@ -383,8 +414,8 @@ func WorkerServe[I, O any](ch Channel, in Codec[I], out Codec[O], f func(I) (O, 
 			reply.Service, stamp = max(uint64(time.Since(start)/time.Microsecond), 1), false
 		}
 		// The reply may thread the input's bytes through (an identity
-		// handler under RawCodec), so the frame releases only after the
-		// reply is on the wire — the queue owns both from here.
+		// handler), so the frame releases only after the reply is on the
+		// wire — the queue owns both from here.
 		if !q.enqueue(reply, m) {
 			halt(ErrChannelClosed)
 		}
@@ -397,55 +428,47 @@ func WorkerServe[I, O any](ch Channel, in Codec[I], out Codec[O], f func(I) (O, 
 	return err
 }
 
+// applyOne applies f to one input payload, appending to an arena buffer
+// of capacity hint, and makes the result frame.
+func applyOne(seq uint64, data []byte, f func(dst, input []byte) ([]byte, error), hint int) *proto.Message {
+	buf := proto.GetBuf(hint)
+	r, err := f(buf, data)
+	m := resultFrame(proto.TypeResult, seq, r, err)
+	own(m, buf)
+	return m
+}
+
 // applyBatch applies f to every member of an input batch, producing the
 // result batch frame. The apply loop is strictly serial and the reply
 // batch is re-encoded (copied), so the aliasing batch decode is safe here
 // and skips one copy of every member payload. Only the batch is hashed:
 // its digest is the one that goes on the wire.
-func applyBatch[I, O any](m *proto.Message, in Codec[I], out Codec[O], f func(I) (O, error)) *proto.Message {
+func applyBatch(m *proto.Message, f func(dst, input []byte) ([]byte, error)) *proto.Message {
 	items, err := proto.DecodeBatchShared(m.Data)
 	if err != nil {
-		return resultFrame(proto.TypeResultBatch, m.Seq, nil, "decode batch: "+err.Error())
+		return resultFrame(proto.TypeResultBatch, m.Seq, nil, fmt.Errorf("decode batch: %w", err))
 	}
-	results := make([]proto.BatchItem, 0, len(items))
-	for _, it := range items {
-		data, e := apply(it.D, in, out, f)
-		results = append(results, proto.BatchItem{D: data, E: e})
+	results := make([]proto.BatchItem, len(items))
+	for i, it := range items {
+		if data, err := f(nil, it.D); err != nil {
+			results[i].E = err.Error()
+		} else {
+			results[i].D = data
+		}
 	}
-	return resultFrame(proto.TypeResultBatch, m.Seq, proto.EncodeBatch(results), "")
-}
-
-// applyOne applies f to a single encoded input, producing a result frame.
-func applyOne[I, O any](seq uint64, data []byte, in Codec[I], out Codec[O], f func(I) (O, error)) *proto.Message {
-	encoded, e := apply(data, in, out, f)
-	return resultFrame(proto.TypeResult, seq, encoded, e)
-}
-
-// apply applies f to one encoded input: the encoded result, or what went
-// wrong.
-func apply[I, O any](data []byte, in Codec[I], out Codec[O], f func(I) (O, error)) ([]byte, string) {
-	v, err := in.Decode(data)
-	if err != nil {
-		return nil, "decode: " + err.Error()
-	}
-	r, err := f(v)
-	if err != nil {
-		return nil, err.Error()
-	}
-	encoded, err := out.Encode(r)
-	if err != nil {
-		return nil, "encode: " + err.Error()
-	}
-	return encoded, ""
+	return resultFrame(proto.TypeResultBatch, m.Seq, proto.EncodeBatch(results), nil)
 }
 
 // resultFrame is a result frame from the arena: data with its digest, or
-// the error e.
-func resultFrame(t proto.Type, seq uint64, data []byte, e string) *proto.Message {
+// the error err.
+func resultFrame(t proto.Type, seq uint64, data []byte, err error) *proto.Message {
 	m := proto.GetMessage()
-	m.Type, m.Seq, m.Data, m.Err = t, seq, data, e
-	if e == "" {
-		m.SetDigest(sha256.Sum256(data))
+	m.Type, m.Seq = t, seq
+	if err != nil {
+		m.Err = err.Error()
+		return m
 	}
+	m.Data = data
+	m.SetDigest(sha256.Sum256(data))
 	return m
 }

@@ -97,7 +97,7 @@ func TestGroupedMapRoundTrip(t *testing.T) {
 	masterCh := NewWSock(p.A, cfg)
 	workerCh := NewWSock(p.B, cfg)
 
-	go WorkerServe[int, int](workerCh, JSONCodec[int]{}, JSONCodec[int]{}, func(v int) (int, error) {
+	go serveTyped(workerCh, JSONCodec[int]{}, JSONCodec[int]{}, func(v int) (int, error) {
 		return v * v, nil
 	}, nil)
 
@@ -167,7 +167,7 @@ func TestGroupedMapPerItemError(t *testing.T) {
 	masterCh := NewWSock(p.A, cfg)
 	workerCh := NewWSock(p.B, cfg)
 
-	go WorkerServe[int, int](workerCh, JSONCodec[int]{}, JSONCodec[int]{}, func(v int) (int, error) {
+	go serveTyped(workerCh, JSONCodec[int]{}, JSONCodec[int]{}, func(v int) (int, error) {
 		if v == 5 {
 			return 0, errors.New("item failed")
 		}
@@ -189,7 +189,7 @@ func TestGroupedMapPartialFinalGroup(t *testing.T) {
 	masterCh := NewWSock(p.A, cfg)
 	workerCh := NewWSock(p.B, cfg)
 
-	go WorkerServe[int, int](workerCh, JSONCodec[int]{}, JSONCodec[int]{}, func(v int) (int, error) {
+	go serveTyped(workerCh, JSONCodec[int]{}, JSONCodec[int]{}, func(v int) (int, error) {
 		return v, nil
 	}, nil)
 	// 7 items, group 4 -> a full group and a partial 3-group.
@@ -212,7 +212,7 @@ func TestWorkerServeHandlesPlainInputs(t *testing.T) {
 	masterCh := NewWSock(p.A, cfg)
 	workerCh := NewWSock(p.B, cfg)
 
-	go WorkerServe[int, int](workerCh, JSONCodec[int]{}, JSONCodec[int]{}, func(v int) (int, error) {
+	go serveTyped(workerCh, JSONCodec[int]{}, JSONCodec[int]{}, func(v int) (int, error) {
 		return v + 1, nil
 	}, nil)
 
@@ -238,7 +238,7 @@ func TestGroupedEndToEndThroughMaster(t *testing.T) {
 	served := make(chan struct{})
 	go func() {
 		n := 0
-		WorkerServe[int, int](workerCh, JSONCodec[int]{}, JSONCodec[int]{}, func(v int) (int, error) {
+		serveTyped(workerCh, JSONCodec[int]{}, JSONCodec[int]{}, func(v int) (int, error) {
 			n++
 			if n == 7 {
 				close(served)

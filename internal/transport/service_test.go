@@ -42,7 +42,7 @@ func TestWorkerServeStampsFirstResults(t *testing.T) {
 			}
 			served := make(chan error, 1)
 			go func() {
-				served <- WorkerServe[int, int](worker, JSONCodec[int]{}, JSONCodec[int]{}, slow,
+				served <- serveTyped(worker, JSONCodec[int]{}, JSONCodec[int]{}, slow,
 					func(string) (func(int) (int, error), error) { return slow, nil })
 			}()
 

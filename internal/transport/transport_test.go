@@ -298,6 +298,52 @@ func TestArchitectureBootstrapWebRTC(t *testing.T) {
 	}
 }
 
+// bytewise adapts a typed f to WorkerServe's handler: each input is
+// decoded by in and each result appended to dst by out, as
+// pando.CodecHandler does for volunteers.
+func bytewise[I, O any](in Codec[I], out Codec[O], f func(I) (O, error)) func(dst, input []byte) ([]byte, error) {
+	return func(dst, input []byte) ([]byte, error) {
+		v, err := in.Decode(input)
+		if err != nil {
+			return nil, err
+		}
+		r, err := f(v)
+		if err != nil {
+			return nil, err
+		}
+		return AppendEncode(out, dst, r)
+	}
+}
+
+// serveTyped runs WorkerServe with f, and the functions reassign resolves
+// to, over typed values (bytewise).
+func serveTyped[I, O any](ch Channel, in Codec[I], out Codec[O], f func(I) (O, error), reassign func(string) (func(I) (O, error), error)) error {
+	var next func(string) (func(dst, input []byte) ([]byte, error), error)
+	if reassign != nil {
+		next = func(name string) (func(dst, input []byte) ([]byte, error), error) {
+			nf, err := reassign(name)
+			return bytewise(in, out, nf), err
+		}
+	}
+	return WorkerServe(ch, bytewise(in, out, f), next)
+}
+
+func TestRawCodecPassThrough(t *testing.T) {
+	c := RawCodec{}
+	in := []byte(`{"x":1}`)
+	enc, err := c.Encode(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := c.Decode(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(dec) != string(in) {
+		t.Fatalf("round trip changed data: %s", dec)
+	}
+}
+
 func TestMasterDuplexWorkerServeRoundTrip(t *testing.T) {
 	cfg := Config{HeartbeatInterval: -1}
 	p := netsim.NewPipe(netsim.LAN)
@@ -306,7 +352,7 @@ func TestMasterDuplexWorkerServeRoundTrip(t *testing.T) {
 	workerCh := NewWSock(p.B, cfg)
 
 	go func() {
-		err := WorkerServe[int, int](workerCh, JSONCodec[int]{}, JSONCodec[int]{}, func(v int) (int, error) {
+		err := serveTyped(workerCh, JSONCodec[int]{}, JSONCodec[int]{}, func(v int) (int, error) {
 			return v * v, nil
 		}, nil)
 		if err != nil {
@@ -337,7 +383,7 @@ func TestMasterDuplexWorkerApplicationError(t *testing.T) {
 	masterCh := NewWSock(p.A, cfg)
 	workerCh := NewWSock(p.B, cfg)
 
-	go WorkerServe[int, int](workerCh, JSONCodec[int]{}, JSONCodec[int]{}, func(v int) (int, error) {
+	go serveTyped(workerCh, JSONCodec[int]{}, JSONCodec[int]{}, func(v int) (int, error) {
 		if v == 3 {
 			return 0, errors.New("render failed")
 		}
@@ -362,7 +408,7 @@ func TestMasterDuplexWorkerCrash(t *testing.T) {
 	masterCh := NewWSock(p.A, cfg)
 	workerCh := NewWSock(p.B, cfg)
 
-	go WorkerServe[int, int](workerCh, JSONCodec[int]{}, JSONCodec[int]{}, func(v int) (int, error) {
+	go serveTyped(workerCh, JSONCodec[int]{}, JSONCodec[int]{}, func(v int) (int, error) {
 		return v, nil
 	}, nil)
 

@@ -30,7 +30,7 @@ func TestDuplexWireFormatRoundTrip(t *testing.T) {
 	square := func(v int) (int, error) { return v * v, nil }
 	t.Run("plain", func(t *testing.T) {
 		masterCh, workerCh := newWirePair(t)
-		go func() { _ = WorkerServe[int, int](workerCh, JSONCodec[int]{}, JSONCodec[int]{}, square, nil) }()
+		go func() { _ = serveTyped(workerCh, JSONCodec[int]{}, JSONCodec[int]{}, square, nil) }()
 		d := MasterDuplex[int, int](masterCh, JSONCodec[int]{}, JSONCodec[int]{}, nil)
 		go d.Sink(pullstream.Values(1, 2, 3, 4))
 		got, err := pullstream.Collect(d.Source)
@@ -43,7 +43,7 @@ func TestDuplexWireFormatRoundTrip(t *testing.T) {
 	})
 	t.Run("list", func(t *testing.T) {
 		masterCh, workerCh := newWirePair(t)
-		go func() { _ = WorkerServe[int, int](workerCh, JSONCodec[int]{}, JSONCodec[int]{}, square, nil) }()
+		go func() { _ = serveTyped(workerCh, JSONCodec[int]{}, JSONCodec[int]{}, square, nil) }()
 		d := MasterDuplex[[]int, []int](masterCh, listOf, listOf, nil)
 		go d.Sink(pullstream.Values([]int{1, 2}, []int{3}))
 		got, err := pullstream.Collect(d.Source)
@@ -171,7 +171,7 @@ func TestBinaryCodecOverChannel(t *testing.T) {
 	codec := BinaryCodec[wirePoint, *wirePoint]{}
 
 	go func() {
-		_ = WorkerServe[wirePoint, wirePoint](workerCh, codec, codec, func(p wirePoint) (wirePoint, error) {
+		_ = serveTyped(workerCh, codec, codec, func(p wirePoint) (wirePoint, error) {
 			return wirePoint{X: p.Y, Y: p.X}, nil
 		}, nil)
 	}()

@@ -187,9 +187,9 @@ func TestWSockBusyVolunteerIsNotSilent(t *testing.T) {
 	master, volunteer, _ := wsockPair(t, netsim.Loopback, cfg)
 	served := make(chan error, 1)
 	go func() {
-		served <- WorkerServe[[]byte, []byte](volunteer, RawCodec{}, RawCodec{}, func(in []byte) ([]byte, error) {
+		served <- WorkerServe(volunteer, func(dst, in []byte) ([]byte, error) {
 			time.Sleep(6 * cfg.HeartbeatTimeout)
-			return append([]byte(nil), in...), nil
+			return append(dst, in...), nil
 		}, nil)
 	}()
 	if err := master.Send(&proto.Message{Type: proto.TypeInput, Seq: 1, Data: []byte("x")}); err != nil {
@@ -221,7 +221,7 @@ func TestWSockBusyVolunteerIsNotSilentRouted(t *testing.T) {
 	master, volunteer, _ := wsockPair(t, netsim.Loopback, cfg)
 	served := make(chan error, 1)
 	go func() {
-		served <- WorkerServe[int, int](volunteer, JSONCodec[int]{}, JSONCodec[int]{}, func(v int) (int, error) {
+		served <- serveTyped(volunteer, JSONCodec[int]{}, JSONCodec[int]{}, func(v int) (int, error) {
 			time.Sleep(6 * cfg.HeartbeatTimeout)
 			return v * 10, nil
 		}, nil)

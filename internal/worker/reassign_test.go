@@ -22,14 +22,14 @@ func scriptedMaster(t *testing.T) (*transport.WSock, *Volunteer, chan error) {
 		Resolve: func(name string) (Handler, bool) {
 			switch name {
 			case "double":
-				return func(in []byte) ([]byte, error) {
+				return func(dst, in []byte) ([]byte, error) {
 					n, _ := strconv.Atoi(string(in))
-					return []byte(strconv.Itoa(2 * n)), nil
+					return strconv.AppendInt(dst, int64(2*n), 10), nil
 				}, true
 			case "negate":
-				return func(in []byte) ([]byte, error) {
+				return func(dst, in []byte) ([]byte, error) {
 					n, _ := strconv.Atoi(string(in))
-					return []byte(strconv.Itoa(-n)), nil
+					return strconv.AppendInt(dst, int64(-n), 10), nil
 				}, true
 			}
 			return nil, false

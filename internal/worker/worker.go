@@ -28,8 +28,13 @@ import (
 
 // Handler is a registered processing function operating on raw payloads;
 // applications decode and encode their own value types inside it,
-// mirroring the glue code of the paper's Figure 2.
-type Handler func(input []byte) ([]byte, error)
+// mirroring the glue code of the paper's Figure 2. It appends the encoded
+// result of input to dst and returns the extended slice, as append does:
+// the serve loop passes a pooled buffer the result frame then owns (dst
+// may be nil). Returning other memory is safe too — the input itself, a
+// slice of the handler's own — and costs that buffer's reuse only. A
+// Handler retains neither argument past return: both are recycled.
+type Handler func(dst, input []byte) ([]byte, error)
 
 var (
 	regMu    sync.RWMutex
@@ -66,10 +71,6 @@ func Registered() []string {
 	sort.Strings(names)
 	return names
 }
-
-// RawCodec passes payloads through untouched; the volunteer does not
-// interpret application data.
-type RawCodec = transport.RawCodec
 
 // ErrCrashed is the internal signal a Volunteer uses to simulate a
 // crash-stop failure (a browser tab suddenly closed).
@@ -284,7 +285,7 @@ func (v *Volunteer) serve(conn *transport.WSock) error {
 	}
 	var hmu sync.Mutex
 
-	wrapped := func(input []byte) ([]byte, error) {
+	wrapped := func(dst, input []byte) ([]byte, error) {
 		v.mu.Lock()
 		crash := v.CrashAfter >= 0 && v.processed >= v.CrashAfter
 		v.mu.Unlock()
@@ -299,7 +300,7 @@ func (v *Volunteer) serve(conn *transport.WSock) error {
 		hmu.Lock()
 		handler := h
 		hmu.Unlock()
-		out, err := handler(input)
+		out, err := handler(dst, input)
 		if err != nil {
 			return nil, err
 		}
@@ -312,7 +313,7 @@ func (v *Volunteer) serve(conn *transport.WSock) error {
 	// A pool master may reassign the device to another job mid-session (a
 	// reassign frame); switching the handler in place keeps the same
 	// connection, credits and accounting alive across jobs.
-	reassign := func(name string) (func([]byte) ([]byte, error), error) {
+	reassign := func(name string) (func(dst, input []byte) ([]byte, error), error) {
 		nh, err := v.resolve(name)
 		if err != nil {
 			return nil, err
@@ -323,7 +324,7 @@ func (v *Volunteer) serve(conn *transport.WSock) error {
 		return wrapped, nil
 	}
 
-	err = transport.WorkerServe[[]byte, []byte](ch, RawCodec{}, RawCodec{}, wrapped, reassign)
+	err = transport.WorkerServe(ch, wrapped, reassign)
 	if err != nil && v.crashed() {
 		return ErrCrashed
 	}

@@ -114,9 +114,11 @@ func WithBatch(n int) Option { return func(o *options) { o.batch = n } }
 // windowful under about 1.5, takes one away over about 3 and halves when
 // the round-trip triples; a change of payload size re-bases (package sched).
 // A window starts at the static default of 2 values, clamped to [min, max],
-// and at its second result jumps to what the device's path holds: the base
-// round-trip over the larger of the result gap and the service time the
-// device stamps on its first result.
+// and at its second result jumps to what the device's path holds plus the
+// 1.5 units where the hold band starts: the base round-trip over the pace,
+// plus 1.5. The pace is the service time the device stamps on its first
+// result, unless the result gap exceeds 3× that stamp: then the link, not
+// the device, spaces the results, and the gap is the pace.
 func WithAdaptiveLimit(min, max int) Option {
 	return func(o *options) {
 		o.adaptMin = min
@@ -651,15 +653,18 @@ func (p *Pando[I, O]) Name() string { return p.name }
 // equivalent of the paper's Figure 2 glue code: decode the input, apply
 // the function, encode the result, report errors through the callback.
 // Payloads are JSON, matching the deployment default; use CodecHandler
-// for deployments created with WithCodec.
+// for deployments created with WithCodec. The result is appended to the
+// handler's dst (worker.Handler), and neither argument is retained.
 func Handler[I, O any](f func(I) (O, error)) worker.Handler {
 	return CodecHandler(f, transport.JSONCodec[I]{}, transport.JSONCodec[O]{})
 }
 
 // CodecHandler is Handler with explicit payload codecs; the volunteer
 // must decode inputs with the same codec the master encodes them with.
+// A codec that can encode in place (JSONCodec) appends the result to the
+// handler's dst; any other returns what its Encode makes.
 func CodecHandler[I, O any](f func(I) (O, error), in Codec[I], out Codec[O]) worker.Handler {
-	return func(input []byte) ([]byte, error) {
+	return func(dst, input []byte) ([]byte, error) {
 		v, err := in.Decode(input)
 		if err != nil {
 			return nil, fmt.Errorf("pando: decode input: %w", err)
@@ -668,7 +673,7 @@ func CodecHandler[I, O any](f func(I) (O, error), in Codec[I], out Codec[O]) wor
 		if err != nil {
 			return nil, err
 		}
-		data, err := out.Encode(r)
+		data, err := transport.AppendEncode(out, dst, r)
 		if err != nil {
 			return nil, fmt.Errorf("pando: encode result: %w", err)
 		}

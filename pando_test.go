@@ -423,13 +423,13 @@ func TestHandlerAdapterErrors(t *testing.T) {
 		}
 		return v, nil
 	})
-	if _, err := h([]byte("not-json")); err == nil {
+	if _, err := h(nil, []byte("not-json")); err == nil {
 		t.Fatal("expected decode error")
 	}
-	if _, err := h([]byte("-3")); err == nil {
+	if _, err := h(nil, []byte("-3")); err == nil {
 		t.Fatal("expected application error")
 	}
-	out, err := h([]byte("7"))
+	out, err := h(nil, []byte("7"))
 	if err != nil {
 		t.Fatal(err)
 	}
