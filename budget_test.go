@@ -29,7 +29,7 @@ var budgets = []struct {
 	wire        int64   // bytes on the netsim links both ways, whole run, with a one-byte service stamp, held exactly (tiles only)
 }{
 	{shape: "collatz", setBy: "results appended into the frame that carries them", schedEvents: 8.51, allocs: 2.5},
-	{shape: "tiles", setBy: "the welcome without its unread batch field", allocs: 9.93, wire: 5_185_922},
+	{shape: "tiles", setBy: "result frames without a digest", allocs: 9.93, wire: 5_151_106},
 	{shape: "verified", setBy: "results appended into the frame that carries them", allocs: 25.5},
 }
 

@@ -139,13 +139,6 @@ func (c *Chain) Height() int {
 	return len(c.blocks)
 }
 
-// Tip returns the last block.
-func (c *Chain) Tip() Block {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.blocks[len(c.blocks)-1]
-}
-
 // NextTemplate returns the block template miners should currently work
 // on, with the given transaction data.
 func (c *Chain) NextTemplate(data string) Block {

@@ -448,13 +448,6 @@ func (l *Lender[I, O]) Bind(src pullstream.Source[I]) pullstream.Source[O] {
 	return l.outputSource
 }
 
-// Through returns the lender as a pull-stream Through.
-func (l *Lender[I, O]) Through() pullstream.Through[I, O] {
-	return func(src pullstream.Source[I]) pullstream.Source[O] {
-		return l.Bind(src)
-	}
-}
-
 // SubStream is one lending sub-stream (paper Figure 8): its Source
 // produces the values lent to one worker and its Sink consumes that
 // worker's results. Obtain one with LendStream.

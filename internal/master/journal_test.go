@@ -2,8 +2,10 @@ package master
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -251,5 +253,85 @@ func TestMasterJournalUnderCrashStop(t *testing.T) {
 	}
 	if n := j.Len(); n != 30 {
 		t.Fatalf("journal holds %d entries, want 30 (each index exactly once)", n)
+	}
+}
+
+// TestMasterJournalWriteFailureKeepsComputing: a journal whose Record
+// starts failing mid-stream (here its compaction cannot rename the
+// snapshot into place, and later the journal is closed under the job)
+// does not interrupt the stream. Every result is emitted exactly once and
+// in order, and journalErr reports the first failure, not a later one.
+func TestMasterJournalWriteFailureKeepsComputing(t *testing.T) {
+	const n, half = 16, 8
+	path := filepath.Join(t.TempDir(), "j.log")
+	// A directory where the snapshot goes: the compaction after the 4th
+	// record, and each Record's retry after it, fails to rename onto it.
+	if err := os.Mkdir(path+".snap", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	j, err := journal.Open(path, journal.Options{SyncInterval: -1, SnapshotEvery: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	m, pool := newTestMaster(t, Config{Journal: j})
+	ln := netsim.NewListener("journal-fail", netsim.LAN)
+	defer ln.Close()
+	go pool.ServeWS(ln)
+
+	// The input holds back its second half until the journal is closed.
+	gate := make(chan struct{})
+	next := 0
+	in := func(abort error, cb pullstream.Callback[int]) {
+		if abort != nil || next == n {
+			cb(pullstream.ErrDone, 0)
+			return
+		}
+		next++
+		if v := next; v == half+1 {
+			go func() { <-gate; cb(nil, v) }()
+			return
+		}
+		cb(nil, next)
+	}
+	out := m.Bind(in)
+	startVolunteer(t, ln, &worker.Volunteer{Name: "dev", Handler: jsonSquare, CrashAfter: -1})
+	got := make(chan []int, 1)
+	go func() {
+		vs, err := pullstream.Collect(out)
+		if err != nil {
+			t.Error(err)
+		}
+		got <- vs
+	}()
+
+	for deadline := time.Now().Add(10 * time.Second); j.Len() < half; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("journal holds %d entries, want %d", j.Len(), half)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	close(gate)
+
+	vs := <-got
+	if len(vs) != n {
+		t.Fatalf("got %d results, want %d", len(vs), n)
+	}
+	for i, v := range vs {
+		if want := (i + 1) * (i + 1); v != want {
+			t.Fatalf("got[%d] = %d, want %d", i, v, want)
+		}
+	}
+	if c := m.TotalItems(); c != n {
+		t.Fatalf("volunteer computed %d items, want %d", c, n)
+	}
+	jerr := m.journalErr()
+	if jerr == nil || errors.Is(jerr, journal.ErrClosed) || !strings.Contains(jerr.Error(), "snapshot rename") {
+		t.Fatalf("journalErr = %v, want the first failure (the snapshot rename)", jerr)
+	}
+	if l := j.Len(); l != half {
+		t.Fatalf("journal holds %d entries, want the %d recorded before it closed", l, half)
 	}
 }

@@ -41,17 +41,21 @@ import (
 
 // Size classes for pooled buffers. A buffer is recycled into the class
 // whose capacity it fits; buffers beyond maxPooledBuf (a giant frame) are
-// left to the GC so one outlier cannot pin megabytes in the pool.
+// left to the GC so one outlier cannot pin megabytes in the pool. The
+// 16 KiB class bounds the unused tail a frame a little over 4 KiB holds
+// until it is written.
 const (
 	bufClassSmall  = 4 << 10
+	bufClassMid    = 16 << 10
 	bufClassMedium = 64 << 10
 	bufClassLarge  = 1 << 20
 
 	maxPooledBuf = bufClassLarge
 )
 
-var bufPools = [3]sync.Pool{
+var bufPools = [4]sync.Pool{
 	{New: func() any { b := make([]byte, 0, bufClassSmall); return &b }},
+	{New: func() any { b := make([]byte, 0, bufClassMid); return &b }},
 	{New: func() any { b := make([]byte, 0, bufClassMedium); return &b }},
 	{New: func() any { b := make([]byte, 0, bufClassLarge); return &b }},
 }
@@ -68,10 +72,12 @@ func classFor(n int) int {
 	switch {
 	case n <= bufClassSmall:
 		return 0
-	case n <= bufClassMedium:
+	case n <= bufClassMid:
 		return 1
-	case n <= maxPooledBuf:
+	case n <= bufClassMedium:
 		return 2
+	case n <= maxPooledBuf:
+		return 3
 	}
 	return -1
 }

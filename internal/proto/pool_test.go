@@ -196,7 +196,7 @@ func TestReleaseRecyclesAcrossFrames(t *testing.T) {
 // TestGetBufClasses exercises the size-class mapping, including the
 // oversized path that bypasses the pool.
 func TestGetBufClasses(t *testing.T) {
-	for _, n := range []int{0, 1, bufClassSmall, bufClassSmall + 1, bufClassMedium, bufClassLarge} {
+	for _, n := range []int{0, 1, bufClassSmall, bufClassSmall + 1, bufClassMid, bufClassMid + 1, bufClassMedium, bufClassLarge} {
 		b := GetBuf(n)
 		if len(b) != 0 || cap(b) < n {
 			t.Fatalf("GetBuf(%d): len=%d cap=%d", n, len(b), cap(b))

@@ -106,9 +106,10 @@ type Message struct {
 	// Digest is the SHA-256 of a content-addressed payload (the
 	// '/pando/2.2.0' dedup extension): on an input it names Data (present
 	// alongside the bytes on first transmission, alone on later ones), and
-	// on blobmiss/blob frames it names the payload being fetched; a
-	// result's names its Data. Decoded, it aliases the frame buffer like
-	// Data does — copy it before retaining it past Release.
+	// on blobmiss/blob frames it names the payload being fetched. Results
+	// carry none (older workers attached one; masters ignore it). Decoded,
+	// it aliases the frame buffer like Data does — copy it before
+	// retaining it past Release.
 	Digest []byte
 
 	// Handshake fields.

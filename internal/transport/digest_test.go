@@ -1,16 +1,17 @@
 package transport
 
-// Tests for the end-to-end result digest: workers hash each encoded
-// result the moment f produces it, and the master re-hashes the payload
-// it is about to decode. The check rides the existing Digest envelope
-// field (tagDigest on the binary wire), so both formats carry it without
-// a wire version bump, and frames without a digest (older peers) pass
-// through unchecked.
+// Tests for result-frame integrity. A result frame carries no digest of
+// its own: its CRC32 trailer (proto/binary.go), checked on the master's
+// read loop, is the one integrity check per hop, and the arena's poison
+// canaries (TestDuplexPoisonCanary, TestWorkerServeResultOwnership) guard
+// the volunteer's memory between f and the frame. Older workers attached
+// a SHA-256 in the envelope's digest field; the master decodes and
+// ignores it.
 
 import (
 	"bytes"
 	"crypto/sha256"
-	"strings"
+	"errors"
 	"testing"
 
 	"pando/internal/netsim"
@@ -18,43 +19,59 @@ import (
 	"pando/internal/pullstream"
 )
 
-// TestApplyOneAttachesDigest: every result frame a worker produces must
-// carry the SHA-256 of its encoded payload.
-func TestApplyOneAttachesDigest(t *testing.T) {
-	m := applyOne(1, []byte(`7`), bytewise(JSONCodec[int]{}, JSONCodec[int]{}, func(v int) (int, error) {
+// TestResultFramesCarryNoDigest: the serve loop's result frames, plain
+// and batch, reach the master with their payload and no digest.
+func TestResultFramesCarryNoDigest(t *testing.T) {
+	master, workerCh, _ := wsockPair(t, netsim.Loopback, Config{HeartbeatInterval: -1})
+	go WorkerServe(workerCh, bytewise(JSONCodec[int]{}, JSONCodec[int]{}, func(v int) (int, error) {
 		return v * v, nil
-	}), 0)
-	if m.Err != "" {
-		t.Fatalf("applyOne failed: %s", m.Err)
+	}), nil)
+
+	in := []*proto.Message{
+		{Type: proto.TypeInput, Seq: 1, Data: []byte(`7`)},
+		{Type: proto.TypeInputBatch, Seq: 2, Data: proto.EncodeBatch([]proto.BatchItem{{D: []byte(`2`)}, {D: []byte(`3`)}})},
 	}
-	want := sha256.Sum256(m.Data)
-	if !bytes.Equal(m.Digest, want[:]) {
-		t.Fatalf("digest = %x, want sha256 of payload %x", m.Digest, want)
+	for _, m := range in {
+		if err := master.Send(m); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Error frames carry no payload and no digest.
-	e := applyOne(2, []byte(`not json`), bytewise(JSONCodec[int]{}, JSONCodec[int]{}, func(v int) (int, error) {
-		return v, nil
-	}), 0)
-	if e.Err == "" || len(e.Digest) != 0 {
-		t.Fatalf("error frame = %+v, want Err set and no digest", e)
+	r, err := master.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Type != proto.TypeResult || string(r.Data) != `49` || len(r.Digest) != 0 {
+		t.Fatalf("result frame = %+v, want %q with no digest", r, `49`)
+	}
+	r, err = master.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Type != proto.TypeResultBatch || len(r.Digest) != 0 {
+		t.Fatalf("result batch frame = %+v, want no digest", r)
+	}
+	items, err := proto.DecodeBatch(r.Data)
+	if err != nil || len(items) != 2 || string(items[0].D) != `4` || string(items[1].D) != `9` {
+		t.Fatalf("result batch = %v, %v; want [4 9]", items, err)
 	}
 }
 
-// TestMasterDuplexRejectsDigestMismatch: a result whose payload does not
-// hash to its digest fails the channel (crash-stop, values re-lent)
-// instead of delivering corrupted bytes to the output. For a list the
-// digest covers the whole encoded batch.
-func TestMasterDuplexRejectsDigestMismatch(t *testing.T) {
+// TestMasterDuplexRejectsCorruptResultFrame: one flipped payload byte in
+// an encoded result frame, plain or batch, fails the frame's CRC on the
+// master's read loop. The source ends with proto.ErrBadFrame and the
+// channel closes (crash-stop: the lender re-lends the channel's values)
+// instead of delivering a plausible wrong number to the output.
+func TestMasterDuplexRejectsCorruptResultFrame(t *testing.T) {
 	t.Run("plain", func(t *testing.T) {
-		testDigestMismatch[int](t, JSONCodec[int]{}, 10, proto.TypeInput)
+		testCorruptResultFrame[int](t, JSONCodec[int]{}, 10, proto.TypeInput)
 	})
 	t.Run("list", func(t *testing.T) {
-		testDigestMismatch[[]int](t, listOf, []int{1, 2}, proto.TypeInputBatch)
+		testCorruptResultFrame[[]int](t, listOf, []int{1, 2}, proto.TypeInputBatch)
 	})
 }
 
-func testDigestMismatch[T any](t *testing.T, codec Codec[T], input T, wantFrame proto.Type) {
-	master, workerCh, _ := wsockPair(t, netsim.Loopback, Config{HeartbeatInterval: -1})
+func testCorruptResultFrame[T any](t *testing.T, codec Codec[T], input T, wantFrame proto.Type) {
+	master, workerCh, pipe := wsockPair(t, netsim.Loopback, Config{HeartbeatInterval: -1})
 	d := MasterDuplex(master, codec, codec, nil)
 	go d.Sink(pullstream.Values(input))
 
@@ -65,39 +82,42 @@ func testDigestMismatch[T any](t *testing.T, codec Codec[T], input T, wantFrame 
 	if m.Type != wantFrame {
 		t.Fatalf("worker received %q, want %q", m.Type, wantFrame)
 	}
-	// A digest of different bytes: the payload mutated after hashing.
-	reply := handReply(m, `1`, `4`)
-	bogus := sha256.Sum256([]byte(`tampered`))
-	reply.Digest = bogus[:]
-	if err := workerCh.Send(reply); err != nil {
+	// Encode the honest reply, then turn its 1234567 into 1234967: still
+	// a well-formed number, so only the CRC can tell.
+	var frame bytes.Buffer
+	if err := proto.WriteFrame(&frame, handReply(m, `1234567`, `7654321`)); err != nil {
+		t.Fatal(err)
+	}
+	raw := frame.Bytes()
+	at := bytes.Index(raw, []byte(`1234567`))
+	if at < 0 {
+		t.Fatal("payload not found in the encoded frame")
+	}
+	raw[at+4] = '9'
+	// The worker's channel writes nothing (no heartbeats), so the test
+	// owns its side of the pipe.
+	if _, err := pipe.B.Write(raw); err != nil {
 		t.Fatal(err)
 	}
 
-	_, err = pump(d.Source)
-	if err == nil {
-		t.Fatal("source delivered a result whose digest does not match")
+	v, err := pump(d.Source)
+	if !errors.Is(err, proto.ErrBadFrame) {
+		t.Fatalf("source = %v, %v; want proto.ErrBadFrame", v, err)
 	}
-	if !strings.Contains(err.Error(), "digest mismatch") {
-		t.Fatalf("err = %v, want the digest-mismatch diagnosis", err)
+	if err := master.Send(&proto.Message{Type: proto.TypePing}); err == nil {
+		t.Fatal("master channel still open after a corrupt result frame")
 	}
 }
 
-// TestMasterDuplexAcceptsDigestedAndBareResults: a correct digest passes,
-// and a frame with no digest at all (older peer) is accepted unchecked.
+// TestMasterDuplexAcceptsDigestedAndBareResults: results from an older
+// worker that attached a digest are accepted with the digest unchecked,
+// a mismatching one included (the frame CRC vouched for the bytes), as
+// are results with no digest at all.
 func TestMasterDuplexAcceptsDigestedAndBareResults(t *testing.T) {
 	master, workerCh, _ := wsockPair(t, netsim.Loopback, Config{HeartbeatInterval: -1})
 	d := MasterDuplex(master, JSONCodec[int]{}, JSONCodec[int]{}, nil)
 
-	inputs := []int{1, 2}
-	go d.Sink(func(abort error, cb pullstream.Callback[int]) {
-		if abort != nil || len(inputs) == 0 {
-			cb(pullstream.ErrDone, 0)
-			return
-		}
-		v := inputs[0]
-		inputs = inputs[1:]
-		cb(nil, v)
-	})
+	go d.Sink(pullstream.Values(1, 2, 3))
 	go func() {
 		for {
 			m, err := workerCh.Recv()
@@ -107,9 +127,11 @@ func TestMasterDuplexAcceptsDigestedAndBareResults(t *testing.T) {
 			switch m.Type {
 			case proto.TypeInput:
 				reply := &proto.Message{Type: proto.TypeResult, Seq: m.Seq, Data: append([]byte(nil), m.Data...)}
-				if m.Seq == 1 {
-					sum := sha256.Sum256(reply.Data)
-					reply.Digest = sum[:]
+				switch m.Seq {
+				case 1: // a matching digest
+					reply.SetDigest(sha256.Sum256(reply.Data))
+				case 2: // a digest of other bytes
+					reply.SetDigest(sha256.Sum256([]byte(`tampered`)))
 				}
 				_ = workerCh.Send(reply)
 			case proto.TypeGoodbye:
@@ -119,7 +141,7 @@ func TestMasterDuplexAcceptsDigestedAndBareResults(t *testing.T) {
 		}
 	}()
 
-	for want := 1; want <= 2; want++ {
+	for want := 1; want <= 3; want++ {
 		v, err := pump(d.Source)
 		if err != nil {
 			t.Fatalf("result %d: %v", want, err)

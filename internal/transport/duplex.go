@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"bytes"
-	"crypto/sha256"
 	"fmt"
 	"sync"
 	"time"
@@ -203,7 +201,8 @@ func masterSource[O any](ch Channel, out Codec[O], meter Meter) pullstream.Sourc
 	var got uint64 // last result Seq accepted
 	// accept checks one result frame of the wanted kind and decodes it;
 	// any error is crash-stop — the channel closes and the outstanding
-	// values re-lend.
+	// values re-lend. The read loop has already checked the frame's CRC;
+	// a digest an older worker attached is ignored.
 	accept := func(m *proto.Message) (O, error) {
 		var zero O
 		if m.Err != "" {
@@ -215,16 +214,6 @@ func masterSource[O any](ch Channel, out Codec[O], meter Meter) pullstream.Sourc
 		got = m.Seq
 		if m.Service > 0 && meter != nil {
 			meter.Served(time.Duration(m.Service) * time.Microsecond)
-		}
-		// End-to-end payload check: the worker hashed the encoded result
-		// right after f produced it, so a mismatch here means the bytes
-		// changed somewhere in between — a fault frame CRCs cannot see
-		// (they only cover the wire).
-		if len(m.Digest) > 0 {
-			sum := sha256.Sum256(m.Data)
-			if !bytes.Equal(sum[:], m.Digest) {
-				return zero, fmt.Errorf("transport: result %d digest mismatch (payload corrupted)", m.Seq)
-			}
 		}
 		if list != nil {
 			return decodeBatchResult(m, list)
@@ -441,8 +430,7 @@ func applyOne(seq uint64, data []byte, f func(dst, input []byte) ([]byte, error)
 // applyBatch applies f to every member of an input batch, producing the
 // result batch frame. The apply loop is strictly serial and the reply
 // batch is re-encoded (copied), so the aliasing batch decode is safe here
-// and skips one copy of every member payload. Only the batch is hashed:
-// its digest is the one that goes on the wire.
+// and skips one copy of every member payload.
 func applyBatch(m *proto.Message, f func(dst, input []byte) ([]byte, error)) *proto.Message {
 	items, err := proto.DecodeBatchShared(m.Data)
 	if err != nil {
@@ -459,8 +447,8 @@ func applyBatch(m *proto.Message, f func(dst, input []byte) ([]byte, error)) *pr
 	return resultFrame(proto.TypeResultBatch, m.Seq, proto.EncodeBatch(results), nil)
 }
 
-// resultFrame is a result frame from the arena: data with its digest, or
-// the error err.
+// resultFrame is a result frame from the arena: data, or the error err.
+// The frame's CRC is its one integrity check on the wire.
 func resultFrame(t proto.Type, seq uint64, data []byte, err error) *proto.Message {
 	m := proto.GetMessage()
 	m.Type, m.Seq = t, seq
@@ -469,6 +457,5 @@ func resultFrame(t proto.Type, seq uint64, data []byte, err error) *proto.Messag
 		return m
 	}
 	m.Data = data
-	m.SetDigest(sha256.Sum256(data))
 	return m
 }

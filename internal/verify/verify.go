@@ -247,9 +247,6 @@ func NewLedger(pol Policy) *Ledger {
 	}
 }
 
-// Policy reports the normalized policy the ledger runs under.
-func (l *Ledger) Policy() Policy { return l.pol }
-
 // OnQuarantine installs the expulsion hook, fired (once per worker, on
 // the caller's goroutine) when a score crosses below the quarantine
 // line. Install it before results flow.
