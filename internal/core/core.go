@@ -77,43 +77,10 @@ func WithObserver(fn func(Event)) Option {
 	return func(c *config) { c.observer = fn }
 }
 
-// Restore seeds the engine with the completed results of a previous run
-// (recovered from a durable checkpoint): the journal is consulted before
-// lending — restored indices are skipped at the input and their results
-// replayed to the output in order, so no processor redoes finished work.
-// Call it before Bind.
-func (d *DistributedMap[I, O]) Restore(completed map[int]O) {
-	d.l.Restore(completed)
-}
-
-// OnResult registers the completed-set export hook: fn is invoked for
-// every newly accepted (index, result) pair — after speculation dedup, so
-// an index fires at most once per run — letting the caller journal it.
-// Restored indices do not fire. Call it before Bind; fn must not block.
-func (d *DistributedMap[I, O]) OnResult(fn func(idx int, v O)) {
-	d.l.OnResult(fn)
-}
-
-// BoundMemory caps the engine's buffered-result window at hw results.
-// With a store attached (see lender.SetSpill semantics), ordered results
-// past the window page out to it and come back exactly when the output
-// cursor reaches them; with store == nil the bound propagates as
-// backpressure that pauses input reads, so a slow output consumer slows
-// the whole pipeline instead of growing the reorder buffer without limit.
-// enc/dec map results to stored payloads and may be nil when store is.
-// Call before Bind.
-func (d *DistributedMap[I, O]) BoundMemory(hw int, store lender.SpillStore, enc func(O) ([]byte, error), dec func([]byte) (O, error)) {
-	d.l.SetHighWater(hw)
-	if store != nil {
-		d.l.SetSpill(store, enc, dec)
-	}
-}
-
-// MemStats reports buffered results on the heap and parked in the spill
-// store.
-func (d *DistributedMap[I, O]) MemStats() (heap, spilled int) {
-	return d.l.MemStats()
-}
+// Lender returns the engine's StreamLender, for what the engine leaves
+// to its owner: restoring completed results, the export and result hooks,
+// and the memory bound. Configure it before Bind.
+func (d *DistributedMap[I, O]) Lender() *lender.Lender[I, O] { return d.l }
 
 // New creates an idle engine.
 func New[I, O any](opts ...Option) *DistributedMap[I, O] {
@@ -144,9 +111,9 @@ type VerifySpec[I, O any] struct {
 	// reputation thresholds (normalized before use).
 	Policy verify.Policy
 	// Digest fingerprints a result for voting; two results agree iff
-	// their digests are equal. Typically the SHA-256 of the result's
-	// wire encoding.
-	Digest func(O) (verify.Digest, error)
+	// their digests are equal. Typically the SHA-256 of the bytes the
+	// result arrived as.
+	Digest func(O) verify.Digest
 	// Recompute evaluates the work function locally for spot-checks; nil
 	// disables spot-checking regardless of Policy.SpotRate.
 	Recompute func(I) (O, error)

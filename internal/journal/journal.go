@@ -118,6 +118,7 @@ type Journal struct {
 	appended  int              // records appended since the last snapshot
 	dirty     bool             // un-synced bytes may sit in w or the page cache
 	closed    bool
+	scratch   []byte // Record's reused record buffer; w copies it
 	// err is the first flush or fsync failure. It is sticky: after a
 	// failed fsync the kernel may have dropped the dirty pages, and a
 	// retried fsync can then succeed while the records are gone, so no
@@ -237,8 +238,8 @@ func (j *Journal) Record(idx int, payload []byte) error {
 	if _, known := j.known[idx]; known {
 		return nil
 	}
-	rec := appendRecord(nil, idx, payload)
-	if _, err := j.w.Write(rec); err != nil {
+	j.scratch = appendRecord(j.scratch[:0], idx, payload)
+	if _, err := j.w.Write(j.scratch); err != nil {
 		j.err = fmt.Errorf("journal: append: %w", err)
 		return j.err
 	}

@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"pando/internal/race"
 )
 
 func entryMap(entries []Entry) map[int]string {
@@ -426,5 +428,31 @@ func TestBackgroundSyncFailureIsSticky(t *testing.T) {
 	}
 	if err := j.Close(); err == nil {
 		t.Fatal("Close succeeded after the background fsync failed")
+	}
+}
+
+// TestRecordAllocs holds Record's per-call allocations: the record is
+// framed in a buffer the journal reuses (the buffered writer copies it),
+// so what remains is the known-index set's own growth, under one
+// allocation a call on average.
+func TestRecordAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	j, err := Open(filepath.Join(t.TempDir(), "j.log"), Options{SyncInterval: time.Hour, SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	payload := []byte(`{"steps":152,"peak":2974984576}`)
+	idx := 0
+	allocs := testing.AllocsPerRun(2000, func() {
+		if err := j.Record(idx, payload); err != nil {
+			t.Fatal(err)
+		}
+		idx++
+	})
+	if allocs > 1.5 {
+		t.Fatalf("Record: %.2f allocations a call, want at most 1.5", allocs)
 	}
 }

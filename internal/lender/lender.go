@@ -26,6 +26,7 @@ package lender
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -95,10 +96,9 @@ func (q *fifo[T]) removeAt(i int) T {
 type step[I, O any] struct {
 	hooks []func()
 
-	export    func(idx int, v O)
+	exportOf  *Lender[I, O] // set when the step exports a result
 	exportIdx int
 	exportV   O
-	exportOf  *Lender[I, O] // told once the export has returned
 
 	lend  answerTo[I] // first sub-stream answer, in place
 	lends []answerTo[I]
@@ -123,17 +123,17 @@ func (st *step[I, O]) answer(cb pullstream.Callback[I], end error, v I) {
 }
 
 // run delivers the step outside the lender's lock: hooks and the export
-// first, so a journaling hook records a result no later than the emission
-// this step carries. Another goroutine may emit the result before the
-// export returns, but the output's end waits for every export (see
-// exportDone).
+// first. An exported result reaches the reorder buffer (or the ready
+// queue) only once its export has returned (exportDone), so no goroutine
+// emits a result, and lets its emitter free it, while the journaling hook
+// still reads it.
 func (st *step[I, O]) run() {
 	for _, h := range st.hooks {
 		h()
 	}
-	if st.export != nil {
-		st.export(st.exportIdx, st.exportV)
-		st.exportOf.exportDone()
+	if l := st.exportOf; l != nil {
+		l.onResult(st.exportIdx, st.exportV)
+		l.exportDone(st.exportIdx, st.exportV)
 	}
 	if st.lend.cb != nil {
 		st.lend.cb(st.lend.end, st.lend.v)
@@ -174,10 +174,14 @@ type Lender[I, O any] struct {
 	// not fire it.
 	onResult func(idx int, v O)
 	// exporting counts accepted results whose onResult call has not
-	// returned yet; the output does not end while it is non-zero, so a
-	// caller that closes the journal after the stream's end loses no
-	// record.
+	// returned yet. They are buffered once it has (exportDone), and the
+	// output does not end while it is non-zero, so a caller that closes
+	// the journal after the stream's end loses no record.
 	exporting int
+	// stamp and discard are the result hooks set by Stamp and OnDiscard;
+	// they do nothing until then.
+	stamp   func(idx int, v O)
+	discard func(v O)
 
 	failed fifo[lent[I]] // values to re-lend, oldest first
 
@@ -250,6 +254,8 @@ func New[I, O any](opts ...Option) *Lender[I, O] {
 	return &Lender[I, O]{
 		ordered: cfg.ordered,
 		results: make(map[int]O),
+		stamp:   func(int, O) {},
+		discard: func(O) {},
 	}
 }
 
@@ -336,32 +342,32 @@ func (l *Lender[I, O]) saturatedLocked() bool {
 }
 
 // maybeSpillLocked moves the farthest-ahead buffered results to the spill
-// store until the heap is back under the high-water mark. The results
-// nearest the output cursor stay in memory, so the common case — the
-// consumer draining in order — never touches disk. A failed Put turns
-// spilling off and degrades to read gating; the result stays on the heap
-// and correctness is unaffected.
+// store until the heap is back under the high-water mark, in one sorted
+// pass (a large restored set spills in O(n log n)). The results nearest
+// the output cursor stay in memory, so the common case — the consumer
+// draining in order — never touches disk. A failed Put turns spilling off
+// and degrades to read gating; correctness is unaffected.
 func (l *Lender[I, O]) maybeSpillLocked() {
-	if l.spill == nil || l.spillBroken || l.highWater <= 0 || !l.ordered {
+	if l.spill == nil || l.spillBroken || l.highWater <= 0 || !l.ordered || len(l.results) <= l.highWater {
 		return
 	}
-	for len(l.results) > l.highWater {
-		max := -1
-		for idx := range l.results {
-			if idx > max {
-				max = idx
-			}
-		}
-		payload, err := l.spillEnc(l.results[max])
+	idxs := make([]int, 0, len(l.results))
+	for idx := range l.results {
+		idxs = append(idxs, idx)
+	}
+	slices.Sort(idxs)
+	for _, idx := range idxs[l.highWater:] {
+		payload, err := l.spillEnc(l.results[idx])
 		if err == nil {
-			err = l.spill.Put(max, payload)
+			err = l.spill.Put(idx, payload)
 		}
 		if err != nil {
 			l.spillBroken = true
 			return
 		}
-		delete(l.results, max)
-		l.spilled[max] = struct{}{}
+		l.discard(l.results[idx]) // the store holds its bytes now
+		delete(l.results, idx)
+		l.spilled[idx] = struct{}{}
 	}
 }
 
@@ -410,6 +416,19 @@ func (l *Lender[I, O]) OnResult(fn func(idx int, v O)) {
 	l.onResult = fn
 	l.mu.Unlock()
 }
+
+// Stamp registers fn, told under the lock each result's index as the
+// result is accepted and as it is paged back in from the spill store, so
+// its emitter can name it. Like OnDiscard's, fn must be cheap and must not
+// call back into the lender; call both before Bind.
+func (l *Lender[I, O]) Stamp(fn func(idx int, v O)) { l.stamp = fn }
+
+// OnDiscard registers fn, handed under the lock every result dropped
+// unbuffered — a stale, late or zombie copy's, a ballot whose digest is
+// already held, a vote's losers once it is final — and every result paged
+// out to the spill store, which is the caller's again (the master gives
+// its frame back to the arena).
+func (l *Lender[I, O]) OnDiscard(fn func(v O)) { l.discard = fn }
 
 // Abort fails the merged output from the producer's side, for an owner
 // that lets its processors go: the parked output ask (and every future
@@ -628,6 +647,7 @@ func (l *Lender[I, O]) resultLocked(st *step[I, O], s *SubStream[I], v O) {
 	if s.dead || s.outstanding.len() == 0 {
 		// Stale or unmatched result; drop it (the value it would answer
 		// has already been re-lent or never existed).
+		l.discard(v)
 		return
 	}
 	item := s.outstanding.pop()
@@ -643,32 +663,39 @@ func (l *Lender[I, O]) resultLocked(st *step[I, O], s *SubStream[I], v O) {
 	l.serviceLocked(st)
 }
 
-// acceptLocked is the single place a result enters the reorder buffer (or
-// the ready queue) and the completed-set export: the value at idx is
-// answered for good.
+// acceptLocked is the single place a result is answered for good. With an
+// export hook it is buffered once the export has returned (exportDone),
+// otherwise at once.
 func (l *Lender[I, O]) acceptLocked(st *step[I, O], idx int, v O) {
 	l.pending--
+	l.stamp(idx, v)
+	if l.onResult != nil {
+		l.exporting++
+		st.exportOf, st.exportIdx, st.exportV = l, idx, v
+		return
+	}
+	l.bufferLocked(idx, v)
+}
+
+// bufferLocked puts an accepted result in the reorder buffer, or the
+// ready queue when unordered.
+func (l *Lender[I, O]) bufferLocked(idx int, v O) {
 	if l.ordered {
 		l.results[idx] = v
 		l.maybeSpillLocked()
 	} else {
 		l.ready.push(v)
 	}
-	if l.onResult != nil {
-		l.exporting++
-		st.export, st.exportIdx, st.exportV, st.exportOf = l.onResult, idx, v, l
-	}
 }
 
-// exportDone retires one export that ran outside the lock; the last one
-// after the input's end may complete the output.
-func (l *Lender[I, O]) exportDone() {
+// exportDone retires one export that ran outside the lock and buffers its
+// result for the output.
+func (l *Lender[I, O]) exportDone(idx int, v O) {
 	var st step[I, O]
 	l.mu.Lock()
 	l.exporting--
-	if l.exporting == 0 && l.inEnd != nil {
-		l.serviceLocked(&st)
-	}
+	l.bufferLocked(idx, v)
+	l.serviceLocked(&st)
 	l.mu.Unlock()
 	st.run()
 }
@@ -896,9 +923,9 @@ func (l *Lender[I, O]) serveOutputLocked(st *step[I, O]) {
 	var zero O
 	if l.ordered {
 		v, ok, err := l.nextResultLocked()
-		if !ok && err == nil && l.inEnd != nil && l.pending == 0 && (len(l.results) > 0 || len(l.spilled) > 0) {
-			// Every in-flight value is answered yet the next slot is
-			// empty: the remaining results are checkpoint-restored
+		if !ok && err == nil && l.inEnd != nil && l.pending == 0 && l.exporting == 0 && (len(l.results) > 0 || len(l.spilled) > 0) {
+			// Every in-flight value is answered and buffered yet the next
+			// slot is empty: the remaining results are checkpoint-restored
 			// leftovers past the end of a (shorter) resumed input. Skip
 			// to the smallest remaining index so the stream terminates
 			// instead of waiting for a value that will never be read.
@@ -1015,5 +1042,6 @@ func (l *Lender[I, O]) unspillLocked(idx int) (O, error) {
 	}
 	delete(l.spilled, idx)
 	l.spill.Forget(idx)
+	l.stamp(idx, v)
 	return v, nil
 }

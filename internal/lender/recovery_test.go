@@ -185,11 +185,12 @@ func TestOnResultFiresOncePerIndex(t *testing.T) {
 	}
 }
 
-// TestOutputEndWaitsForExport: the output reader may emit a result on its
-// own goroutine before that result's export hook returns, but the output's
-// end must wait for it — a caller that closes the journal once the stream
-// ends would otherwise lose the last record.
-func TestOutputEndWaitsForExport(t *testing.T) {
+// TestOutputWaitsForExport: a result reaches the output only once its
+// export hook has returned — the journal records a result before anyone
+// can emit it, and so before its emitter can free it — and the output's
+// end waits for every export, so a caller that closes the journal once
+// the stream ends loses no record.
+func TestOutputWaitsForExport(t *testing.T) {
 	l := New[int, int]()
 	entered, release := make(chan struct{}), make(chan struct{})
 	var exported atomic.Int32
@@ -217,28 +218,32 @@ func TestOutputEndWaitsForExport(t *testing.T) {
 	}
 	close(results)
 
-	// Both results are in the reorder buffer: the output emits them
-	// while the second export is still held.
-	for _, want := range []int{100, 200} {
-		if v, err := ask(t, out); err != nil || v != want {
-			t.Fatalf("output = %d, %v; want %d", v, err, want)
-		}
+	if v, err := ask(t, out); err != nil || v != 100 {
+		t.Fatalf("output = %d, %v; want 100", v, err)
 	}
-	end := make(chan int32, 1)
-	out(nil, func(err error, _ int) {
-		if !errors.Is(err, pullstream.ErrDone) {
-			t.Errorf("output end = %v, want ErrDone", err)
-		}
-		end <- exported.Load()
-	})
+	type answer struct {
+		end      error
+		v        int
+		exported int32
+	}
+	got := make(chan answer, 1)
+	out(nil, func(end error, v int) { got <- answer{end, v, exported.Load()} })
+	select {
+	case a := <-got:
+		t.Fatalf("output answered %d, %v while its export was held", a.v, a.end)
+	case <-time.After(50 * time.Millisecond):
+	}
 	close(release)
 	select {
-	case n := <-end:
-		if n != 2 {
-			t.Fatalf("output ended with %d of 2 exports returned", n)
+	case a := <-got:
+		if a.end != nil || a.v != 200 || a.exported != 2 {
+			t.Fatalf("output = %d, %v with %d of 2 exports returned; want 200 after both", a.v, a.end, a.exported)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("output never ended after the export returned")
+		t.Fatal("output never emitted after the export returned")
+	}
+	if _, err := ask(t, out); !errors.Is(err, pullstream.ErrDone) {
+		t.Fatalf("output end = %v, want ErrDone", err)
 	}
 }
 

@@ -333,3 +333,48 @@ func TestLongStreamBoundedMemory(t *testing.T) {
 	}
 	t.Logf("peak heap %d (bound %d), peak spilled %d over %d items", maxHeap, hw, maxSpilled, n)
 }
+
+// TestRestoreLargeSetThroughSpill restores 200k completed results at a
+// high-water mark of 64 with a spill store attached: the overflow pages
+// out in one sorted pass (a rescan of the reorder buffer per spilled
+// result made this quadratic, minutes at this size), and the replay is
+// the exact ordered stream, followed by the results of the two inputs
+// past the restored set.
+func TestRestoreLargeSetThroughSpill(t *testing.T) {
+	const restored, n, hw = 200_000, 200_002, 64
+	store, err := journal.OpenSpill(filepath.Join(t.TempDir(), "spill.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+
+	l := New[int, int]()
+	l.SetHighWater(hw)
+	l.SetSpill(store, intEnc, intDec)
+	completed := make(map[int]int, restored)
+	for i := 0; i < restored; i++ {
+		completed[i] = (i + 1) * 3
+	}
+	start := time.Now()
+	l.Restore(completed)
+	if d := time.Since(start); d > 30*time.Second {
+		t.Fatalf("restoring %d results took %v", restored, d)
+	}
+	if heap, spilled := l.MemStats(); heap != hw || spilled != restored-hw {
+		t.Fatalf("after restore: %d on the heap, %d spilled; want %d and %d", heap, spilled, hw, restored-hw)
+	}
+	out := l.Bind(pullstream.Count(n))
+	runWorker(t, l, func(v int) int { return v * 3 }, 0, -1)
+	got, err := pullstream.Collect(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != n {
+		t.Fatalf("got %d results, want %d", len(got), n)
+	}
+	for i, v := range got {
+		if v != (i+1)*3 {
+			t.Fatalf("got[%d] = %d, want %d", i, v, (i+1)*3)
+		}
+	}
+}

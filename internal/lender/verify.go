@@ -50,11 +50,10 @@ type VerifyConfig[I, O any] struct {
 	// workers; Quorum is how many distinct workers must agree.
 	K      int
 	Quorum int
-	// Digest hashes a decoded result. The master computes digests
-	// itself from the bytes it decoded — a worker-claimed digest would
-	// let a lazy cheater echo another worker's hash without doing the
-	// work.
-	Digest func(O) (verify.Digest, error)
+	// Digest hashes a result. The master computes digests itself from
+	// the bytes it received — a worker-claimed digest would let a lazy
+	// cheater echo another worker's hash without doing the work.
+	Digest func(O) verify.Digest
 	// Trusted reports whether a worker has earned the replication-free
 	// fast-path (nil: no fast-path).
 	Trusted func(name string) bool
@@ -179,8 +178,8 @@ func (l *Lender[I, O]) voteLendFreshLocked(sub *SubStream[I], idx int, v I) {
 }
 
 // voteLivenessLocked re-queues one copy when a vote is stuck: not
-// resolved, yet no copy is lent or queued (a split consumed them all,
-// or a digest failure ate one). Re-lending goes to a non-participant,
+// resolved, yet no copy is lent or queued (a split or a repeated voice
+// consumed them all). Re-lending goes to a non-participant,
 // so each extra copy adds a fresh distinct ballot.
 func (l *Lender[I, O]) voteLivenessLocked(idx int, vt *voteState[I, O]) {
 	if vt.resolved() || vt.copiesLive() > 0 {
@@ -208,6 +207,7 @@ func (l *Lender[I, O]) voteResultLocked(st *step[I, O], s *SubStream[I], item le
 	if vt == nil {
 		// The vote was finalized and cleaned before this zombie
 		// answered; nothing to learn.
+		l.discard(v)
 		return
 	}
 	vt.dropHolder(s.name)
@@ -215,14 +215,8 @@ func (l *Lender[I, O]) voteResultLocked(st *step[I, O], s *SubStream[I], item le
 	// Without verification every ballot is the zero digest: the first
 	// one reaches quorum 1.
 	var d verify.Digest
-	var err error
 	if l.verify.Digest != nil {
-		d, err = l.verify.Digest(v)
-	}
-	if err != nil {
-		// Undigestible result: no ballot. Keep the vote alive.
-		l.voteLivenessLocked(item.idx, vt)
-		return
+		d = l.verify.Digest(v)
 	}
 
 	if vt.resolved() {
@@ -231,6 +225,7 @@ func (l *Lender[I, O]) voteResultLocked(st *step[I, O], s *SubStream[I], item le
 		// flight the ballot is recorded but graded at finalization —
 		// the spot recomputation may still re-point the accepted
 		// digest.
+		l.discard(v)
 		outcome := vt.voter.Add(s.name, d)
 		if vt.emitted && l.verify.OnVerdict != nil &&
 			(outcome == verify.LateAgree || outcome == verify.LateDisagree) {
@@ -242,7 +237,9 @@ func (l *Lender[I, O]) voteResultLocked(st *step[I, O], s *SubStream[I], item le
 		return
 	}
 
-	if _, seen := vt.values[d]; !seen {
+	if _, seen := vt.values[d]; seen {
+		l.discard(v)
+	} else {
 		vt.values[d] = v
 	}
 	switch vt.voter.Add(s.name, d) {
@@ -282,7 +279,7 @@ func (l *Lender[I, O]) spotCheck(idx int, input I, accepted verify.Digest, fastP
 	truth, err := l.verify.Recompute(input)
 	var truthD verify.Digest
 	if err == nil {
-		truthD, err = l.verify.Digest(truth)
+		truthD = l.verify.Digest(truth)
 	}
 	l.mu.Lock()
 	vt := l.votes[idx]
@@ -314,6 +311,12 @@ func (l *Lender[I, O]) spotCheck(idx int, input I, accepted verify.Digest, fastP
 func (l *Lender[I, O]) voteFinalizeLocked(st *step[I, O], idx int, vt *voteState[I, O], d verify.Digest, fastPath, spotChecked, spotFailed bool) {
 	vt.emitted = true
 	l.acceptLocked(st, idx, vt.values[d])
+	for dd, v := range vt.values {
+		if dd != d {
+			l.discard(v)
+		}
+	}
+	vt.values = nil
 
 	ballots := vt.voter.Ballots()
 	names := make([]string, 0, len(ballots))

@@ -11,8 +11,8 @@ import (
 	"pando/internal/verify"
 )
 
-func intDigest(v int) (verify.Digest, error) {
-	return verify.DigestOf([]byte(strconv.Itoa(v))), nil
+func intDigest(v int) verify.Digest {
+	return verify.DigestOf([]byte(strconv.Itoa(v)))
 }
 
 // verdictLog collects OnVerdict/OnAccept callbacks thread-safely.

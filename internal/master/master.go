@@ -9,6 +9,7 @@
 package master
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -16,7 +17,7 @@ import (
 	"pando/internal/core"
 	"pando/internal/fleet"
 	"pando/internal/journal"
-	"pando/internal/lender"
+	"pando/internal/proto"
 	"pando/internal/pullstream"
 	"pando/internal/sched"
 	"pando/internal/transport"
@@ -41,13 +42,14 @@ type Config struct {
 	// re-dispatch near the stream's tail.
 	Flow sched.Policy
 	// Journal, when non-nil, makes the deployment's progress durable:
-	// every result the lender accepts is recorded (index + encoded
-	// payload, fsynced in batches on the journal's configured interval),
-	// and any completed results the journal recovered from a previous
-	// run are restored — their inputs are skipped at the source and their
-	// results replayed to the output in order, so a restarted master
-	// resumes instead of redoing work. The caller owns the journal's
-	// lifecycle (Close it after the master).
+	// every result the lender accepts is recorded before it is emitted
+	// (index + the bytes the volunteer sent, a group's in the list
+	// codec's framing; fsynced in batches on the journal's configured
+	// interval), and any completed results the journal recovered from a
+	// previous run are restored — their inputs are skipped at the source
+	// and their results replayed to the output in order, so a restarted
+	// master resumes instead of redoing work. The caller owns the
+	// journal's lifecycle (Close it after the master).
 	Journal *journal.Journal
 	// SpillHighWater, when > 0, bounds the master's buffered-result
 	// window (the lender's reorder buffer in ordered mode, the ready
@@ -59,10 +61,10 @@ type Config struct {
 	SpillHighWater int
 	// Spill, when non-nil with SpillHighWater > 0, absorbs the ordered
 	// overflow instead: results past the window page out to the store
-	// (encoded with the output codec) and page back exactly when the
-	// output reaches their index, keeping the input side running at full
-	// speed ahead of a slow consumer. The caller owns the store's
-	// lifecycle (Close it after the master).
+	// (the bytes the volunteer sent, as the journal holds them) and page
+	// back exactly when the output reaches their index, keeping the input
+	// side running at full speed ahead of a slow consumer. The caller
+	// owns the store's lifecycle (Close it after the master).
 	Spill *journal.SpillStore
 	// BlobCacheBytes caps the content-addressed intern table backing
 	// payload dedup on leased channels: payload blocks the job
@@ -71,15 +73,6 @@ type Config struct {
 	// blob.DefaultInternBytes; negative disables dedup entirely (every
 	// payload travels in full, compression still applies).
 	BlobCacheBytes int64
-}
-
-// spillStore adapts the optional config store to the engine's interface
-// without producing a typed-nil interface value.
-func (c Config) spillStore() lender.SpillStore {
-	if c.Spill == nil {
-		return nil
-	}
-	return c.Spill
 }
 
 // flow resolves the effective policy: an unset window falls back to the
@@ -210,47 +203,48 @@ type engine[I, O any] interface {
 }
 
 // lane is the engine: a DistributedMap lending units of type U and
-// collecting results of type R, with the unit's codecs doing the wire,
-// journal, spill and digest encoding. A plain job lends
-// values (U, R = I, O); a grouped job lends lists (U, R = []I, []O under
+// collecting each unit's result as the frame it arrived in. A plain job
+// lends values (U = I); a grouped job lends lists (U = []I under
 // transport.ListCodec) — inputs are grouped before the StreamLender, so
 // the unit of lending, re-lending on crash, ordering, journaling and
 // voting is the group, several values travel in one frame (the "batching
 // inputs for distribution" of the paper's §1/§5.5), and a crashed
-// device's groups are re-lent atomically.
-type lane[I, O, U, R any] struct {
-	*core.DistributedMap[U, R]
+// device's groups are re-lent atomically. Below the output results stay
+// bytes, as the paper's master treats values as opaque strings: the
+// journal, the spill store and the votes take them as received, and the
+// output codec runs once per result, where it is emitted (unpack).
+type lane[I, O, U any] struct {
+	*core.DistributedMap[U, *proto.Message]
 	in   transport.Codec[U]
-	out  transport.Codec[R]
 	unit int // values per lending unit: 1, or Config.Group
 	row  func(name string) *device
 
-	pack   pullstream.Through[I, U]                    // values to units
-	unpack pullstream.Through[R, O]                    // unit results to values
-	lift   func(func(I) (O, error)) func(U) (R, error) // f over a unit
+	pack      pullstream.Through[I, U]                                 // values to units
+	unpack    pullstream.Through[*proto.Message, O]                    // unit results to values
+	recompute func(func(I) (O, error)) func(U) (*proto.Message, error) // f over a unit, encoded
 }
 
-func (e *lane[I, O, U, R]) Bind(src pullstream.Source[I]) pullstream.Source[O] {
+func (e *lane[I, O, U]) Bind(src pullstream.Source[I]) pullstream.Source[O] {
 	return e.unpack(e.DistributedMap.Bind(e.pack(src)))
 }
 
-func (e *lane[I, O, U, R]) AttachChannel(name string, ch transport.Channel) error {
-	return e.AttachMetered(name, func(ctrl *sched.Controller) pullstream.Duplex[U, R] {
-		d := transport.MasterDuplex(ch, e.in, e.out, ctrl)
-		d.Source = countResults(d.Source, e.out, e.row(name))
+func (e *lane[I, O, U]) AttachChannel(name string, ch transport.Channel) error {
+	return e.AttachMetered(name, func(ctrl *sched.Controller) pullstream.Duplex[U, *proto.Message] {
+		d := transport.MasterDuplex(ch, e.in, ctrl)
+		d.Source = countResults(d.Source, e.unit > 1, e.row(name))
 		return d
 	})
 }
 
 // Backlog rescales the unit-counted backlog to values.
-func (e *lane[I, O, U, R]) Backlog() (int, int, bool) {
+func (e *lane[I, O, U]) Backlog() (int, int, bool) {
 	outstanding, failed, complete := e.DistributedMap.Backlog()
 	return outstanding * e.unit, failed * e.unit, complete
 }
 
 // Flows rescales the unit-counted windows back to values so operators
 // read one consistent unit.
-func (e *lane[I, O, U, R]) Flows() []sched.WorkerFlow {
+func (e *lane[I, O, U]) Flows() []sched.WorkerFlow {
 	flows := e.DistributedMap.Flows()
 	for i := range flows {
 		flows[i].InFlight *= e.unit
@@ -263,44 +257,95 @@ func (e *lane[I, O, U, R]) Flows() []sched.WorkerFlow {
 }
 
 // EnableVerification votes on lending units: a unit's digest is the
-// SHA-256 of its result encoding (for a group, of the list encoding) and
-// a spot-check recomputes f over the whole unit.
-func (e *lane[I, O, U, R]) EnableVerification(pol verify.Policy, f func(I) (O, error)) *verify.Ledger {
-	out := e.out
-	return e.DistributedMap.EnableVerification(core.VerifySpec[U, R]{
-		Policy: pol,
-		Digest: func(v R) (verify.Digest, error) {
-			data, err := out.Encode(v)
-			if err != nil {
-				return verify.Digest{}, err
-			}
-			return verify.DigestOf(data), nil
-		},
-		Recompute: e.lift(f),
+// SHA-256 of the bytes its worker sent (for a group, of the list
+// encoding), so honest replicas must encode byte-identically, and a
+// spot-check recomputes f over the whole unit and encodes it.
+func (e *lane[I, O, U]) EnableVerification(pol verify.Policy, f func(I) (O, error)) *verify.Ledger {
+	return e.DistributedMap.EnableVerification(core.VerifySpec[U, *proto.Message]{
+		Policy:    pol,
+		Digest:    func(m *proto.Message) verify.Digest { return verify.DigestOf(m.Data) },
+		Recompute: e.recompute(f),
 	})
 }
 
-// newLane builds the engine for one lending unit and wires the config's
-// durability into it: journal restore, result recording and the memory
-// bound all speak the unit's output codec.
+// newLane builds the engine for one lending unit, whose results out
+// encodes, and wires the config's durability into it: journal restore,
+// result recording and the memory bound all take the bytes as received.
+// flatten maps decoded unit results to values.
 func newLane[I, O, U, R any](m *Master[I, O], unit int, in transport.Codec[U], out transport.Codec[R],
-	pack pullstream.Through[I, U], unpack pullstream.Through[R, O],
-	lift func(func(I) (O, error)) func(U) (R, error)) *lane[I, O, U, R] {
+	pack pullstream.Through[I, U], flatten pullstream.Through[R, O],
+	lift func(func(I) (O, error)) func(U) (R, error)) *lane[I, O, U] {
 	cfg := m.cfg
 	opts := []core.Option{core.WithFlow(grouped(cfg.flow(), unit)), core.WithObserver(m.observe)}
 	if !cfg.Ordered {
 		opts = append(opts, core.WithUnordered())
 	}
-	d := core.New[U, R](opts...)
+	d := core.New[U, *proto.Message](opts...)
+	l := d.Lender()
+	l.Stamp(func(idx int, r *proto.Message) { r.Seq = uint64(idx) })
+	l.OnDiscard(proto.Release)
 	if cfg.Journal != nil {
-		d.Restore(restoreSet(cfg.Journal, out))
-		d.OnResult(recorder(cfg.Journal, out, m.noteJournalErr))
+		l.Restore(restoreSet(cfg.Journal, out))
+		l.OnResult(func(idx int, r *proto.Message) {
+			// A write failure is remembered (journalErr) but does not
+			// interrupt the stream: a deployment with a full disk keeps
+			// computing, it just stops gaining durability.
+			if err := cfg.Journal.Record(idx, r.Data); err != nil {
+				m.noteJournalErr(err)
+			}
+		})
 	}
-	if cfg.SpillHighWater > 0 {
-		d.BoundMemory(cfg.SpillHighWater, cfg.spillStore(), out.Encode, out.Decode)
+	l.SetHighWater(cfg.SpillHighWater)
+	if cfg.Spill != nil && cfg.SpillHighWater > 0 {
+		l.SetSpill(cfg.Spill, func(r *proto.Message) ([]byte, error) { return r.Data, nil },
+			func(b []byte) (*proto.Message, error) { return &proto.Message{Peer: "the spill store", Data: b}, nil })
 	}
-	return &lane[I, O, U, R]{DistributedMap: d, in: in, out: out, unit: unit, row: m.device,
-		pack: pack, unpack: unpack, lift: lift}
+	return &lane[I, O, U]{DistributedMap: d, in: in, unit: unit, row: m.device, pack: pack,
+		unpack: func(src pullstream.Source[*proto.Message]) pullstream.Source[O] { return flatten(decoded(out)(src)) },
+		recompute: func(f func(I) (O, error)) func(U) (*proto.Message, error) {
+			lifted := lift(f)
+			return func(u U) (*proto.Message, error) {
+				r, err := lifted(u)
+				if err != nil {
+					return nil, err
+				}
+				data, err := out.Encode(r)
+				return &proto.Message{Data: data}, err
+			}
+		}}
+}
+
+// decoded is the emit stage, the one Decode on the result path: each
+// result frame's bytes become a value of out's type here, and the frame
+// goes back to the arena — detached first when the value may alias it.
+// A result that does not decode ends the stream with an error naming its
+// index (a group's, with Config.Group > 1) and sender, and aborts the
+// engine's output: it is never dropped, and never re-lent to fail the
+// same way on every device.
+func decoded[R any](out transport.Codec[R]) pullstream.Through[*proto.Message, R] {
+	aliases := transport.Aliases(out)
+	return func(src pullstream.Source[*proto.Message]) pullstream.Source[R] {
+		// Asks are strictly serial, so the pending one is kept in place
+		// and a pull through the stage allocates nothing.
+		var asked pullstream.Callback[R]
+		answer := func(end error, m *proto.Message) {
+			var v R
+			if end == nil {
+				if v, end = out.Decode(m.Data); end != nil {
+					end = fmt.Errorf("master: result %d from %s does not decode: %w", m.Seq, m.Peer, end)
+					src(end, func(error, *proto.Message) {})
+				} else if aliases {
+					m.Detach()
+				}
+				proto.Release(m)
+			}
+			asked(end, v)
+		}
+		return func(abort error, cb pullstream.Callback[R]) {
+			asked = cb
+			src(abort, answer)
+		}
+	}
 }
 
 // liftGroup maps f over a group, failing the group on its first error.
@@ -361,35 +406,21 @@ func (m *Master[I, O]) wrapChannel(name string, ch transport.Channel) transport.
 	return transport.DedupMasterChannel(ch, intern, stats)
 }
 
-// restoreSet decodes the journal's recovered entries into the lender's
-// completed set. An entry whose payload no longer decodes (e.g. the
-// deployment's output codec or group size changed) is skipped — that
-// index is simply recomputed, so a stale journal degrades to extra work,
-// never to a failed restart.
-func restoreSet[R any](jnl *journal.Journal, out transport.Codec[R]) map[int]R {
+// restoreSet holds the journal's recovered entries as the lender's
+// completed set, each as its bytes in an envelope that owns nothing. An
+// entry whose payload no longer decodes (e.g. the deployment's output
+// codec or group size changed) is skipped — that index is simply
+// recomputed, so a stale journal degrades to extra work, never to a
+// failed restart.
+func restoreSet[R any](jnl *journal.Journal, out transport.Codec[R]) map[int]*proto.Message {
 	entries := jnl.Completed()
-	restore := make(map[int]R, len(entries))
+	restore := make(map[int]*proto.Message, len(entries))
 	for _, e := range entries {
-		if v, err := out.Decode(e.Data); err == nil {
-			restore[e.Idx] = v
+		if _, err := out.Decode(e.Data); err == nil {
+			restore[e.Idx] = &proto.Message{Seq: uint64(e.Idx), Peer: "the journal", Data: e.Data}
 		}
 	}
 	return restore
-}
-
-// recorder journals one accepted result. Write failures are remembered
-// (journalErr) but do not interrupt the stream: a deployment with a full
-// disk keeps computing, it just stops gaining durability.
-func recorder[R any](jnl *journal.Journal, out transport.Codec[R], noteErr func(error)) func(int, R) {
-	return func(idx int, v R) {
-		data, err := out.Encode(v)
-		if err == nil {
-			err = jnl.Record(idx, data)
-		}
-		if err != nil {
-			noteErr(err)
-		}
-	}
 }
 
 func (m *Master[I, O]) noteJournalErr(err error) {
@@ -534,9 +565,9 @@ func (m *Master[I, O]) Stats() []WorkerStats {
 }
 
 // EnableVerification turns on Byzantine-tolerant result verification:
-// k-replication with quorum voting on result digests (the SHA-256 of
-// each lending unit's result encoding — a value, or a whole group when
-// Config.Group > 1), probabilistic spot-checks recomputed with f, a
+// k-replication with quorum voting on result digests (the SHA-256 of the
+// bytes each lending unit's result arrived as — a value, or a whole group
+// when Config.Group > 1; honest replicas must encode byte-identically), probabilistic spot-checks recomputed with f, a
 // reputation ledger whose credit weighting shrinks suspects' windows, and
 // a replication-free fast path for workers above the trust threshold.
 // Call before Bind and before any worker attaches; wire the returned

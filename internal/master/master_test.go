@@ -448,7 +448,9 @@ func TestDeviceAccountingBoundedAndExact(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	var wg sync.WaitGroup
 	for a := 0; a < attachments; a++ {
-		src := countResults(pullstream.Count(each), transport.JSONCodec[int]{}, m.device("dev"))
+		r := &proto.Message{}
+		results := pullstream.Map(func(int) *proto.Message { return r })(pullstream.Count(each))
+		src := countResults(results, false, m.device("dev"))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

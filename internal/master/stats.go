@@ -1,11 +1,12 @@
 package master
 
 import (
+	"encoding/binary"
 	"sync/atomic"
 	"time"
 
+	"pando/internal/proto"
 	"pando/internal/pullstream"
-	"pando/internal/transport"
 )
 
 // This file implements the evaluation's measurement methodology (§5.1):
@@ -92,14 +93,21 @@ func (d *device) snapshot() WorkerStats {
 }
 
 // countResults counts the values of every result src delivers into d (a
-// group's, by out) — the "result" half of the §5.1 accounting, taken at
-// the attachment, where the device's row is already in hand.
-func countResults[R any](src pullstream.Source[R], out transport.Codec[R], d *device) pullstream.Source[R] {
-	values := transport.Values(out)
-	return pullstream.Tap(src, func(end error, r R) {
-		if end == nil {
-			d.record(time.Now(), values(r))
+// group's from its list framing's count prefix) — the "result" half of the
+// §5.1 accounting, taken at the attachment, where the device's row is
+// already in hand — and marks the result with the device's name, the
+// sender its emit-time decode names.
+func countResults(src pullstream.Source[*proto.Message], grouped bool, d *device) pullstream.Source[*proto.Message] {
+	return pullstream.Tap(src, func(end error, m *proto.Message) {
+		if end != nil {
+			return
 		}
+		n := uint64(1)
+		if grouped {
+			n, _ = binary.Uvarint(m.Data)
+		}
+		m.Peer = d.Name
+		d.record(time.Now(), int(n))
 	})
 }
 

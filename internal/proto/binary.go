@@ -276,28 +276,13 @@ func EncodeBatch(items []BatchItem) []byte {
 	return b
 }
 
-// DecodeBatch unpacks a grouped frame's Data field.
-func DecodeBatch(data []byte) ([]BatchItem, error) {
-	return decodeBinaryBatch(data, false)
-}
-
-// DecodeBatchShared parses a grouped payload like DecodeBatch but lets
-// item payloads alias data instead of copying them. It is for strictly
-// serial consumers that fully process (or copy) every item before the
-// backing frame is released — the worker's apply loop — where the decoded
-// items never outlive the frame and the per-item copy is pure overhead.
-// Retaining an item past the frame's release is a use-after-free of arena
-// memory; when in doubt use DecodeBatch.
+// DecodeBatchShared unpacks a grouped frame's Data field. Item payloads
+// alias data instead of being copied: it is for consumers that fully
+// process (or copy) every item before the backing frame is released — the
+// worker's apply loop, which re-encodes every reply, and the master's
+// re-framing of a result batch into one buffer. Retaining an item past
+// the frame's release is a use-after-free of arena memory.
 func DecodeBatchShared(data []byte) ([]BatchItem, error) {
-	return decodeBinaryBatch(data, true)
-}
-
-// decodeBinaryBatch parses a batch payload. Unless share is set every
-// item payload is copied out: aliasing the frame would let one retained
-// item pin the whole multi-item frame buffer for its lifetime (batch-size
-// memory amplification). Message.Data stays aliased — there the mapping
-// is 1:1.
-func decodeBinaryBatch(data []byte, share bool) ([]BatchItem, error) {
 	if len(data) == 0 || data[0] != binBatchMagic {
 		return nil, fmt.Errorf("%w: missing batch magic", ErrBadFrame)
 	}
@@ -328,10 +313,8 @@ func decodeBinaryBatch(data []byte, share bool) ([]BatchItem, error) {
 			case l == 0:
 			case f == 1:
 				it.E = string(rest[:l])
-			case share:
-				it.D = rest[:l:l]
 			default:
-				it.D = append([]byte(nil), rest[:l]...)
+				it.D = rest[:l:l]
 			}
 			rest = rest[l:]
 		}

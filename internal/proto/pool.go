@@ -39,25 +39,21 @@ import (
 // A Message that is never Released is simply collected by the GC — safety
 // never depends on Release being called, only performance does.
 
-// Size classes for pooled buffers. A buffer is recycled into the class
-// whose capacity it fits; buffers beyond maxPooledBuf (a giant frame) are
-// left to the GC so one outlier cannot pin megabytes in the pool. The
+// bufClasses are the capacities of the pooled buffer classes, smallest
+// first. A buffer is recycled into the smallest class whose capacity it
+// fits; buffers beyond the largest (a giant frame) are left to the GC so
+// one outlier cannot pin megabytes in the pool. The 512 B class keeps
+// small results cheap while the master holds their frames until emit; the
 // 16 KiB class bounds the unused tail a frame a little over 4 KiB holds
 // until it is written.
-const (
-	bufClassSmall  = 4 << 10
-	bufClassMid    = 16 << 10
-	bufClassMedium = 64 << 10
-	bufClassLarge  = 1 << 20
+var bufClasses = [...]int{512, 4 << 10, 16 << 10, 64 << 10, 1 << 20}
 
-	maxPooledBuf = bufClassLarge
-)
+var bufPools [len(bufClasses)]sync.Pool
 
-var bufPools = [4]sync.Pool{
-	{New: func() any { b := make([]byte, 0, bufClassSmall); return &b }},
-	{New: func() any { b := make([]byte, 0, bufClassMid); return &b }},
-	{New: func() any { b := make([]byte, 0, bufClassMedium); return &b }},
-	{New: func() any { b := make([]byte, 0, bufClassLarge); return &b }},
+func init() {
+	for c, size := range bufClasses {
+		bufPools[c].New = func() any { b := make([]byte, 0, size); return &b }
+	}
 }
 
 // poisonPut, when set by tests (SetPoisonPut), scribbles over every
@@ -69,15 +65,10 @@ var poisonPut atomic.Bool
 // classFor returns the pool index whose buffers hold n bytes, or -1 when
 // n exceeds the largest pooled class.
 func classFor(n int) int {
-	switch {
-	case n <= bufClassSmall:
-		return 0
-	case n <= bufClassMid:
-		return 1
-	case n <= bufClassMedium:
-		return 2
-	case n <= maxPooledBuf:
-		return 3
+	for c, size := range bufClasses {
+		if n <= size {
+			return c
+		}
 	}
 	return -1
 }

@@ -196,13 +196,18 @@ func TestReleaseRecyclesAcrossFrames(t *testing.T) {
 // TestGetBufClasses exercises the size-class mapping, including the
 // oversized path that bypasses the pool.
 func TestGetBufClasses(t *testing.T) {
-	for _, n := range []int{0, 1, bufClassSmall, bufClassSmall + 1, bufClassMid, bufClassMid + 1, bufClassMedium, bufClassLarge} {
+	sizes := []int{0, 1}
+	for _, size := range bufClasses {
+		sizes = append(sizes, size, size+1)
+	}
+	for _, n := range sizes {
 		b := GetBuf(n)
 		if len(b) != 0 || cap(b) < n {
 			t.Fatalf("GetBuf(%d): len=%d cap=%d", n, len(b), cap(b))
 		}
 		PutBuf(b)
 	}
+	maxPooledBuf := bufClasses[len(bufClasses)-1]
 	huge := GetBuf(maxPooledBuf + 1)
 	if cap(huge) < maxPooledBuf+1 {
 		t.Fatalf("oversized GetBuf too small: %d", cap(huge))

@@ -241,12 +241,12 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add([]byte{0xB3, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F})
 	f.Add([]byte(`[]`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		items, err := DecodeBatch(data)
+		items, err := DecodeBatchShared(data)
 		if err != nil {
 			return
 		}
 		// Whatever decoded must re-encode and decode identically.
-		back, err := DecodeBatch(EncodeBatch(items))
+		back, err := DecodeBatchShared(EncodeBatch(items))
 		if err != nil {
 			t.Fatalf("re-decode: %v", err)
 		}

@@ -252,7 +252,7 @@ func TestBinaryBatchRoundTrip(t *testing.T) {
 		{D: []byte{0xB3, 0x00, 0xFF}, E: "both"},
 		{},
 	}
-	got, err := DecodeBatch(EncodeBatch(items))
+	got, err := DecodeBatchShared(EncodeBatch(items))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,12 +264,12 @@ func TestBinaryBatchRoundTrip(t *testing.T) {
 func TestBinaryBatchRejectsHostileCounts(t *testing.T) {
 	// Claims 2^32 items in a 3-byte body: must fail before allocating.
 	data := []byte{binBatchMagic, 0x80, 0x80, 0x80, 0x80, 0x10}
-	if _, err := DecodeBatch(data); err == nil {
+	if _, err := DecodeBatchShared(data); err == nil {
 		t.Fatal("hostile count decoded successfully")
 	}
 	// Trailing garbage after a valid batch.
 	ok := EncodeBatch([]BatchItem{{D: []byte("x")}})
-	if _, err := DecodeBatch(append(ok, 0x00)); err == nil {
+	if _, err := DecodeBatchShared(append(ok, 0x00)); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
 }
@@ -277,10 +277,8 @@ func TestBinaryBatchRejectsHostileCounts(t *testing.T) {
 // TestDecodeBatchSniffsJSON: a JSON array — the retired JSON wire's
 // batch — fails on its first byte instead of decoding as anything.
 func TestDecodeBatchSniffsJSON(t *testing.T) {
-	for _, decode := range []func([]byte) ([]BatchItem, error){DecodeBatch, DecodeBatchShared} {
-		if _, err := decode([]byte(`[{"d":"MQ=="},{"d":"Mg=="}]`)); !errors.Is(err, ErrBadFrame) {
-			t.Fatalf("JSON batch decoded as %v, want ErrBadFrame", err)
-		}
+	if _, err := DecodeBatchShared([]byte(`[{"d":"MQ=="},{"d":"Mg=="}]`)); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("JSON batch decoded as %v, want ErrBadFrame", err)
 	}
 }
 

@@ -127,7 +127,7 @@ func TestMasterDuplexRawCodec(t *testing.T) {
 	for i := 0; i < n; i++ {
 		inputs = append(inputs, []byte(fmt.Sprintf("tile-%04d", i)))
 	}
-	d := MasterDuplex[[]byte, []byte](masterCh, RawCodec{}, RawCodec{}, nil)
+	d := typedDuplex[[]byte, []byte](masterCh, RawCodec{}, RawCodec{}, nil)
 	go d.Sink(pullstream.Values(inputs...))
 	got, err := pullstream.Collect(d.Source)
 	if err != nil {

@@ -66,8 +66,9 @@ func (BinaryCodec[T, PT]) DecodeAliases() bool { return true }
 // entries, spilled results, verification digests):
 // a uvarint count, then each value as a uvarint length + its encoding.
 // On the wire MasterDuplex recognizes the codec and packs the same
-// element encodings into binary batch frames
-// (TypeInputBatch / TypeResultBatch) instead.
+// element encodings into binary batch frames (TypeInputBatch /
+// TypeResultBatch) instead, and re-frames each result batch into this
+// framing once, as it accepts it.
 type ListCodec[T any] struct{ Elem Codec[T] }
 
 // Encode frames vs into one payload.
@@ -76,12 +77,17 @@ func (c ListCodec[T]) Encode(vs []T) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	buf := binary.AppendUvarint(nil, uint64(len(items)))
+	return appendList(nil, items), nil
+}
+
+// appendList appends the list framing of items to dst.
+func appendList(dst []byte, items []proto.BatchItem) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(items)))
 	for _, it := range items {
-		buf = binary.AppendUvarint(buf, uint64(len(it.D)))
-		buf = append(buf, it.D...)
+		dst = binary.AppendUvarint(dst, uint64(len(it.D)))
+		dst = append(dst, it.D...)
 	}
-	return buf, nil
+	return dst
 }
 
 // Decode reverses Encode. It is strict: trailing garbage or a short
@@ -97,25 +103,32 @@ func (c ListCodec[T]) Decode(data []byte) ([]T, error) {
 		// than the buffer is corrupt (and would over-allocate).
 		return nil, fmt.Errorf("transport: list count %d exceeds payload", n)
 	}
-	items := make([]proto.BatchItem, n)
-	for i := range items {
+	vs := make([]T, n)
+	for i := range vs {
 		ln, k := binary.Uvarint(data[off:])
 		if k <= 0 || ln > uint64(len(data)-off-k) {
 			return nil, fmt.Errorf("transport: list member %d: truncated", i)
 		}
 		off += k
-		items[i].D = data[off : off+int(ln)]
+		v, err := c.Elem.Decode(data[off : off+int(ln)])
+		if err != nil {
+			return nil, fmt.Errorf("transport: decode list member %d: %w", i, err)
+		}
+		vs[i] = v
 		off += int(ln)
 	}
 	if off != len(data) {
 		return nil, fmt.Errorf("transport: list payload has %d trailing bytes", len(data)-off)
 	}
-	return c.decodeItems(items)
+	return vs, nil
 }
 
-// encodeItems and decodeItems map a group to one BatchItem per member:
-// the wire half (see batchCodec), which hands them to the channel's batch
-// packing, and the inside of Encode and Decode.
+// DecodeAliases reports whether the element codec's values alias.
+func (c ListCodec[T]) DecodeAliases() bool { return Aliases(c.Elem) }
+
+// encodeItems maps a group to one BatchItem per member: the wire half (see
+// batchCodec), which hands them to the channel's batch packing, and the
+// inside of Encode.
 func (c ListCodec[T]) encodeItems(vs []T) ([]proto.BatchItem, error) {
 	items := make([]proto.BatchItem, len(vs))
 	for i, v := range vs {
@@ -128,32 +141,8 @@ func (c ListCodec[T]) encodeItems(vs []T) ([]proto.BatchItem, error) {
 	return items, nil
 }
 
-func (c ListCodec[T]) decodeItems(items []proto.BatchItem) ([]T, error) {
-	vs := make([]T, len(items))
-	for i, it := range items {
-		v, err := c.Elem.Decode(it.D)
-		if err != nil {
-			return nil, fmt.Errorf("transport: decode list member %d: %w", i, err)
-		}
-		vs[i] = v
-	}
-	return vs, nil
-}
-
-// Values returns how many values each T is under c: a ListCodec group's
-// length, or 1.
-func Values[T any](c Codec[T]) func(T) int {
-	if list, ok := c.(interface{ count(T) int }); ok {
-		return list.count
-	}
-	return func(T) int { return 1 }
-}
-
-func (ListCodec[T]) count(vs []T) int { return len(vs) }
-
 // batchCodec is how MasterDuplex tells a list codec from a plain one: a
-// codec with the item methods travels as batch frames.
+// codec with the item method travels as batch frames.
 type batchCodec[T any] interface {
 	encodeItems(T) ([]proto.BatchItem, error)
-	decodeItems([]proto.BatchItem) (T, error)
 }

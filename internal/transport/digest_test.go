@@ -50,7 +50,7 @@ func TestResultFramesCarryNoDigest(t *testing.T) {
 	if r.Type != proto.TypeResultBatch || len(r.Digest) != 0 {
 		t.Fatalf("result batch frame = %+v, want no digest", r)
 	}
-	items, err := proto.DecodeBatch(r.Data)
+	items, err := proto.DecodeBatchShared(r.Data)
 	if err != nil || len(items) != 2 || string(items[0].D) != `4` || string(items[1].D) != `9` {
 		t.Fatalf("result batch = %v, %v; want [4 9]", items, err)
 	}
@@ -72,7 +72,7 @@ func TestMasterDuplexRejectsCorruptResultFrame(t *testing.T) {
 
 func testCorruptResultFrame[T any](t *testing.T, codec Codec[T], input T, wantFrame proto.Type) {
 	master, workerCh, pipe := wsockPair(t, netsim.Loopback, Config{HeartbeatInterval: -1})
-	d := MasterDuplex(master, codec, codec, nil)
+	d := typedDuplex(master, codec, codec, nil)
 	go d.Sink(pullstream.Values(input))
 
 	m, err := workerCh.Recv()
@@ -115,7 +115,7 @@ func testCorruptResultFrame[T any](t *testing.T, codec Codec[T], input T, wantFr
 // are results with no digest at all.
 func TestMasterDuplexAcceptsDigestedAndBareResults(t *testing.T) {
 	master, workerCh, _ := wsockPair(t, netsim.Loopback, Config{HeartbeatInterval: -1})
-	d := MasterDuplex(master, JSONCodec[int]{}, JSONCodec[int]{}, nil)
+	d := typedDuplex(master, JSONCodec[int]{}, JSONCodec[int]{}, nil)
 
 	go d.Sink(pullstream.Values(1, 2, 3))
 	go func() {

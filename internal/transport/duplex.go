@@ -17,12 +17,12 @@ type Codec[T any] interface {
 }
 
 // AliasingCodec is implemented by codecs that declare whether Decode's
-// result can alias the input buffer. Receive loops use it to decide the
-// fate of a pooled frame once its payload is decoded: a non-aliasing
-// codec's frame recycles into the arena immediately, while an aliasing
-// codec's frame must be detached first because the decoded value shares
-// its memory. Codecs that don't implement the interface are treated as
-// aliasing — the conservative choice, trading pool hits for safety.
+// result can alias the input buffer. Whoever decodes a held result frame
+// uses it to decide the frame's fate once its payload is decoded: a
+// non-aliasing codec's frame recycles into the arena immediately, while an
+// aliasing codec's frame must be detached first because the decoded value
+// shares its memory. Codecs that don't implement the interface are treated
+// as aliasing — the conservative choice, trading pool hits for safety.
 type AliasingCodec interface {
 	DecodeAliases() bool
 }
@@ -43,8 +43,8 @@ func AppendEncode[T any](c Codec[T], dst []byte, v T) ([]byte, error) {
 	return c.Encode(v)
 }
 
-// codecAliases resolves the aliasing contract of an arbitrary codec.
-func codecAliases(c any) bool {
+// Aliases resolves the aliasing contract of an arbitrary codec.
+func Aliases(c any) bool {
 	if a, ok := c.(AliasingCodec); ok {
 		return a.DecodeAliases()
 	}
@@ -77,9 +77,12 @@ type Meter interface {
 
 // MasterDuplex exposes a channel to the master as a pull-stream duplex:
 // its Sink consumes the inputs lent to the worker (sending them as input
-// frames) and its Source produces the worker's results, accepted on the
-// channel's read loop, which the StreamLender's pump then runs on too:
-// pull(sub.Source, Gate(ctrl, MasterDuplex(ch)), sub.Sink).
+// frames) and its Source produces the worker's results as the frames that
+// carry them, accepted on the channel's read loop, which the
+// StreamLender's pump then runs on too:
+// pull(sub.Source, Gate(ctrl, MasterDuplex(ch)), sub.Sink). Results stay
+// bytes: the master decodes each one once, where it is emitted, and
+// releases its frame there.
 //
 // It is the one master data path. Sends are smart-batched: the Sink
 // pulls inputs as fast as the credit gate admits them and a sendQueue
@@ -88,9 +91,10 @@ type Meter interface {
 // idle channel sends a lone frame at once). A group of values is just an
 // item whose codec is a ListCodec: the same duplex then emits
 // TypeInputBatch and accepts TypeResultBatch frames (binary batches,
-// proto.EncodeBatch). meter, when not nil, is told each input's payload
-// length as soon as its frame is made and its wire length once written,
-// and each result's service stamp as the result is accepted.
+// proto.EncodeBatch), each re-framed as the ListCodec encoding of the
+// group's results (listFrame). meter, when not nil, is told each input's
+// payload length as soon as its frame is made and its wire length once
+// written, and each result's service stamp as the result is accepted.
 //
 // Failure semantics: a channel error (including heartbeat timeout) or an
 // application error reported by the worker ends the Source with an error,
@@ -107,10 +111,10 @@ type Meter interface {
 // output survives. (The chaos suite's packet-drop fault is what forces
 // this: a cleanly dropped result frame leaves the stream parseable, so
 // only the Seq discipline can detect it.)
-func MasterDuplex[I, O any](ch Channel, in Codec[I], out Codec[O], meter Meter) pullstream.Duplex[I, O] {
+func MasterDuplex[I any](ch Channel, in Codec[I], meter Meter) pullstream.Duplex[I, *proto.Message] {
 	inList, _ := any(in).(batchCodec[I])
 	q := newSendQueue(ch, meter)
-	return pullstream.Duplex[I, O]{
+	return pullstream.Duplex[I, *proto.Message]{
 		Sink: func(src pullstream.Source[I]) {
 			defer q.close()
 			var seq uint64
@@ -147,7 +151,7 @@ func MasterDuplex[I, O any](ch Channel, in Codec[I], out Codec[O], meter Meter) 
 				}
 			}
 		},
-		Source: masterSource(ch, out, meter),
+		Source: masterSource(ch, inList != nil, meter),
 	}
 }
 
@@ -183,95 +187,82 @@ func own(m *proto.Message, buf []byte) {
 }
 
 // masterSource is the result side of MasterDuplex: a pull-stream source
-// of decoded results with Seq-contiguity enforcement and arena release
-// discipline — every received frame returns to the pool once its payload
-// is decoded (detached first when the codec aliases). It accepts the
-// result kind its codec calls for (TypeResultBatch for a list codec,
-// TypeResult otherwise) and treats every check the same on both.
-// It routes the channel and answers asks from the read loop; a result
-// that arrives before its ask waits, decoded, for the next one. A result's
-// service stamp goes to meter (which may be nil) before the result does.
-func masterSource[O any](ch Channel, out Codec[O], meter Meter) pullstream.Source[O] {
-	aliases := codecAliases(out)
-	list, _ := any(out).(batchCodec[O])
+// of result frames with Seq-contiguity enforcement. It accepts the result
+// kind the inputs call for (TypeResultBatch for a list, TypeResult
+// otherwise) and treats every check the same on both; every other frame,
+// and every frame it rejects, goes back to the arena at once. It routes
+// the channel and answers asks from the read loop; a result that arrives
+// before its ask waits for the next one. A result's service stamp goes to
+// meter (which may be nil) before the result does.
+func masterSource(ch Channel, list bool, meter Meter) pullstream.Source[*proto.Message] {
 	want := proto.TypeResult
-	if list != nil {
+	if list {
 		want = proto.TypeResultBatch
 	}
 	var got uint64 // last result Seq accepted
-	// accept checks one result frame of the wanted kind and decodes it;
-	// any error is crash-stop — the channel closes and the outstanding
-	// values re-lend. The read loop has already checked the frame's CRC;
-	// a digest an older worker attached is ignored.
-	accept := func(m *proto.Message) (O, error) {
-		var zero O
+	// accept checks one result frame of the wanted kind; any error is
+	// crash-stop — the channel closes and the outstanding values re-lend.
+	// The read loop has already checked the frame's CRC; a digest an older
+	// worker attached is ignored.
+	accept := func(m *proto.Message) (*proto.Message, error) {
 		if m.Err != "" {
-			return zero, &WorkerError{Seq: m.Seq, Msg: m.Err}
+			return nil, &WorkerError{Seq: m.Seq, Msg: m.Err}
 		}
 		if m.Seq != got+1 {
-			return zero, fmt.Errorf("transport: result seq %d, want %d (frame lost or reordered)", m.Seq, got+1)
+			return nil, fmt.Errorf("transport: result seq %d, want %d (frame lost or reordered)", m.Seq, got+1)
 		}
 		got = m.Seq
 		if m.Service > 0 && meter != nil {
 			meter.Served(time.Duration(m.Service) * time.Microsecond)
 		}
-		if list != nil {
-			return decodeBatchResult(m, list)
+		if list {
+			return listFrame(m)
 		}
-		v, err := out.Decode(m.Data)
-		if err != nil {
-			return zero, fmt.Errorf("transport: decode result %d: %w", m.Seq, err)
-		}
-		if aliases {
-			// The decoded value shares the frame buffer; its ownership
-			// moves to the value and only the envelope recycles.
-			m.Detach()
-		}
-		return v, nil
+		return m, nil
 	}
 
 	var (
 		mu    sync.Mutex
-		asked pullstream.Callback[O] // the pending ask
-		ready []result[O]            // answers made before their ask, oldest first
+		asked pullstream.Callback[*proto.Message] // the pending ask
+		ready []result                            // answers made before their ask, oldest first
 	)
 	// give answers the pending ask, or keeps the answer for the next one.
-	give := func(end error, v O) {
+	give := func(end error, m *proto.Message) {
 		mu.Lock()
 		cb := asked
 		if asked = nil; cb == nil {
-			ready = append(ready, result[O]{end, v})
+			ready = append(ready, result{end, m})
 		}
 		mu.Unlock()
 		if cb != nil {
-			cb(end, v)
+			cb(end, m)
 		}
 	}
 	ch.Route(func(m *proto.Message, err error) {
-		var zero O
 		switch {
 		case m == nil:
-			give(err, zero)
+			give(err, nil)
 		case m.Type == want:
-			v, err := accept(m)
-			proto.Release(m)
+			r, err := accept(m)
+			if r != m {
+				proto.Release(m) // rejected, or re-framed into r
+			}
 			if err != nil {
 				ch.Close()
 			}
-			give(err, v)
+			give(err, r)
 		case m.Type == proto.TypeGoodbye:
 			proto.Release(m)
-			give(pullstream.ErrDone, zero)
+			give(pullstream.ErrDone, nil)
 		default:
 			// Ignore stray control messages.
 			proto.Release(m)
 		}
 	})
-	return func(abort error, cb pullstream.Callback[O]) {
-		var zero O
+	return func(abort error, cb pullstream.Callback[*proto.Message]) {
 		if abort != nil {
 			ch.Close()
-			cb(abort, zero)
+			cb(abort, nil)
 			return
 		}
 		mu.Lock()
@@ -283,36 +274,36 @@ func masterSource[O any](ch Channel, out Codec[O], meter Meter) pullstream.Sourc
 		r := ready[0]
 		ready = ready[:copy(ready, ready[1:])]
 		mu.Unlock()
-		cb(r.end, r.v)
+		cb(r.end, r.m)
 	}
 }
 
 // result is one answer of masterSource made before its ask.
-type result[O any] struct {
+type result struct {
 	end error
-	v   O
+	m   *proto.Message
 }
 
-// decodeBatchResult unpacks a result batch into the list codec's value.
-// DecodeBatch copies every item out of the frame (one retained item must
-// not pin a whole multi-item frame), so nothing decoded aliases it. A
-// per-item error is the worker's f failing on that member.
-func decodeBatchResult[O any](m *proto.Message, list batchCodec[O]) (O, error) {
-	var zero O
-	items, err := proto.DecodeBatch(m.Data)
+// listFrame re-frames a result batch as the ListCodec encoding of the
+// group's results, into a frame of its own from the arena: the one form a
+// group's result is held, journaled, spilled, voted on and decoded in.
+// The batch frame is left to the caller. A member error is the worker's f
+// failing on that member.
+func listFrame(m *proto.Message) (*proto.Message, error) {
+	items, err := proto.DecodeBatchShared(m.Data)
 	if err != nil {
-		return zero, fmt.Errorf("transport: decode result batch %d: %w", m.Seq, err)
+		return nil, fmt.Errorf("transport: decode result batch %d: %w", m.Seq, err)
 	}
 	for _, it := range items {
 		if it.E != "" {
-			return zero, &WorkerError{Seq: m.Seq, Msg: it.E}
+			return nil, &WorkerError{Seq: m.Seq, Msg: it.E}
 		}
 	}
-	v, err := list.decodeItems(items)
-	if err != nil {
-		return zero, fmt.Errorf("transport: decode result batch %d: %w", m.Seq, err)
-	}
-	return v, nil
+	// The list framing is never longer than the batch it re-frames.
+	r, buf := proto.GetMessage(), proto.GetBuf(len(m.Data))
+	r.Type, r.Seq, r.Data = m.Type, m.Seq, appendList(buf, items)
+	r.Own(buf)
+	return r, nil
 }
 
 // WorkerServe runs the volunteer side of a channel, the one worker loop:

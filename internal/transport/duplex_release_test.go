@@ -195,7 +195,7 @@ func serveThrough[T any](t *testing.T, masterCh, workerCh Channel, c Codec[T], v
 	go func() {
 		served <- serveTyped(workerCh, c, c, func(v T) (T, error) { return v, nil }, nil)
 	}()
-	d := MasterDuplex[T, T](masterCh, c, c, nil)
+	d := typedDuplex[T, T](masterCh, c, c, nil)
 	sunk := make(chan struct{})
 	go func() { d.Sink(pullstream.Values(values...)); close(sunk) }()
 	got, err := pullstream.Collect(d.Source)

@@ -18,14 +18,14 @@ func TestBatchEncodeDecodeRoundTrip(t *testing.T) {
 		{D: []byte(`"two"`)},
 		{E: "boom"},
 	}
-	got, err := proto.DecodeBatch(proto.EncodeBatch(items))
+	got, err := proto.DecodeBatchShared(proto.EncodeBatch(items))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 3 || string(got[0].D) != `1` || got[2].E != "boom" {
 		t.Fatalf("got %+v", got)
 	}
-	if _, err := proto.DecodeBatch([]byte("garbage")); err == nil {
+	if _, err := proto.DecodeBatchShared([]byte("garbage")); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }
@@ -36,7 +36,7 @@ func TestBatchEncodeDecodeRoundTrip(t *testing.T) {
 func groupedPipeline(masterCh Channel, group, inFlight int) pullstream.Through[int, int] {
 	return func(src pullstream.Source[int]) pullstream.Source[int] {
 		grouped := pullstream.Group[int](group)(src)
-		d := MasterDuplex[[]int, []int](masterCh, listOf, listOf, nil)
+		d := typedDuplex[[]int, []int](masterCh, listOf, listOf, nil)
 		results := sched.Gate(sched.NewController(sched.Static(inFlight)), d)(grouped)
 		return pullstream.Flatten[int]()(results)
 	}
@@ -73,7 +73,7 @@ func TestListCodecRoundTrip(t *testing.T) {
 // result's Err — not as an unrelated batch-decode failure.
 func TestMasterDuplexBatchErrIsWorkerError(t *testing.T) {
 	master, workerCh, _ := wsockPair(t, netsim.Loopback, Config{HeartbeatInterval: -1})
-	d := MasterDuplex(master, listOf, listOf, nil)
+	d := typedDuplex(master, listOf, listOf, nil)
 	go d.Sink(pullstream.Values([]int{1, 2}))
 
 	m, err := workerCh.Recv()
@@ -134,7 +134,7 @@ func TestGroupedMapFewerMessagesThanItems(t *testing.T) {
 			switch m.Type {
 			case proto.TypeInputBatch:
 				frames++
-				items, _ := proto.DecodeBatch(m.Data)
+				items, _ := proto.DecodeBatchShared(m.Data)
 				results := make([]proto.BatchItem, len(items))
 				for i, it := range items {
 					results[i] = proto.BatchItem{D: it.D}
@@ -216,7 +216,7 @@ func TestWorkerServeHandlesPlainInputs(t *testing.T) {
 		return v + 1, nil
 	}, nil)
 
-	d := MasterDuplex[int, int](masterCh, JSONCodec[int]{}, JSONCodec[int]{}, nil)
+	d := typedDuplex[int, int](masterCh, JSONCodec[int]{}, JSONCodec[int]{}, nil)
 	go d.Sink(pullstream.Count(5))
 	got, err := pullstream.Collect(d.Source)
 	if err != nil {

@@ -59,7 +59,7 @@ func TestMasterDuplexDetectsDroppedResult(t *testing.T) {
 
 func testDroppedResult[T any](t *testing.T, codec Codec[T], inputs []T, wantFrame proto.Type) {
 	master, workerCh, _ := wsockPair(t, netsim.Loopback, Config{HeartbeatInterval: -1})
-	d := MasterDuplex(master, codec, codec, nil)
+	d := typedDuplex(master, codec, codec, nil)
 	go d.Sink(pullstream.Values(inputs...))
 
 	// Worker side: receive both inputs, "lose" the first result, answer
@@ -92,7 +92,7 @@ func testDroppedResult[T any](t *testing.T, codec Codec[T], inputs []T, wantFram
 // reject an honest serial worker.
 func TestMasterDuplexAcceptsContiguousResults(t *testing.T) {
 	master, workerCh, _ := wsockPair(t, netsim.Loopback, Config{HeartbeatInterval: -1})
-	d := MasterDuplex(master, JSONCodec[int]{}, JSONCodec[int]{}, nil)
+	d := typedDuplex(master, JSONCodec[int]{}, JSONCodec[int]{}, nil)
 
 	inputs := []int{1, 2, 3}
 	go d.Sink(func(abort error, cb pullstream.Callback[int]) {

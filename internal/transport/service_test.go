@@ -121,9 +121,9 @@ func TestMasterDuplexHandsStampsToMeter(t *testing.T) {
 		master, workerCh, _ := wsockPair(t, netsim.Loopback, Config{HeartbeatInterval: -1})
 		var d pullstream.Duplex[int, int]
 		if meter != nil {
-			d = MasterDuplex(master, JSONCodec[int]{}, JSONCodec[int]{}, Meter(meter))
+			d = typedDuplex(master, JSONCodec[int]{}, JSONCodec[int]{}, Meter(meter))
 		} else {
-			d = MasterDuplex(master, JSONCodec[int]{}, JSONCodec[int]{}, nil)
+			d = typedDuplex(master, JSONCodec[int]{}, JSONCodec[int]{}, nil)
 		}
 		go d.Sink(pullstream.Values(1, 2, 3))
 		go func() {

@@ -27,6 +27,25 @@ func wsockPair(t *testing.T, link netsim.Link, cfg Config) (*WSock, *WSock, *net
 	return a, b, p
 }
 
+// typedDuplex is MasterDuplex with each result frame decoded by out and
+// released, as the master's emit stage decodes and releases it.
+func typedDuplex[I, O any](ch Channel, in Codec[I], out Codec[O], meter Meter) pullstream.Duplex[I, O] {
+	d := MasterDuplex(ch, in, meter)
+	aliases := Aliases(out)
+	return pullstream.Duplex[I, O]{Sink: d.Sink, Source: func(abort error, cb pullstream.Callback[O]) {
+		d.Source(abort, func(end error, m *proto.Message) {
+			var v O
+			if end == nil {
+				if v, end = out.Decode(m.Data); end == nil && aliases {
+					m.Detach()
+				}
+				proto.Release(m)
+			}
+			cb(end, v)
+		})
+	}}
+}
+
 func TestWSockSendRecv(t *testing.T) {
 	a, b, _ := wsockPair(t, netsim.Loopback, Config{HeartbeatInterval: -1})
 	if err := a.Send(&proto.Message{Type: proto.TypeInput, Seq: 1, Data: []byte(`"x"`)}); err != nil {
@@ -360,7 +379,7 @@ func TestMasterDuplexWorkerServeRoundTrip(t *testing.T) {
 		}
 	}()
 
-	d := MasterDuplex[int, int](masterCh, JSONCodec[int]{}, JSONCodec[int]{}, nil)
+	d := typedDuplex[int, int](masterCh, JSONCodec[int]{}, JSONCodec[int]{}, nil)
 	go d.Sink(pullstream.Count(100))
 	got, err := pullstream.Collect(d.Source)
 	if err != nil {
@@ -390,7 +409,7 @@ func TestMasterDuplexWorkerApplicationError(t *testing.T) {
 		return v, nil
 	}, nil)
 
-	d := MasterDuplex[int, int](masterCh, JSONCodec[int]{}, JSONCodec[int]{}, nil)
+	d := typedDuplex[int, int](masterCh, JSONCodec[int]{}, JSONCodec[int]{}, nil)
 	go d.Sink(pullstream.Count(10))
 	got, err := pullstream.Collect(d.Source)
 	var werr *WorkerError
@@ -412,7 +431,7 @@ func TestMasterDuplexWorkerCrash(t *testing.T) {
 		return v, nil
 	}, nil)
 
-	d := MasterDuplex[int, int](masterCh, JSONCodec[int]{}, JSONCodec[int]{}, nil)
+	d := typedDuplex[int, int](masterCh, JSONCodec[int]{}, JSONCodec[int]{}, nil)
 	go d.Sink(pullstream.Count(100))
 
 	// Pull two results, then crash the link while values are in flight.

@@ -31,7 +31,7 @@ func TestDuplexWireFormatRoundTrip(t *testing.T) {
 	t.Run("plain", func(t *testing.T) {
 		masterCh, workerCh := newWirePair(t)
 		go func() { _ = serveTyped(workerCh, JSONCodec[int]{}, JSONCodec[int]{}, square, nil) }()
-		d := MasterDuplex[int, int](masterCh, JSONCodec[int]{}, JSONCodec[int]{}, nil)
+		d := typedDuplex[int, int](masterCh, JSONCodec[int]{}, JSONCodec[int]{}, nil)
 		go d.Sink(pullstream.Values(1, 2, 3, 4))
 		got, err := pullstream.Collect(d.Source)
 		if err != nil {
@@ -44,7 +44,7 @@ func TestDuplexWireFormatRoundTrip(t *testing.T) {
 	t.Run("list", func(t *testing.T) {
 		masterCh, workerCh := newWirePair(t)
 		go func() { _ = serveTyped(workerCh, JSONCodec[int]{}, JSONCodec[int]{}, square, nil) }()
-		d := MasterDuplex[[]int, []int](masterCh, listOf, listOf, nil)
+		d := typedDuplex[[]int, []int](masterCh, listOf, listOf, nil)
 		go d.Sink(pullstream.Values([]int{1, 2}, []int{3}))
 		got, err := pullstream.Collect(d.Source)
 		if err != nil {
@@ -176,7 +176,7 @@ func TestBinaryCodecOverChannel(t *testing.T) {
 		}, nil)
 	}()
 
-	d := MasterDuplex[wirePoint, wirePoint](masterCh, codec, codec, nil)
+	d := typedDuplex[wirePoint, wirePoint](masterCh, codec, codec, nil)
 	go d.Sink(pullstream.Values(wirePoint{X: 1, Y: 2}))
 	got, err := pullstream.Collect(d.Source)
 	if err != nil {

@@ -226,7 +226,7 @@ func TestWSockBusyVolunteerIsNotSilentRouted(t *testing.T) {
 			return v * 10, nil
 		}, nil)
 	}()
-	d := MasterDuplex[int, int](master, JSONCodec[int]{}, JSONCodec[int]{}, nil)
+	d := typedDuplex[int, int](master, JSONCodec[int]{}, JSONCodec[int]{}, nil)
 	go d.Sink(pullstream.Values(1, 2))
 	got, err := pullstream.Collect(d.Source)
 	if err != nil {
